@@ -119,9 +119,11 @@ def _phase1_channels(
 
     Uses the exact per-UAV distances; no common-distance approximation.
     """
-    gbs3d = np.column_stack([gbs.positions, np.zeros(len(gbs.positions))])
-    diff = swarm.positions[:, None, :] - gbs3d[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+    uav, ground = swarm.positions, gbs.positions
+    dx = uav[:, 0, None] - ground[:, 0]
+    dy = uav[:, 1, None] - ground[:, 1]
+    dz = uav[:, 2, None]  # ground stations sit at height 0
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     amp = np.sqrt(config.ref_gain_cell * dist ** (-config.pathloss_exp_cell))
     return amp * draw.gains
 

@@ -74,6 +74,14 @@ def sample_uniform_disk(n: int, radius: float, rng: np.random.Generator) -> np.n
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
+def _row_bits(matrix: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int, column j at bit j; at most 64 columns."""
+    packed = np.zeros((len(matrix), 8), dtype=np.uint8)
+    bits = np.packbits(matrix, axis=1, bitorder="little")
+    packed[:, : bits.shape[1]] = bits
+    return packed.view("<u8")[:, 0].tolist()
+
+
 def sample_hardcore_disk(
     n: int,
     radius: float,
@@ -84,42 +92,62 @@ def sample_hardcore_disk(
 ) -> np.ndarray:
     """Sequential inhibition: uniform darts rejected within d_min of a point.
 
-    A point gets ``attempts_per_point`` darts; if the layout wedges (some
-    point cannot be placed) the whole layout is redrawn, up to
-    ``layout_retries`` times, after which ``PlacementError`` is raised rather
-    than relaxing the separation constraint.
+    Darts are drawn in blocks of up to 64 and judged in draw order, as if one
+    at a time: a block first drops the darts too close to a point placed
+    before it, then accepts the survivors greedily, each accepted dart
+    dropping the later survivors too close to it.  A point gets
+    ``attempts_per_point`` darts; if the layout wedges (some point cannot be
+    placed) the whole layout is redrawn, up to ``layout_retries`` times, after
+    which ``PlacementError`` is raised rather than relaxing the separation
+    constraint.
     """
     if n == 0:
         return np.empty((0, 2))
     dmin2 = d_min * d_min
+    px = np.empty(n)
+    py = np.empty(n)
+    most = 0
     for _ in range(layout_retries):
-        pts = np.empty((n, 2))
         count = 0
         budget = attempts_per_point
-        buf = np.empty((0, 2))
-        pos = 0
-        wedged = False
         while count < n:
-            if pos >= len(buf):
-                block = min(_CANDIDATE_BLOCK, budget)
-                if block == 0:
-                    wedged = True
-                    break
-                buf = sample_uniform_disk(block, radius, rng)
-                pos = 0
-                budget -= block
-            x, y = buf[pos]
-            pos += 1
-            if count == 0 or np.min((pts[:count, 0] - x) ** 2 + (pts[:count, 1] - y) ** 2) >= dmin2:
-                pts[count, 0] = x
-                pts[count, 1] = y
-                count += 1
-                budget = attempts_per_point
-        if not wedged:
-            return pts
+            block = min(_CANDIDATE_BLOCK, budget)
+            if block == 0:
+                break
+            darts = sample_uniform_disk(block, radius, rng)
+            budget -= block
+            x, y = darts[:, 0], darts[:, 1]
+            if count:
+                dx = x[:, None] - px[:count]
+                dy = y[:, None] - py[:count]
+                keep = (dx * dx + dy * dy >= dmin2).all(axis=1)
+                x, y = x[keep], y[keep]
+                if len(x) == 0:
+                    continue
+            dx = x[:, None] - x
+            dy = y[:, None] - y
+            clear = _row_bits(dx * dx + dy * dy >= dmin2)
+            live = (1 << len(x)) - 1  # bit j set: survivor j is still clear of every accepted dart
+            accepted = []
+            while live and count + len(accepted) < n:
+                k = (live & -live).bit_length() - 1  # the first live survivor
+                accepted.append(k)
+                live &= clear[k] & ~(1 << k)
+            px[count : count + len(accepted)] = x[accepted]
+            py[count : count + len(accepted)] = y[accepted]
+            count += len(accepted)
+            # the darts left in a block after an acceptance are already paid for
+            budget = attempts_per_point
+        if count == n:
+            return np.column_stack([px, py])
+        most = max(most, count)
+    coverage = n * (d_min / 2.0) ** 2 / radius**2
     raise PlacementError(
         f"could not place {n} points with separation {d_min} in radius {radius} "
-        f"({layout_retries} layouts x {attempts_per_point} attempts per point)"
+        f"({layout_retries} layouts x {attempts_per_point} attempts per point); "
+        f"the best layout placed {most}; area coverage n*(d_min/2)^2/radius^2 = "
+        f"{coverage:.1%}, against a jamming limit near 54.7% for random sequential "
+        f"adsorption of disks"
     )
 
 
@@ -147,8 +175,9 @@ def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator) -> Swa
         config.n_uavs, config.swarm_radius_m, config.min_separation_m, rng
     )
     positions = np.column_stack([planar, np.full(config.n_uavs, config.swarm_altitude_m)])
-    diff = planar[:, None, :] - planar[None, :, :]
-    pair = np.sqrt((diff**2).sum(axis=-1))
+    dx = planar[:, 0, None] - planar[:, 0]
+    dy = planar[:, 1, None] - planar[:, 1]
+    pair = np.sqrt(dx * dx + dy * dy)
     return SwarmLayout(positions=positions, head_idx=0, pair_distances=pair)
 
 

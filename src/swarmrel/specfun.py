@@ -140,42 +140,43 @@ _BESSEL_SERIES_CUTOFF = 15.0
 
 def bessel_i0(z: float) -> float:
     """Modified Bessel function of the first kind, order 0 (even in z)."""
-    x = abs(z)
-    if x <= _BESSEL_SERIES_CUTOFF:
-        q = 0.25 * x * x
-        term = 1.0
-        total = 1.0
-        k = 0
-        while abs(term) > _EPS * abs(total):
-            k += 1
-            term *= q / (k * k)
-            total += term
-            if k > 500:
-                raise SeriesError(f"I0 series stalled at z={z}")
-        return total
-    return _bessel_i_asymptotic(0, x)
+    return _bessel_i(0, abs(z))
 
 
 def bessel_i1(z: float) -> float:
     """Modified Bessel function of the first kind, order 1 (odd in z)."""
-    x = abs(z)
-    if x <= _BESSEL_SERIES_CUTOFF:
-        q = 0.25 * x * x
-        term = 0.5 * x
-        total = term
-        k = 0
-        while abs(term) > _EPS * abs(total):
-            k += 1
-            term *= q / (k * (k + 1))
-            total += term
-            if k > 500:
-                raise SeriesError(f"I1 series stalled at z={z}")
-    else:
-        total = _bessel_i_asymptotic(1, x)
+    total = _bessel_i(1, abs(z))
     return -total if z < 0 else total
 
 
-def _bessel_i_asymptotic(order: int, x: float) -> float:
+def _bessel_i(order: int, x: float) -> float:
+    if x <= _BESSEL_SERIES_CUTOFF:
+        return _bessel_i_series(order, x)
+    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * _bessel_i_asymptotic_sum(order, x)
+
+
+def _bessel_ie(order: int, x: float) -> float:
+    """Exponentially scaled e^-x I_order(x) for x >= 0; finite for any x."""
+    if x <= _BESSEL_SERIES_CUTOFF:
+        return math.exp(-x) * _bessel_i_series(order, x)
+    return _bessel_i_asymptotic_sum(order, x) / math.sqrt(2.0 * math.pi * x)
+
+
+def _bessel_i_series(order: int, x: float) -> float:
+    q = 0.25 * x * x
+    term = 1.0 if order == 0 else 0.5 * x
+    total = term
+    k = 0
+    while abs(term) > _EPS * abs(total):
+        k += 1
+        term *= q / (k * (k + order))
+        total += term
+        if k > 500:
+            raise SeriesError(f"I{order} series stalled at z={x}")
+    return total
+
+
+def _bessel_i_asymptotic_sum(order: int, x: float) -> float:
     # I_nu(x) ~ e^x / sqrt(2 pi x) * sum_k (-1)^k a_k(nu) / x^k; truncate at
     # the smallest term (the series is divergent but asymptotic)
     mu = 4 * order * order
@@ -190,16 +191,21 @@ def _bessel_i_asymptotic(order: int, x: float) -> float:
         prev = abs(term)
         if abs(term) < _EPS * abs(total):
             break
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
+    return total
 
 
 def laguerre_half(z: float) -> float:
     """Laguerre function of order 1/2.
 
-    Uses the Bessel form e^(z/2) * ((1 - z) I0(-z/2) - z I1(-z/2)); the test
-    suite cross-checks it against the confluent series 1F1(-1/2; 1; z).
+    Uses the Bessel form e^(z/2) * ((1 - z) I0(-z/2) - z I1(-z/2)) with the
+    Bessel terms exponentially scaled, x = |z|/2:
+    e^max(z, 0) * ((1 - z) I0e(x) + |z| I1e(x)).  For z = -kappa this is
+    (1 + kappa) I0e(kappa/2) + kappa I1e(kappa/2), finite for any Rician K.
+    The test suite cross-checks it against the confluent series
+    1F1(-1/2; 1; z).
     """
-    return math.exp(z / 2.0) * ((1.0 - z) * bessel_i0(-z / 2.0) - z * bessel_i1(-z / 2.0))
+    x = 0.5 * abs(z)
+    return math.exp(max(z, 0.0)) * ((1.0 - z) * _bessel_ie(0, x) + abs(z) * _bessel_ie(1, x))
 
 
 # --- generalized hypergeometric series ---------------------------------------
@@ -357,6 +363,8 @@ def adaptive_quad(
     estimate drops below max(abs_tol, rel_tol * |integral|).  An infinite
     upper limit is mapped onto [0, 1) via t = u / (1 - u); endpoints are
     never evaluated, so integrable endpoint singularities are tolerated.
+    The result is a plain ``float``, never a numpy scalar, whose ``repr``
+    is a number.
     """
     if math.isinf(hi):
         if math.isinf(lo):
@@ -385,7 +393,7 @@ def adaptive_quad(
         total = sum(p[3] for p in panels)
         total_err = sum(p[0] for p in panels)
         if total_err <= max(abs_tol, rel_tol * abs(total)):
-            return total
+            return float(total)
         panels.sort(key=lambda p: p[0])
         err, a, b, _ = panels.pop()
         mid = 0.5 * (a + b)

@@ -1,5 +1,7 @@
 import csv
 import io
+import math
+import re
 
 import pytest
 
@@ -48,6 +50,34 @@ def test_analyze_zero_bits_row(capsys, tmp_path):
     header, rows = parse_csv(out)
     assert code == 0
     assert dict(zip(header, rows[0]))["eta"] == "1.0"
+
+
+def _analytic_cells(header, row):
+    skip = ("engine", "protocol", "trials", "seed", "std_err", "in_regime")
+    return {k: v for k, v in zip(header, row) if k not in skip}
+
+
+def test_analyze_quadrature_route_writes_plain_floats(capsys, tmp_path):
+    # at 150 bits the head probability takes the quadrature route
+    path = tmp_path / "quad.cfg"
+    scenario.write_config(make_config(message_bits=150.0), path)
+    code, out, _ = run_cli(capsys, "analyze", "--config", str(path))
+    assert code == 0
+    header, rows = parse_csv(out)
+    for name, cell in _analytic_cells(header, rows[0]).items():
+        assert repr(float(cell)) == cell, (name, cell)
+
+
+def test_analyze_large_rician_k(capsys, tmp_path):
+    path = tmp_path / "los.cfg"
+    scenario.write_config(make_config(rician_k=1500.0), path)
+    code, out, _ = run_cli(capsys, "analyze", "--config", str(path))
+    assert code == 0
+    header, rows = parse_csv(out)
+    cells = _analytic_cells(header, rows[0])
+    for name in ("p_head", "p_member", "p_phase2", "eta", "one_minus_eta"):
+        value = float(cells[name])
+        assert math.isfinite(value) and 0.0 <= value <= 1.0, (name, value)
 
 
 def test_analyze_flags_out_of_regime(capsys, tmp_path):
@@ -234,6 +264,9 @@ def test_placement_failure_exit_code(capsys, tmp_path):
     )
     assert code == cli.EXIT_NUMERICAL
     assert "place" in err
+    assert re.search(r"the best layout placed \d+;", err)
+    assert "area coverage n*(d_min/2)^2/radius^2 = 100.0%" in err
+    assert "54.7%" in err
 
 
 def test_out_file_written(capsys, config_path, tmp_path):

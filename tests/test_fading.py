@@ -95,6 +95,20 @@ def _scene(config, gbs_xy, uav_xy):
     return gbs, swarm
 
 
+def test_phase1_channels_match_summed_squares_bitwise(config):
+    # the per-axis form dx*dx + dy*dy + dz*dz gives the bits of the 3D reduction
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        gbs = geometry.sample_gbs_layout(config, rng)
+        swarm = geometry.sample_swarm_layout(config, rng)
+        draw = fading.draw_phase1(config, rng)
+        gbs3d = np.column_stack([gbs.positions, np.zeros(len(gbs.positions))])
+        diff = swarm.positions[:, None, :] - gbs3d[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=-1))
+        amp = np.sqrt(config.ref_gain_cell * dist ** (-config.pathloss_exp_cell))
+        assert np.array_equal(fading._phase1_channels(gbs, swarm, draw, config), amp * draw.gains)
+
+
 def test_phase1_pure_snr_scales_with_power():
     cfg = make_config(m_available=3, m_occupied=0, n_uavs=2)
     cfg_hi = make_config(m_available=3, m_occupied=0, n_uavs=2, tx_power_gbs_dbm=53.0)

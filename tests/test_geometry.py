@@ -8,6 +8,86 @@ from swarmrel.geometry import PlacementError
 from conftest import make_config
 
 
+def seed_hardcore_disk(n, radius, d_min, rng, attempts_per_point=10_000, layout_retries=100):
+    """The one-dart-at-a-time sequential inhibition loop, kept as the oracle.
+
+    ``geometry.sample_hardcore_disk`` must return the same array, leave the
+    rng in the same state and fail in the same cases.  On failure the oracle
+    raises ``PlacementError`` whose message is the most points any layout
+    placed.
+    """
+    if n == 0:
+        return np.empty((0, 2))
+    dmin2 = d_min * d_min
+    most = 0
+    for _ in range(layout_retries):
+        pts = np.empty((n, 2))
+        count = 0
+        budget = attempts_per_point
+        buf = np.empty((0, 2))
+        pos = 0
+        wedged = False
+        while count < n:
+            if pos >= len(buf):
+                block = min(64, budget)
+                if block == 0:
+                    wedged = True
+                    break
+                buf = geometry.sample_uniform_disk(block, radius, rng)
+                pos = 0
+                budget -= block
+            x, y = buf[pos]
+            pos += 1
+            if count == 0 or np.min((pts[:count, 0] - x) ** 2 + (pts[:count, 1] - y) ** 2) >= dmin2:
+                pts[count, 0] = x
+                pts[count, 1] = y
+                count += 1
+                budget = attempts_per_point
+        if not wedged:
+            return pts
+        most = max(most, count)
+    raise PlacementError(str(most))
+
+
+def _placement(sampler, rng, args, kwargs):
+    try:
+        return sampler(*args, rng, **kwargs), None
+    except PlacementError as exc:
+        return None, exc
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((1, 30.0, 5.0), {}),
+        ((10, 30.0, 5.0), {}),
+        ((40, 30.0, 5.0), {}),
+        ((60, 30.0, 5.0), {}),
+        ((10, 10.0, 5.0), {}),
+        ((8, 30.0, 0.0), {}),
+        ((16, 10.0, 5.0), dict(attempts_per_point=200, layout_retries=5)),
+    ],
+    ids=["n1", "n10", "n40", "n60", "n10-r10", "dmin0", "wedged"],
+)
+def test_hardcore_matches_one_dart_oracle(args, kwargs):
+    # same darts, same points, same failures, same rng state afterwards
+    failures = 0
+    for seed in range(25):
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            got, err = _placement(geometry.sample_hardcore_disk, rng_new, args, kwargs)
+            ref, ref_err = _placement(seed_hardcore_disk, rng_ref, args, kwargs)
+            if ref_err is None:
+                assert err is None and np.array_equal(got, ref)
+            else:
+                failures += 1
+                assert err is not None
+                assert f"the best layout placed {ref_err};" in str(err)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    if "layout_retries" in kwargs:
+        assert failures == 50  # the short budget wedges every draw: the failure path ran
+
+
 def test_uniform_disk_inside_radius():
     rng = np.random.default_rng(0)
     pts = geometry.sample_uniform_disk(10_000, 5.0, rng)
@@ -79,6 +159,15 @@ def test_swarm_layout_separation(config):
         planar = np.hypot(layout.positions[:, 0], layout.positions[:, 1])
         assert (planar <= 30.0).all()
         assert (layout.positions[:, 2] == 300.0).all()
+
+
+def test_pair_distances_match_summed_squares_bitwise(config):
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        layout = geometry.sample_swarm_layout(config, rng)
+        planar = layout.positions[:, :2]
+        diff = planar[:, None, :] - planar[None, :, :]
+        assert np.array_equal(layout.pair_distances, np.sqrt((diff**2).sum(axis=-1)))
 
 
 def test_hardcore_feasible_at_reference_density():

@@ -99,6 +99,26 @@ def test_laguerre_half_dual_route():
     assert specfun.laguerre_half(-4.0) == pytest.approx(2.4036187697641058, rel=1e-12)
 
 
+def test_laguerre_half_scaled_matches_unscaled_bessel_form():
+    # e^(z/2) ((1 - z) I0(-z/2) - z I1(-z/2)) with unscaled Bessel terms
+    for kappa in np.linspace(0.0, 30.0, 301):
+        z = -float(kappa)
+        unscaled = math.exp(z / 2.0) * (
+            (1.0 - z) * specfun.bessel_i0(-z / 2.0) - z * specfun.bessel_i1(-z / 2.0)
+        )
+        assert specfun.laguerre_half(z) == pytest.approx(unscaled, rel=1e-12)
+    for z in (0.5, 2.0, 10.0):
+        assert specfun.laguerre_half(z) == pytest.approx(specfun.hyp1f1(-0.5, 1.0, z), rel=1e-10)
+
+
+def test_laguerre_half_large_kappa_is_finite():
+    # unscaled I0(kappa/2) overflows a float beyond kappa ~ 1420; L(-kappa) ~ 2 sqrt(kappa/pi)
+    for kappa in (1500.0, 1e5, 1e9):
+        value = specfun.laguerre_half(-kappa)
+        assert math.isfinite(value)
+        assert value == pytest.approx(2.0 * math.sqrt(kappa / math.pi), rel=1e-3)
+
+
 # --- hypergeometric series -------------------------------------------------------
 
 
