@@ -25,6 +25,7 @@ __all__ = [
     "GammaFit",
     "InvGammaFit",
     "AnalyticBreakdown",
+    "MomentFitError",
     "gamma_fit",
     "inv_gamma_fit",
     "moments_head_signal",
@@ -36,13 +37,14 @@ __all__ = [
     "d2d_fit",
     "phase2_decode_prob",
     "reliability",
-    "reliability_mixture",
 ]
 
 # beyond this argument the hypergeometric series is never attempted
 HYP_ARG_CAP = 500.0
 # absolute rounding-error budget for the series route before falling back
 _SERIES_ERR_BUDGET = 1e-8
+# e^-v is below the smallest subnormal float beyond this
+_DENSITY_CUTOFF = 746.0
 
 
 @dataclass(frozen=True)
@@ -90,17 +92,25 @@ class AnalyticBreakdown:
     in_regime: bool  # False when fewer than one decoder is expected
 
 
+class MomentFitError(specfun.NumericalError, ValueError):
+    """Moments that no Gamma-family distribution matches.
+
+    Both a bad argument and, for moments computed from a scenario, a
+    numerical failure: the CLI reports it with the numerical exit code.
+    """
+
+
 def gamma_fit(mu: float, nu: float) -> GammaFit:
     """Match a Gamma distribution to mean ``mu`` and variance ``nu``."""
     if mu <= 0 or nu <= 0:
-        raise ValueError(f"moment matching needs mu > 0 and nu > 0, got ({mu}, {nu})")
+        raise MomentFitError(f"moment matching needs mu > 0 and nu > 0, got ({mu}, {nu})")
     return GammaFit(a=mu * mu / nu, b=mu / nu)
 
 
 def inv_gamma_fit(mu: float, nu: float) -> InvGammaFit:
     """Match an inverse-Gamma distribution to mean ``mu`` and variance ``nu``."""
     if mu <= 0 or nu <= 0:
-        raise ValueError(f"moment matching needs mu > 0 and nu > 0, got ({mu}, {nu})")
+        raise MomentFitError(f"moment matching needs mu > 0 and nu > 0, got ({mu}, {nu})")
     r = mu * mu / nu
     return InvGammaFit(a=r + 2.0, b=(r + 1.0) * mu)
 
@@ -207,6 +217,9 @@ def _head_cdf_series(theta: float, num: GammaFit, den: GammaFit) -> float | None
         )
     except specfun.SeriesError:
         return None
+    if b * b * theta / d == 0.0 or theta / d == 0.0:
+        # a subnormal threshold underflows the prefactors' log arguments
+        return None
     log_pref = (a / 2.0) * math.log(b * b * theta / d) - specfun.log_gamma(a) - specfun.log_gamma(c)
     log_c1 = specfun.log_gamma(a / 2.0 + c) - math.log(a)
     log_c2 = (
@@ -222,11 +235,30 @@ def _head_cdf_series(theta: float, num: GammaFit, den: GammaFit) -> float | None
 
 def _head_cdf_quad(theta: float, num: GammaFit, den: GammaFit) -> float:
     """P{Y <= theta X} as an integral of the interference density times the
-    signal CDF, in the interference distribution's natural scale."""
+    signal CDF, in the interference distribution's natural scale.
+
+    For c < 1 the density's v^(c-1) singularity at 0 overflows float64 near
+    the endpoint, so v = w^(1/c) is substituted, which turns
+    v^(c-1) dv / Gamma(c) into dw / Gamma(c + 1); the range stops at
+    v = _DENSITY_CUTOFF, where e^-v has underflowed.
+    """
     a, b = num.a, num.b
     c, d = den.a, den.b
-    log_norm = specfun.log_gamma(c)
     scale = math.sqrt(theta / d)
+
+    if c < 1.0:
+        log_norm = specfun.log_gamma(c + 1.0)
+        inv_c = 1.0 / c
+
+        def integrand(w):
+            v = w**inv_c
+            return math.exp(-v - log_norm) * specfun.regularized_gamma(a, b * scale * math.sqrt(v))
+
+        return specfun.adaptive_quad(
+            integrand, 0.0, _DENSITY_CUTOFF**c, rel_tol=1e-9, abs_tol=1e-12
+        )
+
+    log_norm = specfun.log_gamma(c)
 
     def integrand(v):
         if v <= 0.0:
@@ -255,6 +287,9 @@ def member_decode_prob(theta1: float, config: ScenarioConfig) -> float:
     signal = inv_gamma_fit(*moments_pathloss_sum(config))
     den = gamma_fit(*moments_interference(config))
     z = den.b * signal.b / theta1
+    if z == math.inf:
+        # z^a Psi(a, b; z) has reached its z -> inf limit, 1
+        return 1.0
     log_p = specfun.log_tricomi_u_scaled(den.a, 1.0 + den.a - signal.a, z)
     return min(1.0, max(0.0, math.exp(log_p)))
 
@@ -343,25 +378,3 @@ def reliability(config: ScenarioConfig) -> AnalyticBreakdown:
         eta=min(1.0, eta),
         in_regime=in_regime,
     )
-
-
-def reliability_mixture(config: ScenarioConfig, k_pmf) -> float:
-    """Diagnostic: average the relay-stage term over a decoder-count pmf.
-
-    ``k_pmf[k]`` is the probability that exactly k UAVs decode in the
-    cellular stage (typically a simulated histogram); the k = 0 bin
-    contributes no relay transmissions.
-    """
-    n = config.n_uavs
-    theta2 = phase2_threshold(config)
-    if len(k_pmf) != n + 1:
-        raise ValueError(f"k_pmf must have length n_uavs + 1 = {n + 1}, got {len(k_pmf)}")
-    total = 0.0
-    for k, pk in enumerate(k_pmf):
-        if pk == 0.0:
-            continue
-        value = float(k)
-        if 0 < k < n:
-            value += (n - k) * phase2_decode_prob(theta2, float(k), config)
-        total += pk * value
-    return min(1.0, total / n)

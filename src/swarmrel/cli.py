@@ -13,14 +13,14 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import analytic, mc, scenario
 from .geometry import PlacementError
 from .scenario import ConfigError, ScenarioConfig
 from .specfun import NumericalError
 
-__all__ = ["main", "SweepSpec", "SEED_ENV_VAR", "DEFAULT_SEED"]
+__all__ = ["main", "SEED_ENV_VAR", "DEFAULT_SEED"]
 
 SEED_ENV_VAR = "SWARMREL_SEED"
 DEFAULT_SEED = 20210
@@ -47,24 +47,6 @@ _PROTOCOLS = {
     "all_gbs": mc.ALL_GBS,
     "head_relay": mc.HEAD_RELAY,
 }
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept variable, its values, and the engines to evaluate."""
-
-    variable: str
-    values: tuple
-    engines: tuple  # subset of ("analytic", "mc")
-    protocol: mc.Protocol
-
-    def __post_init__(self):
-        if self.variable not in SWEEPABLE:
-            raise ConfigError(f"variable: must be one of {', '.join(SWEEPABLE)}")
-        if not self.values:
-            raise ConfigError("values: must be non-empty")
-        if not self.engines:
-            raise ConfigError("engines: must be non-empty")
 
 
 def _status(msg: str) -> None:
@@ -111,7 +93,7 @@ def _write_rows(args, header, rows):
     try:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
     finally:
         if close:
             fh.close()
@@ -180,36 +162,35 @@ def cmd_analyze(args) -> int:
         "analytic",
         "proposed",
         "",
-        _fmt(seed),
-        _fmt(br.p_head),
-        _fmt(br.p_member),
-        _fmt(br.expected_phase1),
-        _fmt(br.k_effective),
-        _fmt(br.p_phase2),
-        _fmt(br.eta),
-        _fmt(1.0 - br.eta),
+        seed,
+        br.p_head,
+        br.p_member,
+        br.expected_phase1,
+        br.k_effective,
+        br.p_phase2,
+        br.eta,
+        1.0 - br.eta,
         "",
-        str(int(br.in_regime)),
+        int(br.in_regime),
     ]
     _write_rows(args, _ANALYZE_HEADER, [row])
     return 0
 
 
+def _estimate_row(point, engine, protocol, args, seed) -> list:
+    """The engine, protocol, trials, seed, eta, one_minus_eta, std_err cells of one point."""
+    if engine == "analytic":
+        eta = analytic.reliability(point).eta
+        return ["analytic", "proposed", "", seed, eta, 1.0 - eta, None]
+    est = mc.estimate(point, protocol, args.trials, seed, workers=args.workers)
+    _status(f"{protocol.label}: eta={est.eta_mean:.6f} std_err={est.std_err:.2e}")
+    return ["mc", protocol.label, est.trials, est.seed, est.eta_mean, 1.0 - est.eta_mean,
+            est.std_err]
+
+
 def cmd_simulate(args) -> int:
     config = scenario.validate(scenario.read_config(args.config))
-    seed = _resolve_seed(args)
-    protocol = _protocol_for(args)
-    est = mc.estimate(config, protocol, args.trials, seed, workers=args.workers)
-    _status(f"eta={est.eta_mean:.6f} std_err={est.std_err:.2e} trials={est.trials} seed={est.seed}")
-    row = [
-        "mc",
-        protocol.label,
-        est.trials,
-        est.seed,
-        _fmt(est.eta_mean),
-        _fmt(1.0 - est.eta_mean),
-        _fmt(est.std_err),
-    ]
+    row = _estimate_row(config, "mc", _protocol_for(args), args, _resolve_seed(args))
     _write_rows(args, _EST_HEADER, [row])
     return 0
 
@@ -217,36 +198,15 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     config = scenario.validate(scenario.read_config(args.config))
     seed = _resolve_seed(args)
-    rows = []
-    for protocol in (mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY):
-        est = mc.estimate(config, protocol, args.trials, seed, workers=args.workers)
-        _status(f"{protocol.label}: eta={est.eta_mean:.6f} std_err={est.std_err:.2e}")
-        rows.append(
-            [
-                "mc",
-                protocol.label,
-                est.trials,
-                est.seed,
-                _fmt(est.eta_mean),
-                _fmt(1.0 - est.eta_mean),
-                _fmt(est.std_err),
-            ]
-        )
+    rows = [
+        _estimate_row(config, "mc", protocol, args, seed)
+        for protocol in (mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY)
+    ]
     _write_rows(args, _EST_HEADER, rows)
     return 0
 
 
-_SWEEP_HEADER = [
-    "variable",
-    "value",
-    "engine",
-    "protocol",
-    "trials",
-    "seed",
-    "eta",
-    "one_minus_eta",
-    "std_err",
-]
+_SWEEP_HEADER = ["variable", "value", *_EST_HEADER]
 
 
 def _parse_values(args) -> tuple:
@@ -273,46 +233,14 @@ def _parse_values(args) -> tuple:
     return tuple(out)
 
 
-def _sweep_rows(config, spec: SweepSpec, trials, seed, workers):
+def _sweep_rows(config, args, values, engines, seed) -> list:
     rows = []
-    for value in spec.values:
-        rounds_override = value if spec.variable == "rounds" else None
-        point = scenario.validate(_set_variable(config, spec.variable, value))
-        for engine in spec.engines:
-            if engine == "analytic":
-                br = analytic.reliability(point)
-                rows.append(
-                    [
-                        spec.variable,
-                        _fmt(value),
-                        "analytic",
-                        "proposed",
-                        "",
-                        _fmt(seed),
-                        _fmt(br.eta),
-                        _fmt(1.0 - br.eta),
-                        "",
-                    ]
-                )
-            else:
-                protocol = spec.protocol
-                if rounds_override is not None:
-                    protocol = mc.multi_round(rounds_override, with_head=protocol.with_head)
-                est = mc.estimate(point, protocol, trials, seed, workers=workers)
-                rows.append(
-                    [
-                        spec.variable,
-                        _fmt(value),
-                        "mc",
-                        protocol.label,
-                        est.trials,
-                        est.seed,
-                        _fmt(est.eta_mean),
-                        _fmt(1.0 - est.eta_mean),
-                        _fmt(est.std_err),
-                    ]
-                )
-        _status(f"{spec.variable}={value}: done")
+    for value in values:
+        point = scenario.validate(_set_variable(config, args.var, value))
+        protocol = _protocol_for(args, value if args.var == "rounds" else None)
+        for engine in engines:
+            rows.append([args.var, value, *_estimate_row(point, engine, protocol, args, seed)])
+        _status(f"{args.var}={value}: done")
     return rows
 
 
@@ -326,9 +254,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("variable 'rounds' requires --protocol multi_round")
     if "analytic" in engines and protocol.name != "proposed":
         raise ConfigError("the analytic engine models the proposed two-phase protocol only")
-    spec = SweepSpec(variable=args.var, values=values, engines=engines, protocol=protocol)
-    rows = _sweep_rows(config, spec, args.trials, seed, args.workers)
-    _write_rows(args, _SWEEP_HEADER, rows)
+    _write_rows(args, _SWEEP_HEADER, _sweep_rows(config, args, values, engines, seed))
     return 0
 
 
@@ -336,51 +262,22 @@ _OPT_HEADER = _SWEEP_HEADER + ["is_best"]
 
 
 def cmd_optimize_tau(args) -> int:
+    """The tau_phase1_s sweep of the proposed protocol, plus its argmax."""
     config = scenario.validate(scenario.read_config(args.config))
     seed = _resolve_seed(args)
-    if args.step <= 0:
-        raise ConfigError(f"step: must be > 0, got {args.step}")
-    grid = []
-    v = args.start
-    while v <= args.stop + 0.5 * args.step:
-        grid.append(v)
-        v += args.step
-    if not grid:
-        raise ConfigError("grid: empty")
-    if grid[0] <= 0 or grid[-1] >= config.tau_total_s:
+    values = _parse_values(args)
+    if values[0] <= 0 or values[-1] >= config.tau_total_s:
         raise ConfigError(
             f"grid: tau_phase1_s values must lie strictly inside (0, {config.tau_total_s})"
         )
-    results = []
-    for t1 in grid:
-        point = scenario.validate(replace(config, tau_phase1_s=t1))
-        if args.engine == "analytic":
-            eta, std_err, trials = analytic.reliability(point).eta, None, ""
-        else:
-            est = mc.estimate(point, mc.PROPOSED, args.trials, seed, workers=args.workers)
-            eta, std_err, trials = est.eta_mean, est.std_err, est.trials
-        results.append((t1, eta, std_err, trials))
-        _status(f"tau_phase1_s={t1:.6g}: eta={eta:.6f}")
-    # argmax with ties broken toward the smaller split (longer relay stage)
-    best_eta = max(r[1] for r in results)
-    best_t1 = min(r[0] for r in results if r[1] == best_eta)
-    rows = []
-    for t1, eta, std_err, trials in results:
-        rows.append(
-            [
-                "tau_phase1_s",
-                _fmt(t1),
-                args.engine,
-                "proposed",
-                trials,
-                _fmt(seed),
-                _fmt(eta),
-                _fmt(1.0 - eta),
-                _fmt(std_err),
-                str(int(t1 == best_t1)),
-            ]
-        )
-    _status(f"best tau_phase1_s={best_t1!r} (eta={best_eta:.6f})")
+    rows = _sweep_rows(config, args, values, (args.engine,), seed)
+    etas = [row[6] for row in rows]
+    # the grid ascends, so the first maximum breaks ties toward the smaller
+    # split (longer relay stage)
+    best = etas.index(max(etas))
+    for i, row in enumerate(rows):
+        row.append(int(i == best))
+    _status(f"best tau_phase1_s={values[best]!r} (eta={etas[best]:.6f})")
     _write_rows(args, _OPT_HEADER, rows)
     return 0
 
@@ -396,9 +293,7 @@ def cmd_dist_k(args) -> int:
         f"mean={dist.mean_count:.4f} mode={dist.mode} "
         f"std_err={dist.std_err_count:.4f} trials={dist.trials}"
     )
-    rows = [
-        [k, _fmt(float(p)), dist.trials, dist.seed] for k, p in enumerate(dist.pmf)
-    ]
+    rows = [[k, float(p), dist.trials, dist.seed] for k, p in enumerate(dist.pmf)]
     _write_rows(args, _DIST_HEADER, rows)
     return 0
 
@@ -461,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, required=True, help="last tau_phase1_s (s)")
     p.add_argument("--step", type=float, required=True, help="grid step (s)")
     p.add_argument("--engine", default="analytic", choices=("analytic", "mc"))
-    p.set_defaults(func=cmd_optimize_tau)
+    p.set_defaults(func=cmd_optimize_tau, var="tau_phase1_s", values=None)
 
     p = sub.add_parser("dist-k", help="histogram of cellular-stage decoder count")
     _add_common(p)

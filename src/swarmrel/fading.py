@@ -8,7 +8,6 @@ depend only on signal and interference powers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +16,6 @@ from .geometry import GbsLayout, SwarmLayout
 from .scenario import ScenarioConfig
 
 __all__ = [
-    "ChannelDrawPhase1",
-    "ChannelDrawPhase2",
     "sample_rician",
     "sample_rayleigh",
     "rician_magnitude_pdf",
@@ -32,20 +29,6 @@ __all__ = [
 
 # beyond this the line-of-sight term is numerically pure
 _KAPPA_CAP = 1e12
-
-
-@dataclass(frozen=True)
-class ChannelDrawPhase1:
-    """Unit-power Rician fading coefficients, one per (UAV, GBS) link."""
-
-    gains: np.ndarray  # (N, M) complex
-
-
-@dataclass(frozen=True)
-class ChannelDrawPhase2:
-    """Unit-power Rayleigh fading coefficients, one per (receiver, relay) link."""
-
-    gains: np.ndarray  # (n_receivers, n_relays) complex
 
 
 def sample_rayleigh(rng: np.random.Generator, size=None) -> np.ndarray:
@@ -100,20 +83,18 @@ def rician_moments(kappa: float) -> tuple[float, float, float]:
     return rician_mean_magnitude(kappa), 1.0, m4
 
 
-def draw_phase1(config: ScenarioConfig, rng: np.random.Generator) -> ChannelDrawPhase1:
-    """One Rician coefficient per (UAV, GBS) link, i.i.d. across links."""
-    return ChannelDrawPhase1(
-        gains=sample_rician(config.rician_k, rng, size=(config.n_uavs, config.m_total))
-    )
+def draw_phase1(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Unit-power Rician coefficients (N, M) complex, one per (UAV, GBS) link, i.i.d."""
+    return sample_rician(config.rician_k, rng, size=(config.n_uavs, config.m_total))
 
 
-def draw_phase2(n_receivers: int, n_relays: int, rng: np.random.Generator) -> ChannelDrawPhase2:
-    """One Rayleigh coefficient per (receiver, relay) link."""
-    return ChannelDrawPhase2(gains=sample_rayleigh(rng, size=(n_receivers, n_relays)))
+def draw_phase2(n_receivers: int, n_relays: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-power Rayleigh coefficients (receivers, relays) complex, one per link."""
+    return sample_rayleigh(rng, size=(n_receivers, n_relays))
 
 
 def _phase1_channels(
-    gbs: GbsLayout, swarm: SwarmLayout, draw: ChannelDrawPhase1, config: ScenarioConfig
+    gbs: GbsLayout, swarm: SwarmLayout, gains: np.ndarray, config: ScenarioConfig
 ) -> np.ndarray:
     """Full complex channel matrix (N, M): path loss times fading.
 
@@ -125,13 +106,13 @@ def _phase1_channels(
     dz = uav[:, 2, None]  # ground stations sit at height 0
     dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     amp = np.sqrt(config.ref_gain_cell * dist ** (-config.pathloss_exp_cell))
-    return amp * draw.gains
+    return amp * gains
 
 
 def phase1_sinrs(
     gbs: GbsLayout,
     swarm: SwarmLayout,
-    draw: ChannelDrawPhase1,
+    gains: np.ndarray,
     config: ScenarioConfig,
     combining: str = "head",
     transmitters: np.ndarray | None = None,
@@ -144,7 +125,7 @@ def phase1_sinrs(
     to a subset of the available indices (defaults to all of them).
     Occupied GBSs always interfere at full power.
     """
-    h = _phase1_channels(gbs, swarm, draw, config)
+    h = _phase1_channels(gbs, swarm, gains, config)
     tx = gbs.available_idx if transmitters is None else np.asarray(transmitters)
     p = config.tx_power_gbs_w
     if combining == "head":
@@ -162,7 +143,7 @@ def phase1_sinrs(
 def phase2_sinrs(
     swarm: SwarmLayout,
     decoders: np.ndarray,
-    draw: ChannelDrawPhase2,
+    gains: np.ndarray,
     config: ScenarioConfig,
     receivers: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -183,5 +164,5 @@ def phase2_sinrs(
         return np.zeros(len(receivers))
     dist = swarm.pair_distances[np.ix_(receivers, decoders)]
     amp = np.sqrt(config.ref_gain_d2d * dist ** (-config.pathloss_exp_d2d))
-    combined = (amp * draw.gains).sum(axis=1)
+    combined = (amp * gains).sum(axis=1)
     return config.tx_power_uav_w * np.abs(combined) ** 2 / config.intf_noise_phase2_w

@@ -25,11 +25,8 @@ __all__ = [
     "sample_hardcore_disk",
     "sample_gbs_layout",
     "sample_swarm_layout",
-    "gbs_distance_pdf",
     "pair_distance_pdf",
     "pair_distance_truncation",
-    "uav_pair_distance_pdf",
-    "layout_to_csv",
 ]
 
 _CANDIDATE_BLOCK = 64
@@ -184,17 +181,6 @@ def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator) -> Swa
 # --- distance densities -------------------------------------------------------
 
 
-def gbs_distance_pdf(u: float, config: ScenarioConfig) -> float:
-    """Density of the 3D distance from a uniform GBS to the swarm center.
-
-    2u / R^2 on [H, sqrt(R^2 + H^2)], zero outside.
-    """
-    r2 = config.coverage_radius_m**2
-    if u < config.swarm_altitude_m or u > config.max_link_distance_m:
-        return 0.0
-    return 2.0 * u / r2
-
-
 def pair_distance_pdf(w: float, radius: float) -> float:
     """Density of the distance between two uniform points in a disk, on [0, 2 radius]."""
     if w < 0.0 or w > 2.0 * radius:
@@ -213,28 +199,3 @@ def pair_distance_truncation(radius: float, d_min: float) -> float:
     return specfun.adaptive_quad(
         lambda w: pair_distance_pdf(w, radius), d_min, 2.0 * radius, rel_tol=1e-12, abs_tol=1e-14
     )
-
-
-def uav_pair_distance_pdf(w: float, config: ScenarioConfig) -> float:
-    """Receiver-to-relay distance density under the simplified swarm model.
-
-    The plain two-uniform-points density renormalized to [d_min, 2 R], which
-    stands in for the intractable joint hard-core distances.
-    """
-    if w < config.min_separation_m or w > 2.0 * config.swarm_radius_m:
-        return 0.0
-    mass = pair_distance_truncation(config.swarm_radius_m, config.min_separation_m)
-    return pair_distance_pdf(w, config.swarm_radius_m) / mass
-
-
-def layout_to_csv(gbs: GbsLayout, swarm: SwarmLayout) -> str:
-    """Debug dump of one sampled scene as CSV rows (x, y, z, role)."""
-    lines = ["x,y,z,role"]
-    avail = set(gbs.available_idx.tolist())
-    for i, (x, y) in enumerate(gbs.positions):
-        role = "gbs_available" if i in avail else "gbs_occupied"
-        lines.append(f"{x!r},{y!r},0.0,{role}")
-    for i, (x, y, z) in enumerate(swarm.positions):
-        role = "uav_head" if i == swarm.head_idx else "uav"
-        lines.append(f"{x!r},{y!r},{z!r},{role}")
-    return "\n".join(lines) + "\n"

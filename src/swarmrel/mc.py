@@ -25,7 +25,6 @@ __all__ = [
     "ALL_GBS",
     "HEAD_RELAY",
     "multi_round",
-    "TrialOutcome",
     "ReliabilityEstimate",
     "Phase1CountDistribution",
     "run_trial",
@@ -79,25 +78,6 @@ def multi_round(rounds: int, with_head: bool = True) -> Protocol:
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    """Decode sets of one trial.
-
-    ``decoded_phase2`` is disjoint from ``decoded_phase1`` by construction;
-    for multi-round protocols ``round_sets`` holds the cumulative decode set
-    after each relay round (nested, non-decreasing).
-    """
-
-    protocol: Protocol
-    decoded_phase1: frozenset[int]
-    decoded_phase2: frozenset[int]
-    round_sets: tuple[frozenset[int], ...] = ()
-
-    @property
-    def decoded(self) -> frozenset[int]:
-        return self.decoded_phase1 | self.decoded_phase2
-
-
-@dataclass(frozen=True)
 class ReliabilityEstimate:
     """Sample mean of the per-trial decoded fraction, with its standard error."""
 
@@ -137,122 +117,71 @@ def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, index)))
 
 
-def _cellular_stage(config, rng, protocol):
-    """Sample geometry and fading, return (swarm, decoded mask) for the stage.
+def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generator) -> np.ndarray:
+    """Decode masks of one trial on freshly sampled geometry and fading.
 
-    Draw order is fixed (GBS layout, swarm layout, cellular fading) so that
-    protocols sharing a trial seed share the cellular stage outcome.
+    Returns a boolean (1 + relay rounds, N) array: row 0 is the cellular
+    stage and row r the cumulative mask after relay round r.  The protocol
+    sets the cellular stage's serving set, combining and threshold, then the
+    number of relay rounds, who relays and the D2D threshold; only UAVs that
+    have not decoded listen.  Draw order is fixed (GBS layout, swarm layout,
+    cellular fading, then one D2D draw per round that has both relays and
+    listeners), so protocols on one trial seed share the cellular stage when
+    they share its serving set, combining and threshold.
     """
+    split = protocol.name in ("proposed", "head_relay")
+    rounds = protocol.rounds if protocol.name == "multi_round" else int(split)
     gbs = geometry.sample_gbs_layout(config, rng)
     swarm = geometry.sample_swarm_layout(config, rng)
-    draw = fading.draw_phase1(config, rng)
+    gains = fading.draw_phase1(config, rng)
 
+    serving = gbs.available_idx
     if protocol.name == "nearest_gbs":
-        nearest = gbs.available_idx[np.argmin(gbs.center_distances[gbs.available_idx])]
-        sinrs = fading.phase1_sinrs(gbs, swarm, draw, config, transmitters=np.array([nearest]))
-        threshold = scenario.full_slot_cell_threshold(config)
-    elif protocol.name == "all_gbs":
-        sinrs = fading.phase1_sinrs(gbs, swarm, draw, config)
-        threshold = scenario.full_slot_cell_threshold(config)
-    elif protocol.name == "multi_round":
-        combining = "head" if protocol.with_head else "unit"
-        sinrs = fading.phase1_sinrs(gbs, swarm, draw, config, combining=combining)
-        threshold = scenario.full_slot_cell_threshold(config)
-    else:  # proposed / head_relay use the split-slot cellular stage
-        sinrs = fading.phase1_sinrs(gbs, swarm, draw, config)
-        threshold = scenario.phase1_threshold(config)
-    return swarm, sinrs >= threshold
-
-
-def _relay_once(config, rng, swarm, relays_mask, decoded_mask, threshold):
-    """One relay round: return the updated decode mask (never shrinks).
-
-    The listeners are the UAVs that have not decoded yet, which is a strict
-    subset of the relays' complement whenever a decoder stays silent (only
-    the head relays, say).
-    """
-    n_relays = int(relays_mask.sum())
-    receivers = np.flatnonzero(~decoded_mask)
-    updated = decoded_mask.copy()
-    if n_relays == 0 or len(receivers) == 0:
-        return updated
-    draw = fading.draw_phase2(len(receivers), n_relays, rng)
-    sinrs = fading.phase2_sinrs(
-        swarm, np.flatnonzero(relays_mask), draw, config, receivers=receivers
+        serving = serving[[np.argmin(gbs.center_distances[serving])]]
+    combining = "head" if protocol.with_head else "unit"
+    sinrs = fading.phase1_sinrs(gbs, swarm, gains, config, combining, serving)
+    cell_threshold = (
+        scenario.phase1_threshold(config) if split else scenario.full_slot_cell_threshold(config)
     )
-    updated[receivers] = sinrs >= threshold
-    return updated
+    masks = np.empty((1 + rounds, config.n_uavs), dtype=bool)
+    masks[0] = sinrs >= cell_threshold
+    if rounds == 0:
+        # past its rate cap the unused D2D threshold would raise ConfigError
+        return masks
 
-
-def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generator) -> TrialOutcome:
-    """Run one protocol trial on freshly sampled geometry and fading."""
-    swarm, dec1 = _cellular_stage(config, rng, protocol)
-
-    if protocol.name in ("nearest_gbs", "all_gbs"):
-        return TrialOutcome(
-            protocol=protocol,
-            decoded_phase1=frozenset(np.flatnonzero(dec1).tolist()),
-            decoded_phase2=frozenset(),
-        )
-
-    if protocol.name == "multi_round":
-        threshold = scenario.full_slot_d2d_threshold(config)
-        decoded = dec1.copy()
-        rounds = []
-        for _ in range(protocol.rounds):
-            decoded = _relay_once(config, rng, swarm, decoded, decoded, threshold)
-            rounds.append(frozenset(np.flatnonzero(decoded).tolist()))
-        phase1 = frozenset(np.flatnonzero(dec1).tolist())
-        return TrialOutcome(
-            protocol=protocol,
-            decoded_phase1=phase1,
-            decoded_phase2=frozenset(np.flatnonzero(decoded).tolist()) - phase1,
-            round_sets=tuple(rounds),
-        )
-
-    # proposed / head_relay: one relay round within the split slot
-    relays = dec1.copy()
+    d2d_threshold = (
+        scenario.phase2_threshold(config) if split else scenario.full_slot_d2d_threshold(config)
+    )
+    speakers = np.ones(config.n_uavs, dtype=bool)
     if protocol.name == "head_relay":
-        relays = np.zeros_like(dec1)
-        relays[swarm.head_idx] = dec1[swarm.head_idx]
-    decoded = _relay_once(config, rng, swarm, relays, dec1, scenario.phase2_threshold(config))
-    phase1 = frozenset(np.flatnonzero(dec1).tolist())
-    return TrialOutcome(
-        protocol=protocol,
-        decoded_phase1=phase1,
-        decoded_phase2=frozenset(np.flatnonzero(decoded).tolist()) - phase1,
+        speakers = np.arange(config.n_uavs) == swarm.head_idx
+    for r in range(1, rounds + 1):
+        masks[r] = masks[r - 1]
+        relays = np.flatnonzero(masks[r - 1] & speakers)
+        receivers = np.flatnonzero(~masks[r - 1])
+        if len(relays) == 0 or len(receivers) == 0:
+            continue
+        gains = fading.draw_phase2(len(receivers), len(relays), rng)
+        sinrs = fading.phase2_sinrs(swarm, relays, gains, config, receivers=receivers)
+        masks[r, receivers] = sinrs >= d2d_threshold
+    return masks
+
+
+def _decoded_counts(config, protocol, master_seed, start, stop):
+    """Decoded counts for trials [start, stop), shape (trials, 1 + relay rounds)."""
+    return np.array(
+        [
+            run_trial(config, protocol, trial_rng(master_seed, i)).sum(axis=1)
+            for i in range(start, stop)
+        ]
     )
-
-
-def _fraction_chunk(config, protocol, master_seed, start, stop, per_round):
-    """Decoded fractions for trials [start, stop); rows are rounds if per_round."""
-    n = config.n_uavs
-    width = protocol.rounds + 1 if per_round else 1
-    out = np.empty((stop - start, width))
-    for i in range(start, stop):
-        outcome = run_trial(config, protocol, trial_rng(master_seed, i))
-        if per_round:
-            out[i - start, 0] = len(outcome.decoded_phase1) / n
-            for r, s in enumerate(outcome.round_sets):
-                out[i - start, r + 1] = len(s) / n
-        else:
-            out[i - start, 0] = len(outcome.decoded) / n
-    return start, out
-
-
-def _count_chunk(config, master_seed, start, stop):
-    counts = np.zeros(config.n_uavs + 1)
-    for i in range(start, stop):
-        outcome = run_trial(config, PROPOSED, trial_rng(master_seed, i))
-        counts[len(outcome.decoded_phase1)] += 1
-    return start, counts
 
 
 def _map_chunks(worker, trials: int, workers: int):
     """Run worker(start, stop) over a fixed chunking of range(trials).
 
     Chunk boundaries depend only on ``trials``, never on ``workers``, and
-    results are reassembled by chunk origin, so the reduction order (and the
+    results come back in chunk order, so the reduction order (and the
     result, bit for bit) is independent of the worker count.
     """
     chunk = max(1, min(256, math.ceil(trials / 16)))
@@ -264,13 +193,21 @@ def _map_chunks(worker, trials: int, workers: int):
         return [f.result() for f in futures]
 
 
-def _gather_fractions(config, protocol, trials, master_seed, workers, per_round=False):
-    worker = functools.partial(_fraction_chunk, config, protocol, master_seed, per_round=per_round)
-    width = protocol.rounds + 1 if per_round else 1
-    fractions = np.empty((trials, width))
-    for start, block in _map_chunks(worker, trials, workers):
-        fractions[start : start + len(block)] = block
-    return fractions
+def _gather_counts(config, protocol, trials, master_seed, workers):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    worker = functools.partial(_decoded_counts, config, protocol, master_seed)
+    return np.concatenate(_map_chunks(worker, trials, workers))
+
+
+def _mean_estimate(counts, config, master_seed) -> ReliabilityEstimate:
+    """Mean decoded fraction of per-trial ``counts`` and its standard error."""
+    fractions = counts / config.n_uavs
+    trials = len(fractions)
+    std_err = math.nan if trials == 1 else float(fractions.std(ddof=1) / math.sqrt(trials))
+    return ReliabilityEstimate(
+        eta_mean=float(fractions.mean()), std_err=std_err, trials=trials, seed=master_seed
+    )
 
 
 def estimate(
@@ -286,13 +223,8 @@ def estimate(
     are derived from the seed and the trial index, and the mean is taken over
     the trial-ordered array.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    fractions = _gather_fractions(config, protocol, trials, master_seed, workers)[:, 0]
-    std_err = math.nan if trials == 1 else float(fractions.std(ddof=1) / math.sqrt(trials))
-    return ReliabilityEstimate(
-        eta_mean=float(fractions.mean()), std_err=std_err, trials=trials, seed=master_seed
-    )
+    counts = _gather_counts(config, protocol, trials, master_seed, workers)
+    return _mean_estimate(counts[:, -1], config, master_seed)
 
 
 def multiround_reliability(
@@ -309,19 +241,9 @@ def multiround_reliability(
     All entries come from the same trials, so the sequence is non-decreasing
     trial by trial, not just on average.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     protocol = multi_round(rounds, with_head)
-    fractions = _gather_fractions(config, protocol, trials, master_seed, workers, per_round=True)
-    out = []
-    for col in fractions.T:
-        std_err = math.nan if trials == 1 else float(col.std(ddof=1) / math.sqrt(trials))
-        out.append(
-            ReliabilityEstimate(
-                eta_mean=float(col.mean()), std_err=std_err, trials=trials, seed=master_seed
-            )
-        )
-    return out
+    counts = _gather_counts(config, protocol, trials, master_seed, workers)
+    return [_mean_estimate(col, config, master_seed) for col in counts.T]
 
 
 def phase1_count_distribution(
@@ -331,10 +253,6 @@ def phase1_count_distribution(
     workers: int = 1,
 ) -> Phase1CountDistribution:
     """Empirical distribution of the cellular-stage decoder count."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    worker = functools.partial(_count_chunk, config, master_seed)
-    counts = np.zeros(config.n_uavs + 1)
-    for _, block in _map_chunks(worker, trials, workers):
-        counts += block
-    return Phase1CountDistribution(pmf=counts / trials, trials=trials, seed=master_seed)
+    counts = _gather_counts(config, PROPOSED, trials, master_seed, workers)
+    pmf = np.bincount(counts[:, 0], minlength=config.n_uavs + 1) / trials
+    return Phase1CountDistribution(pmf=pmf, trials=trials, seed=master_seed)

@@ -21,9 +21,7 @@ __all__ = [
     "full_slot_cell_threshold",
     "full_slot_d2d_threshold",
     "dbm_to_watts",
-    "watts_to_dbm",
     "db_to_linear",
-    "linear_to_db",
     "parse_config",
     "format_config",
     "read_config",
@@ -54,19 +52,9 @@ def dbm_to_watts(value_dbm: float) -> float:
     return 10.0 ** (value_dbm / 10.0) * 1e-3
 
 
-def watts_to_dbm(value_w: float) -> float:
-    """Convert a power from watts to dBm."""
-    return 10.0 * math.log10(value_w / 1e-3)
-
-
 def db_to_linear(value_db: float) -> float:
     """Convert a gain from dB to a linear factor."""
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    """Convert a linear gain factor to dB."""
-    return 10.0 * math.log10(value)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ __all__ = [
     "QuadratureError",
     "SeriesControl",
     "log_gamma",
-    "lower_incomplete_gamma",
     "regularized_gamma",
     "bessel_i0",
     "bessel_i1",
@@ -90,11 +89,6 @@ def regularized_gamma(a: float, z: float) -> float:
     if z < a + 1.0:
         return _gamma_p_series(a, z)
     return 1.0 - _gamma_q_contfrac(a, z)
-
-
-def lower_incomplete_gamma(a: float, z: float) -> float:
-    """Lower incomplete gamma function: integral of t^(a-1) e^-t over [0, z]."""
-    return regularized_gamma(a, z) * math.exp(log_gamma(a))
 
 
 def _gamma_p_series(a: float, z: float, max_terms: int = 10_000) -> float:
@@ -277,12 +271,20 @@ def _pochhammer_series(uppers, lowers, z, control: SeriesControl) -> tuple[float
 # --- Tricomi confluent function ----------------------------------------------
 
 
-def _tricomi_integral(a: float, b: float, z: float, rel_tol: float) -> float:
-    """Integral over s in (0, inf) of (1 + s/z)^(b-a-1) s^(a-1) e^-s.
+def _tricomi_integral(a: float, b: float, z: float, rel_tol: float) -> tuple[float, float]:
+    """Integral over s in (0, inf) of (1 + s/z)^(b-a-1) s^(a-1) e^-s, as (log scale, rest).
 
-    This is Gamma(a) * z^a * Psi(a, b; z) after substituting s = z t in the
-    defining integral; working in s keeps the integrand O(1) even when z is
-    huge.  For a < 1 the s -> 0 endpoint is regularized by s = w^(1/a).
+    The integral is exp(log scale) * rest, and equals Gamma(a) * z^a *
+    Psi(a, b; z) after substituting s = z t in the defining integral;
+    working in s keeps the integrand O(1) even when z is huge.  For a > 1
+    the integrand, written exp(phi(s)), is integrated in x = log(s / s*),
+    where s* is the peak of phi(s) + log s, the one positive stationary
+    point, with that peak taken out: the integrand is 1 at x = 0 and below
+    it elsewhere, and decays at least exponentially in x on both sides, so
+    it neither overflows nor hides between quadrature nodes, whether its
+    mass is a narrow peak far below s = 1 or spread over many decades.  For
+    a <= 1 the s -> 0 endpoint is regularized by s = w^(1/a) instead (s = w
+    at a = 1).
     """
     if a <= 0:
         raise ValueError(f"tricomi_u requires a > 0, got {a}")
@@ -290,29 +292,56 @@ def _tricomi_integral(a: float, b: float, z: float, rel_tol: float) -> float:
         raise ValueError(f"tricomi_u requires z > 0, got {z}")
     power = b - a - 1.0
 
-    if a >= 1.0:
+    if a > 1.0:
+        # s* is the positive root of s^2 + q s - a z, with q = z - power - a;
+        # each branch avoids the cancellation of -q + sqrt(q^2 + 4 a z), and
+        # a z, which overflows for z near the float max, is never formed
+        q = z - power - a
+        root = math.hypot(q, 2.0 * math.sqrt(a) * math.sqrt(z))
+        if q > 0.0:
+            log_ratio = math.log(a) - math.log(0.5 * q + 0.5 * root)  # log(s*/z)
+            s_star = math.exp(log_ratio) * z
+        else:
+            s_star = 0.5 * (root - q)
+            log_ratio = math.log(s_star) - math.log(z)
+        log_s_star = log_ratio + math.log(z)
+        # log1p(s/z) = log(1 + e^v) with v = log(s/z), as a softplus that never
+        # overflows and keeps its tiny values exact where |power| is ~1e9
+        peak_softplus = max(log_ratio, 0.0) + math.log1p(math.exp(-abs(log_ratio)))
+        log_scale = power * peak_softplus + a * log_s_star - s_star
 
-        def integrand(s):
-            if s <= 0.0:
-                return 0.0 if a > 1.0 else math.exp(power * math.log1p(s / z))
-            return math.exp(power * math.log1p(s / z) + (a - 1.0) * math.log(s) - s)
+        def integrand(x):
+            x = float(x)  # the quadrature nodes are numpy scalars, slow in arithmetic
+            if log_s_star + x > 709.0:
+                return 0.0  # s itself is past the float range, so e^-s is 0
+            growth = s_star * math.expm1(x) if x < 700.0 else math.exp(log_s_star + x) - s_star
+            v = log_ratio + x
+            softplus = max(v, 0.0) + math.log1p(math.exp(-abs(v)))
+            return math.exp(power * (softplus - peak_softplus) + a * x - growth)
 
-    else:
-        inv_a = 1.0 / a
+        def mirrored(y):
+            return integrand(-y)
 
-        def integrand(w):
-            if w <= 0.0:
-                return inv_a
-            s = w**inv_a
-            return inv_a * math.exp(power * math.log1p(s / z) - s)
+        right = adaptive_quad(integrand, 0.0, math.inf, rel_tol=rel_tol, abs_tol=0.0)
+        left = adaptive_quad(mirrored, 0.0, math.inf, rel_tol=rel_tol, abs_tol=0.0)
+        return log_scale, left + right
 
-    return adaptive_quad(integrand, 0.0, math.inf, rel_tol=rel_tol, abs_tol=0.0)
+    log_scale = 0.0
+    inv_a = 1.0 / a
+
+    def integrand(w):
+        if w <= 0.0:
+            return inv_a
+        s = w**inv_a
+        return inv_a * math.exp(power * math.log1p(s / z) - s)
+
+    return log_scale, adaptive_quad(integrand, 0.0, math.inf, rel_tol=rel_tol, abs_tol=0.0)
 
 
 def tricomi_u(a: float, b: float, z: float, rel_tol: float = 1e-9) -> float:
     """Tricomi confluent function Psi(a, b; z) for a > 0, z > 0."""
-    integral = _tricomi_integral(a, b, z, rel_tol)
-    return math.exp(-a * math.log(z) - log_gamma(a)) * integral
+    log_scale, integral = _tricomi_integral(a, b, z, rel_tol)
+    return math.exp(log_scale - a * math.log(z) - log_gamma(a)) * integral
 
 
 def log_tricomi_u_scaled(a: float, b: float, z: float, rel_tol: float = 1e-9) -> float:
@@ -321,10 +350,10 @@ def log_tricomi_u_scaled(a: float, b: float, z: float, rel_tol: float = 1e-9) ->
     This is the numerically safe quantity when z is large and Psi itself
     underflows; z^a * Psi -> 1 as z -> inf.
     """
-    integral = _tricomi_integral(a, b, z, rel_tol)
+    log_scale, integral = _tricomi_integral(a, b, z, rel_tol)
     if integral <= 0:
         raise QuadratureError(f"non-positive Tricomi integral at a={a}, b={b}, z={z}")
-    return math.log(integral) - log_gamma(a)
+    return log_scale + math.log(integral) - log_gamma(a)
 
 
 # --- adaptive quadrature ------------------------------------------------------

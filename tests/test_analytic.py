@@ -157,6 +157,29 @@ def test_head_decode_against_oracle(config):
         assert analytic.head_decode_prob(theta, config) == pytest.approx(ref, abs=1e-7)
 
 
+def test_head_decode_quad_with_singular_interference_density():
+    # eight Rayleigh interferers seen from 10 m up across a 1.2 km cell fit a
+    # Gamma shape far below 1, whose density alone overflows near v = 0; the
+    # oracle integrates the same expectation in w = v^c with mpmath
+    mpmath = pytest.importorskip("mpmath")
+    cfg = make_config(n_uavs=1, m_available=1, m_occupied=8, rician_k=0.0, message_bits=10.0,
+                      tau_phase1_s=1e-6, swarm_altitude_m=10.0, coverage_radius_m=1221.0,
+                      pathloss_exp_cell=3.0)
+    num, den = analytic._head_fits(cfg)
+    assert den.a < 0.01
+    theta = scenario.phase1_threshold(cfg)
+    a, c = mpmath.mpf(num.a), mpmath.mpf(den.a)
+    k = mpmath.mpf(num.b) * mpmath.sqrt(mpmath.mpf(theta) / den.b)
+
+    def cdf_in_w(w):
+        v = w ** (1 / c)
+        return mpmath.exp(-v) * mpmath.gammainc(a, 0, k * mpmath.sqrt(v), regularized=True)
+
+    edges = [0] + [mpmath.mpf(v) ** c for v in (1e-300, 1e-100, 1e-20, 1e-5, 1e-2, 1, 10, 100, 746)]
+    ref = 1.0 - float(mpmath.quad(cdf_in_w, edges) / mpmath.gamma(c + 1))
+    assert analytic.head_decode_prob(theta, cfg) == pytest.approx(ref, abs=1e-8)
+
+
 def test_head_decode_series_equals_quad_where_series_is_trusted(config):
     # both production routes agree wherever the series route accepts the job
     for theta in (0.05, 0.1, 0.2, 0.25, 0.3, 0.4):
@@ -292,17 +315,3 @@ def test_reliability_out_of_regime_flag():
 def test_reliability_monotone_in_message_size():
     etas = [analytic.reliability(make_config(message_bits=float(d))).eta for d in range(5, 125, 10)]
     assert all(e1 >= e2 - 1e-12 for e1, e2 in zip(etas, etas[1:]))
-
-
-def test_reliability_mixture_consistency(config):
-    br = analytic.reliability(config)
-    pmf = np.zeros(41)
-    k = int(round(br.expected_phase1))
-    pmf[k] = 1.0
-    mixed = analytic.reliability_mixture(config, pmf)
-    assert mixed == pytest.approx(br.eta, abs=5e-3)
-
-
-def test_reliability_mixture_rejects_bad_pmf(config):
-    with pytest.raises(ValueError):
-        analytic.reliability_mixture(config, np.zeros(7))

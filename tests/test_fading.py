@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate
 
 from swarmrel import fading, geometry
-from swarmrel.fading import ChannelDrawPhase1, ChannelDrawPhase2
 
 from conftest import make_config
 
@@ -106,7 +105,7 @@ def test_phase1_channels_match_summed_squares_bitwise(config):
         diff = swarm.positions[:, None, :] - gbs3d[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=-1))
         amp = np.sqrt(config.ref_gain_cell * dist ** (-config.pathloss_exp_cell))
-        assert np.array_equal(fading._phase1_channels(gbs, swarm, draw, config), amp * draw.gains)
+        assert np.array_equal(fading._phase1_channels(gbs, swarm, draw, config), amp * draw)
 
 
 def test_phase1_pure_snr_scales_with_power():
@@ -127,7 +126,7 @@ def test_phase1_hand_computed_head_sinr():
     # no receiver noise: head SINR is exactly 1
     cfg = make_config(m_available=1, m_occupied=1, n_uavs=1, noise_phase1_dbm=-math.inf)
     gbs, swarm = _scene(cfg, [[400, 0], [-400, 0]], [[0, 0]])
-    draw = ChannelDrawPhase1(gains=np.ones((1, 2), dtype=complex))
+    draw = np.ones((1, 2), dtype=complex)
     sinr = fading.phase1_sinrs(gbs, swarm, draw, cfg)
     assert sinr[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -142,10 +141,10 @@ def test_phase1_head_sinr_invariant_to_serving_phases():
     rng = np.random.default_rng(8)
     draw = fading.draw_phase1(cfg, rng)
     base = fading.phase1_sinrs(gbs, swarm, draw, cfg)
-    rotated = draw.gains.copy()
+    rotated = draw.copy()
     phases = np.exp(2j * np.pi * np.random.default_rng(9).random(8))
     rotated[:, :8] *= phases[None, :]
-    turned = fading.phase1_sinrs(gbs, swarm, ChannelDrawPhase1(gains=rotated), cfg)
+    turned = fading.phase1_sinrs(gbs, swarm, rotated, cfg)
     assert turned[0] == pytest.approx(base[0], rel=1e-12)
 
 
@@ -169,9 +168,7 @@ def test_phase1_coherent_beats_unit_combining_at_head():
 
 def test_phase2_no_decoders_means_silence(config):
     swarm = geometry.sample_swarm_layout(config, np.random.default_rng(12))
-    sinrs = fading.phase2_sinrs(
-        swarm, np.array([], dtype=int), ChannelDrawPhase2(gains=np.empty((40, 0))), config
-    )
+    sinrs = fading.phase2_sinrs(swarm, np.array([], dtype=int), np.empty((40, 0)), config)
     assert sinrs.shape == (40,)
     assert (sinrs == 0.0).all()
 
@@ -180,7 +177,7 @@ def test_phase2_single_relay_hand_value():
     # 23 dBm through -40 dB gain over 10 m at exponent 2 against -40 dBm noise
     cfg = make_config(n_uavs=2)
     _, swarm = _scene(cfg, [[100, 0]], [[0, 0], [10, 0]])
-    draw = ChannelDrawPhase2(gains=np.ones((1, 1), dtype=complex))
+    draw = np.ones((1, 1), dtype=complex)
     sinr = fading.phase2_sinrs(swarm, np.array([0]), draw, cfg)
     assert sinr[0] == pytest.approx(1.9952623149688795, rel=1e-12)
 
@@ -204,9 +201,7 @@ def test_phase2_permutation_equivariant():
     rng = np.random.default_rng(15)
     gains = fading.sample_rayleigh(rng, size=(3, 3))
     decoders = np.array([0, 2, 4])
-    base = fading.phase2_sinrs(swarm, decoders, ChannelDrawPhase2(gains=gains), cfg)
+    base = fading.phase2_sinrs(swarm, decoders, gains, cfg)
     perm = np.array([2, 0, 1])  # reorder the relay list and its gain columns
-    swapped = fading.phase2_sinrs(
-        swarm, decoders[perm], ChannelDrawPhase2(gains=gains[:, perm]), cfg
-    )
+    swapped = fading.phase2_sinrs(swarm, decoders[perm], gains[:, perm], cfg)
     assert np.allclose(base, swapped, rtol=1e-12)

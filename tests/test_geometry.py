@@ -186,19 +186,6 @@ def test_hardcore_failure_is_reported():
         )
 
 
-def test_gbs_distance_pdf_normalizes(config):
-    total = integrate.quad(
-        lambda u: geometry.gbs_distance_pdf(u, config), 300.0, np.sqrt(900.0**2 + 300.0**2)
-    )[0]
-    assert total == pytest.approx(1.0, abs=1e-10)
-
-
-def test_gbs_distance_pdf_support_and_value(config):
-    assert geometry.gbs_distance_pdf(299.999, config) == 0.0
-    assert geometry.gbs_distance_pdf(949.0, config) == 0.0
-    assert geometry.gbs_distance_pdf(300.0, config) == pytest.approx(600.0 / 810000.0, rel=1e-12)
-
-
 def test_pair_distance_pdf_edges():
     assert geometry.pair_distance_pdf(60.0, 30.0) == pytest.approx(0.0, abs=1e-12)
     assert geometry.pair_distance_pdf(-1.0, 30.0) == 0.0
@@ -208,31 +195,8 @@ def test_pair_distance_pdf_edges():
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_truncated_pair_pdf_normalizes(config):
-    total = integrate.quad(
-        lambda w: geometry.uav_pair_distance_pdf(w, config), 5.0, 60.0, limit=200
-    )[0]
-    assert total == pytest.approx(1.0, abs=1e-10)
-
-
-def test_truncated_pair_pdf_is_scaled_raw(config):
+def test_truncated_pair_pdf_is_scaled_raw():
     mass = geometry.pair_distance_truncation(30.0, 5.0)
     # mass matches an independent quadrature of the raw density
     ref = integrate.quad(lambda w: geometry.pair_distance_pdf(w, 30.0), 5.0, 60.0)[0]
     assert mass == pytest.approx(ref, abs=1e-10)
-    for w in (5.0, 12.0, 30.0, 55.0):
-        assert geometry.uav_pair_distance_pdf(w, config) == pytest.approx(
-            geometry.pair_distance_pdf(w, 30.0) / mass, rel=1e-12
-        )
-    assert geometry.uav_pair_distance_pdf(4.999, config) == 0.0
-
-
-def test_layout_csv_dump(config):
-    rng = np.random.default_rng(9)
-    gbs = geometry.sample_gbs_layout(config, rng)
-    swarm = geometry.sample_swarm_layout(config, rng)
-    text = geometry.layout_to_csv(gbs, swarm)
-    lines = text.strip().splitlines()
-    assert lines[0] == "x,y,z,role"
-    assert len(lines) == 1 + 16 + 40
-    assert sum(1 for ln in lines if ln.endswith("uav_head")) == 1

@@ -36,10 +36,6 @@ def test_conversions():
     assert scenario.dbm_to_watts(0.0) == pytest.approx(1e-3)
     assert scenario.dbm_to_watts(23.0) == pytest.approx(0.19952623149688797)
     assert scenario.db_to_linear(-40.0) == pytest.approx(1e-4)
-    # dB <-> linear round trip to 1e-12 relative
-    for x in (-100.0, -40.0, 0.0, 23.0, 43.0):
-        assert scenario.watts_to_dbm(scenario.dbm_to_watts(x)) == pytest.approx(x, rel=1e-12)
-        assert scenario.linear_to_db(scenario.db_to_linear(x)) == pytest.approx(x, rel=1e-12)
 
 
 def test_linear_cache_matches_conversions():
