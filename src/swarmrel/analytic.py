@@ -43,8 +43,6 @@ __all__ = [
 HYP_ARG_CAP = 500.0
 # absolute rounding-error budget for the series route before falling back
 _SERIES_ERR_BUDGET = 1e-8
-# e^-v is below the smallest subnormal float beyond this
-_DENSITY_CUTOFF = 746.0
 
 
 @dataclass(frozen=True)
@@ -167,14 +165,15 @@ def _head_fits(config: ScenarioConfig) -> tuple[GammaFit, GammaFit]:
     return num, den
 
 
-def head_decode_prob(theta1: float, config: ScenarioConfig, method: str = "auto") -> float:
+def head_decode_prob(theta1: float, config: ScenarioConfig) -> float:
     """Probability that the head's coherently combined SINR clears ``theta1``.
 
     The head's SINR is approximated by Y/X with sqrt(Y) ~ Gamma (combined
     signal amplitude) and X ~ Gamma (interference power); the ratio CDF has
     a hypergeometric closed form and an equivalent one-dimensional integral.
-    ``method`` picks the route: 'series', 'quad', or 'auto' (series while its
-    estimated float64 rounding error stays within budget).
+    The series is taken while its argument stays within ``HYP_ARG_CAP`` and
+    its estimated float64 rounding error within budget, the integral
+    otherwise.
     """
     if theta1 < 0:
         raise ValueError(f"theta1 must be >= 0, got {theta1}")
@@ -184,20 +183,12 @@ def head_decode_prob(theta1: float, config: ScenarioConfig, method: str = "auto"
         # no interference and the analytic model carries no receiver noise
         return 1.0
     num, den = _head_fits(config)
-    if method not in ("auto", "series", "quad"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "series"):
-        arg = num.b**2 * theta1 / (4.0 * den.b)
-        if arg <= HYP_ARG_CAP or method == "series":
-            result = _head_cdf_series(theta1, num, den)
-            if result is not None:
-                return min(1.0, max(0.0, 1.0 - result))
-            if method == "series":
-                raise specfun.NumericalError(
-                    "series route for the head decode probability would lose all "
-                    f"float64 precision at theta={theta1}; use method='quad'"
-                )
-    return min(1.0, max(0.0, 1.0 - _head_cdf_quad(theta1, num, den)))
+    result = None
+    if num.b**2 * theta1 / (4.0 * den.b) <= HYP_ARG_CAP:
+        result = _head_cdf_series(theta1, num, den)
+    if result is None:
+        result = _head_cdf_quad(theta1, num, den)
+    return min(1.0, max(0.0, 1.0 - result))
 
 
 def _head_cdf_series(theta: float, num: GammaFit, den: GammaFit) -> float | None:
@@ -235,38 +226,29 @@ def _head_cdf_series(theta: float, num: GammaFit, den: GammaFit) -> float | None
 
 def _head_cdf_quad(theta: float, num: GammaFit, den: GammaFit) -> float:
     """P{Y <= theta X} as an integral of the interference density times the
-    signal CDF, in the interference distribution's natural scale.
+    signal CDF, in x = log(v / c) around the density's peak v = c.
 
-    For c < 1 the density's v^(c-1) singularity at 0 overflows float64 near
-    the endpoint, so v = w^(1/c) is substituted, which turns
-    v^(c-1) dv / Gamma(c) into dw / Gamma(c + 1); the range stops at
-    v = _DENSITY_CUTOFF, where e^-v has underflowed.
+    In x the Gamma(c) density v^(c-1) e^-v dv / Gamma(c) reads
+    exp(log_peak + c (x - expm1(x))) dx, 1 * e^log_peak at x = 0: neither a
+    v^(c-1) singularity at 0 for c < 1 nor a peak of width sqrt(c) far out
+    at v = c for large c is left for the quadrature to find.
     """
     a, b = num.a, num.b
     c, d = den.a, den.b
-    scale = math.sqrt(theta / d)
+    scale = b * math.sqrt(theta / d)
+    log_c = math.log(c)
+    log_peak = c * log_c - c - specfun.log_gamma(c)
 
-    if c < 1.0:
-        log_norm = specfun.log_gamma(c + 1.0)
-        inv_c = 1.0 / c
-
-        def integrand(w):
-            v = w**inv_c
-            return math.exp(-v - log_norm) * specfun.regularized_gamma(a, b * scale * math.sqrt(v))
-
-        return specfun.adaptive_quad(
-            integrand, 0.0, _DENSITY_CUTOFF**c, rel_tol=1e-9, abs_tol=1e-12
-        )
-
-    log_norm = specfun.log_gamma(c)
-
-    def integrand(v):
-        if v <= 0.0:
+    def integrand(x):
+        x = float(x)  # the quadrature nodes are numpy scalars, slow in arithmetic
+        if x > 700.0:
+            return 0.0  # v = c e^x is so far out that e^-v has underflowed
+        density = math.exp(log_peak + c * (x - math.expm1(x)))
+        if density == 0.0:
             return 0.0
-        density = math.exp((c - 1.0) * math.log(v) - v - log_norm)
-        return density * specfun.regularized_gamma(a, b * scale * math.sqrt(v))
+        return density * specfun.regularized_gamma(a, scale * math.exp(0.5 * (log_c + x)))
 
-    return specfun.adaptive_quad(integrand, 0.0, math.inf, rel_tol=1e-9, abs_tol=1e-12)
+    return specfun.peak_quad(integrand, min(c, 1.0), rel_tol=1e-9, abs_tol=1e-12)
 
 
 def member_decode_prob(theta1: float, config: ScenarioConfig) -> float:

@@ -4,14 +4,14 @@ Everything here is scalar, pure, and reentrant: incomplete gamma (series /
 continued fraction), modified Bessel I0/I1 (power series / asymptotic),
 the half-order Laguerre function, direct Pochhammer series for 1F1 and 2F2,
 the Tricomi confluent function Psi via quadrature of its integral
-representation, and the adaptive Gauss quadrature those routines share.
+representation, and the adaptive Gauss quadrature those routines share,
+with its peak-centred form for integrands against a Gamma weight.
 Each routine is covered in the test suite by an independent slow oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +20,6 @@ __all__ = [
     "NumericalError",
     "SeriesError",
     "QuadratureError",
-    "SeriesControl",
     "log_gamma",
     "regularized_gamma",
     "bessel_i0",
@@ -32,6 +31,7 @@ __all__ = [
     "tricomi_u",
     "log_tricomi_u_scaled",
     "adaptive_quad",
+    "peak_quad",
 ]
 
 _EPS = np.finfo(float).eps
@@ -50,21 +50,10 @@ class QuadratureError(NumericalError):
     """Adaptive quadrature did not converge within its subdivision budget."""
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Termination policy for the hypergeometric series."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.max_terms < 10:
-            raise ValueError(f"max_terms must be >= 10, got {self.max_terms}")
-
-
-_DEFAULT_CONTROL = SeriesControl()
+# termination policy of the hypergeometric series: stop after two consecutive
+# terms below SERIES_REL_TOL of the sum, fail after SERIES_MAX_TERMS terms
+SERIES_REL_TOL = 1e-12
+SERIES_MAX_TERMS = 100_000
 
 
 def log_gamma(a: float) -> float:
@@ -211,40 +200,36 @@ def _check_lower_params(*bs: float) -> None:
             raise ValueError(f"lower parameter {b} is a non-positive integer")
 
 
-def hyp1f1(a: float, b: float, z: float, control: SeriesControl | None = None) -> float:
+def hyp1f1(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric 1F1(a; b; z) by direct Pochhammer series."""
     _check_lower_params(b)
-    value, _ = _pochhammer_series((a,), (b,), z, control or _DEFAULT_CONTROL)
+    value, _ = _pochhammer_series((a,), (b,), z)
     return value
 
 
-def hyp2f2(
-    a1: float, a2: float, b1: float, b2: float, z: float, control: SeriesControl | None = None
-) -> float:
+def hyp2f2(a1: float, a2: float, b1: float, b2: float, z: float) -> float:
     """Generalized hypergeometric 2F2(a1, a2; b1, b2; z) by direct series."""
     _check_lower_params(b1, b2)
-    value, _ = _pochhammer_series((a1, a2), (b1, b2), z, control or _DEFAULT_CONTROL)
+    value, _ = _pochhammer_series((a1, a2), (b1, b2), z)
     return value
 
 
-def hyp2f2_with_scale(
-    a1: float, a2: float, b1: float, b2: float, z: float, control: SeriesControl | None = None
-) -> tuple[float, float]:
+def hyp2f2_with_scale(a1: float, a2: float, b1: float, b2: float, z: float) -> tuple[float, float]:
     """2F2 value plus the largest absolute partial term of its series.
 
     The scale is what a caller needs to bound the float64 rounding error of
     the sum: roughly ``max_term * machine_eps`` absolute.
     """
     _check_lower_params(b1, b2)
-    return _pochhammer_series((a1, a2), (b1, b2), z, control or _DEFAULT_CONTROL)
+    return _pochhammer_series((a1, a2), (b1, b2), z)
 
 
-def _pochhammer_series(uppers, lowers, z, control: SeriesControl) -> tuple[float, float]:
+def _pochhammer_series(uppers, lowers, z) -> tuple[float, float]:
     term = 1.0
     total = 1.0
     max_term = 1.0
     small_streak = 0
-    for n in range(control.max_terms):
+    for n in range(SERIES_MAX_TERMS):
         ratio = z / (n + 1.0)
         for a in uppers:
             ratio *= a + n
@@ -253,7 +238,7 @@ def _pochhammer_series(uppers, lowers, z, control: SeriesControl) -> tuple[float
         term *= ratio
         total += term
         max_term = max(max_term, abs(term))
-        if abs(term) <= control.rel_tol * max(abs(total), 1e-300):
+        if abs(term) <= SERIES_REL_TOL * max(abs(total), 1e-300):
             small_streak += 1
             # terms can dip before the Pochhammer growth kicks back in, so
             # require two consecutive negligible terms
@@ -264,7 +249,7 @@ def _pochhammer_series(uppers, lowers, z, control: SeriesControl) -> tuple[float
         if not math.isfinite(total):
             raise SeriesError(f"hypergeometric series overflowed at term {n}")
     raise SeriesError(
-        f"hypergeometric series did not converge within {control.max_terms} terms (z={z})"
+        f"hypergeometric series did not converge within {SERIES_MAX_TERMS} terms (z={z})"
     )
 
 
@@ -276,15 +261,13 @@ def _tricomi_integral(a: float, b: float, z: float, rel_tol: float) -> tuple[flo
 
     The integral is exp(log scale) * rest, and equals Gamma(a) * z^a *
     Psi(a, b; z) after substituting s = z t in the defining integral;
-    working in s keeps the integrand O(1) even when z is huge.  For a > 1
-    the integrand, written exp(phi(s)), is integrated in x = log(s / s*),
-    where s* is the peak of phi(s) + log s, the one positive stationary
-    point, with that peak taken out: the integrand is 1 at x = 0 and below
-    it elsewhere, and decays at least exponentially in x on both sides, so
-    it neither overflows nor hides between quadrature nodes, whether its
-    mass is a narrow peak far below s = 1 or spread over many decades.  For
-    a <= 1 the s -> 0 endpoint is regularized by s = w^(1/a) instead (s = w
-    at a = 1).
+    working in s keeps the integrand O(1) even when z is huge.  The
+    integrand, written exp(phi(s)), is integrated in x = log(s / s*), where
+    s* is the peak of phi(s) + log s, the one positive stationary point,
+    with that peak taken out: the integrand is 1 at x = 0 and below it
+    elsewhere, and decays at least like e^(a x) in x on both sides, so it
+    neither overflows nor hides between quadrature nodes, whether its mass
+    is a narrow peak far below s = 1 or spread over many decades.
     """
     if a <= 0:
         raise ValueError(f"tricomi_u requires a > 0, got {a}")
@@ -292,50 +275,33 @@ def _tricomi_integral(a: float, b: float, z: float, rel_tol: float) -> tuple[flo
         raise ValueError(f"tricomi_u requires z > 0, got {z}")
     power = b - a - 1.0
 
-    if a > 1.0:
-        # s* is the positive root of s^2 + q s - a z, with q = z - power - a;
-        # each branch avoids the cancellation of -q + sqrt(q^2 + 4 a z), and
-        # a z, which overflows for z near the float max, is never formed
-        q = z - power - a
-        root = math.hypot(q, 2.0 * math.sqrt(a) * math.sqrt(z))
-        if q > 0.0:
-            log_ratio = math.log(a) - math.log(0.5 * q + 0.5 * root)  # log(s*/z)
-            s_star = math.exp(log_ratio) * z
-        else:
-            s_star = 0.5 * (root - q)
-            log_ratio = math.log(s_star) - math.log(z)
-        log_s_star = log_ratio + math.log(z)
-        # log1p(s/z) = log(1 + e^v) with v = log(s/z), as a softplus that never
-        # overflows and keeps its tiny values exact where |power| is ~1e9
-        peak_softplus = max(log_ratio, 0.0) + math.log1p(math.exp(-abs(log_ratio)))
-        log_scale = power * peak_softplus + a * log_s_star - s_star
+    # s* is the positive root of s^2 + q s - a z, with q = z - power - a;
+    # each branch avoids the cancellation of -q + sqrt(q^2 + 4 a z), and
+    # a z, which overflows for z near the float max, is never formed
+    q = z - power - a
+    root = math.hypot(q, 2.0 * math.sqrt(a) * math.sqrt(z))
+    if q > 0.0:
+        log_ratio = math.log(a) - math.log(0.5 * q + 0.5 * root)  # log(s*/z)
+        s_star = math.exp(log_ratio) * z
+    else:
+        s_star = 0.5 * (root - q)
+        log_ratio = math.log(s_star) - math.log(z)
+    log_s_star = log_ratio + math.log(z)
+    # log1p(s/z) = log(1 + e^v) with v = log(s/z), as a softplus that never
+    # overflows and keeps its tiny values exact where |power| is ~1e9
+    peak_softplus = max(log_ratio, 0.0) + math.log1p(math.exp(-abs(log_ratio)))
+    log_scale = power * peak_softplus + a * log_s_star - s_star
 
-        def integrand(x):
-            x = float(x)  # the quadrature nodes are numpy scalars, slow in arithmetic
-            if log_s_star + x > 709.0:
-                return 0.0  # s itself is past the float range, so e^-s is 0
-            growth = s_star * math.expm1(x) if x < 700.0 else math.exp(log_s_star + x) - s_star
-            v = log_ratio + x
-            softplus = max(v, 0.0) + math.log1p(math.exp(-abs(v)))
-            return math.exp(power * (softplus - peak_softplus) + a * x - growth)
+    def integrand(x):
+        x = float(x)  # the quadrature nodes are numpy scalars, slow in arithmetic
+        if log_s_star + x > 709.0:
+            return 0.0  # s itself is past the float range, so e^-s is 0
+        growth = s_star * math.expm1(x) if x < 700.0 else math.exp(log_s_star + x) - s_star
+        v = log_ratio + x
+        softplus = max(v, 0.0) + math.log1p(math.exp(-abs(v)))
+        return math.exp(power * (softplus - peak_softplus) + a * x - growth)
 
-        def mirrored(y):
-            return integrand(-y)
-
-        right = adaptive_quad(integrand, 0.0, math.inf, rel_tol=rel_tol, abs_tol=0.0)
-        left = adaptive_quad(mirrored, 0.0, math.inf, rel_tol=rel_tol, abs_tol=0.0)
-        return log_scale, left + right
-
-    log_scale = 0.0
-    inv_a = 1.0 / a
-
-    def integrand(w):
-        if w <= 0.0:
-            return inv_a
-        s = w**inv_a
-        return inv_a * math.exp(power * math.log1p(s / z) - s)
-
-    return log_scale, adaptive_quad(integrand, 0.0, math.inf, rel_tol=rel_tol, abs_tol=0.0)
+    return log_scale, peak_quad(integrand, min(a, 1.0), rel_tol=rel_tol, abs_tol=0.0)
 
 
 def tricomi_u(a: float, b: float, z: float, rel_tol: float = 1e-9) -> float:
@@ -438,3 +404,23 @@ def adaptive_quad(
     raise QuadratureError(
         f"quadrature did not converge within {max_panels} panel refinements on [{lo}, {hi}]"
     )
+
+
+def peak_quad(f, step: float, rel_tol: float, abs_tol: float) -> float:
+    """Integral over the whole real line of ``f``, which peaks at x = 0.
+
+    Taken as two ``adaptive_quad`` half-lines in y = step * x, so a peak
+    whose tail decays only like e^(step * |x|) decays like e^-|y| in the
+    variable the quadrature sees; at step = 1 the nodes are those of x.
+    Each half-line is held to ``rel_tol`` and ``abs_tol`` in y.
+    """
+
+    def right(y):
+        return f(y / step)
+
+    def left(y):
+        return f(-y / step)
+
+    upper = adaptive_quad(right, 0.0, math.inf, rel_tol=rel_tol, abs_tol=abs_tol)
+    lower = adaptive_quad(left, 0.0, math.inf, rel_tol=rel_tol, abs_tol=abs_tol)
+    return (lower + upper) / step

@@ -182,22 +182,29 @@ def test_head_decode_quad_with_singular_interference_density():
 
 def test_head_decode_series_equals_quad_where_series_is_trusted(config):
     # both production routes agree wherever the series route accepts the job
+    num, den = analytic._head_fits(config)
     for theta in (0.05, 0.1, 0.2, 0.25, 0.3, 0.4):
-        s = analytic.head_decode_prob(theta, config, method="series")
-        q = analytic.head_decode_prob(theta, config, method="quad")
-        assert s == pytest.approx(q, abs=1e-4)
+        s = analytic._head_cdf_series(theta, num, den)
+        assert s is not None
+        assert s == pytest.approx(analytic._head_cdf_quad(theta, num, den), abs=1e-4)
     # at a comfortably in-budget operating point the routes agree much tighter
-    assert analytic.head_decode_prob(0.25, config, method="series") == pytest.approx(
-        analytic.head_decode_prob(0.25, config, method="quad"), abs=1e-5
+    assert analytic._head_cdf_series(0.25, num, den) == pytest.approx(
+        analytic._head_cdf_quad(0.25, num, den), abs=1e-5
     )
 
 
 def test_head_decode_series_refuses_hopeless_region(config):
-    # far into the cancellation zone the series route must fail loudly, not lie
-    from swarmrel.specfun import NumericalError
+    # far into the cancellation zone the series route must refuse, not lie
+    num, den = analytic._head_fits(config)
+    assert analytic._head_cdf_series(2.0, num, den) is None
 
-    with pytest.raises(NumericalError):
-        analytic.head_decode_prob(2.0, config, method="series")
+
+def test_head_decode_falls_with_interferer_count():
+    # more interferers narrow the interference Gamma around its peak at v = c
+    # (c ~ 460 at 500 interferers): the quadrature must still find the peak
+    p = [analytic.reliability(make_config(m_occupied=m)).p_head for m in (16, 100, 400, 500, 1000)]
+    assert all(p1 >= p2 for p1, p2 in zip(p, p[1:])), p
+    assert p[-1] < 1e-6
 
 
 def test_head_decode_monotone(config):

@@ -80,6 +80,17 @@ def test_analyze_large_rician_k(capsys, tmp_path):
         assert math.isfinite(value) and 0.0 <= value <= 1.0, (name, value)
 
 
+def test_analyze_tiny_member_argument(capsys, tmp_path):
+    # one Rayleigh interferer at 50,000 bits puts the Tricomi argument near
+    # 1e-149 with shape below 1, where the member probability is about 0
+    path = tmp_path / "tiny.cfg"
+    scenario.write_config(make_config(rician_k=0.0, m_occupied=1, message_bits=50000.0), path)
+    code, out, _ = run_cli(capsys, "analyze", "--config", str(path))
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert 0.0 <= float(_analytic_cells(header, rows[0])["p_member"]) < 1e-6
+
+
 def test_analyze_flags_out_of_regime(capsys, tmp_path):
     # an oversized message leaves fewer than one expected decoder
     path = tmp_path / "big.cfg"

@@ -20,6 +20,9 @@ from swarmrel.specfun import NumericalError
 
 from conftest import make_config
 
+# an overflow on the way to a number is a fault even when the number is right
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # the Tricomi integrand overflowed at the first and underflowed at every
 # quadrature node at the second before it was scaled at its peak
 OVERFLOW = dict(n_uavs=100, m_available=7, m_occupied=16, rician_k=21.06, message_bits=95.18,
@@ -36,6 +39,9 @@ SUBNORMAL_BITS = dict(n_uavs=1, m_available=1, m_occupied=1, rician_k=0.0, messa
 NEAR_TWO = dict(n_uavs=1, m_available=1, m_occupied=1, rician_k=0.0, message_bits=1.0,
                 tau_phase1_s=0.0009846179120919837, swarm_altitude_m=40.0,
                 coverage_radius_m=50.0, pathloss_exp_cell=2.0000000000000004)
+# a Tricomi shape below 1 overflowed a power substitution s = w^(1/a)
+SMALL_SHAPE = dict(n_uavs=1, m_available=1, m_occupied=1, rician_k=0.0, message_bits=1.0,
+                   swarm_altitude_m=1.0)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -43,6 +49,9 @@ NEAR_TWO = dict(n_uavs=1, m_available=1, m_occupied=1, rician_k=0.0, message_bit
 @example(**UNDERFLOW)
 @example(**SUBNORMAL_BITS)
 @example(**NEAR_TWO)
+@example(**SMALL_SHAPE, tau_phase1_s=1.0000000000000002e-6, coverage_radius_m=55.0,
+         pathloss_exp_cell=3.0)
+@example(**SMALL_SHAPE, tau_phase1_s=9.99e-4, coverage_radius_m=10.0, pathloss_exp_cell=5.0)
 @given(
     n_uavs=st.integers(1, 100),
     m_available=st.integers(1, 16),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swarmrel import specfun
-from swarmrel.specfun import SeriesControl, SeriesError
+from swarmrel.specfun import SeriesError
 
 
 # --- incomplete gamma ---------------------------------------------------------
@@ -145,21 +145,26 @@ def test_hyp1f1_negative_argument():
         assert specfun.hyp1f1(1.0, 2.0, -z) == pytest.approx((1 - math.exp(-z)) / z, rel=1e-11)
 
 
-def test_series_termination_stability():
+def test_series_termination_stability(monkeypatch):
     # doubling the term cap must not move a converged value
+    monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-12)
     rng = np.random.default_rng(1)
     for _ in range(20):
         a1, a2 = rng.uniform(0.2, 6.0, 2)
         b1, b2 = rng.uniform(0.4, 6.0, 2)
         z = rng.uniform(-20.0, 20.0)
-        v1 = specfun.hyp2f2(a1, a2, b1, b2, z, SeriesControl(rel_tol=1e-12, max_terms=10_000))
-        v2 = specfun.hyp2f2(a1, a2, b1, b2, z, SeriesControl(rel_tol=1e-12, max_terms=20_000))
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 10_000)
+        v1 = specfun.hyp2f2(a1, a2, b1, b2, z)
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 20_000)
+        v2 = specfun.hyp2f2(a1, a2, b1, b2, z)
         assert v2 == pytest.approx(v1, rel=1e-11)
 
 
-def test_series_budget_error():
+def test_series_budget_error(monkeypatch):
+    monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-12)
+    monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 10)
     with pytest.raises(SeriesError):
-        specfun.hyp2f2(3.0, 2.0, 0.5, 1.5, 50.0, SeriesControl(rel_tol=1e-12, max_terms=10))
+        specfun.hyp2f2(3.0, 2.0, 0.5, 1.5, 50.0)
 
 
 def test_lower_param_validation():
@@ -167,13 +172,6 @@ def test_lower_param_validation():
         specfun.hyp1f1(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         specfun.hyp2f2(1.0, 1.0, -2.0, 1.0, 1.0)
-
-
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=5)
 
 
 # --- Tricomi function -------------------------------------------------------------
@@ -201,8 +199,24 @@ def test_tricomi_leading_asymptotic():
 
 
 def test_tricomi_small_shape_endpoint():
-    # a < 1 exercises the endpoint substitution
+    # a < 1 widens the left tail of the peak-centred integrand to e^(a x)
     assert specfun.tricomi_u(0.4, 1.4, 3.0) == pytest.approx(3.0**-0.4, rel=1e-9)
+
+
+def test_tricomi_small_shape_against_mpmath():
+    # for a <= 1 the integrand's left tail in x = log(s/s*) decays only like
+    # e^(a x); the quadrature runs in y = a x, where it decays like e^y.  Down
+    # to z ~ 1e-150 the mass sits at s far below 1, where a substitution
+    # s = w^(1/a) would underflow
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        a = float(10.0 ** rng.uniform(-3.0, 0.0))
+        b = float(rng.uniform(-20.0, 5.0))
+        z = float(10.0 ** rng.uniform(-150.0, 3.0))
+        with mpmath.workdps(30):
+            ref = float(a * mpmath.log(z) + mpmath.log(mpmath.hyperu(a, b, z)))
+        assert specfun.log_tricomi_u_scaled(a, b, z) == pytest.approx(ref, abs=1e-9)
 
 
 def test_tricomi_domain():
