@@ -116,15 +116,17 @@ def inv_gamma_fit(mu: float, nu: float) -> InvGammaFit:
 def _mean_center_distance_power(config: ScenarioConfig, q: float) -> float:
     """E[d^-q] for the GBS-to-swarm-center distance d.
 
-    The density is 2u/R^2 on [H, sqrt(R^2 + H^2)]; the antiderivative of
-    u^(1-q) switches to a logarithm at q = 2.
+    The density is 2u/R^2 on [H, sqrt(R^2 + H^2)].  With p = 2 - q and
+    L = log(sqrt(R^2 + H^2) / H), the integral of u^(1-q) is
+    H^p L expm1(p L) / (p L), whose last factor is 1 at p L = 0: no
+    difference of nearly equal powers is formed, whether q is within ulps
+    of 2 or R is tiny next to H.
     """
-    r2 = config.coverage_radius_m**2
-    top = config.max_link_distance_m
     h = config.swarm_altitude_m
-    if q == 2.0:
-        return 2.0 * (math.log(top) - math.log(h)) / r2
-    return 2.0 * (top ** (2.0 - q) - h ** (2.0 - q)) / (r2 * (2.0 - q))
+    span = 0.5 * math.log1p((config.coverage_radius_m / h) ** 2)
+    p = 2.0 - q
+    growth = math.expm1(p * span) / (p * span) if p * span != 0.0 else 1.0
+    return 2.0 * h**p * span * growth / config.coverage_radius_m**2
 
 
 def moments_head_signal(config: ScenarioConfig) -> tuple[float, float]:

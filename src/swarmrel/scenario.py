@@ -111,11 +111,6 @@ class ScenarioConfig:
     def tau_phase2_s(self) -> float:
         return self.tau_total_s - self.tau_phase1_s
 
-    @property
-    def max_link_distance_m(self) -> float:
-        """Largest possible GBS-to-swarm-center distance."""
-        return math.hypot(self.coverage_radius_m, self.swarm_altitude_m)
-
 
 def validate(config: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant of ``config`` and return it unchanged.

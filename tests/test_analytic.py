@@ -100,6 +100,15 @@ def test_reference_distance_moment_values(config):
     assert mu_sig == pytest.approx(root_factor * fading.rician_mean_magnitude(4.0), rel=1e-12)
 
 
+def test_distance_moments_continuous_at_exponent_two():
+    # one ulp above exponent 2, (top^p - H^p)/p with p ~ -4e-16 kept only
+    # a digit or two; the expm1 form is continuous through p = 0
+    at_two = analytic.reliability(make_config(pathloss_exp_cell=2.0))
+    above = analytic.reliability(make_config(pathloss_exp_cell=2.0000000000000004))
+    for name in ("p_head", "p_member", "p_phase2", "eta"):
+        assert getattr(above, name) == pytest.approx(getattr(at_two, name), abs=1e-9), name
+
+
 def test_interference_moments_empty():
     cfg = make_config(m_occupied=0)
     assert analytic.moments_interference(cfg) == (0.0, 0.0)

@@ -35,7 +35,8 @@ UNDERFLOW = dict(n_uavs=1, m_available=8, m_occupied=1, rician_k=27.37, message_
 SUBNORMAL_BITS = dict(n_uavs=1, m_available=1, m_occupied=1, rician_k=0.0, message_bits=5e-324,
                       tau_phase1_s=1e-6, swarm_altitude_m=10.0, coverage_radius_m=50.0,
                       pathloss_exp_cell=2.0)
-# one ulp above exponent 2, the distance moments cancel and the fit fails
+# one ulp above exponent 2, a difference of powers in the distance moments
+# cancelled and the fit failed
 NEAR_TWO = dict(n_uavs=1, m_available=1, m_occupied=1, rician_k=0.0, message_bits=1.0,
                 tau_phase1_s=0.0009846179120919837, swarm_altitude_m=40.0,
                 coverage_radius_m=50.0, pathloss_exp_cell=2.0000000000000004)
