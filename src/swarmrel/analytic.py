@@ -231,9 +231,9 @@ def _head_cdf_quad(theta: float, num: GammaFit, den: GammaFit) -> float:
     signal CDF, in x = log(v / c) around the density's peak v = c.
 
     In x the Gamma(c) density v^(c-1) e^-v dv / Gamma(c) reads
-    exp(log_peak + c (x - expm1(x))) dx, 1 * e^log_peak at x = 0: neither a
-    v^(c-1) singularity at 0 for c < 1 nor a peak of width sqrt(c) far out
-    at v = c for large c is left for the quadrature to find.
+    exp(log_peak + c (x - expm1(x))) dx, largest at x = 0, so neither the
+    v^(c-1) singularity at 0 for c < 1 nor, for large c, a peak of width
+    sqrt(c) far out at v = c is left for the quadrature to find.
     """
     a, b = num.a, num.b
     c, d = den.a, den.b
@@ -250,7 +250,7 @@ def _head_cdf_quad(theta: float, num: GammaFit, den: GammaFit) -> float:
             return 0.0
         return density * specfun.regularized_gamma(a, scale * math.exp(0.5 * (log_c + x)))
 
-    return specfun.peak_quad(integrand, min(c, 1.0), rel_tol=1e-9, abs_tol=1e-12)
+    return specfun.peak_quad(integrand, c, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def member_decode_prob(theta1: float, config: ScenarioConfig) -> float:

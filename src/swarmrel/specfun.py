@@ -265,9 +265,9 @@ def _tricomi_integral(a: float, b: float, z: float, rel_tol: float) -> tuple[flo
     integrand, written exp(phi(s)), is integrated in x = log(s / s*), where
     s* is the peak of phi(s) + log s, the one positive stationary point,
     with that peak taken out: the integrand is 1 at x = 0 and below it
-    elsewhere, and decays at least like e^(a x) in x on both sides, so it
-    neither overflows nor hides between quadrature nodes, whether its mass
-    is a narrow peak far below s = 1 or spread over many decades.
+    elsewhere, decays like e^(a x) as x -> -inf and faster as x -> inf, so
+    it neither overflows nor hides between quadrature nodes, whether its
+    mass is a narrow peak far below s = 1 or spread over many decades.
     """
     if a <= 0:
         raise ValueError(f"tricomi_u requires a > 0, got {a}")
@@ -301,7 +301,7 @@ def _tricomi_integral(a: float, b: float, z: float, rel_tol: float) -> tuple[flo
         softplus = max(v, 0.0) + math.log1p(math.exp(-abs(v)))
         return math.exp(power * (softplus - peak_softplus) + a * x - growth)
 
-    return log_scale, peak_quad(integrand, min(a, 1.0), rel_tol=rel_tol, abs_tol=0.0)
+    return log_scale, peak_quad(integrand, a, rel_tol=rel_tol, abs_tol=0.0)
 
 
 def tricomi_u(a: float, b: float, z: float, rel_tol: float = 1e-9) -> float:
@@ -406,14 +406,17 @@ def adaptive_quad(
     )
 
 
-def peak_quad(f, step: float, rel_tol: float, abs_tol: float) -> float:
+def peak_quad(f, shape: float, rel_tol: float, abs_tol: float) -> float:
     """Integral over the whole real line of ``f``, which peaks at x = 0.
 
-    Taken as two ``adaptive_quad`` half-lines in y = step * x, so a peak
-    whose tail decays only like e^(step * |x|) decays like e^-|y| in the
-    variable the quadrature sees; at step = 1 the nodes are those of x.
-    Each half-line is held to ``rel_tol`` and ``abs_tol`` in y.
+    ``f`` is a Gamma(``shape``) weight times a bounded factor in
+    x = log(s / peak), so it decays like e^(shape * x) as x -> -inf and
+    faster on the right.  It is taken as two ``adaptive_quad`` half-lines in
+    y = min(shape, 1) * x, where even a small shape's left tail decays like
+    e^-|y|; for shape >= 1 the nodes are those of x.  Each half-line is held
+    to ``rel_tol`` and ``abs_tol`` in y.
     """
+    step = min(shape, 1.0)
 
     def right(y):
         return f(y / step)
