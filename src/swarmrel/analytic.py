@@ -13,11 +13,14 @@ rounding-error estimate.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import specfun
-from .geometry import pair_distance_pdf, pair_distance_truncation
+from .geometry import pair_distance_truncation
 from .fading import rician_moments
 from .scenario import ScenarioConfig, phase1_threshold, phase2_threshold
 
@@ -197,8 +200,8 @@ def _head_cdf_series(theta: float, num: GammaFit, den: GammaFit) -> float | None
     """Hypergeometric form of P{Y <= theta X}, or None when float64 cannot carry it.
 
     The expression is the difference of two same-sign terms that grow like
-    exp(arg) while their difference stays in [0, 1]; the rounding error is
-    about (largest partial term) * eps, which is estimated on the fly.
+    exp(arg) while their difference stays in [0, 1], so the rounding of each
+    term, in its series sum and in its prefactor, is estimated on the fly.
     """
     a, b = num.a, num.b
     c, d = den.a, den.b
@@ -213,14 +216,16 @@ def _head_cdf_series(theta: float, num: GammaFit, den: GammaFit) -> float | None
     if b * b * theta / d == 0.0 or theta / d == 0.0:
         # a subnormal threshold underflows the prefactors' log arguments
         return None
-    log_pref = (a / 2.0) * math.log(b * b * theta / d) - specfun.log_gamma(a) - specfun.log_gamma(c)
-    log_c1 = specfun.log_gamma(a / 2.0 + c) - math.log(a)
-    log_c2 = (
-        math.log(b) + 0.5 * math.log(theta / d) + specfun.log_gamma(a / 2.0 + c + 0.5) - math.log(a + 1.0)
-    )
-    t1 = math.exp(log_pref + log_c1)
-    t2 = math.exp(log_pref + log_c2)
-    err_estimate = (t1 * scale1 + t2 * scale2) * 2.3e-16
+    pref = ((a / 2.0) * math.log(b * b * theta / d), -specfun.log_gamma(a), -specfun.log_gamma(c))
+    logs1 = pref + (specfun.log_gamma(a / 2.0 + c), -math.log(a))
+    logs2 = pref + (math.log(b), 0.5 * math.log(theta / d),
+                    specfun.log_gamma(a / 2.0 + c + 0.5), -math.log(a + 1.0))
+    t1 = math.exp(math.fsum(logs1))
+    t2 = math.exp(math.fsum(logs2))
+    # each sum rounds to about its largest partial term times eps, and each
+    # prefactor to about the summed magnitude of its logs times eps
+    err_estimate = 2.3e-16 * (t1 * (scale1 + abs(f1) * sum(map(abs, logs1)))
+                              + t2 * (scale2 + abs(f2) * sum(map(abs, logs2))))
     if not math.isfinite(err_estimate) or err_estimate > _SERIES_ERR_BUDGET:
         return None
     return t1 * f1 - t2 * f2
@@ -231,26 +236,28 @@ def _head_cdf_quad(theta: float, num: GammaFit, den: GammaFit) -> float:
     signal CDF, in x = log(v / c) around the density's peak v = c.
 
     In x the Gamma(c) density v^(c-1) e^-v dv / Gamma(c) reads
-    exp(log_peak + c (x - expm1(x))) dx, largest at x = 0, so neither the
-    v^(c-1) singularity at 0 for c < 1 nor, for large c, a peak of width
-    sqrt(c) far out at v = c is left for the quadrature to find.
+    exp(log_peak + c (x - expm1(x))) dx, largest at x = 0 and about
+    1/sqrt(c) wide, which is the quadrature scale: neither the v^(c-1)
+    singularity at 0 for c < 1 nor, for large c, a narrow peak far out at
+    v = c is left for the quadrature to find.  The signal CDF is taken per
+    node, only where the density has not underflowed.
     """
     a, b = num.a, num.b
     c, d = den.a, den.b
     scale = b * math.sqrt(theta / d)
     log_c = math.log(c)
-    log_peak = c * log_c - c - specfun.log_gamma(c)
+    log_peak = specfun.log_gamma_peak(c)
 
     def integrand(x):
-        x = float(x)  # the quadrature nodes are numpy scalars, slow in arithmetic
-        if x > 700.0:
-            return 0.0  # v = c e^x is so far out that e^-v has underflowed
-        density = math.exp(log_peak + c * (x - math.expm1(x)))
-        if density == 0.0:
-            return 0.0
-        return density * specfun.regularized_gamma(a, scale * math.exp(0.5 * (log_c + x)))
+        # e^x past 700 only lowers a density that has already underflowed
+        density = np.exp(log_peak + c * (x - np.expm1(np.minimum(x, 700.0))))
+        cdf = [
+            specfun.regularized_gamma(a, scale * math.exp(0.5 * (log_c + xi))) if di > 0.0 else 0.0
+            for xi, di in zip(x.tolist(), density.tolist())
+        ]
+        return density * cdf
 
-    return specfun.peak_quad(integrand, c, rel_tol=1e-9, abs_tol=1e-12)
+    return specfun.adaptive_quad(integrand, 1.0 / math.sqrt(c), rel_tol=1e-9, abs_tol=1e-12)
 
 
 def member_decode_prob(theta1: float, config: ScenarioConfig) -> float:
@@ -296,6 +303,10 @@ def d2d_fit(k_effective: float, config: ScenarioConfig) -> InvGammaFit:
     """
     if k_effective <= 0:
         raise ValueError(f"k_effective must be > 0, got {k_effective}")
+    if config.min_separation_m / (2.0 * config.swarm_radius_m) == 0.0:
+        # the pair-distance density is ~ w near 0, so E[w^-alpha_d2d] diverges
+        raise MomentFitError(f"min_separation_m = {config.min_separation_m}: UAVs may touch, "
+                             "so the relay path-loss moments are infinite")
     mu, nu = _relay_pathloss_moments(
         config.swarm_radius_m, config.min_separation_m, config.pathloss_exp_d2d
     )
@@ -310,17 +321,39 @@ def _relay_pathloss_moments(radius: float, d_min: float, alpha: float) -> tuple[
 
 @lru_cache(maxsize=None)
 def _truncated_pair_moment(radius: float, d_min: float, q: float) -> float:
-    """E[w^-q] over the truncated pair-distance density on [d_min, 2 radius]."""
-    mass = pair_distance_truncation(radius, d_min)
-    lo = d_min if d_min > 0 else 1e-9 * radius
-    integral = specfun.adaptive_quad(
-        lambda w: w ** (-q) * pair_distance_pdf(w, radius),
-        lo,
-        2.0 * radius,
-        rel_tol=1e-10,
-        abs_tol=0.0,
+    """E[w^-q] over the truncated pair-distance density on [d_min, 2 radius].
+
+    In w = 2 radius cos(phi) the density is (4/pi) sin(2 phi) (2 phi -
+    sin(2 phi)) dphi on [0, phi0], phi0 = acos(x0), x0 = d_min / (2 radius),
+    with no square-root endpoint singularity; phi = phi0 logistic(y) maps it
+    onto the line.  cos(phi) is cos(phi0 - delta), delta = phi0 logistic(-y),
+    expanded so that it keeps its digits near phi0.  (w / d_min)^-q <= 1 is
+    one power, which overflows nowhere, and d_min^-q is added back in logs.
+    """
+    x0 = d_min / (2.0 * radius)
+    log_x0 = math.log(d_min) - math.log(2.0 * radius)
+    phi0 = math.acos(x0)
+    sin_phi0 = math.sqrt(1.0 - x0 * x0)
+
+    def integrand(y):
+        rise = np.exp(-np.logaddexp(0.0, -y))  # logistic(y)
+        fall = np.exp(-np.logaddexp(0.0, y))  # logistic(-y)
+        phi = phi0 * rise
+        delta = phi0 * fall
+        cos_phi = x0 * np.cos(delta) + sin_phi0 * np.sin(delta)
+        sin2 = 2.0 * np.sin(phi) * cos_phi
+        density = (4.0 / math.pi) * sin2 * (2.0 * phi - sin2)
+        return np.exp(-q * (np.log(cos_phi) - log_x0)) * density * (phi0 * rise * fall)
+
+    integral = specfun.adaptive_quad(integrand, 1.0, rel_tol=1e-10, abs_tol=0.0)
+    if integral > 0.0:
+        mass = pair_distance_truncation(radius, d_min)
+        with suppress(OverflowError):
+            return math.exp(-q * math.log(d_min) + math.log(integral / mass))
+    raise MomentFitError(
+        f"min_separation_m = {d_min}: the relay path-loss moment E[w^-{q}] cannot be "
+        "evaluated in float at so small a separation"
     )
-    return integral / mass
 
 
 def phase2_decode_prob(theta2: float, k_effective: float, config: ScenarioConfig) -> float:

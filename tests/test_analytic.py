@@ -191,8 +191,10 @@ def test_head_decode_quad_with_singular_interference_density():
 
 def test_head_decode_series_equals_quad_where_series_is_trusted(config):
     # both production routes agree wherever the series route accepts the job
+    # (from theta = 0.4 up the prefactors' rounding alone may exceed the
+    # 1e-8 budget, so the series refuses there)
     num, den = analytic._head_fits(config)
-    for theta in (0.05, 0.1, 0.2, 0.25, 0.3, 0.4):
+    for theta in (0.05, 0.1, 0.2, 0.25, 0.3, 0.35):
         s = analytic._head_cdf_series(theta, num, den)
         assert s is not None
         assert s == pytest.approx(analytic._head_cdf_quad(theta, num, den), abs=1e-4)
@@ -200,6 +202,27 @@ def test_head_decode_series_equals_quad_where_series_is_trusted(config):
     assert analytic._head_cdf_series(0.25, num, den) == pytest.approx(
         analytic._head_cdf_quad(0.25, num, den), abs=1e-5
     )
+
+
+def test_head_decode_series_counts_prefactor_rounding():
+    # the series' two prefactors are ~5e7 here and carry about |log terms| *
+    # eps relative error before the terms cancel; counted, they send this
+    # point to the quadrature, which mpmath confirms to 1e-8
+    mpmath = pytest.importorskip("mpmath")
+    cfg = make_config(m_available=4, m_occupied=8, rician_k=3.4106917927843416,
+                      message_bits=71.63349744369316, tau_phase1_s=0.0008804344755401868)
+    num, den = analytic._head_fits(cfg)
+    theta = scenario.phase1_threshold(cfg)
+    a, b, c, d = (mpmath.mpf(v) for v in (num.a, num.b, den.a, den.b))
+    k = b * mpmath.sqrt(mpmath.mpf(theta) / d)
+
+    def cdf(v):
+        density = mpmath.exp((c - 1) * mpmath.log(v) - v - mpmath.loggamma(c))
+        return density * mpmath.gammainc(a, 0, k * mpmath.sqrt(v), regularized=True)
+
+    with mpmath.workdps(30):
+        ref = float(1 - mpmath.quad(cdf, [0, c / 10, c / 3, c, 3 * c, 10 * c, mpmath.inf]))
+    assert analytic.head_decode_prob(theta, cfg) == pytest.approx(ref, abs=1e-8)
 
 
 def test_head_decode_series_refuses_hopeless_region(config):
@@ -214,6 +237,15 @@ def test_head_decode_falls_with_interferer_count():
     p = [analytic.reliability(make_config(m_occupied=m)).p_head for m in (16, 100, 400, 500, 1000)]
     assert all(p1 >= p2 for p1, p2 in zip(p, p[1:])), p
     assert p[-1] < 1e-6
+
+
+def test_head_decode_at_huge_interferer_counts():
+    # at shape ~1e8 the interference peak is ~1e-4 wide in log space, and
+    # c log c - c - lgamma(c) alone cancels to ~1e-6 relative
+    br = {m: analytic.reliability(make_config(m_occupied=m)) for m in (10**6, 10**8, 10**9)}
+    for m, b in br.items():
+        assert b.p_head <= 1e-8, m
+    assert abs(br[10**8].eta - br[10**6].eta) <= 1e-9
 
 
 def test_head_decode_monotone(config):

@@ -91,6 +91,17 @@ def test_analyze_tiny_member_argument(capsys, tmp_path):
     assert 0.0 <= float(_analytic_cells(header, rows[0])["p_member"]) < 1e-6
 
 
+def test_analyze_without_min_separation_is_a_numerical_error(capsys, tmp_path):
+    # the pair-distance density is ~ w near 0, so E[w^-alpha_d2d] is
+    # infinite for every alpha_d2d >= 2 when UAVs may touch
+    path = tmp_path / "touching.cfg"
+    scenario.write_config(make_config(min_separation_m=0.0), path)
+    code, out, err = run_cli(capsys, "analyze", "--config", str(path))
+    assert code == cli.EXIT_NUMERICAL == 3
+    assert out == ""
+    assert "min_separation_m" in err
+
+
 def test_analyze_flags_out_of_regime(capsys, tmp_path):
     # an oversized message leaves fewer than one expected decoder
     path = tmp_path / "big.cfg"

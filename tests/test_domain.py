@@ -44,15 +44,22 @@ NEAR_TWO = dict(n_uavs=1, m_available=1, m_occupied=1, rician_k=0.0, message_bit
 SMALL_SHAPE = dict(n_uavs=1, m_available=1, m_occupied=1, rician_k=0.0, message_bits=1.0,
                    swarm_altitude_m=1.0)
 
+# the reference swarm, for the examples above, which probe the cellular stage
+SWARM = dict(swarm_radius_m=30.0, min_separation_m=5.0, pathloss_exp_d2d=2.0)
+
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@example(**OVERFLOW)
-@example(**UNDERFLOW)
-@example(**SUBNORMAL_BITS)
-@example(**NEAR_TWO)
-@example(**SMALL_SHAPE, tau_phase1_s=1.0000000000000002e-6, coverage_radius_m=55.0,
+@example(**OVERFLOW, **SWARM)
+@example(**UNDERFLOW, **SWARM)
+@example(**SUBNORMAL_BITS, **SWARM)
+@example(**NEAR_TWO, **SWARM)
+@example(**SMALL_SHAPE, **SWARM, tau_phase1_s=1.0000000000000002e-6, coverage_radius_m=55.0,
          pathloss_exp_cell=3.0)
-@example(**SMALL_SHAPE, tau_phase1_s=9.99e-4, coverage_radius_m=10.0, pathloss_exp_cell=5.0)
+@example(**SMALL_SHAPE, **SWARM, tau_phase1_s=9.99e-4, coverage_radius_m=10.0,
+         pathloss_exp_cell=5.0)
+# touching UAVs make E[w^-alpha_d2d] infinite; at 1e-30 m, w^-12 overflows
+@example(**NEAR_TWO, swarm_radius_m=30.0, min_separation_m=0.0, pathloss_exp_d2d=6.0)
+@example(**NEAR_TWO, swarm_radius_m=30.0, min_separation_m=1e-30, pathloss_exp_d2d=6.0)
 @given(
     n_uavs=st.integers(1, 100),
     m_available=st.integers(1, 16),
@@ -63,6 +70,9 @@ SMALL_SHAPE = dict(n_uavs=1, m_available=1, m_occupied=1, rician_k=0.0, message_
     swarm_altitude_m=st.floats(1.0, 2000.0),
     coverage_radius_m=st.floats(1.0, 2000.0),
     pathloss_exp_cell=st.floats(2.0, 5.0),
+    swarm_radius_m=st.floats(1.0, 100.0),
+    min_separation_m=st.floats(0.0, 20.0),
+    pathloss_exp_d2d=st.floats(2.0, 6.0),
 )
 def test_validated_config_gives_probabilities_or_documented_error(**overrides):
     try:

@@ -200,3 +200,15 @@ def test_truncated_pair_pdf_is_scaled_raw():
     # mass matches an independent quadrature of the raw density
     ref = integrate.quad(lambda w: geometry.pair_distance_pdf(w, 30.0), 5.0, 60.0)[0]
     assert mass == pytest.approx(ref, abs=1e-10)
+
+
+def test_truncated_pair_mass_near_the_diameter():
+    # as d_min nears 2R the mass falls to ~1e-8, which 1 - [...] / pi, the
+    # closed form in x = d_min / 2R, gets only to ~5e-8 relative
+    mpmath = pytest.importorskip("mpmath")
+    for d_min in (3.0, 36.0, 57.0, 59.97):
+        x = mpmath.mpf(d_min) / 60
+        with mpmath.workdps(40):
+            ref = 1 - (8 * x**2 * mpmath.acos(x) + 2 * mpmath.asin(x)
+                       - 2 * x * (1 + 2 * x**2) * mpmath.sqrt(1 - x**2)) / mpmath.pi
+        assert geometry.pair_distance_truncation(30.0, d_min) == pytest.approx(float(ref), rel=1e-9)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from swarmrel import specfun
-from swarmrel.specfun import SeriesError
+from swarmrel.specfun import QuadratureError, SeriesError
 
 
 # --- incomplete gamma ---------------------------------------------------------
@@ -32,6 +33,15 @@ def test_regularized_gamma_monotone_and_bounded():
         vals = [specfun.regularized_gamma(a, z) for z in grid]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
+
+
+def test_log_gamma_peak_against_mpmath():
+    # a log a - a - lgamma(a): direct below a = 100, Stirling series above
+    mpmath = pytest.importorskip("mpmath")
+    for a in (0.3, 99.99, 100.0, 1e3, 1e8, 1e12):
+        with mpmath.workdps(50):
+            ref = float(a * mpmath.log(a) - a - mpmath.loggamma(a))
+        assert specfun.log_gamma_peak(a) == pytest.approx(ref, abs=1e-13), a
 
 
 def test_gamma_domain_errors():
@@ -219,6 +229,14 @@ def test_tricomi_small_shape_against_mpmath():
         assert specfun.log_tricomi_u_scaled(a, b, z) == pytest.approx(ref, abs=1e-9)
 
 
+def test_tricomi_huge_shape_keeps_its_digits():
+    # at a = 1e9, a log s* - s* - lgamma(a) cancels to ~1e-6 unless it is
+    # taken from the Stirling series; oracle: 80-digit mpmath quadrature of
+    # the defining integral
+    got = specfun.log_tricomi_u_scaled(1e9, 999999996.0, 1e12)
+    assert got == pytest.approx(-0.0049975016654026957891, abs=1e-12)
+
+
 def test_tricomi_domain():
     with pytest.raises(ValueError):
         specfun.tricomi_u(-1.0, 1.0, 1.0)
@@ -226,39 +244,65 @@ def test_tricomi_domain():
         specfun.tricomi_u(1.0, 1.0, 0.0)
 
 
-# --- adaptive quadrature ------------------------------------------------------------
+# --- quadrature over the real line --------------------------------------------------
+# each test maps its integral onto the line itself: (0, 1) by t = logistic(y),
+# (0, inf) by t = e^y
 
 
 def test_quad_polynomial():
-    assert specfun.adaptive_quad(lambda t: 3 * t * t, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    def f(y):
+        t = expit(y)
+        return 3 * t * t * t * expit(-y)
+
+    assert specfun.adaptive_quad(f, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quad_exponential_tail():
-    assert specfun.adaptive_quad(lambda t: math.exp(-t), 0.0, math.inf) == pytest.approx(
-        1.0, abs=1e-10
-    )
+    def f(y):
+        t = np.exp(y)
+        return np.exp(-t) * t
+
+    assert specfun.adaptive_quad(f, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_quad_gaussian_moment():
-    assert specfun.adaptive_quad(lambda t: t * math.exp(-t * t), 0.0, math.inf) == pytest.approx(
-        0.5, abs=1e-10
-    )
+    def f(y):
+        t = np.exp(y)
+        return t * np.exp(-t * t) * t
+
+    assert specfun.adaptive_quad(f, 1.0) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_quad_shifted_lower_limit():
-    assert specfun.adaptive_quad(lambda t: math.exp(-(t - 2.0)), 2.0, math.inf) == pytest.approx(
-        1.0, abs=1e-10
-    )
+    def f(y):
+        t = 2.0 + np.exp(y)
+        return np.exp(-(t - 2.0)) * np.exp(y)
 
-
-def test_quad_empty_and_bad_ranges():
-    assert specfun.adaptive_quad(lambda t: t, 1.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        specfun.adaptive_quad(lambda t: t, 2.0, 1.0)
+    assert specfun.adaptive_quad(f, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_quad_integrable_endpoint_singularity():
-    # 1/sqrt(t) on (0, 1] integrates to 2
-    assert specfun.adaptive_quad(
-        lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, rel_tol=1e-9, abs_tol=0.0, max_panels=20000
-    ) == pytest.approx(2.0, rel=1e-6)
+    # 1/sqrt(t) on (0, 1] integrates to 2; in y the singular end is a tail
+    # that decays only like e^(y/2)
+    def f(y):
+        t = expit(y)
+        return 1.0 / np.sqrt(t) * t * expit(-y)
+
+    assert specfun.adaptive_quad(f, 1.0, rel_tol=1e-9, abs_tol=0.0) == pytest.approx(
+        2.0, rel=1e-6
+    )
+
+
+def test_quad_narrow_peak():
+    # a Gaussian of width 1e-4, given its width, as the head CDF's Gamma
+    # peak is near shape 1e8
+    def f(x):
+        return np.exp(-0.5 * (x / 1e-4) ** 2)
+
+    got = specfun.adaptive_quad(f, 1e-4, rel_tol=1e-12, abs_tol=0.0)
+    assert got == pytest.approx(1e-4 * math.sqrt(2.0 * math.pi), rel=1e-12)
+
+
+def test_quad_non_decaying_integrand_raises():
+    with pytest.raises(QuadratureError):
+        specfun.adaptive_quad(np.ones_like, 1.0)
