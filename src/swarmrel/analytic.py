@@ -36,7 +36,6 @@ __all__ = [
     "moments_pathloss_sum",
     "head_decode_prob",
     "member_decode_prob",
-    "phase1_expected",
     "d2d_fit",
     "phase2_decode_prob",
     "reliability",
@@ -55,14 +54,6 @@ class GammaFit:
     a: float
     b: float
 
-    @property
-    def mean(self) -> float:
-        return self.a / self.b
-
-    @property
-    def variance(self) -> float:
-        return self.a / self.b**2
-
 
 @dataclass(frozen=True)
 class InvGammaFit:
@@ -70,14 +61,6 @@ class InvGammaFit:
 
     a: float
     b: float
-
-    @property
-    def mean(self) -> float:
-        return self.b / (self.a - 1.0)
-
-    @property
-    def variance(self) -> float:
-        return self.b**2 / ((self.a - 1.0) ** 2 * (self.a - 2.0))
 
 
 @dataclass(frozen=True)
@@ -143,8 +126,6 @@ def moments_head_signal(config: ScenarioConfig) -> tuple[float, float]:
 
 def moments_interference(config: ScenarioConfig) -> tuple[float, float]:
     """Mean and variance of the occupied GBSs' total power d^-alpha |h|^2."""
-    if config.m_occupied == 0:
-        return 0.0, 0.0
     alpha = config.pathloss_exp_cell
     _, m2, m4 = rician_moments(config.rician_k)
     mu = _mean_center_distance_power(config, alpha) * m2
@@ -154,8 +135,6 @@ def moments_interference(config: ScenarioConfig) -> tuple[float, float]:
 
 def moments_pathloss_sum(config: ScenarioConfig) -> tuple[float, float]:
     """Mean and variance of the serving GBSs' summed path loss d^-alpha."""
-    if config.m_available == 0:
-        return 0.0, 0.0
     alpha = config.pathloss_exp_cell
     mu = _mean_center_distance_power(config, alpha)
     nu = _mean_center_distance_power(config, 2.0 * alpha) - mu * mu
@@ -283,15 +262,6 @@ def member_decode_prob(theta1: float, config: ScenarioConfig) -> float:
         return 1.0
     log_p = specfun.log_tricomi_u_scaled(den.a, 1.0 + den.a - signal.a, z)
     return min(1.0, max(0.0, math.exp(log_p)))
-
-
-def phase1_expected(config: ScenarioConfig, theta1: float | None = None) -> float:
-    """Expected number of decoders after the cellular stage."""
-    if theta1 is None:
-        theta1 = phase1_threshold(config)
-    return head_decode_prob(theta1, config) + (config.n_uavs - 1) * member_decode_prob(
-        theta1, config
-    )
 
 
 def d2d_fit(k_effective: float, config: ScenarioConfig) -> InvGammaFit:

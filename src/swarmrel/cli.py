@@ -214,12 +214,16 @@ def _parse_values(args) -> tuple:
         parts = [p for p in args.values.split(",") if p.strip()]
         if not parts:
             raise ConfigError("values: must be non-empty")
-        out = []
-        for p in parts:
-            out.append(int(p) if args.var in _INT_VARS else float(p))
-        return tuple(out)
+        parse = int if args.var in _INT_VARS else float
+        try:
+            return tuple(parse(p) for p in parts)
+        except ValueError:
+            raise ConfigError(f"values: cannot parse {args.values!r} as {parse.__name__}s "
+                              f"for {args.var}")
     if args.start is None or args.stop is None or args.step is None:
         raise ConfigError("values: give either --values or all of --start/--stop/--step")
+    if not all(map(math.isfinite, (args.start, args.stop, args.step))):
+        raise ConfigError("start/stop/step: must be finite")
     if args.step <= 0:
         raise ConfigError(f"step: must be > 0, got {args.step}")
     out = []

@@ -1,4 +1,7 @@
-"""Small-scale fading draws and per-UAV SINR computation for both stages.
+"""Small-scale fading draws, Rician magnitude moments, and per-UAV SINRs.
+
+The Monte Carlo engine draws the fading and forms the SINRs of both stages;
+the closed-form model takes only the moments of the Rician magnitude.
 
 Fading coefficients are sampled directly and SINRs are formed from channel
 coefficients; no symbol waveforms are generated, since decode decisions
@@ -18,7 +21,6 @@ from .scenario import ScenarioConfig
 __all__ = [
     "sample_rician",
     "sample_rayleigh",
-    "rician_magnitude_pdf",
     "rician_mean_magnitude",
     "rician_moments",
     "draw_phase1",
@@ -53,26 +55,12 @@ def sample_rician(kappa: float, rng: np.random.Generator, size=None) -> np.ndarr
     return math.sqrt(kappa / (kappa + 1.0)) * los + math.sqrt(1.0 / (kappa + 1.0)) * scattered
 
 
-def rician_magnitude_pdf(v: float, kappa: float) -> float:
-    """Density of |h| for the unit-power Rician coefficient, v >= 0."""
-    if v < 0:
-        return 0.0
-    kp1 = kappa + 1.0
-    log_env = -kappa - kp1 * v * v
-    bessel_arg = 2.0 * math.sqrt(kappa * kp1) * v
-    # fold the exponential into the Bessel asymptotic regime to avoid inf*0
-    if bessel_arg > 700.0:
-        log_i0 = bessel_arg - 0.5 * math.log(2.0 * math.pi * bessel_arg)
-        return 2.0 * kp1 * v * math.exp(log_env + log_i0)
-    return 2.0 * kp1 * v * math.exp(log_env) * specfun.bessel_i0(bessel_arg)
-
-
 def rician_mean_magnitude(kappa: float) -> float:
     """E|h| for the unit-power Rician coefficient.
 
     The constant in front of the Laguerre function is fixed by requiring
-    agreement with direct quadrature of the magnitude density (the test
-    suite asserts this); it is 1/2 * sqrt(pi/(kappa+1)).
+    agreement with direct quadrature of the Rice magnitude density (the
+    test suite asserts this against scipy); it is 1/2 * sqrt(pi/(kappa+1)).
     """
     return 0.5 * math.sqrt(math.pi / (kappa + 1.0)) * specfun.laguerre_half(-kappa)
 
@@ -145,21 +133,16 @@ def phase2_sinrs(
     decoders: np.ndarray,
     gains: np.ndarray,
     config: ScenarioConfig,
-    receivers: np.ndarray | None = None,
+    receivers: np.ndarray,
 ) -> np.ndarray:
-    """SINR at each receiver when all decoders relay simultaneously.
+    """SINR at each of ``receivers`` when all ``decoders`` relay simultaneously.
 
-    ``receivers`` defaults to the complement of ``decoders``; either way the
-    result is ordered by UAV index and has one value per receiver.  With no
-    decoders there is no transmission and the SINRs are zero.
+    ``gains`` is (receivers, decoders); the result has one value per
+    receiver, in the order given.  With no decoders there is no
+    transmission and the SINRs are zero.
     """
     decoders = np.asarray(decoders, dtype=int)
-    if receivers is None:
-        mask = np.zeros(config.n_uavs, dtype=bool)
-        mask[decoders] = True
-        receivers = np.flatnonzero(~mask)
-    else:
-        receivers = np.asarray(receivers, dtype=int)
+    receivers = np.asarray(receivers, dtype=int)
     if len(decoders) == 0:
         return np.zeros(len(receivers))
     dist = swarm.pair_distances[np.ix_(receivers, decoders)]

@@ -1,9 +1,10 @@
-"""Point-process sampling of GBS and UAV positions plus distance densities.
+"""Point-process sampling of GBS and UAV positions, and the truncated pair-distance mass.
 
 Ground stations are a binomial point process on a disk; the swarm is a
 hard-core process realized by simple sequential inhibition (dart throwing
-with rejection).  The closed-form model consumes the distance densities
-defined here; the Monte Carlo engine consumes the sampled layouts.
+with rejection).  The Monte Carlo engine consumes the sampled layouts; the
+closed-form model takes the mass of the disk's pair-distance density above
+the hard-core separation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "sample_hardcore_disk",
     "sample_gbs_layout",
     "sample_swarm_layout",
-    "pair_distance_pdf",
     "pair_distance_truncation",
 ]
 
@@ -176,17 +176,7 @@ def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator) -> Swa
     return SwarmLayout(positions=positions, head_idx=0, pair_distances=pair)
 
 
-# --- distance densities -------------------------------------------------------
-
-
-def pair_distance_pdf(w: float, radius: float) -> float:
-    """Density of the distance between two uniform points in a disk, on [0, 2 radius]."""
-    if w < 0.0 or w > 2.0 * radius:
-        return 0.0
-    x = w / (2.0 * radius)
-    return (4.0 * w / (math.pi * radius**2)) * math.acos(x) - (
-        2.0 * w**2 / (math.pi * radius**3)
-    ) * math.sqrt(max(0.0, 1.0 - x * x))
+# --- pair-distance mass -------------------------------------------------------
 
 
 def pair_distance_truncation(radius: float, d_min: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,10 +45,12 @@ class Protocol:
     ``all_gbs``      all serving GBSs transmit (head-phased weights) for the
                      whole slot; no relaying.
     ``head_relay``   like ``proposed`` but only the head relays.
-    ``multi_round``  whole-slot cellular stage, then ``rounds`` whole-slot
-                     relay rounds over fixed geometry with fresh fading;
+    ``multi_round``  whole-slot cellular stage, then whole-slot relay
+                     rounds over fixed geometry with fresh fading;
                      ``with_head=False`` drops the head's pilot so GBS
                      transmissions are unweighted.
+
+    ``rounds`` is the number of relay rounds after the cellular stage.
     """
 
     name: str
@@ -67,10 +69,10 @@ class Protocol:
         return f"multi_round{self.rounds}{suffix}"
 
 
-PROPOSED = Protocol("proposed")
+PROPOSED = Protocol("proposed", rounds=1)
 NEAREST_GBS = Protocol("nearest_gbs")
 ALL_GBS = Protocol("all_gbs")
-HEAD_RELAY = Protocol("head_relay")
+HEAD_RELAY = Protocol("head_relay", rounds=1)
 
 
 def multi_round(rounds: int, with_head: bool = True) -> Protocol:
@@ -130,7 +132,6 @@ def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generat
     they share its serving set, combining and threshold.
     """
     split = protocol.name in ("proposed", "head_relay")
-    rounds = protocol.rounds if protocol.name == "multi_round" else int(split)
     gbs = geometry.sample_gbs_layout(config, rng)
     swarm = geometry.sample_swarm_layout(config, rng)
     gains = fading.draw_phase1(config, rng)
@@ -143,9 +144,9 @@ def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generat
     cell_threshold = (
         scenario.phase1_threshold(config) if split else scenario.full_slot_cell_threshold(config)
     )
-    masks = np.empty((1 + rounds, config.n_uavs), dtype=bool)
+    masks = np.empty((1 + protocol.rounds, config.n_uavs), dtype=bool)
     masks[0] = sinrs >= cell_threshold
-    if rounds == 0:
+    if protocol.rounds == 0:
         # past its rate cap the unused D2D threshold would raise ConfigError
         return masks
 
@@ -155,7 +156,7 @@ def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generat
     speakers = np.ones(config.n_uavs, dtype=bool)
     if protocol.name == "head_relay":
         speakers = np.arange(config.n_uavs) == swarm.head_idx
-    for r in range(1, rounds + 1):
+    for r in range(1, protocol.rounds + 1):
         masks[r] = masks[r - 1]
         relays = np.flatnonzero(masks[r - 1] & speakers)
         receivers = np.flatnonzero(~masks[r - 1])
@@ -252,7 +253,12 @@ def phase1_count_distribution(
     master_seed: int,
     workers: int = 1,
 ) -> Phase1CountDistribution:
-    """Empirical distribution of the cellular-stage decoder count."""
-    counts = _gather_counts(config, PROPOSED, trials, master_seed, workers)
+    """Empirical distribution of the cellular-stage decoder count.
+
+    The trials stop after the cellular stage; the relay draws come after
+    the cellular ones, so the counts are those of full ``PROPOSED`` trials.
+    """
+    cellular = replace(PROPOSED, rounds=0)
+    counts = _gather_counts(config, cellular, trials, master_seed, workers)
     pmf = np.bincount(counts[:, 0], minlength=config.n_uavs + 1) / trials
     return Phase1CountDistribution(pmf=pmf, trials=trials, seed=master_seed)

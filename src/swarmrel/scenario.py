@@ -25,7 +25,6 @@ __all__ = [
     "parse_config",
     "format_config",
     "read_config",
-    "write_config",
 ]
 
 # D / (tau * B) beyond this makes 2**x overflow any sensible threshold
@@ -47,14 +46,28 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-def dbm_to_watts(value_dbm: float) -> float:
-    """Convert a power from dBm to watts."""
-    return 10.0 ** (value_dbm / 10.0) * 1e-3
-
-
 def db_to_linear(value_db: float) -> float:
-    """Convert a gain from dB to a linear factor."""
-    return 10.0 ** (value_db / 10.0)
+    """Convert a gain from dB to a linear factor; inf past the float range."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def dbm_to_watts(value_dbm: float) -> float:
+    """Convert a power from dBm to watts; inf past the float range."""
+    return db_to_linear(value_dbm) * 1e-3
+
+
+# dB or dBm field: (its cached linear attribute, the conversion)
+_LINEAR_FIELDS = {
+    "tx_power_gbs_dbm": ("tx_power_gbs_w", dbm_to_watts),
+    "tx_power_uav_dbm": ("tx_power_uav_w", dbm_to_watts),
+    "ref_gain_cell_db": ("ref_gain_cell", db_to_linear),
+    "ref_gain_d2d_db": ("ref_gain_d2d", db_to_linear),
+    "noise_phase1_dbm": ("noise_phase1_w", dbm_to_watts),
+    "intf_noise_phase2_dbm": ("intf_noise_phase2_w", dbm_to_watts),
+}
 
 
 @dataclass(frozen=True)
@@ -96,12 +109,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # linear-unit cache: converted exactly once per instance
-        object.__setattr__(self, "tx_power_gbs_w", dbm_to_watts(self.tx_power_gbs_dbm))
-        object.__setattr__(self, "tx_power_uav_w", dbm_to_watts(self.tx_power_uav_dbm))
-        object.__setattr__(self, "ref_gain_cell", db_to_linear(self.ref_gain_cell_db))
-        object.__setattr__(self, "ref_gain_d2d", db_to_linear(self.ref_gain_d2d_db))
-        object.__setattr__(self, "noise_phase1_w", dbm_to_watts(self.noise_phase1_dbm))
-        object.__setattr__(self, "intf_noise_phase2_w", dbm_to_watts(self.intf_noise_phase2_dbm))
+        for source, (target, convert) in _LINEAR_FIELDS.items():
+            object.__setattr__(self, target, convert(getattr(self, source)))
 
     @property
     def m_total(self) -> int:
@@ -118,9 +127,19 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     Raises ``ConfigError`` listing all violations at once.  Packing
     infeasibility (the hard-core sampler cannot possibly place ``n_uavs``
     disks of radius ``min_separation_m / 2`` inside the swarm) is reported
-    as its own violation.
+    as its own violation, and so is a non-finite value, or a dB or dBm value
+    whose linear form leaves the float range (above about 3080 dB it
+    overflows to inf, below about -3200 dB it underflows to 0).
     """
     p = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not math.isfinite(value):
+            p.append(f"{f.name}: must be finite, got {value}")
+        elif f.name in _LINEAR_FIELDS:
+            linear = getattr(config, _LINEAR_FIELDS[f.name][0])
+            if not 0.0 < linear < math.inf:
+                p.append(f"{f.name}: {value} is out of float range in linear units")
     if config.n_uavs < 1:
         p.append(f"n_uavs: must be >= 1, got {config.n_uavs}")
     if config.m_available < 1:
@@ -283,7 +302,3 @@ def read_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
 
-
-def write_config(config: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_config(config))

@@ -1,13 +1,14 @@
 """Self-contained special functions backing the closed-form reliability model.
 
 Everything here is pure and reentrant, and scalar except the quadrature:
-incomplete gamma (series / continued fraction), modified Bessel I0/I1
-(power series / asymptotic), the half-order Laguerre function, direct
-Pochhammer series for 1F1 and 2F2, the Tricomi confluent function Psi via
-quadrature of its integral representation, and the one quadrature every
-closed-form integral uses, a trapezoid rule over the real line in
-x = width * sinh(t) whose integrand takes and returns numpy arrays.
-Each routine is covered in the test suite by an independent slow oracle.
+incomplete gamma (series / continued fraction), the half-order Laguerre
+function from exponentially scaled Bessel I0/I1 (power series /
+asymptotic), the direct Pochhammer series for 2F2 with its rounding scale,
+the log-scaled Tricomi confluent function z^a Psi via quadrature of its
+integral representation, and the one quadrature every closed-form integral
+uses, a trapezoid rule over the real line in x = width * sinh(t) whose
+integrand takes and returns numpy arrays.  Each routine is covered in the
+test suite by an independent oracle (scipy or mpmath).
 """
 
 from __future__ import annotations
@@ -23,13 +24,8 @@ __all__ = [
     "log_gamma",
     "log_gamma_peak",
     "regularized_gamma",
-    "bessel_i0",
-    "bessel_i1",
     "laguerre_half",
-    "hyp1f1",
-    "hyp2f2",
     "hyp2f2_with_scale",
-    "tricomi_u",
     "log_tricomi_u_scaled",
     "adaptive_quad",
 ]
@@ -135,23 +131,6 @@ def _gamma_q_contfrac(a: float, z: float, max_iter: int = 10_000) -> float:
 _BESSEL_SERIES_CUTOFF = 15.0
 
 
-def bessel_i0(z: float) -> float:
-    """Modified Bessel function of the first kind, order 0 (even in z)."""
-    return _bessel_i(0, abs(z))
-
-
-def bessel_i1(z: float) -> float:
-    """Modified Bessel function of the first kind, order 1 (odd in z)."""
-    total = _bessel_i(1, abs(z))
-    return -total if z < 0 else total
-
-
-def _bessel_i(order: int, x: float) -> float:
-    if x <= _BESSEL_SERIES_CUTOFF:
-        return _bessel_i_series(order, x)
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * _bessel_i_asymptotic_sum(order, x)
-
-
 def _bessel_ie(order: int, x: float) -> float:
     """Exponentially scaled e^-x I_order(x) for x >= 0; finite for any x."""
     if x <= _BESSEL_SERIES_CUTOFF:
@@ -198,8 +177,8 @@ def laguerre_half(z: float) -> float:
     Bessel terms exponentially scaled, x = |z|/2:
     e^max(z, 0) * ((1 - z) I0e(x) + |z| I1e(x)).  For z = -kappa this is
     (1 + kappa) I0e(kappa/2) + kappa I1e(kappa/2), finite for any Rician K.
-    The test suite cross-checks it against the confluent series
-    1F1(-1/2; 1; z).
+    The test suite cross-checks it against mpmath's Laguerre function and
+    its confluent form 1F1(-1/2; 1; z).
     """
     x = 0.5 * abs(z)
     return math.exp(max(z, 0.0)) * ((1.0 - z) * _bessel_ie(0, x) + abs(z) * _bessel_ie(1, x))
@@ -208,48 +187,22 @@ def laguerre_half(z: float) -> float:
 # --- generalized hypergeometric series ---------------------------------------
 
 
-def _check_lower_params(*bs: float) -> None:
-    for b in bs:
-        if b <= 0 and b == int(b):
-            raise ValueError(f"lower parameter {b} is a non-positive integer")
-
-
-def hyp1f1(a: float, b: float, z: float) -> float:
-    """Confluent hypergeometric 1F1(a; b; z) by direct Pochhammer series."""
-    _check_lower_params(b)
-    value, _ = _pochhammer_series((a,), (b,), z)
-    return value
-
-
-def hyp2f2(a1: float, a2: float, b1: float, b2: float, z: float) -> float:
-    """Generalized hypergeometric 2F2(a1, a2; b1, b2; z) by direct series."""
-    _check_lower_params(b1, b2)
-    value, _ = _pochhammer_series((a1, a2), (b1, b2), z)
-    return value
-
-
 def hyp2f2_with_scale(a1: float, a2: float, b1: float, b2: float, z: float) -> tuple[float, float]:
-    """2F2 value plus the largest absolute partial term of its series.
+    """2F2(a1, a2; b1, b2; z) by direct Pochhammer series, plus the largest
+    absolute partial term of that series.
 
     The scale is what a caller needs to bound the float64 rounding error of
     the sum: roughly ``max_term * machine_eps`` absolute.
     """
-    _check_lower_params(b1, b2)
-    return _pochhammer_series((a1, a2), (b1, b2), z)
-
-
-def _pochhammer_series(uppers, lowers, z) -> tuple[float, float]:
+    for b in (b1, b2):
+        if b <= 0 and b == int(b):
+            raise ValueError(f"lower parameter {b} is a non-positive integer")
     term = 1.0
     total = 1.0
     max_term = 1.0
     small_streak = 0
     for n in range(SERIES_MAX_TERMS):
-        ratio = z / (n + 1.0)
-        for a in uppers:
-            ratio *= a + n
-        for b in lowers:
-            ratio /= b + n
-        term *= ratio
+        term *= z / (n + 1.0) * (a1 + n) * (a2 + n) / (b1 + n) / (b2 + n)
         total += term
         max_term = max(max_term, abs(term))
         if abs(term) <= SERIES_REL_TOL * max(abs(total), 1e-300):
@@ -270,24 +223,25 @@ def _pochhammer_series(uppers, lowers, z) -> tuple[float, float]:
 # --- Tricomi confluent function ----------------------------------------------
 
 
-def _tricomi_integral(a: float, b: float, z: float, rel_tol: float) -> tuple[float, float]:
-    """Integral over s > 0 of (1 + s/z)^(b-a-1) s^(a-1) e^-s / Gamma(a), as (log scale, rest).
+def log_tricomi_u_scaled(a: float, b: float, z: float, rel_tol: float = 1e-9) -> float:
+    """log of z^a * Psi(a, b; z) for a > 0, z > 0, computed without forming z^-a.
 
-    The integral is exp(log scale) * rest, and equals z^a * Psi(a, b; z)
-    after substituting s = z t in the defining integral; working in s keeps
-    the integrand O(1) even when z is huge.  The
-    integrand, written exp(phi(s)), is integrated in x = log(s / s*), where
-    s* is the peak of phi(s) + log s, the one positive stationary point,
-    with that peak taken out: the integrand is 1 at x = 0 and below it
-    elsewhere, decays like e^(a x) as x -> -inf and faster as x -> inf, so
-    it never overflows.  The quadrature scale is 1/sqrt of the curvature at
-    the peak, so its nodes find the mass whether it is a narrow peak far
-    below s = 1 or spread over many decades.
+    This is the numerically safe quantity when z is large and Psi itself
+    underflows; z^a * Psi -> 1 as z -> inf.  z^a * Psi is the integral over
+    s > 0 of (1 + s/z)^(b-a-1) s^(a-1) e^-s / Gamma(a), after substituting
+    s = z t in the defining integral; working in s keeps the integrand O(1)
+    even when z is huge.  The integrand, written exp(phi(s)), is integrated
+    in x = log(s / s*), where s* is the peak of phi(s) + log s, the one
+    positive stationary point, with that peak taken out: the integrand is 1
+    at x = 0 and below it elsewhere, decays like e^(a x) as x -> -inf and
+    faster as x -> inf, so it never overflows.  The quadrature scale is
+    1/sqrt of the curvature at the peak, so its nodes find the mass whether
+    it is a narrow peak far below s = 1 or spread over many decades.
     """
     if a <= 0:
-        raise ValueError(f"tricomi_u requires a > 0, got {a}")
+        raise ValueError(f"the Tricomi function requires a > 0, got {a}")
     if z <= 0:
-        raise ValueError(f"tricomi_u requires z > 0, got {z}")
+        raise ValueError(f"the Tricomi function requires z > 0, got {z}")
     power = b - a - 1.0
 
     # s* is the positive root of s^2 + q s - a z, with q = z - power - a;
@@ -323,22 +277,7 @@ def _tricomi_integral(a: float, b: float, z: float, rel_tol: float) -> tuple[flo
         growth = np.where(x < 1.0, near, np.exp(np.minimum(log_s_star + x, 700.0)) - s_star)
         return np.exp(power * (softplus - peak_softplus) + a * x - growth)
 
-    return log_scale, adaptive_quad(integrand, width, rel_tol=rel_tol, abs_tol=0.0)
-
-
-def tricomi_u(a: float, b: float, z: float, rel_tol: float = 1e-9) -> float:
-    """Tricomi confluent function Psi(a, b; z) for a > 0, z > 0."""
-    log_scale, integral = _tricomi_integral(a, b, z, rel_tol)
-    return math.exp(log_scale - a * math.log(z)) * integral
-
-
-def log_tricomi_u_scaled(a: float, b: float, z: float, rel_tol: float = 1e-9) -> float:
-    """log of z^a * Psi(a, b; z), computed without forming z^-a.
-
-    This is the numerically safe quantity when z is large and Psi itself
-    underflows; z^a * Psi -> 1 as z -> inf.
-    """
-    log_scale, integral = _tricomi_integral(a, b, z, rel_tol)
+    integral = adaptive_quad(integrand, width, rel_tol=rel_tol, abs_tol=0.0)
     if integral <= 0:
         raise QuadratureError(f"non-positive Tricomi integral at a={a}, b={b}, z={z}")
     return log_scale + math.log(integral)

@@ -36,6 +36,12 @@ def make_config(**overrides) -> scenario.ScenarioConfig:
     return scenario.validate(scenario.ScenarioConfig(**params))
 
 
+def write_config(config: scenario.ScenarioConfig, path) -> None:
+    """Write ``config`` to ``path`` in the format ``scenario.read_config`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(scenario.format_config(config))
+
+
 @pytest.fixture
 def config() -> scenario.ScenarioConfig:
     return make_config()

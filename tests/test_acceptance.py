@@ -41,15 +41,9 @@ def test_criterion_1_special_function_oracles():
         worst["gamma"] = max(worst.get("gamma", 0.0), abs(got - ref))
         assert got == pytest.approx(ref, abs=1e-12)
 
-    for z in np.concatenate([np.linspace(0.0, 14.9, 12), np.linspace(15.1, 60.0, 8)]):
-        for fn, order in ((specfun.bessel_i0, 0), (specfun.bessel_i1, 1)):
-            got = fn(float(z))
-            ref = float(mp.besseli(order, float(z)))
-            err = abs(got - ref) / max(1.0, abs(ref))
-            worst["bessel"] = max(worst.get("bessel", 0.0), err)
-            assert err < 1e-12
-
-    for kappa in np.linspace(0.0, 20.0, 9):
+    # kappa = 30 is the Bessel seam at x = kappa/2 = 15: power series below,
+    # asymptotic sum above
+    for kappa in np.concatenate([np.linspace(0.0, 120.0, 49), [29.8, 30.2]]):
         got = specfun.laguerre_half(-float(kappa))
         ref = float(mp.laguerre(0.5, 0, -float(kappa)))
         worst["laguerre"] = max(worst.get("laguerre", 0.0), abs(got - ref) / abs(ref))
@@ -61,7 +55,8 @@ def test_criterion_1_special_function_oracles():
         a = rng.uniform(-2.0, 4.0)
         b = rng.uniform(0.5, 5.0)
         z = rng.uniform(-10.0, 15.0)
-        got = specfun.hyp1f1(a, b, z)
+        # 1F1(a; b; z) as 2F2(a, 1; b, 1; z), the series the head route runs
+        got = specfun.hyp2f2_with_scale(a, 1.0, b, 1.0, z)[0]
         ref = float(mp.hyp1f1(a, b, z))
         worst["1f1"] = max(worst.get("1f1", 0.0), abs(got - ref) / max(1e-30, abs(ref)))
         assert got == pytest.approx(ref, rel=1e-10, abs=1e-10)
@@ -70,7 +65,7 @@ def test_criterion_1_special_function_oracles():
         a1, a2 = rng.uniform(0.3, 6.0, 2)
         b1, b2 = rng.uniform(0.4, 6.0, 2)
         z = rng.uniform(-10.0, 18.0)
-        got = specfun.hyp2f2(a1, a2, b1, b2, z)
+        got = specfun.hyp2f2_with_scale(a1, a2, b1, b2, z)[0]
         ref = float(mp.hyper([a1, a2], [b1, b2], z))
         worst["2f2"] = max(worst.get("2f2", 0.0), abs(got - ref) / max(1e-30, abs(ref)))
         assert got == pytest.approx(ref, rel=1e-10, abs=1e-10)
@@ -79,7 +74,7 @@ def test_criterion_1_special_function_oracles():
         a = rng.uniform(0.3, 8.0)
         b = rng.uniform(-3.0, 4.0)
         z = rng.uniform(0.05, 50.0)
-        got = specfun.tricomi_u(a, b, z)
+        got = math.exp(specfun.log_tricomi_u_scaled(a, b, z) - a * math.log(z))
         ref = float(mp.hyperu(a, b, z))
         worst["tricomi"] = max(worst.get("tricomi", 0.0), abs(got - ref) / abs(ref))
         assert got == pytest.approx(ref, rel=1e-8)
@@ -288,7 +283,7 @@ def test_criterion_9_phase1_count_distribution():
     cfg = make_config(n_uavs=30, m_available=8, m_occupied=4, message_bits=bits)
     assert scenario.phase1_threshold(cfg) == pytest.approx(0.25, rel=1e-12)
     dist = mc.phase1_count_distribution(cfg, 1000, 1, workers=WORKERS)
-    expected = analytic.phase1_expected(cfg)
+    expected = analytic.reliability(cfg).expected_phase1
     gap = abs(dist.mean_count - expected)
     assert gap <= 3.0 * dist.std_err_count
     assert dist.mode >= 0.85 * 30

@@ -23,17 +23,22 @@ def test_inv_gamma_fit_arithmetic():
     assert analytic.inv_gamma_fit(2.0, 4.0) == InvGammaFit(a=3.0, b=4.0)
 
 
+def _gamma_moments(fit):
+    return fit.a / fit.b, fit.a / fit.b**2
+
+
+def _inv_gamma_moments(fit):
+    return fit.b / (fit.a - 1.0), fit.b**2 / ((fit.a - 1.0) ** 2 * (fit.a - 2.0))
+
+
 def test_fits_roundtrip_moments():
     rng = np.random.default_rng(0)
     for _ in range(25):
         mu = rng.uniform(1e-6, 10.0)
         nu = rng.uniform(1e-9, 5.0)
-        g = analytic.gamma_fit(mu, nu)
-        assert g.mean == pytest.approx(mu, rel=1e-12)
-        assert g.variance == pytest.approx(nu, rel=1e-12)
+        assert _gamma_moments(analytic.gamma_fit(mu, nu)) == pytest.approx((mu, nu), rel=1e-12)
         ig = analytic.inv_gamma_fit(mu, nu)
-        assert ig.mean == pytest.approx(mu, rel=1e-12)
-        assert ig.variance == pytest.approx(nu, rel=1e-12)
+        assert _inv_gamma_moments(ig) == pytest.approx((mu, nu), rel=1e-12)
 
 
 def test_fit_rejects_nonpositive_moments():
@@ -276,14 +281,14 @@ def test_member_decode_monotone(config):
 def test_phase1_expected_single_uav():
     cfg = make_config(n_uavs=1)
     theta = scenario.phase1_threshold(cfg)
-    assert analytic.phase1_expected(cfg) == pytest.approx(
+    assert analytic.reliability(cfg).expected_phase1 == pytest.approx(
         analytic.head_decode_prob(theta, cfg)
     )
 
 
 def test_phase1_expected_zero_threshold():
     cfg = make_config(message_bits=0.0)
-    assert analytic.phase1_expected(cfg) == pytest.approx(40.0)
+    assert analytic.reliability(cfg).expected_phase1 == pytest.approx(40.0)
 
 
 # --- relay-stage model ------------------------------------------------------------
@@ -292,9 +297,10 @@ def test_phase1_expected_zero_threshold():
 def test_d2d_fit_scales_linearly(config):
     f1 = analytic.d2d_fit(10.0, config)
     f2 = analytic.d2d_fit(20.0, config)
-    assert f2.mean == pytest.approx(2.0 * f1.mean, rel=1e-12)
-    assert f2.variance == pytest.approx(2.0 * f1.variance, rel=1e-10)
-    assert f1.variance > 0.0
+    (mean1, var1), (mean2, var2) = _inv_gamma_moments(f1), _inv_gamma_moments(f2)
+    assert mean2 == pytest.approx(2.0 * mean1, rel=1e-12)
+    assert var2 == pytest.approx(2.0 * var1, rel=1e-10)
+    assert var1 > 0.0
 
 
 def test_d2d_moments_against_sampled_distances(config):
@@ -311,7 +317,7 @@ def test_d2d_moments_against_sampled_distances(config):
     inv2 = w**-2.0
     se = inv2.std(ddof=1) / math.sqrt(want)
     fit = analytic.d2d_fit(1.0, config)
-    assert abs(fit.mean - inv2.mean()) < 3.0 * se
+    assert abs(_inv_gamma_moments(fit)[0] - inv2.mean()) < 3.0 * se
 
 
 def test_phase2_decode_limits(config):
@@ -331,7 +337,8 @@ def test_phase2_decode_against_conditional_simulation(config):
         swarm = geometry.sample_swarm_layout(config, rng)
         decoders = rng.permutation(40)[:36]
         draw = fading.draw_phase2(4, 36, rng)
-        sinrs = fading.phase2_sinrs(swarm, decoders, draw, config)
+        receivers = np.setdiff1d(np.arange(40), decoders)
+        sinrs = fading.phase2_sinrs(swarm, decoders, draw, config, receivers)
         hits.append(sinrs >= theta2)
     frac = np.concatenate(hits).mean()
     assert abs(frac - target) < 0.01

@@ -5,15 +5,15 @@ import re
 
 import pytest
 
-from swarmrel import analytic, cli, mc, scenario
+from swarmrel import analytic, cli, mc
 
-from conftest import make_config
+from conftest import make_config, write_config
 
 
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "scenario.cfg"
-    scenario.write_config(make_config(), path)
+    write_config(make_config(), path)
     return str(path)
 
 
@@ -45,7 +45,7 @@ def test_analyze_matches_library(capsys, config_path):
 
 def test_analyze_zero_bits_row(capsys, tmp_path):
     path = tmp_path / "zero.cfg"
-    scenario.write_config(make_config(message_bits=0.0), path)
+    write_config(make_config(message_bits=0.0), path)
     code, out, _ = run_cli(capsys, "analyze", "--config", str(path))
     header, rows = parse_csv(out)
     assert code == 0
@@ -60,7 +60,7 @@ def _analytic_cells(header, row):
 def test_analyze_quadrature_route_writes_plain_floats(capsys, tmp_path):
     # at 150 bits the head probability takes the quadrature route
     path = tmp_path / "quad.cfg"
-    scenario.write_config(make_config(message_bits=150.0), path)
+    write_config(make_config(message_bits=150.0), path)
     code, out, _ = run_cli(capsys, "analyze", "--config", str(path))
     assert code == 0
     header, rows = parse_csv(out)
@@ -70,7 +70,7 @@ def test_analyze_quadrature_route_writes_plain_floats(capsys, tmp_path):
 
 def test_analyze_large_rician_k(capsys, tmp_path):
     path = tmp_path / "los.cfg"
-    scenario.write_config(make_config(rician_k=1500.0), path)
+    write_config(make_config(rician_k=1500.0), path)
     code, out, _ = run_cli(capsys, "analyze", "--config", str(path))
     assert code == 0
     header, rows = parse_csv(out)
@@ -84,7 +84,7 @@ def test_analyze_tiny_member_argument(capsys, tmp_path):
     # one Rayleigh interferer at 50,000 bits puts the Tricomi argument near
     # 1e-149 with shape below 1, where the member probability is about 0
     path = tmp_path / "tiny.cfg"
-    scenario.write_config(make_config(rician_k=0.0, m_occupied=1, message_bits=50000.0), path)
+    write_config(make_config(rician_k=0.0, m_occupied=1, message_bits=50000.0), path)
     code, out, _ = run_cli(capsys, "analyze", "--config", str(path))
     assert code == 0
     header, rows = parse_csv(out)
@@ -95,7 +95,7 @@ def test_analyze_without_min_separation_is_a_numerical_error(capsys, tmp_path):
     # the pair-distance density is ~ w near 0, so E[w^-alpha_d2d] is
     # infinite for every alpha_d2d >= 2 when UAVs may touch
     path = tmp_path / "touching.cfg"
-    scenario.write_config(make_config(min_separation_m=0.0), path)
+    write_config(make_config(min_separation_m=0.0), path)
     code, out, err = run_cli(capsys, "analyze", "--config", str(path))
     assert code == cli.EXIT_NUMERICAL == 3
     assert out == ""
@@ -105,7 +105,7 @@ def test_analyze_without_min_separation_is_a_numerical_error(capsys, tmp_path):
 def test_analyze_flags_out_of_regime(capsys, tmp_path):
     # an oversized message leaves fewer than one expected decoder
     path = tmp_path / "big.cfg"
-    scenario.write_config(make_config(message_bits=500.0), path)
+    write_config(make_config(message_bits=500.0), path)
     code, out, err = run_cli(capsys, "analyze", "--config", str(path))
     assert code == 0
     header, rows = parse_csv(out)
@@ -214,7 +214,7 @@ def test_sweep_rounds_with_multiround(capsys, config_path):
 def test_optimize_tau_flat_grid_tie_break(capsys, tmp_path):
     # zero-size message: eta = 1 on the whole grid, smallest split wins
     path = tmp_path / "flat.cfg"
-    scenario.write_config(make_config(message_bits=0.0), path)
+    write_config(make_config(message_bits=0.0), path)
     code, out, err = run_cli(
         capsys,
         "optimize-tau",
@@ -254,7 +254,7 @@ def test_dist_k_sums_to_one(capsys, config_path):
 
 def test_dist_k_zero_bits_point_mass(capsys, tmp_path):
     path = tmp_path / "zero.cfg"
-    scenario.write_config(make_config(message_bits=0.0), path)
+    write_config(make_config(message_bits=0.0), path)
     _, out, _ = run_cli(capsys, "dist-k", "--config", str(path), "--trials", "10")
     _, rows = parse_csv(out)
     assert float(rows[40][1]) == 1.0
@@ -262,12 +262,39 @@ def test_dist_k_zero_bits_point_mass(capsys, tmp_path):
 
 def test_config_error_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.cfg"
-    scenario.write_config(make_config(), path)
+    write_config(make_config(), path)
     text = path.read_text().replace("tau_phase1_s = 0.0005", "tau_phase1_s = 0.001")
     path.write_text(text)
     code, _, err = run_cli(capsys, "analyze", "--config", str(path))
     assert code == cli.EXIT_CONFIG
     assert "tau_phase1_s" in err
+
+
+def test_non_finite_config_exit_code(capsys, tmp_path):
+    for argv, field, value in (
+        (["simulate", "--trials", "5"], "message_bits", "nan"),
+        (["analyze"], "tau_total_s", "inf"),
+        (["analyze"], "tx_power_gbs_dbm", "5000"),
+    ):
+        path = tmp_path / f"{field}.cfg"
+        write_config(make_config(), path)
+        text = re.sub(rf"^{field} = .*$", f"{field} = {value}", path.read_text(), flags=re.M)
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == cli.EXIT_CONFIG, (field, err)
+        assert field in err and out == ""
+
+
+def test_unparseable_sweep_values_exit_code(capsys, config_path):
+    for var, values in (("n_uavs", "10.5"), ("message_bits", "abc")):
+        code, _, err = run_cli(capsys, "sweep", "--config", config_path, "--var", var,
+                               "--values", values, "--engine", "analytic")
+        assert code == cli.EXIT_CONFIG, err
+        assert "values" in err and var in err
+    code, _, err = run_cli(capsys, "optimize-tau", "--config", config_path,
+                           "--start", "0.0001", "--stop", "inf", "--step", "0.0001")
+    assert code == cli.EXIT_CONFIG
+    assert "must be finite" in err
 
 
 def test_missing_config_file_exit_code(capsys):
@@ -278,7 +305,7 @@ def test_missing_config_file_exit_code(capsys):
 def test_placement_failure_exit_code(capsys, tmp_path):
     # just inside the packing bound but beyond what dart throwing can place
     path = tmp_path / "dense.cfg"
-    scenario.write_config(
+    write_config(
         make_config(n_uavs=16, swarm_radius_m=10.0, min_separation_m=5.0), path
     )
     code, _, err = run_cli(

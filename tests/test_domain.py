@@ -18,7 +18,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 from swarmrel import analytic, cli, scenario
 from swarmrel.specfun import NumericalError
 
-from conftest import make_config
+from conftest import make_config, write_config
 
 # an overflow on the way to a number is a fault even when the number is right
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -91,6 +91,6 @@ def test_validated_config_gives_probabilities_or_documented_error(**overrides):
             assert 0.0 <= getattr(br, name) <= 1.0, name
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "scenario.cfg")
-        scenario.write_config(config, path)
+        write_config(config, path)
         code = cli.main(["analyze", "--config", path])
     assert code == 0 if br is not None else code in (2, 3)

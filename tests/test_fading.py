@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from swarmrel import fading, geometry
 
@@ -39,19 +40,25 @@ def test_rayleigh_unit_power():
     assert abs(p.mean() - 1.0) < 3.0 * se
 
 
+def _magnitude_pdf(v, kappa):
+    # density of |h| for the unit-power Rician coefficient: Rice with
+    # b = sqrt(2 kappa) on the scale of the scattered part, 1/sqrt(2 (kappa + 1))
+    return stats.rice.pdf(v, math.sqrt(2.0 * kappa), scale=1.0 / math.sqrt(2.0 * (kappa + 1.0)))
+
+
 def test_magnitude_pdf_normalization_and_moments():
     for kappa in (0.0, 1.0, 4.0, 10.0):
-        total = integrate.quad(lambda v: fading.rician_magnitude_pdf(v, kappa), 0.0, 30.0)[0]
+        total = integrate.quad(lambda v: _magnitude_pdf(v, kappa), 0.0, 30.0)[0]
         assert total == pytest.approx(1.0, abs=1e-9)
         second = integrate.quad(
-            lambda v: v * v * fading.rician_magnitude_pdf(v, kappa), 0.0, 30.0
+            lambda v: v * v * _magnitude_pdf(v, kappa), 0.0, 30.0
         )[0]
         assert second == pytest.approx(1.0, abs=1e-9)
 
 
 def test_magnitude_pdf_rayleigh_case():
     for v in (0.1, 0.5, 1.0, 2.0):
-        assert fading.rician_magnitude_pdf(v, 0.0) == pytest.approx(
+        assert _magnitude_pdf(v, 0.0) == pytest.approx(
             2.0 * v * math.exp(-v * v), rel=1e-12
         )
 
@@ -59,7 +66,7 @@ def test_magnitude_pdf_rayleigh_case():
 def test_mean_magnitude_matches_pdf_quadrature():
     # fixes the constant in the Laguerre form of E|h|
     for kappa in (0.0, 1.0, 4.0, 10.0):
-        ref = integrate.quad(lambda v: v * fading.rician_magnitude_pdf(v, kappa), 0.0, 30.0)[0]
+        ref = integrate.quad(lambda v: v * _magnitude_pdf(v, kappa), 0.0, 30.0)[0]
         assert fading.rician_mean_magnitude(kappa) == pytest.approx(ref, abs=1e-10)
     assert fading.rician_mean_magnitude(0.0) == pytest.approx(0.8862269254527580, rel=1e-12)
 
@@ -124,7 +131,8 @@ def test_phase1_pure_snr_scales_with_power():
 def test_phase1_hand_computed_head_sinr():
     # one serving and one interfering GBS at the same distance, unit fading,
     # no receiver noise: head SINR is exactly 1
-    cfg = make_config(m_available=1, m_occupied=1, n_uavs=1, noise_phase1_dbm=-math.inf)
+    # (validate rejects -inf dBm; replace() builds the config without it)
+    cfg = replace(make_config(m_available=1, m_occupied=1, n_uavs=1), noise_phase1_dbm=-math.inf)
     gbs, swarm = _scene(cfg, [[400, 0], [-400, 0]], [[0, 0]])
     draw = np.ones((1, 2), dtype=complex)
     sinr = fading.phase1_sinrs(gbs, swarm, draw, cfg)
@@ -168,7 +176,8 @@ def test_phase1_coherent_beats_unit_combining_at_head():
 
 def test_phase2_no_decoders_means_silence(config):
     swarm = geometry.sample_swarm_layout(config, np.random.default_rng(12))
-    sinrs = fading.phase2_sinrs(swarm, np.array([], dtype=int), np.empty((40, 0)), config)
+    sinrs = fading.phase2_sinrs(swarm, np.array([], dtype=int), np.empty((40, 0)), config,
+                                np.arange(40))
     assert sinrs.shape == (40,)
     assert (sinrs == 0.0).all()
 
@@ -178,7 +187,7 @@ def test_phase2_single_relay_hand_value():
     cfg = make_config(n_uavs=2)
     _, swarm = _scene(cfg, [[100, 0]], [[0, 0], [10, 0]])
     draw = np.ones((1, 1), dtype=complex)
-    sinr = fading.phase2_sinrs(swarm, np.array([0]), draw, cfg)
+    sinr = fading.phase2_sinrs(swarm, np.array([0]), draw, cfg, np.array([1]))
     assert sinr[0] == pytest.approx(1.9952623149688795, rel=1e-12)
 
 
@@ -188,8 +197,8 @@ def test_phase2_noise_scaling():
     _, swarm = _scene(cfg, [[100, 0]], [[0, 0], [10, 0], [0, 15]])
     rng = np.random.default_rng(13)
     draw = fading.draw_phase2(2, 1, rng)
-    s1 = fading.phase2_sinrs(swarm, np.array([0]), draw, cfg)
-    s2 = fading.phase2_sinrs(swarm, np.array([0]), draw, cfg_noisier)
+    s1 = fading.phase2_sinrs(swarm, np.array([0]), draw, cfg, np.array([1, 2]))
+    s2 = fading.phase2_sinrs(swarm, np.array([0]), draw, cfg_noisier, np.array([1, 2]))
     assert np.allclose(s1 / s2, 2.0, rtol=1e-12)
 
 
@@ -200,8 +209,8 @@ def test_phase2_permutation_equivariant():
     )
     rng = np.random.default_rng(15)
     gains = fading.sample_rayleigh(rng, size=(3, 3))
-    decoders = np.array([0, 2, 4])
-    base = fading.phase2_sinrs(swarm, decoders, gains, cfg)
+    decoders, receivers = np.array([0, 2, 4]), np.array([1, 3, 5])
+    base = fading.phase2_sinrs(swarm, decoders, gains, cfg, receivers)
     perm = np.array([2, 0, 1])  # reorder the relay list and its gain columns
-    swapped = fading.phase2_sinrs(swarm, decoders[perm], gains[:, perm], cfg)
+    swapped = fading.phase2_sinrs(swarm, decoders[perm], gains[:, perm], cfg, receivers)
     assert np.allclose(base, swapped, rtol=1e-12)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from conftest import make_config
 
 def test_protocol_labels_and_validation():
     assert mc.PROPOSED.label == "proposed"
+    assert [p.rounds for p in (mc.PROPOSED, mc.HEAD_RELAY, mc.NEAREST_GBS, mc.ALL_GBS)] == [
+        1, 1, 0, 0
+    ]
     assert mc.multi_round(3).label == "multi_round3"
     assert mc.multi_round(6, with_head=False).label == "multi_round6_nohead"
     with pytest.raises(ValueError):
@@ -106,6 +110,9 @@ def test_protocols_on_one_seed_share_the_cellular_stage():
         assert all_gbs.shape == (1, 10)
         for rounds in (1, 3):
             assert np.array_equal(all_gbs[0], row0(mc.multi_round(rounds)))
+        cellular = mc.run_trial(cfg, replace(mc.PROPOSED, rounds=0), mc.trial_rng(10, i))
+        assert cellular.shape == (1, 10)
+        assert np.array_equal(cellular[0], row0(mc.PROPOSED))
 
 
 def test_proposed_protocol_dominates_at_reference_point(config):
@@ -136,7 +143,7 @@ def test_phase1_count_point_mass_at_n():
 def test_phase1_count_matches_expectation(config):
     # the closed form is an approximation: allow 2% relative plus Monte Carlo noise
     dist = mc.phase1_count_distribution(config, 1500, 12, workers=2)
-    expected = analytic.phase1_expected(config)
+    expected = analytic.reliability(config).expected_phase1
     assert abs(dist.mean_count - expected) < 0.02 * expected + 3.0 * dist.std_err_count
 
 

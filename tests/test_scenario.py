@@ -5,7 +5,7 @@ import pytest
 from swarmrel import scenario
 from swarmrel.scenario import ConfigError
 
-from conftest import make_config
+from conftest import make_config, write_config
 
 
 def test_baseline_config_is_valid():
@@ -30,6 +30,26 @@ def test_all_violations_reported_at_once():
         make_config(n_uavs=0, rician_k=-1.0, sinr_gap_cell=2.0)
     text = str(err.value)
     assert "n_uavs" in text and "rician_k" in text and "sinr_gap_cell" in text
+
+
+def test_non_finite_values_rejected():
+    # nan passes every comparison, and inf slips past the upper bounds
+    for field, value in (("message_bits", math.nan), ("tau_total_s", math.inf),
+                         ("coverage_radius_m", -math.inf), ("rician_k", math.nan),
+                         ("noise_phase1_dbm", -math.inf)):
+        with pytest.raises(ConfigError, match=f"{field}: must be finite"):
+            make_config(**{field: value})
+
+
+def test_db_values_out_of_linear_float_range_rejected():
+    # 5000 dBm is 1e497 W: the linear cache holds inf and validate names the
+    # field; -5000 dB underflows to a zero gain
+    assert scenario.dbm_to_watts(5000.0) == math.inf
+    assert scenario.db_to_linear(5000.0) == math.inf
+    for field, value in (("tx_power_gbs_dbm", 5000.0), ("ref_gain_d2d_db", 5000.0),
+                         ("intf_noise_phase2_dbm", 5000.0), ("tx_power_uav_dbm", -5000.0)):
+        with pytest.raises(ConfigError, match=f"{field}: {value} is out of float range"):
+            make_config(**{field: value})
 
 
 def test_conversions():
@@ -90,7 +110,7 @@ def test_config_roundtrip_bit_exact():
 def test_config_file_io(tmp_path):
     cfg = make_config()
     path = tmp_path / "case.cfg"
-    scenario.write_config(cfg, path)
+    write_config(cfg, path)
     assert scenario.read_config(path) == cfg
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -37,7 +38,6 @@ def test_regularized_gamma_monotone_and_bounded():
 
 def test_log_gamma_peak_against_mpmath():
     # a log a - a - lgamma(a): direct below a = 100, Stirling series above
-    mpmath = pytest.importorskip("mpmath")
     for a in (0.3, 99.99, 100.0, 1e3, 1e8, 1e12):
         with mpmath.workdps(50):
             ref = float(a * mpmath.log(a) - a - mpmath.loggamma(a))
@@ -53,7 +53,8 @@ def test_gamma_domain_errors():
         specfun.log_gamma(0.0)
 
 
-# --- Bessel I0 / I1 -----------------------------------------------------------
+# --- exponentially scaled Bessel I0 / I1, the terms of the Laguerre function ----
+# e^-x I_order(x) for x >= 0, checked against unscaled 40-digit values times e^-x
 
 
 def _i0_series_oracle(z, terms=40):
@@ -61,35 +62,37 @@ def _i0_series_oracle(z, terms=40):
     return sum(q**k / math.factorial(k) ** 2 for k in range(terms))
 
 
+def _scaled(x, unscaled):
+    return math.exp(-x) * unscaled
+
+
 def test_bessel_at_zero():
-    assert specfun.bessel_i0(0.0) == 1.0
-    assert specfun.bessel_i1(0.0) == 0.0
+    assert specfun._bessel_ie(0, 0.0) == 1.0
+    assert specfun._bessel_ie(1, 0.0) == 0.0
 
 
 def test_bessel_i0_series_oracle():
-    assert specfun.bessel_i0(1.0) == pytest.approx(_i0_series_oracle(1.0), rel=1e-14)
-    assert specfun.bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-13)
-
-
-def test_bessel_symmetry():
-    for z in (0.5, 2.0, 10.0):
-        assert specfun.bessel_i0(-z) == specfun.bessel_i0(z)
-        assert specfun.bessel_i1(-z) == -specfun.bessel_i1(z)
+    assert specfun._bessel_ie(0, 1.0) == pytest.approx(_scaled(1.0, _i0_series_oracle(1.0)),
+                                                       rel=1e-14)
+    assert specfun._bessel_ie(0, 1.0) == pytest.approx(_scaled(1.0, 1.2660658777520084),
+                                                       rel=1e-13)
 
 
 def test_bessel_against_frozen_oracle_values():
     # mpmath.besseli at 40 digits
-    assert specfun.bessel_i0(20.0) == pytest.approx(43558282.559553533, rel=1e-12)
-    assert specfun.bessel_i1(2.5) == pytest.approx(2.5167162452886984, rel=1e-13)
-    assert specfun.bessel_i1(30.0) == pytest.approx(768532038938.95700, rel=1e-10)
+    assert specfun._bessel_ie(0, 20.0) == pytest.approx(_scaled(20.0, 43558282.559553533),
+                                                        rel=1e-12)
+    assert specfun._bessel_ie(1, 2.5) == pytest.approx(_scaled(2.5, 2.5167162452886984),
+                                                       rel=1e-13)
+    assert specfun._bessel_ie(1, 30.0) == pytest.approx(_scaled(30.0, 768532038938.95700),
+                                                        rel=1e-10)
 
 
 def test_bessel_series_asymptotic_seam():
     # both evaluation regimes hit full accuracy on their side of the cutoff
-    assert specfun.bessel_i0(14.9) == pytest.approx(308375.57868743920, rel=1e-12)
-    assert specfun.bessel_i0(15.1) == pytest.approx(374103.41119040899, rel=1e-12)
-    assert specfun.bessel_i1(14.9) == pytest.approx(297840.69477957431, rel=1e-12)
-    assert specfun.bessel_i1(15.1) == pytest.approx(361495.56618540161, rel=1e-12)
+    for order, x, unscaled in ((0, 14.9, 308375.57868743920), (0, 15.1, 374103.41119040899),
+                               (1, 14.9, 297840.69477957431), (1, 15.1, 361495.56618540161)):
+        assert specfun._bessel_ie(order, x) == pytest.approx(_scaled(x, unscaled), rel=1e-12)
 
 
 # --- Laguerre 1/2 ---------------------------------------------------------------
@@ -100,11 +103,10 @@ def test_laguerre_half_at_zero():
 
 
 def test_laguerre_half_dual_route():
-    # Bessel route vs confluent-series route, and a frozen 40-digit value
+    # Bessel route vs the confluent form 1F1(-1/2; 1; z), and a frozen 40-digit value
     for z in (-0.5, -2.0, -4.0, -10.0):
-        assert specfun.laguerre_half(z) == pytest.approx(
-            specfun.hyp1f1(-0.5, 1.0, z), rel=1e-10
-        )
+        assert specfun.laguerre_half(z) == pytest.approx(float(mpmath.hyp1f1(-0.5, 1.0, z)),
+                                                         rel=1e-10)
     assert specfun.laguerre_half(-4.0) == pytest.approx(2.4036187697641058, rel=1e-12)
 
 
@@ -112,12 +114,14 @@ def test_laguerre_half_scaled_matches_unscaled_bessel_form():
     # e^(z/2) ((1 - z) I0(-z/2) - z I1(-z/2)) with unscaled Bessel terms
     for kappa in np.linspace(0.0, 30.0, 301):
         z = -float(kappa)
-        unscaled = math.exp(z / 2.0) * (
-            (1.0 - z) * specfun.bessel_i0(-z / 2.0) - z * specfun.bessel_i1(-z / 2.0)
-        )
-        assert specfun.laguerre_half(z) == pytest.approx(unscaled, rel=1e-12)
+        with mpmath.workdps(30):
+            unscaled = mpmath.exp(z / 2.0) * (
+                (1.0 - z) * mpmath.besseli(0, -z / 2.0) - z * mpmath.besseli(1, -z / 2.0)
+            )
+        assert specfun.laguerre_half(z) == pytest.approx(float(unscaled), rel=1e-12)
     for z in (0.5, 2.0, 10.0):
-        assert specfun.laguerre_half(z) == pytest.approx(specfun.hyp1f1(-0.5, 1.0, z), rel=1e-10)
+        assert specfun.laguerre_half(z) == pytest.approx(float(mpmath.hyp1f1(-0.5, 1.0, z)),
+                                                         rel=1e-10)
 
 
 def test_laguerre_half_large_kappa_is_finite():
@@ -131,28 +135,32 @@ def test_laguerre_half_large_kappa_is_finite():
 # --- hypergeometric series -------------------------------------------------------
 
 
+def _hyp2f2(a1, a2, b1, b2, z):
+    return specfun.hyp2f2_with_scale(a1, a2, b1, b2, z)[0]
+
+
 def test_hyp_at_zero_is_one():
-    assert specfun.hyp1f1(0.3, 1.7, 0.0) == 1.0
-    assert specfun.hyp2f2(4.0, 2.0, 1.0, 3.0, 0.0) == 1.0
+    assert specfun.hyp2f2_with_scale(4.0, 2.0, 1.0, 3.0, 0.0) == (1.0, 1.0)
 
 
 def test_hyp2f2_pochhammer_cancellation():
     # identical upper/lower parameters collapse to exp(z)
     for z in (0.5, 2.0):
-        assert specfun.hyp2f2(1.3, 0.7, 1.3, 0.7, z) == pytest.approx(math.exp(z), rel=1e-11)
+        assert _hyp2f2(1.3, 0.7, 1.3, 0.7, z) == pytest.approx(math.exp(z), rel=1e-11)
 
 
 def test_hyp2f2_frozen_oracle_value():
     # mpmath.hyper([1.5, 2.5], [0.5, 3.5], 1.0) at 40 digits
-    assert specfun.hyp2f2(1.5, 2.5, 0.5, 3.5, 1.0) == pytest.approx(
-        5.2430420959827282, rel=1e-10
-    )
+    assert _hyp2f2(1.5, 2.5, 0.5, 3.5, 1.0) == pytest.approx(5.2430420959827282, rel=1e-10)
 
 
 def test_hyp1f1_negative_argument():
-    # 1F1(1; 2; -z) = (1 - e^-z)/z
+    # 1F1(1; 2; -z) = (1 - e^-z)/z, as 2F2(1, c; 2, c; -z) with c cancelling:
+    # the series' alternating terms at negative argument
     for z in (0.3, 1.0, 3.0):
-        assert specfun.hyp1f1(1.0, 2.0, -z) == pytest.approx((1 - math.exp(-z)) / z, rel=1e-11)
+        assert _hyp2f2(1.0, 0.7, 2.0, 0.7, -z) == pytest.approx(
+            (1 - math.exp(-z)) / z, rel=1e-11
+        )
 
 
 def test_series_termination_stability(monkeypatch):
@@ -164,9 +172,9 @@ def test_series_termination_stability(monkeypatch):
         b1, b2 = rng.uniform(0.4, 6.0, 2)
         z = rng.uniform(-20.0, 20.0)
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 10_000)
-        v1 = specfun.hyp2f2(a1, a2, b1, b2, z)
+        v1 = _hyp2f2(a1, a2, b1, b2, z)
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 20_000)
-        v2 = specfun.hyp2f2(a1, a2, b1, b2, z)
+        v2 = _hyp2f2(a1, a2, b1, b2, z)
         assert v2 == pytest.approx(v1, rel=1e-11)
 
 
@@ -174,43 +182,49 @@ def test_series_budget_error(monkeypatch):
     monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-12)
     monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 10)
     with pytest.raises(SeriesError):
-        specfun.hyp2f2(3.0, 2.0, 0.5, 1.5, 50.0)
+        _hyp2f2(3.0, 2.0, 0.5, 1.5, 50.0)
 
 
 def test_lower_param_validation():
     with pytest.raises(ValueError):
-        specfun.hyp1f1(1.0, 0.0, 1.0)
+        _hyp2f2(1.0, 1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        specfun.hyp2f2(1.0, 1.0, -2.0, 1.0, 1.0)
+        _hyp2f2(1.0, 1.0, -2.0, 1.0, 1.0)
 
 
 # --- Tricomi function -------------------------------------------------------------
 
 
+def _tricomi_u(a, b, z):
+    # Psi(a, b; z) from its log-scaled form log(z^a Psi)
+    return math.exp(specfun.log_tricomi_u_scaled(a, b, z) - a * math.log(z))
+
+
+
 def test_tricomi_known_identity():
     # U(a, a+1, z) = z^-a
-    assert specfun.tricomi_u(1.0, 2.0, 2.0) == pytest.approx(0.5, rel=1e-10)
+    assert _tricomi_u(1.0, 2.0, 2.0) == pytest.approx(0.5, rel=1e-10)
     rng = np.random.default_rng(7)
     for _ in range(20):
         a = rng.uniform(0.5, 5.0)
         z = rng.uniform(0.1, 10.0)
-        assert specfun.tricomi_u(a, a + 1.0, z) == pytest.approx(z**-a, rel=1e-10)
+        assert _tricomi_u(a, a + 1.0, z) == pytest.approx(z**-a, rel=1e-10)
 
 
 def test_tricomi_frozen_oracle_value():
     # mpmath.hyperu(2.3, 1.1, 0.7) at 40 digits
-    assert specfun.tricomi_u(2.3, 1.1, 0.7) == pytest.approx(0.20808430012256138, rel=1e-8)
+    assert _tricomi_u(2.3, 1.1, 0.7) == pytest.approx(0.20808430012256138, rel=1e-8)
 
 
 def test_tricomi_leading_asymptotic():
     # z^a * U(a, b, z) -> 1 as z grows
-    assert specfun.tricomi_u(1.7, 0.9, 1e4) * 1e4**1.7 == pytest.approx(1.0, abs=1e-2)
+    assert _tricomi_u(1.7, 0.9, 1e4) * 1e4**1.7 == pytest.approx(1.0, abs=1e-2)
     assert math.exp(specfun.log_tricomi_u_scaled(1.7, 0.9, 1e4)) == pytest.approx(1.0, abs=1e-2)
 
 
 def test_tricomi_small_shape_endpoint():
     # a < 1 widens the left tail of the peak-centred integrand to e^(a x)
-    assert specfun.tricomi_u(0.4, 1.4, 3.0) == pytest.approx(3.0**-0.4, rel=1e-9)
+    assert _tricomi_u(0.4, 1.4, 3.0) == pytest.approx(3.0**-0.4, rel=1e-9)
 
 
 def test_tricomi_small_shape_against_mpmath():
@@ -218,7 +232,6 @@ def test_tricomi_small_shape_against_mpmath():
     # e^(a x); the quadrature runs in y = a x, where it decays like e^y.  Down
     # to z ~ 1e-150 the mass sits at s far below 1, where a substitution
     # s = w^(1/a) would underflow
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(2024)
     for _ in range(12):
         a = float(10.0 ** rng.uniform(-3.0, 0.0))
@@ -239,9 +252,9 @@ def test_tricomi_huge_shape_keeps_its_digits():
 
 def test_tricomi_domain():
     with pytest.raises(ValueError):
-        specfun.tricomi_u(-1.0, 1.0, 1.0)
+        specfun.log_tricomi_u_scaled(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        specfun.tricomi_u(1.0, 1.0, 0.0)
+        specfun.log_tricomi_u_scaled(1.0, 1.0, 0.0)
 
 
 # --- quadrature over the real line --------------------------------------------------
