@@ -102,17 +102,25 @@ def inv_gamma_fit(mu: float, nu: float) -> InvGammaFit:
 def _mean_center_distance_power(config: ScenarioConfig, q: float) -> float:
     """E[d^-q] for the GBS-to-swarm-center distance d.
 
-    The density is 2u/R^2 on [H, sqrt(R^2 + H^2)].  With p = 2 - q and
-    L = log(sqrt(R^2 + H^2) / H), the integral of u^(1-q) is
-    H^p L expm1(p L) / (p L), whose last factor is 1 at p L = 0: no
-    difference of nearly equal powers is formed, whether q is within ulps
-    of 2 or R is tiny next to H.
+    The density is 2u/R^2 on [H, sqrt(R^2 + H^2)].  With p = 2 - q, t = R/H
+    and 2L = log1p(t^2), the integral of u^(1-q) is H^p L expm1(p L) / (p L),
+    whose last factor is 1 at p L = 0: no difference of nearly equal powers
+    is formed, whether q is within ulps of 2 or R is tiny next to H.  Nor is
+    a length squared: 2L is 2 log t from t = 1e150 up and the mean H^-q
+    below t = 1e-150, both exact in double precision there.
     """
-    h = config.swarm_altitude_m
-    span = 0.5 * math.log1p((config.coverage_radius_m / h) ** 2)
-    p = 2.0 - q
-    growth = math.expm1(p * span) / (p * span) if p * span != 0.0 else 1.0
-    return 2.0 * h**p * span * growth / config.coverage_radius_m**2
+    h, r = config.swarm_altitude_m, config.coverage_radius_m
+    t = r / h
+    try:
+        if t < 1e-150:
+            return h**-q
+        two_span = math.log1p(t * t) if t < 1e150 else 2.0 * (math.log(r) - math.log(h))
+        y = 0.5 * (2.0 - q) * two_span
+        growth = math.expm1(y) / y if y != 0.0 else 1.0
+        return h ** (2.0 - q) / r * two_span * growth / r
+    except OverflowError:
+        raise MomentFitError(f"E[d^-{q:g}] of the GBS distance overflows at swarm_altitude_m "
+                             f"= {h:g}, coverage_radius_m = {r:g}") from None
 
 
 def moments_head_signal(config: ScenarioConfig) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import analytic, mc, scenario
 from .geometry import PlacementError
-from .scenario import ConfigError, ScenarioConfig
+from .scenario import ConfigError
 from .specfun import NumericalError
 
 __all__ = ["main", "SEED_ENV_VAR", "DEFAULT_SEED"]
@@ -109,21 +109,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _set_variable(config: ScenarioConfig, variable: str, value) -> ScenarioConfig:
-    if variable == "rounds":
-        return config
-    return replace(config, **{variable: value})
+def _multi_round(rounds: int, args) -> mc.Protocol:
+    try:
+        return mc.multi_round(rounds, with_head=not args.no_head)
+    except ValueError as exc:
+        raise ConfigError(f"rounds: {exc}")
 
 
-def _protocol_for(args, rounds_override=None) -> mc.Protocol:
+def _protocol_for(args) -> mc.Protocol:
     name = getattr(args, "protocol", "proposed")
-    if name == "multi_round":
-        rounds = rounds_override if rounds_override is not None else args.rounds
-        try:
-            return mc.multi_round(rounds, with_head=not args.no_head)
-        except ValueError as exc:
-            raise ConfigError(f"rounds: {exc}")
-    return _PROTOCOLS[name]
+    return _multi_round(args.rounds, args) if name == "multi_round" else _PROTOCOLS[name]
 
 
 # --- commands -----------------------------------------------------------------
@@ -182,7 +177,11 @@ def _estimate_row(point, engine, protocol, args, seed) -> list:
     if engine == "analytic":
         eta = analytic.reliability(point).eta
         return ["analytic", "proposed", "", seed, eta, 1.0 - eta, None]
-    est = mc.estimate(point, protocol, args.trials, seed, workers=args.workers)
+    return _mc_row(mc.estimate(point, protocol, args.trials, seed, workers=args.workers)[-1],
+                   protocol)
+
+
+def _mc_row(est, protocol) -> list:
     _status(f"{protocol.label}: eta={est.eta_mean:.6f} std_err={est.std_err:.2e}")
     return ["mc", protocol.label, est.trials, est.seed, est.eta_mean, 1.0 - est.eta_mean,
             est.std_err]
@@ -237,13 +236,21 @@ def _parse_values(args) -> tuple:
     return tuple(out)
 
 
-def _sweep_rows(config, args, values, engines, seed) -> list:
+def _sweep_rows(config, args, values, engines, protocol, seed) -> list:
+    if args.var == "rounds":
+        # by the prefix property one run at the largest value holds every row
+        protocols = {rounds: _multi_round(rounds, args) for rounds in values}
+        curve = mc.estimate(config, protocols[max(values)], args.trials, seed,
+                            workers=args.workers)
     rows = []
     for value in values:
-        point = scenario.validate(_set_variable(config, args.var, value))
-        protocol = _protocol_for(args, value if args.var == "rounds" else None)
-        for engine in engines:
-            rows.append([args.var, value, *_estimate_row(point, engine, protocol, args, seed)])
+        if args.var == "rounds":
+            rows.append([args.var, value, *_mc_row(curve[value], protocols[value])])
+        else:
+            point = scenario.validate(replace(config, **{args.var: value}))
+            for engine in engines:
+                rows.append([args.var, value, *_estimate_row(point, engine, protocol, args,
+                                                             seed)])
         _status(f"{args.var}={value}: done")
     return rows
 
@@ -258,7 +265,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("variable 'rounds' requires --protocol multi_round")
     if "analytic" in engines and protocol.name != "proposed":
         raise ConfigError("the analytic engine models the proposed two-phase protocol only")
-    _write_rows(args, _SWEEP_HEADER, _sweep_rows(config, args, values, engines, seed))
+    _write_rows(args, _SWEEP_HEADER, _sweep_rows(config, args, values, engines, protocol, seed))
     return 0
 
 
@@ -274,7 +281,7 @@ def cmd_optimize_tau(args) -> int:
         raise ConfigError(
             f"grid: tau_phase1_s values must lie strictly inside (0, {config.tau_total_s})"
         )
-    rows = _sweep_rows(config, args, values, (args.engine,), seed)
+    rows = _sweep_rows(config, args, values, (args.engine,), mc.PROPOSED, seed)
     etas = [row[6] for row in rows]
     # the grid ascends, so the first maximum breaks ties toward the smaller
     # split (longer relay stage)

@@ -67,7 +67,8 @@ def rician_mean_magnitude(kappa: float) -> float:
 
 def rician_moments(kappa: float) -> tuple[float, float, float]:
     """(E|h|, E|h|^2, E|h|^4) for the unit-power Rician coefficient."""
-    m4 = (2.0 + 4.0 * kappa + kappa * kappa) / (kappa + 1.0) ** 2
+    x = 1.0 / (kappa + 1.0)  # scattered share; (2 + 4K + K^2) / (K + 1)^2 = 1 + x (2 - x)
+    m4 = 1.0 + x * (2.0 - x)
     return rician_mean_magnitude(kappa), 1.0, m4
 
 

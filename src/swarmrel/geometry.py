@@ -136,7 +136,8 @@ def sample_hardcore_disk(
         if count == n:
             return np.column_stack([px, py])
         most = max(most, count)
-    coverage = n * (d_min / 2.0) ** 2 / radius**2
+    ratio = d_min / (2.0 * radius)
+    coverage = n * ratio * ratio
     raise PlacementError(
         f"could not place {n} points with separation {d_min} in radius {radius} "
         f"({layout_retries} layouts x {attempts_per_point} attempts per point); "
@@ -154,8 +155,8 @@ def sample_gbs_layout(config: ScenarioConfig, rng: np.random.Generator) -> GbsLa
     """
     m = config.m_total
     positions = sample_uniform_disk(m, config.coverage_radius_m, rng)
-    planar2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
-    center_distances = np.sqrt(planar2 + config.swarm_altitude_m**2)
+    planar = np.hypot(positions[:, 0], positions[:, 1])
+    center_distances = np.hypot(planar, config.swarm_altitude_m)
     return GbsLayout(
         positions=positions,
         available_idx=np.arange(config.m_available),

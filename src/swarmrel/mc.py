@@ -1,9 +1,11 @@
 """Monte Carlo estimation of delivery reliability for all protocol variants.
 
 Each trial draws fresh geometry and fading, runs the selected protocol, and
-reports which UAVs decoded.  Every trial owns an rng seeded from
-(master_seed, trial_index), so estimates are bit-identical for a given seed
-no matter how many worker processes share the load.
+reports which UAVs decoded after the cellular stage and after each relay
+round; ``estimate`` averages that into the reliability curve, one estimate
+per stage.  Every trial owns an rng seeded from (master_seed, trial_index),
+so estimates are bit-identical for a given seed no matter how many worker
+processes share the load.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "run_trial",
     "estimate",
     "phase1_count_distribution",
-    "multiround_reliability",
 ]
 
 
@@ -201,50 +202,28 @@ def _gather_counts(config, protocol, trials, master_seed, workers):
     return np.concatenate(_map_chunks(worker, trials, workers))
 
 
-def _mean_estimate(counts, config, master_seed) -> ReliabilityEstimate:
-    """Mean decoded fraction of per-trial ``counts`` and its standard error."""
-    fractions = counts / config.n_uavs
-    trials = len(fractions)
-    std_err = math.nan if trials == 1 else float(fractions.std(ddof=1) / math.sqrt(trials))
-    return ReliabilityEstimate(
-        eta_mean=float(fractions.mean()), std_err=std_err, trials=trials, seed=master_seed
-    )
-
-
 def estimate(
     config: ScenarioConfig,
     protocol: Protocol,
     trials: int,
     master_seed: int,
     workers: int = 1,
-) -> ReliabilityEstimate:
-    """Mean decoded fraction over independent trials.
-
-    Deterministic in (config, protocol, trials, master_seed): per-trial rngs
-    are derived from the seed and the trial index, and the mean is taken over
-    the trial-ordered array.
-    """
-    counts = _gather_counts(config, protocol, trials, master_seed, workers)
-    return _mean_estimate(counts[:, -1], config, master_seed)
-
-
-def multiround_reliability(
-    config: ScenarioConfig,
-    rounds: int,
-    with_head: bool,
-    trials: int,
-    master_seed: int,
-    workers: int = 1,
 ) -> list[ReliabilityEstimate]:
-    """Reliability after the cellular stage and after each relay round.
+    """Mean decoded fraction after the cellular stage and after each relay round.
 
-    Entry 0 is the cellular stage alone; entry r is after relay round r.
-    All entries come from the same trials, so the sequence is non-decreasing
-    trial by trial, not just on average.
+    Entry r is after relay round r, so entry ``protocol.rounds`` (the last)
+    is the protocol's final figure.  The entries share their trials, and
+    relay round r of an R-round trial draws what an r-round trial draws, so
+    entry r is the last entry of an r-round run, bit for bit.  Deterministic
+    in (config, protocol, trials, master_seed) whatever the worker count.
     """
-    protocol = multi_round(rounds, with_head)
-    counts = _gather_counts(config, protocol, trials, master_seed, workers)
-    return [_mean_estimate(col, config, master_seed) for col in counts.T]
+    curve = []
+    for counts in _gather_counts(config, protocol, trials, master_seed, workers).T:
+        fractions = counts / config.n_uavs
+        std_err = math.nan if trials == 1 else float(fractions.std(ddof=1) / math.sqrt(trials))
+        curve.append(ReliabilityEstimate(eta_mean=float(fractions.mean()), std_err=std_err,
+                                         trials=trials, seed=master_seed))
+    return curve
 
 
 def phase1_count_distribution(

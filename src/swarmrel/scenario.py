@@ -183,12 +183,12 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
             f"{config.tau_phase1_s} (tau_total_s={config.tau_total_s})"
         )
     if config.min_separation_m >= 0 and config.swarm_radius_m > 0:
-        packing = config.n_uavs * (config.min_separation_m / 2.0) ** 2
-        budget = config.swarm_radius_m**2
-        if packing > budget:
+        ratio = config.min_separation_m / (2.0 * config.swarm_radius_m)
+        coverage = config.n_uavs * ratio * ratio
+        if coverage > 1.0:
             p.append(
                 "n_uavs/swarm_radius_m/min_separation_m: packing-infeasible geometry, "
-                f"n_uavs * (min_separation_m/2)^2 = {packing:g} exceeds swarm_radius_m^2 = {budget:g}"
+                f"n_uavs * (min_separation_m / (2 swarm_radius_m))^2 = {coverage:g} exceeds 1"
             )
     if p:
         raise ConfigError(p)

@@ -90,11 +90,11 @@ def regularized_gamma(a: float, z: float) -> float:
     return 1.0 - _gamma_q_contfrac(a, z)
 
 
-def _gamma_p_series(a: float, z: float, max_terms: int = 10_000) -> float:
+def _gamma_p_series(a: float, z: float) -> float:
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(max_terms):
+    for _ in range(10_000):
         ap += 1.0
         term *= z / ap
         total += term
@@ -104,12 +104,12 @@ def _gamma_p_series(a: float, z: float, max_terms: int = 10_000) -> float:
     raise SeriesError(f"incomplete gamma series stalled at a={a}, z={z}")
 
 
-def _gamma_q_contfrac(a: float, z: float, max_iter: int = 10_000) -> float:
+def _gamma_q_contfrac(a: float, z: float) -> float:
     b = z + 1.0 - a
     c = 1.0 / _FPMIN
     d = 1.0 / b if b != 0 else 1.0 / _FPMIN
     h = d
-    for i in range(1, max_iter + 1):
+    for i in range(1, 10_001):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -223,7 +223,7 @@ def hyp2f2_with_scale(a1: float, a2: float, b1: float, b2: float, z: float) -> t
 # --- Tricomi confluent function ----------------------------------------------
 
 
-def log_tricomi_u_scaled(a: float, b: float, z: float, rel_tol: float = 1e-9) -> float:
+def log_tricomi_u_scaled(a: float, b: float, z: float) -> float:
     """log of z^a * Psi(a, b; z) for a > 0, z > 0, computed without forming z^-a.
 
     This is the numerically safe quantity when z is large and Psi itself
@@ -277,7 +277,7 @@ def log_tricomi_u_scaled(a: float, b: float, z: float, rel_tol: float = 1e-9) ->
         growth = np.where(x < 1.0, near, np.exp(np.minimum(log_s_star + x, 700.0)) - s_star)
         return np.exp(power * (softplus - peak_softplus) + a * x - growth)
 
-    integral = adaptive_quad(integrand, width, rel_tol=rel_tol, abs_tol=0.0)
+    integral = adaptive_quad(integrand, width, rel_tol=1e-9, abs_tol=0.0)
     if integral <= 0:
         raise QuadratureError(f"non-positive Tricomi integral at a={a}, b={b}, z={z}")
     return log_scale + math.log(integral)

@@ -137,7 +137,7 @@ def test_criterion_3_analytic_matches_monte_carlo():
         for bits in (8.0, 16.0, 24.0, 32.0, 40.0):
             cfg = make_config(m_available=m0, m_occupied=m1, message_bits=bits)
             eta_a = analytic.reliability(cfg).eta
-            est = mc.estimate(cfg, mc.PROPOSED, 20_000, 301, workers=WORKERS)
+            est = mc.estimate(cfg, mc.PROPOSED, 20_000, 301, workers=WORKERS)[-1]
             gap = abs(eta_a - est.eta_mean)
             worst = max(worst, gap)
             lines.append(f"({m0},{m1}) D={bits:g}: |gap|={gap:.4f}")
@@ -178,7 +178,7 @@ def test_criterion_5_protocol_ordering():
     msgs = []
     for bits, expect_nearest_wins in ((4.0, True), (40.0, False)):
         cfg = make_config(message_bits=bits)
-        ests = {p.label: mc.estimate(cfg, p, 2500, 501, workers=WORKERS) for p in protocols}
+        ests = {p.label: mc.estimate(cfg, p, 2500, 501, workers=WORKERS)[-1] for p in protocols}
         if expect_nearest_wins:
             assert sep(ests["nearest_gbs"], ests["all_gbs"]) >= 3.0
         else:
@@ -198,8 +198,8 @@ def test_criterion_5_protocol_ordering():
 
 def test_criterion_6_multiround_head_effect():
     cfg = make_config(n_uavs=10, message_bits=150.0)
-    with_head = mc.multiround_reliability(cfg, 6, True, 4000, 601, workers=WORKERS)
-    without = mc.multiround_reliability(cfg, 6, False, 4000, 601, workers=WORKERS)
+    with_head = mc.estimate(cfg, mc.multi_round(6, True), 4000, 601, workers=WORKERS)
+    without = mc.estimate(cfg, mc.multi_round(6, False), 4000, 601, workers=WORKERS)
     etas_h = [e.eta_mean for e in with_head]
     etas_n = [e.eta_mean for e in without]
     assert all(a <= b + 1e-12 for a, b in zip(etas_h, etas_h[1:]))
@@ -219,7 +219,7 @@ def test_criterion_7_parameter_trends():
     radii = (10.0, 20.0, 30.0, 40.0, 50.0)
     r_est = [
         mc.estimate(make_config(n_uavs=10, swarm_radius_m=r), mc.PROPOSED, 2000, 701,
-                    workers=WORKERS)
+                    workers=WORKERS)[-1]
         for r in radii
     ]
     for a, b in zip(r_est, r_est[1:]):
@@ -227,7 +227,8 @@ def test_criterion_7_parameter_trends():
 
     heights = (300.0, 475.0, 650.0, 825.0, 1000.0)
     h_est = [
-        mc.estimate(make_config(swarm_altitude_m=h), mc.PROPOSED, 2000, 702, workers=WORKERS)
+        mc.estimate(make_config(swarm_altitude_m=h), mc.PROPOSED, 2000, 702,
+                    workers=WORKERS)[-1]
         for h in heights
     ]
     for a, b in zip(h_est, h_est[1:]):
@@ -267,8 +268,8 @@ def test_criterion_8_structural_invariants():
         masks = mc.run_trial(cfg_mr, mc.multi_round(4), mc.trial_rng(803, i))
         assert (masks[:-1] <= masks[1:]).all()
 
-    serial = mc.estimate(cfg, mc.PROPOSED, 600, 804, workers=1)
-    parallel = mc.estimate(cfg, mc.PROPOSED, 600, 804, workers=WORKERS)
+    serial = mc.estimate(cfg, mc.PROPOSED, 600, 804, workers=1)[-1]
+    parallel = mc.estimate(cfg, mc.PROPOSED, 600, 804, workers=WORKERS)[-1]
     assert serial.eta_mean == parallel.eta_mean and serial.std_err == parallel.std_err
     _report(8, "hard-core separation, cellular decoders kept by the relay stage, "
                "nested relay rounds, and bit-identical estimates across worker counts")

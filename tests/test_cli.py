@@ -121,7 +121,7 @@ def test_simulate_matches_library(capsys, config_path):
     header, rows = parse_csv(out)
     assert header == cli._EST_HEADER
     row = dict(zip(header, rows[0]))
-    est = mc.estimate(make_config(), mc.PROPOSED, 60, 99)
+    est = mc.estimate(make_config(), mc.PROPOSED, 60, 99)[-1]
     assert float(row["eta"]) == est.eta_mean
     assert float(row["std_err"]) == est.std_err
     assert row["trials"] == "60" and row["seed"] == "99"
@@ -211,6 +211,47 @@ def test_sweep_rounds_with_multiround(capsys, config_path):
     assert float(rows[0][6]) <= float(rows[1][6]) + 1e-12
 
 
+def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
+    # every value is read off one run at the largest, not one run per value
+    calls = []
+    run_trial = mc.run_trial
+    monkeypatch.setattr(mc, "run_trial", lambda *a: calls.append(1) or run_trial(*a))
+    code, out, _ = run_cli(
+        capsys, "sweep", "--config", config_path, "--var", "rounds", "--values", "1,2,3",
+        "--engine", "mc", "--protocol", "multi_round", "--trials", "12", "--workers", "1",
+    )
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 3
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("no_head", [(), ("--no-head",)])
+def test_sweep_rounds_rows_equal_simulate(capsys, tmp_path, no_head):
+    path = tmp_path / "small.cfg"
+    write_config(make_config(n_uavs=10, message_bits=150.0), path)
+    common = ("--config", str(path), "--protocol", "multi_round", *no_head,
+              "--trials", "40", "--seed", "13")
+    code, out, _ = run_cli(capsys, "sweep", *common, "--var", "rounds",
+                           "--values", "3,1,3,2", "--engine", "mc")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r[:2] for r in rows] == [["rounds", v] for v in ("3", "1", "3", "2")]
+    for row in rows:
+        code, out, _ = run_cli(capsys, "simulate", *common, "--rounds", row[1])
+        assert code == 0
+        assert row[2:] == parse_csv(out)[1][0]
+
+
+def test_sweep_rounds_bad_value_fails_before_any_row(capsys, config_path):
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", config_path, "--var", "rounds", "--values", "2,-1",
+        "--engine", "mc", "--protocol", "multi_round", "--trials", "10",
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "rounds:" in err
+    assert out == "" and "eta=" not in err
+
+
 def test_optimize_tau_flat_grid_tie_break(capsys, tmp_path):
     # zero-size message: eta = 1 on the whole grid, smallest split wins
     path = tmp_path / "flat.cfg"
@@ -283,6 +324,34 @@ def test_non_finite_config_exit_code(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv, "--config", str(path))
         assert code == cli.EXIT_CONFIG, (field, err)
         assert field in err and out == ""
+
+
+@pytest.mark.parametrize("field, value", [
+    ("swarm_radius_m", "1e300"),
+    ("coverage_radius_m", "1e308"),
+    ("swarm_altitude_m", "1e-300"),
+    ("rician_k", "1e200"),
+    ("swarm_altitude_m", "1e300"),
+    ("coverage_radius_m", "1e-300"),
+])
+def test_extreme_finite_config_gives_probabilities_or_a_named_error(capsys, tmp_path, field,
+                                                                     value):
+    # finite values whose squares leave the float range
+    path = tmp_path / f"{field}.cfg"
+    write_config(make_config(), path)
+    path.write_text(re.sub(rf"^{field} = .*$", f"{field} = {value}", path.read_text(),
+                           flags=re.M))
+    for argv, cells in ((["analyze"], ("p_head", "p_member", "p_phase2", "eta")),
+                        (["simulate", "--trials", "5"], ("eta", "one_minus_eta"))):
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        if code == 0:
+            header, rows = parse_csv(out)
+            for name in cells:
+                cell = dict(zip(header, rows[0]))[name]
+                assert repr(float(cell)) == cell and 0.0 <= float(cell) <= 1.0, (name, cell)
+        else:
+            assert code in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), err
+            assert out == "" and "error: " in err
 
 
 def test_unparseable_sweep_values_exit_code(capsys, config_path):

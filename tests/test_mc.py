@@ -49,21 +49,21 @@ def test_head_relay_without_head_means_no_phase2():
 
 
 def test_estimate_deterministic(config):
-    e1 = mc.estimate(config, mc.PROPOSED, 100, 1234)
-    e2 = mc.estimate(config, mc.PROPOSED, 100, 1234)
+    e1 = mc.estimate(config, mc.PROPOSED, 100, 1234)[-1]
+    e2 = mc.estimate(config, mc.PROPOSED, 100, 1234)[-1]
     assert e1 == e2
-    e3 = mc.estimate(config, mc.PROPOSED, 100, 1235)
+    e3 = mc.estimate(config, mc.PROPOSED, 100, 1235)[-1]
     assert e3.eta_mean != e1.eta_mean
 
 
 def test_estimate_worker_count_invariance(config):
-    serial = mc.estimate(config, mc.PROPOSED, 300, 77, workers=1)
-    parallel = mc.estimate(config, mc.PROPOSED, 300, 77, workers=2)
+    serial = mc.estimate(config, mc.PROPOSED, 300, 77, workers=1)[-1]
+    parallel = mc.estimate(config, mc.PROPOSED, 300, 77, workers=2)[-1]
     assert serial == parallel
 
 
 def test_estimate_single_trial_stderr_undefined(config):
-    est = mc.estimate(config, mc.PROPOSED, 1, 5)
+    est = mc.estimate(config, mc.PROPOSED, 1, 5)[-1]
     assert math.isnan(est.std_err)
     assert 0.0 <= est.eta_mean <= 1.0
 
@@ -72,8 +72,8 @@ def test_estimate_clt_scaling(config):
     # quadrupling the trials should halve the standard error, roughly
     ratios = []
     for seed in range(6):
-        a = mc.estimate(config, mc.PROPOSED, 250, 1000 + seed)
-        b = mc.estimate(config, mc.PROPOSED, 1000, 2000 + seed)
+        a = mc.estimate(config, mc.PROPOSED, 250, 1000 + seed)[-1]
+        b = mc.estimate(config, mc.PROPOSED, 1000, 2000 + seed)[-1]
         ratios.append(b.std_err / a.std_err)
     assert 0.5 * 0.8 < np.mean(ratios) < 0.5 * 1.2
 
@@ -84,7 +84,7 @@ def test_multiround_sets_nested_and_curve_monotone():
         masks = mc.run_trial(cfg, mc.multi_round(4), mc.trial_rng(6, i))
         assert masks.shape == (5, 10)
         assert (masks[:-1] <= masks[1:]).all()
-    curve = mc.multiround_reliability(cfg, 4, True, 200, 6)
+    curve = mc.estimate(cfg, mc.multi_round(4, True), 200, 6)
     etas = [e.eta_mean for e in curve]
     assert len(etas) == 5
     assert all(a <= b + 1e-12 for a, b in zip(etas, etas[1:]))
@@ -93,8 +93,8 @@ def test_multiround_sets_nested_and_curve_monotone():
 def test_multiround_prefix_property():
     # extending the horizon must not change the shared early rounds
     cfg = make_config(n_uavs=10, message_bits=150.0)
-    short = mc.multiround_reliability(cfg, 2, True, 150, 9)
-    long = mc.multiround_reliability(cfg, 5, True, 150, 9)
+    short = mc.estimate(cfg, mc.multi_round(2, True), 150, 9)
+    long = mc.estimate(cfg, mc.multi_round(5, True), 150, 9)
     for a, b in zip(short, long[: len(short)]):
         assert a.eta_mean == b.eta_mean
 
@@ -117,7 +117,7 @@ def test_protocols_on_one_seed_share_the_cellular_stage():
 
 def test_proposed_protocol_dominates_at_reference_point(config):
     ests = {
-        p.label: mc.estimate(config, p, 1500, 31)
+        p.label: mc.estimate(config, p, 1500, 31)[-1]
         for p in (mc.PROPOSED, mc.ALL_GBS, mc.HEAD_RELAY)
     }
     sep = lambda x, y: (x.eta_mean - y.eta_mean) / math.hypot(x.std_err, y.std_err)
