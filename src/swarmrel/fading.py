@@ -1,7 +1,9 @@
 """Small-scale fading draws, Rician magnitude moments, and per-UAV SINRs.
 
-The Monte Carlo engine draws the fading and forms the SINRs of both stages;
-the closed-form model takes only the moments of the Rician magnitude.
+The Monte Carlo engine draws the fading and forms the SINRs of both stages,
+or, for a relay stage it does not sample, takes each receiver's decode
+probability exact over the Rayleigh fading; the closed-form model takes only
+the moments of the Rician magnitude.
 
 Fading coefficients are sampled directly and SINRs are formed from channel
 coefficients; no symbol waveforms are generated, since decode decisions
@@ -27,6 +29,7 @@ __all__ = [
     "draw_phase2",
     "phase1_sinrs",
     "phase2_sinrs",
+    "phase2_decode_probs",
 ]
 
 # beyond this the line-of-sight term is numerically pure
@@ -119,6 +122,7 @@ def phase1_sinrs(
     p = config.tx_power_gbs_w
     if combining == "head":
         head_ch = h[swarm.head_idx, tx]
+        head_ch[head_ch == 0] = 1.0  # a zero channel has no phase: send it unit weight
         weights = np.conj(head_ch) / np.abs(head_ch)
     elif combining == "unit":
         weights = np.ones(len(tx))
@@ -142,11 +146,41 @@ def phase2_sinrs(
     receiver, in the order given.  With no decoders there is no
     transmission and the SINRs are zero.
     """
-    decoders = np.asarray(decoders, dtype=int)
-    receivers = np.asarray(receivers, dtype=int)
     if len(decoders) == 0:
         return np.zeros(len(receivers))
-    dist = swarm.pair_distances[np.ix_(receivers, decoders)]
-    amp = np.sqrt(config.ref_gain_d2d * dist ** (-config.pathloss_exp_d2d))
+    amp = np.sqrt(_phase2_path_gains(swarm, decoders, receivers, config))
     combined = (amp * gains).sum(axis=1)
     return config.tx_power_uav_w * np.abs(combined) ** 2 / config.intf_noise_phase2_w
+
+
+def phase2_decode_probs(
+    swarm: SwarmLayout,
+    decoders: np.ndarray,
+    config: ScenarioConfig,
+    receivers: np.ndarray,
+    threshold: float,
+) -> np.ndarray:
+    """P(SINR >= threshold) at each of ``receivers`` when all ``decoders`` relay.
+
+    Exact over the unit-power Rayleigh fading of ``phase2_sinrs``: the
+    combined channel is complex normal with power sum_t a_t^2, so the SINR
+    is exponential and the probability is exp(-threshold N0 / (P sum_t a_t^2)).
+    With no decoders nobody transmits and the probabilities are zero.
+    """
+    if len(decoders) == 0:
+        return np.zeros(len(receivers))
+    if threshold == 0.0:
+        return np.ones(len(receivers))  # every SINR, zero included, reaches it
+    power = _phase2_path_gains(swarm, decoders, receivers, config).sum(axis=1)
+    ratio = threshold * config.intf_noise_phase2_w / config.tx_power_uav_w
+    # exp(-746) is below the least float, so where ratio/power would pass 746
+    # (power underflowed to 0 among them) the probability is 0
+    exponent = np.divide(ratio, power, out=np.full(len(power), np.inf),
+                         where=power > ratio / 746.0)
+    return np.exp(-exponent)
+
+
+def _phase2_path_gains(swarm, decoders, receivers, config) -> np.ndarray:
+    """Mean power gain a^2 of every (receiver, decoder) D2D link, (receivers, decoders)."""
+    dist = swarm.pair_distances[np.ix_(receivers, decoders)]
+    return config.ref_gain_d2d * dist ** (-config.pathloss_exp_d2d)

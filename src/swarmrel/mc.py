@@ -1,11 +1,16 @@
 """Monte Carlo estimation of delivery reliability for all protocol variants.
 
 Each trial draws fresh geometry and fading, runs the selected protocol, and
-reports which UAVs decoded after the cellular stage and after each relay
-round; ``estimate`` averages that into the reliability curve, one estimate
-per stage.  Every trial owns an rng seeded from (master_seed, trial_index),
-so estimates are bit-identical for a given seed no matter how many worker
-processes share the load.
+reports each UAV's decode probability after the cellular stage and after
+each relay round; ``estimate`` averages that into the reliability curve, one
+estimate per stage.  The cellular stage and the relay rounds of
+``multi_round`` are sampled, so their probabilities are 0 or 1.  The split
+protocols (``proposed``, ``head_relay``) average their one relay round
+exactly over its Rayleigh fading, given the trial's geometry and relay set,
+so their estimates have a smaller standard error for the same trials.
+Every trial owns an rng seeded from (master_seed, trial_index), so estimates
+are bit-identical for a given seed no matter how many worker processes share
+the load.
 """
 
 from __future__ import annotations
@@ -121,16 +126,20 @@ def trial_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generator) -> np.ndarray:
-    """Decode masks of one trial on freshly sampled geometry and fading.
+    """Decode probabilities of one trial on freshly sampled geometry and fading.
 
-    Returns a boolean (1 + relay rounds, N) array: row 0 is the cellular
-    stage and row r the cumulative mask after relay round r.  The protocol
-    sets the cellular stage's serving set, combining and threshold, then the
-    number of relay rounds, who relays and the D2D threshold; only UAVs that
-    have not decoded listen.  Draw order is fixed (GBS layout, swarm layout,
-    cellular fading, then one D2D draw per round that has both relays and
-    listeners), so protocols on one trial seed share the cellular stage when
-    they share its serving set, combining and threshold.
+    Returns a float (1 + relay rounds, N) array: row 0 is the cellular stage
+    and row r the probability that each UAV has decoded by relay round r.
+    The protocol sets the cellular stage's serving set, combining and
+    threshold, then the number of relay rounds, who relays and the D2D
+    threshold; only UAVs that have not decoded listen.  Sampled stages give
+    0 or 1: the cellular stage, and every relay round of ``multi_round``.
+    The split protocols' one relay round is not sampled: a listener gets its
+    decode probability exact over the D2D fading (``fading.phase2_decode_probs``),
+    0 when nobody relays.  Draw order is fixed (GBS layout, swarm layout,
+    cellular fading, then one D2D draw per sampled round that has both relays
+    and listeners), so protocols on one trial seed share the cellular stage
+    when they share its serving set, combining and threshold.
     """
     split = protocol.name in ("proposed", "head_relay")
     gbs = geometry.sample_gbs_layout(config, rng)
@@ -145,11 +154,12 @@ def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generat
     cell_threshold = (
         scenario.phase1_threshold(config) if split else scenario.full_slot_cell_threshold(config)
     )
-    masks = np.empty((1 + protocol.rounds, config.n_uavs), dtype=bool)
-    masks[0] = sinrs >= cell_threshold
+    decoded = sinrs >= cell_threshold
+    probs = np.empty((1 + protocol.rounds, config.n_uavs))
+    probs[0] = decoded
     if protocol.rounds == 0:
         # past its rate cap the unused D2D threshold would raise ConfigError
-        return masks
+        return probs
 
     d2d_threshold = (
         scenario.phase2_threshold(config) if split else scenario.full_slot_d2d_threshold(config)
@@ -158,25 +168,40 @@ def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generat
     if protocol.name == "head_relay":
         speakers = np.arange(config.n_uavs) == swarm.head_idx
     for r in range(1, protocol.rounds + 1):
-        masks[r] = masks[r - 1]
-        relays = np.flatnonzero(masks[r - 1] & speakers)
-        receivers = np.flatnonzero(~masks[r - 1])
+        probs[r] = decoded
+        relays = np.flatnonzero(decoded & speakers)
+        receivers = np.flatnonzero(~decoded)
         if len(relays) == 0 or len(receivers) == 0:
             continue
-        gains = fading.draw_phase2(len(receivers), len(relays), rng)
-        sinrs = fading.phase2_sinrs(swarm, relays, gains, config, receivers=receivers)
-        masks[r, receivers] = sinrs >= d2d_threshold
-    return masks
+        if split:
+            probs[r, receivers] = fading.phase2_decode_probs(swarm, relays, config, receivers,
+                                                             d2d_threshold)
+        else:
+            gains = fading.draw_phase2(len(receivers), len(relays), rng)
+            sinrs = fading.phase2_sinrs(swarm, relays, gains, config, receivers=receivers)
+            decoded[receivers] = sinrs >= d2d_threshold
+            probs[r] = decoded
+    return probs
 
 
 def _decoded_counts(config, protocol, master_seed, start, stop):
-    """Decoded counts for trials [start, stop), shape (trials, 1 + relay rounds)."""
-    return np.array(
-        [
-            run_trial(config, protocol, trial_rng(master_seed, i)).sum(axis=1)
-            for i in range(start, stop)
-        ]
-    )
+    """Expected decoded counts for trials [start, stop), shape (trials, 1 + relay rounds)."""
+    # a squared length past the float range overflows to inf, which clears
+    # every separation in placement and gives a path gain of 0: the limits
+    # wanted, so the overflow is not reported
+    with np.errstate(over="ignore"):
+        return np.array(
+            [
+                run_trial(config, protocol, trial_rng(master_seed, i)).sum(axis=1)
+                for i in range(start, stop)
+            ]
+        )
+
+
+@functools.cache
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process pool of ``workers`` processes, started on first use and kept."""
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _map_chunks(worker, trials: int, workers: int):
@@ -184,15 +209,19 @@ def _map_chunks(worker, trials: int, workers: int):
 
     Chunk boundaries depend only on ``trials``, never on ``workers``, and
     results come back in chunk order, so the reduction order (and the
-    result, bit for bit) is independent of the worker count.
+    result, bit for bit) is independent of the worker count.  One pool per
+    worker count serves every call in the process.
     """
     chunk = max(1, min(256, math.ceil(trials / 16)))
     spans = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
     if workers <= 1:
         return [worker(s, e) for s, e in spans]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, s, e) for s, e in spans]
+    futures = [_pool(workers).submit(worker, s, e) for s, e in spans]
+    try:
         return [f.result() for f in futures]
+    finally:
+        for f in futures:  # after a failed chunk, leave no queued work in the pool
+            f.cancel()
 
 
 def _gather_counts(config, protocol, trials, master_seed, workers):
@@ -239,5 +268,5 @@ def phase1_count_distribution(
     """
     cellular = replace(PROPOSED, rounds=0)
     counts = _gather_counts(config, cellular, trials, master_seed, workers)
-    pmf = np.bincount(counts[:, 0], minlength=config.n_uavs + 1) / trials
+    pmf = np.bincount(counts[:, 0].astype(int), minlength=config.n_uavs + 1) / trials
     return Phase1CountDistribution(pmf=pmf, trials=trials, seed=master_seed)

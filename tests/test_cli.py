@@ -326,6 +326,8 @@ def test_non_finite_config_exit_code(capsys, tmp_path):
         assert field in err and out == ""
 
 
+# an overflow on the way to a number is a fault even when the number is right
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("field, value", [
     ("swarm_radius_m", "1e300"),
     ("coverage_radius_m", "1e308"),

@@ -1,10 +1,11 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swarmrel import analytic, mc
+from swarmrel import analytic, fading, geometry, mc, scenario
 
 from conftest import make_config
 
@@ -22,16 +23,18 @@ def test_protocol_labels_and_validation():
 
 def test_zero_bits_all_decode_in_phase1():
     cfg = make_config(message_bits=0.0)
-    masks = mc.run_trial(cfg, mc.PROPOSED, mc.trial_rng(1, 0))
-    assert masks[0].all()
-    assert not (masks[-1] & ~masks[0]).any()
+    probs = mc.run_trial(cfg, mc.PROPOSED, mc.trial_rng(1, 0))
+    assert probs.shape == (2, 40)
+    assert (probs == 1.0).all()
 
 
 def test_sets_disjoint_and_within_range(config):
     for i in range(50):
-        masks = mc.run_trial(config, mc.PROPOSED, mc.trial_rng(2, i))
-        assert masks.shape == (2, 40) and masks.dtype == bool
-        assert (masks[0] <= masks[-1]).all()
+        probs = mc.run_trial(config, mc.PROPOSED, mc.trial_rng(2, i))
+        assert probs.shape == (2, 40) and probs.dtype == np.float64
+        assert np.isin(probs[0], (0.0, 1.0)).all()  # the cellular stage is sampled
+        assert ((0.0 <= probs) & (probs <= 1.0)).all()
+        assert (probs[0] <= probs[-1]).all()
 
 
 def test_head_relay_without_head_means_no_phase2():
@@ -54,6 +57,19 @@ def test_estimate_deterministic(config):
     assert e1 == e2
     e3 = mc.estimate(config, mc.PROPOSED, 100, 1235)[-1]
     assert e3.eta_mean != e1.eta_mean
+
+
+def _worker_pid(start, stop):
+    return os.getpid()
+
+
+def test_one_pool_serves_every_call_at_a_worker_count():
+    # three two-worker calls share at most two processes; a pool per call
+    # would bring at least one new process each time
+    pids = set()
+    for _ in range(3):
+        pids |= set(mc._map_chunks(_worker_pid, 64, 2))
+    assert os.getpid() not in pids and len(pids) <= 2
 
 
 def test_estimate_worker_count_invariance(config):
@@ -150,3 +166,83 @@ def test_phase1_count_matches_expectation(config):
 def test_estimate_validates_trials(config):
     with pytest.raises(ValueError):
         mc.estimate(config, mc.PROPOSED, 0, 1)
+
+
+# --- the split protocols' relay round, exact over its fading ------------------
+
+
+def test_phase2_decode_probs_match_sampled_frequency(config):
+    # fixed layout and relay set: the exact probability against the share of
+    # Rayleigh draws whose SINR reaches the threshold
+    swarm = geometry.sample_swarm_layout(config, np.random.default_rng(40))
+    relays, receivers = np.arange(3), np.arange(3, 40)
+    theta2 = scenario.phase2_threshold(config)
+    exact = fading.phase2_decode_probs(swarm, relays, config, receivers, theta2)
+    assert ((0.05 < exact) & (exact < 0.95)).sum() >= 30
+    rng = np.random.default_rng(41)
+    draws = 20_000
+    hits = np.zeros(len(receivers))
+    for _ in range(draws):
+        gains = fading.draw_phase2(len(receivers), len(relays), rng)
+        hits += fading.phase2_sinrs(swarm, relays, gains, config, receivers) >= theta2
+    sigma = np.sqrt(exact * (1.0 - exact) / draws)
+    assert (np.abs(hits / draws - exact) <= 4.0 * sigma).all()
+
+
+def test_phase2_decode_probs_limits(config):
+    swarm = geometry.sample_swarm_layout(config, np.random.default_rng(42))
+    relays, receivers = np.arange(3), np.arange(3, 40)
+    probs = lambda theta: fading.phase2_decode_probs(swarm, relays, config, receivers, theta)
+    assert (probs(0.0) == 1.0).all()
+    assert (fading.phase2_decode_probs(swarm, relays[:0], config, receivers, 0.0) == 0.0).all()
+    grid = [probs(t) for t in (0.1, 0.5, 2.0, 1e3)]
+    assert all((a >= b).all() for a, b in zip(grid, grid[1:]))
+    # a path gain that underflows to 0, and a ratio past exp's range, give 0
+    far = replace(swarm, pair_distances=np.full_like(swarm.pair_distances, np.inf))
+    with np.errstate(all="raise"):
+        assert (fading.phase2_decode_probs(far, relays, config, receivers, 0.5) == 0.0).all()
+        assert (fading.phase2_decode_probs(far, relays, config, receivers, 0.0) == 1.0).all()
+        assert (probs(1e300) == 0.0).all()
+
+
+def sampled_relay_fractions(config, protocol, trials, seed):
+    """Per-trial decoded fractions of a split protocol with its relay round sampled.
+
+    The relay round is one Rayleigh draw and a threshold test on the trial's
+    rng, right after the cellular stage; the geometry is replayed from a
+    second copy of the trial's stream.
+    """
+    theta2 = scenario.phase2_threshold(config)
+    out = np.empty(trials)
+    for i in range(trials):
+        rng = mc.trial_rng(seed, i)
+        decoded = mc.run_trial(config, replace(protocol, rounds=0), rng)[0] > 0
+        replay = mc.trial_rng(seed, i)
+        geometry.sample_gbs_layout(config, replay)
+        swarm = geometry.sample_swarm_layout(config, replay)
+        speakers = decoded.copy()
+        if protocol.name == "head_relay":
+            speakers[np.arange(config.n_uavs) != swarm.head_idx] = False
+        relays, receivers = np.flatnonzero(speakers), np.flatnonzero(~decoded)
+        if len(relays) and len(receivers):
+            gains = fading.draw_phase2(len(receivers), len(relays), rng)
+            sinrs = fading.phase2_sinrs(swarm, relays, gains, config, receivers)
+            decoded[receivers] = sinrs >= theta2
+        out[i] = decoded.sum() / config.n_uavs
+    return out
+
+
+@pytest.mark.parametrize("protocol, overrides", [
+    (mc.PROPOSED, {}),
+    (mc.PROPOSED, {"message_bits": 24.0}),
+    (mc.PROPOSED, {"m_occupied": 2}),
+    (mc.HEAD_RELAY, {}),
+])
+def test_exact_relay_stage_agrees_with_sampling_at_lower_variance(protocol, overrides):
+    cfg = make_config(**overrides)
+    trials = 1000
+    exact = mc.estimate(cfg, protocol, trials, 43)[-1]
+    sampled = sampled_relay_fractions(cfg, protocol, trials, 43)
+    sampled_se = sampled.std(ddof=1) / math.sqrt(trials)
+    assert abs(exact.eta_mean - sampled.mean()) <= 4.0 * math.hypot(exact.std_err, sampled_se)
+    assert exact.std_err < sampled_se
