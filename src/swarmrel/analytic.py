@@ -123,29 +123,69 @@ def _mean_center_distance_power(config: ScenarioConfig, q: float) -> float:
                              f"= {h:g}, coverage_radius_m = {r:g}") from None
 
 
+@lru_cache(maxsize=None)
+def _span_rule() -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes and weights on [0, 1]."""
+    # imported on first use: numpy.polynomial adds 1.5 MB to every process
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def _center_distance_power_spread(q: float, half_span: float) -> float:
+    """Var[d^-q] / E[d^-2q] for the GBS distance d, by a sum of squared differences.
+
+    With z = log(d/H) = half_span u, u in [0, 1] has density proportional to
+    exp(2 half_span u), and d^-q = H^-q exp(-q half_span u), so the variance
+    is half the weighted sum of (x_i - x_j)^2 over pairs of nodes.  Each
+    difference is x_j expm1(-q half_span (u_i - u_j)), so no difference of
+    nearly equal moments is formed.  Both exponents stay below 2 where this
+    is called, and 16 nodes are then exact to double precision.
+    """
+    u, w = _span_rule()
+    p = w * np.exp(2.0 * half_span * u)
+    p /= p.sum()
+    x = np.exp(-q * half_span * u)
+    gap = x * np.expm1(-q * half_span * (u[:, None] - u))
+    return float(0.5 * (p[:, None] * p * gap * gap).sum() / (p * x * x).sum())
+
+
+def _distance_power_moments(config: ScenarioConfig, q: float, fade1: float,
+                            fade2: float) -> tuple[float, float]:
+    """Mean and variance of d^-q A for the GBS distance d and an independent fading term A.
+
+    ``fade1`` and ``fade2`` are E[A] and E[A^2].  Over a short span of
+    distances (q log(d_max/H) < 1) E[d^-2q] and E[d^-q]^2 nearly cancel, and
+    the variance is formed from the spread of d^-q instead; from there on the
+    difference of the moments keeps its digits.
+    """
+    mean = _mean_center_distance_power(config, q) * fade1
+    second = _mean_center_distance_power(config, 2.0 * q)
+    t = config.coverage_radius_m / config.swarm_altitude_m
+    half_span = 0.5 * math.log1p(t * t) if t < 1e150 else math.log(t)
+    if q * half_span >= 1.0:
+        return mean, second * fade2 - mean * mean
+    spread = _center_distance_power_spread(q, half_span)
+    return mean, second * (fade1 * fade1 * spread + (fade2 - fade1 * fade1))
+
+
 def moments_head_signal(config: ScenarioConfig) -> tuple[float, float]:
     """Mean and variance of one serving GBS's amplitude term d^(-alpha/2) |h|."""
-    alpha = config.pathloss_exp_cell
     m1, m2, _ = rician_moments(config.rician_k)
-    mu = _mean_center_distance_power(config, alpha / 2.0) * m1
-    nu = _mean_center_distance_power(config, alpha) * m2 - mu * mu
-    return mu, nu
+    return _distance_power_moments(config, config.pathloss_exp_cell / 2.0, m1, m2)
 
 
 def moments_interference(config: ScenarioConfig) -> tuple[float, float]:
     """Mean and variance of the occupied GBSs' total power d^-alpha |h|^2."""
-    alpha = config.pathloss_exp_cell
     _, m2, m4 = rician_moments(config.rician_k)
-    mu = _mean_center_distance_power(config, alpha) * m2
-    nu = _mean_center_distance_power(config, 2.0 * alpha) * m4 - mu * mu
+    mu, nu = _distance_power_moments(config, config.pathloss_exp_cell, m2, m4)
     return config.m_occupied * mu, config.m_occupied * nu
 
 
 def moments_pathloss_sum(config: ScenarioConfig) -> tuple[float, float]:
     """Mean and variance of the serving GBSs' summed path loss d^-alpha."""
-    alpha = config.pathloss_exp_cell
-    mu = _mean_center_distance_power(config, alpha)
-    nu = _mean_center_distance_power(config, 2.0 * alpha) - mu * mu
+    mu, nu = _distance_power_moments(config, config.pathloss_exp_cell, 1.0, 1.0)
     return config.m_available * mu, config.m_available * nu
 
 

@@ -1,7 +1,8 @@
 """Small-scale fading draws, Rician magnitude moments, and per-UAV SINRs.
 
-The Monte Carlo engine draws the fading and forms the SINRs of both stages,
-or, for a relay stage it does not sample, takes each receiver's decode
+The Monte Carlo engine draws the fading and forms the SINRs of both stages
+for a chunk of trials at once, every array with a leading trials axis, or,
+for a relay stage it does not sample, takes each listener's decode
 probability exact over the Rayleigh fading; the closed-form model takes only
 the moments of the Rician magnitude.
 
@@ -36,14 +37,19 @@ __all__ = [
 _KAPPA_CAP = 1e12
 
 
-def sample_rayleigh(rng: np.random.Generator, size=None) -> np.ndarray:
-    """Circularly symmetric complex normal draws with unit power."""
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return (re + 1j * im) / math.sqrt(2.0)
+def sample_rayleigh(rng: np.random.Generator, size) -> np.ndarray:
+    """Circularly symmetric complex normal draws with unit power, of shape ``size``.
+
+    The real parts are drawn first, then the imaginary parts.
+    """
+    z = np.empty(size, dtype=complex)
+    z.real = rng.standard_normal(size)
+    z.imag = rng.standard_normal(size)
+    z *= math.sqrt(0.5)
+    return z
 
 
-def sample_rician(kappa: float, rng: np.random.Generator, size=None) -> np.ndarray:
+def sample_rician(kappa: float, rng: np.random.Generator, size) -> np.ndarray:
     """Unit-power Rician draws with uniformly random line-of-sight phase.
 
     The scattered part is CN(0, 1/(kappa+1)); only the ratio of the two
@@ -54,8 +60,11 @@ def sample_rician(kappa: float, rng: np.random.Generator, size=None) -> np.ndarr
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     kappa = min(kappa, _KAPPA_CAP)
     los = np.exp(2j * np.pi * rng.random(size))
+    los *= math.sqrt(kappa / (kappa + 1.0))
     scattered = sample_rayleigh(rng, size)
-    return math.sqrt(kappa / (kappa + 1.0)) * los + math.sqrt(1.0 / (kappa + 1.0)) * scattered
+    scattered *= math.sqrt(1.0 / (kappa + 1.0))
+    los += scattered
+    return los
 
 
 def rician_mean_magnitude(kappa: float) -> float:
@@ -75,29 +84,34 @@ def rician_moments(kappa: float) -> tuple[float, float, float]:
     return rician_mean_magnitude(kappa), 1.0, m4
 
 
-def draw_phase1(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Unit-power Rician coefficients (N, M) complex, one per (UAV, GBS) link, i.i.d."""
-    return sample_rician(config.rician_k, rng, size=(config.n_uavs, config.m_total))
+def draw_phase1(config: ScenarioConfig, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Unit-power Rician coefficients (trials, N, M) complex, one per (UAV, GBS) link, i.i.d."""
+    return sample_rician(config.rician_k, rng, size=(trials, config.n_uavs, config.m_total))
 
 
-def draw_phase2(n_receivers: int, n_relays: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-power Rayleigh coefficients (receivers, relays) complex, one per link."""
-    return sample_rayleigh(rng, size=(n_receivers, n_relays))
+def draw_phase2(config: ScenarioConfig, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Unit-power Rayleigh coefficients (trials, N, N) complex, one per (listener, speaker) link."""
+    return sample_rayleigh(rng, size=(trials, config.n_uavs, config.n_uavs))
 
 
 def _phase1_channels(
     gbs: GbsLayout, swarm: SwarmLayout, gains: np.ndarray, config: ScenarioConfig
 ) -> np.ndarray:
-    """Full complex channel matrix (N, M): path loss times fading.
+    """Full complex channel matrices (trials, N, M): path loss times fading.
 
     Uses the exact per-UAV distances; no common-distance approximation.
     """
     uav, ground = swarm.positions, gbs.positions
-    dx = uav[:, 0, None] - ground[:, 0]
-    dy = uav[:, 1, None] - ground[:, 1]
-    dz = uav[:, 2, None]  # ground stations sit at height 0
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-    amp = np.sqrt(config.ref_gain_cell * dist ** (-config.pathloss_exp_cell))
+    # sqrt(ref_gain dist^-alpha), dist = sqrt(dx * dx + dy * dy + dz * dz),
+    # formed in place
+    amp = uav[:, :, None, 0] - ground[:, None, :, 0]
+    amp *= amp
+    amp += (uav[:, :, None, 1] - ground[:, None, :, 1]) ** 2
+    amp += uav[:, :, None, 2] ** 2  # ground stations sit at height 0
+    np.sqrt(amp, out=amp)
+    np.power(amp, -config.pathloss_exp_cell, out=amp)
+    amp *= config.ref_gain_cell
+    np.sqrt(amp, out=amp)
     return amp * gains
 
 
@@ -109,78 +123,86 @@ def phase1_sinrs(
     combining: str = "head",
     transmitters: np.ndarray | None = None,
 ) -> np.ndarray:
-    """SINR of every UAV in the cellular downlink stage.
+    """SINR of every UAV in the cellular downlink stage, (trials, N).
 
     ``combining='head'`` applies each serving GBS's conjugate-phase unit
     weight for the head's channel, so the head combines coherently;
-    ``'unit'`` sends unweighted.  ``transmitters`` restricts the serving set
-    to a subset of the available indices (defaults to all of them).
-    Occupied GBSs always interfere at full power.
+    ``'unit'`` sends unweighted.  ``transmitters`` (trials, k) restricts each
+    trial's serving set to k of the available indices (defaults to all of
+    them).  Occupied GBSs always interfere at full power.
     """
     h = _phase1_channels(gbs, swarm, gains, config)
-    tx = gbs.available_idx if transmitters is None else np.asarray(transmitters)
     p = config.tx_power_gbs_w
+    occupied = np.abs(h[:, :, gbs.occupied_idx])
+    occupied *= occupied
+    interference = p * occupied.sum(axis=2)
+    if transmitters is None:
+        h_tx = h[:, :, gbs.available_idx]
+    else:
+        h_tx = np.take_along_axis(h, transmitters[:, None, :], axis=2)
     if combining == "head":
-        head_ch = h[swarm.head_idx, tx]
-        head_ch[head_ch == 0] = 1.0  # a zero channel has no phase: send it unit weight
+        head_ch = h_tx[:, swarm.head_idx]
+        # a zero channel has no phase: send it unit weight
+        head_ch = np.where(head_ch == 0, 1.0, head_ch)
         weights = np.conj(head_ch) / np.abs(head_ch)
     elif combining == "unit":
-        weights = np.ones(len(tx))
+        weights = np.ones((h_tx.shape[0], h_tx.shape[2]))
     else:
         raise ValueError(f"unknown combining mode {combining!r}")
-    signal = p * np.abs(h[:, tx] @ weights) ** 2 if len(tx) else np.zeros(config.n_uavs)
-    interference = p * (np.abs(h[:, gbs.occupied_idx]) ** 2).sum(axis=1)
+    signal = p * np.abs(np.einsum("bnk,bk->bn", h_tx, weights)) ** 2
     return signal / (interference + config.noise_phase1_w)
 
 
 def phase2_sinrs(
     swarm: SwarmLayout,
-    decoders: np.ndarray,
+    relays: np.ndarray,
     gains: np.ndarray,
     config: ScenarioConfig,
-    receivers: np.ndarray,
 ) -> np.ndarray:
-    """SINR at each of ``receivers`` when all ``decoders`` relay simultaneously.
+    """SINR at every UAV, (trials, N), when the ``relays`` (trials, N) mask relay simultaneously.
 
-    ``gains`` is (receivers, decoders); the result has one value per
-    receiver, in the order given.  With no decoders there is no
-    transmission and the SINRs are zero.
+    ``gains`` is (trials, N, N), listener by speaker; only the relays'
+    columns are used, and a relay does not hear itself.  A UAV in a trial
+    without relays hears no transmission and has SINR zero.
     """
-    if len(decoders) == 0:
-        return np.zeros(len(receivers))
-    amp = np.sqrt(_phase2_path_gains(swarm, decoders, receivers, config))
-    combined = (amp * gains).sum(axis=1)
+    heard = np.sqrt(_phase2_path_gains(swarm, config)) * gains
+    np.copyto(heard, 0.0, where=~relays[:, None, :])
+    combined = heard.sum(axis=2)
     return config.tx_power_uav_w * np.abs(combined) ** 2 / config.intf_noise_phase2_w
 
 
 def phase2_decode_probs(
     swarm: SwarmLayout,
-    decoders: np.ndarray,
+    relays: np.ndarray,
     config: ScenarioConfig,
-    receivers: np.ndarray,
     threshold: float,
 ) -> np.ndarray:
-    """P(SINR >= threshold) at each of ``receivers`` when all ``decoders`` relay.
+    """P(SINR >= threshold) at every UAV, (trials, N), when the ``relays`` mask relay.
 
     Exact over the unit-power Rayleigh fading of ``phase2_sinrs``: the
     combined channel is complex normal with power sum_t a_t^2, so the SINR
     is exponential and the probability is exp(-threshold N0 / (P sum_t a_t^2)).
-    With no decoders nobody transmits and the probabilities are zero.
+    In a trial without relays nobody transmits and the probabilities are zero.
     """
-    if len(decoders) == 0:
-        return np.zeros(len(receivers))
     if threshold == 0.0:
-        return np.ones(len(receivers))  # every SINR, zero included, reaches it
-    power = _phase2_path_gains(swarm, decoders, receivers, config).sum(axis=1)
+        # every SINR, zero included, reaches it once somebody transmits
+        return np.broadcast_to(relays.any(axis=1, keepdims=True), relays.shape).astype(float)
+    power = _phase2_path_gains(swarm, config)
+    np.copyto(power, 0.0, where=~relays[:, None, :])
+    power = power.sum(axis=2)
     ratio = threshold * config.intf_noise_phase2_w / config.tx_power_uav_w
     # exp(-746) is below the least float, so where ratio/power would pass 746
-    # (power underflowed to 0 among them) the probability is 0
-    exponent = np.divide(ratio, power, out=np.full(len(power), np.inf),
+    # (power underflowed to 0 among them, and no relays gives 0) the
+    # probability is 0
+    exponent = np.divide(ratio, power, out=np.full(power.shape, np.inf),
                          where=power > ratio / 746.0)
     return np.exp(-exponent)
 
 
-def _phase2_path_gains(swarm, decoders, receivers, config) -> np.ndarray:
-    """Mean power gain a^2 of every (receiver, decoder) D2D link, (receivers, decoders)."""
-    dist = swarm.pair_distances[np.ix_(receivers, decoders)]
-    return config.ref_gain_d2d * dist ** (-config.pathloss_exp_d2d)
+def _phase2_path_gains(swarm: SwarmLayout, config: ScenarioConfig) -> np.ndarray:
+    """Mean power gain a^2 of each (listener, speaker) D2D link, (trials, N, N); diagonal 0."""
+    dist = swarm.pair_distances
+    others = ~np.eye(dist.shape[-1], dtype=bool)
+    gain = np.power(dist, -config.pathloss_exp_d2d, out=np.zeros_like(dist), where=others)
+    gain *= config.ref_gain_d2d
+    return gain

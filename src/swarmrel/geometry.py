@@ -2,13 +2,15 @@
 
 Ground stations are a binomial point process on a disk; the swarm is a
 hard-core process realized by simple sequential inhibition (dart throwing
-with rejection).  The Monte Carlo engine consumes the sampled layouts; the
-closed-form model takes the mass of the disk's pair-distance density above
-the hard-core separation.
+with rejection).  The Monte Carlo engine samples the layouts of a chunk of
+trials at once, each array with a leading trials axis; the closed-form model
+takes the mass of the disk's pair-distance density above the hard-core
+separation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,37 +38,55 @@ class PlacementError(RuntimeError):
 
 @dataclass(frozen=True)
 class GbsLayout:
-    """Sampled ground-station positions around the swarm's ground projection.
+    """Sampled ground-station positions around the swarm's ground projection, per trial.
 
     ``positions`` are planar coordinates (m) relative to the point under the
     swarm center; ``center_distances`` are 3D distances (m) from each GBS to
-    the swarm center at altitude.
+    the swarm center at altitude.  The serving and interfering index sets
+    are the same in every trial.
     """
 
-    positions: np.ndarray  # (M, 2)
+    positions: np.ndarray  # (trials, M, 2)
     available_idx: np.ndarray  # (M0,) indices of GBSs serving the swarm
     occupied_idx: np.ndarray  # (M1,) indices of interfering GBSs
-    center_distances: np.ndarray  # (M,)
+    center_distances: np.ndarray  # (trials, M)
 
 
 @dataclass(frozen=True)
 class SwarmLayout:
-    """Sampled UAV positions (m) and their pairwise distances.
+    """Sampled UAV positions (m) and their pairwise distances, per trial.
 
     ``positions`` are 3D with a common altitude; ``head_idx`` designates the
     UAV whose uplink pilot provides the transmit-weight channel estimates.
     """
 
-    positions: np.ndarray  # (N, 3)
+    positions: np.ndarray  # (trials, N, 3)
     head_idx: int
-    pair_distances: np.ndarray  # (N, N), symmetric, zero diagonal
+
+    @functools.cached_property
+    def pair_distances(self) -> np.ndarray:
+        """Planar distances (trials, N, N), symmetric with a zero diagonal; formed on first use.
+
+        Only a relay stage reads them, so a chunk's largest array is not held
+        through the cellular stage.  sqrt(dx * dx + dy * dy) is formed in place.
+        """
+        xyz = self.positions
+        pair = xyz[:, :, None, 0] - xyz[:, None, :, 0]
+        dy = xyz[:, :, None, 1] - xyz[:, None, :, 1]
+        pair *= pair
+        dy *= dy
+        pair += dy
+        return np.sqrt(pair, out=pair)
 
 
-def sample_uniform_disk(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. uniform points on the disk of the given radius, as (n, 2)."""
-    r = radius * np.sqrt(rng.random(n))
-    phi = 2.0 * np.pi * rng.random(n)
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+def sample_uniform_disk(size, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. uniform points on the disk of the given radius, as (*size, 2)."""
+    r = radius * np.sqrt(rng.random(size))
+    phi = 2.0 * np.pi * rng.random(size)
+    points = np.empty(r.shape + (2,))
+    np.multiply(r, np.cos(phi), out=points[..., 0])
+    np.multiply(r, np.sin(phi), out=points[..., 1])
+    return points
 
 
 def _row_bits(matrix: np.ndarray) -> list[int]:
@@ -147,15 +167,15 @@ def sample_hardcore_disk(
     )
 
 
-def sample_gbs_layout(config: ScenarioConfig, rng: np.random.Generator) -> GbsLayout:
-    """Sample available and occupied GBS positions as independent uniforms.
+def sample_gbs_layout(config: ScenarioConfig, rng: np.random.Generator, trials: int) -> GbsLayout:
+    """Sample available and occupied GBS positions of ``trials`` trials as independent uniforms.
 
     The first ``m_available`` indices are the serving set, the rest the
     interfering set; both sets are i.i.d. uniform on the coverage disk.
     """
     m = config.m_total
-    positions = sample_uniform_disk(m, config.coverage_radius_m, rng)
-    planar = np.hypot(positions[:, 0], positions[:, 1])
+    positions = sample_uniform_disk((trials, m), config.coverage_radius_m, rng)
+    planar = np.hypot(positions[..., 0], positions[..., 1])
     center_distances = np.hypot(planar, config.swarm_altitude_m)
     return GbsLayout(
         positions=positions,
@@ -165,16 +185,18 @@ def sample_gbs_layout(config: ScenarioConfig, rng: np.random.Generator) -> GbsLa
     )
 
 
-def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator) -> SwarmLayout:
-    """Sample the hard-core swarm at the configured altitude; head is UAV 0."""
-    planar = sample_hardcore_disk(
-        config.n_uavs, config.swarm_radius_m, config.min_separation_m, rng
-    )
-    positions = np.column_stack([planar, np.full(config.n_uavs, config.swarm_altitude_m)])
-    dx = planar[:, 0, None] - planar[:, 0]
-    dy = planar[:, 1, None] - planar[:, 1]
-    pair = np.sqrt(dx * dx + dy * dy)
-    return SwarmLayout(positions=positions, head_idx=0, pair_distances=pair)
+def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
+                        trials: int) -> SwarmLayout:
+    """Sample the hard-core swarms of ``trials`` trials at the configured altitude; head is UAV 0.
+
+    Each trial's swarm is one ``sample_hardcore_disk`` placement, in trial order.
+    """
+    n = config.n_uavs
+    planar = np.empty((trials, n, 2))
+    for b in range(trials):
+        planar[b] = sample_hardcore_disk(n, config.swarm_radius_m, config.min_separation_m, rng)
+    positions = np.concatenate([planar, np.full((trials, n, 1), config.swarm_altitude_m)], axis=2)
+    return SwarmLayout(positions=positions, head_idx=0)
 
 
 # --- pair-distance mass -------------------------------------------------------

@@ -8,9 +8,12 @@ estimate per stage.  The cellular stage and the relay rounds of
 protocols (``proposed``, ``head_relay``) average their one relay round
 exactly over its Rayleigh fading, given the trial's geometry and relay set,
 so their estimates have a smaller standard error for the same trials.
-Every trial owns an rng seeded from (master_seed, trial_index), so estimates
-are bit-identical for a given seed no matter how many worker processes share
-the load.
+
+Trials run in chunks whose bounds depend only on the trial count, and one
+kernel call draws a whole chunk on one rng seeded from (master_seed, the
+chunk's first trial).  Results are therefore a function of (config, seed,
+trials) and bit-identical whatever the number of worker processes sharing
+the chunks.
 """
 
 from __future__ import annotations
@@ -120,43 +123,50 @@ class Phase1CountDistribution:
         return math.sqrt(var / self.trials)
 
 
-def trial_rng(master_seed: int, index: int) -> np.random.Generator:
-    """The rng owned by one trial; depends only on (master_seed, index)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, index)))
+def trial_rng(master_seed: int, start: int) -> np.random.Generator:
+    """The rng of the chunk that begins at trial ``start``; depends only on (master_seed, start)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, start)))
 
 
-def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generator) -> np.ndarray:
-    """Decode probabilities of one trial on freshly sampled geometry and fading.
+def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generator,
+              trials: int) -> np.ndarray:
+    """Decode probabilities of ``trials`` trials on freshly sampled geometry and fading.
 
-    Returns a float (1 + relay rounds, N) array: row 0 is the cellular stage
-    and row r the probability that each UAV has decoded by relay round r.
-    The protocol sets the cellular stage's serving set, combining and
-    threshold, then the number of relay rounds, who relays and the D2D
-    threshold; only UAVs that have not decoded listen.  Sampled stages give
-    0 or 1: the cellular stage, and every relay round of ``multi_round``.
-    The split protocols' one relay round is not sampled: a listener gets its
-    decode probability exact over the D2D fading (``fading.phase2_decode_probs``),
-    0 when nobody relays.  Draw order is fixed (GBS layout, swarm layout,
-    cellular fading, then one D2D draw per sampled round that has both relays
-    and listeners), so protocols on one trial seed share the cellular stage
-    when they share its serving set, combining and threshold.
+    Returns a float (trials, 1 + relay rounds, N) array: row 0 of a trial is
+    the cellular stage and row r the probability that each UAV has decoded
+    by relay round r.  The protocol sets the cellular stage's serving set,
+    combining and threshold, then the number of relay rounds, who relays
+    and the D2D threshold; only UAVs that have not decoded listen.  Sampled
+    stages give 0 or 1: the cellular stage, and every relay round of
+    ``multi_round``.  The split protocols' one relay round is not sampled: a
+    listener gets its decode probability exact over the D2D fading
+    (``fading.phase2_decode_probs``), 0 when nobody relays.
+
+    Draw order is fixed: the GBS layouts of all trials, one hard-core
+    placement per trial in trial order, the cellular fading of all trials,
+    then for ``multi_round`` one full D2D draw of all trials per relay
+    round, whatever the outcomes.  So protocols on one rng share the
+    cellular stage when they share its serving set, combining and
+    threshold, and relay round r draws the same whatever the round count.
     """
     split = protocol.name in ("proposed", "head_relay")
-    gbs = geometry.sample_gbs_layout(config, rng)
-    swarm = geometry.sample_swarm_layout(config, rng)
-    gains = fading.draw_phase1(config, rng)
+    gbs = geometry.sample_gbs_layout(config, rng, trials)
+    swarm = geometry.sample_swarm_layout(config, rng, trials)
 
-    serving = gbs.available_idx
+    serving = None
     if protocol.name == "nearest_gbs":
-        serving = serving[[np.argmin(gbs.center_distances[serving])]]
+        near = gbs.center_distances[:, gbs.available_idx].argmin(axis=1)
+        serving = gbs.available_idx[near][:, None]
     combining = "head" if protocol.with_head else "unit"
-    sinrs = fading.phase1_sinrs(gbs, swarm, gains, config, combining, serving)
+    # the cellular fading is not kept past its SINRs
+    sinrs = fading.phase1_sinrs(gbs, swarm, fading.draw_phase1(config, rng, trials), config,
+                                combining, serving)
     cell_threshold = (
         scenario.phase1_threshold(config) if split else scenario.full_slot_cell_threshold(config)
     )
     decoded = sinrs >= cell_threshold
-    probs = np.empty((1 + protocol.rounds, config.n_uavs))
-    probs[0] = decoded
+    probs = np.empty((trials, 1 + protocol.rounds, config.n_uavs))
+    probs[:, 0] = decoded
     if protocol.rounds == 0:
         # past its rate cap the unused D2D threshold would raise ConfigError
         return probs
@@ -168,19 +178,16 @@ def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generat
     if protocol.name == "head_relay":
         speakers = np.arange(config.n_uavs) == swarm.head_idx
     for r in range(1, protocol.rounds + 1):
-        probs[r] = decoded
-        relays = np.flatnonzero(decoded & speakers)
-        receivers = np.flatnonzero(~decoded)
-        if len(relays) == 0 or len(receivers) == 0:
-            continue
+        relays = decoded & speakers
         if split:
-            probs[r, receivers] = fading.phase2_decode_probs(swarm, relays, config, receivers,
-                                                             d2d_threshold)
+            heard = fading.phase2_decode_probs(swarm, relays, config, d2d_threshold)
+            probs[:, r] = np.where(decoded, 1.0, heard)
         else:
-            gains = fading.draw_phase2(len(receivers), len(relays), rng)
-            sinrs = fading.phase2_sinrs(swarm, relays, gains, config, receivers=receivers)
-            decoded[receivers] = sinrs >= d2d_threshold
-            probs[r] = decoded
+            gains = fading.draw_phase2(config, rng, trials)
+            sinrs = fading.phase2_sinrs(swarm, relays, gains, config)
+            # with nobody relaying there is no transmission to decode
+            decoded = decoded | ((sinrs >= d2d_threshold) & relays.any(axis=1, keepdims=True))
+            probs[:, r] = decoded
     return probs
 
 
@@ -190,12 +197,7 @@ def _decoded_counts(config, protocol, master_seed, start, stop):
     # every separation in placement and gives a path gain of 0: the limits
     # wanted, so the overflow is not reported
     with np.errstate(over="ignore"):
-        return np.array(
-            [
-                run_trial(config, protocol, trial_rng(master_seed, i)).sum(axis=1)
-                for i in range(start, stop)
-            ]
-        )
+        return run_trial(config, protocol, trial_rng(master_seed, start), stop - start).sum(axis=2)
 
 
 @functools.cache
@@ -210,18 +212,18 @@ def _map_chunks(worker, trials: int, workers: int):
     Chunk boundaries depend only on ``trials``, never on ``workers``, and
     results come back in chunk order, so the reduction order (and the
     result, bit for bit) is independent of the worker count.  One pool per
-    worker count serves every call in the process.
+    worker count serves every call in the process.  A pool task carries a
+    run of consecutive chunks, two runs per worker: a chunk is one kernel
+    call, often no longer than a task's round trip.  After a failed chunk
+    the pool's queued work is cancelled.
     """
-    chunk = max(1, min(256, math.ceil(trials / 16)))
-    spans = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
+    chunk = max(1, min(64, math.ceil(trials / 16)))
+    starts = range(0, trials, chunk)
+    stops = [min(s + chunk, trials) for s in starts]
     if workers <= 1:
-        return [worker(s, e) for s, e in spans]
-    futures = [_pool(workers).submit(worker, s, e) for s, e in spans]
-    try:
-        return [f.result() for f in futures]
-    finally:
-        for f in futures:  # after a failed chunk, leave no queued work in the pool
-            f.cancel()
+        return [worker(s, e) for s, e in zip(starts, stops)]
+    per_task = math.ceil(len(starts) / (2 * workers))
+    return list(_pool(workers).map(worker, starts, stops, chunksize=per_task))
 
 
 def _gather_counts(config, protocol, trials, master_seed, workers):

@@ -253,20 +253,18 @@ def test_criterion_7_parameter_trends():
 
 def test_criterion_8_structural_invariants():
     cfg = make_config(n_uavs=20, message_bits=60.0)
-    for i in range(100):
-        rng = mc.trial_rng(801, i)
-        swarm = geometry.sample_swarm_layout(cfg, rng)
-        off = swarm.pair_distances[np.triu_indices(20, k=1)]
-        assert off.min() >= 5.0
+    swarm = geometry.sample_swarm_layout(cfg, mc.trial_rng(801, 0), 100)
+    rows, cols = np.triu_indices(20, k=1)
+    off = swarm.pair_distances[:, rows, cols]
+    assert off.shape == (100, 190)
+    assert off.min() >= 5.0
 
-    for i in range(100):
-        masks = mc.run_trial(cfg, mc.PROPOSED, mc.trial_rng(802, i))
-        assert (masks[0] <= masks[-1]).all()
+    masks = mc.run_trial(cfg, mc.PROPOSED, mc.trial_rng(802, 0), 100)
+    assert (masks[:, 0] <= masks[:, -1]).all()
 
     cfg_mr = make_config(n_uavs=10, message_bits=150.0)
-    for i in range(100):
-        masks = mc.run_trial(cfg_mr, mc.multi_round(4), mc.trial_rng(803, i))
-        assert (masks[:-1] <= masks[1:]).all()
+    masks = mc.run_trial(cfg_mr, mc.multi_round(4), mc.trial_rng(803, 0), 100)
+    assert (masks[:, :-1] <= masks[:, 1:]).all()
 
     serial = mc.estimate(cfg, mc.PROPOSED, 600, 804, workers=1)[-1]
     parallel = mc.estimate(cfg, mc.PROPOSED, 600, 804, workers=WORKERS)[-1]

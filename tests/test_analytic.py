@@ -114,6 +114,46 @@ def test_distance_moments_continuous_at_exponent_two():
         assert getattr(above, name) == pytest.approx(getattr(at_two, name), abs=1e-9), name
 
 
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+def test_distance_moments_at_short_spans_against_mpmath(alpha):
+    # coverage radius 1e-2 to 1e-8 of the altitude: E[d^-2q] and E[d^-q]^2
+    # agree to 4 log10(ratio) digits, so their difference is rounding noise,
+    # while the variance itself is positive and known to 80 digits
+    mpmath = pytest.importorskip("mpmath")
+
+    def moment(h, r, q):  # E[d^-q] with d^2 uniform on [h^2, h^2 + r^2]
+        a, b, e = h * h, h * h + r * r, 1 - mpmath.mpf(q) / 2
+        return mpmath.log(b / a) / (r * r) if e == 0 else (b**e - a**e) / (e * r * r)
+
+    for ratio in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        cfg = make_config(pathloss_exp_cell=alpha, coverage_radius_m=300.0 * ratio)
+        with mpmath.workdps(80):
+            h, r = mpmath.mpf(cfg.swarm_altitude_m), mpmath.mpf(cfg.coverage_radius_m)
+            m1, m2, m4 = map(mpmath.mpf, fading.rician_moments(cfg.rician_k))
+            cases = (
+                (analytic.moments_head_signal, alpha / 2, m1, m2, 1),
+                (analytic.moments_interference, alpha, m2, m4, cfg.m_occupied),
+                (analytic.moments_pathloss_sum, alpha, 1, 1, cfg.m_available),
+            )
+            for moments, q, fade1, fade2, count in cases:
+                mean = moment(h, r, q) * fade1
+                var = moment(h, r, 2 * q) * fade2 - mean * mean
+                mu, nu = moments(cfg)
+                # relative errors: the values are far below approx's absolute floor
+                assert abs(mu / float(count * mean) - 1.0) <= 1e-13
+                assert abs(nu / float(count * var) - 1.0) <= 1e-12, (moments, ratio)
+
+
+def test_reliability_continuous_down_to_short_spans():
+    # below a ratio of about 1e-3 the cancelled variance made analyze exit 3
+    # or follow the sign of rounding noise
+    wide = analytic.reliability(make_config(coverage_radius_m=3.0))
+    for ratio in (1e-3, 1e-4, 1e-6, 1e-8):
+        near = analytic.reliability(make_config(coverage_radius_m=300.0 * ratio))
+        for name in ("p_head", "p_member", "p_phase2", "eta"):
+            assert getattr(near, name) == pytest.approx(getattr(wide, name), abs=1e-6), name
+
+
 def test_interference_moments_empty():
     cfg = make_config(m_occupied=0)
     assert analytic.moments_interference(cfg) == (0.0, 0.0)
@@ -332,15 +372,12 @@ def test_phase2_decode_against_conditional_simulation(config):
     theta2 = scenario.phase2_threshold(config)
     target = analytic.phase2_decode_prob(theta2, 36.0, config)
     rng = np.random.default_rng(22)
-    hits = []
-    for _ in range(10_000):
-        swarm = geometry.sample_swarm_layout(config, rng)
-        decoders = rng.permutation(40)[:36]
-        draw = fading.draw_phase2(4, 36, rng)
-        receivers = np.setdiff1d(np.arange(40), decoders)
-        sinrs = fading.phase2_sinrs(swarm, decoders, draw, config, receivers)
-        hits.append(sinrs >= theta2)
-    frac = np.concatenate(hits).mean()
+    trials = 10_000
+    swarm = geometry.sample_swarm_layout(config, rng, trials)
+    decoders = rng.permuted(np.tile(np.arange(40) < 36, (trials, 1)), axis=1)
+    draw = fading.draw_phase2(config, rng, trials)
+    sinrs = fading.phase2_sinrs(swarm, decoders, draw, config)
+    frac = (sinrs[~decoders] >= theta2).mean()
     assert abs(frac - target) < 0.01
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import re
 
@@ -212,17 +213,23 @@ def test_sweep_rounds_with_multiround(capsys, config_path):
 
 
 def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
-    # every value is read off one run at the largest, not one run per value
+    # every value is read off one run at the largest, not one run per value:
+    # 64 trials are one pass over 16 chunks of 4
     calls = []
     run_trial = mc.run_trial
-    monkeypatch.setattr(mc, "run_trial", lambda *a: calls.append(1) or run_trial(*a))
+
+    def counting(cfg, protocol, rng, trials):
+        calls.append((protocol.rounds, trials))
+        return run_trial(cfg, protocol, rng, trials)
+
+    monkeypatch.setattr(mc, "run_trial", counting)
     code, out, _ = run_cli(
         capsys, "sweep", "--config", config_path, "--var", "rounds", "--values", "1,2,3",
-        "--engine", "mc", "--protocol", "multi_round", "--trials", "12", "--workers", "1",
+        "--engine", "mc", "--protocol", "multi_round", "--trials", "64", "--workers", "1",
     )
     assert code == 0
     assert len(parse_csv(out)[1]) == 3
-    assert len(calls) == 12
+    assert calls == [(3, 4)] * 16
 
 
 @pytest.mark.parametrize("no_head", [(), ("--no-head",)])
@@ -343,13 +350,18 @@ def test_extreme_finite_config_gives_probabilities_or_a_named_error(capsys, tmp_
     write_config(make_config(), path)
     path.write_text(re.sub(rf"^{field} = .*$", f"{field} = {value}", path.read_text(),
                            flags=re.M))
+    # every protocol and the multi-round draws, on chunks of several trials
+    rounds = ["sweep", "--var", "rounds", "--values", "1,2", "--protocol", "multi_round",
+              "--engine", "mc", "--trials", "40"]
     for argv, cells in ((["analyze"], ("p_head", "p_member", "p_phase2", "eta")),
-                        (["simulate", "--trials", "5"], ("eta", "one_minus_eta"))):
+                        (["simulate", "--trials", "5"], ("eta", "one_minus_eta")),
+                        (["compare", "--trials", "40"], ("eta", "one_minus_eta")),
+                        (rounds, ("eta", "one_minus_eta"))):
         code, out, err = run_cli(capsys, *argv, "--config", str(path))
         if code == 0:
             header, rows = parse_csv(out)
-            for name in cells:
-                cell = dict(zip(header, rows[0]))[name]
+            for row, name in itertools.product(rows, cells):
+                cell = dict(zip(header, row))[name]
                 assert repr(float(cell)) == cell and 0.0 <= float(cell) <= 1.0, (name, cell)
         else:
             assert code in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), err
@@ -379,14 +391,17 @@ def test_placement_failure_exit_code(capsys, tmp_path):
     write_config(
         make_config(n_uavs=16, swarm_radius_m=10.0, min_separation_m=5.0), path
     )
-    code, _, err = run_cli(
-        capsys, "simulate", "--config", str(path), "--trials", "1", "--seed", "1"
-    )
-    assert code == cli.EXIT_NUMERICAL
-    assert "place" in err
-    assert re.search(r"the best layout placed \d+;", err)
-    assert "area coverage n*(d_min/2)^2/radius^2 = 100.0%" in err
-    assert "54.7%" in err
+    # one chunk of one trial, and chunks of several trials in pool workers
+    for trials, workers in (("1", "1"), ("48", "2")):
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(path), "--trials", trials, "--seed", "1",
+            "--workers", workers,
+        )
+        assert code == cli.EXIT_NUMERICAL
+        assert "place" in err
+        assert re.search(r"the best layout placed \d+;", err)
+        assert "area coverage n*(d_min/2)^2/radius^2 = 100.0%" in err
+        assert "54.7%" in err
 
 
 def test_out_file_written(capsys, config_path, tmp_path):

@@ -84,35 +84,40 @@ def test_fourth_moment():
 
 
 def _scene(config, gbs_xy, uav_xy):
+    """Layouts of one trial with the given planar positions."""
     gbs_xy = np.asarray(gbs_xy, dtype=float)
     uav_xy = np.asarray(uav_xy, dtype=float)
     h = config.swarm_altitude_m
     gbs = geometry.GbsLayout(
-        positions=gbs_xy,
+        positions=gbs_xy[None],
         available_idx=np.arange(config.m_available),
         occupied_idx=np.arange(config.m_available, len(gbs_xy)),
-        center_distances=np.sqrt((gbs_xy**2).sum(1) + h * h),
+        center_distances=np.sqrt((gbs_xy**2).sum(1) + h * h)[None],
     )
     pos3 = np.column_stack([uav_xy, np.full(len(uav_xy), h)])
-    diff = uav_xy[:, None, :] - uav_xy[None, :, :]
-    swarm = geometry.SwarmLayout(
-        positions=pos3, head_idx=0, pair_distances=np.sqrt((diff**2).sum(-1))
-    )
-    return gbs, swarm
+    return gbs, geometry.SwarmLayout(positions=pos3[None], head_idx=0)
+
+
+def _relays(n, indices):
+    """The one-trial relay mask of ``n`` UAVs with ``indices`` relaying."""
+    mask = np.zeros((1, n), dtype=bool)
+    mask[0, indices] = True
+    return mask
 
 
 def test_phase1_channels_match_summed_squares_bitwise(config):
     # the per-axis form dx*dx + dy*dy + dz*dz gives the bits of the 3D reduction
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        gbs = geometry.sample_gbs_layout(config, rng)
-        swarm = geometry.sample_swarm_layout(config, rng)
-        draw = fading.draw_phase1(config, rng)
-        gbs3d = np.column_stack([gbs.positions, np.zeros(len(gbs.positions))])
-        diff = swarm.positions[:, None, :] - gbs3d[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        amp = np.sqrt(config.ref_gain_cell * dist ** (-config.pathloss_exp_cell))
-        assert np.array_equal(fading._phase1_channels(gbs, swarm, draw, config), amp * draw)
+    trials = 50
+    gbs = geometry.sample_gbs_layout(config, rng, trials)
+    swarm = geometry.sample_swarm_layout(config, rng, trials)
+    draw = fading.draw_phase1(config, rng, trials)
+    assert draw.shape == (trials, 40, 16)
+    gbs3d = np.concatenate([gbs.positions, np.zeros((trials, 16, 1))], axis=2)
+    diff = swarm.positions[:, :, None, :] - gbs3d[:, None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    amp = np.sqrt(config.ref_gain_cell * dist ** (-config.pathloss_exp_cell))
+    assert np.array_equal(fading._phase1_channels(gbs, swarm, draw, config), amp * draw)
 
 
 def test_phase1_pure_snr_scales_with_power():
@@ -120,7 +125,7 @@ def test_phase1_pure_snr_scales_with_power():
     cfg_hi = make_config(m_available=3, m_occupied=0, n_uavs=2, tx_power_gbs_dbm=53.0)
     gbs, swarm = _scene(cfg, [[100, 0], [0, 200], [-50, -50]], [[0, 0], [5, 5]])
     rng = np.random.default_rng(5)
-    draw = fading.draw_phase1(cfg, rng)
+    draw = fading.draw_phase1(cfg, rng, 1)
     s1 = fading.phase1_sinrs(gbs, swarm, draw, cfg)
     s2 = fading.phase1_sinrs(gbs, swarm, draw, cfg_hi)
     # +10 dB transmit power vs essentially zero noise: 10x SINR to within the
@@ -134,9 +139,10 @@ def test_phase1_hand_computed_head_sinr():
     # (validate rejects -inf dBm; replace() builds the config without it)
     cfg = replace(make_config(m_available=1, m_occupied=1, n_uavs=1), noise_phase1_dbm=-math.inf)
     gbs, swarm = _scene(cfg, [[400, 0], [-400, 0]], [[0, 0]])
-    draw = np.ones((1, 2), dtype=complex)
+    draw = np.ones((1, 1, 2), dtype=complex)
     sinr = fading.phase1_sinrs(gbs, swarm, draw, cfg)
-    assert sinr[0] == pytest.approx(1.0, rel=1e-12)
+    assert sinr.shape == (1, 1)
+    assert sinr[0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_phase1_head_sinr_invariant_to_serving_phases():
@@ -147,13 +153,13 @@ def test_phase1_head_sinr_invariant_to_serving_phases():
         np.random.default_rng(7).uniform(-20, 20, size=(4, 2)),
     )
     rng = np.random.default_rng(8)
-    draw = fading.draw_phase1(cfg, rng)
+    draw = fading.draw_phase1(cfg, rng, 1)
     base = fading.phase1_sinrs(gbs, swarm, draw, cfg)
     rotated = draw.copy()
     phases = np.exp(2j * np.pi * np.random.default_rng(9).random(8))
-    rotated[:, :8] *= phases[None, :]
+    rotated[:, :, :8] *= phases
     turned = fading.phase1_sinrs(gbs, swarm, rotated, cfg)
-    assert turned[0] == pytest.approx(base[0], rel=1e-12)
+    assert turned[0, 0] == pytest.approx(base[0, 0], rel=1e-12)
 
 
 def test_phase1_coherent_beats_unit_combining_at_head():
@@ -164,21 +170,23 @@ def test_phase1_coherent_beats_unit_combining_at_head():
         [[0, 0], [10, 0]],
     )
     rng = np.random.default_rng(11)
-    head_mean = 0.0
-    unit_mean = 0.0
     n = 10_000
-    for _ in range(n):
-        draw = fading.draw_phase1(cfg, rng)
-        head_mean += fading.phase1_sinrs(gbs, swarm, draw, cfg, combining="head")[0]
-        unit_mean += fading.phase1_sinrs(gbs, swarm, draw, cfg, combining="unit")[0]
-    assert head_mean / n > unit_mean / n
+    # one scene over n trials of fading
+    gbs = replace(gbs, positions=np.broadcast_to(gbs.positions, (n, 16, 2)))
+    swarm = replace(swarm, positions=np.broadcast_to(swarm.positions, (n, 2, 3)))
+    draw = fading.draw_phase1(cfg, rng, n)
+    head = fading.phase1_sinrs(gbs, swarm, draw, cfg, combining="head")[:, 0]
+    unit = fading.phase1_sinrs(gbs, swarm, draw, cfg, combining="unit")[:, 0]
+    assert head.mean() > unit.mean()
 
 
 def test_phase2_no_decoders_means_silence(config):
-    swarm = geometry.sample_swarm_layout(config, np.random.default_rng(12))
-    sinrs = fading.phase2_sinrs(swarm, np.array([], dtype=int), np.empty((40, 0)), config,
-                                np.arange(40))
-    assert sinrs.shape == (40,)
+    rng = np.random.default_rng(12)
+    swarm = geometry.sample_swarm_layout(config, rng, 3)
+    gains = fading.draw_phase2(config, rng, 3)
+    assert gains.shape == (3, 40, 40)
+    sinrs = fading.phase2_sinrs(swarm, np.zeros((3, 40), dtype=bool), gains, config)
+    assert sinrs.shape == (3, 40)
     assert (sinrs == 0.0).all()
 
 
@@ -186,9 +194,9 @@ def test_phase2_single_relay_hand_value():
     # 23 dBm through -40 dB gain over 10 m at exponent 2 against -40 dBm noise
     cfg = make_config(n_uavs=2)
     _, swarm = _scene(cfg, [[100, 0]], [[0, 0], [10, 0]])
-    draw = np.ones((1, 1), dtype=complex)
-    sinr = fading.phase2_sinrs(swarm, np.array([0]), draw, cfg, np.array([1]))
-    assert sinr[0] == pytest.approx(1.9952623149688795, rel=1e-12)
+    draw = np.ones((1, 2, 2), dtype=complex)
+    sinr = fading.phase2_sinrs(swarm, _relays(2, [0]), draw, cfg)
+    assert sinr[0, 1] == pytest.approx(1.9952623149688795, rel=1e-12)
 
 
 def test_phase2_noise_scaling():
@@ -196,9 +204,9 @@ def test_phase2_noise_scaling():
     cfg_noisier = make_config(n_uavs=3, intf_noise_phase2_dbm=-40.0 + 10.0 * math.log10(2.0))
     _, swarm = _scene(cfg, [[100, 0]], [[0, 0], [10, 0], [0, 15]])
     rng = np.random.default_rng(13)
-    draw = fading.draw_phase2(2, 1, rng)
-    s1 = fading.phase2_sinrs(swarm, np.array([0]), draw, cfg, np.array([1, 2]))
-    s2 = fading.phase2_sinrs(swarm, np.array([0]), draw, cfg_noisier, np.array([1, 2]))
+    draw = fading.draw_phase2(cfg, rng, 1)
+    s1 = fading.phase2_sinrs(swarm, _relays(3, [0]), draw, cfg)[0, 1:]
+    s2 = fading.phase2_sinrs(swarm, _relays(3, [0]), draw, cfg_noisier)[0, 1:]
     assert np.allclose(s1 / s2, 2.0, rtol=1e-12)
 
 
@@ -208,9 +216,11 @@ def test_phase2_permutation_equivariant():
         cfg, [[100, 0]], np.random.default_rng(14).uniform(-20, 20, size=(6, 2))
     )
     rng = np.random.default_rng(15)
-    gains = fading.sample_rayleigh(rng, size=(3, 3))
-    decoders, receivers = np.array([0, 2, 4]), np.array([1, 3, 5])
-    base = fading.phase2_sinrs(swarm, decoders, gains, cfg, receivers)
-    perm = np.array([2, 0, 1])  # reorder the relay list and its gain columns
-    swapped = fading.phase2_sinrs(swarm, decoders[perm], gains[:, perm], cfg, receivers)
-    assert np.allclose(base, swapped, rtol=1e-12)
+    gains = fading.sample_rayleigh(rng, size=(1, 6, 6))
+    relays = _relays(6, [0, 2, 4])
+    base = fading.phase2_sinrs(swarm, relays, gains, cfg)
+    # relabel the UAVs: positions, relay mask and gains move together
+    perm = np.array([4, 3, 0, 5, 2, 1])
+    _, moved = _scene(cfg, [[100, 0]], swarm.positions[0, perm, :2])
+    swapped = fading.phase2_sinrs(moved, relays[:, perm], gains[:, perm][:, :, perm], cfg)
+    assert np.allclose(base[:, perm], swapped, rtol=1e-12)

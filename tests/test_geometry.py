@@ -126,58 +126,69 @@ def test_gbs_layout_empty():
 
     raw = replace(cfg, m_available=0, m_occupied=0)  # bypasses validate on purpose
     rng = np.random.default_rng(3)
-    layout = geometry.sample_gbs_layout(raw, rng)
-    assert layout.positions.shape == empty.positions.shape
+    layout = geometry.sample_gbs_layout(raw, rng, 4)
+    assert layout.positions.shape == (4, *empty.positions.shape)
+    assert layout.center_distances.shape == (4, 0)
     assert len(layout.available_idx) == 0 and len(layout.occupied_idx) == 0
 
 
 def test_gbs_layout_distances_bounded(config):
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        layout = geometry.sample_gbs_layout(config, rng)
-        assert (layout.center_distances >= 300.0).all()
-        assert (layout.center_distances <= np.sqrt(900.0**2 + 300.0**2) + 1e-9).all()
-        assert len(layout.available_idx) == 8 and len(layout.occupied_idx) == 8
+    layout = geometry.sample_gbs_layout(config, rng, 50)
+    assert layout.positions.shape == (50, 16, 2) and layout.center_distances.shape == (50, 16)
+    assert (layout.center_distances >= 300.0).all()
+    assert (layout.center_distances <= np.sqrt(900.0**2 + 300.0**2) + 1e-9).all()
+    assert len(layout.available_idx) == 8 and len(layout.occupied_idx) == 8
 
 
 def test_swarm_layout_single_point():
     cfg = make_config(n_uavs=1)
-    layout = geometry.sample_swarm_layout(cfg, np.random.default_rng(5))
-    assert layout.positions.shape == (1, 3)
-    assert layout.pair_distances.shape == (1, 1)
+    layout = geometry.sample_swarm_layout(cfg, np.random.default_rng(5), 3)
+    assert layout.positions.shape == (3, 1, 3)
+    assert layout.pair_distances.shape == (3, 1, 1)
     assert layout.head_idx == 0
 
 
 def test_swarm_layout_separation(config):
     cfg = make_config(n_uavs=30)
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        layout = geometry.sample_swarm_layout(cfg, rng)
-        d = layout.pair_distances
-        assert np.allclose(d, d.T) and np.allclose(np.diag(d), 0.0)
-        off = d[np.triu_indices(30, k=1)]
-        assert len(off) == 435
-        assert off.min() >= 5.0
-        planar = np.hypot(layout.positions[:, 0], layout.positions[:, 1])
-        assert (planar <= 30.0).all()
-        assert (layout.positions[:, 2] == 300.0).all()
+    layout = geometry.sample_swarm_layout(cfg, rng, 20)
+    d = layout.pair_distances
+    assert np.allclose(d, d.transpose(0, 2, 1))
+    assert np.allclose(np.diagonal(d, axis1=1, axis2=2), 0.0)
+    rows, cols = np.triu_indices(30, k=1)
+    off = d[:, rows, cols]
+    assert off.shape == (20, 435)
+    assert off.min() >= 5.0
+    planar = np.hypot(layout.positions[..., 0], layout.positions[..., 1])
+    assert (planar <= 30.0).all()
+    assert (layout.positions[..., 2] == 300.0).all()
+
+
+def test_swarm_layouts_are_per_trial_placements_in_trial_order(config):
+    # a chunk's swarms are the hard-core sampler's placements, one per
+    # trial, in trial order on the chunk's rng
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    layout = geometry.sample_swarm_layout(config, rng, 5)
+    for b in range(5):
+        planar = geometry.sample_hardcore_disk(40, 30.0, 5.0, ref)
+        assert np.array_equal(layout.positions[b, :, :2], planar)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_pair_distances_match_summed_squares_bitwise(config):
     rng = np.random.default_rng(10)
-    for _ in range(50):
-        layout = geometry.sample_swarm_layout(config, rng)
-        planar = layout.positions[:, :2]
-        diff = planar[:, None, :] - planar[None, :, :]
-        assert np.array_equal(layout.pair_distances, np.sqrt((diff**2).sum(axis=-1)))
+    layout = geometry.sample_swarm_layout(config, rng, 50)
+    planar = layout.positions[..., :2]
+    diff = planar[:, :, None, :] - planar[:, None, :, :]
+    assert np.array_equal(layout.pair_distances, np.sqrt((diff**2).sum(axis=-1)))
 
 
 def test_hardcore_feasible_at_reference_density():
     # N=40 in a 30 m disk with 5 m separation places without retries running out
     cfg = make_config()
     rng = np.random.default_rng(7)
-    for _ in range(1000):
-        geometry.sample_swarm_layout(cfg, rng)
+    geometry.sample_swarm_layout(cfg, rng, 1000)
 
 
 def test_hardcore_failure_is_reported():

@@ -7,6 +7,7 @@ import pytest
 
 from swarmrel import analytic, fading, geometry, mc, scenario
 
+import per_trial_kernel
 from conftest import make_config
 
 
@@ -23,32 +24,27 @@ def test_protocol_labels_and_validation():
 
 def test_zero_bits_all_decode_in_phase1():
     cfg = make_config(message_bits=0.0)
-    probs = mc.run_trial(cfg, mc.PROPOSED, mc.trial_rng(1, 0))
-    assert probs.shape == (2, 40)
+    probs = mc.run_trial(cfg, mc.PROPOSED, mc.trial_rng(1, 0), 5)
+    assert probs.shape == (5, 2, 40)
     assert (probs == 1.0).all()
 
 
 def test_sets_disjoint_and_within_range(config):
-    for i in range(50):
-        probs = mc.run_trial(config, mc.PROPOSED, mc.trial_rng(2, i))
-        assert probs.shape == (2, 40) and probs.dtype == np.float64
-        assert np.isin(probs[0], (0.0, 1.0)).all()  # the cellular stage is sampled
-        assert ((0.0 <= probs) & (probs <= 1.0)).all()
-        assert (probs[0] <= probs[-1]).all()
+    probs = mc.run_trial(config, mc.PROPOSED, mc.trial_rng(2, 0), 50)
+    assert probs.shape == (50, 2, 40) and probs.dtype == np.float64
+    assert np.isin(probs[:, 0], (0.0, 1.0)).all()  # the cellular stage is sampled
+    assert ((0.0 <= probs) & (probs <= 1.0)).all()
+    assert (probs[:, 0] <= probs[:, -1]).all()
 
 
 def test_head_relay_without_head_means_no_phase2():
     # large message: the head frequently fails the cellular stage, and then
     # nobody relays
     cfg = make_config(n_uavs=10, message_bits=150.0)
-    protocol = mc.HEAD_RELAY
-    seen = 0
-    for i in range(200):
-        masks = mc.run_trial(cfg, protocol, mc.trial_rng(3, i))
-        if not masks[0, 0]:
-            seen += 1
-            assert (masks[-1] == masks[0]).all()
-    assert seen > 0
+    masks = mc.run_trial(cfg, mc.HEAD_RELAY, mc.trial_rng(3, 0), 200)
+    headless = masks[:, 0, 0] == 0.0
+    assert headless.sum() > 0
+    assert (masks[headless, -1] == masks[headless, 0]).all()
 
 
 def test_estimate_deterministic(config):
@@ -78,6 +74,26 @@ def test_estimate_worker_count_invariance(config):
     assert serial == parallel
 
 
+def test_each_chunk_is_one_kernel_call_on_its_own_stream(config, monkeypatch):
+    # 300 trials are 16 chunks of at most 19; each is one run_trial call on
+    # the stream of its first trial
+    calls = []
+    run_trial = mc.run_trial
+
+    def counting(cfg, protocol, rng, trials):
+        calls.append(trials)
+        return run_trial(cfg, protocol, rng, trials)
+
+    monkeypatch.setattr(mc, "run_trial", counting)
+    est = mc.estimate(config, mc.PROPOSED, 300, 77)
+    assert calls == [19] * 15 + [15]
+    first = mc.run_trial(config, mc.PROPOSED, mc.trial_rng(77, 0), 19).sum(axis=2)
+    last = mc.run_trial(config, mc.PROPOSED, mc.trial_rng(77, 285), 15).sum(axis=2)
+    counts = mc._gather_counts(config, mc.PROPOSED, 300, 77, 1)
+    assert np.array_equal(counts[:19], first) and np.array_equal(counts[285:], last)
+    assert est[-1].eta_mean == (counts[:, -1] / 40).mean()
+
+
 def test_estimate_single_trial_stderr_undefined(config):
     est = mc.estimate(config, mc.PROPOSED, 1, 5)[-1]
     assert math.isnan(est.std_err)
@@ -96,10 +112,9 @@ def test_estimate_clt_scaling(config):
 
 def test_multiround_sets_nested_and_curve_monotone():
     cfg = make_config(n_uavs=10, message_bits=150.0)
-    for i in range(30):
-        masks = mc.run_trial(cfg, mc.multi_round(4), mc.trial_rng(6, i))
-        assert masks.shape == (5, 10)
-        assert (masks[:-1] <= masks[1:]).all()
+    masks = mc.run_trial(cfg, mc.multi_round(4), mc.trial_rng(6, 0), 30)
+    assert masks.shape == (30, 5, 10)
+    assert (masks[:, :-1] <= masks[:, 1:]).all()
     curve = mc.estimate(cfg, mc.multi_round(4, True), 200, 6)
     etas = [e.eta_mean for e in curve]
     assert len(etas) == 5
@@ -113,22 +128,28 @@ def test_multiround_prefix_property():
     long = mc.estimate(cfg, mc.multi_round(5, True), 150, 9)
     for a, b in zip(short, long[: len(short)]):
         assert a.eta_mean == b.eta_mean
+    short = mc.run_trial(cfg, mc.multi_round(2), mc.trial_rng(9, 0), 10)
+    long = mc.run_trial(cfg, mc.multi_round(5), mc.trial_rng(9, 0), 10)
+    assert np.array_equal(short, long[:, :3])
 
 
 def test_protocols_on_one_seed_share_the_cellular_stage():
     # same serving set, combining and threshold on the same trial rng give
     # the same row 0, whatever happens in the relay rounds afterwards
     cfg = make_config(n_uavs=10, message_bits=150.0)
-    for i in range(30):
-        row0 = lambda p: mc.run_trial(cfg, p, mc.trial_rng(10, i))[0]
-        assert np.array_equal(row0(mc.PROPOSED), row0(mc.HEAD_RELAY))
-        all_gbs = mc.run_trial(cfg, mc.ALL_GBS, mc.trial_rng(10, i))
-        assert all_gbs.shape == (1, 10)
-        for rounds in (1, 3):
-            assert np.array_equal(all_gbs[0], row0(mc.multi_round(rounds)))
-        cellular = mc.run_trial(cfg, replace(mc.PROPOSED, rounds=0), mc.trial_rng(10, i))
-        assert cellular.shape == (1, 10)
-        assert np.array_equal(cellular[0], row0(mc.PROPOSED))
+    trials = 30
+    row0 = lambda p: mc.run_trial(cfg, p, mc.trial_rng(10, 0), trials)[:, 0]
+    assert np.array_equal(row0(mc.PROPOSED), row0(mc.HEAD_RELAY))
+    all_gbs = mc.run_trial(cfg, mc.ALL_GBS, mc.trial_rng(10, 0), trials)
+    assert all_gbs.shape == (trials, 1, 10)
+    for rounds in (1, 3):
+        assert np.array_equal(all_gbs[:, 0], row0(mc.multi_round(rounds)))
+    cellular = mc.run_trial(cfg, replace(mc.PROPOSED, rounds=0), mc.trial_rng(10, 0), trials)
+    assert cellular.shape == (trials, 1, 10)
+    assert np.array_equal(cellular[:, 0], row0(mc.PROPOSED))
+    # nearest_gbs serves from one of the same layouts and fading
+    nearest = row0(mc.NEAREST_GBS)
+    assert nearest.shape == (trials, 10) and not np.array_equal(nearest, all_gbs[:, 0])
 
 
 def test_proposed_protocol_dominates_at_reference_point(config):
@@ -171,65 +192,85 @@ def test_estimate_validates_trials(config):
 # --- the split protocols' relay round, exact over its fading ------------------
 
 
+def _relay_scene(config, seed, trials):
+    """One sampled swarm repeated over ``trials`` trials, with UAVs 0-2 relaying."""
+    one = geometry.sample_swarm_layout(config, np.random.default_rng(seed), 1)
+    swarm = replace(one, positions=np.broadcast_to(one.positions, (trials, config.n_uavs, 3)))
+    relays = np.zeros((trials, config.n_uavs), dtype=bool)
+    relays[:, :3] = True
+    return swarm, relays
+
+
 def test_phase2_decode_probs_match_sampled_frequency(config):
     # fixed layout and relay set: the exact probability against the share of
     # Rayleigh draws whose SINR reaches the threshold
-    swarm = geometry.sample_swarm_layout(config, np.random.default_rng(40))
-    relays, receivers = np.arange(3), np.arange(3, 40)
+    batch = 2_000
+    swarm, relays = _relay_scene(config, 40, batch)
     theta2 = scenario.phase2_threshold(config)
-    exact = fading.phase2_decode_probs(swarm, relays, config, receivers, theta2)
+    exact = fading.phase2_decode_probs(swarm, relays, config, theta2)
+    assert (exact == exact[0]).all()
+    exact = exact[0, 3:]
     assert ((0.05 < exact) & (exact < 0.95)).sum() >= 30
     rng = np.random.default_rng(41)
     draws = 20_000
-    hits = np.zeros(len(receivers))
-    for _ in range(draws):
-        gains = fading.draw_phase2(len(receivers), len(relays), rng)
-        hits += fading.phase2_sinrs(swarm, relays, gains, config, receivers) >= theta2
+    hits = np.zeros(len(exact))
+    gains = np.zeros((batch, 40, 40), dtype=complex)  # only the relays' columns are heard
+    for _ in range(draws // batch):
+        gains[:, :, :3] = fading.sample_rayleigh(rng, size=(batch, 40, 3))
+        hits += (fading.phase2_sinrs(swarm, relays, gains, config)[:, 3:] >= theta2).sum(axis=0)
     sigma = np.sqrt(exact * (1.0 - exact) / draws)
     assert (np.abs(hits / draws - exact) <= 4.0 * sigma).all()
 
 
 def test_phase2_decode_probs_limits(config):
-    swarm = geometry.sample_swarm_layout(config, np.random.default_rng(42))
-    relays, receivers = np.arange(3), np.arange(3, 40)
-    probs = lambda theta: fading.phase2_decode_probs(swarm, relays, config, receivers, theta)
+    swarm, relays = _relay_scene(config, 42, 2)
+    nobody = np.zeros_like(relays)
+    probs = lambda theta: fading.phase2_decode_probs(swarm, relays, config, theta)[:, 3:]
     assert (probs(0.0) == 1.0).all()
-    assert (fading.phase2_decode_probs(swarm, relays[:0], config, receivers, 0.0) == 0.0).all()
+    assert (fading.phase2_decode_probs(swarm, nobody, config, 0.0) == 0.0).all()
+    assert (fading.phase2_decode_probs(swarm, nobody, config, 0.5) == 0.0).all()
     grid = [probs(t) for t in (0.1, 0.5, 2.0, 1e3)]
     assert all((a >= b).all() for a, b in zip(grid, grid[1:]))
+    # one trial relays and the other does not: each gets its own answer
+    mixed = relays.copy()
+    mixed[1] = False
+    got = fading.phase2_decode_probs(swarm, mixed, config, 0.5)
+    assert np.array_equal(got[0], fading.phase2_decode_probs(swarm, relays, config, 0.5)[0])
+    assert (got[1] == 0.0).all()
     # a path gain that underflows to 0, and a ratio past exp's range, give 0
-    far = replace(swarm, pair_distances=np.full_like(swarm.pair_distances, np.inf))
+    far = replace(swarm, positions=swarm.positions * 1e300)
+    with np.errstate(over="ignore"):
+        assert (far.pair_distances == np.where(np.eye(40), 0.0, np.inf)).all()
     with np.errstate(all="raise"):
-        assert (fading.phase2_decode_probs(far, relays, config, receivers, 0.5) == 0.0).all()
-        assert (fading.phase2_decode_probs(far, relays, config, receivers, 0.0) == 1.0).all()
+        assert (fading.phase2_decode_probs(far, relays, config, 0.5)[:, 3:] == 0.0).all()
+        assert (fading.phase2_decode_probs(far, relays, config, 0.0)[:, 3:] == 1.0).all()
         assert (probs(1e300) == 0.0).all()
 
 
 def sampled_relay_fractions(config, protocol, trials, seed):
     """Per-trial decoded fractions of a split protocol with its relay round sampled.
 
-    The relay round is one Rayleigh draw and a threshold test on the trial's
-    rng, right after the cellular stage; the geometry is replayed from a
-    second copy of the trial's stream.
+    On the chunks of ``mc.estimate``, the relay round is one Rayleigh draw
+    and a threshold test on the chunk's rng, right after the cellular stage;
+    the geometry is replayed from a second copy of the chunk's stream.
     """
     theta2 = scenario.phase2_threshold(config)
-    out = np.empty(trials)
-    for i in range(trials):
-        rng = mc.trial_rng(seed, i)
-        decoded = mc.run_trial(config, replace(protocol, rounds=0), rng)[0] > 0
-        replay = mc.trial_rng(seed, i)
-        geometry.sample_gbs_layout(config, replay)
-        swarm = geometry.sample_swarm_layout(config, replay)
-        speakers = decoded.copy()
+
+    def chunk(start, stop):
+        rng = mc.trial_rng(seed, start)
+        decoded = mc.run_trial(config, replace(protocol, rounds=0), rng, stop - start)[:, 0] > 0
+        replay = mc.trial_rng(seed, start)
+        geometry.sample_gbs_layout(config, replay, stop - start)
+        swarm = geometry.sample_swarm_layout(config, replay, stop - start)
+        relays = decoded.copy()
         if protocol.name == "head_relay":
-            speakers[np.arange(config.n_uavs) != swarm.head_idx] = False
-        relays, receivers = np.flatnonzero(speakers), np.flatnonzero(~decoded)
-        if len(relays) and len(receivers):
-            gains = fading.draw_phase2(len(receivers), len(relays), rng)
-            sinrs = fading.phase2_sinrs(swarm, relays, gains, config, receivers)
-            decoded[receivers] = sinrs >= theta2
-        out[i] = decoded.sum() / config.n_uavs
-    return out
+            relays[:, np.arange(config.n_uavs) != swarm.head_idx] = False
+        gains = fading.draw_phase2(config, rng, stop - start)
+        sinrs = fading.phase2_sinrs(swarm, relays, gains, config)
+        decoded |= (sinrs >= theta2) & relays.any(axis=1, keepdims=True)
+        return decoded.sum(axis=1) / config.n_uavs
+
+    return np.concatenate(mc._map_chunks(chunk, trials, 1))
 
 
 @pytest.mark.parametrize("protocol, overrides", [
@@ -246,3 +287,26 @@ def test_exact_relay_stage_agrees_with_sampling_at_lower_variance(protocol, over
     sampled_se = sampled.std(ddof=1) / math.sqrt(trials)
     assert abs(exact.eta_mean - sampled.mean()) <= 4.0 * math.hypot(exact.std_err, sampled_se)
     assert exact.std_err < sampled_se
+
+
+# --- the chunk kernel against the per-trial kernel it replaced ----------------
+
+
+@pytest.mark.parametrize("protocol", [
+    mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY,
+    mc.multi_round(4), mc.multi_round(4, with_head=False),
+], ids=lambda p: p.label)
+@pytest.mark.parametrize("overrides", [{}, {"n_uavs": 10, "message_bits": 150.0}],
+                         ids=["reference", "n10-150bits"])
+def test_chunk_kernel_agrees_with_per_trial_kernel(protocol, overrides):
+    # different streams, same distribution: the cellular row and the last
+    # row agree within 4 combined standard errors over 2,000 trials
+    cfg = make_config(**overrides)
+    trials = 2_000
+    chunked = mc.estimate(cfg, protocol, trials, 1010)
+    oracle = per_trial_kernel.decoded_fractions(cfg, protocol, trials, 1011)
+    for row in (0, -1):
+        ref = oracle[:, row]
+        ref_se = ref.std(ddof=1) / math.sqrt(trials)
+        gap = abs(chunked[row].eta_mean - ref.mean())
+        assert gap <= 4.0 * math.hypot(chunked[row].std_err, ref_se), (row, gap)
