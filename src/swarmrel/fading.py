@@ -6,9 +6,13 @@ for a relay stage it does not sample, takes each listener's decode
 probability exact over the Rayleigh fading; the closed-form model takes only
 the moments of the Rician magnitude.
 
-Fading coefficients are sampled directly and SINRs are formed from channel
-coefficients; no symbol waveforms are generated, since decode decisions
-depend only on signal and interference powers.
+The cellular stage's SINRs are formed from sampled channel coefficients,
+since the head's weights depend on their phases.  The relay stage rests on
+one quantity, each listener's summed relay path gain sum_t a_t^2: over
+independent Rayleigh links its SINR is exponential with mean P sum_t a_t^2 /
+N0, which is sampled with one exponential draw per listener or, for its
+decode probability, taken exact.  No symbol waveforms are generated, since
+decode decisions depend only on signal and interference powers.
 """
 
 from __future__ import annotations
@@ -90,8 +94,14 @@ def draw_phase1(config: ScenarioConfig, rng: np.random.Generator, trials: int) -
 
 
 def draw_phase2(config: ScenarioConfig, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """Unit-power Rayleigh coefficients (trials, N, N) complex, one per (listener, speaker) link."""
-    return sample_rayleigh(rng, size=(trials, config.n_uavs, config.n_uavs))
+    """Unit-mean exponential draws (trials, N), one per listener: its relay stage's fading.
+
+    A listener hears its relays over independent unit-power Rayleigh links,
+    so its combined channel is complex normal with power sum_t a_t^2 and its
+    received power is that sum times one unit-mean exponential, whoever
+    relays.
+    """
+    return rng.standard_exponential((trials, config.n_uavs))
 
 
 def _phase1_channels(
@@ -161,14 +171,13 @@ def phase2_sinrs(
 ) -> np.ndarray:
     """SINR at every UAV, (trials, N), when the ``relays`` (trials, N) mask relay simultaneously.
 
-    ``gains`` is (trials, N, N), listener by speaker; only the relays'
-    columns are used, and a relay does not hear itself.  A UAV in a trial
-    without relays hears no transmission and has SINR zero.
+    ``gains`` is the (trials, N) draw of ``draw_phase2``, which scales each
+    listener's summed relay path gain sum_t a_t^2; a relay does not hear
+    itself.  A UAV in a trial without relays hears no transmission and has
+    SINR zero.
     """
-    heard = np.sqrt(_phase2_path_gains(swarm, config)) * gains
-    np.copyto(heard, 0.0, where=~relays[:, None, :])
-    combined = heard.sum(axis=2)
-    return config.tx_power_uav_w * np.abs(combined) ** 2 / config.intf_noise_phase2_w
+    power = _relay_path_gain(swarm, relays, config)
+    return config.tx_power_uav_w * power * gains / config.intf_noise_phase2_w
 
 
 def phase2_decode_probs(
@@ -179,17 +188,15 @@ def phase2_decode_probs(
 ) -> np.ndarray:
     """P(SINR >= threshold) at every UAV, (trials, N), when the ``relays`` mask relay.
 
-    Exact over the unit-power Rayleigh fading of ``phase2_sinrs``: the
-    combined channel is complex normal with power sum_t a_t^2, so the SINR
-    is exponential and the probability is exp(-threshold N0 / (P sum_t a_t^2)).
-    In a trial without relays nobody transmits and the probabilities are zero.
+    Exact over the fading of ``phase2_sinrs``: the SINR is exponential with
+    mean P sum_t a_t^2 / N0, so the probability is
+    exp(-threshold N0 / (P sum_t a_t^2)).  In a trial without relays nobody
+    transmits and the probabilities are zero.
     """
     if threshold == 0.0:
         # every SINR, zero included, reaches it once somebody transmits
         return np.broadcast_to(relays.any(axis=1, keepdims=True), relays.shape).astype(float)
-    power = _phase2_path_gains(swarm, config)
-    np.copyto(power, 0.0, where=~relays[:, None, :])
-    power = power.sum(axis=2)
+    power = _relay_path_gain(swarm, relays, config)
     ratio = threshold * config.intf_noise_phase2_w / config.tx_power_uav_w
     # exp(-746) is below the least float, so where ratio/power would pass 746
     # (power underflowed to 0 among them, and no relays gives 0) the
@@ -199,10 +206,13 @@ def phase2_decode_probs(
     return np.exp(-exponent)
 
 
-def _phase2_path_gains(swarm: SwarmLayout, config: ScenarioConfig) -> np.ndarray:
-    """Mean power gain a^2 of each (listener, speaker) D2D link, (trials, N, N); diagonal 0."""
+def _relay_path_gain(swarm: SwarmLayout, relays: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """Summed mean power gain sum_t a_t^2 from the ``relays`` to every UAV, (trials, N).
+
+    A UAV's own link, if it relays, counts 0.
+    """
     dist = swarm.pair_distances
-    others = ~np.eye(dist.shape[-1], dtype=bool)
-    gain = np.power(dist, -config.pathloss_exp_d2d, out=np.zeros_like(dist), where=others)
+    heard = relays[:, None, :] & ~np.eye(dist.shape[-1], dtype=bool)
+    gain = np.power(dist, -config.pathloss_exp_d2d, out=np.zeros_like(dist), where=heard)
     gain *= config.ref_gain_d2d
-    return gain
+    return gain.sum(axis=2)

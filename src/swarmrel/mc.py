@@ -4,10 +4,12 @@ Each trial draws fresh geometry and fading, runs the selected protocol, and
 reports each UAV's decode probability after the cellular stage and after
 each relay round; ``estimate`` averages that into the reliability curve, one
 estimate per stage.  The cellular stage and the relay rounds of
-``multi_round`` are sampled, so their probabilities are 0 or 1.  The split
-protocols (``proposed``, ``head_relay``) average their one relay round
-exactly over its Rayleigh fading, given the trial's geometry and relay set,
-so their estimates have a smaller standard error for the same trials.
+``multi_round`` are sampled, so their probabilities are 0 or 1; a relay
+round samples each listener's SINR from its exponential law given the
+relay set.  The split protocols (``proposed``, ``head_relay``) average their
+one relay round exactly over its Rayleigh fading, given the trial's geometry
+and relay set, so their estimates have a smaller standard error for the same
+trials.
 
 Trials run in chunks whose bounds depend only on the trial count, and one
 kernel call draws a whole chunk on one rng seeded from (master_seed, the
@@ -144,10 +146,11 @@ def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generat
 
     Draw order is fixed: the GBS layouts of all trials, one hard-core
     placement per trial in trial order, the cellular fading of all trials,
-    then for ``multi_round`` one full D2D draw of all trials per relay
-    round, whatever the outcomes.  So protocols on one rng share the
-    cellular stage when they share its serving set, combining and
-    threshold, and relay round r draws the same whatever the round count.
+    then for ``multi_round`` one D2D draw per UAV of all trials per relay
+    round (``fading.draw_phase2``), whatever the outcomes.  So protocols on
+    one rng share the cellular stage when they share its serving set,
+    combining and threshold, and relay round r draws the same whatever the
+    round count.
     """
     split = protocol.name in ("proposed", "head_relay")
     gbs = geometry.sample_gbs_layout(config, rng, trials)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from swarmrel import scenario
@@ -40,6 +41,22 @@ def write_config(config: scenario.ScenarioConfig, path) -> None:
     """Write ``config`` to ``path`` in the format ``scenario.read_config`` reads."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(scenario.format_config(config))
+
+
+def complex_gain_sinrs(swarm, relays, gains, config):
+    """Relay-stage SINRs (trials, N) from complex channel coefficients: the oracle of the D2D law.
+
+    ``gains`` is (trials, N, N) unit-power Rayleigh, listener by speaker.
+    Each relay's coefficient is scaled by its path amplitude a_t and a
+    listener's are summed; a relay does not hear itself, and a UAV in a
+    trial without relays has SINR zero.  ``fading.phase2_sinrs`` samples
+    the same SINR from its exponential law.
+    """
+    dist = swarm.pair_distances
+    heard = relays[:, None, :] & ~np.eye(dist.shape[-1], dtype=bool)
+    amp = np.power(dist, -0.5 * config.pathloss_exp_d2d, out=np.zeros_like(dist), where=heard)
+    combined = (np.sqrt(config.ref_gain_d2d) * amp * gains).sum(axis=2)
+    return config.tx_power_uav_w * np.abs(combined) ** 2 / config.intf_noise_phase2_w
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 from swarmrel import analytic, fading, geometry, mc, scenario
 
 import per_trial_kernel
-from conftest import make_config
+from conftest import complex_gain_sinrs, make_config
 
 
 def test_protocol_labels_and_validation():
@@ -203,7 +203,7 @@ def _relay_scene(config, seed, trials):
 
 def test_phase2_decode_probs_match_sampled_frequency(config):
     # fixed layout and relay set: the exact probability against the share of
-    # Rayleigh draws whose SINR reaches the threshold
+    # complex Rayleigh draws whose combined SINR reaches the threshold
     batch = 2_000
     swarm, relays = _relay_scene(config, 40, batch)
     theta2 = scenario.phase2_threshold(config)
@@ -217,9 +217,32 @@ def test_phase2_decode_probs_match_sampled_frequency(config):
     gains = np.zeros((batch, 40, 40), dtype=complex)  # only the relays' columns are heard
     for _ in range(draws // batch):
         gains[:, :, :3] = fading.sample_rayleigh(rng, size=(batch, 40, 3))
-        hits += (fading.phase2_sinrs(swarm, relays, gains, config)[:, 3:] >= theta2).sum(axis=0)
+        hits += (complex_gain_sinrs(swarm, relays, gains, config)[:, 3:] >= theta2).sum(axis=0)
     sigma = np.sqrt(exact * (1.0 - exact) / draws)
     assert (np.abs(hits / draws - exact) <= 4.0 * sigma).all()
+
+
+@pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
+def test_phase2_sinrs_decode_as_often_as_complex_gains(config, scale):
+    # fixed layout and relay set: per listener, the share of exponential
+    # draws of phase2_sinrs that reach the threshold against the share of
+    # complex Rayleigh draws combined by the oracle
+    batch, draws = 2_000, 20_000
+    swarm, relays = _relay_scene(config, 44, batch)
+    threshold = scale * scenario.phase2_threshold(config)
+    rng = np.random.default_rng(45)
+    ours = np.zeros(37)
+    oracle = np.zeros(37)
+    gains = np.zeros((batch, 40, 40), dtype=complex)  # only the relays' columns are heard
+    for _ in range(draws // batch):
+        sinrs = fading.phase2_sinrs(swarm, relays, fading.draw_phase2(config, rng, batch), config)
+        ours += (sinrs[:, 3:] >= threshold).sum(axis=0)
+        gains[:, :, :3] = fading.sample_rayleigh(rng, size=(batch, 40, 3))
+        oracle += (complex_gain_sinrs(swarm, relays, gains, config)[:, 3:] >= threshold).sum(axis=0)
+    exact = fading.phase2_decode_probs(swarm, relays, config, threshold)[0, 3:]
+    assert ((0.05 < exact) & (exact < 0.95)).sum() >= 10
+    sigma = np.sqrt(2.0 * exact * (1.0 - exact) / draws)
+    assert (np.abs(ours - oracle) / draws <= 4.0 * sigma).all()
 
 
 def test_phase2_decode_probs_limits(config):
