@@ -99,75 +99,58 @@ def inv_gamma_fit(mu: float, nu: float) -> InvGammaFit:
     return InvGammaFit(a=r + 2.0, b=(r + 1.0) * mu)
 
 
-def _mean_center_distance_power(config: ScenarioConfig, q: float) -> float:
-    """E[d^-q] for the GBS-to-swarm-center distance d.
+def _log_span(config: ScenarioConfig) -> float:
+    """L = log(d_max / H) = log(1 + (R/H)^2) / 2 for the GBS distance d in [H, d_max].
 
-    The density is 2u/R^2 on [H, sqrt(R^2 + H^2)].  With p = 2 - q, t = R/H
-    and 2L = log1p(t^2), the integral of u^(1-q) is H^p L expm1(p L) / (p L),
-    whose last factor is 1 at p L = 0: no difference of nearly equal powers
-    is formed, whether q is within ulps of 2 or R is tiny next to H.  Nor is
-    a length squared: 2L is 2 log t from t = 1e150 up and the mean H^-q
-    below t = 1e-150, both exact in double precision there.
+    Only a ratio of at most 1 is squared, so no length squared leaves the
+    float range.
     """
     h, r = config.swarm_altitude_m, config.coverage_radius_m
     t = r / h
-    try:
-        if t < 1e-150:
-            return h**-q
-        two_span = math.log1p(t * t) if t < 1e150 else 2.0 * (math.log(r) - math.log(h))
-        y = 0.5 * (2.0 - q) * two_span
-        growth = math.expm1(y) / y if y != 0.0 else 1.0
-        return h ** (2.0 - q) / r * two_span * growth / r
-    except OverflowError:
-        raise MomentFitError(f"E[d^-{q:g}] of the GBS distance overflows at swarm_altitude_m "
-                             f"= {h:g}, coverage_radius_m = {r:g}") from None
+    if t <= 1.0:
+        return 0.5 * math.log1p(t * t)
+    # log R - log H where R/H overflows
+    log_t = math.log(t) if t < math.inf else math.log(r) - math.log(h)
+    return log_t + 0.5 * math.log1p((h / r) * (h / r))
 
 
-@lru_cache(maxsize=None)
-def _span_rule() -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss-Legendre nodes and weights on [0, 1]."""
-    # imported on first use: numpy.polynomial adds 1.5 MB to every process
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(16)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-def _center_distance_power_spread(q: float, half_span: float) -> float:
-    """Var[d^-q] / E[d^-2q] for the GBS distance d, by a sum of squared differences.
-
-    With z = log(d/H) = half_span u, u in [0, 1] has density proportional to
-    exp(2 half_span u), and d^-q = H^-q exp(-q half_span u), so the variance
-    is half the weighted sum of (x_i - x_j)^2 over pairs of nodes.  Each
-    difference is x_j expm1(-q half_span (u_i - u_j)), so no difference of
-    nearly equal moments is formed.  Both exponents stay below 2 where this
-    is called, and 16 nodes are then exact to double precision.
-    """
-    u, w = _span_rule()
-    p = w * np.exp(2.0 * half_span * u)
-    p /= p.sum()
-    x = np.exp(-q * half_span * u)
-    gap = x * np.expm1(-q * half_span * (u[:, None] - u))
-    return float(0.5 * (p[:, None] * p * gap * gap).sum() / (p * x * x).sum())
+def _log_sinhc(y: float) -> float:
+    """g(y) = log(sinh(y/2) / (y/2)), to its relative precision near y = 0 as well."""
+    x = 0.5 * abs(y)
+    if x >= 1.0:
+        return x - math.log(2.0 * x) + math.log(-math.expm1(-2.0 * x))
+    # sinh(x)/x - 1 = sum_k x^2k / (2k+1)!, nested; below x = 1 the terms
+    # past k = 9 are below 1e-18 of the sum
+    excess = 0.0
+    for k in range(9, 0, -1):
+        excess = x * x / (2 * k * (2 * k + 1)) * (1.0 + excess)
+    return math.log1p(excess)
 
 
 def _distance_power_moments(config: ScenarioConfig, q: float, fade1: float,
                             fade2: float) -> tuple[float, float]:
     """Mean and variance of d^-q A for the GBS distance d and an independent fading term A.
 
-    ``fade1`` and ``fade2`` are E[A] and E[A^2].  Over a short span of
-    distances (q log(d_max/H) < 1) E[d^-2q] and E[d^-q]^2 nearly cancel, and
-    the variance is formed from the spread of d^-q instead; from there on the
-    difference of the moments keeps its digits.
+    ``fade1`` and ``fade2`` are E[A] and E[A^2].  d^2 is uniform on [H^2,
+    H^2 + R^2], so with L = log(d_max/H) and phi(y) = expm1(y)/y, E[d^-s] =
+    H^-s phi((2-s)L) / phi(2L).  Written with g of ``_log_sinhc``, log phi(y)
+    = y/2 + g(y), so E[d^-q] = H^-q exp(g(a) - g(b) - qL/2) and Var[d^-q] /
+    E[d^-2q] = -expm1(2g(a) - g(b) - g(c)) for a = (2-q)L, b = 2L and c =
+    (2-2q)L: since 2a = b + c the linear parts cancel exactly, and no
+    difference of nearly equal moments is formed at any span.
     """
-    mean = _mean_center_distance_power(config, q) * fade1
-    second = _mean_center_distance_power(config, 2.0 * q)
-    t = config.coverage_radius_m / config.swarm_altitude_m
-    half_span = 0.5 * math.log1p(t * t) if t < 1e150 else math.log(t)
-    if q * half_span >= 1.0:
-        return mean, second * fade2 - mean * mean
-    spread = _center_distance_power_spread(q, half_span)
-    return mean, second * (fade1 * fade1 * spread + (fade2 - fade1 * fade1))
+    span = _log_span(config)
+    a, b, c = (2.0 - q) * span, 2.0 * span, (2.0 - 2.0 * q) * span
+    h = config.swarm_altitude_m
+    try:
+        mean = h**-q * math.exp(_log_sinhc(a) - _log_sinhc(b) - q * span / 2.0)
+        second = h ** (-2.0 * q) * math.exp(_log_sinhc(c) - _log_sinhc(b) - q * span)
+    except OverflowError:
+        raise MomentFitError(f"the moments of d^-{q:g} for the GBS distance d overflow at "
+                             f"swarm_altitude_m = {h:g}, coverage_radius_m = "
+                             f"{config.coverage_radius_m:g}") from None
+    spread = -math.expm1(2.0 * _log_sinhc(a) - _log_sinhc(b) - _log_sinhc(c))
+    return mean * fade1, second * (fade1 * fade1 * spread + (fade2 - fade1 * fade1))
 
 
 def moments_head_signal(config: ScenarioConfig) -> tuple[float, float]:
