@@ -381,11 +381,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # an OSError names its path
         _status(f"config error: {exc}")
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        _status(f"config error: {exc}")
+    except UnicodeDecodeError as exc:
+        # the one file read as text is the config
+        _status(f"config error: {args.config}: {exc}")
         return EXIT_CONFIG
     except (NumericalError, PlacementError) as exc:
         _status(f"numerical error: {exc}")

@@ -385,6 +385,29 @@ def test_missing_config_file_exit_code(capsys):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("case", ["out is a directory", "config is a directory",
+                                  "config is not UTF-8"])
+def test_unusable_path_exit_code(capsys, tmp_path, config_path, case):
+    # a path that cannot be written or read as text is a configuration
+    # error naming that path, not a traceback
+    argv = ["analyze", "--config", config_path]
+    if case == "out is a directory":
+        named = str(tmp_path)
+        argv += ["--out", named]
+    elif case == "config is a directory":
+        named = argv[2] = str(tmp_path)
+    else:
+        named = argv[2] = str(tmp_path / "latin-1.cfg")
+        with open(config_path, "rb") as fh:
+            text = fh.read()
+        with open(named, "wb") as fh:
+            fh.write("# scénario\n".encode("latin-1") + text)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_CONFIG
+    assert named in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_placement_failure_exit_code(capsys, tmp_path):
     # just inside the packing bound but beyond what dart throwing can place
     path = tmp_path / "dense.cfg"
