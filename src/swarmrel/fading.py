@@ -94,12 +94,10 @@ def draw_phase1(config: ScenarioConfig, rng: np.random.Generator, trials: int) -
 
 
 def draw_phase2(config: ScenarioConfig, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """Unit-mean exponential draws (trials, N), one per listener: its relay stage's fading.
+    """Unit-mean exponential draws (trials, N), one per UAV: the relay stage's fading.
 
-    A listener hears its relays over independent unit-power Rayleigh links,
-    so its combined channel is complex normal with power sum_t a_t^2 and its
-    received power is that sum times one unit-mean exponential, whoever
-    relays.
+    Over independent unit-power Rayleigh links a listener's received power
+    is its summed relay path gain times one such draw, whoever relays.
     """
     return rng.standard_exponential((trials, config.n_uavs))
 
