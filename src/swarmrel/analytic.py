@@ -140,16 +140,16 @@ def _distance_power_moments(config: ScenarioConfig, q: float, fade1: float,
     difference of nearly equal moments is formed at any span.
     """
     span = _log_span(config)
-    a, b, c = (2.0 - q) * span, 2.0 * span, (2.0 - 2.0 * q) * span
+    ga, gb, gc = (_log_sinhc(y * span) for y in (2.0 - q, 2.0, 2.0 - 2.0 * q))
     h = config.swarm_altitude_m
     try:
-        mean = h**-q * math.exp(_log_sinhc(a) - _log_sinhc(b) - q * span / 2.0)
-        second = h ** (-2.0 * q) * math.exp(_log_sinhc(c) - _log_sinhc(b) - q * span)
+        mean = h**-q * math.exp(ga - gb - q * span / 2.0)
+        second = h ** (-2.0 * q) * math.exp(gc - gb - q * span)
     except OverflowError:
         raise MomentFitError(f"the moments of d^-{q:g} for the GBS distance d overflow at "
                              f"swarm_altitude_m = {h:g}, coverage_radius_m = "
                              f"{config.coverage_radius_m:g}") from None
-    spread = -math.expm1(2.0 * _log_sinhc(a) - _log_sinhc(b) - _log_sinhc(c))
+    spread = -math.expm1(2.0 * ga - gb - gc)
     return mean * fade1, second * (fade1 * fade1 * spread + (fade2 - fade1 * fade1))
 
 
