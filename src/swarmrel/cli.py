@@ -4,15 +4,22 @@ Every command reads a scenario from ``--config`` and emits CSV (stdout or
 ``--out``); human-readable progress goes to stderr so the CSV stream stays
 clean.  Exit codes: 0 success, 2 bad configuration or arguments, 3 numerical
 or placement failure.
+
+``main`` does all of the I/O: it parses the arguments, reads and validates
+the config, resolves the seed, calls the command, writes the CSV and maps
+errors to exit codes.  A command ``cmd_*(config, seed, args)`` returns
+``(header, rows)``; its stderr status lines are its only side effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from . import analytic, mc, scenario
@@ -82,31 +89,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _open_out(args):
-    if args.out is None or args.out == "-":
-        return sys.stdout, False
-    return open(args.out, "w", newline="", encoding="utf-8"), True
-
-
-def _write_rows(args, header, rows):
-    fh, close = _open_out(args)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(cell) for cell in row] for row in rows)
-    finally:
-        if close:
-            fh.close()
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _multi_round(rounds: int, args) -> mc.Protocol:
@@ -117,33 +103,20 @@ def _multi_round(rounds: int, args) -> mc.Protocol:
 
 
 def _protocol_for(args) -> mc.Protocol:
-    name = getattr(args, "protocol", "proposed")
-    return _multi_round(args.rounds, args) if name == "multi_round" else _PROTOCOLS[name]
+    if args.protocol == "multi_round":
+        return _multi_round(args.rounds, args)
+    return _PROTOCOLS[args.protocol]
 
 
 # --- commands -----------------------------------------------------------------
 
-_ANALYZE_HEADER = [
-    "engine",
-    "protocol",
-    "trials",
-    "seed",
-    "p_head",
-    "p_member",
-    "expected_phase1",
-    "k_effective",
-    "p_phase2",
-    "eta",
-    "one_minus_eta",
-    "std_err",
-    "in_regime",
-]
+_ANALYZE_HEADER = ["engine", "protocol", "trials", "seed", "p_head", "p_member",
+                   "expected_phase1", "k_effective", "p_phase2", "eta", "one_minus_eta",
+                   "std_err", "in_regime"]
 _EST_HEADER = ["engine", "protocol", "trials", "seed", "eta", "one_minus_eta", "std_err"]
 
 
-def cmd_analyze(args) -> int:
-    config = scenario.validate(scenario.read_config(args.config))
-    seed = _resolve_seed(args)
+def cmd_analyze(config, seed, args):
     br = analytic.reliability(config)
     _status(
         f"p_head={br.p_head:.6f} p_member={br.p_member:.6f} "
@@ -153,23 +126,9 @@ def cmd_analyze(args) -> int:
     if not br.in_regime:
         _status("warning: fewer than one expected decoder after the cellular stage; "
                 "the relay-stage approximation is out of its regime")
-    row = [
-        "analytic",
-        "proposed",
-        "",
-        seed,
-        br.p_head,
-        br.p_member,
-        br.expected_phase1,
-        br.k_effective,
-        br.p_phase2,
-        br.eta,
-        1.0 - br.eta,
-        "",
-        int(br.in_regime),
-    ]
-    _write_rows(args, _ANALYZE_HEADER, [row])
-    return 0
+    return _ANALYZE_HEADER, [["analytic", "proposed", "", seed, br.p_head, br.p_member,
+                              br.expected_phase1, br.k_effective, br.p_phase2, br.eta,
+                              1.0 - br.eta, "", int(br.in_regime)]]
 
 
 def _estimate_row(point, engine, protocol, args, seed) -> list:
@@ -187,22 +146,13 @@ def _mc_row(est, protocol) -> list:
             est.std_err]
 
 
-def cmd_simulate(args) -> int:
-    config = scenario.validate(scenario.read_config(args.config))
-    row = _estimate_row(config, "mc", _protocol_for(args), args, _resolve_seed(args))
-    _write_rows(args, _EST_HEADER, [row])
-    return 0
+def cmd_simulate(config, seed, args):
+    return _EST_HEADER, [_estimate_row(config, "mc", _protocol_for(args), args, seed)]
 
 
-def cmd_compare(args) -> int:
-    config = scenario.validate(scenario.read_config(args.config))
-    seed = _resolve_seed(args)
-    rows = [
-        _estimate_row(config, "mc", protocol, args, seed)
-        for protocol in (mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY)
-    ]
-    _write_rows(args, _EST_HEADER, rows)
-    return 0
+def cmd_compare(config, seed, args):
+    return _EST_HEADER, [_estimate_row(config, "mc", protocol, args, seed)
+                         for protocol in _PROTOCOLS.values()]
 
 
 _SWEEP_HEADER = ["variable", "value", *_EST_HEADER]
@@ -255,9 +205,7 @@ def _sweep_rows(config, args, values, engines, protocol, seed) -> list:
     return rows
 
 
-def cmd_sweep(args) -> int:
-    config = scenario.validate(scenario.read_config(args.config))
-    seed = _resolve_seed(args)
+def cmd_sweep(config, seed, args):
     engines = ("analytic", "mc") if args.engine == "both" else (args.engine,)
     protocol = _protocol_for(args)
     values = _parse_values(args)
@@ -265,17 +213,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError("variable 'rounds' requires --protocol multi_round")
     if "analytic" in engines and protocol.name != "proposed":
         raise ConfigError("the analytic engine models the proposed two-phase protocol only")
-    _write_rows(args, _SWEEP_HEADER, _sweep_rows(config, args, values, engines, protocol, seed))
-    return 0
+    return _SWEEP_HEADER, _sweep_rows(config, args, values, engines, protocol, seed)
 
 
 _OPT_HEADER = _SWEEP_HEADER + ["is_best"]
 
 
-def cmd_optimize_tau(args) -> int:
+def cmd_optimize_tau(config, seed, args):
     """The tau_phase1_s sweep of the proposed protocol, plus its argmax."""
-    config = scenario.validate(scenario.read_config(args.config))
-    seed = _resolve_seed(args)
     values = _parse_values(args)
     if values[0] <= 0 or values[-1] >= config.tau_total_s:
         raise ConfigError(
@@ -289,30 +234,28 @@ def cmd_optimize_tau(args) -> int:
     for i, row in enumerate(rows):
         row.append(int(i == best))
     _status(f"best tau_phase1_s={values[best]!r} (eta={etas[best]:.6f})")
-    _write_rows(args, _OPT_HEADER, rows)
-    return 0
+    return _OPT_HEADER, rows
 
 
 _DIST_HEADER = ["k", "probability", "trials", "seed"]
 
 
-def cmd_dist_k(args) -> int:
-    config = scenario.validate(scenario.read_config(args.config))
-    seed = _resolve_seed(args)
+def cmd_dist_k(config, seed, args):
     dist = mc.phase1_count_distribution(config, args.trials, seed, workers=args.workers)
     _status(
         f"mean={dist.mean_count:.4f} mode={dist.mode} "
         f"std_err={dist.std_err_count:.4f} trials={dist.trials}"
     )
-    rows = [[k, float(p), dist.trials, dist.seed] for k, p in enumerate(dist.pmf)]
-    _write_rows(args, _DIST_HEADER, rows)
-    return 0
+    return _DIST_HEADER, [[k, float(p), dist.trials, dist.seed] for k, p in enumerate(dist.pmf)]
 
 
 # --- argument parsing -----------------------------------------------------------
 
 
-def _add_common(p, trials=True):
+def _add_command(sub, name, func, summary, trials=True):
+    """Subcommand ``name`` running ``func``, with the options every command takes."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(func=func)
     p.add_argument("--config", required=True, help="scenario config file")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p.add_argument("--seed", type=_uint64, default=None,
@@ -321,66 +264,62 @@ def _add_common(p, trials=True):
         p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
                        help="Monte Carlo trials")
         p.add_argument("--workers", type=_positive_int, default=1, help="worker processes")
+    return p
 
 
+def _add_protocol(p):
+    """The --protocol/--rounds/--no-head options of simulate and sweep."""
+    p.add_argument("--protocol", default="proposed", choices=[*_PROTOCOLS, "multi_round"])
+    p.add_argument("--rounds", type=int, default=1, help="relay rounds (multi_round)")
+    p.add_argument("--no-head", action="store_true",
+                   help="multi_round without the head's pilot weighting")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="swarmrel",
         description="Reliability of two-phase (cellular + D2D relay) delivery to a UAV swarm",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    _add_command(sub, "analyze", cmd_analyze, "closed-form reliability breakdown", trials=False)
+    _add_protocol(_add_command(sub, "simulate", cmd_simulate, "Monte Carlo reliability estimate"))
+    _add_command(sub, "compare", cmd_compare, "all protocols on one scenario")
 
-    p = sub.add_parser("analyze", help="closed-form reliability breakdown")
-    _add_common(p, trials=False)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("simulate", help="Monte Carlo reliability estimate")
-    _add_common(p)
-    p.add_argument("--protocol", default="proposed",
-                   choices=[*_PROTOCOLS.keys(), "multi_round"])
-    p.add_argument("--rounds", type=int, default=1, help="relay rounds (multi_round)")
-    p.add_argument("--no-head", action="store_true",
-                   help="multi_round without the head's pilot weighting")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", help="all protocols on one scenario")
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("sweep", help="sweep one variable")
-    _add_common(p)
+    p = _add_command(sub, "sweep", cmd_sweep, "sweep one variable")
     p.add_argument("--var", required=True, choices=SWEEPABLE)
     p.add_argument("--values", default=None, help="comma-separated values")
     p.add_argument("--start", type=float, default=None)
     p.add_argument("--stop", type=float, default=None)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--engine", default="both", choices=("analytic", "mc", "both"))
-    p.add_argument("--protocol", default="proposed",
-                   choices=[*_PROTOCOLS.keys(), "multi_round"])
-    p.add_argument("--rounds", type=int, default=1)
-    p.add_argument("--no-head", action="store_true")
-    p.set_defaults(func=cmd_sweep)
+    _add_protocol(p)
 
-    p = sub.add_parser("optimize-tau", help="grid search the stage-split time")
-    _add_common(p)
+    p = _add_command(sub, "optimize-tau", cmd_optimize_tau, "grid search the stage-split time")
     p.add_argument("--start", type=float, required=True, help="first tau_phase1_s (s)")
     p.add_argument("--stop", type=float, required=True, help="last tau_phase1_s (s)")
     p.add_argument("--step", type=float, required=True, help="grid step (s)")
     p.add_argument("--engine", default="analytic", choices=("analytic", "mc"))
-    p.set_defaults(func=cmd_optimize_tau, var="tau_phase1_s", values=None)
+    p.set_defaults(var="tau_phase1_s", values=None)
 
-    p = sub.add_parser("dist-k", help="histogram of cellular-stage decoder count")
-    _add_common(p)
-    p.set_defaults(func=cmd_dist_k)
-
+    _add_command(sub, "dist-k", cmd_dist_k, "histogram of cellular-stage decoder count")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a config error is reported before a seed error
+        config = scenario.validate(scenario.read_config(args.config))
+        header, rows = args.func(config, _resolve_seed(args), args)
+        to_file = args.out not in (None, "-")
+        with (open(args.out, "w", newline="", encoding="utf-8") if to_file
+              else nullcontext(sys.stdout)) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_fmt(cell) for cell in row] for row in rows)
+        return 0
     except (ConfigError, OSError) as exc:
         # an OSError names its path
         _status(f"config error: {exc}")

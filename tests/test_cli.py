@@ -147,6 +147,21 @@ def test_seed_env_fallback(capsys, config_path, monkeypatch):
     assert dict(zip(header, rows[0]))["seed"] == "7"
 
 
+@pytest.mark.parametrize("env", ["abc", "-1", "18446744073709551616"])
+def test_bad_seed_env_exit_code(capsys, config_path, monkeypatch, env):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+    code, out, err = run_cli(capsys, "analyze", "--config", config_path)
+    assert code == cli.EXIT_CONFIG
+    assert cli.SEED_ENV_VAR in err and out == ""
+
+
+def test_main_builds_the_parser_once(capsys, config_path):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(capsys, "analyze", "--config", config_path)[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_compare_emits_four_rows_with_shared_seed(capsys, config_path):
     code, out, _ = run_cli(
         capsys, "compare", "--config", config_path, "--trials", "30", "--seed", "3"
