@@ -202,7 +202,12 @@ def head_decode_prob(theta1: float, config: ScenarioConfig) -> float:
     if num.b**2 * theta1 / (4.0 * den.b) <= HYP_ARG_CAP:
         result = _head_cdf_series(theta1, num, den)
     if result is None:
-        result = _head_cdf_quad(theta1, num, den)
+        try:
+            result = _head_cdf_quad(theta1, num, den)
+        except specfun.NumericalError as exc:
+            raise specfun.NumericalError(
+                f"head decode probability at theta1 = {theta1:g}, fitted shapes "
+                f"a = {num.a:.4g} (signal amplitude), c = {den.a:.4g} (interference): {exc}") from exc
     return min(1.0, max(0.0, 1.0 - result))
 
 
@@ -291,7 +296,12 @@ def member_decode_prob(theta1: float, config: ScenarioConfig) -> float:
     if z == math.inf:
         # z^a Psi(a, b; z) has reached its z -> inf limit, 1
         return 1.0
-    log_p = specfun.log_tricomi_u_scaled(den.a, 1.0 + den.a - signal.a, z)
+    try:
+        log_p = specfun.log_tricomi_u_scaled(den.a, 1.0 + den.a - signal.a, z)
+    except specfun.NumericalError as exc:
+        raise specfun.NumericalError(
+            f"member decode probability at theta1 = {theta1:g}, z = {z:g}, fitted shapes "
+            f"{signal.a:.4g} (serving path loss), {den.a:.4g} (interference): {exc}") from exc
     return min(1.0, max(0.0, math.exp(log_p)))
 
 

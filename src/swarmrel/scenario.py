@@ -27,9 +27,6 @@ __all__ = [
     "read_config",
 ]
 
-# D / (tau * B) beyond this makes 2**x overflow any sensible threshold
-_MAX_RATE_RATIO = 1024.0
-
 
 class ConfigError(ValueError):
     """One or more scenario invariants are violated.
@@ -210,12 +207,16 @@ def sinr_threshold(bits: float, duration_s: float, bandwidth_hz: float, gap: flo
     if bits < 0:
         raise ConfigError(f"bits: must be >= 0, got {bits}")
     ratio = bits / (duration_s * bandwidth_hz)
-    if ratio > _MAX_RATE_RATIO:
+    try:
+        threshold = math.expm1(ratio * math.log(2.0)) / gap
+    except OverflowError:
+        threshold = math.inf
+    if not math.isfinite(threshold):
         raise ConfigError(
-            f"bits/(duration_s*bandwidth_hz) = {ratio:g} exceeds {_MAX_RATE_RATIO:g}; "
-            "threshold would overflow"
+            f"bits/(duration_s*bandwidth_hz) = {ratio:g}: the decode threshold "
+            "(2^x - 1)/gap overflows the float range"
         )
-    return math.expm1(ratio * math.log(2.0)) / gap
+    return threshold
 
 
 def phase1_threshold(config: ScenarioConfig) -> float:

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from swarmrel import analytic, cli, mc
+from swarmrel import analytic, cli, mc, specfun
 
 from conftest import make_config, write_config
 
@@ -101,6 +101,24 @@ def test_analyze_without_min_separation_is_a_numerical_error(capsys, tmp_path):
     assert code == cli.EXIT_NUMERICAL == 3
     assert out == ""
     assert "min_separation_m" in err
+
+
+@pytest.mark.parametrize("name, bits, failing", [
+    ("head", 150.0, "adaptive_quad"),  # at 150 bits the head takes the quadrature route
+    ("member", 40.0, "log_tricomi_u_scaled"),
+])
+def test_closed_form_failure_names_its_probability(capsys, tmp_path, monkeypatch, name, bits,
+                                                   failing):
+    def fail(*args, **kwargs):
+        raise specfun.QuadratureError("trapezoid estimates did not settle")
+
+    monkeypatch.setattr(specfun, failing, fail)
+    path = tmp_path / "scenario.cfg"
+    write_config(make_config(message_bits=bits), path)
+    code, out, err = run_cli(capsys, "analyze", "--config", str(path))
+    assert code == cli.EXIT_NUMERICAL
+    assert f"{name} decode probability" in err and "fitted shapes" in err
+    assert "did not settle" in err and out == ""
 
 
 def test_analyze_flags_out_of_regime(capsys, tmp_path):
@@ -381,6 +399,17 @@ def test_extreme_finite_config_gives_probabilities_or_a_named_error(capsys, tmp_
         else:
             assert code in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), err
             assert out == "" and "error: " in err
+
+
+@pytest.mark.parametrize("bits", [102374.0, 102400.0])
+def test_threshold_past_float_range_exit_code(capsys, tmp_path, bits):
+    # a finite rate whose decode threshold (2^x - 1)/gap is not finite
+    path = tmp_path / "overflow.cfg"
+    write_config(make_config(message_bits=bits), path)
+    for argv in (["analyze"], ["simulate", "--trials", "5"], ["dist-k", "--trials", "5"]):
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == cli.EXIT_CONFIG, (argv, err)
+        assert "overflow" in err and out == ""
 
 
 def test_unparseable_sweep_values_exit_code(capsys, config_path):
