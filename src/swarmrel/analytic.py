@@ -206,8 +206,9 @@ def head_decode_prob(theta1: float, config: ScenarioConfig) -> float:
             result = _head_cdf_quad(theta1, num, den)
         except specfun.NumericalError as exc:
             raise specfun.NumericalError(
-                f"head decode probability at theta1 = {theta1:g}, fitted shapes "
-                f"a = {num.a:.4g} (signal amplitude), c = {den.a:.4g} (interference): {exc}") from exc
+                f"head decode probability at theta1 = {theta1:g}, fitted shapes a = {num.a:.4g} "
+                f"(signal amplitude), c = {den.a:.4g} (interference): {exc}"
+            ) from exc
     return min(1.0, max(0.0, 1.0 - result))
 
 
@@ -301,7 +302,8 @@ def member_decode_prob(theta1: float, config: ScenarioConfig) -> float:
     except specfun.NumericalError as exc:
         raise specfun.NumericalError(
             f"member decode probability at theta1 = {theta1:g}, z = {z:g}, fitted shapes "
-            f"{signal.a:.4g} (serving path loss), {den.a:.4g} (interference): {exc}") from exc
+            f"{signal.a:.4g} (serving path loss), {den.a:.4g} (interference): {exc}"
+        ) from exc
     return min(1.0, max(0.0, math.exp(log_p)))
 
 

@@ -110,9 +110,21 @@ def _protocol_for(args) -> mc.Protocol:
 
 # --- commands -----------------------------------------------------------------
 
-_ANALYZE_HEADER = ["engine", "protocol", "trials", "seed", "p_head", "p_member",
-                   "expected_phase1", "k_effective", "p_phase2", "eta", "one_minus_eta",
-                   "std_err", "in_regime"]
+_ANALYZE_HEADER = [
+    "engine",
+    "protocol",
+    "trials",
+    "seed",
+    "p_head",
+    "p_member",
+    "expected_phase1",
+    "k_effective",
+    "p_phase2",
+    "eta",
+    "one_minus_eta",
+    "std_err",
+    "in_regime",
+]
 _EST_HEADER = ["engine", "protocol", "trials", "seed", "eta", "one_minus_eta", "std_err"]
 
 
@@ -126,9 +138,22 @@ def cmd_analyze(config, seed, args):
     if not br.in_regime:
         _status("warning: fewer than one expected decoder after the cellular stage; "
                 "the relay-stage approximation is out of its regime")
-    return _ANALYZE_HEADER, [["analytic", "proposed", "", seed, br.p_head, br.p_member,
-                              br.expected_phase1, br.k_effective, br.p_phase2, br.eta,
-                              1.0 - br.eta, "", int(br.in_regime)]]
+    row = [
+        "analytic",
+        "proposed",
+        "",
+        seed,
+        br.p_head,
+        br.p_member,
+        br.expected_phase1,
+        br.k_effective,
+        br.p_phase2,
+        br.eta,
+        1.0 - br.eta,
+        "",
+        int(br.in_regime),
+    ]
+    return _ANALYZE_HEADER, [row]
 
 
 def _estimate_row(point, engine, protocol, args, seed) -> list:
