@@ -87,8 +87,8 @@ def test_sinr_threshold_monotonicity():
 def test_sinr_threshold_overflow_guard():
     with pytest.raises(ConfigError, match="overflow"):
         scenario.sinr_threshold(1e9, 0.5e-3, 200e3, 0.9)
-    # at the reference split 2^x - 1 stays finite up to x = 1024, but the
-    # 5/6 gap pushes the threshold past the float range from 102374 bits on
+    # at the reference split 2^x - 1 is finite for x = bits/100 < 1024, but
+    # the 5/6 gap pushes the threshold past the float range from 102374 bits on
     assert scenario.sinr_threshold(102373.0, 0.5e-3, 200e3, 5 / 6) == (
         math.expm1(102373.0 / (0.5e-3 * 200e3) * math.log(2.0)) / (5 / 6)
     ) < math.inf
