@@ -156,28 +156,22 @@ def cmd_analyze(config, seed, args):
     return _ANALYZE_HEADER, [row]
 
 
-def _estimate_row(point, engine, protocol, args, seed) -> list:
-    """The engine, protocol, trials, seed, eta, one_minus_eta, std_err cells of one point."""
-    if engine == "analytic":
-        eta = analytic.reliability(point).eta
-        return ["analytic", "proposed", "", seed, eta, 1.0 - eta, None]
-    return _mc_row(mc.estimate(point, protocol, args.trials, seed, workers=args.workers)[-1],
-                   protocol)
-
-
 def _mc_row(est, protocol) -> list:
     _status(f"{protocol.label}: eta={est.eta_mean:.6f} std_err={est.std_err:.2e}")
     return ["mc", protocol.label, est.trials, est.seed, est.eta_mean, 1.0 - est.eta_mean,
             est.std_err]
 
 
-def cmd_simulate(config, seed, args):
-    return _EST_HEADER, [_estimate_row(config, "mc", _protocol_for(args), args, seed)]
+def cmd_simulate(config, seed, args, protocols=None):
+    """The MC row of each of ``protocols`` (default ``--protocol``), all on one draw per chunk."""
+    protocols = protocols or [_protocol_for(args)]
+    curves = mc.estimate_variants([(config, p) for p in protocols], args.trials, seed,
+                                  workers=args.workers)
+    return _EST_HEADER, [_mc_row(curve[-1], p) for curve, p in zip(curves, protocols)]
 
 
 def cmd_compare(config, seed, args):
-    return _EST_HEADER, [_estimate_row(config, "mc", protocol, args, seed)
-                         for protocol in _PROTOCOLS.values()]
+    return cmd_simulate(config, seed, args, protocols=list(_PROTOCOLS.values()))
 
 
 _SWEEP_HEADER = ["variable", "value", *_EST_HEADER]
@@ -213,19 +207,25 @@ def _parse_values(args) -> tuple:
 
 def _sweep_rows(config, args, values, engines, protocol, seed) -> list:
     if args.var == "rounds":
+        variants = [(config, _multi_round(rounds, args)) for rounds in values]
         # by the prefix property one run at the largest value holds every row
-        protocols = {rounds: _multi_round(rounds, args) for rounds in values}
-        curve = mc.estimate(config, protocols[max(values)], args.trials, seed,
-                            workers=args.workers)
+        longest = mc.estimate(config, _multi_round(max(values), args), args.trials, seed,
+                              workers=args.workers)
+        curves = [longest[:rounds + 1] for rounds in values]
+    else:
+        variants = [(scenario.validate(replace(config, **{args.var: value})), protocol)
+                    for value in values]
+        curves = (mc.estimate_variants(variants, args.trials, seed, workers=args.workers)
+                  if "mc" in engines else [None] * len(values))
     rows = []
-    for value in values:
-        if args.var == "rounds":
-            rows.append([args.var, value, *_mc_row(curve[value], protocols[value])])
-        else:
-            point = scenario.validate(replace(config, **{args.var: value}))
-            for engine in engines:
-                rows.append([args.var, value, *_estimate_row(point, engine, protocol, args,
-                                                             seed)])
+    for value, (point, row_protocol), curve in zip(values, variants, curves):
+        for engine in engines:
+            if engine == "analytic":
+                eta = analytic.reliability(point).eta
+                cells = ["analytic", "proposed", "", seed, eta, 1.0 - eta, None]
+            else:
+                cells = _mc_row(curve[-1], row_protocol)
+            rows.append([args.var, value, *cells])
         _status(f"{args.var}={value}: done")
     return rows
 

@@ -1,4 +1,4 @@
-"""Monte Carlo estimation of delivery reliability for all protocol variants.
+"""Monte Carlo estimation of delivery reliability for every protocol.
 
 Each trial draws fresh geometry and fading, runs the selected protocol, and
 reports each UAV's decode probability after the cellular stage and after
@@ -11,16 +11,17 @@ one relay round exactly over its Rayleigh fading, given the trial's geometry
 and relay set, so their estimates have a smaller standard error for the same
 trials.
 
-Trials run in chunks whose bounds depend only on the trial count, and one
+Trials run in chunks whose bounds depend only on the trial count.  One
 kernel call draws a whole chunk on one rng seeded from (master_seed, the
-chunk's first trial).  Results are therefore a function of (config, seed,
-trials) and bit-identical whatever the number of worker processes sharing
-the chunks.
+chunk's first trial) for every variant, a (config, protocol) pair, whose
+config differs only in ``message_bits`` and ``tau_phase1_s``.  So results are
+a function of (config, seed, trials), whatever the worker count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -41,6 +42,7 @@ __all__ = [
     "Phase1CountDistribution",
     "run_trial",
     "estimate",
+    "estimate_variants",
     "phase1_count_distribution",
 ]
 
@@ -130,77 +132,88 @@ def trial_rng(master_seed: int, start: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, start)))
 
 
-def run_trial(config: ScenarioConfig, protocol: Protocol, rng: np.random.Generator,
-              trials: int) -> np.ndarray:
-    """Decode probabilities of ``trials`` trials on freshly sampled geometry and fading.
+def _draw_key(config: ScenarioConfig) -> ScenarioConfig:
+    """``config`` without the fields only the thresholds read: equal keys share a draw."""
+    return replace(config, message_bits=0.0, tau_phase1_s=0.0)
 
-    Returns a float (trials, 1 + relay rounds, N) array: row 0 of a trial is
-    the cellular stage and row r the probability that each UAV has decoded
-    by relay round r.  The protocol sets the cellular stage's serving set,
-    combining and threshold, then the number of relay rounds, who relays
-    and the D2D threshold; only UAVs that have not decoded listen.  Sampled
-    stages give 0 or 1: the cellular stage, and every relay round of
-    ``multi_round``.  The split protocols' one relay round is not sampled: a
-    listener gets its decode probability exact over the D2D fading
-    (``fading.phase2_decode_probs``), 0 when nobody relays.
 
-    Draw order is fixed: the GBS layouts of all trials, one hard-core
-    placement per trial in trial order, the cellular fading of all trials,
-    then for ``multi_round`` one D2D draw per UAV of all trials per relay
-    round (``fading.draw_phase2``), whatever the outcomes.  So protocols on
-    one rng share the cellular stage when they share its serving set,
-    combining and threshold, and relay round r draws the same whatever the
-    round count.
+def _thresholds(variants) -> list[tuple[float, float | None]]:
+    """Each variant's (cellular, D2D) decode thresholds, once all are checked to share a draw."""
+    base = vars(_draw_key(variants[0][0]))
+    out = []
+    for config, protocol in variants:
+        unshared = [k for k, v in vars(_draw_key(config)).items() if v != base[k]]
+        if unshared:
+            raise ValueError(f"{unshared[0]}: variants of one draw may differ only in "
+                             "message_bits and tau_phase1_s")
+        split = protocol.name in ("proposed", "head_relay")
+        cell, d2d = ((scenario.phase1_threshold, scenario.phase2_threshold) if split else
+                     (scenario.full_slot_cell_threshold, scenario.full_slot_d2d_threshold))
+        # past its rate cap an unused D2D threshold would raise ConfigError
+        out.append((cell(config), d2d(config) if protocol.rounds else None))
+    return out
+
+
+def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None) -> list:
+    """Decode probabilities of ``trials`` trials on one draw of geometry and fading.
+
+    ``variants`` are (config, protocol) pairs whose configs differ only in
+    ``message_bits`` and ``tau_phase1_s``, which no draw reads; ``thresholds``
+    are theirs (``_thresholds``), computed here if not given.  Returns one
+    float (trials, 1 + relay rounds, N) array per variant: row 0 of a trial
+    is the cellular stage, row r the probability that each UAV has decoded
+    by relay round r.  The cellular stage and the relay rounds of
+    ``multi_round`` are sampled (0 or 1); the split protocols' one relay
+    round is exact over the D2D fading (``fading.phase2_decode_probs``).
+
+    Draw order is fixed: the GBS layouts, one hard-core placement per trial
+    in trial order, the cellular fading, then for ``multi_round`` one D2D
+    draw per UAV of all trials per relay round (``fading.draw_phase2``),
+    whatever the outcomes.  So each variant gets the array of a run of it
+    alone, and relay round r draws the same whatever the round count.
     """
-    split = protocol.name in ("proposed", "head_relay")
+    thresholds = thresholds or _thresholds(variants)
+    config = variants[0][0]
     gbs = geometry.sample_gbs_layout(config, rng, trials)
     swarm = geometry.sample_swarm_layout(config, rng, trials)
-
-    serving = None
-    if protocol.name == "nearest_gbs":
-        near = gbs.center_distances[:, gbs.available_idx].argmin(axis=1)
-        serving = gbs.available_idx[near][:, None]
-    combining = "head" if protocol.with_head else "unit"
-    # the cellular fading is not kept past its SINRs
-    sinrs = fading.phase1_sinrs(gbs, swarm, fading.draw_phase1(config, rng, trials), config,
-                                combining, serving)
-    cell_threshold = (
-        scenario.phase1_threshold(config) if split else scenario.full_slot_cell_threshold(config)
-    )
-    decoded = sinrs >= cell_threshold
-    probs = np.empty((trials, 1 + protocol.rounds, config.n_uavs))
-    probs[:, 0] = decoded
-    if protocol.rounds == 0:
-        # past its rate cap the unused D2D threshold would raise ConfigError
-        return probs
-
-    d2d_threshold = (
-        scenario.phase2_threshold(config) if split else scenario.full_slot_d2d_threshold(config)
-    )
-    speakers = np.ones(config.n_uavs, dtype=bool)
-    if protocol.name == "head_relay":
-        speakers = np.arange(config.n_uavs) == swarm.head_idx
-    for r in range(1, protocol.rounds + 1):
-        relays = decoded & speakers
-        if split:
-            heard = fading.phase2_decode_probs(swarm, relays, config, d2d_threshold)
-            probs[:, r] = np.where(decoded, 1.0, heard)
-        else:
-            gains = fading.draw_phase2(config, rng, trials)
-            sinrs = fading.phase2_sinrs(swarm, relays, gains, config)
-            # with nobody relaying there is no transmission to decode
-            decoded = decoded | ((sinrs >= d2d_threshold) & relays.any(axis=1, keepdims=True))
-            probs[:, r] = decoded
-    return probs
+    gains = fading.draw_phase1(config, rng, trials)
+    relay_gains = [fading.draw_phase2(config, rng, trials) for _ in range(
+        max((p.rounds for _, p in variants if p.name == "multi_round"), default=0))]
+    near = gbs.available_idx[gbs.center_distances[:, gbs.available_idx].argmin(axis=1)]
+    cell_sinrs = {}  # by serving set and combining
+    out = []
+    for (_, protocol), (cell_threshold, d2d_threshold) in zip(variants, thresholds):
+        key = (protocol.name == "nearest_gbs", "head" if protocol.with_head else "unit")
+        if key not in cell_sinrs:
+            cell_sinrs[key] = fading.phase1_sinrs(gbs, swarm, gains, config, key[1],
+                                                  near[:, None] if key[0] else None)
+        decoded = cell_sinrs[key] >= cell_threshold
+        probs = np.empty((trials, 1 + protocol.rounds, config.n_uavs))
+        probs[:, 0] = decoded
+        speakers = (np.arange(config.n_uavs) == swarm.head_idx if protocol.name == "head_relay"
+                    else np.ones(config.n_uavs, dtype=bool))
+        for r in range(1, protocol.rounds + 1):
+            relays = decoded & speakers
+            if protocol.name != "multi_round":
+                heard = fading.phase2_decode_probs(swarm, relays, config, d2d_threshold)
+                probs[:, r] = np.where(decoded, 1.0, heard)
+            else:
+                sinrs = fading.phase2_sinrs(swarm, relays, relay_gains[r - 1], config)
+                # with nobody relaying there is no transmission to decode
+                decoded |= (sinrs >= d2d_threshold) & relays.any(axis=1, keepdims=True)
+                probs[:, r] = decoded
+        out.append(probs)
+    return out
 
 
-def _decoded_counts(config, protocol, master_seed, start, stop):
-    """Expected decoded counts for trials [start, stop), shape (trials, 1 + relay rounds)."""
+def _decoded_counts(variants, thresholds, master_seed, start, stop):
+    """Each variant's expected decoded counts for trials [start, stop), (trials, 1 + rounds)."""
     # a squared length past the float range overflows to inf, which clears
     # every separation in placement and gives a path gain of 0: the limits
     # wanted, so the overflow is not reported
     with np.errstate(over="ignore"):
-        return run_trial(config, protocol, trial_rng(master_seed, start), stop - start).sum(axis=2)
+        return [probs.sum(axis=2) for probs in run_trial(
+            variants, trial_rng(master_seed, start), stop - start, thresholds)]
 
 
 @functools.cache
@@ -229,11 +242,15 @@ def _map_chunks(worker, trials: int, workers: int):
     return list(_pool(workers).map(worker, starts, stops, chunksize=per_task))
 
 
-def _gather_counts(config, protocol, trials, master_seed, workers):
+def _gather_counts(variants, trials, master_seed, workers):
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    worker = functools.partial(_decoded_counts, config, protocol, master_seed)
-    return np.concatenate(_map_chunks(worker, trials, workers))
+    out = []
+    for _, group in itertools.groupby(variants, key=lambda variant: _draw_key(variant[0])):
+        group = list(group)  # its thresholds are checked before its first chunk is drawn
+        worker = functools.partial(_decoded_counts, group, _thresholds(group), master_seed)
+        out += [np.concatenate(counts) for counts in zip(*_map_chunks(worker, trials, workers))]
+    return out
 
 
 def estimate(
@@ -248,16 +265,28 @@ def estimate(
     Entry r is after relay round r, so entry ``protocol.rounds`` (the last)
     is the protocol's final figure.  The entries share their trials, and
     relay round r of an R-round trial draws what an r-round trial draws, so
-    entry r is the last entry of an r-round run, bit for bit.  Deterministic
-    in (config, protocol, trials, master_seed) whatever the worker count.
+    entry r is the last entry of an r-round run, bit for bit.
     """
-    curve = []
-    for counts in _gather_counts(config, protocol, trials, master_seed, workers).T:
-        fractions = counts / config.n_uavs
-        std_err = math.nan if trials == 1 else float(fractions.std(ddof=1) / math.sqrt(trials))
-        curve.append(ReliabilityEstimate(eta_mean=float(fractions.mean()), std_err=std_err,
-                                         trials=trials, seed=master_seed))
-    return curve
+    return estimate_variants([(config, protocol)], trials, master_seed, workers)[0]
+
+
+def estimate_variants(variants, trials: int, master_seed: int, workers: int = 1) -> list:
+    """The ``estimate`` curve of each (config, protocol) pair of ``variants``, on one seed.
+
+    Consecutive pairs whose configs differ only in ``message_bits`` and
+    ``tau_phase1_s`` share one draw per chunk, yet each curve equals its own ``estimate``.
+    """
+    curves = []
+    gathered = _gather_counts(variants, trials, master_seed, workers)
+    for (config, _), all_counts in zip(variants, gathered):
+        curve = []
+        for counts in all_counts.T:
+            fractions = counts / config.n_uavs
+            std_err = math.nan if trials == 1 else float(fractions.std(ddof=1) / math.sqrt(trials))
+            curve.append(ReliabilityEstimate(eta_mean=float(fractions.mean()), std_err=std_err,
+                                             trials=trials, seed=master_seed))
+        curves.append(curve)
+    return curves
 
 
 def phase1_count_distribution(
@@ -272,6 +301,6 @@ def phase1_count_distribution(
     the cellular ones, so the counts are those of full ``PROPOSED`` trials.
     """
     cellular = replace(PROPOSED, rounds=0)
-    counts = _gather_counts(config, cellular, trials, master_seed, workers)
+    [counts] = _gather_counts([(config, cellular)], trials, master_seed, workers)
     pmf = np.bincount(counts[:, 0].astype(int), minlength=config.n_uavs + 1) / trials
     return Phase1CountDistribution(pmf=pmf, trials=trials, seed=master_seed)

@@ -206,7 +206,8 @@ def sinr_threshold(bits: float, duration_s: float, bandwidth_hz: float, gap: flo
         raise ConfigError(f"gap: must be in (0, 1], got {gap}")
     if bits < 0:
         raise ConfigError(f"bits: must be >= 0, got {bits}")
-    ratio = bits / (duration_s * bandwidth_hz)
+    capacity = duration_s * bandwidth_hz  # underflowed to 0, no finite SINR carries bits
+    ratio = bits / capacity if capacity > 0 else (math.inf if bits > 0 else 0.0)
     try:
         threshold = math.expm1(ratio * math.log(2.0)) / gap
     except OverflowError:

@@ -251,9 +251,9 @@ def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
     calls = []
     run_trial = mc.run_trial
 
-    def counting(cfg, protocol, rng, trials):
-        calls.append((protocol.rounds, trials))
-        return run_trial(cfg, protocol, rng, trials)
+    def counting(variants, rng, trials, thresholds=None):
+        calls.append((variants[0][1].rounds, trials))
+        return run_trial(variants, rng, trials, thresholds)
 
     monkeypatch.setattr(mc, "run_trial", counting)
     code, out, _ = run_cli(
@@ -280,6 +280,75 @@ def test_sweep_rounds_rows_equal_simulate(capsys, tmp_path, no_head):
         code, out, _ = run_cli(capsys, "simulate", *common, "--rounds", row[1])
         assert code == 0
         assert row[2:] == parse_csv(out)[1][0]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("var, values, protocol, overrides", [
+    ("message_bits", "8,40,24", ("--protocol", "proposed"), {}),
+    ("tau_phase1_s", "0.0002,0.0006", ("--protocol", "head_relay"), {}),
+    ("message_bits", "150,100", ("--protocol", "multi_round", "--rounds", "2"),
+     {"n_uavs": 10}),
+], ids=["message_bits", "tau_phase1_s", "multi_round2"])
+def test_threshold_sweep_rows_equal_simulate(capsys, tmp_path, workers, var, values, protocol,
+                                             overrides):
+    # the rows share one draw per chunk, yet each is its own simulate run
+    path = tmp_path / "sweep.cfg"
+    write_config(make_config(**overrides), path)
+    common = ("--trials", "40", "--seed", "17", "--workers", workers, *protocol)
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(path), *common, "--var", var,
+                           "--values", values, "--engine", "mc")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r[:2] for r in rows] == [[var, repr(float(v))] for v in values.split(",")]
+    for row in rows:
+        point = tmp_path / f"{var}-{row[1]}.cfg"
+        write_config(make_config(**overrides, **{var: float(row[1])}), point)
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(point), *common)
+        assert code == 0
+        assert row[2:] == parse_csv(out)[1][0]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_compare_rows_equal_simulate(capsys, config_path, workers):
+    common = ("--config", config_path, "--trials", "40", "--seed", "19", "--workers", workers)
+    code, out, _ = run_cli(capsys, "compare", *common)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r[1] for r in rows] == list(cli._PROTOCOLS)
+    for row in rows:
+        code, out, _ = run_cli(capsys, "simulate", *common, "--protocol", row[1])
+        assert code == 0
+        assert row == parse_csv(out)[1][0]
+
+
+def test_threshold_sweep_runs_the_trials_once(capsys, config_path, monkeypatch):
+    # all five rows share each chunk's draw: 64 trials are one pass over 16
+    # chunks of 4, not one pass per row
+    calls = []
+    run_trial = mc.run_trial
+
+    def counting(variants, rng, trials, thresholds=None):
+        calls.append((len(variants), trials))
+        return run_trial(variants, rng, trials, thresholds)
+
+    monkeypatch.setattr(mc, "run_trial", counting)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--config", config_path, "--var", "message_bits",
+        "--values", "8,16,24,32,40", "--engine", "both", "--trials", "64", "--workers", "1",
+    )
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 10
+    assert calls == [(5, 4)] * 16
+
+
+def test_threshold_sweep_bad_value_fails_before_any_row(capsys, config_path):
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", config_path, "--var", "message_bits",
+        "--values", "8,102374", "--engine", "mc", "--trials", "10",
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "overflow" in err
+    assert out == "" and "eta=" not in err
 
 
 def test_sweep_rounds_bad_value_fails_before_any_row(capsys, config_path):
@@ -407,6 +476,20 @@ def test_threshold_past_float_range_exit_code(capsys, tmp_path, bits):
     path = tmp_path / "overflow.cfg"
     write_config(make_config(message_bits=bits), path)
     for argv in (["analyze"], ["simulate", "--trials", "5"], ["dist-k", "--trials", "5"]):
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == cli.EXIT_CONFIG, (argv, err)
+        assert "overflow" in err and out == ""
+
+
+def test_zero_stage_capacity_exit_code(capsys, tmp_path):
+    # cellular bandwidth times stage duration underflows to 0: a validated
+    # config whose decode threshold does not exist
+    path = tmp_path / "zero-capacity.cfg"
+    write_config(make_config(bandwidth_cell_hz=1e-200, tau_total_s=1e-199,
+                             tau_phase1_s=5e-200), path)
+    for argv in (["analyze"], ["simulate", "--trials", "5"],
+                 ["sweep", "--var", "message_bits", "--values", "8,40", "--engine", "mc",
+                  "--trials", "5"]):
         code, out, err = run_cli(capsys, *argv, "--config", str(path))
         assert code == cli.EXIT_CONFIG, (argv, err)
         assert "overflow" in err and out == ""

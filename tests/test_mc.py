@@ -24,13 +24,13 @@ def test_protocol_labels_and_validation():
 
 def test_zero_bits_all_decode_in_phase1():
     cfg = make_config(message_bits=0.0)
-    probs = mc.run_trial(cfg, mc.PROPOSED, mc.trial_rng(1, 0), 5)
+    probs = mc.run_trial([(cfg, mc.PROPOSED)], mc.trial_rng(1, 0), 5)[0]
     assert probs.shape == (5, 2, 40)
     assert (probs == 1.0).all()
 
 
 def test_sets_disjoint_and_within_range(config):
-    probs = mc.run_trial(config, mc.PROPOSED, mc.trial_rng(2, 0), 50)
+    probs = mc.run_trial([(config, mc.PROPOSED)], mc.trial_rng(2, 0), 50)[0]
     assert probs.shape == (50, 2, 40) and probs.dtype == np.float64
     assert np.isin(probs[:, 0], (0.0, 1.0)).all()  # the cellular stage is sampled
     assert ((0.0 <= probs) & (probs <= 1.0)).all()
@@ -41,7 +41,7 @@ def test_head_relay_without_head_means_no_phase2():
     # large message: the head frequently fails the cellular stage, and then
     # nobody relays
     cfg = make_config(n_uavs=10, message_bits=150.0)
-    masks = mc.run_trial(cfg, mc.HEAD_RELAY, mc.trial_rng(3, 0), 200)
+    masks = mc.run_trial([(cfg, mc.HEAD_RELAY)], mc.trial_rng(3, 0), 200)[0]
     headless = masks[:, 0, 0] == 0.0
     assert headless.sum() > 0
     assert (masks[headless, -1] == masks[headless, 0]).all()
@@ -80,16 +80,16 @@ def test_each_chunk_is_one_kernel_call_on_its_own_stream(config, monkeypatch):
     calls = []
     run_trial = mc.run_trial
 
-    def counting(cfg, protocol, rng, trials):
+    def counting(variants, rng, trials, thresholds=None):
         calls.append(trials)
-        return run_trial(cfg, protocol, rng, trials)
+        return run_trial(variants, rng, trials, thresholds)
 
     monkeypatch.setattr(mc, "run_trial", counting)
     est = mc.estimate(config, mc.PROPOSED, 300, 77)
     assert calls == [19] * 15 + [15]
-    first = mc.run_trial(config, mc.PROPOSED, mc.trial_rng(77, 0), 19).sum(axis=2)
-    last = mc.run_trial(config, mc.PROPOSED, mc.trial_rng(77, 285), 15).sum(axis=2)
-    counts = mc._gather_counts(config, mc.PROPOSED, 300, 77, 1)
+    first = mc.run_trial([(config, mc.PROPOSED)], mc.trial_rng(77, 0), 19)[0].sum(axis=2)
+    last = mc.run_trial([(config, mc.PROPOSED)], mc.trial_rng(77, 285), 15)[0].sum(axis=2)
+    [counts] = mc._gather_counts([(config, mc.PROPOSED)], 300, 77, 1)
     assert np.array_equal(counts[:19], first) and np.array_equal(counts[285:], last)
     assert est[-1].eta_mean == (counts[:, -1] / 40).mean()
 
@@ -112,7 +112,7 @@ def test_estimate_clt_scaling(config):
 
 def test_multiround_sets_nested_and_curve_monotone():
     cfg = make_config(n_uavs=10, message_bits=150.0)
-    masks = mc.run_trial(cfg, mc.multi_round(4), mc.trial_rng(6, 0), 30)
+    masks = mc.run_trial([(cfg, mc.multi_round(4))], mc.trial_rng(6, 0), 30)[0]
     assert masks.shape == (30, 5, 10)
     assert (masks[:, :-1] <= masks[:, 1:]).all()
     curve = mc.estimate(cfg, mc.multi_round(4, True), 200, 6)
@@ -128,8 +128,8 @@ def test_multiround_prefix_property():
     long = mc.estimate(cfg, mc.multi_round(5, True), 150, 9)
     for a, b in zip(short, long[: len(short)]):
         assert a.eta_mean == b.eta_mean
-    short = mc.run_trial(cfg, mc.multi_round(2), mc.trial_rng(9, 0), 10)
-    long = mc.run_trial(cfg, mc.multi_round(5), mc.trial_rng(9, 0), 10)
+    short = mc.run_trial([(cfg, mc.multi_round(2))], mc.trial_rng(9, 0), 10)[0]
+    long = mc.run_trial([(cfg, mc.multi_round(5))], mc.trial_rng(9, 0), 10)[0]
     assert np.array_equal(short, long[:, :3])
 
 
@@ -138,18 +138,30 @@ def test_protocols_on_one_seed_share_the_cellular_stage():
     # the same row 0, whatever happens in the relay rounds afterwards
     cfg = make_config(n_uavs=10, message_bits=150.0)
     trials = 30
-    row0 = lambda p: mc.run_trial(cfg, p, mc.trial_rng(10, 0), trials)[:, 0]
+    row0 = lambda p: mc.run_trial([(cfg, p)], mc.trial_rng(10, 0), trials)[0][:, 0]
     assert np.array_equal(row0(mc.PROPOSED), row0(mc.HEAD_RELAY))
-    all_gbs = mc.run_trial(cfg, mc.ALL_GBS, mc.trial_rng(10, 0), trials)
+    all_gbs = mc.run_trial([(cfg, mc.ALL_GBS)], mc.trial_rng(10, 0), trials)[0]
     assert all_gbs.shape == (trials, 1, 10)
     for rounds in (1, 3):
         assert np.array_equal(all_gbs[:, 0], row0(mc.multi_round(rounds)))
-    cellular = mc.run_trial(cfg, replace(mc.PROPOSED, rounds=0), mc.trial_rng(10, 0), trials)
+    cellular = mc.run_trial([(cfg, replace(mc.PROPOSED, rounds=0))], mc.trial_rng(10, 0),
+                            trials)[0]
     assert cellular.shape == (trials, 1, 10)
     assert np.array_equal(cellular[:, 0], row0(mc.PROPOSED))
     # nearest_gbs serves from one of the same layouts and fading
     nearest = row0(mc.NEAREST_GBS)
     assert nearest.shape == (trials, 10) and not np.array_equal(nearest, all_gbs[:, 0])
+
+
+def test_variants_share_a_draw_only_when_only_thresholds_differ():
+    cfg = make_config(n_uavs=10)
+    wider = replace(cfg, swarm_radius_m=2.0 * cfg.swarm_radius_m)
+    with pytest.raises(ValueError, match="swarm_radius_m"):
+        mc.run_trial([(cfg, mc.PROPOSED), (wider, mc.PROPOSED)], mc.trial_rng(12, 0), 4)
+    # estimate_variants draws each such variant on its own
+    pairs = [(cfg, mc.PROPOSED), (replace(cfg, message_bits=80.0), mc.ALL_GBS),
+             (wider, mc.PROPOSED)]
+    assert mc.estimate_variants(pairs, 30, 12) == [mc.estimate(c, p, 30, 12) for c, p in pairs]
 
 
 def test_proposed_protocol_dominates_at_reference_point(config):
@@ -281,7 +293,8 @@ def sampled_relay_fractions(config, protocol, trials, seed):
 
     def chunk(start, stop):
         rng = mc.trial_rng(seed, start)
-        decoded = mc.run_trial(config, replace(protocol, rounds=0), rng, stop - start)[:, 0] > 0
+        cellular = [(config, replace(protocol, rounds=0))]
+        decoded = mc.run_trial(cellular, rng, stop - start)[0][:, 0] > 0
         replay = mc.trial_rng(seed, start)
         geometry.sample_gbs_layout(config, replay, stop - start)
         swarm = geometry.sample_swarm_layout(config, replay, stop - start)

@@ -95,6 +95,13 @@ def test_sinr_threshold_overflow_guard():
     for bits in (102374.0, 102400.0):
         with pytest.raises(ConfigError, match="overflow"):
             scenario.sinr_threshold(bits, 0.5e-3, 200e3, 5 / 6)
+    # a stage capacity duration * bandwidth that underflows to 0 carries no
+    # bits at any finite threshold, and carries 0 bits at threshold 0
+    for duration, bandwidth in ((5e-200, 1e-200), (5e-324, 0.5)):
+        assert duration * bandwidth == 0.0
+        with pytest.raises(ConfigError, match="overflow"):
+            scenario.sinr_threshold(40.0, duration, bandwidth, 5 / 6)
+        assert scenario.sinr_threshold(0.0, duration, bandwidth, 5 / 6) == 0.0
 
 
 def test_phase_thresholds_use_their_slices():
