@@ -206,17 +206,11 @@ def _parse_values(args) -> tuple:
 
 
 def _sweep_rows(config, args, values, engines, protocol, seed) -> list:
-    if args.var == "rounds":
-        variants = [(config, _multi_round(rounds, args)) for rounds in values]
-        # by the prefix property one run at the largest value holds every row
-        longest = mc.estimate(config, _multi_round(max(values), args), args.trials, seed,
-                              workers=args.workers)
-        curves = [longest[:rounds + 1] for rounds in values]
-    else:
-        variants = [(scenario.validate(replace(config, **{args.var: value})), protocol)
-                    for value in values]
-        curves = (mc.estimate_variants(variants, args.trials, seed, workers=args.workers)
-                  if "mc" in engines else [None] * len(values))
+    variants = [(config, _multi_round(value, args)) if args.var == "rounds" else
+                (scenario.validate(replace(config, **{args.var: value})), protocol)
+                for value in values]
+    curves = (mc.estimate_variants(variants, args.trials, seed, workers=args.workers)
+              if "mc" in engines else [None] * len(values))
     rows = []
     for value, (point, row_protocol), curve in zip(values, variants, curves):
         for engine in engines:

@@ -7,7 +7,9 @@ probability exact over the Rayleigh fading; the closed-form model takes only
 the moments of the Rician magnitude.
 
 The cellular stage's SINRs are formed from sampled channel coefficients,
-since the head's weights depend on their phases.  The relay stage rests on
+since the head's weights depend on their phases; its servers are the first
+``m_available`` GBSs of a layout, or the nearest of them to the swarm
+center, and the rest interfere.  The relay stage rests on
 one quantity, each listener's summed relay path gain sum_t a_t^2: over
 independent Rayleigh links its SINR is exponential with mean P sum_t a_t^2 /
 N0, which is sampled with one exponential draw per listener or, for its
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .geometry import GbsLayout, SwarmLayout
+from .geometry import SwarmLayout
 from .scenario import ScenarioConfig
 
 __all__ = [
@@ -103,19 +105,19 @@ def draw_phase2(config: ScenarioConfig, rng: np.random.Generator, trials: int) -
 
 
 def _phase1_channels(
-    gbs: GbsLayout, swarm: SwarmLayout, gains: np.ndarray, config: ScenarioConfig
+    gbs: np.ndarray, swarm: SwarmLayout, gains: np.ndarray, config: ScenarioConfig
 ) -> np.ndarray:
     """Full complex channel matrices (trials, N, M): path loss times fading.
 
     Uses the exact per-UAV distances; no common-distance approximation.
     """
-    uav, ground = swarm.positions, gbs.positions
+    uav = swarm.positions
     # sqrt(ref_gain dist^-alpha), dist = sqrt(dx * dx + dy * dy + dz * dz),
     # formed in place
-    amp = uav[:, :, None, 0] - ground[:, None, :, 0]
+    amp = uav[:, :, None, 0] - gbs[:, None, :, 0]
     amp *= amp
-    amp += (uav[:, :, None, 1] - ground[:, None, :, 1]) ** 2
-    amp += uav[:, :, None, 2] ** 2  # ground stations sit at height 0
+    amp += (uav[:, :, None, 1] - gbs[:, None, :, 1]) ** 2
+    amp += config.swarm_altitude_m * config.swarm_altitude_m  # ground stations sit at height 0
     np.sqrt(amp, out=amp)
     np.power(amp, -config.pathloss_exp_cell, out=amp)
     amp *= config.ref_gain_cell
@@ -124,39 +126,39 @@ def _phase1_channels(
 
 
 def phase1_sinrs(
-    gbs: GbsLayout,
+    gbs: np.ndarray,
     swarm: SwarmLayout,
     gains: np.ndarray,
     config: ScenarioConfig,
-    combining: str = "head",
-    transmitters: np.ndarray | None = None,
+    with_head: bool = True,
+    nearest: bool = False,
 ) -> np.ndarray:
     """SINR of every UAV in the cellular downlink stage, (trials, N).
 
-    ``combining='head'`` applies each serving GBS's conjugate-phase unit
-    weight for the head's channel, so the head combines coherently;
-    ``'unit'`` sends unweighted.  ``transmitters`` (trials, k) restricts each
-    trial's serving set to k of the available indices (defaults to all of
-    them).  Occupied GBSs always interfere at full power.
+    The first ``m_available`` GBSs of the ``gbs`` layout serve and the rest
+    interfere at full power.  ``with_head`` applies each serving GBS's
+    conjugate-phase unit weight for the head's channel, so the head combines
+    coherently; without it the GBSs send unweighted.  ``nearest`` serves
+    from only the available GBS closest to the swarm center.
     """
     h = _phase1_channels(gbs, swarm, gains, config)
     p = config.tx_power_gbs_w
-    occupied = np.abs(h[:, :, gbs.occupied_idx])
+    m0 = config.m_available
+    occupied = np.abs(h[:, :, m0:])
     occupied *= occupied
     interference = p * occupied.sum(axis=2)
-    if transmitters is None:
-        h_tx = h[:, :, gbs.available_idx]
-    else:
-        h_tx = np.take_along_axis(h, transmitters[:, None, :], axis=2)
-    if combining == "head":
+    h_tx = h[:, :, :m0]
+    if nearest:
+        # the 3D distance to the swarm center; argmin breaks ties to the first
+        center = np.hypot(np.hypot(gbs[:, :m0, 0], gbs[:, :m0, 1]), config.swarm_altitude_m)
+        h_tx = np.take_along_axis(h_tx, center.argmin(axis=1)[:, None, None], axis=2)
+    if with_head:
         head_ch = h_tx[:, swarm.head_idx]
         # a zero channel has no phase: send it unit weight
         head_ch = np.where(head_ch == 0, 1.0, head_ch)
         weights = np.conj(head_ch) / np.abs(head_ch)
-    elif combining == "unit":
-        weights = np.ones((h_tx.shape[0], h_tx.shape[2]))
     else:
-        raise ValueError(f"unknown combining mode {combining!r}")
+        weights = np.ones((h_tx.shape[0], h_tx.shape[2]))
     signal = p * np.abs(np.einsum("bnk,bk->bn", h_tx, weights)) ** 2
     return signal / (interference + config.noise_phase1_w)
 

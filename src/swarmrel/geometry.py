@@ -1,8 +1,10 @@
 """Point-process sampling of GBS and UAV positions, and the truncated pair-distance mass.
 
-Ground stations are a binomial point process on a disk; the swarm is a
-hard-core process realized by simple sequential inhibition (dart throwing
-with rejection).  The Monte Carlo engine samples the layouts of a chunk of
+Ground stations are a binomial point process on a disk, whose first
+``m_available`` points serve the swarm; the swarm is a hard-core process
+realized by simple sequential inhibition (dart throwing with rejection).
+Positions are planar: the stations sit at height 0 and every UAV at the
+config's altitude.  The Monte Carlo engine samples the layouts of a chunk of
 trials at once, each array with a leading trials axis; the closed-form model
 takes the mass of the disk's pair-distance density above the hard-core
 separation.
@@ -20,7 +22,6 @@ from .scenario import ScenarioConfig
 
 __all__ = [
     "PlacementError",
-    "GbsLayout",
     "SwarmLayout",
     "sample_uniform_disk",
     "sample_hardcore_disk",
@@ -37,30 +38,15 @@ class PlacementError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GbsLayout:
-    """Sampled ground-station positions around the swarm's ground projection, per trial.
-
-    ``positions`` are planar coordinates (m) relative to the point under the
-    swarm center; ``center_distances`` are 3D distances (m) from each GBS to
-    the swarm center at altitude.  The serving and interfering index sets
-    are the same in every trial.
-    """
-
-    positions: np.ndarray  # (trials, M, 2)
-    available_idx: np.ndarray  # (M0,) indices of GBSs serving the swarm
-    occupied_idx: np.ndarray  # (M1,) indices of interfering GBSs
-    center_distances: np.ndarray  # (trials, M)
-
-
-@dataclass(frozen=True)
 class SwarmLayout:
     """Sampled UAV positions (m) and their pairwise distances, per trial.
 
-    ``positions`` are 3D with a common altitude; ``head_idx`` designates the
-    UAV whose uplink pilot provides the transmit-weight channel estimates.
+    ``positions`` are planar; every UAV flies at the config's
+    ``swarm_altitude_m``.  ``head_idx`` designates the UAV whose uplink
+    pilot provides the transmit-weight channel estimates.
     """
 
-    positions: np.ndarray  # (trials, N, 3)
+    positions: np.ndarray  # (trials, N, 2)
     head_idx: int
 
     @functools.cached_property
@@ -70,9 +56,9 @@ class SwarmLayout:
         Only a relay stage reads them, so a chunk's largest array is not held
         through the cellular stage.  sqrt(dx * dx + dy * dy) is formed in place.
         """
-        xyz = self.positions
-        pair = xyz[:, :, None, 0] - xyz[:, None, :, 0]
-        dy = xyz[:, :, None, 1] - xyz[:, None, :, 1]
+        xy = self.positions
+        pair = xy[:, :, None, 0] - xy[:, None, :, 0]
+        dy = xy[:, :, None, 1] - xy[:, None, :, 1]
         pair *= pair
         dy *= dy
         pair += dy
@@ -167,35 +153,26 @@ def sample_hardcore_disk(
     )
 
 
-def sample_gbs_layout(config: ScenarioConfig, rng: np.random.Generator, trials: int) -> GbsLayout:
-    """Sample available and occupied GBS positions of ``trials`` trials as independent uniforms.
+def sample_gbs_layout(config: ScenarioConfig, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Planar GBS positions (trials, M, 2), i.i.d. uniform on the coverage disk.
 
-    The first ``m_available`` indices are the serving set, the rest the
-    interfering set; both sets are i.i.d. uniform on the coverage disk.
+    Coordinates (m) are relative to the point under the swarm center, and
+    the stations sit at height 0.  The first ``m_available`` GBSs of each
+    trial serve the swarm; the other ``m_occupied`` interfere.
     """
-    m = config.m_total
-    positions = sample_uniform_disk((trials, m), config.coverage_radius_m, rng)
-    planar = np.hypot(positions[..., 0], positions[..., 1])
-    center_distances = np.hypot(planar, config.swarm_altitude_m)
-    return GbsLayout(
-        positions=positions,
-        available_idx=np.arange(config.m_available),
-        occupied_idx=np.arange(config.m_available, m),
-        center_distances=center_distances,
-    )
+    return sample_uniform_disk((trials, config.m_total), config.coverage_radius_m, rng)
 
 
 def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
                         trials: int) -> SwarmLayout:
-    """Sample the hard-core swarms of ``trials`` trials at the configured altitude; head is UAV 0.
+    """Sample the hard-core swarms of ``trials`` trials; head is UAV 0.
 
     Each trial's swarm is one ``sample_hardcore_disk`` placement, in trial order.
     """
     n = config.n_uavs
-    planar = np.empty((trials, n, 2))
+    positions = np.empty((trials, n, 2))
     for b in range(trials):
-        planar[b] = sample_hardcore_disk(n, config.swarm_radius_m, config.min_separation_m, rng)
-    positions = np.concatenate([planar, np.full((trials, n, 1), config.swarm_altitude_m)], axis=2)
+        positions[b] = sample_hardcore_disk(n, config.swarm_radius_m, config.min_separation_m, rng)
     return SwarmLayout(positions=positions, head_idx=0)
 
 

@@ -14,8 +14,10 @@ trials.
 Trials run in chunks whose bounds depend only on the trial count.  One
 kernel call draws a whole chunk on one rng seeded from (master_seed, the
 chunk's first trial) for every variant, a (config, protocol) pair, whose
-config differs only in ``message_bits`` and ``tau_phase1_s``.  So results are
-a function of (config, seed, trials), whatever the worker count.
+config differs only in ``message_bits`` and ``tau_phase1_s``; variants that
+differ only in relay round count share one curve, computed at the largest
+count, and each takes its prefix.  So results are a function of (config,
+seed, trials), whatever the worker count.
 """
 
 from __future__ import annotations
@@ -169,32 +171,37 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None) 
     Draw order is fixed: the GBS layouts, one hard-core placement per trial
     in trial order, the cellular fading, then for ``multi_round`` one D2D
     draw per UAV of all trials per relay round (``fading.draw_phase2``),
-    whatever the outcomes.  So each variant gets the array of a run of it
-    alone, and relay round r draws the same whatever the round count.
+    whatever the outcomes.  So relay round r draws the same whatever the
+    round count, and variants that differ only in it share one curve,
+    computed at their largest count: each gets its prefix, the array of a
+    run of it alone.
     """
     thresholds = thresholds or _thresholds(variants)
     config = variants[0][0]
+    keys = [(p.name, p.with_head, t) for (_, p), t in zip(variants, thresholds)]
+    longest = {}  # the most relay rounds any variant asks of each curve
+    for key, (_, protocol) in zip(keys, variants):
+        longest[key] = max(longest.get(key, 0), protocol.rounds)
     gbs = geometry.sample_gbs_layout(config, rng, trials)
     swarm = geometry.sample_swarm_layout(config, rng, trials)
     gains = fading.draw_phase1(config, rng, trials)
     relay_gains = [fading.draw_phase2(config, rng, trials) for _ in range(
         max((p.rounds for _, p in variants if p.name == "multi_round"), default=0))]
-    near = gbs.available_idx[gbs.center_distances[:, gbs.available_idx].argmin(axis=1)]
-    cell_sinrs = {}  # by serving set and combining
-    out = []
-    for (_, protocol), (cell_threshold, d2d_threshold) in zip(variants, thresholds):
-        key = (protocol.name == "nearest_gbs", "head" if protocol.with_head else "unit")
-        if key not in cell_sinrs:
-            cell_sinrs[key] = fading.phase1_sinrs(gbs, swarm, gains, config, key[1],
-                                                  near[:, None] if key[0] else None)
-        decoded = cell_sinrs[key] >= cell_threshold
-        probs = np.empty((trials, 1 + protocol.rounds, config.n_uavs))
+    cell_sinrs = {}  # by head weighting and serving set
+    curves = {}
+    for key, rounds in longest.items():
+        name, with_head, (cell_threshold, d2d_threshold) = key
+        cell = (with_head, name == "nearest_gbs")
+        if cell not in cell_sinrs:
+            cell_sinrs[cell] = fading.phase1_sinrs(gbs, swarm, gains, config, *cell)
+        decoded = cell_sinrs[cell] >= cell_threshold
+        probs = np.empty((trials, 1 + rounds, config.n_uavs))
         probs[:, 0] = decoded
-        speakers = (np.arange(config.n_uavs) == swarm.head_idx if protocol.name == "head_relay"
+        speakers = (np.arange(config.n_uavs) == swarm.head_idx if name == "head_relay"
                     else np.ones(config.n_uavs, dtype=bool))
-        for r in range(1, protocol.rounds + 1):
+        for r in range(1, rounds + 1):
             relays = decoded & speakers
-            if protocol.name != "multi_round":
+            if name != "multi_round":
                 heard = fading.phase2_decode_probs(swarm, relays, config, d2d_threshold)
                 probs[:, r] = np.where(decoded, 1.0, heard)
             else:
@@ -202,8 +209,8 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None) 
                 # with nobody relaying there is no transmission to decode
                 decoded |= (sinrs >= d2d_threshold) & relays.any(axis=1, keepdims=True)
                 probs[:, r] = decoded
-        out.append(probs)
-    return out
+        curves[key] = probs
+    return [curves[key][:, :1 + protocol.rounds] for key, (_, protocol) in zip(keys, variants)]
 
 
 def _decoded_counts(variants, thresholds, master_seed, start, stop):

@@ -266,7 +266,7 @@ def log_tricomi_u_scaled(a: float, b: float, z: float) -> float:
     sigma = math.exp(log_ratio - peak_softplus)
     width = 1.0 / math.sqrt(a * math.exp(-peak_softplus) + s_star * sigma)
     u = power * sigma / a
-    log_ratio_a = math.log1p(u) if u > -0.5 else math.log(s_star / a)
+    log_ratio_a = math.log1p(u) if u > -0.5 else log_s_star - math.log(a)
     log_scale = power * peak_softplus + log_gamma_peak(a) + a * (log_ratio_a - u)
 
     def integrand(x):

@@ -252,7 +252,7 @@ def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
     run_trial = mc.run_trial
 
     def counting(variants, rng, trials, thresholds=None):
-        calls.append((variants[0][1].rounds, trials))
+        calls.append((max(p.rounds for _, p in variants), trials))
         return run_trial(variants, rng, trials, thresholds)
 
     monkeypatch.setattr(mc, "run_trial", counting)

@@ -44,6 +44,13 @@ NEAR_TWO = dict(n_uavs=1, m_available=1, m_occupied=1, rician_k=0.0, message_bit
 SMALL_SHAPE = dict(n_uavs=1, m_available=1, m_occupied=1, rician_k=0.0, message_bits=1.0,
                    swarm_altitude_m=1.0)
 
+# near the rate cap z is 1.08e-311, and the member stage's Tricomi peak s*
+# underflowed to 0 before log(s*/a) was taken from the logs in hand
+MEMBER_CAP = dict(n_uavs=14, m_available=44, m_occupied=34, coverage_radius_m=138017.8,
+                  swarm_radius_m=53337.9, swarm_altitude_m=0.0013095, pathloss_exp_cell=3.1925,
+                  pathloss_exp_d2d=3.8249, rician_k=0.012683, min_separation_m=2648.35,
+                  message_bits=99561.77, tau_phase1_s=0.00050461)
+
 # the reference swarm, for the examples above, which probe the cellular stage
 SWARM = dict(swarm_radius_m=30.0, min_separation_m=5.0, pathloss_exp_d2d=2.0)
 
@@ -60,6 +67,7 @@ SWARM = dict(swarm_radius_m=30.0, min_separation_m=5.0, pathloss_exp_d2d=2.0)
 # touching UAVs make E[w^-alpha_d2d] infinite; at 1e-30 m, w^-12 overflows
 @example(**NEAR_TWO, swarm_radius_m=30.0, min_separation_m=0.0, pathloss_exp_d2d=6.0)
 @example(**NEAR_TWO, swarm_radius_m=30.0, min_separation_m=1e-30, pathloss_exp_d2d=6.0)
+@example(**MEMBER_CAP)
 @given(
     n_uavs=st.integers(1, 100),
     m_available=st.integers(1, 16),
@@ -94,3 +102,9 @@ def test_validated_config_gives_probabilities_or_documented_error(**overrides):
         write_config(config, path)
         code = cli.main(["analyze", "--config", path])
     assert code == 0 if br is not None else code in (2, 3)
+
+
+def test_member_probability_at_an_underflowing_tricomi_peak():
+    # mpmath: z^a U(a, b, z) = 0.99999999999324 at this config's shapes and z
+    assert analytic.reliability(make_config(**MEMBER_CAP)).p_member == pytest.approx(
+        0.99999999999324, abs=1e-9)

@@ -85,17 +85,9 @@ def test_fourth_moment():
 
 def _scene(config, gbs_xy, uav_xy):
     """Layouts of one trial with the given planar positions."""
-    gbs_xy = np.asarray(gbs_xy, dtype=float)
-    uav_xy = np.asarray(uav_xy, dtype=float)
-    h = config.swarm_altitude_m
-    gbs = geometry.GbsLayout(
-        positions=gbs_xy[None],
-        available_idx=np.arange(config.m_available),
-        occupied_idx=np.arange(config.m_available, len(gbs_xy)),
-        center_distances=np.sqrt((gbs_xy**2).sum(1) + h * h)[None],
-    )
-    pos3 = np.column_stack([uav_xy, np.full(len(uav_xy), h)])
-    return gbs, geometry.SwarmLayout(positions=pos3[None], head_idx=0)
+    gbs = np.asarray(gbs_xy, dtype=float)[None]
+    uav = np.asarray(uav_xy, dtype=float)[None]
+    return gbs, geometry.SwarmLayout(positions=uav, head_idx=0)
 
 
 def _relays(n, indices):
@@ -113,8 +105,9 @@ def test_phase1_channels_match_summed_squares_bitwise(config):
     swarm = geometry.sample_swarm_layout(config, rng, trials)
     draw = fading.draw_phase1(config, rng, trials)
     assert draw.shape == (trials, 40, 16)
-    gbs3d = np.concatenate([gbs.positions, np.zeros((trials, 16, 1))], axis=2)
-    diff = swarm.positions[:, :, None, :] - gbs3d[:, None, :, :]
+    gbs3d = np.concatenate([gbs, np.zeros((trials, 16, 1))], axis=2)
+    uav3d = np.concatenate([swarm.positions, np.full((trials, 40, 1), 300.0)], axis=2)
+    diff = uav3d[:, :, None, :] - gbs3d[:, None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
     amp = np.sqrt(config.ref_gain_cell * dist ** (-config.pathloss_exp_cell))
     assert np.array_equal(fading._phase1_channels(gbs, swarm, draw, config), amp * draw)
@@ -145,6 +138,24 @@ def test_phase1_hand_computed_head_sinr():
     assert sinr[0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("with_head", [True, False])
+def test_phase1_nearest_serves_from_the_available_gbs_closest_to_the_center(with_head):
+    # GBS 1 is the available one closest to the swarm center, though GBS 0 is
+    # closer to UAV 1; GBS 3 interferes; unit fading and no receiver noise
+    cfg = replace(make_config(m_available=3, m_occupied=1, n_uavs=2, pathloss_exp_cell=3.0),
+                  noise_phase1_dbm=-math.inf)
+    gbs_xy = [[500, 0], [0, 200], [-300, 0], [400, 0]]
+    uav_xy = [[0, 0], [480, 0]]
+    gbs, swarm = _scene(cfg, gbs_xy, uav_xy)
+    draw = np.ones((1, 2, 4), dtype=complex)
+    sinr = fading.phase1_sinrs(gbs, swarm, draw, cfg, with_head=with_head, nearest=True)
+    h = cfg.swarm_altitude_m
+    dist = lambda u, g: math.hypot(math.hypot(u[0] - g[0], u[1] - g[1]), h)
+    want = [(dist(u, gbs_xy[3]) / dist(u, gbs_xy[1])) ** 3.0 for u in uav_xy]
+    assert sinr.shape == (1, 2)
+    assert sinr[0] == pytest.approx(want, rel=1e-12)
+
+
 def test_phase1_head_sinr_invariant_to_serving_phases():
     cfg = make_config(n_uavs=4)
     gbs, swarm = _scene(
@@ -172,11 +183,11 @@ def test_phase1_coherent_beats_unit_combining_at_head():
     rng = np.random.default_rng(11)
     n = 10_000
     # one scene over n trials of fading
-    gbs = replace(gbs, positions=np.broadcast_to(gbs.positions, (n, 16, 2)))
-    swarm = replace(swarm, positions=np.broadcast_to(swarm.positions, (n, 2, 3)))
+    gbs = np.broadcast_to(gbs, (n, 16, 2))
+    swarm = replace(swarm, positions=np.broadcast_to(swarm.positions, (n, 2, 2)))
     draw = fading.draw_phase1(cfg, rng, n)
-    head = fading.phase1_sinrs(gbs, swarm, draw, cfg, combining="head")[:, 0]
-    unit = fading.phase1_sinrs(gbs, swarm, draw, cfg, combining="unit")[:, 0]
+    head = fading.phase1_sinrs(gbs, swarm, draw, cfg, with_head=True)[:, 0]
+    unit = fading.phase1_sinrs(gbs, swarm, draw, cfg, with_head=False)[:, 0]
     assert head.mean() > unit.mean()
 
 

@@ -115,36 +115,26 @@ def test_uniform_disk_radius_cdf():
 
 def test_gbs_layout_empty():
     cfg = make_config()
-    empty = geometry.GbsLayout(
-        positions=np.empty((0, 2)),
-        available_idx=np.arange(0),
-        occupied_idx=np.arange(0),
-        center_distances=np.empty(0),
-    )
-    # the sampler produces the same shape when both counts are zero
+    # the sampler produces an empty layout when both counts are zero
     from dataclasses import replace
 
     raw = replace(cfg, m_available=0, m_occupied=0)  # bypasses validate on purpose
     rng = np.random.default_rng(3)
     layout = geometry.sample_gbs_layout(raw, rng, 4)
-    assert layout.positions.shape == (4, *empty.positions.shape)
-    assert layout.center_distances.shape == (4, 0)
-    assert len(layout.available_idx) == 0 and len(layout.occupied_idx) == 0
+    assert layout.shape == (4, 0, 2)
 
 
 def test_gbs_layout_distances_bounded(config):
     rng = np.random.default_rng(4)
     layout = geometry.sample_gbs_layout(config, rng, 50)
-    assert layout.positions.shape == (50, 16, 2) and layout.center_distances.shape == (50, 16)
-    assert (layout.center_distances >= 300.0).all()
-    assert (layout.center_distances <= np.sqrt(900.0**2 + 300.0**2) + 1e-9).all()
-    assert len(layout.available_idx) == 8 and len(layout.occupied_idx) == 8
+    assert layout.shape == (50, 16, 2)
+    assert (np.hypot(layout[..., 0], layout[..., 1]) <= 900.0).all()
 
 
 def test_swarm_layout_single_point():
     cfg = make_config(n_uavs=1)
     layout = geometry.sample_swarm_layout(cfg, np.random.default_rng(5), 3)
-    assert layout.positions.shape == (3, 1, 3)
+    assert layout.positions.shape == (3, 1, 2)
     assert layout.pair_distances.shape == (3, 1, 1)
     assert layout.head_idx == 0
 
@@ -162,7 +152,7 @@ def test_swarm_layout_separation(config):
     assert off.min() >= 5.0
     planar = np.hypot(layout.positions[..., 0], layout.positions[..., 1])
     assert (planar <= 30.0).all()
-    assert (layout.positions[..., 2] == 300.0).all()
+    assert layout.positions.shape == (20, 30, 2)
 
 
 def test_swarm_layouts_are_per_trial_placements_in_trial_order(config):

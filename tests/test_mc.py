@@ -133,6 +133,30 @@ def test_multiround_prefix_property():
     assert np.array_equal(short, long[:, :3])
 
 
+@pytest.mark.parametrize("with_head", [True, False])
+def test_round_counts_of_one_protocol_share_one_curve(monkeypatch, with_head):
+    # each row equals its own estimate, and each chunk computes one
+    # three-round curve: one kernel call and three relay rounds, not nine
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    pairs = [(cfg, mc.multi_round(rounds, with_head)) for rounds in (3, 1, 3, 2)]
+    own = [mc.estimate(c, p, 64, 14) for c, p in pairs]
+    calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(mc, "run_trial")
+    count(fading, "phase2_sinrs")
+    assert mc.estimate_variants(pairs, 64, 14) == own
+    assert calls == ["run_trial", *["phase2_sinrs"] * 3] * 16
+
+
 def test_protocols_on_one_seed_share_the_cellular_stage():
     # same serving set, combining and threshold on the same trial rng give
     # the same row 0, whatever happens in the relay rounds afterwards
@@ -207,7 +231,7 @@ def test_estimate_validates_trials(config):
 def _relay_scene(config, seed, trials):
     """One sampled swarm repeated over ``trials`` trials, with UAVs 0-2 relaying."""
     one = geometry.sample_swarm_layout(config, np.random.default_rng(seed), 1)
-    swarm = replace(one, positions=np.broadcast_to(one.positions, (trials, config.n_uavs, 3)))
+    swarm = replace(one, positions=np.broadcast_to(one.positions, (trials, config.n_uavs, 2)))
     relays = np.zeros((trials, config.n_uavs), dtype=bool)
     relays[:, :3] = True
     return swarm, relays
