@@ -232,10 +232,10 @@ def _head_cdf_series(theta: float, num: GammaFit, den: GammaFit) -> float | None
     if b * b * theta / d == 0.0 or theta / d == 0.0:
         # a subnormal threshold underflows the prefactors' log arguments
         return None
-    pref = ((a / 2.0) * math.log(b * b * theta / d), -specfun.log_gamma(a), -specfun.log_gamma(c))
-    logs1 = pref + (specfun.log_gamma(a / 2.0 + c), -math.log(a))
+    pref = ((a / 2.0) * math.log(b * b * theta / d), -math.lgamma(a), -math.lgamma(c))
+    logs1 = pref + (math.lgamma(a / 2.0 + c), -math.log(a))
     logs2 = pref + (math.log(b), 0.5 * math.log(theta / d),
-                    specfun.log_gamma(a / 2.0 + c + 0.5), -math.log(a + 1.0))
+                    math.lgamma(a / 2.0 + c + 0.5), -math.log(a + 1.0))
     t1 = math.exp(math.fsum(logs1))
     t2 = math.exp(math.fsum(logs2))
     # each sum rounds to about its largest partial term times eps, and each
@@ -320,16 +320,10 @@ def d2d_fit(k_effective: float, config: ScenarioConfig) -> InvGammaFit:
         # the pair-distance density is ~ w near 0, so E[w^-alpha_d2d] diverges
         raise MomentFitError(f"min_separation_m = {config.min_separation_m}: UAVs may touch, "
                              "so the relay path-loss moments are infinite")
-    mu, nu = _relay_pathloss_moments(
-        config.swarm_radius_m, config.min_separation_m, config.pathloss_exp_d2d
-    )
-    return inv_gamma_fit(k_effective * mu, k_effective * nu)
-
-
-def _relay_pathloss_moments(radius: float, d_min: float, alpha: float) -> tuple[float, float]:
+    radius, d_min, alpha = config.swarm_radius_m, config.min_separation_m, config.pathloss_exp_d2d
     mu = _truncated_pair_moment(radius, d_min, alpha)
     second = _truncated_pair_moment(radius, d_min, 2.0 * alpha)
-    return mu, second - mu * mu
+    return inv_gamma_fit(k_effective * mu, k_effective * (second - mu * mu))
 
 
 @lru_cache(maxsize=None)

@@ -137,9 +137,10 @@ def phase1_sinrs(
 
     The first ``m_available`` GBSs of the ``gbs`` layout serve and the rest
     interfere at full power.  ``with_head`` applies each serving GBS's
-    conjugate-phase unit weight for the head's channel, so the head combines
-    coherently; without it the GBSs send unweighted.  ``nearest`` serves
-    from only the available GBS closest to the swarm center.
+    conjugate-phase unit weight for the channel of the head, UAV 0, so the
+    head combines coherently; without it the GBSs send unweighted.
+    ``nearest`` serves from only the available GBS closest to the swarm
+    center.
     """
     h = _phase1_channels(gbs, swarm, gains, config)
     p = config.tx_power_gbs_w
@@ -153,7 +154,7 @@ def phase1_sinrs(
         center = np.hypot(np.hypot(gbs[:, :m0, 0], gbs[:, :m0, 1]), config.swarm_altitude_m)
         h_tx = np.take_along_axis(h_tx, center.argmin(axis=1)[:, None, None], axis=2)
     if with_head:
-        head_ch = h_tx[:, swarm.head_idx]
+        head_ch = h_tx[:, 0]
         # a zero channel has no phase: send it unit weight
         head_ch = np.where(head_ch == 0, 1.0, head_ch)
         weights = np.conj(head_ch) / np.abs(head_ch)

@@ -42,12 +42,11 @@ class SwarmLayout:
     """Sampled UAV positions (m) and their pairwise distances, per trial.
 
     ``positions`` are planar; every UAV flies at the config's
-    ``swarm_altitude_m``.  ``head_idx`` designates the UAV whose uplink
-    pilot provides the transmit-weight channel estimates.
+    ``swarm_altitude_m``.  UAV 0 is the head, whose uplink pilot provides
+    the transmit-weight channel estimates.
     """
 
     positions: np.ndarray  # (trials, N, 2)
-    head_idx: int
 
     @functools.cached_property
     def pair_distances(self) -> np.ndarray:
@@ -173,7 +172,7 @@ def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
     positions = np.empty((trials, n, 2))
     for b in range(trials):
         positions[b] = sample_hardcore_disk(n, config.swarm_radius_m, config.min_separation_m, rng)
-    return SwarmLayout(positions=positions, head_idx=0)
+    return SwarmLayout(positions=positions)
 
 
 # --- pair-distance mass -------------------------------------------------------

@@ -197,7 +197,7 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None) 
         decoded = cell_sinrs[cell] >= cell_threshold
         probs = np.empty((trials, 1 + rounds, config.n_uavs))
         probs[:, 0] = decoded
-        speakers = (np.arange(config.n_uavs) == swarm.head_idx if name == "head_relay"
+        speakers = (np.arange(config.n_uavs) == 0 if name == "head_relay"
                     else np.ones(config.n_uavs, dtype=bool))
         for r in range(1, rounds + 1):
             relays = decoded & speakers

@@ -41,8 +41,8 @@ def test_criterion_1_special_function_oracles():
         worst["gamma"] = max(worst.get("gamma", 0.0), abs(got - ref))
         assert got == pytest.approx(ref, abs=1e-12)
 
-    # kappa = 30 is the Bessel seam at x = kappa/2 = 15: power series below,
-    # asymptotic sum above
+    # kappa = 30 is the seam of laguerre_half: the power-series loop of the
+    # Bessel form below, the asymptotic series from 30 up
     for kappa in np.concatenate([np.linspace(0.0, 120.0, 49), [29.8, 30.2]]):
         got = specfun.laguerre_half(-float(kappa))
         ref = float(mp.laguerre(0.5, 0, -float(kappa)))

@@ -87,7 +87,7 @@ def _scene(config, gbs_xy, uav_xy):
     """Layouts of one trial with the given planar positions."""
     gbs = np.asarray(gbs_xy, dtype=float)[None]
     uav = np.asarray(uav_xy, dtype=float)[None]
-    return gbs, geometry.SwarmLayout(positions=uav, head_idx=0)
+    return gbs, geometry.SwarmLayout(positions=uav)
 
 
 def _relays(n, indices):

@@ -136,7 +136,6 @@ def test_swarm_layout_single_point():
     layout = geometry.sample_swarm_layout(cfg, np.random.default_rng(5), 3)
     assert layout.positions.shape == (3, 1, 2)
     assert layout.pair_distances.shape == (3, 1, 1)
-    assert layout.head_idx == 0
 
 
 def test_swarm_layout_separation(config):

@@ -324,7 +324,7 @@ def sampled_relay_fractions(config, protocol, trials, seed):
         swarm = geometry.sample_swarm_layout(config, replay, stop - start)
         relays = decoded.copy()
         if protocol.name == "head_relay":
-            relays[:, np.arange(config.n_uavs) != swarm.head_idx] = False
+            relays[:, 1:] = False
         gains = fading.draw_phase2(config, rng, stop - start)
         sinrs = fading.phase2_sinrs(swarm, relays, gains, config)
         decoded |= (sinrs >= theta2) & relays.any(axis=1, keepdims=True)

@@ -49,50 +49,6 @@ def test_gamma_domain_errors():
         specfun.regularized_gamma(0.0, 1.0)
     with pytest.raises(ValueError):
         specfun.regularized_gamma(-2.0, 1.0)
-    with pytest.raises(ValueError):
-        specfun.log_gamma(0.0)
-
-
-# --- exponentially scaled Bessel I0 / I1, the terms of the Laguerre function ----
-# e^-x I_order(x) for x >= 0, checked against unscaled 40-digit values times e^-x
-
-
-def _i0_series_oracle(z, terms=40):
-    q = 0.25 * z * z
-    return sum(q**k / math.factorial(k) ** 2 for k in range(terms))
-
-
-def _scaled(x, unscaled):
-    return math.exp(-x) * unscaled
-
-
-def test_bessel_at_zero():
-    assert specfun._bessel_ie(0, 0.0) == 1.0
-    assert specfun._bessel_ie(1, 0.0) == 0.0
-
-
-def test_bessel_i0_series_oracle():
-    assert specfun._bessel_ie(0, 1.0) == pytest.approx(_scaled(1.0, _i0_series_oracle(1.0)),
-                                                       rel=1e-14)
-    assert specfun._bessel_ie(0, 1.0) == pytest.approx(_scaled(1.0, 1.2660658777520084),
-                                                       rel=1e-13)
-
-
-def test_bessel_against_frozen_oracle_values():
-    # mpmath.besseli at 40 digits
-    assert specfun._bessel_ie(0, 20.0) == pytest.approx(_scaled(20.0, 43558282.559553533),
-                                                        rel=1e-12)
-    assert specfun._bessel_ie(1, 2.5) == pytest.approx(_scaled(2.5, 2.5167162452886984),
-                                                       rel=1e-13)
-    assert specfun._bessel_ie(1, 30.0) == pytest.approx(_scaled(30.0, 768532038938.95700),
-                                                        rel=1e-10)
-
-
-def test_bessel_series_asymptotic_seam():
-    # both evaluation regimes hit full accuracy on their side of the cutoff
-    for order, x, unscaled in ((0, 14.9, 308375.57868743920), (0, 15.1, 374103.41119040899),
-                               (1, 14.9, 297840.69477957431), (1, 15.1, 361495.56618540161)):
-        assert specfun._bessel_ie(order, x) == pytest.approx(_scaled(x, unscaled), rel=1e-12)
 
 
 # --- Laguerre 1/2 ---------------------------------------------------------------
@@ -122,6 +78,16 @@ def test_laguerre_half_scaled_matches_unscaled_bessel_form():
     for z in (0.5, 2.0, 10.0):
         assert specfun.laguerre_half(z) == pytest.approx(float(mpmath.hyp1f1(-0.5, 1.0, z)),
                                                          rel=1e-10)
+
+
+def test_laguerre_half_against_mpmath_over_the_kappa_range():
+    # both routes and their seam at kappa = 30, against 40-digit 1F1(-1/2; 1; -kappa)
+    kappas = np.concatenate([np.logspace(-8.0, 12.0, 161), [1e200, 29.99, 30.0, 30.01]])
+    with mpmath.workdps(40):
+        for kappa in kappas:
+            ref = mpmath.hyp1f1(-0.5, 1, -mpmath.mpf(float(kappa)))
+            got = specfun.laguerre_half(-float(kappa))
+            assert float(abs(got - ref) / ref) <= 1e-14, kappa
 
 
 def test_laguerre_half_large_kappa_is_finite():
