@@ -30,7 +30,7 @@ __all__ = [
     "adaptive_quad",
 ]
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)  # a Python float keeps scalar loops out of numpy
 _FPMIN = 1e-300
 
 
