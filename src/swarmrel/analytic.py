@@ -4,10 +4,9 @@ The model moment-matches sums of path-loss-weighted fading terms to Gamma
 (Pearson III) and inverse-Gamma (Pearson V) distributions, from which the
 head and member decode probabilities of the cellular stage and the relay
 stage's decode probability follow in closed form.  Every moment branch is
-cross-checked against quadrature in the test suite, and the one expression
-that is numerically fragile in float64 (the hypergeometric form of the head
-decode probability) carries a quadrature fallback selected by a run-time
-rounding-error estimate.
+cross-checked against quadrature in the test suite.  The head decode
+probability has one route, a quadrature of the ratio CDF whose scale is
+set by both factors of its integrand.
 """
 
 from __future__ import annotations
@@ -40,12 +39,6 @@ __all__ = [
     "phase2_decode_prob",
     "reliability",
 ]
-
-# beyond this argument the hypergeometric series is never attempted
-HYP_ARG_CAP = 500.0
-# absolute rounding-error budget for the series route before falling back
-_SERIES_ERR_BUDGET = 1e-8
-
 
 @dataclass(frozen=True)
 class GammaFit:
@@ -184,11 +177,9 @@ def head_decode_prob(theta1: float, config: ScenarioConfig) -> float:
     """Probability that the head's coherently combined SINR clears ``theta1``.
 
     The head's SINR is approximated by Y/X with sqrt(Y) ~ Gamma (combined
-    signal amplitude) and X ~ Gamma (interference power); the ratio CDF has
-    a hypergeometric closed form and an equivalent one-dimensional integral.
-    The series is taken while its argument stays within ``HYP_ARG_CAP`` and
-    its estimated float64 rounding error within budget, the integral
-    otherwise.
+    signal amplitude) and X ~ Gamma (interference power).  The ratio CDF is
+    one integral of the interference density times the signal CDF, taken by
+    quadrature at every fitted shape (``_head_cdf_quad``).
     """
     if theta1 < 0:
         raise ValueError(f"theta1 must be >= 0, got {theta1}")
@@ -198,53 +189,14 @@ def head_decode_prob(theta1: float, config: ScenarioConfig) -> float:
         # no interference and the analytic model carries no receiver noise
         return 1.0
     num, den = _head_fits(config)
-    result = None
-    if num.b**2 * theta1 / (4.0 * den.b) <= HYP_ARG_CAP:
-        result = _head_cdf_series(theta1, num, den)
-    if result is None:
-        try:
-            result = _head_cdf_quad(theta1, num, den)
-        except specfun.NumericalError as exc:
-            raise specfun.NumericalError(
-                f"head decode probability at theta1 = {theta1:g}, fitted shapes a = {num.a:.4g} "
-                f"(signal amplitude), c = {den.a:.4g} (interference): {exc}"
-            ) from exc
-    return min(1.0, max(0.0, 1.0 - result))
-
-
-def _head_cdf_series(theta: float, num: GammaFit, den: GammaFit) -> float | None:
-    """Hypergeometric form of P{Y <= theta X}, or None when float64 cannot carry it.
-
-    The expression is the difference of two same-sign terms that grow like
-    exp(arg) while their difference stays in [0, 1], so the rounding of each
-    term, in its series sum and in its prefactor, is estimated on the fly.
-    """
-    a, b = num.a, num.b
-    c, d = den.a, den.b
-    w = b * b * theta / (4.0 * d)
     try:
-        f1, scale1 = specfun.hyp2f2_with_scale(a / 2.0 + c, a / 2.0, 0.5, a / 2.0 + 1.0, w)
-        f2, scale2 = specfun.hyp2f2_with_scale(
-            a / 2.0 + c + 0.5, a / 2.0 + 0.5, 1.5, a / 2.0 + 1.5, w
-        )
-    except specfun.SeriesError:
-        return None
-    if b * b * theta / d == 0.0 or theta / d == 0.0:
-        # a subnormal threshold underflows the prefactors' log arguments
-        return None
-    pref = ((a / 2.0) * math.log(b * b * theta / d), -math.lgamma(a), -math.lgamma(c))
-    logs1 = pref + (math.lgamma(a / 2.0 + c), -math.log(a))
-    logs2 = pref + (math.log(b), 0.5 * math.log(theta / d),
-                    math.lgamma(a / 2.0 + c + 0.5), -math.log(a + 1.0))
-    t1 = math.exp(math.fsum(logs1))
-    t2 = math.exp(math.fsum(logs2))
-    # each sum rounds to about its largest partial term times eps, and each
-    # prefactor to about the summed magnitude of its logs times eps
-    err_estimate = 2.3e-16 * (t1 * (scale1 + abs(f1) * sum(map(abs, logs1)))
-                              + t2 * (scale2 + abs(f2) * sum(map(abs, logs2))))
-    if not math.isfinite(err_estimate) or err_estimate > _SERIES_ERR_BUDGET:
-        return None
-    return t1 * f1 - t2 * f2
+        result = _head_cdf_quad(theta1, num, den)
+    except specfun.NumericalError as exc:
+        raise specfun.NumericalError(
+            f"head decode probability at theta1 = {theta1:g}, fitted shapes a = {num.a:.4g} "
+            f"(signal amplitude), c = {den.a:.4g} (interference): {exc}"
+        ) from exc
+    return min(1.0, max(0.0, 1.0 - result))
 
 
 def _head_cdf_quad(theta: float, num: GammaFit, den: GammaFit) -> float:
@@ -252,28 +204,33 @@ def _head_cdf_quad(theta: float, num: GammaFit, den: GammaFit) -> float:
     signal CDF, in x = log(v / c) around the density's peak v = c.
 
     In x the Gamma(c) density v^(c-1) e^-v dv / Gamma(c) reads
-    exp(log_peak + c (x - expm1(x))) dx, largest at x = 0 and about
-    1/sqrt(c) wide, which is the quadrature scale: neither the v^(c-1)
-    singularity at 0 for c < 1 nor, for large c, a narrow peak far out at
-    v = c is left for the quadrature to find.  The signal CDF is taken per
-    node, only where the density has not underflowed.
+    exp(log_peak + c (x - expm1(x))): largest at x = 0, about 1/sqrt(c)
+    wide, with a tail like c e^(c x) below it for small c.  The signal CDF
+    P(a, z), log z = log(b sqrt(theta c / d)) + x/2, rises like z^a, over
+    about 2/a in x at small a.  So the quadrature scale is min(1,
+    1/sqrt(c)): the peak width where the peak is narrow, else a unit step
+    that the sinh map stretches out to the tail and to the signal's rise,
+    wherever it lies; and the absolute tolerance, 1e-12 min(1, c), stays
+    below the density's height.  At tiny shapes the mass spans so many
+    decades of v that z underflows, so P is taken from log z, per node and
+    only where the density has not underflowed.
     """
     a, b = num.a, num.b
     c, d = den.a, den.b
-    scale = b * math.sqrt(theta / d)
-    log_c = math.log(c)
+    log_scale = math.log(b) + 0.5 * (math.log(theta) - math.log(d) + math.log(c))
     log_peak = specfun.log_gamma_peak(c)
 
     def integrand(x):
         # e^x past 700 only lowers a density that has already underflowed
         density = np.exp(log_peak + c * (x - np.expm1(np.minimum(x, 700.0))))
         cdf = [
-            specfun.regularized_gamma(a, scale * math.exp(0.5 * (log_c + xi))) if di > 0.0 else 0.0
+            specfun.regularized_gamma(a, log_scale + 0.5 * xi) if di > 0.0 else 0.0
             for xi, di in zip(x.tolist(), density.tolist())
         ]
         return density * cdf
 
-    return specfun.adaptive_quad(integrand, 1.0 / math.sqrt(c), rel_tol=1e-9, abs_tol=1e-12)
+    return specfun.adaptive_quad(integrand, min(1.0, 1.0 / math.sqrt(c)), rel_tol=1e-9,
+                                 abs_tol=1e-12 * min(1.0, c))
 
 
 def member_decode_prob(theta1: float, config: ScenarioConfig) -> float:

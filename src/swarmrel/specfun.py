@@ -1,10 +1,9 @@
 """Self-contained special functions backing the closed-form reliability model.
 
 Everything here is pure and reentrant, and scalar except the quadrature:
-incomplete gamma (series / continued fraction), the half-order Laguerre
-function (one power-series loop for its Bessel form / asymptotic series
-from z = -30 down), the direct Pochhammer series for 2F2 with its
-rounding scale, the log-scaled Tricomi confluent function z^a Psi via
+incomplete gamma of log z (series / continued fraction), the half-order
+Laguerre function (one power-series loop for its Bessel form / asymptotic series
+from z = -30 down), the log-scaled Tricomi confluent function z^a Psi via
 quadrature of its integral representation, and the one quadrature every
 closed-form integral uses, a trapezoid rule over the real line in
 x = width * sinh(t) whose integrand takes and returns numpy arrays.  Each
@@ -66,19 +65,21 @@ def log_gamma_peak(a: float) -> float:
     return 0.5 * math.log(a / (2.0 * math.pi)) - correction
 
 
-def regularized_gamma(a: float, z: float) -> float:
-    """Regularized lower incomplete gamma P(a, z) in [0, 1].
+def regularized_gamma(a: float, log_z: float) -> float:
+    """Regularized lower incomplete gamma P(a, z) in [0, 1], from a and log z.
 
-    Power series for z < a + 1, Lentz continued fraction for the upper
-    function otherwise.
+    From log z, P keeps its leading factor z^a = exp(a log z) where z
+    underflows; at small a, P is far from 0 there (P(1e-3, e^-1000) is
+    e^-1).  Power series for z < a + 1, Lentz continued fraction for the
+    upper function otherwise.
     """
     if a <= 0:
         raise ValueError(f"regularized_gamma requires a > 0, got {a}")
-    if z < 0:
-        raise ValueError(f"regularized_gamma requires z >= 0, got {z}")
-    if z == 0.0:
-        return 0.0
-    scale = math.exp(a * math.log(z) - z - math.lgamma(a))
+    if log_z > 709.0:
+        # z past 8e307, far above any shape a: Q(a, z) has underflowed
+        return 1.0
+    z = math.exp(log_z)
+    scale = math.exp(a * log_z - z - math.lgamma(a))
     if z < a + 1.0:
         return scale * _gamma_p_series(a, z)
     return 1.0 - scale * _gamma_q_contfrac(a, z)
@@ -158,6 +159,9 @@ def laguerre_half(z: float) -> float:
 # --- generalized hypergeometric series ---------------------------------------
 
 
+# No caller in the package since the head probability dropped its series
+# route; perfbench/spans.py still traces it by name, so it goes when the
+# benchmark stops patching module attributes (ROADMAP item 4).
 def hyp2f2_with_scale(a1: float, a2: float, b1: float, b2: float, z: float) -> tuple[float, float]:
     """2F2(a1, a2; b1, b2; z) by direct Pochhammer series, plus the largest
     absolute partial term of that series.

@@ -36,7 +36,7 @@ def test_criterion_1_special_function_oracles():
     for _ in range(40):
         a = rng.uniform(0.3, 40.0)
         z = rng.uniform(0.0, 80.0)
-        got = specfun.regularized_gamma(a, z)
+        got = specfun.regularized_gamma(a, math.log(z))
         ref = float(special.gammainc(a, z))
         worst["gamma"] = max(worst.get("gamma", 0.0), abs(got - ref))
         assert got == pytest.approx(ref, abs=1e-12)
@@ -55,7 +55,7 @@ def test_criterion_1_special_function_oracles():
         a = rng.uniform(-2.0, 4.0)
         b = rng.uniform(0.5, 5.0)
         z = rng.uniform(-10.0, 15.0)
-        # 1F1(a; b; z) as 2F2(a, 1; b, 1; z), the series the head route runs
+        # 1F1(a; b; z) as 2F2(a, 1; b, 1; z)
         got = specfun.hyp2f2_with_scale(a, 1.0, b, 1.0, z)[0]
         ref = float(mp.hyp1f1(a, b, z))
         worst["1f1"] = max(worst.get("1f1", 0.0), abs(got - ref) / max(1e-30, abs(ref)))

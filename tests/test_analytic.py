@@ -234,25 +234,10 @@ def test_head_decode_quad_with_singular_interference_density():
     assert analytic.head_decode_prob(theta, cfg) == pytest.approx(ref, abs=1e-8)
 
 
-def test_head_decode_series_equals_quad_where_series_is_trusted(config):
-    # both production routes agree wherever the series route accepts the job
-    # (from theta = 0.4 up the prefactors' rounding alone may exceed the
-    # 1e-8 budget, so the series refuses there)
-    num, den = analytic._head_fits(config)
-    for theta in (0.05, 0.1, 0.2, 0.25, 0.3, 0.35):
-        s = analytic._head_cdf_series(theta, num, den)
-        assert s is not None
-        assert s == pytest.approx(analytic._head_cdf_quad(theta, num, den), abs=1e-4)
-    # at a comfortably in-budget operating point the routes agree much tighter
-    assert analytic._head_cdf_series(0.25, num, den) == pytest.approx(
-        analytic._head_cdf_quad(0.25, num, den), abs=1e-5
-    )
-
-
-def test_head_decode_series_counts_prefactor_rounding():
-    # the series' two prefactors are ~5e7 here and carry about |log terms| *
-    # eps relative error before the terms cancel; counted, they send this
-    # point to the quadrature, which mpmath confirms to 1e-8
+def test_head_decode_against_mpmath_where_the_2f2_form_cancels():
+    # the 2F2 form of the ratio CDF is a difference of two terms of ~5e7
+    # here, whose rounding alone exceeds 1e-8; the quadrature, which never
+    # forms them, matches mpmath to 1e-8
     mpmath = pytest.importorskip("mpmath")
     cfg = make_config(m_available=4, m_occupied=8, rician_k=3.4106917927843416,
                       message_bits=71.63349744369316, tau_phase1_s=0.0008804344755401868)
@@ -270,10 +255,13 @@ def test_head_decode_series_counts_prefactor_rounding():
     assert analytic.head_decode_prob(theta, cfg) == pytest.approx(ref, abs=1e-8)
 
 
-def test_head_decode_series_refuses_hopeless_region(config):
-    # far into the cancellation zone the series route must refuse, not lie
-    num, den = analytic._head_fits(config)
-    assert analytic._head_cdf_series(2.0, num, den) is None
+@pytest.mark.parametrize("a, c", [(1e-15, 3e-14), (2e-8, 3e-11), (1e-12, 1e-12), (1e-9, 2e-9)])
+def test_head_cdf_at_tiny_shapes_reaches_its_limit(a, c):
+    # as a, c -> 0, log G_a ~ -E/a and log X ~ -E'/c for unit exponentials E,
+    # E', so P{G_a^2 <= X} -> P{E'/c <= 2E/a} = 2c/(a + 2c); the mass spans
+    # ~1/c in log v, where z underflows and the density is only ~c high
+    cdf = analytic._head_cdf_quad(1.0, analytic.GammaFit(a, 1.0), analytic.GammaFit(c, 1.0))
+    assert cdf == pytest.approx(2.0 * c / (a + 2.0 * c), abs=1e-6)
 
 
 def test_head_decode_falls_with_interferer_count():
@@ -294,7 +282,7 @@ def test_head_decode_at_huge_interferer_counts():
 
 
 def test_head_decode_monotone(config):
-    # slack covers the series route's declared rounding budget near 1
+    # slack covers the quadrature's tolerance
     grid = np.linspace(0.01, 2.0, 50)
     vals = [analytic.head_decode_prob(t, config) for t in grid]
     assert all(v1 >= v2 - 5e-8 for v1, v2 in zip(vals, vals[1:]))

@@ -54,6 +54,24 @@ MEMBER_CAP = dict(n_uavs=14, m_available=44, m_occupied=34, coverage_radius_m=13
 # the reference swarm, for the examples above, which probe the cellular stage
 SWARM = dict(swarm_radius_m=30.0, min_separation_m=5.0, pathloss_exp_d2d=2.0)
 
+# tiny fitted shapes, whose head quadrature failed (exit 3) on the first,
+# c = 4.2e-6, and where the 2F2 series of the ratio CDF passed its rounding
+# budget with a CDF of -1.125 on the second, clamping p_head to 1
+WIDE_CELL = dict(n_uavs=40, m_available=8, m_occupied=8, rician_k=4.0, message_bits=40.0,
+                 tau_phase1_s=5e-4, swarm_altitude_m=300.0, coverage_radius_m=1e6,
+                 pathloss_exp_cell=3.0, **SWARM)
+SERIES_BELOW_ZERO = dict(n_uavs=2, m_available=60, m_occupied=52,
+                         coverage_radius_m=48619.753351868945,
+                         swarm_radius_m=0.0010788735723051472,
+                         swarm_altitude_m=0.030249092943897566,
+                         min_separation_m=3.430154198815739e-05,
+                         pathloss_exp_cell=3.9672437346191574,
+                         pathloss_exp_d2d=2.702221762737829, rician_k=0.06976944000850449,
+                         message_bits=41.21685760985007, tau_phase1_s=0.0005338703322829722)
+
+# every length is drawn log-uniform over ten decades
+LENGTH = st.floats(-3.0, 7.0).map(lambda e: 10.0**e)
+
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @example(**OVERFLOW, **SWARM)
@@ -68,19 +86,21 @@ SWARM = dict(swarm_radius_m=30.0, min_separation_m=5.0, pathloss_exp_d2d=2.0)
 @example(**NEAR_TWO, swarm_radius_m=30.0, min_separation_m=0.0, pathloss_exp_d2d=6.0)
 @example(**NEAR_TWO, swarm_radius_m=30.0, min_separation_m=1e-30, pathloss_exp_d2d=6.0)
 @example(**MEMBER_CAP)
+@example(**WIDE_CELL)
+@example(**SERIES_BELOW_ZERO)
 @given(
     n_uavs=st.integers(1, 100),
-    m_available=st.integers(1, 16),
-    m_occupied=st.integers(0, 16),
-    rician_k=st.floats(0.0, 100.0),
-    message_bits=st.floats(0.0, 400.0),
+    m_available=st.integers(1, 100),
+    m_occupied=st.integers(0, 100),
+    rician_k=st.floats(0.0, 1e12),
+    message_bits=st.floats(0.0, 1.1e5),
     tau_phase1_s=st.floats(1e-6, 9.99e-4),
-    swarm_altitude_m=st.floats(1.0, 2000.0),
-    coverage_radius_m=st.floats(1.0, 2000.0),
-    pathloss_exp_cell=st.floats(2.0, 5.0),
-    swarm_radius_m=st.floats(1.0, 100.0),
-    min_separation_m=st.floats(0.0, 20.0),
-    pathloss_exp_d2d=st.floats(2.0, 6.0),
+    swarm_altitude_m=LENGTH,
+    coverage_radius_m=LENGTH,
+    pathloss_exp_cell=st.floats(2.0, 8.0),
+    swarm_radius_m=LENGTH,
+    min_separation_m=LENGTH,
+    pathloss_exp_d2d=st.floats(2.0, 8.0),
 )
 def test_validated_config_gives_probabilities_or_documented_error(**overrides):
     try:
@@ -108,3 +128,11 @@ def test_member_probability_at_an_underflowing_tricomi_peak():
     # mpmath: z^a U(a, b, z) = 0.99999999999324 at this config's shapes and z
     assert analytic.reliability(make_config(**MEMBER_CAP)).p_member == pytest.approx(
         0.99999999999324, abs=1e-9)
+
+
+@pytest.mark.parametrize("overrides, p_head", [(WIDE_CELL, 0.99946509889953259),
+                                               (SERIES_BELOW_ZERO, 0.99668778482528098)])
+def test_head_probability_at_tiny_fitted_shapes(overrides, p_head):
+    # 30-digit mpmath quadrature of the ratio CDF in u = log v, over edges
+    # at -10^16, ..., -10, -1, 0, 1, 3, 7 and 50
+    assert analytic.reliability(make_config(**overrides)).p_head == pytest.approx(p_head, abs=1e-9)

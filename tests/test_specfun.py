@@ -15,23 +15,34 @@ from swarmrel.specfun import QuadratureError, SeriesError
 def test_lower_gamma_closed_form_a1():
     # gamma(1, z) = 1 - e^-z, and Gamma(1) = 1 makes it equal to P(1, z)
     for z in (0.1, 1.0, 5.0):
-        assert specfun.regularized_gamma(1.0, z) == pytest.approx(1.0 - math.exp(-z), abs=1e-12)
+        assert specfun.regularized_gamma(1.0, math.log(z)) == pytest.approx(1.0 - math.exp(-z),
+                                                                             abs=1e-12)
 
 
 def test_lower_gamma_a2():
     # Gamma(2) = 1, so P(2, z) is the lower incomplete gamma itself
-    assert specfun.regularized_gamma(2.0, 1.0) == pytest.approx(1.0 - 2.0 / math.e, rel=1e-12)
+    assert specfun.regularized_gamma(2.0, 0.0) == pytest.approx(1.0 - 2.0 / math.e, rel=1e-12)
 
 
 def test_regularized_gamma_limits():
-    assert specfun.regularized_gamma(3.7, 0.0) == 0.0
-    assert specfun.regularized_gamma(3.7, 1e4) == pytest.approx(1.0, abs=1e-12)
+    # the argument is log z: z = 0, z = 1e4, and a z past the float range
+    assert specfun.regularized_gamma(3.7, -math.inf) == 0.0
+    assert specfun.regularized_gamma(3.7, math.log(1e4)) == pytest.approx(1.0, abs=1e-12)
+    assert specfun.regularized_gamma(3.7, 1e3) == 1.0
+
+
+def test_regularized_gamma_where_z_underflows():
+    # P(a, z) -> z^a / Gamma(a + 1) as z -> 0; from log z that holds where
+    # z = e^-1000 is 0 in float, and at a = 1e-3 P is still e^-1 / Gamma(1.001)
+    for a in (1e-12, 1e-3, 0.5):
+        ref = math.exp(-1000.0 * a - math.lgamma(a + 1.0))
+        assert specfun.regularized_gamma(a, -1000.0) == pytest.approx(ref, rel=1e-14), a
 
 
 def test_regularized_gamma_monotone_and_bounded():
     for a in (0.5, 1.0, 7.4, 36.2):
         grid = np.linspace(0.0, 5.0 * a, 100)
-        vals = [specfun.regularized_gamma(a, z) for z in grid]
+        vals = [specfun.regularized_gamma(a, math.log(z) if z > 0 else -math.inf) for z in grid]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
 
@@ -46,9 +57,9 @@ def test_log_gamma_peak_against_mpmath():
 
 def test_gamma_domain_errors():
     with pytest.raises(ValueError):
-        specfun.regularized_gamma(0.0, 1.0)
+        specfun.regularized_gamma(0.0, 0.0)
     with pytest.raises(ValueError):
-        specfun.regularized_gamma(-2.0, 1.0)
+        specfun.regularized_gamma(-2.0, 0.0)
 
 
 # --- Laguerre 1/2 ---------------------------------------------------------------
