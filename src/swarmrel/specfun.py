@@ -2,9 +2,9 @@
 
 Everything here is pure and reentrant, and scalar except the quadrature:
 incomplete gamma of log z (series / continued fraction), the half-order
-Laguerre function (one power-series loop for its Bessel form / asymptotic series
-from z = -30 down), the log-scaled Tricomi confluent function z^a Psi via
-quadrature of its integral representation, and the one quadrature every
+Laguerre function (one power-series loop for its Bessel form / asymptotic
+series from z = -30 down), the log-scaled Tricomi confluent function z^a Psi
+via quadrature of its integral representation, and the one quadrature every
 closed-form integral uses, a trapezoid rule over the real line in
 x = width * sinh(t) whose integrand takes and returns numpy arrays.  Each
 routine is covered in the test suite by an independent oracle (scipy or
@@ -159,9 +159,8 @@ def laguerre_half(z: float) -> float:
 # --- generalized hypergeometric series ---------------------------------------
 
 
-# No caller in the package since the head probability dropped its series
-# route; perfbench/spans.py still traces it by name, so it goes when the
-# benchmark stops patching module attributes (ROADMAP item 4).
+# No caller in the package: perfbench/spans.py still traces it by name, so it
+# goes when the benchmark stops patching module attributes (ROADMAP item 4).
 def hyp2f2_with_scale(a1: float, a2: float, b1: float, b2: float, z: float) -> tuple[float, float]:
     """2F2(a1, a2; b1, b2; z) by direct Pochhammer series, plus the largest
     absolute partial term of that series.

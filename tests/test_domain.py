@@ -31,7 +31,7 @@ OVERFLOW = dict(n_uavs=100, m_available=7, m_occupied=16, rician_k=21.06, messag
 UNDERFLOW = dict(n_uavs=1, m_available=8, m_occupied=1, rician_k=27.37, message_bits=79.08,
                  tau_phase1_s=1.1465e-5, swarm_altitude_m=1073.8, coverage_radius_m=735.3,
                  pathloss_exp_cell=3.643)
-# a subnormal threshold, whose logs the head series cannot take
+# a subnormal threshold, whose logs the head series could not take
 SUBNORMAL_BITS = dict(n_uavs=1, m_available=1, m_occupied=1, rician_k=0.0, message_bits=5e-324,
                       tau_phase1_s=1e-6, swarm_altitude_m=10.0, coverage_radius_m=50.0,
                       pathloss_exp_cell=2.0)
