@@ -9,9 +9,10 @@ the moments of the Rician magnitude.
 The cellular stage's SINRs are formed from sampled channel coefficients,
 since the head's weights depend on their phases; its servers are the first
 ``m_available`` GBSs of a layout, or the nearest of them to the swarm
-center, and the rest interfere.  The relay stage rests on
-one quantity, each listener's summed relay path gain sum_t a_t^2: over
-independent Rayleigh links its SINR is exponential with mean P sum_t a_t^2 /
+center, and the rest interfere.  The relay stage rests on one quantity,
+each listener's summed relay path gain sum_t a_t^2, summed from the (trials,
+N, N) pair gains that ``relay_gains`` forms once per chunk: over
+independent Rayleigh links the SINR is exponential with mean P sum_t a_t^2 /
 N0, which is sampled with one exponential draw per listener or, for its
 decode probability, taken exact.  No symbol waveforms are generated, since
 decode decisions depend only on signal and interference powers.
@@ -24,7 +25,6 @@ import math
 import numpy as np
 
 from . import specfun
-from .geometry import SwarmLayout
 from .scenario import ScenarioConfig
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "draw_phase1",
     "draw_phase2",
     "phase1_sinrs",
+    "relay_gains",
     "phase2_sinrs",
     "phase2_decode_probs",
 ]
@@ -105,13 +106,12 @@ def draw_phase2(config: ScenarioConfig, rng: np.random.Generator, trials: int) -
 
 
 def _phase1_channels(
-    gbs: np.ndarray, swarm: SwarmLayout, gains: np.ndarray, config: ScenarioConfig
+    gbs: np.ndarray, uav: np.ndarray, gains: np.ndarray, config: ScenarioConfig
 ) -> np.ndarray:
     """Full complex channel matrices (trials, N, M): path loss times fading.
 
     Uses the exact per-UAV distances; no common-distance approximation.
     """
-    uav = swarm.positions
     # sqrt(ref_gain dist^-alpha), dist = sqrt(dx * dx + dy * dy + dz * dz),
     # formed in place
     amp = uav[:, :, None, 0] - gbs[:, None, :, 0]
@@ -127,13 +127,13 @@ def _phase1_channels(
 
 def phase1_sinrs(
     gbs: np.ndarray,
-    swarm: SwarmLayout,
+    uav: np.ndarray,
     gains: np.ndarray,
     config: ScenarioConfig,
     with_head: bool = True,
     nearest: bool = False,
 ) -> np.ndarray:
-    """SINR of every UAV in the cellular downlink stage, (trials, N).
+    """SINR of every UAV at planar positions ``uav`` in the cellular downlink stage, (trials, N).
 
     The first ``m_available`` GBSs of the ``gbs`` layout serve and the rest
     interfere at full power.  ``with_head`` applies each serving GBS's
@@ -142,7 +142,7 @@ def phase1_sinrs(
     ``nearest`` serves from only the available GBS closest to the swarm
     center.
     """
-    h = _phase1_channels(gbs, swarm, gains, config)
+    h = _phase1_channels(gbs, uav, gains, config)
     p = config.tx_power_gbs_w
     m0 = config.m_available
     occupied = np.abs(h[:, :, m0:])
@@ -164,25 +164,45 @@ def phase1_sinrs(
     return signal / (interference + config.noise_phase1_w)
 
 
+def relay_gains(uav: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """Mean D2D power gains ref_gain w^-alpha (trials, N, N) between the UAVs at planar ``uav``.
+
+    Entry (i, t) is the link from UAV t to UAV i over the planar pair
+    distance w = sqrt(dx * dx + dy * dy), formed in place; a UAV's own link,
+    on the diagonal, gains 0.
+    """
+    gain = uav[:, :, None, 0] - uav[:, None, :, 0]
+    dy = uav[:, :, None, 1] - uav[:, None, :, 1]
+    gain *= gain
+    dy *= dy
+    gain += dy
+    np.sqrt(gain, out=gain)
+    own = np.arange(gain.shape[-1])
+    gain[:, own, own] = np.inf  # inf^-alpha is 0, and 0^-alpha would divide by zero
+    np.power(gain, -config.pathloss_exp_d2d, out=gain)
+    gain *= config.ref_gain_d2d
+    return gain
+
+
 def phase2_sinrs(
-    swarm: SwarmLayout,
+    path_gain: np.ndarray,
     relays: np.ndarray,
     gains: np.ndarray,
     config: ScenarioConfig,
 ) -> np.ndarray:
     """SINR at every UAV, (trials, N), when the ``relays`` (trials, N) mask relay simultaneously.
 
-    ``gains`` is the (trials, N) draw of ``draw_phase2``, which scales each
-    listener's summed relay path gain sum_t a_t^2; a relay does not hear
-    itself.  A UAV in a trial without relays hears no transmission and has
-    SINR zero.
+    ``path_gain`` holds the pair gains of ``relay_gains``, and ``gains`` the
+    (trials, N) draw of ``draw_phase2``, which scales each listener's summed
+    relay path gain sum_t a_t^2; a relay does not hear itself.  A UAV in a
+    trial without relays hears no transmission and has SINR zero.
     """
-    power = _relay_path_gain(swarm, relays, config)
+    power = np.where(relays[:, None, :], path_gain, 0.0).sum(axis=2)
     return config.tx_power_uav_w * power * gains / config.intf_noise_phase2_w
 
 
 def phase2_decode_probs(
-    swarm: SwarmLayout,
+    path_gain: np.ndarray,
     relays: np.ndarray,
     config: ScenarioConfig,
     threshold: float,
@@ -197,7 +217,7 @@ def phase2_decode_probs(
     if threshold == 0.0:
         # every SINR, zero included, reaches it once somebody transmits
         return np.broadcast_to(relays.any(axis=1, keepdims=True), relays.shape).astype(float)
-    power = _relay_path_gain(swarm, relays, config)
+    power = np.where(relays[:, None, :], path_gain, 0.0).sum(axis=2)
     ratio = threshold * config.intf_noise_phase2_w / config.tx_power_uav_w
     # exp(-746) is below the least float, so where ratio/power would pass 746
     # (power underflowed to 0 among them, and no relays gives 0) the
@@ -205,15 +225,3 @@ def phase2_decode_probs(
     exponent = np.divide(ratio, power, out=np.full(power.shape, np.inf),
                          where=power > ratio / 746.0)
     return np.exp(-exponent)
-
-
-def _relay_path_gain(swarm: SwarmLayout, relays: np.ndarray, config: ScenarioConfig) -> np.ndarray:
-    """Summed mean power gain sum_t a_t^2 from the ``relays`` to every UAV, (trials, N).
-
-    A UAV's own link, if it relays, counts 0.
-    """
-    dist = swarm.pair_distances
-    heard = relays[:, None, :] & ~np.eye(dist.shape[-1], dtype=bool)
-    gain = np.power(dist, -config.pathloss_exp_d2d, out=np.zeros_like(dist), where=heard)
-    gain *= config.ref_gain_d2d
-    return gain.sum(axis=2)

@@ -3,18 +3,17 @@
 Ground stations are a binomial point process on a disk, whose first
 ``m_available`` points serve the swarm; the swarm is a hard-core process
 realized by simple sequential inhibition (dart throwing with rejection).
-Positions are planar: the stations sit at height 0 and every UAV at the
-config's altitude.  The Monte Carlo engine samples the layouts of a chunk of
-trials at once, each array with a leading trials axis; the closed-form model
-takes the mass of the disk's pair-distance density above the hard-core
-separation.
+Both layouts are plain arrays of planar positions: the stations sit at
+height 0 and every UAV at the config's altitude.  The Monte Carlo engine
+samples the layouts of a chunk of trials at once, each array with a leading
+trials axis, and forms what it needs from them (the relay stage's pair gains
+in ``fading.relay_gains``); the closed-form model takes the mass of the
+disk's pair-distance density above the hard-core separation.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .scenario import ScenarioConfig
 
 __all__ = [
     "PlacementError",
-    "SwarmLayout",
     "sample_uniform_disk",
     "sample_hardcore_disk",
     "sample_gbs_layout",
@@ -31,37 +29,14 @@ __all__ = [
 ]
 
 _CANDIDATE_BLOCK = 64
+# darts per point before a layout counts as wedged, and layouts drawn before
+# placement gives up
+_ATTEMPTS_PER_POINT = 10_000
+_LAYOUT_RETRIES = 100
 
 
 class PlacementError(RuntimeError):
     """Hard-core placement failed within the attempt budget."""
-
-
-@dataclass(frozen=True)
-class SwarmLayout:
-    """Sampled UAV positions (m) and their pairwise distances, per trial.
-
-    ``positions`` are planar; every UAV flies at the config's
-    ``swarm_altitude_m``.  UAV 0 is the head, whose uplink pilot provides
-    the transmit-weight channel estimates.
-    """
-
-    positions: np.ndarray  # (trials, N, 2)
-
-    @functools.cached_property
-    def pair_distances(self) -> np.ndarray:
-        """Planar distances (trials, N, N), symmetric with a zero diagonal; formed on first use.
-
-        Only a relay stage reads them, so a chunk's largest array is not held
-        through the cellular stage.  sqrt(dx * dx + dy * dy) is formed in place.
-        """
-        xy = self.positions
-        pair = xy[:, :, None, 0] - xy[:, None, :, 0]
-        dy = xy[:, :, None, 1] - xy[:, None, :, 1]
-        pair *= pair
-        dy *= dy
-        pair += dy
-        return np.sqrt(pair, out=pair)
 
 
 def sample_uniform_disk(size, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -87,8 +62,6 @@ def sample_hardcore_disk(
     radius: float,
     d_min: float,
     rng: np.random.Generator,
-    attempts_per_point: int = 10_000,
-    layout_retries: int = 100,
 ) -> np.ndarray:
     """Sequential inhibition: uniform darts rejected within d_min of a point.
 
@@ -96,8 +69,8 @@ def sample_hardcore_disk(
     at a time: a block first drops the darts too close to a point placed
     before it, then accepts the survivors greedily, each accepted dart
     dropping the later survivors too close to it.  A point gets
-    ``attempts_per_point`` darts; if the layout wedges (some point cannot be
-    placed) the whole layout is redrawn, up to ``layout_retries`` times, after
+    ``_ATTEMPTS_PER_POINT`` darts; if the layout wedges (some point cannot be
+    placed) the whole layout is redrawn, up to ``_LAYOUT_RETRIES`` times, after
     which ``PlacementError`` is raised rather than relaxing the separation
     constraint.
     """
@@ -107,9 +80,9 @@ def sample_hardcore_disk(
     px = np.empty(n)
     py = np.empty(n)
     most = 0
-    for _ in range(layout_retries):
+    for _ in range(_LAYOUT_RETRIES):
         count = 0
-        budget = attempts_per_point
+        budget = _ATTEMPTS_PER_POINT
         while count < n:
             block = min(_CANDIDATE_BLOCK, budget)
             if block == 0:
@@ -137,7 +110,7 @@ def sample_hardcore_disk(
             py[count : count + len(accepted)] = y[accepted]
             count += len(accepted)
             # the darts left in a block after an acceptance are already paid for
-            budget = attempts_per_point
+            budget = _ATTEMPTS_PER_POINT
         if count == n:
             return np.column_stack([px, py])
         most = max(most, count)
@@ -145,7 +118,7 @@ def sample_hardcore_disk(
     coverage = n * ratio * ratio
     raise PlacementError(
         f"could not place {n} points with separation {d_min} in radius {radius} "
-        f"({layout_retries} layouts x {attempts_per_point} attempts per point); "
+        f"({_LAYOUT_RETRIES} layouts x {_ATTEMPTS_PER_POINT} attempts per point); "
         f"the best layout placed {most}; area coverage n*(d_min/2)^2/radius^2 = "
         f"{coverage:.1%}, against a jamming limit near 54.7% for random sequential "
         f"adsorption of disks"
@@ -163,16 +136,19 @@ def sample_gbs_layout(config: ScenarioConfig, rng: np.random.Generator, trials: 
 
 
 def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
-                        trials: int) -> SwarmLayout:
-    """Sample the hard-core swarms of ``trials`` trials; head is UAV 0.
+                        trials: int) -> np.ndarray:
+    """Planar UAV positions (trials, N, 2) of ``trials`` hard-core swarms; head is UAV 0.
 
-    Each trial's swarm is one ``sample_hardcore_disk`` placement, in trial order.
+    Each trial's swarm is one ``sample_hardcore_disk`` placement, in trial
+    order; every UAV flies at the config's ``swarm_altitude_m``.  UAV 0 is
+    the head, whose uplink pilot provides the transmit-weight channel
+    estimates.
     """
     n = config.n_uavs
     positions = np.empty((trials, n, 2))
     for b in range(trials):
         positions[b] = sample_hardcore_disk(n, config.swarm_radius_m, config.min_separation_m, rng)
-    return SwarmLayout(positions=positions)
+    return positions
 
 
 # --- pair-distance mass -------------------------------------------------------

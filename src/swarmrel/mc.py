@@ -174,7 +174,8 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None) 
     whatever the outcomes.  So relay round r draws the same whatever the
     round count, and variants that differ only in it share one curve,
     computed at their largest count: each gets its prefix, the array of a
-    run of it alone.
+    run of it alone.  The D2D pair gains (``fading.relay_gains``) draw
+    nothing; they are formed once, and only if some curve relays.
     """
     thresholds = thresholds or _thresholds(variants)
     config = variants[0][0]
@@ -183,29 +184,32 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None) 
     for key, (_, protocol) in zip(keys, variants):
         longest[key] = max(longest.get(key, 0), protocol.rounds)
     gbs = geometry.sample_gbs_layout(config, rng, trials)
-    swarm = geometry.sample_swarm_layout(config, rng, trials)
+    uav = geometry.sample_swarm_layout(config, rng, trials)
     gains = fading.draw_phase1(config, rng, trials)
-    relay_gains = [fading.draw_phase2(config, rng, trials) for _ in range(
+    relay_draws = [fading.draw_phase2(config, rng, trials) for _ in range(
         max((p.rounds for _, p in variants if p.name == "multi_round"), default=0))]
     cell_sinrs = {}  # by head weighting and serving set
+    path_gain = None  # the D2D pair gains, formed for the first curve that relays
     curves = {}
     for key, rounds in longest.items():
         name, with_head, (cell_threshold, d2d_threshold) = key
         cell = (with_head, name == "nearest_gbs")
         if cell not in cell_sinrs:
-            cell_sinrs[cell] = fading.phase1_sinrs(gbs, swarm, gains, config, *cell)
+            cell_sinrs[cell] = fading.phase1_sinrs(gbs, uav, gains, config, *cell)
         decoded = cell_sinrs[cell] >= cell_threshold
         probs = np.empty((trials, 1 + rounds, config.n_uavs))
         probs[:, 0] = decoded
         speakers = (np.arange(config.n_uavs) == 0 if name == "head_relay"
                     else np.ones(config.n_uavs, dtype=bool))
+        if rounds and path_gain is None:
+            path_gain = fading.relay_gains(uav, config)
         for r in range(1, rounds + 1):
             relays = decoded & speakers
             if name != "multi_round":
-                heard = fading.phase2_decode_probs(swarm, relays, config, d2d_threshold)
+                heard = fading.phase2_decode_probs(path_gain, relays, config, d2d_threshold)
                 probs[:, r] = np.where(decoded, 1.0, heard)
             else:
-                sinrs = fading.phase2_sinrs(swarm, relays, relay_gains[r - 1], config)
+                sinrs = fading.phase2_sinrs(path_gain, relays, relay_draws[r - 1], config)
                 # with nobody relaying there is no transmission to decode
                 decoded |= (sinrs >= d2d_threshold) & relays.any(axis=1, keepdims=True)
                 probs[:, r] = decoded

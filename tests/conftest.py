@@ -43,16 +43,17 @@ def write_config(config: scenario.ScenarioConfig, path) -> None:
         fh.write(scenario.format_config(config))
 
 
-def complex_gain_sinrs(swarm, relays, gains, config):
+def complex_gain_sinrs(uav, relays, gains, config):
     """Relay-stage SINRs (trials, N) from complex channel coefficients: the oracle of the D2D law.
 
-    ``gains`` is (trials, N, N) unit-power Rayleigh, listener by speaker.
-    Each relay's coefficient is scaled by its path amplitude a_t and a
-    listener's are summed; a relay does not hear itself, and a UAV in a
-    trial without relays has SINR zero.  ``fading.phase2_sinrs`` samples
-    the same SINR from its exponential law.
+    ``uav`` holds the planar positions (trials, N, 2) and ``gains`` is
+    (trials, N, N) unit-power Rayleigh, listener by speaker.  Each relay's
+    coefficient is scaled by its path amplitude a_t, from the pair distance
+    formed here, and a listener's are summed; a relay does not hear itself,
+    and a UAV in a trial without relays has SINR zero.
+    ``fading.phase2_sinrs`` samples the same SINR from its exponential law.
     """
-    dist = swarm.pair_distances
+    dist = np.hypot(uav[:, :, None, 0] - uav[:, None, :, 0], uav[:, :, None, 1] - uav[:, None, :, 1])
     heard = relays[:, None, :] & ~np.eye(dist.shape[-1], dtype=bool)
     amp = np.power(dist, -0.5 * config.pathloss_exp_d2d, out=np.zeros_like(dist), where=heard)
     combined = (np.sqrt(config.ref_gain_d2d) * amp * gains).sum(axis=2)

@@ -87,7 +87,7 @@ def _scene(config, gbs_xy, uav_xy):
     """Layouts of one trial with the given planar positions."""
     gbs = np.asarray(gbs_xy, dtype=float)[None]
     uav = np.asarray(uav_xy, dtype=float)[None]
-    return gbs, geometry.SwarmLayout(positions=uav)
+    return gbs, uav
 
 
 def _relays(n, indices):
@@ -102,15 +102,15 @@ def test_phase1_channels_match_summed_squares_bitwise(config):
     rng = np.random.default_rng(11)
     trials = 50
     gbs = geometry.sample_gbs_layout(config, rng, trials)
-    swarm = geometry.sample_swarm_layout(config, rng, trials)
+    uav = geometry.sample_swarm_layout(config, rng, trials)
     draw = fading.draw_phase1(config, rng, trials)
     assert draw.shape == (trials, 40, 16)
     gbs3d = np.concatenate([gbs, np.zeros((trials, 16, 1))], axis=2)
-    uav3d = np.concatenate([swarm.positions, np.full((trials, 40, 1), 300.0)], axis=2)
+    uav3d = np.concatenate([uav, np.full((trials, 40, 1), 300.0)], axis=2)
     diff = uav3d[:, :, None, :] - gbs3d[:, None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
     amp = np.sqrt(config.ref_gain_cell * dist ** (-config.pathloss_exp_cell))
-    assert np.array_equal(fading._phase1_channels(gbs, swarm, draw, config), amp * draw)
+    assert np.array_equal(fading._phase1_channels(gbs, uav, draw, config), amp * draw)
 
 
 def test_phase1_pure_snr_scales_with_power():
@@ -184,7 +184,7 @@ def test_phase1_coherent_beats_unit_combining_at_head():
     n = 10_000
     # one scene over n trials of fading
     gbs = np.broadcast_to(gbs, (n, 16, 2))
-    swarm = replace(swarm, positions=np.broadcast_to(swarm.positions, (n, 2, 2)))
+    swarm = np.broadcast_to(swarm, (n, 2, 2))
     draw = fading.draw_phase1(cfg, rng, n)
     head = fading.phase1_sinrs(gbs, swarm, draw, cfg, with_head=True)[:, 0]
     unit = fading.phase1_sinrs(gbs, swarm, draw, cfg, with_head=False)[:, 0]
@@ -193,10 +193,10 @@ def test_phase1_coherent_beats_unit_combining_at_head():
 
 def test_phase2_no_decoders_means_silence(config):
     rng = np.random.default_rng(12)
-    swarm = geometry.sample_swarm_layout(config, rng, 3)
+    path_gain = fading.relay_gains(geometry.sample_swarm_layout(config, rng, 3), config)
     gains = fading.draw_phase2(config, rng, 3)
     assert gains.shape == (3, 40)
-    sinrs = fading.phase2_sinrs(swarm, np.zeros((3, 40), dtype=bool), gains, config)
+    sinrs = fading.phase2_sinrs(path_gain, np.zeros((3, 40), dtype=bool), gains, config)
     assert sinrs.shape == (3, 40)
     assert (sinrs == 0.0).all()
 
@@ -207,7 +207,7 @@ def test_phase2_single_relay_hand_value():
     _, swarm = _scene(cfg, [[100, 0]], [[0, 0], [10, 0]])
     # the mean SINR, reached at a unit exponential draw
     draw = np.ones((1, 2))
-    sinr = fading.phase2_sinrs(swarm, _relays(2, [0]), draw, cfg)
+    sinr = fading.phase2_sinrs(fading.relay_gains(swarm, cfg), _relays(2, [0]), draw, cfg)
     assert sinr[0, 1] == pytest.approx(1.9952623149688795, rel=1e-12)
 
 
@@ -217,8 +217,9 @@ def test_phase2_noise_scaling():
     _, swarm = _scene(cfg, [[100, 0]], [[0, 0], [10, 0], [0, 15]])
     rng = np.random.default_rng(13)
     draw = fading.draw_phase2(cfg, rng, 1)
-    s1 = fading.phase2_sinrs(swarm, _relays(3, [0]), draw, cfg)[0, 1:]
-    s2 = fading.phase2_sinrs(swarm, _relays(3, [0]), draw, cfg_noisier)[0, 1:]
+    path_gain = fading.relay_gains(swarm, cfg)
+    s1 = fading.phase2_sinrs(path_gain, _relays(3, [0]), draw, cfg)[0, 1:]
+    s2 = fading.phase2_sinrs(path_gain, _relays(3, [0]), draw, cfg_noisier)[0, 1:]
     assert np.allclose(s1 / s2, 2.0, rtol=1e-12)
 
 
@@ -230,9 +231,10 @@ def test_phase2_permutation_equivariant():
     rng = np.random.default_rng(15)
     gains = fading.draw_phase2(cfg, rng, 1)
     relays = _relays(6, [0, 2, 4])
-    base = fading.phase2_sinrs(swarm, relays, gains, cfg)
+    base = fading.phase2_sinrs(fading.relay_gains(swarm, cfg), relays, gains, cfg)
     # relabel the UAVs: positions, relay mask and gains move together
     perm = np.array([4, 3, 0, 5, 2, 1])
-    _, moved = _scene(cfg, [[100, 0]], swarm.positions[0, perm, :2])
-    swapped = fading.phase2_sinrs(moved, relays[:, perm], gains[:, perm], cfg)
+    _, moved = _scene(cfg, [[100, 0]], swarm[0, perm, :2])
+    swapped = fading.phase2_sinrs(fading.relay_gains(moved, cfg), relays[:, perm],
+                                  gains[:, perm], cfg)
     assert np.allclose(base[:, perm], swapped, rtol=1e-12)

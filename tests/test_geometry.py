@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from swarmrel import geometry
+from swarmrel import fading, geometry
 from swarmrel.geometry import PlacementError
 
 from conftest import make_config
@@ -71,13 +71,16 @@ def _placement(sampler, rng, args, kwargs):
     ],
     ids=["n1", "n10", "n40", "n60", "n10-r10", "dmin0", "wedged"],
 )
-def test_hardcore_matches_one_dart_oracle(args, kwargs):
-    # same darts, same points, same failures, same rng state afterwards
+def test_hardcore_matches_one_dart_oracle(args, kwargs, monkeypatch):
+    # same darts, same points, same failures, same rng state afterwards; the
+    # sampler's budget is its module constants
+    for name, value in kwargs.items():
+        monkeypatch.setattr(geometry, f"_{name.upper()}", value)
     failures = 0
     for seed in range(25):
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):
-            got, err = _placement(geometry.sample_hardcore_disk, rng_new, args, kwargs)
+            got, err = _placement(geometry.sample_hardcore_disk, rng_new, args, {})
             ref, ref_err = _placement(seed_hardcore_disk, rng_ref, args, kwargs)
             if ref_err is None:
                 assert err is None and np.array_equal(got, ref)
@@ -134,24 +137,23 @@ def test_gbs_layout_distances_bounded(config):
 def test_swarm_layout_single_point():
     cfg = make_config(n_uavs=1)
     layout = geometry.sample_swarm_layout(cfg, np.random.default_rng(5), 3)
-    assert layout.positions.shape == (3, 1, 2)
-    assert layout.pair_distances.shape == (3, 1, 1)
+    assert layout.shape == (3, 1, 2)
+    assert (fading.relay_gains(layout, cfg) == 0.0).all()
+    assert fading.relay_gains(layout, cfg).shape == (3, 1, 1)
 
 
 def test_swarm_layout_separation(config):
     cfg = make_config(n_uavs=30)
     rng = np.random.default_rng(6)
     layout = geometry.sample_swarm_layout(cfg, rng, 20)
-    d = layout.pair_distances
-    assert np.allclose(d, d.transpose(0, 2, 1))
-    assert np.allclose(np.diagonal(d, axis1=1, axis2=2), 0.0)
+    assert layout.shape == (20, 30, 2)
     rows, cols = np.triu_indices(30, k=1)
-    off = d[:, rows, cols]
+    diff = layout[:, rows] - layout[:, cols]
+    off = np.hypot(diff[..., 0], diff[..., 1])
     assert off.shape == (20, 435)
     assert off.min() >= 5.0
-    planar = np.hypot(layout.positions[..., 0], layout.positions[..., 1])
+    planar = np.hypot(layout[..., 0], layout[..., 1])
     assert (planar <= 30.0).all()
-    assert layout.positions.shape == (20, 30, 2)
 
 
 def test_swarm_layouts_are_per_trial_placements_in_trial_order(config):
@@ -161,16 +163,25 @@ def test_swarm_layouts_are_per_trial_placements_in_trial_order(config):
     layout = geometry.sample_swarm_layout(config, rng, 5)
     for b in range(5):
         planar = geometry.sample_hardcore_disk(40, 30.0, 5.0, ref)
-        assert np.array_equal(layout.positions[b, :, :2], planar)
+        assert np.array_equal(layout[b], planar)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_pair_distances_match_summed_squares_bitwise(config):
+@pytest.mark.parametrize("alpha", [2.0, 3.0188])
+def test_relay_gains_match_summed_squares_bitwise(alpha):
+    # the in-place dx*dx + dy*dy, its root, the power and then the reference
+    # gain give the bits of the reduction over the last axis; a UAV's own
+    # link gains 0, and the gains are symmetric
+    cfg = make_config(pathloss_exp_d2d=alpha)
     rng = np.random.default_rng(10)
-    layout = geometry.sample_swarm_layout(config, rng, 50)
-    planar = layout.positions[..., :2]
-    diff = planar[:, :, None, :] - planar[:, None, :, :]
-    assert np.array_equal(layout.pair_distances, np.sqrt((diff**2).sum(axis=-1)))
+    layout = geometry.sample_swarm_layout(cfg, rng, 50)
+    diff = layout[:, :, None, :] - layout[:, None, :, :]
+    own = np.eye(40, dtype=bool)
+    with np.errstate(divide="ignore"):
+        want = cfg.ref_gain_d2d * np.sqrt((diff**2).sum(axis=-1)) ** -alpha
+    gain = fading.relay_gains(layout, cfg)
+    assert np.array_equal(gain, np.where(own, 0.0, want))
+    assert np.array_equal(gain, gain.transpose(0, 2, 1))
 
 
 def test_hardcore_feasible_at_reference_density():
@@ -180,12 +191,12 @@ def test_hardcore_feasible_at_reference_density():
     geometry.sample_swarm_layout(cfg, rng, 1000)
 
 
-def test_hardcore_failure_is_reported():
+def test_hardcore_failure_is_reported(monkeypatch):
     rng = np.random.default_rng(8)
-    with pytest.raises(PlacementError):
-        geometry.sample_hardcore_disk(
-            16, 10.0, 5.0, rng, attempts_per_point=200, layout_retries=5
-        )
+    monkeypatch.setattr(geometry, "_ATTEMPTS_PER_POINT", 200)
+    monkeypatch.setattr(geometry, "_LAYOUT_RETRIES", 5)
+    with pytest.raises(PlacementError, match=r"\(5 layouts x 200 attempts per point\)"):
+        geometry.sample_hardcore_disk(16, 10.0, 5.0, rng)
 
 
 def _pair_distance_pdf(w, radius):

@@ -133,6 +133,17 @@ def test_multiround_prefix_property():
     assert np.array_equal(short, long[:, :3])
 
 
+def _count_calls(monkeypatch, calls, module, name):
+    """Append ``name`` to ``calls`` at each call of ``module.name`` while the test runs."""
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
 @pytest.mark.parametrize("with_head", [True, False])
 def test_round_counts_of_one_protocol_share_one_curve(monkeypatch, with_head):
     # each row equals its own estimate, and each chunk computes one
@@ -141,20 +152,24 @@ def test_round_counts_of_one_protocol_share_one_curve(monkeypatch, with_head):
     pairs = [(cfg, mc.multi_round(rounds, with_head)) for rounds in (3, 1, 3, 2)]
     own = [mc.estimate(c, p, 64, 14) for c, p in pairs]
     calls = []
-
-    def count(module, name):
-        fn = getattr(module, name)
-
-        def counting(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-
-    count(mc, "run_trial")
-    count(fading, "phase2_sinrs")
+    _count_calls(monkeypatch, calls, mc, "run_trial")
+    _count_calls(monkeypatch, calls, fading, "phase2_sinrs")
     assert mc.estimate_variants(pairs, 64, 14) == own
     assert calls == ["run_trial", *["phase2_sinrs"] * 3] * 16
+
+
+def test_relay_gains_are_formed_once_per_kernel_call_and_only_to_relay(monkeypatch, config):
+    # the five rows of a message_bits sweep share each chunk's draw and its
+    # D2D pair gains; dist-k stops after the cellular stage and forms none
+    pairs = [(replace(config, message_bits=bits), mc.PROPOSED) for bits in (8, 16, 24, 32, 40)]
+    calls = []
+    _count_calls(monkeypatch, calls, mc, "run_trial")
+    _count_calls(monkeypatch, calls, fading, "relay_gains")
+    mc.estimate_variants(pairs, 64, 15)
+    assert calls == ["run_trial", "relay_gains"] * 16
+    calls.clear()
+    mc.phase1_count_distribution(config, 64, 15)
+    assert calls == ["run_trial"] * 16
 
 
 def test_protocols_on_one_seed_share_the_cellular_stage():
@@ -231,19 +246,19 @@ def test_estimate_validates_trials(config):
 def _relay_scene(config, seed, trials):
     """One sampled swarm repeated over ``trials`` trials, with UAVs 0-2 relaying."""
     one = geometry.sample_swarm_layout(config, np.random.default_rng(seed), 1)
-    swarm = replace(one, positions=np.broadcast_to(one.positions, (trials, config.n_uavs, 2)))
+    uav = np.broadcast_to(one, (trials, config.n_uavs, 2))
     relays = np.zeros((trials, config.n_uavs), dtype=bool)
     relays[:, :3] = True
-    return swarm, relays
+    return uav, relays
 
 
 def test_phase2_decode_probs_match_sampled_frequency(config):
     # fixed layout and relay set: the exact probability against the share of
     # complex Rayleigh draws whose combined SINR reaches the threshold
     batch = 2_000
-    swarm, relays = _relay_scene(config, 40, batch)
+    uav, relays = _relay_scene(config, 40, batch)
     theta2 = scenario.phase2_threshold(config)
-    exact = fading.phase2_decode_probs(swarm, relays, config, theta2)
+    exact = fading.phase2_decode_probs(fading.relay_gains(uav, config), relays, config, theta2)
     assert (exact == exact[0]).all()
     exact = exact[0, 3:]
     assert ((0.05 < exact) & (exact < 0.95)).sum() >= 30
@@ -253,7 +268,7 @@ def test_phase2_decode_probs_match_sampled_frequency(config):
     gains = np.zeros((batch, 40, 40), dtype=complex)  # only the relays' columns are heard
     for _ in range(draws // batch):
         gains[:, :, :3] = fading.sample_rayleigh(rng, size=(batch, 40, 3))
-        hits += (complex_gain_sinrs(swarm, relays, gains, config)[:, 3:] >= theta2).sum(axis=0)
+        hits += (complex_gain_sinrs(uav, relays, gains, config)[:, 3:] >= theta2).sum(axis=0)
     sigma = np.sqrt(exact * (1.0 - exact) / draws)
     assert (np.abs(hits / draws - exact) <= 4.0 * sigma).all()
 
@@ -264,42 +279,45 @@ def test_phase2_sinrs_decode_as_often_as_complex_gains(config, scale):
     # draws of phase2_sinrs that reach the threshold against the share of
     # complex Rayleigh draws combined by the oracle
     batch, draws = 2_000, 20_000
-    swarm, relays = _relay_scene(config, 44, batch)
+    uav, relays = _relay_scene(config, 44, batch)
+    path_gain = fading.relay_gains(uav, config)
     threshold = scale * scenario.phase2_threshold(config)
     rng = np.random.default_rng(45)
     ours = np.zeros(37)
     oracle = np.zeros(37)
     gains = np.zeros((batch, 40, 40), dtype=complex)  # only the relays' columns are heard
     for _ in range(draws // batch):
-        sinrs = fading.phase2_sinrs(swarm, relays, fading.draw_phase2(config, rng, batch), config)
+        sinrs = fading.phase2_sinrs(path_gain, relays, fading.draw_phase2(config, rng, batch),
+                                    config)
         ours += (sinrs[:, 3:] >= threshold).sum(axis=0)
         gains[:, :, :3] = fading.sample_rayleigh(rng, size=(batch, 40, 3))
-        oracle += (complex_gain_sinrs(swarm, relays, gains, config)[:, 3:] >= threshold).sum(axis=0)
-    exact = fading.phase2_decode_probs(swarm, relays, config, threshold)[0, 3:]
+        oracle += (complex_gain_sinrs(uav, relays, gains, config)[:, 3:] >= threshold).sum(axis=0)
+    exact = fading.phase2_decode_probs(path_gain, relays, config, threshold)[0, 3:]
     assert ((0.05 < exact) & (exact < 0.95)).sum() >= 10
     sigma = np.sqrt(2.0 * exact * (1.0 - exact) / draws)
     assert (np.abs(ours - oracle) / draws <= 4.0 * sigma).all()
 
 
 def test_phase2_decode_probs_limits(config):
-    swarm, relays = _relay_scene(config, 42, 2)
+    uav, relays = _relay_scene(config, 42, 2)
+    path_gain = fading.relay_gains(uav, config)
     nobody = np.zeros_like(relays)
-    probs = lambda theta: fading.phase2_decode_probs(swarm, relays, config, theta)[:, 3:]
+    probs = lambda theta: fading.phase2_decode_probs(path_gain, relays, config, theta)[:, 3:]
     assert (probs(0.0) == 1.0).all()
-    assert (fading.phase2_decode_probs(swarm, nobody, config, 0.0) == 0.0).all()
-    assert (fading.phase2_decode_probs(swarm, nobody, config, 0.5) == 0.0).all()
+    assert (fading.phase2_decode_probs(path_gain, nobody, config, 0.0) == 0.0).all()
+    assert (fading.phase2_decode_probs(path_gain, nobody, config, 0.5) == 0.0).all()
     grid = [probs(t) for t in (0.1, 0.5, 2.0, 1e3)]
     assert all((a >= b).all() for a, b in zip(grid, grid[1:]))
     # one trial relays and the other does not: each gets its own answer
     mixed = relays.copy()
     mixed[1] = False
-    got = fading.phase2_decode_probs(swarm, mixed, config, 0.5)
-    assert np.array_equal(got[0], fading.phase2_decode_probs(swarm, relays, config, 0.5)[0])
+    got = fading.phase2_decode_probs(path_gain, mixed, config, 0.5)
+    assert np.array_equal(got[0], fading.phase2_decode_probs(path_gain, relays, config, 0.5)[0])
     assert (got[1] == 0.0).all()
     # a path gain that underflows to 0, and a ratio past exp's range, give 0
-    far = replace(swarm, positions=swarm.positions * 1e300)
     with np.errstate(over="ignore"):
-        assert (far.pair_distances == np.where(np.eye(40), 0.0, np.inf)).all()
+        far = fading.relay_gains(uav * 1e300, config)
+    assert (far == 0.0).all()
     with np.errstate(all="raise"):
         assert (fading.phase2_decode_probs(far, relays, config, 0.5)[:, 3:] == 0.0).all()
         assert (fading.phase2_decode_probs(far, relays, config, 0.0)[:, 3:] == 1.0).all()
@@ -321,12 +339,12 @@ def sampled_relay_fractions(config, protocol, trials, seed):
         decoded = mc.run_trial(cellular, rng, stop - start)[0][:, 0] > 0
         replay = mc.trial_rng(seed, start)
         geometry.sample_gbs_layout(config, replay, stop - start)
-        swarm = geometry.sample_swarm_layout(config, replay, stop - start)
+        uav = geometry.sample_swarm_layout(config, replay, stop - start)
         relays = decoded.copy()
         if protocol.name == "head_relay":
             relays[:, 1:] = False
         gains = fading.draw_phase2(config, rng, stop - start)
-        sinrs = fading.phase2_sinrs(swarm, relays, gains, config)
+        sinrs = fading.phase2_sinrs(fading.relay_gains(uav, config), relays, gains, config)
         decoded |= (sinrs >= theta2) & relays.any(axis=1, keepdims=True)
         return decoded.sum(axis=1) / config.n_uavs
 
