@@ -207,11 +207,11 @@ def _head_cdf_quad(theta: float, num: GammaFit, den: GammaFit) -> float:
     exp(log_peak + c (x - expm1(x))): largest at x = 0, about 1/sqrt(c)
     wide, with a tail like c e^(c x) below it for small c.  The signal CDF
     P(a, z), log z = log(b sqrt(theta c / d)) + x/2, rises like z^a, over
-    about 2/a in x at small a.  So the quadrature scale is min(1,
-    1/sqrt(c)): the peak width where the peak is narrow, else a unit step
-    that the sinh map stretches out to the tail and to the signal's rise,
-    wherever it lies; and the absolute tolerance, 1e-12 min(1, c), stays
-    below the density's height.  At tiny shapes the mass spans so many
+    about 2/a in x at small a.  So the quadrature scale is the peak width
+    1/sqrt(c) where the peak is narrow, else ``specfun.reach_width(min(a,
+    c))``: a step that the sinh map stretches out to the tail and to the
+    signal's rise, wherever they lie; and the absolute tolerance, 1e-12
+    min(1, c), stays below the density's height.  At tiny shapes the mass spans so many
     decades of v that z underflows, so P is taken from log z, per node and
     only where the density has not underflowed.
     """
@@ -229,8 +229,8 @@ def _head_cdf_quad(theta: float, num: GammaFit, den: GammaFit) -> float:
         ]
         return density * cdf
 
-    return specfun.adaptive_quad(integrand, min(1.0, 1.0 / math.sqrt(c)), rel_tol=1e-9,
-                                 abs_tol=1e-12 * min(1.0, c))
+    width = min(1.0 / math.sqrt(c), specfun.reach_width(min(a, c)))
+    return specfun.adaptive_quad(integrand, width, rel_tol=1e-9, abs_tol=1e-12 * min(1.0, c))
 
 
 def member_decode_prob(theta1: float, config: ScenarioConfig) -> float:

@@ -27,6 +27,7 @@ __all__ = [
     "hyp2f2_with_scale",
     "log_tricomi_u_scaled",
     "adaptive_quad",
+    "reach_width",
 ]
 
 _EPS = float(np.finfo(float).eps)  # a Python float keeps scalar loops out of numpy
@@ -209,8 +210,9 @@ def log_tricomi_u_scaled(a: float, b: float, z: float) -> float:
     positive stationary point, with that peak taken out: the integrand is 1
     at x = 0 and below it elsewhere, decays like e^(a x) as x -> -inf and
     faster as x -> inf, so it never overflows.  The quadrature scale is
-    1/sqrt of the curvature at the peak, so its nodes find the mass whether
-    it is a narrow peak far below s = 1 or spread over many decades.
+    1/sqrt of the curvature at the peak where the peak is narrow, so its
+    nodes find a narrow peak far below s = 1, and otherwise ``reach_width(a)``,
+    whose sinh map reaches the e^(a x) tail without stepping over the peak.
     """
     if a <= 0:
         raise ValueError(f"the Tricomi function requires a > 0, got {a}")
@@ -238,7 +240,7 @@ def log_tricomi_u_scaled(a: float, b: float, z: float) -> float:
     # terms; and a log s* - s* - lgamma(a), whose terms cancel to ~a log(a) eps,
     # is log_gamma_peak(a) + a (log1p(u) - u) with u = s*/a - 1 = power sigma / a
     sigma = math.exp(log_ratio - peak_softplus)
-    width = 1.0 / math.sqrt(a * math.exp(-peak_softplus) + s_star * sigma)
+    width = min(1.0 / math.sqrt(a * math.exp(-peak_softplus) + s_star * sigma), reach_width(a))
     u = power * sigma / a
     log_ratio_a = math.log1p(u) if u > -0.5 else log_s_star - math.log(a)
     log_scale = power * peak_softplus + log_gamma_peak(a) + a * (log_ratio_a - u)
@@ -263,6 +265,18 @@ def log_tricomi_u_scaled(a: float, b: float, z: float) -> float:
 # ~1e17 widths out, and its step, first 1/2, halves at most 12 times
 _MAX_REACH = 40.0
 _MAX_HALVINGS = 12
+
+
+def reach_width(rate: float) -> float:
+    """The least ``adaptive_quad`` width, and at least 1, that reaches a tail like e^(rate x).
+
+    The rule reaches out to |x| = width sinh(_MAX_REACH), about 1.2e17
+    widths, and the tail falls to e^-40 at |x| = 40 / rate; so the width is 1
+    down to rates near 3.4e-16, and grows as 1/rate below.  A Gamma weight of
+    small shape ``rate`` taken in log space has such a tail, and a width no
+    larger keeps its steps fine enough for the peak.
+    """
+    return max(1.0, 40.0 / (rate * math.sinh(_MAX_REACH)))
 
 
 def adaptive_quad(f, width: float, rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> float:

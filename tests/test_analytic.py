@@ -255,7 +255,10 @@ def test_head_decode_against_mpmath_where_the_2f2_form_cancels():
     assert analytic.head_decode_prob(theta, cfg) == pytest.approx(ref, abs=1e-8)
 
 
-@pytest.mark.parametrize("a, c", [(1e-15, 3e-14), (2e-8, 3e-11), (1e-12, 1e-12), (1e-9, 2e-9)])
+@pytest.mark.parametrize("a, c", [(1e-15, 3e-14), (2e-8, 3e-11), (1e-12, 1e-12), (1e-9, 2e-9),
+                                  # below c ~ 3e-16 the tail outreached a unit width
+                                  (8.4e-17, 3.4e-18), (3.4e-18, 1.1e-18), (2.4e-17, 1.6e-17),
+                                  (5.7e-18, 2.1e-18), (1e-20, 1e-20)])
 def test_head_cdf_at_tiny_shapes_reaches_its_limit(a, c):
     # as a, c -> 0, log G_a ~ -E/a and log X ~ -E'/c for unit exponentials E,
     # E', so P{G_a^2 <= X} -> P{E'/c <= 2E/a} = 2c/(a + 2c); the mass spans

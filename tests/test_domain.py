@@ -69,32 +69,65 @@ SERIES_BELOW_ZERO = dict(n_uavs=2, m_available=60, m_occupied=52,
                          pathloss_exp_d2d=2.702221762737829, rician_k=0.06976944000850449,
                          message_bits=41.21685760985007, tau_phase1_s=0.0005338703322829722)
 
-# every length is drawn log-uniform over ten decades
+# the member stage's Tricomi integrand, at interference shape 3.7e-10 and z =
+# 5.4e-182, holds its mass past the peak's curvature width, where its
+# trapezoid estimates did not settle; the wide D2D band keeps the relay
+# stage's threshold in range, so analyze reaches the member stage
+MEMBER_TINY_SHAPE = dict(n_uavs=97, m_available=49, m_occupied=58, rician_k=0.0011104,
+                         message_bits=102079.0, tau_phase1_s=0.00089496,
+                         coverage_radius_m=6045168.7, swarm_radius_m=105.62,
+                         swarm_altitude_m=6.8931, min_separation_m=0.16062,
+                         pathloss_exp_cell=2.8780, pathloss_exp_d2d=3.0188,
+                         bandwidth_d2d_hz=1e7)
+
+# a cellular stage capacity, duration times bandwidth, that underflows to 0
+ZERO_CAPACITY = dict(n_uavs=40, m_available=8, m_occupied=8, rician_k=4.0, message_bits=40.0,
+                     swarm_altitude_m=300.0, coverage_radius_m=900.0, pathloss_exp_cell=2.0,
+                     bandwidth_cell_hz=1e-200, tau_total_s=1e-199, tau_phase1_s=5e-200,
+                     **SWARM)
+
+# every length is drawn log-uniform over ten decades, each bandwidth over six
+# and the slot over six; the cellular stage takes a share of the slot
 LENGTH = st.floats(-3.0, 7.0).map(lambda e: 10.0**e)
+BANDWIDTH = st.floats(3.0, 9.0).map(lambda e: 10.0**e)
+TIMING = st.tuples(st.floats(-6.0, 0.0), st.floats(0.001, 0.999)).map(
+    lambda t: dict(tau_total_s=10.0 ** t[0], tau_phase1_s=10.0 ** t[0] * t[1]))
+
+
+def config_example(tau_phase1_s, tau_total_s=1e-3, bandwidth_cell_hz=200e3,
+                   bandwidth_d2d_hz=200e3, **fields):
+    """An ``@example`` of these config fields, with the reference slot and bandwidths by default."""
+    return example(timing=dict(tau_total_s=tau_total_s, tau_phase1_s=tau_phase1_s),
+                   bandwidth_cell_hz=bandwidth_cell_hz, bandwidth_d2d_hz=bandwidth_d2d_hz,
+                   **fields)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@example(**OVERFLOW, **SWARM)
-@example(**UNDERFLOW, **SWARM)
-@example(**SUBNORMAL_BITS, **SWARM)
-@example(**NEAR_TWO, **SWARM)
-@example(**SMALL_SHAPE, **SWARM, tau_phase1_s=1.0000000000000002e-6, coverage_radius_m=55.0,
-         pathloss_exp_cell=3.0)
-@example(**SMALL_SHAPE, **SWARM, tau_phase1_s=9.99e-4, coverage_radius_m=10.0,
-         pathloss_exp_cell=5.0)
+@config_example(**OVERFLOW, **SWARM)
+@config_example(**UNDERFLOW, **SWARM)
+@config_example(**SUBNORMAL_BITS, **SWARM)
+@config_example(**NEAR_TWO, **SWARM)
+@config_example(**SMALL_SHAPE, **SWARM, tau_phase1_s=1.0000000000000002e-6,
+                coverage_radius_m=55.0, pathloss_exp_cell=3.0)
+@config_example(**SMALL_SHAPE, **SWARM, tau_phase1_s=9.99e-4, coverage_radius_m=10.0,
+                pathloss_exp_cell=5.0)
 # touching UAVs make E[w^-alpha_d2d] infinite; at 1e-30 m, w^-12 overflows
-@example(**NEAR_TWO, swarm_radius_m=30.0, min_separation_m=0.0, pathloss_exp_d2d=6.0)
-@example(**NEAR_TWO, swarm_radius_m=30.0, min_separation_m=1e-30, pathloss_exp_d2d=6.0)
-@example(**MEMBER_CAP)
-@example(**WIDE_CELL)
-@example(**SERIES_BELOW_ZERO)
+@config_example(**NEAR_TWO, swarm_radius_m=30.0, min_separation_m=0.0, pathloss_exp_d2d=6.0)
+@config_example(**NEAR_TWO, swarm_radius_m=30.0, min_separation_m=1e-30, pathloss_exp_d2d=6.0)
+@config_example(**MEMBER_CAP)
+@config_example(**WIDE_CELL)
+@config_example(**SERIES_BELOW_ZERO)
+@config_example(**MEMBER_TINY_SHAPE)
+@config_example(**ZERO_CAPACITY)
 @given(
     n_uavs=st.integers(1, 100),
     m_available=st.integers(1, 100),
     m_occupied=st.integers(0, 100),
     rician_k=st.floats(0.0, 1e12),
     message_bits=st.floats(0.0, 1.1e5),
-    tau_phase1_s=st.floats(1e-6, 9.99e-4),
+    timing=TIMING,
+    bandwidth_cell_hz=BANDWIDTH,
+    bandwidth_d2d_hz=BANDWIDTH,
     swarm_altitude_m=LENGTH,
     coverage_radius_m=LENGTH,
     pathloss_exp_cell=st.floats(2.0, 8.0),
@@ -102,9 +135,9 @@ LENGTH = st.floats(-3.0, 7.0).map(lambda e: 10.0**e)
     min_separation_m=LENGTH,
     pathloss_exp_d2d=st.floats(2.0, 8.0),
 )
-def test_validated_config_gives_probabilities_or_documented_error(**overrides):
+def test_validated_config_gives_probabilities_or_documented_error(timing, **overrides):
     try:
-        config = make_config(**overrides)
+        config = make_config(**timing, **overrides)
     except scenario.ConfigError:
         reject()
     try:
@@ -128,6 +161,13 @@ def test_member_probability_at_an_underflowing_tricomi_peak():
     # mpmath: z^a U(a, b, z) = 0.99999999999324 at this config's shapes and z
     assert analytic.reliability(make_config(**MEMBER_CAP)).p_member == pytest.approx(
         0.99999999999324, abs=1e-9)
+
+
+def test_member_probability_at_a_tiny_interference_shape():
+    # 40-digit mpmath: z^a U(a, b, z) = 0.99999984648890382 at a = 3.674e-10,
+    # b = -1.00000000025, z = 5.44e-182; the e^(a x) tail reaches ~1e11 in x
+    assert analytic.reliability(make_config(**MEMBER_TINY_SHAPE)).p_member == pytest.approx(
+        0.99999984648890382, abs=1e-9)
 
 
 @pytest.mark.parametrize("overrides, p_head", [(WIDE_CELL, 0.99946509889953259),
