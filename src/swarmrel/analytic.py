@@ -209,11 +209,11 @@ def _head_cdf_quad(theta: float, num: GammaFit, den: GammaFit) -> float:
     P(a, z), log z = log(b sqrt(theta c / d)) + x/2, rises like z^a, over
     about 2/a in x at small a.  So the quadrature scale is the peak width
     1/sqrt(c) where the peak is narrow, else ``specfun.reach_width(min(a,
-    c))``: a step that the sinh map stretches out to the tail and to the
+    c))``, a step that the sinh map stretches out to the tail and to the
     signal's rise, wherever they lie; and the absolute tolerance, 1e-12
-    min(1, c), stays below the density's height.  At tiny shapes the mass spans so many
-    decades of v that z underflows, so P is taken from log z, per node and
-    only where the density has not underflowed.
+    min(1, c), stays below the density's height.  At tiny shapes the mass
+    spans so many decades of v that z underflows, so P is taken from log z,
+    per node and only where the density has not underflowed.
     """
     a, b = num.a, num.b
     c, d = den.a, den.b

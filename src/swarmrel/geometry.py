@@ -140,9 +140,7 @@ def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
     """Planar UAV positions (trials, N, 2) of ``trials`` hard-core swarms; head is UAV 0.
 
     Each trial's swarm is one ``sample_hardcore_disk`` placement, in trial
-    order; every UAV flies at the config's ``swarm_altitude_m``.  UAV 0 is
-    the head, whose uplink pilot provides the transmit-weight channel
-    estimates.
+    order; every UAV flies at the config's ``swarm_altitude_m``.
     """
     n = config.n_uavs
     positions = np.empty((trials, n, 2))

@@ -268,13 +268,10 @@ _MAX_HALVINGS = 12
 
 
 def reach_width(rate: float) -> float:
-    """The least ``adaptive_quad`` width, and at least 1, that reaches a tail like e^(rate x).
+    """The least ``adaptive_quad`` width, at least 1, that reaches a tail like e^(rate x).
 
-    The rule reaches out to |x| = width sinh(_MAX_REACH), about 1.2e17
-    widths, and the tail falls to e^-40 at |x| = 40 / rate; so the width is 1
-    down to rates near 3.4e-16, and grows as 1/rate below.  A Gamma weight of
-    small shape ``rate`` taken in log space has such a tail, and a width no
-    larger keeps its steps fine enough for the peak.
+    The rule reaches |x| = width sinh(_MAX_REACH), and the tail falls to
+    e^-40 at |x| = 40 / rate, so the width is 1 down to rates near 3.4e-16.
     """
     return max(1.0, 40.0 / (rate * math.sinh(_MAX_REACH)))
 

@@ -167,21 +167,21 @@ def test_swarm_layouts_are_per_trial_placements_in_trial_order(config):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("alpha", [2.0, 3.0188])
-def test_relay_gains_match_summed_squares_bitwise(alpha):
+def test_relay_gains_match_summed_squares_bitwise(config):
     # the in-place dx*dx + dy*dy, its root, the power and then the reference
     # gain give the bits of the reduction over the last axis; a UAV's own
     # link gains 0, and the gains are symmetric
-    cfg = make_config(pathloss_exp_d2d=alpha)
     rng = np.random.default_rng(10)
-    layout = geometry.sample_swarm_layout(cfg, rng, 50)
+    layout = geometry.sample_swarm_layout(config, rng, 50)
     diff = layout[:, :, None, :] - layout[:, None, :, :]
     own = np.eye(40, dtype=bool)
-    with np.errstate(divide="ignore"):
-        want = cfg.ref_gain_d2d * np.sqrt((diff**2).sum(axis=-1)) ** -alpha
-    gain = fading.relay_gains(layout, cfg)
-    assert np.array_equal(gain, np.where(own, 0.0, want))
-    assert np.array_equal(gain, gain.transpose(0, 2, 1))
+    for alpha in (2.0, 3.0188):
+        cfg = make_config(pathloss_exp_d2d=alpha)
+        with np.errstate(divide="ignore"):
+            want = cfg.ref_gain_d2d * np.sqrt((diff**2).sum(axis=-1)) ** -alpha
+        gain = fading.relay_gains(layout, cfg)
+        assert np.array_equal(gain, np.where(own, 0.0, want))
+        assert np.array_equal(gain, gain.transpose(0, 2, 1))
 
 
 def test_hardcore_feasible_at_reference_density():
