@@ -69,10 +69,11 @@ SERIES_BELOW_ZERO = dict(n_uavs=2, m_available=60, m_occupied=52,
                          pathloss_exp_d2d=2.702221762737829, rician_k=0.06976944000850449,
                          message_bits=41.21685760985007, tau_phase1_s=0.0005338703322829722)
 
-# the member stage's Tricomi integrand, at interference shape 3.7e-10 and z =
-# 5.4e-182, holds its mass past the peak's curvature width, where its
-# trapezoid estimates did not settle; the wide D2D band keeps the relay
-# stage's threshold in range, so analyze reaches the member stage
+# at interference shape 3.7e-10 and z = 5.4e-182 the member stage's Tricomi
+# quadrature took the width 1/sqrt(peak curvature) ~ 5e4, too coarse for the
+# integrand's unit-scale fall past its peak, and its estimates did not
+# settle; the wide D2D band keeps the relay stage's threshold in range, so
+# analyze reaches the member stage
 MEMBER_TINY_SHAPE = dict(n_uavs=97, m_available=49, m_occupied=58, rician_k=0.0011104,
                          message_bits=102079.0, tau_phase1_s=0.00089496,
                          coverage_radius_m=6045168.7, swarm_radius_m=105.62,
