@@ -9,6 +9,19 @@ samples the layouts of a chunk of trials at once, each array with a leading
 trials axis, and forms what it needs from them (the relay stage's pair gains
 in ``fading.relay_gains``); the closed-form model takes the mass of the
 disk's pair-distance density above the hard-core separation.
+
+The draw contract of a chunk's swarms: they are the placements of one
+``sample_hardcore_disk`` call per trial, in trial order, and leave the rng
+where those calls leave it.  A swarm that the first block of 64 darts of
+its layout places is the same whether that block is judged alone or beside
+the next trials' first blocks.  So when the chunk's first placement is seen
+to finish early in its first block, windows of consecutive blocks are judged
+in lockstep; each keeps its leading run of blocks that place a whole swarm
+and rewinds the rng to just past them.  The first trial whose block falls
+short, and every trial after it, is placed by the per-trial sampler from
+its first dart, as are all trials of a chunk whose first placement needs
+more darts.  So dense swarms, whose placements take several blocks, stay
+on the per-trial sampler.
 """
 
 from __future__ import annotations
@@ -29,6 +42,9 @@ __all__ = [
 ]
 
 _CANDIDATE_BLOCK = 64
+# dart pairs a window judges at once: it bounds the (slots, darts, darts)
+# temporaries, and keeps them in cache
+_WINDOW_PAIRS = 1 << 14
 # darts per point before a layout counts as wedged, and layouts drawn before
 # placement gives up
 _ATTEMPTS_PER_POINT = 10_000
@@ -39,22 +55,55 @@ class PlacementError(RuntimeError):
     """Hard-core placement failed within the attempt budget."""
 
 
-def sample_uniform_disk(size, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. uniform points on the disk of the given radius, as (*size, 2)."""
-    r = radius * np.sqrt(rng.random(size))
-    phi = 2.0 * np.pi * rng.random(size)
+def _disk_points(u_radius: np.ndarray, u_angle: np.ndarray, radius: float) -> np.ndarray:
+    """Points (*u.shape, 2) of the disk at radius·sqrt(u_radius) and angle 2π·u_angle."""
+    r = radius * np.sqrt(u_radius)
+    phi = 2.0 * np.pi * u_angle
     points = np.empty(r.shape + (2,))
     np.multiply(r, np.cos(phi), out=points[..., 0])
     np.multiply(r, np.sin(phi), out=points[..., 1])
     return points
 
 
-def _row_bits(matrix: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int, column j at bit j; at most 64 columns."""
-    packed = np.zeros((len(matrix), 8), dtype=np.uint8)
-    bits = np.packbits(matrix, axis=1, bitorder="little")
-    packed[:, : bits.shape[1]] = bits
-    return packed.view("<u8")[:, 0].tolist()
+def sample_uniform_disk(size, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. uniform points on the disk of the given radius, as (*size, 2).
+
+    It draws ``size`` radius uniforms, then ``size`` angle uniforms.
+    """
+    u_radius = rng.random(size)
+    return _disk_points(u_radius, rng.random(size), radius)
+
+
+def _packed_bits(matrix: np.ndarray) -> np.ndarray:
+    """The last axis of a boolean array as uint64, entry j at bit j; at most 64 entries."""
+    packed = np.zeros(matrix.shape[:-1] + (8,), dtype=np.uint8)
+    bits = np.packbits(matrix, axis=-1, bitorder="little")
+    packed[..., : bits.shape[-1]] = bits
+    return packed.view("<u8")[..., 0]
+
+
+def _clear_bits(x: np.ndarray, y: np.ndarray, dmin2: float) -> np.ndarray:
+    """Bit i of entry j: dart i lies at least d_min from dart j; darts along the last axis."""
+    dx = x[..., :, None] - x[..., None, :]
+    dy = y[..., :, None] - y[..., None, :]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return _packed_bits(dx >= dmin2)
+
+
+def _greedy(clear: list[int], room: int) -> list[int]:
+    """Greedy inhibition in dart order: the first ``room`` darts clear of all accepted before.
+
+    Bit i of ``clear[j]`` is set when dart i lies at least d_min from dart j.
+    """
+    live = (1 << len(clear)) - 1  # bit j set: dart j is still clear of every accepted dart
+    accepted = []
+    while live and len(accepted) < room:
+        k = (live & -live).bit_length() - 1  # the first live dart
+        accepted.append(k)
+        live &= clear[k] & ~(1 << k)
+    return accepted
 
 
 def sample_hardcore_disk(
@@ -97,15 +146,7 @@ def sample_hardcore_disk(
                 x, y = x[keep], y[keep]
                 if len(x) == 0:
                     continue
-            dx = x[:, None] - x
-            dy = y[:, None] - y
-            clear = _row_bits(dx * dx + dy * dy >= dmin2)
-            live = (1 << len(x)) - 1  # bit j set: survivor j is still clear of every accepted dart
-            accepted = []
-            while live and count + len(accepted) < n:
-                k = (live & -live).bit_length() - 1  # the first live survivor
-                accepted.append(k)
-                live &= clear[k] & ~(1 << k)
+            accepted = _greedy(_clear_bits(x, y, dmin2).tolist(), n - count)
             px[count : count + len(accepted)] = x[accepted]
             py[count : count + len(accepted)] = y[accepted]
             count += len(accepted)
@@ -135,17 +176,85 @@ def sample_gbs_layout(config: ScenarioConfig, rng: np.random.Generator, trials: 
     return sample_uniform_disk((trials, config.m_total), config.coverage_radius_m, rng)
 
 
+def _place_window(out: np.ndarray, radius: float, d_min: float, block: int, prefix: int,
+                  rng: np.random.Generator) -> int:
+    """Fill the leading run of ``out`` (slots, n, 2) from one dart block per slot, in lockstep.
+
+    Slot s is placed as ``sample_hardcore_disk`` places a layout from the
+    s-th of ``slots`` consecutive blocks of the rng, if that block places all
+    n points: as a fresh layout, by the greedy in dart order over its packed
+    conflict bits.  Each slot's first ``prefix`` darts are judged first, and
+    all of its darts only if they fall short.  Returns the number of slots
+    placed before the first that falls short, with the rng just past their
+    blocks.
+    """
+    slots, n = out.shape[:2]
+    dmin2 = d_min * d_min
+    state = rng.bit_generator.state
+    uniforms = rng.random((slots, 2, block))  # per block: radius uniforms, then angle uniforms
+    darts = _disk_points(uniforms[:, 0], uniforms[:, 1], radius)
+    x, y = darts[..., 0], darts[..., 1]
+    accepted = [_greedy(clear, n) for clear in
+                _clear_bits(x[:, :prefix], y[:, :prefix], dmin2).tolist()]
+    # the slots whose prefix falls short are judged on their whole blocks, a
+    # batch at a time, until one falls short there too
+    short = [s for s, points in enumerate(accepted) if len(points) < n] if prefix < block else []
+    batch = max(1, _WINDOW_PAIRS // (block * block))
+    for lo in range(0, len(short), batch):
+        judged = short[lo : lo + batch]
+        for s, clear in zip(judged, _clear_bits(x[judged], y[judged], dmin2).tolist()):
+            accepted[s] = _greedy(clear, n)
+        if any(len(accepted[s]) < n for s in judged):
+            break
+    kept = next((s for s, points in enumerate(accepted) if len(points) < n), slots)
+    if kept:
+        out[:kept] = darts[np.arange(kept)[:, None], accepted[:kept]]
+    if kept < slots:
+        rng.bit_generator.state = state
+        rng.random(2 * block * kept)
+    return kept
+
+
 def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
                         trials: int) -> np.ndarray:
     """Planar UAV positions (trials, N, 2) of ``trials`` hard-core swarms; head is UAV 0.
 
-    Each trial's swarm is one ``sample_hardcore_disk`` placement, in trial
-    order; every UAV flies at the config's ``swarm_altitude_m``.
+    The swarms, and the rng state after them, are those of one
+    ``sample_hardcore_disk`` placement per trial in trial order; every UAV
+    flies at the config's ``swarm_altitude_m``.  That sampler places the
+    first trial.  Only if its placement took one block of darts, and its last
+    point is among the block's first ``prefix`` darts, do windows place the
+    next trials from their first blocks in lockstep (``_place_window``), one
+    window after another while each places all its slots.  The first trial
+    a window leaves, and every trial after it, is placed by the sampler.
     """
-    n = config.n_uavs
+    n, radius, d_min = config.n_uavs, config.swarm_radius_m, config.min_separation_m
     positions = np.empty((trials, n, 2))
-    for b in range(trials):
-        positions[b] = sample_hardcore_disk(n, config.swarm_radius_m, config.min_separation_m, rng)
+    start = 0
+    if trials > 1:
+        start = 1
+        bit_generator = rng.bit_generator
+        before = bit_generator.state
+        positions[0] = sample_hardcore_disk(n, radius, d_min, rng)
+        after = bit_generator.state
+        block = min(_CANDIDATE_BLOCK, _ATTEMPTS_PER_POINT)
+        prefix = min(block, max(8, 2 * n))
+        # redraw the first block: did the placement end there, within the prefix?
+        bit_generator.state = before
+        uniforms = rng.random((2, block))
+        opened = bit_generator.state == after and bool(
+            (_disk_points(uniforms[0, :prefix], uniforms[1, :prefix], radius)
+             == positions[0, -1]).all(axis=1).any())
+        bit_generator.state = after
+        slots = max(1, _WINDOW_PAIRS // (prefix * prefix))
+        while opened and start < trials:
+            window = min(slots, trials - start)
+            kept = _place_window(positions[start : start + window], radius, d_min, block, prefix,
+                                 rng)
+            start += kept
+            opened = kept == window
+    for b in range(start, trials):
+        positions[b] = sample_hardcore_disk(n, radius, d_min, rng)
     return positions
 
 

@@ -238,29 +238,38 @@ def _map_chunks(worker, trials: int, workers: int):
 
     Chunk boundaries depend only on ``trials``, never on ``workers``, and
     results come back in chunk order, so the reduction order (and the
-    result, bit for bit) is independent of the worker count.  One pool per
-    worker count serves every call in the process.  A pool task carries a
-    run of consecutive chunks, two runs per worker: a chunk is one kernel
-    call, often no longer than a task's round trip.  After a failed chunk
-    the pool's queued work is cancelled.
+    result, bit for bit) is independent of the worker count.  They come as
+    an iterator, so a caller can consume each before the next is held.  One
+    pool per worker count serves every call in the process.  A pool task
+    carries a run of consecutive chunks, two runs per worker: a chunk is one
+    kernel call, often no longer than a task's round trip.  After a failed
+    chunk the pool's queued work is cancelled.
     """
     chunk = max(1, min(64, math.ceil(trials / 16)))
     starts = range(0, trials, chunk)
     stops = [min(s + chunk, trials) for s in starts]
     if workers <= 1:
-        return [worker(s, e) for s, e in zip(starts, stops)]
+        return map(worker, starts, stops)
     per_task = math.ceil(len(starts) / (2 * workers))
-    return list(_pool(workers).map(worker, starts, stops, chunksize=per_task))
+    return _pool(workers).map(worker, starts, stops, chunksize=per_task)
 
 
 def _gather_counts(variants, trials, master_seed, workers):
+    """Each variant's (trials, 1 + rounds) counts, filled chunk by chunk in chunk order."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     out = []
     for _, group in itertools.groupby(variants, key=lambda variant: _draw_key(variant[0])):
         group = list(group)  # its thresholds are checked before its first chunk is drawn
         worker = functools.partial(_decoded_counts, group, _thresholds(group), master_seed)
-        out += [np.concatenate(counts) for counts in zip(*_map_chunks(worker, trials, workers))]
+        counts = [np.empty((trials, 1 + protocol.rounds)) for _, protocol in group]
+        start = 0
+        for pieces in _map_chunks(worker, trials, workers):
+            stop = start + len(pieces[0])
+            for whole, piece in zip(counts, pieces):
+                whole[start:stop] = piece
+            start = stop
+        out += counts
     return out
 
 

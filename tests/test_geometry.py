@@ -156,15 +156,76 @@ def test_swarm_layout_separation(config):
     assert (planar <= 30.0).all()
 
 
-def test_swarm_layouts_are_per_trial_placements_in_trial_order(config):
-    # a chunk's swarms are the hard-core sampler's placements, one per
-    # trial, in trial order on the chunk's rng
-    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-    layout = geometry.sample_swarm_layout(config, rng, 5)
-    for b in range(5):
-        planar = geometry.sample_hardcore_disk(40, 30.0, 5.0, ref)
-        assert np.array_equal(layout[b], planar)
-    assert rng.bit_generator.state == ref.bit_generator.state
+@pytest.mark.parametrize(
+    "n, radius", [(10, 30.0), (40, 30.0), (20, 20.0), (1, 30.0)],
+    ids=["n10-r30", "n40-r30", "n20-r20", "n1-r30"],
+)
+def test_swarm_layouts_are_per_trial_placements_in_trial_order(n, radius, monkeypatch):
+    # a chunk's swarms are the hard-core sampler's placements, one per trial,
+    # in trial order on the chunk's rng, whether lockstep windows or the
+    # sampler itself place them: N=10 chunks are all windows after the first
+    # trial, N=40 chunks stay on the sampler, and at N=20 in a 20 m disk
+    # (first blocks place about 96% of swarms) windows break mid-chunk
+    per_trial = geometry.sample_hardcore_disk
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return per_trial(*args)
+
+    monkeypatch.setattr(geometry, "sample_hardcore_disk", counted)
+    cfg = make_config(n_uavs=n, swarm_radius_m=radius)
+    sampled = []
+    for trials in (1, 7, 16, 64):
+        for seed in range(8):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            calls.clear()
+            layout = geometry.sample_swarm_layout(cfg, rng, trials)
+            want = np.stack([per_trial(n, radius, 5.0, ref) for _ in range(trials)])
+            assert np.array_equal(layout, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            sampled.append((trials, len(calls)))
+    if n in (1, 10):
+        assert all(count == 1 for _, count in sampled)
+    if n == 40:
+        assert all(count == trials for trials, count in sampled)
+    if n == 20:
+        assert any(1 < count < trials for trials, count in sampled)
+
+
+def test_swarm_layout_fails_as_the_per_trial_loop_does(monkeypatch):
+    # a budget of one 16-dart block per point and one layout wedges some
+    # placements of 6 UAVs in a 10 m disk; the chunk then raises what the
+    # per-trial loop raises, the best layout's count included, also when
+    # windows placed the trials before the wedged one
+    monkeypatch.setattr(geometry, "_ATTEMPTS_PER_POINT", 16)
+    monkeypatch.setattr(geometry, "_LAYOUT_RETRIES", 1)
+    per_trial = geometry.sample_hardcore_disk
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return per_trial(*args)
+
+    monkeypatch.setattr(geometry, "sample_hardcore_disk", counted)
+    cfg = make_config(n_uavs=6, swarm_radius_m=10.0)
+    after_windows = 0
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = []
+        try:
+            for _ in range(16):
+                want.append(per_trial(6, 10.0, 5.0, ref))
+        except PlacementError as exc:
+            calls.clear()
+            with pytest.raises(PlacementError, match="the best layout placed") as got:
+                geometry.sample_swarm_layout(cfg, rng, 16)
+            assert str(got.value) == str(exc)
+            after_windows += len(calls) < len(want) + 1
+        else:
+            assert np.array_equal(geometry.sample_swarm_layout(cfg, rng, 16), np.stack(want))
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert after_windows
 
 
 def test_relay_gains_match_summed_squares_bitwise(config):

@@ -348,7 +348,7 @@ def sampled_relay_fractions(config, protocol, trials, seed):
         decoded |= (sinrs >= theta2) & relays.any(axis=1, keepdims=True)
         return decoded.sum(axis=1) / config.n_uavs
 
-    return np.concatenate(mc._map_chunks(chunk, trials, 1))
+    return np.concatenate(list(mc._map_chunks(chunk, trials, 1)))
 
 
 @pytest.mark.parametrize("protocol, overrides", [
