@@ -10,18 +10,14 @@ trials axis, and forms what it needs from them (the relay stage's pair gains
 in ``fading.relay_gains``); the closed-form model takes the mass of the
 disk's pair-distance density above the hard-core separation.
 
-The draw contract of a chunk's swarms: they are the placements of one
-``sample_hardcore_disk`` call per trial, in trial order, and leave the rng
-where those calls leave it.  A swarm that the first block of 64 darts of
-its layout places is the same whether that block is judged alone or beside
-the next trials' first blocks.  So when the chunk's first placement is seen
-to finish early in its first block, windows of consecutive blocks are judged
-in lockstep; each keeps its leading run of blocks that place a whole swarm
-and rewinds the rng to just past them.  The first trial whose block falls
-short, and every trial after it, is placed by the per-trial sampler from
-its first dart, as are all trials of a chunk whose first placement needs
-more darts.  So dense swarms, whose placements take several blocks, stay
-on the per-trial sampler.
+A chunk's swarms are, by contract, the placements of one
+``sample_hardcore_disk`` call per trial in trial order, and leave the rng
+where those calls leave it.  When the chunk's first placement ends early in
+its first block of 64 darts, the next trials' first blocks are judged in
+lockstep, in windows of consecutive blocks drawn at once; the rng is rewound
+past the blocks kept.  The first trial whose block falls short, every trial
+after it, and every trial of a chunk whose first placement needs more darts,
+as dense swarms' do, are placed by the per-trial sampler.
 """
 
 from __future__ import annotations
