@@ -156,6 +156,19 @@ def test_swarm_layout_separation(config):
     assert (planar <= 30.0).all()
 
 
+def _count_per_trial_calls(monkeypatch):
+    """The hard-core sampler, and the list of calls that ``geometry`` makes to it from now on."""
+    per_trial = geometry.sample_hardcore_disk
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return per_trial(*args)
+
+    monkeypatch.setattr(geometry, "sample_hardcore_disk", counted)
+    return per_trial, calls
+
+
 @pytest.mark.parametrize(
     "n, radius", [(10, 30.0), (40, 30.0), (20, 20.0), (1, 30.0)],
     ids=["n10-r30", "n40-r30", "n20-r20", "n1-r30"],
@@ -166,14 +179,7 @@ def test_swarm_layouts_are_per_trial_placements_in_trial_order(n, radius, monkey
     # sampler itself place them: N=10 chunks are all windows after the first
     # trial, N=40 chunks stay on the sampler, and at N=20 in a 20 m disk
     # (first blocks place about 96% of swarms) windows break mid-chunk
-    per_trial = geometry.sample_hardcore_disk
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return per_trial(*args)
-
-    monkeypatch.setattr(geometry, "sample_hardcore_disk", counted)
+    per_trial, calls = _count_per_trial_calls(monkeypatch)
     cfg = make_config(n_uavs=n, swarm_radius_m=radius)
     sampled = []
     for trials in (1, 7, 16, 64):
@@ -200,14 +206,7 @@ def test_swarm_layout_fails_as_the_per_trial_loop_does(monkeypatch):
     # windows placed the trials before the wedged one
     monkeypatch.setattr(geometry, "_ATTEMPTS_PER_POINT", 16)
     monkeypatch.setattr(geometry, "_LAYOUT_RETRIES", 1)
-    per_trial = geometry.sample_hardcore_disk
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return per_trial(*args)
-
-    monkeypatch.setattr(geometry, "sample_hardcore_disk", counted)
+    per_trial, calls = _count_per_trial_calls(monkeypatch)
     cfg = make_config(n_uavs=6, swarm_radius_m=10.0)
     after_windows = 0
     for seed in range(20):
