@@ -3,10 +3,12 @@
 The model moment-matches sums of path-loss-weighted fading terms to Gamma
 (Pearson III) and inverse-Gamma (Pearson V) distributions, from which the
 head and member decode probabilities of the cellular stage and the relay
-stage's decode probability follow in closed form.  Every moment branch is
-cross-checked against quadrature in the test suite.  The head decode
-probability has one route, a quadrature of the ratio CDF whose scale is
-set by both factors of its integrand.
+stage's decode probability follow in closed form.  The relay stage's
+path-loss moments come from the disk's pair-distance law truncated at the
+hard-core separation, whose mass and moments are both taken here.  Every
+moment branch is cross-checked against quadrature in the test suite.  The
+head decode probability has one route, a quadrature of the ratio CDF whose
+scale is set by both factors of its integrand.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .geometry import pair_distance_truncation
 from .fading import rician_moments
 from .scenario import ScenarioConfig, phase1_threshold, phase2_threshold
 
@@ -35,6 +36,7 @@ __all__ = [
     "moments_pathloss_sum",
     "head_decode_prob",
     "member_decode_prob",
+    "pair_distance_truncation",
     "d2d_fit",
     "phase2_decode_prob",
     "reliability",
@@ -281,6 +283,19 @@ def d2d_fit(k_effective: float, config: ScenarioConfig) -> InvGammaFit:
     mu = _truncated_pair_moment(radius, d_min, alpha)
     second = _truncated_pair_moment(radius, d_min, 2.0 * alpha)
     return inv_gamma_fit(k_effective * mu, k_effective * (second - mu * mu))
+
+
+def pair_distance_truncation(radius: float, d_min: float) -> float:
+    """Mass of the pair-distance density on [d_min, 2 radius].
+
+    With theta = 2 acos(x), x = d_min / (2 radius), the closed form
+    1 - [8 x^2 acos(x) + 2 asin(x) - 2 x (1 + 2 x^2) sqrt(1 - x^2)] / pi
+    reads [(2 + cos theta) sin theta - theta (1 + 2 cos theta)] / pi, which
+    keeps its relative digits down to a mass of 1e-8 as d_min nears 2 radius.
+    """
+    theta = 2.0 * math.acos(d_min / (2.0 * radius))
+    cos_theta = math.cos(theta)
+    return ((2.0 + cos_theta) * math.sin(theta) - theta * (1.0 + 2.0 * cos_theta)) / math.pi
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Point-process sampling of GBS and UAV positions, and the truncated pair-distance mass.
+"""Point-process sampling of GBS and UAV positions.
 
 Ground stations are a binomial point process on a disk, whose first
 ``m_available`` points serve the swarm; the swarm is a hard-core process
@@ -7,8 +7,7 @@ Both layouts are plain arrays of planar positions: the stations sit at
 height 0 and every UAV at the config's altitude.  The Monte Carlo engine
 samples the layouts of a chunk of trials at once, each array with a leading
 trials axis, and forms what it needs from them (the relay stage's pair gains
-in ``fading.relay_gains``); the closed-form model takes the mass of the
-disk's pair-distance density above the hard-core separation.
+in ``fading.relay_gains``).
 
 A chunk's swarms are, by contract, the placements of one
 ``sample_hardcore_disk`` call per trial in trial order, and leave the rng
@@ -22,8 +21,6 @@ as dense swarms' do, are placed by the per-trial sampler.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .scenario import ScenarioConfig
@@ -34,12 +31,11 @@ __all__ = [
     "sample_hardcore_disk",
     "sample_gbs_layout",
     "sample_swarm_layout",
-    "pair_distance_truncation",
 ]
 
 _CANDIDATE_BLOCK = 64
-# dart pairs a window judges at once: it bounds the (slots, darts, darts)
-# temporaries, and keeps them in cache
+# dart pairs of a window's prefixes, judged at once: it bounds the (slots,
+# prefix, prefix) temporaries, and keeps them in cache
 _WINDOW_PAIRS = 1 << 14
 # darts per point before a layout counts as wedged, and layouts drawn before
 # placement gives up
@@ -70,22 +66,20 @@ def sample_uniform_disk(size, radius: float, rng: np.random.Generator) -> np.nda
     return _disk_points(u_radius, rng.random(size), radius)
 
 
-def _packed_bits(matrix: np.ndarray) -> np.ndarray:
-    """The last axis of a boolean array as uint64, entry j at bit j; at most 64 entries."""
-    packed = np.zeros(matrix.shape[:-1] + (8,), dtype=np.uint8)
-    bits = np.packbits(matrix, axis=-1, bitorder="little")
-    packed[..., : bits.shape[-1]] = bits
-    return packed.view("<u8")[..., 0]
-
-
 def _clear_bits(x: np.ndarray, y: np.ndarray, dmin2: float) -> np.ndarray:
-    """Bit i of entry j: dart i lies at least d_min from dart j; darts along the last axis."""
+    """uint64 whose bit i of entry j is set when dart i lies at least d_min from dart j.
+
+    The darts, at most 64, lie along the last axis.
+    """
     dx = x[..., :, None] - x[..., None, :]
     dy = y[..., :, None] - y[..., None, :]
     dx *= dx
     dy *= dy
     dx += dy
-    return _packed_bits(dx >= dmin2)
+    bits = np.packbits(dx >= dmin2, axis=-1, bitorder="little")
+    packed = np.zeros(bits.shape[:-1] + (8,), dtype=np.uint8)
+    packed[..., : bits.shape[-1]] = bits
+    return packed.view("<u8")[..., 0]
 
 
 def _greedy(clear: list[int], room: int) -> list[int]:
@@ -119,8 +113,6 @@ def sample_hardcore_disk(
     which ``PlacementError`` is raised rather than relaxing the separation
     constraint.
     """
-    if n == 0:
-        return np.empty((0, 2))
     dmin2 = d_min * d_min
     px = np.empty(n)
     py = np.empty(n)
@@ -179,10 +171,11 @@ def _place_window(out: np.ndarray, radius: float, d_min: float, block: int, pref
     Slot s is placed as ``sample_hardcore_disk`` places a layout from the
     s-th of ``slots`` consecutive blocks of the rng, if that block places all
     n points: as a fresh layout, by the greedy in dart order over its packed
-    conflict bits.  Each slot's first ``prefix`` darts are judged first, and
-    all of its darts only if they fall short.  Returns the number of slots
-    placed before the first that falls short, with the rng just past their
-    blocks.
+    conflict bits.  The slots are judged in order, each on its first
+    ``prefix`` darts and, only if they fall short, on its whole block; the
+    greedy accepts darts in order, so a prefix that places all n points
+    places what the block does.  Returns the number of slots placed before
+    the first that falls short, with the rng just past their blocks.
     """
     slots, n = out.shape[:2]
     dmin2 = d_min * d_min
@@ -190,21 +183,17 @@ def _place_window(out: np.ndarray, radius: float, d_min: float, block: int, pref
     uniforms = rng.random((slots, 2, block))  # per block: radius uniforms, then angle uniforms
     darts = _disk_points(uniforms[:, 0], uniforms[:, 1], radius)
     x, y = darts[..., 0], darts[..., 1]
-    accepted = [_greedy(clear, n) for clear in
-                _clear_bits(x[:, :prefix], y[:, :prefix], dmin2).tolist()]
-    # the slots whose prefix falls short are judged on their whole blocks, a
-    # batch at a time, until one falls short there too
-    short = [s for s, points in enumerate(accepted) if len(points) < n] if prefix < block else []
-    batch = max(1, _WINDOW_PAIRS // (block * block))
-    for lo in range(0, len(short), batch):
-        judged = short[lo : lo + batch]
-        for s, clear in zip(judged, _clear_bits(x[judged], y[judged], dmin2).tolist()):
-            accepted[s] = _greedy(clear, n)
-        if any(len(accepted[s]) < n for s in judged):
+    accepted = []
+    for s, clear in enumerate(_clear_bits(x[:, :prefix], y[:, :prefix], dmin2).tolist()):
+        points = _greedy(clear, n)
+        if len(points) < n and prefix < block:
+            points = _greedy(_clear_bits(x[s], y[s], dmin2).tolist(), n)
+        if len(points) < n:
             break
-    kept = next((s for s, points in enumerate(accepted) if len(points) < n), slots)
+        accepted.append(points)
+    kept = len(accepted)
     if kept:
-        out[:kept] = darts[np.arange(kept)[:, None], accepted[:kept]]
+        out[:kept] = darts[np.arange(kept)[:, None], accepted]
     if kept < slots:
         rng.bit_generator.state = state
         rng.random(2 * block * kept)
@@ -237,10 +226,9 @@ def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
         prefix = min(block, max(8, 2 * n))
         # redraw the first block: did the placement end there, within the prefix?
         bit_generator.state = before
-        uniforms = rng.random((2, block))
+        darts = sample_uniform_disk(block, radius, rng)[:prefix]
         opened = bit_generator.state == after and bool(
-            (_disk_points(uniforms[0, :prefix], uniforms[1, :prefix], radius)
-             == positions[0, -1]).all(axis=1).any())
+            (darts == positions[0, -1]).all(axis=1).any())
         bit_generator.state = after
         slots = max(1, _WINDOW_PAIRS // (prefix * prefix))
         while opened and start < trials:
@@ -252,19 +240,3 @@ def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
     for b in range(start, trials):
         positions[b] = sample_hardcore_disk(n, radius, d_min, rng)
     return positions
-
-
-# --- pair-distance mass -------------------------------------------------------
-
-
-def pair_distance_truncation(radius: float, d_min: float) -> float:
-    """Mass of the pair-distance density on [d_min, 2 radius].
-
-    With theta = 2 acos(x), x = d_min / (2 radius), the closed form
-    1 - [8 x^2 acos(x) + 2 asin(x) - 2 x (1 + 2 x^2) sqrt(1 - x^2)] / pi
-    reads [(2 + cos theta) sin theta - theta (1 + 2 cos theta)] / pi, which
-    keeps its relative digits down to a mass of 1e-8 as d_min nears 2 radius.
-    """
-    theta = 2.0 * math.acos(d_min / (2.0 * radius))
-    cos_theta = math.cos(theta)
-    return ((2.0 + cos_theta) * math.sin(theta) - theta * (1.0 + 2.0 * cos_theta)) / math.pi

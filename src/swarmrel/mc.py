@@ -22,10 +22,10 @@ seed, trials), whatever the worker count.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -228,9 +228,13 @@ def _decoded_counts(variants, thresholds, master_seed, start, stop):
 
 
 @functools.cache
-def _pool(workers: int) -> ProcessPoolExecutor:
-    """The process pool of ``workers`` processes, started on first use and kept."""
-    return ProcessPoolExecutor(max_workers=workers)
+def _pool(workers: int):
+    """The process pool of ``workers`` processes, started on first use and kept until exit."""
+    from concurrent.futures import ProcessPoolExecutor  # here, so only pooled runs pay for it
+    pool = ProcessPoolExecutor(max_workers=workers)
+    # imported after this module, concurrent.futures is torn down first at exit
+    atexit.register(pool.shutdown)
+    return pool
 
 
 def _map_chunks(worker, trials: int, workers: int):

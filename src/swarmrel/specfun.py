@@ -32,6 +32,9 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)  # a Python float keeps scalar loops out of numpy
 _FPMIN = 1e-300
+# terms an incomplete-gamma loop may take: near z = a the series needs about
+# sqrt(72 a), 85,000 at a = 1e8
+_GAMMA_TERMS = 100_000
 
 
 class NumericalError(ArithmeticError):
@@ -90,7 +93,7 @@ def _gamma_p_series(a: float, z: float) -> float:
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(10_000):
+    for _ in range(_GAMMA_TERMS):
         ap += 1.0
         term *= z / ap
         total += term
@@ -104,7 +107,7 @@ def _gamma_q_contfrac(a: float, z: float) -> float:
     c = 1.0 / _FPMIN
     d = 1.0 / b if b != 0 else 1.0 / _FPMIN
     h = d
-    for i in range(1, 10_001):
+    for i in range(1, 1 + _GAMMA_TERMS):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -246,12 +249,16 @@ def log_tricomi_u_scaled(a: float, b: float, z: float) -> float:
     log_scale = power * peak_softplus + log_gamma_peak(a) + a * (log_ratio_a - u)
 
     def integrand(x):
-        v = log_ratio + x
-        softplus = np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+        # log1p(s/z) - log1p(s*/z) is one log1p(sigma expm1(x)) near the peak,
+        # where a difference of softplus values loses its digits to a huge
+        # |power|; the clamp acts only at x < -1, where the difference is taken
+        near = np.expm1(np.minimum(x, 1.0))
+        rise = np.where(np.abs(x) < 1.0, np.log1p(sigma * np.maximum(near, -0.75)),
+                        np.logaddexp(0.0, log_ratio + x) - peak_softplus)
         # s - s*, with s capped at e^700, where e^-s has long underflowed
-        near = s_star * np.expm1(np.minimum(x, 1.0))
-        growth = np.where(x < 1.0, near, np.exp(np.minimum(log_s_star + x, 700.0)) - s_star)
-        return np.exp(power * (softplus - peak_softplus) + a * x - growth)
+        growth = np.where(x < 1.0, s_star * near,
+                          np.exp(np.minimum(log_s_star + x, 700.0)) - s_star)
+        return np.exp(power * rise + a * x - growth)
 
     integral = adaptive_quad(integrand, width, rel_tol=1e-9, abs_tol=0.0)
     if integral <= 0:

@@ -133,15 +133,19 @@ def test_criterion_3_analytic_matches_monte_carlo():
     t0 = time.time()
     worst = 0.0
     lines = []
-    for m0, m1 in ((8, 8), (8, 2)):
-        for bits in (8.0, 16.0, 24.0, 32.0, 40.0):
-            cfg = make_config(m_available=m0, m_occupied=m1, message_bits=bits)
-            eta_a = analytic.reliability(cfg).eta
-            est = mc.estimate(cfg, mc.PROPOSED, 20_000, 301, workers=WORKERS)[-1]
-            gap = abs(eta_a - est.eta_mean)
-            worst = max(worst, gap)
-            lines.append(f"({m0},{m1}) D={bits:g}: |gap|={gap:.4f}")
-            assert gap <= 0.02
+    # the rows of one GBS split differ only in message_bits, so they share
+    # each chunk's draw, and each estimate is that of its own mc.estimate
+    cfgs = [make_config(m_available=m0, m_occupied=m1, message_bits=bits)
+            for m0, m1 in ((8, 8), (8, 2)) for bits in (8.0, 16.0, 24.0, 32.0, 40.0)]
+    curves = mc.estimate_variants([(cfg, mc.PROPOSED) for cfg in cfgs], 20_000, 301,
+                                  workers=WORKERS)
+    for cfg, curve in zip(cfgs, curves):
+        eta_a = analytic.reliability(cfg).eta
+        gap = abs(eta_a - curve[-1].eta_mean)
+        worst = max(worst, gap)
+        lines.append(f"({cfg.m_available},{cfg.m_occupied}) D={cfg.message_bits:g}: "
+                     f"|gap|={gap:.4f}")
+        assert gap <= 0.02
     elapsed = time.time() - t0
     assert elapsed < 300.0
     _report(3, f"analytic vs MC eta across 10 operating points, worst gap {worst:.4f} "
@@ -176,9 +180,13 @@ def test_criterion_5_protocol_ordering():
         return (x.eta_mean - y.eta_mean) / math.hypot(x.std_err, y.std_err)
 
     msgs = []
-    for bits, expect_nearest_wins in ((4.0, True), (40.0, False)):
-        cfg = make_config(message_bits=bits)
-        ests = {p.label: mc.estimate(cfg, p, 2500, 501, workers=WORKERS)[-1] for p in protocols}
+    cases = ((4.0, True), (40.0, False))
+    # every row shares each chunk's draw: the protocols split one draw, and
+    # the message sizes differ only in their thresholds
+    variants = [(make_config(message_bits=bits), p) for bits, _ in cases for p in protocols]
+    curves = iter(mc.estimate_variants(variants, 2500, 501, workers=WORKERS))
+    for bits, expect_nearest_wins in cases:
+        ests = {p.label: next(curves)[-1] for p in protocols}
         if expect_nearest_wins:
             assert sep(ests["nearest_gbs"], ests["all_gbs"]) >= 3.0
         else:
@@ -198,8 +206,10 @@ def test_criterion_5_protocol_ordering():
 
 def test_criterion_6_multiround_head_effect():
     cfg = make_config(n_uavs=10, message_bits=150.0)
-    with_head = mc.estimate(cfg, mc.multi_round(6, True), 4000, 601, workers=WORKERS)
-    without = mc.estimate(cfg, mc.multi_round(6, False), 4000, 601, workers=WORKERS)
+    # the two protocols share each chunk's draw
+    with_head, without = mc.estimate_variants(
+        [(cfg, mc.multi_round(6, True)), (cfg, mc.multi_round(6, False))], 4000, 601,
+        workers=WORKERS)
     etas_h = [e.eta_mean for e in with_head]
     etas_n = [e.eta_mean for e in without]
     assert all(a <= b + 1e-12 for a, b in zip(etas_h, etas_h[1:]))

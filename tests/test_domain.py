@@ -81,6 +81,29 @@ MEMBER_TINY_SHAPE = dict(n_uavs=97, m_available=49, m_occupied=58, rician_k=0.00
                          pathloss_exp_cell=2.8780, pathloss_exp_d2d=3.0188,
                          bandwidth_d2d_hz=1e7)
 
+# huge fitted shapes under a high swarm over a sub-metre cell: at serving
+# shape 5.94e31 and interference shape 4.17e10 the member stage's Tricomi
+# integrand took power (softplus - peak softplus), whose rounding |power|
+# magnified to ~7e-5 at the peak, and its estimates did not settle
+MEMBER_HUGE_SHAPE = dict(n_uavs=66, m_available=19, m_occupied=3, rician_k=27808903520.996464,
+                         message_bits=8536.472304476012, tau_phase1_s=0.0004213742226567006,
+                         coverage_radius_m=0.021515167085429977,
+                         swarm_radius_m=37977.54321083815, swarm_altitude_m=803009.5060873108,
+                         min_separation_m=6611.041701098932,
+                         pathloss_exp_cell=5.4582523280938595,
+                         pathloss_exp_d2d=6.0912153395437345,
+                         bandwidth_d2d_hz=3472001.9676043605)
+# a head signal shape of 2.43e6, where the incomplete gamma series at z near
+# a needs about sqrt(72 a) = 13,000 terms and stopped at a 10,000-term cap
+HEAD_SERIES_CAP = dict(n_uavs=84, m_available=77, m_occupied=9, rician_k=15764.591869285456,
+                       message_bits=801.0954998901221, tau_phase1_s=0.0004393169721086199,
+                       coverage_radius_m=0.10358934575135287,
+                       swarm_radius_m=375.10333915830535, swarm_altitude_m=981618.0020813628,
+                       min_separation_m=57.879701814093245,
+                       pathloss_exp_cell=2.833449138583676,
+                       pathloss_exp_d2d=3.2208949699718437,
+                       bandwidth_d2d_hz=1290592.818794501)
+
 # a cellular stage capacity, duration times bandwidth, that underflows to 0
 ZERO_CAPACITY = dict(n_uavs=40, m_available=8, m_occupied=8, rician_k=4.0, message_bits=40.0,
                      swarm_altitude_m=300.0, coverage_radius_m=900.0, pathloss_exp_cell=2.0,
@@ -120,6 +143,8 @@ def config_example(tau_phase1_s, tau_total_s=1e-3, bandwidth_cell_hz=200e3,
 @config_example(**SERIES_BELOW_ZERO)
 @config_example(**MEMBER_TINY_SHAPE)
 @config_example(**ZERO_CAPACITY)
+@config_example(**MEMBER_HUGE_SHAPE)
+@config_example(**HEAD_SERIES_CAP)
 @given(
     n_uavs=st.integers(1, 100),
     m_available=st.integers(1, 100),
@@ -177,3 +202,10 @@ def test_head_probability_at_tiny_fitted_shapes(overrides, p_head):
     # 30-digit mpmath quadrature of the ratio CDF in u = log v, over edges
     # at -10^16, ..., -10, -1, 0, 1, 3, 7 and 50
     assert analytic.reliability(make_config(**overrides)).p_head == pytest.approx(p_head, abs=1e-9)
+
+
+def test_head_probability_past_the_old_series_cap():
+    # mpmath quadrature of the ratio CDF over the interference peak, with
+    # P(a, z) from 1F1 at 20 digits
+    assert analytic.reliability(make_config(**HEAD_SERIES_CAP)).p_head == pytest.approx(
+        0.0061854233266689809, abs=1e-9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from swarmrel import fading, geometry
+from swarmrel import analytic, fading, geometry
 from swarmrel.geometry import PlacementError
 
 from conftest import make_config
@@ -279,7 +279,7 @@ def test_pair_distance_pdf_edges():
 
 
 def test_truncated_pair_pdf_is_scaled_raw():
-    mass = geometry.pair_distance_truncation(30.0, 5.0)
+    mass = analytic.pair_distance_truncation(30.0, 5.0)
     # mass matches an independent quadrature of the raw density
     ref = integrate.quad(lambda w: _pair_distance_pdf(w, 30.0), 5.0, 60.0)[0]
     assert mass == pytest.approx(ref, abs=1e-10)
@@ -294,4 +294,4 @@ def test_truncated_pair_mass_near_the_diameter():
         with mpmath.workdps(40):
             ref = 1 - (8 * x**2 * mpmath.acos(x) + 2 * mpmath.asin(x)
                        - 2 * x * (1 + 2 * x**2) * mpmath.sqrt(1 - x**2)) / mpmath.pi
-        assert geometry.pair_distance_truncation(30.0, d_min) == pytest.approx(float(ref), rel=1e-9)
+        assert analytic.pair_distance_truncation(30.0, d_min) == pytest.approx(float(ref), rel=1e-9)

@@ -47,6 +47,16 @@ def test_regularized_gamma_monotone_and_bounded():
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
 
 
+def test_regularized_gamma_at_a_large_shape_near_its_median():
+    # at a = 2.4e6 and z just below a the series needs about sqrt(72 a) =
+    # 13,000 terms; oracle: 20-digit mpmath 1F1 form.  The leading factor
+    # exp(a log z - z - lgamma(a)) cancels terms near 4e7, so only ~1e-8 holds
+    for z, ref in ((2427214.786792604, 0.33884705173200314),
+                   (2427862.0, 0.49991836906862279)):
+        got = specfun.regularized_gamma(2427862.6521614995, math.log(z))
+        assert got == pytest.approx(ref, rel=1e-8), z
+
+
 def test_log_gamma_peak_against_mpmath():
     # a log a - a - lgamma(a): direct below a = 100, Stirling series above
     for a in (0.3, 99.99, 100.0, 1e3, 1e8, 1e12):
@@ -225,6 +235,16 @@ def test_tricomi_huge_shape_keeps_its_digits():
     # the defining integral
     got = specfun.log_tricomi_u_scaled(1e9, 999999996.0, 1e12)
     assert got == pytest.approx(-0.0049975016654026957891, abs=1e-12)
+
+
+def test_tricomi_huge_power_at_a_narrow_peak():
+    # a = 4.17e10, power = b - a - 1 = -5.94e31 and z = 4.2e12, from a member
+    # stage: the peak is 4.9e-6 wide, and power (log1p(s/z) - log1p(s*/z))
+    # keeps its digits only as one log1p; oracle: 60-digit mpmath quadrature
+    # of the defining integral around its peak
+    got = specfun.log_tricomi_u_scaled(41713386031.662895, -5.940068790968217e31,
+                                       4209335318142.378)
+    assert got == pytest.approx(-1839290552166.6482771, rel=1e-14)
 
 
 def test_tricomi_domain():
