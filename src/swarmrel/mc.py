@@ -18,6 +18,11 @@ config differs only in ``message_bits`` and ``tau_phase1_s``; variants that
 differ only in relay round count share one curve, computed at the largest
 count, and each takes its prefix.  So results are a function of (config,
 seed, trials), whatever the worker count.
+
+From ``CONTROL_MIN_TRIALS`` trials up, each entry of a curve that is not
+``multi_round`` is a regression control-variate estimate: the sample mean
+less the fitted effect of the chunk's GBS layouts, whose features have exact
+means (``_layout_sums``, ``_feature_means``).  It draws nothing more.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fading, geometry, scenario
+from . import analytic, fading, geometry, scenario
 from .scenario import ScenarioConfig
 
 __all__ = [
@@ -96,7 +101,12 @@ def multi_round(rounds: int, with_head: bool = True) -> Protocol:
 
 @dataclass(frozen=True)
 class ReliabilityEstimate:
-    """Sample mean of the per-trial decoded fraction, with its standard error."""
+    """Mean decoded fraction with its standard error.
+
+    It is the sample mean of the trials' decoded fractions, or from
+    ``CONTROL_MIN_TRIALS`` trials up, unless the protocol is ``multi_round``,
+    its control-variate estimate (``_entry``).
+    """
 
     eta_mean: float
     std_err: float  # NaN when trials == 1
@@ -129,6 +139,16 @@ class Phase1CountDistribution:
         return math.sqrt(var / self.trials)
 
 
+# trials from which a curve entry is a control-variate estimate: the
+# regression spends up to seven degrees of freedom, and the benchmark's
+# sweeps run 100 trials
+CONTROL_MIN_TRIALS = 100
+# a feature whose spread is below this share of its mean is constant to half
+# the float digits, and one whose part outside the others' span is below this
+# share of its own spread is spanned by them: neither is used as a control
+_RESOLVABLE = math.sqrt(float(np.finfo(float).eps))
+
+
 def trial_rng(master_seed: int, start: int) -> np.random.Generator:
     """The rng of the chunk that begins at trial ``start``; depends only on (master_seed, start)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, start)))
@@ -156,7 +176,8 @@ def _thresholds(variants) -> list[tuple[float, float | None]]:
     return out
 
 
-def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None) -> list:
+def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None,
+              layouts: bool = False):
     """Decode probabilities of ``trials`` trials on one draw of geometry and fading.
 
     ``variants`` are (config, protocol) pairs whose configs differ only in
@@ -175,7 +196,9 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None) 
     round count, and variants that differ only in it share one curve,
     computed at their largest count: each gets its prefix, the array of a
     run of it alone.  The D2D pair gains (``fading.relay_gains``) draw
-    nothing; they are formed once, and only if some curve relays.
+    nothing; they are formed once, and only if some curve relays.  With
+    ``layouts`` it returns ``(curves, gbs)``, ``gbs`` the chunk's GBS
+    layouts (trials, M, 2).
     """
     thresholds = thresholds or _thresholds(variants)
     config = variants[0][0]
@@ -214,17 +237,61 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None) 
                 decoded |= (sinrs >= d2d_threshold) & relays.any(axis=1, keepdims=True)
                 probs[:, r] = decoded
         curves[key] = probs
-    return [curves[key][:, :1 + protocol.rounds] for key, (_, protocol) in zip(keys, variants)]
+    out = [curves[key][:, :1 + protocol.rounds] for key, (_, protocol) in zip(keys, variants)]
+    return (out, gbs) if layouts else out
 
 
-def _decoded_counts(variants, thresholds, master_seed, start, stop):
-    """Each variant's expected decoded counts for trials [start, stop), (trials, 1 + rounds)."""
+def _layout_sums(gbs: np.ndarray, config: ScenarioConfig) -> tuple:
+    """A, S and I, each (trials,), of GBS layouts (trials, M, 2), whence the control features.
+
+    With d a GBS's 3-D distance to the swarm center and alpha the cellular
+    path-loss exponent, A = sum of d^(-alpha/2) and S = sum of d^-alpha
+    over the serving GBSs, and I = sum of d^-alpha over the occupied ones.
+    The features are A, S, I, A^2, I^2 and A I (``_gather_counts``).
+    """
+    # a sum that is not finite only leaves its draw's entries raw
+    with np.errstate(over="ignore", divide="ignore"):
+        amp = np.einsum("tmk,tmk->tm", gbs, gbs)
+        amp += config.swarm_altitude_m * config.swarm_altitude_m
+        np.power(amp, -config.pathloss_exp_cell / 4.0, out=amp)
+    serving, occupied = amp[:, :config.m_available], amp[:, config.m_available:]
+    return (serving.sum(axis=1), np.einsum("tm,tm->t", serving, serving),
+            np.einsum("tm,tm->t", occupied, occupied))
+
+
+def _feature_means(config: ScenarioConfig) -> np.ndarray | None:
+    """The exact means of the six control features, or None where they are not finite.
+
+    d^2 is uniform on [H^2, H^2 + R^2] (``analytic._distance_power_moments``),
+    and the GBS distances are i.i.d., so E[A^2] = m0 E[d^-alpha] + m0 (m0 - 1)
+    E[d^(-alpha/2)]^2, and so on.
+    """
+    alpha = config.pathloss_exp_cell
+    try:
+        half, _ = analytic._distance_power_moments(config, alpha / 2.0, 1.0, 1.0)
+        full, var = analytic._distance_power_moments(config, alpha, 1.0, 1.0)
+    except analytic.MomentFitError:
+        return None
+    m0, m1 = config.m_available, config.m_occupied
+    second = var + full * full  # E[d^-2alpha]
+    means = np.array([m0 * half, m0 * full, m1 * full,
+                      m0 * full + m0 * (m0 - 1) * half * half,
+                      m1 * second + m1 * (m1 - 1) * full * full,
+                      m0 * m1 * half * full])
+    return means if np.isfinite(means).all() else None
+
+
+def _decoded_counts(variants, thresholds, controlled, master_seed, start, stop):
+    """Each variant's expected decoded counts for trials [start, stop), (trials, 1 + rounds),
+    and the ``_layout_sums`` of the chunk's GBS layouts if ``controlled``, else None."""
     # a squared length past the float range overflows to inf, which clears
     # every separation in placement and gives a path gain of 0: the limits
     # wanted, so the overflow is not reported
     with np.errstate(over="ignore"):
-        return [probs.sum(axis=2) for probs in run_trial(
-            variants, trial_rng(master_seed, start), stop - start, thresholds)]
+        curves, gbs = run_trial(variants, trial_rng(master_seed, start), stop - start,
+                                thresholds, layouts=True)
+    sums = _layout_sums(gbs, variants[0][0]) if controlled else None
+    return [probs.sum(axis=2) for probs in curves], sums
 
 
 @functools.cache
@@ -258,23 +325,101 @@ def _map_chunks(worker, trials: int, workers: int):
     return _pool(workers).map(worker, starts, stops, chunksize=per_task)
 
 
-def _gather_counts(variants, trials, master_seed, workers):
-    """Each variant's (trials, 1 + rounds) counts, filled chunk by chunk in chunk order."""
+def _gather_counts(variants, trials, master_seed, workers, control=False):
+    """Each variant's (trials, 1 + rounds) counts and its draw's (trials, 6) layout features.
+
+    Both are filled chunk by chunk in chunk order, the features from each
+    chunk's ``_layout_sums``.  They are formed only with ``control`` and if
+    some variant of the draw is not ``multi_round``; otherwise they are None.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     out = []
     for _, group in itertools.groupby(variants, key=lambda variant: _draw_key(variant[0])):
         group = list(group)  # its thresholds are checked before its first chunk is drawn
-        worker = functools.partial(_decoded_counts, group, _thresholds(group), master_seed)
+        controlled = control and any(p.name != "multi_round" for _, p in group)
+        worker = functools.partial(_decoded_counts, group, _thresholds(group), controlled,
+                                   master_seed)
         counts = [np.empty((trials, 1 + protocol.rounds)) for _, protocol in group]
+        sums = np.empty((trials, 3)) if controlled else None
         start = 0
-        for pieces in _map_chunks(worker, trials, workers):
+        for pieces, piece_sums in _map_chunks(worker, trials, workers):
             stop = start + len(pieces[0])
             for whole, piece in zip(counts, pieces):
                 whole[start:stop] = piece
+            if controlled:
+                for column, piece in zip(sums.T, piece_sums):
+                    column[start:stop] = piece
             start = stop
-        out += counts
+        features = None
+        if controlled:
+            a, s, i = sums.T
+            with np.errstate(over="ignore", invalid="ignore"):
+                features = np.stack([a, s, i, a * a, i * i, a * i], axis=1)
+        out += [(whole, features) for whole in counts]
     return out
+
+
+def _regression(features: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
+    """What the controlled entries of one draw share, or None if they stay raw.
+
+    The features, centered and scaled to unit spread, are orthonormalized
+    over the trials by Gram-Schmidt.  Their mean's offset from the exact
+    means rides along as one more row, transformed with the columns, so
+    the result (trials + 1, p) holds the basis and a last row that, dotted
+    with an entry's coefficients on the basis, gives beta . offset.  A
+    feature with no resolvable spread is dropped (the interference terms
+    when m_occupied = 0), as is one that the others span.  If a feature or
+    an exact mean is not finite, none is used.  No BLAS or LAPACK routine
+    is called: the first such call maps about 1 MB of their code into
+    memory, for a fit of six columns.
+    """
+    means = _feature_means(config)
+    if means is None or not np.isfinite(features).all():
+        return None
+    center = features.mean(axis=0)
+    spread = features.std(axis=0)
+    kept = spread > _RESOLVABLE * np.abs(center)
+    scaled = np.vstack([features[:, kept] - center[kept], center[kept] - means[kept]])
+    scaled /= spread[kept]
+    basis, p = np.empty_like(scaled), 0
+    for column in scaled.T:
+        for _ in range(2):  # a second pass restores orthogonality lost to rounding
+            column = column - np.einsum("ij,j->i", basis[:, :p],
+                                        np.einsum("ij,i->j", basis[:-1, :p], column[:-1]))
+        # a unit-spread column has norm sqrt(trials) over the trials
+        norm = math.sqrt(np.einsum("i,i->", column[:-1], column[:-1]))
+        if norm > _RESOLVABLE * math.sqrt(len(features)):
+            basis[:, p] = column / norm
+            p += 1
+    return basis[:, :p] if p else None
+
+
+def _entry(fractions: np.ndarray, regression, trials: int, master_seed: int):
+    """One curve entry from each trial's decoded fraction.
+
+    Without a ``_regression`` it is the sample mean; with one, the
+    control-variate estimate mean - beta . (feature mean - exact mean),
+    clamped to [0, 1], beta fitted to this entry's fractions alone.
+    """
+    mean = float(fractions.mean())
+    if regression is None:
+        std_err = math.nan if trials == 1 else float(fractions.std(ddof=1) / math.sqrt(trials))
+        return ReliabilityEstimate(eta_mean=mean, std_err=std_err, trials=trials,
+                                   seed=master_seed)
+    basis, offset = regression[:-1], regression[-1]
+    centered = fractions - mean
+    # one entry at a time, so its bits do not depend on the other rows
+    coef = np.einsum("ij,i->j", basis, centered)
+    residuals = centered - np.einsum("ij,j->i", basis, coef)
+    # residual variance on n - p - 1 degrees of freedom, times the
+    # Lavenberg-Welch factor (n - 2) / (n - p - 2) for an estimated beta
+    n, p = trials, basis.shape[1]
+    squares = float(np.einsum("i,i->", residuals, residuals))
+    variance = squares / (n - p - 1) * (n - 2) / (n - p - 2) / n
+    eta = min(1.0, max(0.0, mean - float(np.einsum("i,i->", coef, offset))))
+    return ReliabilityEstimate(eta_mean=eta, std_err=math.sqrt(variance), trials=trials,
+                               seed=master_seed)
 
 
 def estimate(
@@ -300,16 +445,18 @@ def estimate_variants(variants, trials: int, master_seed: int, workers: int = 1)
     Consecutive pairs whose configs differ only in ``message_bits`` and
     ``tau_phase1_s`` share one draw per chunk, yet each curve equals its own ``estimate``.
     """
+    gathered = _gather_counts(variants, trials, master_seed, workers,
+                              control=trials >= CONTROL_MIN_TRIALS)
     curves = []
-    gathered = _gather_counts(variants, trials, master_seed, workers)
-    for (config, _), all_counts in zip(variants, gathered):
-        curve = []
-        for counts in all_counts.T:
-            fractions = counts / config.n_uavs
-            std_err = math.nan if trials == 1 else float(fractions.std(ddof=1) / math.sqrt(trials))
-            curve.append(ReliabilityEstimate(eta_mean=float(fractions.mean()), std_err=std_err,
-                                             trials=trials, seed=master_seed))
-        curves.append(curve)
+    regressions = {}  # by the id of a draw's features, formed once per draw
+    for (config, protocol), (all_counts, features) in zip(variants, gathered):
+        regression = None
+        if features is not None and protocol.name != "multi_round":
+            if id(features) not in regressions:
+                regressions[id(features)] = _regression(features, config)
+            regression = regressions[id(features)]
+        curves.append([_entry(counts / config.n_uavs, regression, trials, master_seed)
+                       for counts in all_counts.T])
     return curves
 
 
@@ -325,6 +472,6 @@ def phase1_count_distribution(
     the cellular ones, so the counts are those of full ``PROPOSED`` trials.
     """
     cellular = replace(PROPOSED, rounds=0)
-    [counts] = _gather_counts([(config, cellular)], trials, master_seed, workers)
+    [(counts, _)] = _gather_counts([(config, cellular)], trials, master_seed, workers)
     pmf = np.bincount(counts[:, 0].astype(int), minlength=config.n_uavs + 1) / trials
     return Phase1CountDistribution(pmf=pmf, trials=trials, seed=master_seed)

@@ -74,8 +74,10 @@ def regularized_gamma(a: float, log_z: float) -> float:
 
     From log z, P keeps its leading factor z^a = exp(a log z) where z
     underflows; at small a, P is far from 0 there (P(1e-3, e^-1000) is
-    e^-1).  Power series for z < a + 1, Lentz continued fraction for the
-    upper function otherwise.
+    e^-1).  From z = a/2 up to where z/a overflows, the factor's log a log z
+    - z - lgamma(a) is taken as log_gamma_peak(a) + a (log1p(u) - u) with u
+    = z/a - 1, whose terms do not cancel at large a.  Power series for z <
+    a + 1, Lentz continued fraction for the upper function otherwise.
     """
     if a <= 0:
         raise ValueError(f"regularized_gamma requires a > 0, got {a}")
@@ -83,7 +85,11 @@ def regularized_gamma(a: float, log_z: float) -> float:
         # z past 8e307, far above any shape a: Q(a, z) has underflowed
         return 1.0
     z = math.exp(log_z)
-    scale = math.exp(a * log_z - z - math.lgamma(a))
+    u = z / a - 1.0
+    if -0.5 < u < math.inf:
+        scale = math.exp(log_gamma_peak(a) + a * (math.log1p(u) - u))
+    else:
+        scale = math.exp(a * log_z - z - math.lgamma(a))
     if z < a + 1.0:
         return scale * _gamma_p_series(a, z)
     return 1.0 - scale * _gamma_q_contfrac(a, z)
@@ -97,7 +103,8 @@ def _gamma_p_series(a: float, z: float) -> float:
         ap += 1.0
         term *= z / ap
         total += term
-        if abs(term) < abs(total) * _EPS:
+        # a > 0 and z >= 0: every term and partial sum is non-negative
+        if term < total * _EPS:
             return total
     raise SeriesError(f"incomplete gamma series stalled at a={a}, z={z}")
 

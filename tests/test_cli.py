@@ -251,9 +251,9 @@ def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
     calls = []
     run_trial = mc.run_trial
 
-    def counting(variants, rng, trials, thresholds=None):
+    def counting(variants, rng, trials, thresholds=None, **kwargs):
         calls.append((max(p.rounds for _, p in variants), trials))
-        return run_trial(variants, rng, trials, thresholds)
+        return run_trial(variants, rng, trials, thresholds, **kwargs)
 
     monkeypatch.setattr(mc, "run_trial", counting)
     code, out, _ = run_cli(
@@ -327,9 +327,9 @@ def test_threshold_sweep_runs_the_trials_once(capsys, config_path, monkeypatch):
     calls = []
     run_trial = mc.run_trial
 
-    def counting(variants, rng, trials, thresholds=None):
+    def counting(variants, rng, trials, thresholds=None, **kwargs):
         calls.append((len(variants), trials))
-        return run_trial(variants, rng, trials, thresholds)
+        return run_trial(variants, rng, trials, thresholds, **kwargs)
 
     monkeypatch.setattr(mc, "run_trial", counting)
     code, out, _ = run_cli(
@@ -458,6 +458,9 @@ def test_extreme_finite_config_gives_probabilities_or_a_named_error(capsys, tmp_
     for argv, cells in ((["analyze"], ("p_head", "p_member", "p_phase2", "eta")),
                         (["simulate", "--trials", "5"], ("eta", "one_minus_eta")),
                         (["compare", "--trials", "40"], ("eta", "one_minus_eta")),
+                        # control-variate rows, whose layout features may not be finite
+                        (["compare", "--trials", str(mc.CONTROL_MIN_TRIALS)],
+                         ("eta", "one_minus_eta", "std_err")),
                         (rounds, ("eta", "one_minus_eta"))):
         code, out, err = run_cli(capsys, *argv, "--config", str(path))
         if code == 0:

@@ -80,18 +80,116 @@ def test_each_chunk_is_one_kernel_call_on_its_own_stream(config, monkeypatch):
     calls = []
     run_trial = mc.run_trial
 
-    def counting(variants, rng, trials, thresholds=None):
+    def counting(variants, rng, trials, thresholds=None, **kwargs):
         calls.append(trials)
-        return run_trial(variants, rng, trials, thresholds)
+        return run_trial(variants, rng, trials, thresholds, **kwargs)
 
     monkeypatch.setattr(mc, "run_trial", counting)
     est = mc.estimate(config, mc.PROPOSED, 300, 77)
     assert calls == [19] * 15 + [15]
     first = mc.run_trial([(config, mc.PROPOSED)], mc.trial_rng(77, 0), 19)[0].sum(axis=2)
     last = mc.run_trial([(config, mc.PROPOSED)], mc.trial_rng(77, 285), 15)[0].sum(axis=2)
-    [counts] = mc._gather_counts([(config, mc.PROPOSED)], 300, 77, 1)
+    [(counts, features)] = mc._gather_counts([(config, mc.PROPOSED)], 300, 77, 1, control=True)
     assert np.array_equal(counts[:19], first) and np.array_equal(counts[285:], last)
-    assert est[-1].eta_mean == (counts[:, -1] / 40).mean()
+    # the estimate is the control-variate reduction of the chunk-ordered counts
+    assert est[-1] == mc._entry(counts[:, -1] / 40, mc._regression(features, config), 300, 77)
+
+
+def test_control_variates_start_at_the_trial_floor_and_leave_multi_round_raw():
+    # below the floor every entry, and at any count a multi_round entry, is
+    # the sample mean with its sample standard error, bit for bit
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    variants = [(cfg, mc.multi_round(3)), (cfg, mc.PROPOSED)]
+
+    def raw(counts, trials):
+        fractions = counts / 10
+        return mc.ReliabilityEstimate(float(fractions.mean()),
+                                      float(fractions.std(ddof=1) / math.sqrt(trials)), trials, 8)
+
+    for trials in (mc.CONTROL_MIN_TRIALS - 1, mc.CONTROL_MIN_TRIALS):
+        [(rounds, _), (split, features)] = mc._gather_counts(variants, trials, 8, 1,
+                                                             control=True)
+        curves = mc.estimate_variants(variants, trials, 8)
+        assert curves[0] == [raw(counts, trials) for counts in rounds.T]
+        controlled = trials >= mc.CONTROL_MIN_TRIALS
+        assert (curves[1] == [raw(counts, trials) for counts in split.T]) != controlled
+
+
+def test_controlled_entry_is_the_intercept_of_a_regression_on_the_centered_features(config):
+    # eta = mean(y) - beta . (mean(x) - mu) is the intercept of y on x - mu;
+    # its standard error is the residual one on n - p - 1 degrees of freedom
+    # times the Lavenberg-Welch factor (n - 2) / (n - p - 2)
+    n, p = 150, 6
+    [(counts, features)] = mc._gather_counts([(config, mc.ALL_GBS)], n, 21, 1, control=True)
+    y = counts[:, -1] / config.n_uavs
+    x = (features - mc._feature_means(config)) / features.std(axis=0)
+    design = np.column_stack([np.ones(n), x])
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    residuals = y - design @ coef
+    std_err = math.sqrt(residuals @ residuals / (n - p - 1) * (n - 2) / (n - p - 2) / n)
+    [[est]] = mc.estimate_variants([(config, mc.ALL_GBS)], n, 21)
+    assert rank == 1 + p
+    assert est.eta_mean == pytest.approx(coef[0], rel=1e-9)
+    assert est.std_err == pytest.approx(std_err, rel=1e-9)
+
+
+def test_controlled_rows_of_a_shared_draw_equal_their_own_estimates(config):
+    trials = mc.CONTROL_MIN_TRIALS
+    pairs = [(replace(config, message_bits=bits), protocol) for bits in (40.0, 80.0)
+             for protocol in (mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY)]
+    own = [mc.estimate(c, p, trials, 16) for c, p in pairs]
+    assert mc.estimate_variants(pairs, trials, 16) == own
+    assert mc.estimate_variants(pairs, trials, 16, workers=2) == own
+
+
+@pytest.mark.parametrize("overrides", [{}, {"m_available": 4, "m_occupied": 2,
+                                            "pathloss_exp_cell": 3.0}])
+def test_layout_feature_means_are_exact(overrides):
+    # each of the six means within 4 standard errors of a 10^6-layout mean
+    cfg = make_config(**overrides)
+    rng = np.random.default_rng(17)
+    sums, squares, layouts = np.zeros(6), np.zeros(6), 1_000_000
+    for _ in range(10):
+        a, s, i = mc._layout_sums(geometry.sample_gbs_layout(cfg, rng, layouts // 10), cfg)
+        features = np.stack([a, s, i, a * a, i * i, a * i], axis=1)
+        sums += features.sum(axis=0)
+        squares += (features * features).sum(axis=0)
+    mean = sums / layouts
+    std_err = np.sqrt((squares / layouts - mean * mean) / layouts)
+    gap = np.abs(mean - mc._feature_means(cfg)) / std_err
+    assert (gap <= 4.0).all(), gap
+
+
+def test_a_draw_without_interferers_gives_finite_rows():
+    # with m_occupied = 0 the interference features are 0 and are dropped
+    cfg = make_config(n_uavs=10, message_bits=150.0, m_occupied=0)
+    protocols = (mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY)
+    for curve in mc.estimate_variants([(cfg, p) for p in protocols], mc.CONTROL_MIN_TRIALS, 4):
+        for est in curve:
+            assert 0.0 <= est.eta_mean <= 1.0 and math.isfinite(est.std_err), est
+
+
+def test_controlled_standard_error_is_honest():
+    # over 200 independent 100-trial draws the spread of the controlled eta
+    # matches its reported standard error, and its mean that of the sample
+    # means of the same draws
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    variants = [(cfg, mc.PROPOSED), (cfg, mc.ALL_GBS)]
+    trials, seeds = 100, 200
+    eta, std_err, sample_mean = (np.empty((seeds, 2)) for _ in range(3))
+    for seed in range(seeds):
+        gathered = mc._gather_counts(variants, trials, 3000 + seed, 1, control=True)
+        regression = mc._regression(gathered[0][1], cfg)
+        for j, (counts, _) in enumerate(gathered):
+            fractions = counts[:, -1] / cfg.n_uavs
+            est = mc._entry(fractions, regression, trials, 3000 + seed)
+            eta[seed, j], std_err[seed, j] = est.eta_mean, est.std_err
+            sample_mean[seed, j] = fractions.mean()
+    spread = eta.std(axis=0, ddof=1)
+    honesty = spread / np.sqrt((std_err * std_err).mean(axis=0))
+    assert ((0.85 <= honesty) & (honesty <= 1.15)).all(), honesty
+    bias = np.abs(eta.mean(axis=0) - sample_mean.mean(axis=0))
+    assert (bias <= 3.0 * spread / math.sqrt(seeds)).all(), bias
 
 
 def test_estimate_single_trial_stderr_undefined(config):

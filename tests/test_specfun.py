@@ -57,6 +57,19 @@ def test_regularized_gamma_at_a_large_shape_near_its_median():
         assert got == pytest.approx(ref, rel=1e-8), z
 
 
+def test_regularized_gamma_keeps_its_digits_at_a_large_shape():
+    # the leading factor as log_gamma_peak(a) + a (log1p(u) - u) cancels
+    # nothing; oracle: 30-digit mpmath 1F1 form at z = exp(log z) as given
+    a = 2427862.6521614995
+    for z in (2427214.786792604, 2427862.0):
+        log_z = math.log(z)
+        with mpmath.workdps(30):
+            big_a, big_z = mpmath.mpf(a), mpmath.exp(log_z)
+            factor = mpmath.exp(big_a * log_z - big_z - mpmath.loggamma(big_a + 1))
+            ref = float(factor * mpmath.hyp1f1(1, big_a + 1, big_z, maxterms=10**6))
+        assert specfun.regularized_gamma(a, log_z) == pytest.approx(ref, rel=1e-12), z
+
+
 def test_log_gamma_peak_against_mpmath():
     # a log a - a - lgamma(a): direct below a = 100, Stirling series above
     for a in (0.3, 99.99, 100.0, 1e3, 1e8, 1e12):
