@@ -144,8 +144,9 @@ class Phase1CountDistribution:
 # sweeps run 100 trials
 CONTROL_MIN_TRIALS = 100
 # a feature whose spread is below this share of its mean is constant to half
-# the float digits, and one whose part outside the others' span is below this
-# share of its own spread is spanned by them: neither is used as a control
+# the float digits, and a direction of the features whose singular value is
+# below this share of a unit-spread column's norm is spanned by the others:
+# neither is used as a control
 _RESOLVABLE = math.sqrt(float(np.finfo(float).eps))
 
 
@@ -176,14 +177,15 @@ def _thresholds(variants) -> list[tuple[float, float | None]]:
     return out
 
 
-def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None,
-              layouts: bool = False):
+def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None):
     """Decode probabilities of ``trials`` trials on one draw of geometry and fading.
 
     ``variants`` are (config, protocol) pairs whose configs differ only in
     ``message_bits`` and ``tau_phase1_s``, which no draw reads; ``thresholds``
-    are theirs (``_thresholds``), computed here if not given.  Returns one
-    float (trials, 1 + relay rounds, N) array per variant: row 0 of a trial
+    are theirs (``_thresholds``), computed here if not given.  Returns
+    ``(curves, gbs)``: ``curves`` holds one float (trials, 1 + relay rounds,
+    N) array per variant, and ``gbs`` is the chunk's GBS layouts (trials,
+    M, 2), whence the control features (``_layout_sums``).  Row 0 of a trial
     is the cellular stage, row r the probability that each UAV has decoded
     by relay round r.  The cellular stage and the relay rounds of
     ``multi_round`` are sampled (0 or 1); the split protocols' one relay
@@ -196,9 +198,7 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None,
     round count, and variants that differ only in it share one curve,
     computed at their largest count: each gets its prefix, the array of a
     run of it alone.  The D2D pair gains (``fading.relay_gains``) draw
-    nothing; they are formed once, and only if some curve relays.  With
-    ``layouts`` it returns ``(curves, gbs)``, ``gbs`` the chunk's GBS
-    layouts (trials, M, 2).
+    nothing; they are formed once, and only if some curve relays.
     """
     thresholds = thresholds or _thresholds(variants)
     config = variants[0][0]
@@ -237,8 +237,7 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None,
                 decoded |= (sinrs >= d2d_threshold) & relays.any(axis=1, keepdims=True)
                 probs[:, r] = decoded
         curves[key] = probs
-    out = [curves[key][:, :1 + protocol.rounds] for key, (_, protocol) in zip(keys, variants)]
-    return (out, gbs) if layouts else out
+    return [curves[key][:, :1 + protocol.rounds] for key, (_, protocol) in zip(keys, variants)], gbs
 
 
 def _layout_sums(gbs: np.ndarray, config: ScenarioConfig) -> tuple:
@@ -289,7 +288,7 @@ def _decoded_counts(variants, thresholds, controlled, master_seed, start, stop):
     # wanted, so the overflow is not reported
     with np.errstate(over="ignore"):
         curves, gbs = run_trial(variants, trial_rng(master_seed, start), stop - start,
-                                thresholds, layouts=True)
+                                thresholds)
     sums = _layout_sums(gbs, variants[0][0]) if controlled else None
     return [probs.sum(axis=2) for probs in curves], sums
 
@@ -326,11 +325,13 @@ def _map_chunks(worker, trials: int, workers: int):
 
 
 def _gather_counts(variants, trials, master_seed, workers, control=False):
-    """Each variant's (trials, 1 + rounds) counts and its draw's (trials, 6) layout features.
+    """Each variant's (trials, 1 + rounds) counts and its ``_regression``, or None.
 
-    Both are filled chunk by chunk in chunk order, the features from each
-    chunk's ``_layout_sums``.  They are formed only with ``control`` and if
-    some variant of the draw is not ``multi_round``; otherwise they are None.
+    The counts are filled chunk by chunk in chunk order, and so are the
+    (trials, 6) layout features of a draw, from each chunk's
+    ``_layout_sums``.  A draw's features, and its regression, are formed
+    only with ``control`` and if some variant of it is not ``multi_round``;
+    a ``multi_round`` variant always gets None.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -351,28 +352,29 @@ def _gather_counts(variants, trials, master_seed, workers, control=False):
                 for column, piece in zip(sums.T, piece_sums):
                     column[start:stop] = piece
             start = stop
-        features = None
+        regression = None
         if controlled:
             a, s, i = sums.T
             with np.errstate(over="ignore", invalid="ignore"):
                 features = np.stack([a, s, i, a * a, i * i, a * i], axis=1)
-        out += [(whole, features) for whole in counts]
+            regression = _regression(features, group[0][0])
+        out += [(whole, None if protocol.name == "multi_round" else regression)
+                for whole, (_, protocol) in zip(counts, group)]
     return out
 
 
 def _regression(features: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
     """What the controlled entries of one draw share, or None if they stay raw.
 
-    The features, centered and scaled to unit spread, are orthonormalized
-    over the trials by Gram-Schmidt.  Their mean's offset from the exact
-    means rides along as one more row, transformed with the columns, so
-    the result (trials + 1, p) holds the basis and a last row that, dotted
-    with an entry's coefficients on the basis, gives beta . offset.  A
-    feature with no resolvable spread is dropped (the interference terms
-    when m_occupied = 0), as is one that the others span.  If a feature or
-    an exact mean is not finite, none is used.  No BLAS or LAPACK routine
-    is called: the first such call maps about 1 MB of their code into
-    memory, for a fit of six columns.
+    The features, centered and scaled to unit spread, are U diag(s) V^T
+    over the trials.  The columns of U whose singular values are
+    resolvable from 0 span the controls; the features' mean offset o from
+    the exact means rides along as a last row o V / s, which, dotted with
+    an entry's coefficients on those columns, gives beta . o.  So the
+    result is (trials + 1, p).  A feature with no resolvable spread is
+    dropped (the interference terms when m_occupied = 0), and a direction
+    the others span is too.  If a feature or an exact mean is not finite,
+    none is used.
     """
     means = _feature_means(config)
     if means is None or not np.isfinite(features).all():
@@ -380,19 +382,12 @@ def _regression(features: np.ndarray, config: ScenarioConfig) -> np.ndarray | No
     center = features.mean(axis=0)
     spread = features.std(axis=0)
     kept = spread > _RESOLVABLE * np.abs(center)
-    scaled = np.vstack([features[:, kept] - center[kept], center[kept] - means[kept]])
-    scaled /= spread[kept]
-    basis, p = np.empty_like(scaled), 0
-    for column in scaled.T:
-        for _ in range(2):  # a second pass restores orthogonality lost to rounding
-            column = column - np.einsum("ij,j->i", basis[:, :p],
-                                        np.einsum("ij,i->j", basis[:-1, :p], column[:-1]))
-        # a unit-spread column has norm sqrt(trials) over the trials
-        norm = math.sqrt(np.einsum("i,i->", column[:-1], column[:-1]))
-        if norm > _RESOLVABLE * math.sqrt(len(features)):
-            basis[:, p] = column / norm
-            p += 1
-    return basis[:, :p] if p else None
+    u, s, vt = np.linalg.svd((features[:, kept] - center[kept]) / spread[kept],
+                             full_matrices=False)
+    # a unit-spread column has norm sqrt(trials)
+    rank = s > _RESOLVABLE * math.sqrt(len(features))
+    offset = (center[kept] - means[kept]) / spread[kept]
+    return np.vstack([u[:, rank], offset @ vt[rank].T / s[rank]])
 
 
 def _entry(fractions: np.ndarray, regression, trials: int, master_seed: int):
@@ -447,17 +442,9 @@ def estimate_variants(variants, trials: int, master_seed: int, workers: int = 1)
     """
     gathered = _gather_counts(variants, trials, master_seed, workers,
                               control=trials >= CONTROL_MIN_TRIALS)
-    curves = []
-    regressions = {}  # by the id of a draw's features, formed once per draw
-    for (config, protocol), (all_counts, features) in zip(variants, gathered):
-        regression = None
-        if features is not None and protocol.name != "multi_round":
-            if id(features) not in regressions:
-                regressions[id(features)] = _regression(features, config)
-            regression = regressions[id(features)]
-        curves.append([_entry(counts / config.n_uavs, regression, trials, master_seed)
-                       for counts in all_counts.T])
-    return curves
+    return [[_entry(counts / config.n_uavs, regression, trials, master_seed)
+             for counts in all_counts.T]
+            for (config, _), (all_counts, regression) in zip(variants, gathered)]
 
 
 def phase1_count_distribution(

@@ -251,9 +251,9 @@ def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
     calls = []
     run_trial = mc.run_trial
 
-    def counting(variants, rng, trials, thresholds=None, **kwargs):
+    def counting(variants, rng, trials, thresholds=None):
         calls.append((max(p.rounds for _, p in variants), trials))
-        return run_trial(variants, rng, trials, thresholds, **kwargs)
+        return run_trial(variants, rng, trials, thresholds)
 
     monkeypatch.setattr(mc, "run_trial", counting)
     code, out, _ = run_cli(
@@ -327,9 +327,9 @@ def test_threshold_sweep_runs_the_trials_once(capsys, config_path, monkeypatch):
     calls = []
     run_trial = mc.run_trial
 
-    def counting(variants, rng, trials, thresholds=None, **kwargs):
+    def counting(variants, rng, trials, thresholds=None):
         calls.append((len(variants), trials))
-        return run_trial(variants, rng, trials, thresholds, **kwargs)
+        return run_trial(variants, rng, trials, thresholds)
 
     monkeypatch.setattr(mc, "run_trial", counting)
     code, out, _ = run_cli(

@@ -24,13 +24,13 @@ def test_protocol_labels_and_validation():
 
 def test_zero_bits_all_decode_in_phase1():
     cfg = make_config(message_bits=0.0)
-    probs = mc.run_trial([(cfg, mc.PROPOSED)], mc.trial_rng(1, 0), 5)[0]
+    probs = mc.run_trial([(cfg, mc.PROPOSED)], mc.trial_rng(1, 0), 5)[0][0]
     assert probs.shape == (5, 2, 40)
     assert (probs == 1.0).all()
 
 
 def test_sets_disjoint_and_within_range(config):
-    probs = mc.run_trial([(config, mc.PROPOSED)], mc.trial_rng(2, 0), 50)[0]
+    probs = mc.run_trial([(config, mc.PROPOSED)], mc.trial_rng(2, 0), 50)[0][0]
     assert probs.shape == (50, 2, 40) and probs.dtype == np.float64
     assert np.isin(probs[:, 0], (0.0, 1.0)).all()  # the cellular stage is sampled
     assert ((0.0 <= probs) & (probs <= 1.0)).all()
@@ -41,7 +41,7 @@ def test_head_relay_without_head_means_no_phase2():
     # large message: the head frequently fails the cellular stage, and then
     # nobody relays
     cfg = make_config(n_uavs=10, message_bits=150.0)
-    masks = mc.run_trial([(cfg, mc.HEAD_RELAY)], mc.trial_rng(3, 0), 200)[0]
+    masks = mc.run_trial([(cfg, mc.HEAD_RELAY)], mc.trial_rng(3, 0), 200)[0][0]
     headless = masks[:, 0, 0] == 0.0
     assert headless.sum() > 0
     assert (masks[headless, -1] == masks[headless, 0]).all()
@@ -74,25 +74,63 @@ def test_estimate_worker_count_invariance(config):
     assert serial == parallel
 
 
+def _layout_features(config, trials, seed):
+    """The six control features of each trial, from the GBS layouts run_trial
+    draws chunk by chunk (chunks of ceil(trials / 16), at most 64)."""
+    chunk = max(1, min(64, math.ceil(trials / 16)))
+    gbs = np.concatenate([mc.run_trial([(config, mc.ALL_GBS)], mc.trial_rng(seed, start),
+                                       min(chunk, trials - start))[1]
+                          for start in range(0, trials, chunk)])
+    d2 = (gbs ** 2).sum(axis=2) + config.swarm_altitude_m ** 2
+    gain = d2 ** (-config.pathloss_exp_cell / 2.0)
+    m0 = config.m_available
+    a = np.sqrt(gain[:, :m0]).sum(axis=1)
+    s, i = gain[:, :m0].sum(axis=1), gain[:, m0:].sum(axis=1)
+    return np.column_stack([a, s, i, a * a, i * i, a * i])
+
+
+def _intercept(y, features, config):
+    """The intercept of y on the features less their exact means, its standard
+    error (residual, n - p - 1 degrees of freedom, times the Lavenberg-Welch
+    factor (n - 2) / (n - p - 2)) and the design's rank."""
+    n, p = features.shape
+    x = (features - mc._feature_means(config)) / features.std(axis=0)
+    design = np.column_stack([np.ones(n), x])
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    residuals = y - design @ coef
+    std_err = math.sqrt(residuals @ residuals / (n - p - 1) * (n - 2) / (n - p - 2) / n)
+    return coef[0], std_err, rank
+
+
 def test_each_chunk_is_one_kernel_call_on_its_own_stream(config, monkeypatch):
     # 300 trials are 16 chunks of at most 19; each is one run_trial call on
-    # the stream of its first trial
+    # the stream of its first trial, for both variants of the draw
     calls = []
     run_trial = mc.run_trial
 
-    def counting(variants, rng, trials, thresholds=None, **kwargs):
+    def counting(variants, rng, trials, thresholds=None):
         calls.append(trials)
-        return run_trial(variants, rng, trials, thresholds, **kwargs)
+        return run_trial(variants, rng, trials, thresholds)
 
     monkeypatch.setattr(mc, "run_trial", counting)
-    est = mc.estimate(config, mc.PROPOSED, 300, 77)
+    variants = [(config, mc.PROPOSED), (config, mc.multi_round(1))]
+    est = mc.estimate_variants(variants, 300, 77)
     assert calls == [19] * 15 + [15]
-    first = mc.run_trial([(config, mc.PROPOSED)], mc.trial_rng(77, 0), 19)[0].sum(axis=2)
-    last = mc.run_trial([(config, mc.PROPOSED)], mc.trial_rng(77, 285), 15)[0].sum(axis=2)
-    [(counts, features)] = mc._gather_counts([(config, mc.PROPOSED)], 300, 77, 1, control=True)
-    assert np.array_equal(counts[:19], first) and np.array_equal(counts[285:], last)
-    # the estimate is the control-variate reduction of the chunk-ordered counts
-    assert est[-1] == mc._entry(counts[:, -1] / 40, mc._regression(features, config), 300, 77)
+    first, _ = mc.run_trial(variants, mc.trial_rng(77, 0), 19)
+    last, _ = mc.run_trial(variants, mc.trial_rng(77, 285), 15)
+    gathered = mc._gather_counts(variants, 300, 77, 1)
+    for (counts, _), head, tail in zip(gathered, first, last):
+        assert np.array_equal(counts[:19], head.sum(axis=2))
+        assert np.array_equal(counts[285:], tail.sum(axis=2))
+    # the raw multi_round entry is the sample mean of the chunk-ordered counts
+    fractions = gathered[1][0][:, -1] / 40
+    assert est[1][-1] == mc.ReliabilityEstimate(
+        float(fractions.mean()), float(fractions.std(ddof=1) / math.sqrt(300)), 300, 77)
+    # and the controlled entry regresses them on the chunk-ordered layouts
+    eta, std_err, _ = _intercept(gathered[0][0][:, -1] / 40, _layout_features(config, 300, 77),
+                                 config)
+    assert est[0][-1].eta_mean == pytest.approx(eta, rel=1e-9)
+    assert est[0][-1].std_err == pytest.approx(std_err, rel=1e-9)
 
 
 def test_control_variates_start_at_the_trial_floor_and_leave_multi_round_raw():
@@ -107,8 +145,7 @@ def test_control_variates_start_at_the_trial_floor_and_leave_multi_round_raw():
                                       float(fractions.std(ddof=1) / math.sqrt(trials)), trials, 8)
 
     for trials in (mc.CONTROL_MIN_TRIALS - 1, mc.CONTROL_MIN_TRIALS):
-        [(rounds, _), (split, features)] = mc._gather_counts(variants, trials, 8, 1,
-                                                             control=True)
+        [(rounds, _), (split, _)] = mc._gather_counts(variants, trials, 8, 1)
         curves = mc.estimate_variants(variants, trials, 8)
         assert curves[0] == [raw(counts, trials) for counts in rounds.T]
         controlled = trials >= mc.CONTROL_MIN_TRIALS
@@ -116,20 +153,14 @@ def test_control_variates_start_at_the_trial_floor_and_leave_multi_round_raw():
 
 
 def test_controlled_entry_is_the_intercept_of_a_regression_on_the_centered_features(config):
-    # eta = mean(y) - beta . (mean(x) - mu) is the intercept of y on x - mu;
-    # its standard error is the residual one on n - p - 1 degrees of freedom
-    # times the Lavenberg-Welch factor (n - 2) / (n - p - 2)
-    n, p = 150, 6
-    [(counts, features)] = mc._gather_counts([(config, mc.ALL_GBS)], n, 21, 1, control=True)
-    y = counts[:, -1] / config.n_uavs
-    x = (features - mc._feature_means(config)) / features.std(axis=0)
-    design = np.column_stack([np.ones(n), x])
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    residuals = y - design @ coef
-    std_err = math.sqrt(residuals @ residuals / (n - p - 1) * (n - 2) / (n - p - 2) / n)
+    # eta = mean(y) - beta . (mean(x) - mu) is the intercept of y on x - mu
+    n = 150
+    [(counts, _)] = mc._gather_counts([(config, mc.ALL_GBS)], n, 21, 1)
+    eta, std_err, rank = _intercept(counts[:, -1] / config.n_uavs,
+                                    _layout_features(config, n, 21), config)
     [[est]] = mc.estimate_variants([(config, mc.ALL_GBS)], n, 21)
-    assert rank == 1 + p
-    assert est.eta_mean == pytest.approx(coef[0], rel=1e-9)
+    assert rank == 7
+    assert est.eta_mean == pytest.approx(eta, rel=1e-9)
     assert est.std_err == pytest.approx(std_err, rel=1e-9)
 
 
@@ -172,24 +203,26 @@ def test_a_draw_without_interferers_gives_finite_rows():
 def test_controlled_standard_error_is_honest():
     # over 200 independent 100-trial draws the spread of the controlled eta
     # matches its reported standard error, and its mean that of the sample
-    # means of the same draws
-    cfg = make_config(n_uavs=10, message_bits=150.0)
-    variants = [(cfg, mc.PROPOSED), (cfg, mc.ALL_GBS)]
+    # means of the same draws: mid-range at 150 bits, and near 1 at 4 bits
+    # (eta about 0.9998 and 0.986), where no entry meets the clamp at 1
     trials, seeds = 100, 200
-    eta, std_err, sample_mean = (np.empty((seeds, 2)) for _ in range(3))
-    for seed in range(seeds):
-        gathered = mc._gather_counts(variants, trials, 3000 + seed, 1, control=True)
-        regression = mc._regression(gathered[0][1], cfg)
-        for j, (counts, _) in enumerate(gathered):
-            fractions = counts[:, -1] / cfg.n_uavs
-            est = mc._entry(fractions, regression, trials, 3000 + seed)
-            eta[seed, j], std_err[seed, j] = est.eta_mean, est.std_err
-            sample_mean[seed, j] = fractions.mean()
-    spread = eta.std(axis=0, ddof=1)
-    honesty = spread / np.sqrt((std_err * std_err).mean(axis=0))
-    assert ((0.85 <= honesty) & (honesty <= 1.15)).all(), honesty
-    bias = np.abs(eta.mean(axis=0) - sample_mean.mean(axis=0))
-    assert (bias <= 3.0 * spread / math.sqrt(seeds)).all(), bias
+    for bits in (150.0, 4.0):
+        cfg = make_config(n_uavs=10, message_bits=bits)
+        variants = [(cfg, mc.PROPOSED), (cfg, mc.ALL_GBS)]
+        eta, std_err, sample_mean = (np.empty((seeds, 2)) for _ in range(3))
+        for seed in range(seeds):
+            gathered = mc._gather_counts(variants, trials, 3000 + seed, 1, control=True)
+            for j, (counts, regression) in enumerate(gathered):
+                fractions = counts[:, -1] / cfg.n_uavs
+                est = mc._entry(fractions, regression, trials, 3000 + seed)
+                eta[seed, j], std_err[seed, j] = est.eta_mean, est.std_err
+                sample_mean[seed, j] = fractions.mean()
+        assert (eta < 1.0).all()
+        spread = eta.std(axis=0, ddof=1)
+        honesty = spread / np.sqrt((std_err * std_err).mean(axis=0))
+        assert ((0.85 <= honesty) & (honesty <= 1.15)).all(), (bits, honesty)
+        bias = np.abs(eta.mean(axis=0) - sample_mean.mean(axis=0))
+        assert (bias <= 3.0 * spread / math.sqrt(seeds)).all(), (bits, bias)
 
 
 def test_estimate_single_trial_stderr_undefined(config):
@@ -210,7 +243,7 @@ def test_estimate_clt_scaling(config):
 
 def test_multiround_sets_nested_and_curve_monotone():
     cfg = make_config(n_uavs=10, message_bits=150.0)
-    masks = mc.run_trial([(cfg, mc.multi_round(4))], mc.trial_rng(6, 0), 30)[0]
+    masks = mc.run_trial([(cfg, mc.multi_round(4))], mc.trial_rng(6, 0), 30)[0][0]
     assert masks.shape == (30, 5, 10)
     assert (masks[:, :-1] <= masks[:, 1:]).all()
     curve = mc.estimate(cfg, mc.multi_round(4, True), 200, 6)
@@ -226,8 +259,8 @@ def test_multiround_prefix_property():
     long = mc.estimate(cfg, mc.multi_round(5, True), 150, 9)
     for a, b in zip(short, long[: len(short)]):
         assert a.eta_mean == b.eta_mean
-    short = mc.run_trial([(cfg, mc.multi_round(2))], mc.trial_rng(9, 0), 10)[0]
-    long = mc.run_trial([(cfg, mc.multi_round(5))], mc.trial_rng(9, 0), 10)[0]
+    short = mc.run_trial([(cfg, mc.multi_round(2))], mc.trial_rng(9, 0), 10)[0][0]
+    long = mc.run_trial([(cfg, mc.multi_round(5))], mc.trial_rng(9, 0), 10)[0][0]
     assert np.array_equal(short, long[:, :3])
 
 
@@ -275,14 +308,14 @@ def test_protocols_on_one_seed_share_the_cellular_stage():
     # the same row 0, whatever happens in the relay rounds afterwards
     cfg = make_config(n_uavs=10, message_bits=150.0)
     trials = 30
-    row0 = lambda p: mc.run_trial([(cfg, p)], mc.trial_rng(10, 0), trials)[0][:, 0]
+    row0 = lambda p: mc.run_trial([(cfg, p)], mc.trial_rng(10, 0), trials)[0][0][:, 0]
     assert np.array_equal(row0(mc.PROPOSED), row0(mc.HEAD_RELAY))
-    all_gbs = mc.run_trial([(cfg, mc.ALL_GBS)], mc.trial_rng(10, 0), trials)[0]
+    all_gbs = mc.run_trial([(cfg, mc.ALL_GBS)], mc.trial_rng(10, 0), trials)[0][0]
     assert all_gbs.shape == (trials, 1, 10)
     for rounds in (1, 3):
         assert np.array_equal(all_gbs[:, 0], row0(mc.multi_round(rounds)))
     cellular = mc.run_trial([(cfg, replace(mc.PROPOSED, rounds=0))], mc.trial_rng(10, 0),
-                            trials)[0]
+                            trials)[0][0]
     assert cellular.shape == (trials, 1, 10)
     assert np.array_equal(cellular[:, 0], row0(mc.PROPOSED))
     # nearest_gbs serves from one of the same layouts and fading
@@ -434,7 +467,7 @@ def sampled_relay_fractions(config, protocol, trials, seed):
     def chunk(start, stop):
         rng = mc.trial_rng(seed, start)
         cellular = [(config, replace(protocol, rounds=0))]
-        decoded = mc.run_trial(cellular, rng, stop - start)[0][:, 0] > 0
+        decoded = mc.run_trial(cellular, rng, stop - start)[0][0][:, 0] > 0
         replay = mc.trial_rng(seed, start)
         geometry.sample_gbs_layout(config, replay, stop - start)
         uav = geometry.sample_swarm_layout(config, replay, stop - start)
