@@ -35,7 +35,9 @@ __all__ = [
     "draw_phase1",
     "draw_phase2",
     "phase1_sinrs",
+    "head_weights",
     "relay_gains",
+    "relay_power",
     "phase2_sinrs",
     "phase2_decode_probs",
 ]
@@ -154,14 +156,20 @@ def phase1_sinrs(
         center = np.hypot(np.hypot(gbs[:, :m0, 0], gbs[:, :m0, 1]), config.swarm_altitude_m)
         h_tx = np.take_along_axis(h_tx, center.argmin(axis=1)[:, None, None], axis=2)
     if with_head:
-        head_ch = h_tx[:, 0]
-        # a zero channel has no phase: send it unit weight
-        head_ch = np.where(head_ch == 0, 1.0, head_ch)
-        weights = np.conj(head_ch) / np.abs(head_ch)
+        weights = head_weights(h_tx[:, 0])
     else:
         weights = np.ones((h_tx.shape[0], h_tx.shape[2]))
     signal = p * np.abs(np.einsum("bnk,bk->bn", h_tx, weights)) ** 2
     return signal / (interference + config.noise_phase1_w)
+
+
+def head_weights(head: np.ndarray) -> np.ndarray:
+    """The serving GBSs' conjugate-phase unit weights for the head's channels ``head``.
+
+    A zero channel has no phase, so it gets unit weight.
+    """
+    head = np.where(head == 0, 1.0, head)
+    return np.conj(head) / np.abs(head)
 
 
 def relay_gains(uav: np.ndarray, config: ScenarioConfig) -> np.ndarray:
@@ -184,40 +192,42 @@ def relay_gains(uav: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     return gain
 
 
-def phase2_sinrs(
-    path_gain: np.ndarray,
-    relays: np.ndarray,
-    gains: np.ndarray,
-    config: ScenarioConfig,
-) -> np.ndarray:
-    """SINR at every UAV, (trials, N), when the ``relays`` (trials, N) mask relay simultaneously.
+def relay_power(path_gain: np.ndarray, relays: np.ndarray) -> np.ndarray:
+    """Each listener's summed relay path gain sum_t a_t^2, (trials, N), when the ``relays`` relay.
 
-    ``path_gain`` holds the pair gains of ``relay_gains``, and ``gains`` the
-    (trials, N) draw of ``draw_phase2``, which scales each listener's summed
-    relay path gain sum_t a_t^2; a relay does not hear itself.  A UAV in a
-    trial without relays hears no transmission and has SINR zero.
+    ``path_gain`` holds the pair gains of ``relay_gains`` and ``relays`` is
+    a (trials, N) mask; a relay does not hear itself.
     """
-    power = np.where(relays[:, None, :], path_gain, 0.0).sum(axis=2)
+    return np.where(relays[:, None, :], path_gain, 0.0).sum(axis=2)
+
+
+def phase2_sinrs(power: np.ndarray, gains: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """SINR at every UAV, (trials, N), of listeners with summed relay path gains ``power``.
+
+    ``power`` is ``relay_power``'s, and ``gains`` the (trials, N) draw of
+    ``draw_phase2``, which scales it.  A UAV in a trial without relays
+    hears no transmission and has SINR zero.
+    """
     return config.tx_power_uav_w * power * gains / config.intf_noise_phase2_w
 
 
 def phase2_decode_probs(
-    path_gain: np.ndarray,
+    power: np.ndarray,
     relays: np.ndarray,
     config: ScenarioConfig,
     threshold: float,
 ) -> np.ndarray:
     """P(SINR >= threshold) at every UAV, (trials, N), when the ``relays`` mask relay.
 
-    Exact over the fading of ``phase2_sinrs``: the SINR is exponential with
-    mean P sum_t a_t^2 / N0, so the probability is
-    exp(-threshold N0 / (P sum_t a_t^2)).  In a trial without relays nobody
-    transmits and the probabilities are zero.
+    Exact over the fading of ``phase2_sinrs``: with ``power`` the summed
+    relay path gains of ``relay_power``, the SINR is exponential with mean
+    P sum_t a_t^2 / N0, so the probability is exp(-threshold N0 / (P sum_t
+    a_t^2)).  In a trial without relays nobody transmits and the
+    probabilities are zero.
     """
     if threshold == 0.0:
         # every SINR, zero included, reaches it once somebody transmits
         return np.broadcast_to(relays.any(axis=1, keepdims=True), relays.shape).astype(float)
-    power = np.where(relays[:, None, :], path_gain, 0.0).sum(axis=2)
     ratio = threshold * config.intf_noise_phase2_w / config.tx_power_uav_w
     # exp(-746) is below the least float, so where ratio/power would pass 746
     # (power underflowed to 0 among them, and no relays gives 0) the

@@ -3,13 +3,12 @@
 Each trial draws fresh geometry and fading, runs the selected protocol, and
 reports each UAV's decode probability after the cellular stage and after
 each relay round; ``estimate`` averages that into the reliability curve, one
-estimate per stage.  The cellular stage and the relay rounds of
-``multi_round`` are sampled, so their probabilities are 0 or 1; a relay
-round samples each listener's SINR from its exponential law given the
-relay set.  The split protocols (``proposed``, ``head_relay``) average their
-one relay round exactly over its Rayleigh fading, given the trial's geometry
-and relay set, so their estimates have a smaller standard error for the same
-trials.
+estimate per stage.  The cellular stage is sampled, so its probabilities
+are 0 or 1.  Every relay round is exact over its Rayleigh fading, given the
+trial's geometry and the relay set after the round before, so its estimate
+has a smaller standard error for the same trials.  ``multi_round`` also
+samples each listener's SINR from the same law, and that sampled outcome
+sets the next round's relay set.
 
 Trials run in chunks whose bounds depend only on the trial count.  One
 kernel call draws a whole chunk on one rng seeded from (master_seed, the
@@ -21,8 +20,9 @@ seed, trials), whatever the worker count.
 
 From ``CONTROL_MIN_TRIALS`` trials up, each entry of a curve that is not
 ``multi_round`` is a regression control-variate estimate: the sample mean
-less the fitted effect of the chunk's GBS layouts, whose features have exact
-means (``_layout_sums``, ``_feature_means``).  It draws nothing more.
+less the fitted effect of eight features of the chunk's GBS layouts and
+cellular fading, whose means are exact (``_control_features``,
+``_feature_means``).  It draws nothing more.
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ class ReliabilityEstimate:
 
     It is the sample mean of the trials' decoded fractions, or from
     ``CONTROL_MIN_TRIALS`` trials up, unless the protocol is ``multi_round``,
-    its control-variate estimate (``_entry``).
+    its control-variate estimate on the eight layout and member-fading
+    features (``_entry``), with the residual standard error.
     """
 
     eta_mean: float
@@ -140,8 +141,8 @@ class Phase1CountDistribution:
 
 
 # trials from which a curve entry is a control-variate estimate: the
-# regression spends up to seven degrees of freedom, and the benchmark's
-# sweeps run 100 trials
+# regression spends up to nine degrees of freedom, eight features and the
+# mean, and the benchmark's sweeps run 100 trials
 CONTROL_MIN_TRIALS = 100
 # a feature whose spread is below this share of its mean is constant to half
 # the float digits, and a direction of the features whose singular value is
@@ -183,13 +184,16 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None):
     ``variants`` are (config, protocol) pairs whose configs differ only in
     ``message_bits`` and ``tau_phase1_s``, which no draw reads; ``thresholds``
     are theirs (``_thresholds``), computed here if not given.  Returns
-    ``(curves, gbs)``: ``curves`` holds one float (trials, 1 + relay rounds,
-    N) array per variant, and ``gbs`` is the chunk's GBS layouts (trials,
-    M, 2), whence the control features (``_layout_sums``).  Row 0 of a trial
-    is the cellular stage, row r the probability that each UAV has decoded
-    by relay round r.  The cellular stage and the relay rounds of
-    ``multi_round`` are sampled (0 or 1); the split protocols' one relay
-    round is exact over the D2D fading (``fading.phase2_decode_probs``).
+    ``(curves, draws)``: ``curves`` holds one float (trials, 1 + relay
+    rounds, N) array per variant, and ``draws`` are the chunk's GBS layouts
+    (trials, M, 2) and cellular gains (trials, N, M), whence the control
+    features (``_control_features``).  Row 0 of a trial is the cellular
+    stage, row r the probability that each UAV has decoded by relay round
+    r.  The cellular stage is sampled (0 or 1).  Each relay round is exact
+    over its D2D fading (``fading.phase2_decode_probs``) given the relay
+    set after the round before, and held non-decreasing per UAV; in
+    ``multi_round`` that set is the sampled one, grown each round by the
+    listeners whose sampled SINR clears the threshold.
 
     Draw order is fixed: the GBS layouts, one hard-core placement per trial
     in trial order, the cellular fading, then for ``multi_round`` one D2D
@@ -228,42 +232,65 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None):
             path_gain = fading.relay_gains(uav, config)
         for r in range(1, rounds + 1):
             relays = decoded & speakers
-            if name != "multi_round":
-                heard = fading.phase2_decode_probs(path_gain, relays, config, d2d_threshold)
-                probs[:, r] = np.where(decoded, 1.0, heard)
-            else:
-                sinrs = fading.phase2_sinrs(path_gain, relays, relay_draws[r - 1], config)
-                # with nobody relaying there is no transmission to decode
+            power = fading.relay_power(path_gain, relays)
+            heard = fading.phase2_decode_probs(power, relays, config, d2d_threshold)
+            # exact over this round's fading given the relay set; a curve
+            # that relays from a grown set never falls, and the maximum
+            # keeps rounding from making it
+            np.maximum(np.where(decoded, 1.0, heard), probs[:, r - 1], out=probs[:, r])
+            if name == "multi_round":
+                # the sampled outcome sets the next round's relays; with
+                # nobody relaying there is no transmission to decode
+                sinrs = fading.phase2_sinrs(power, relay_draws[r - 1], config)
                 decoded |= (sinrs >= d2d_threshold) & relays.any(axis=1, keepdims=True)
-                probs[:, r] = decoded
         curves[key] = probs
-    return [curves[key][:, :1 + protocol.rounds] for key, (_, protocol) in zip(keys, variants)], gbs
+    return ([curves[key][:, :1 + protocol.rounds] for key, (_, protocol) in zip(keys, variants)],
+            (gbs, gains))
 
 
-def _layout_sums(gbs: np.ndarray, config: ScenarioConfig) -> tuple:
-    """A, S and I, each (trials,), of GBS layouts (trials, M, 2), whence the control features.
+def _control_features(draws, config: ScenarioConfig) -> np.ndarray:
+    """The eight control features (trials, 8) of a chunk's ``run_trial`` draws.
 
-    With d a GBS's 3-D distance to the swarm center and alpha the cellular
-    path-loss exponent, A = sum of d^(-alpha/2) and S = sum of d^-alpha
-    over the serving GBSs, and I = sum of d^-alpha over the occupied ones.
-    The features are A, S, I, A^2, I^2 and A I (``_gather_counts``).
+    ``draws`` are the GBS layouts (trials, M, 2) and the cellular gains
+    (trials, N, M).  With D_m GBS m's 3-D distance to the swarm center and
+    alpha the cellular path-loss exponent, A = sum of D_m^(-alpha/2) and S =
+    sum of D_m^-alpha over the serving GBSs, and I = sum of D_m^-alpha over
+    the occupied ones; the features are A, S, I, A^2, I^2, A I and, over
+    the members i >= 1, the mean member signal mean_i |sum_serving h_im w_m
+    D_m^(-alpha/2)|^2, w the head's weights (``fading.head_weights``), and
+    the mean member interference mean_i sum_occupied |h_im|^2 D_m^-alpha,
+    both 0 without members.  Their exact means are ``_feature_means``.
     """
-    # a sum that is not finite only leaves its draw's entries raw
-    with np.errstate(over="ignore", divide="ignore"):
+    gbs, gains = draws
+    m0, members = config.m_available, max(1, config.n_uavs - 1)
+    # a feature that is not finite only leaves its draw's entries raw
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         amp = np.einsum("tmk,tmk->tm", gbs, gbs)
         amp += config.swarm_altitude_m * config.swarm_altitude_m
         np.power(amp, -config.pathloss_exp_cell / 4.0, out=amp)
-    serving, occupied = amp[:, :config.m_available], amp[:, config.m_available:]
-    return (serving.sum(axis=1), np.einsum("tm,tm->t", serving, serving),
-            np.einsum("tm,tm->t", occupied, occupied))
+        serving, occupied = amp[:, :m0], amp[:, m0:]
+        a = serving.sum(axis=1)
+        i = np.einsum("tm,tm->t", occupied, occupied)
+        signal = np.einsum("tnm,tm->tn", gains[:, 1:, :m0],
+                           fading.head_weights(gains[:, 0, :m0]) * serving)
+        scattered = gains[:, 1:, m0:]
+        interference = np.einsum("tnm,tm->t", scattered.real ** 2 + scattered.imag ** 2,
+                                 occupied * occupied)
+        return np.stack([a, np.einsum("tm,tm->t", serving, serving), i, a * a, i * i, a * i,
+                         (signal.real ** 2 + signal.imag ** 2).sum(axis=1) / members,
+                         interference / members], axis=1)
 
 
 def _feature_means(config: ScenarioConfig) -> np.ndarray | None:
-    """The exact means of the six control features, or None where they are not finite.
+    """The exact means of the eight control features, or None where they are not finite.
 
-    d^2 is uniform on [H^2, H^2 + R^2] (``analytic._distance_power_moments``),
-    and the GBS distances are i.i.d., so E[A^2] = m0 E[d^-alpha] + m0 (m0 - 1)
-    E[d^(-alpha/2)]^2, and so on.
+    D^2 is uniform on [H^2, H^2 + R^2] (``analytic._distance_power_moments``),
+    and the GBS distances are i.i.d., so E[A^2] = m0 E[D^-alpha] + m0 (m0 - 1)
+    E[D^(-alpha/2)]^2, and so on.  The fading is independent of the layout,
+    with E h = 0 under its random line-of-sight phase and E|h|^2 = 1, and
+    the head's weights are independent of the members' fading, so the mean
+    member signal has mean m0 E[D^-alpha] and the mean member interference
+    m1 E[D^-alpha].
     """
     alpha = config.pathloss_exp_cell
     try:
@@ -272,25 +299,25 @@ def _feature_means(config: ScenarioConfig) -> np.ndarray | None:
     except analytic.MomentFitError:
         return None
     m0, m1 = config.m_available, config.m_occupied
-    second = var + full * full  # E[d^-2alpha]
+    second = var + full * full  # E[D^-2alpha]
     means = np.array([m0 * half, m0 * full, m1 * full,
                       m0 * full + m0 * (m0 - 1) * half * half,
                       m1 * second + m1 * (m1 - 1) * full * full,
-                      m0 * m1 * half * full])
+                      m0 * m1 * half * full, m0 * full, m1 * full])
     return means if np.isfinite(means).all() else None
 
 
 def _decoded_counts(variants, thresholds, controlled, master_seed, start, stop):
     """Each variant's expected decoded counts for trials [start, stop), (trials, 1 + rounds),
-    and the ``_layout_sums`` of the chunk's GBS layouts if ``controlled``, else None."""
+    and the chunk's ``_control_features`` if ``controlled``, else None."""
     # a squared length past the float range overflows to inf, which clears
     # every separation in placement and gives a path gain of 0: the limits
     # wanted, so the overflow is not reported
     with np.errstate(over="ignore"):
-        curves, gbs = run_trial(variants, trial_rng(master_seed, start), stop - start,
-                                thresholds)
-    sums = _layout_sums(gbs, variants[0][0]) if controlled else None
-    return [probs.sum(axis=2) for probs in curves], sums
+        curves, draws = run_trial(variants, trial_rng(master_seed, start), stop - start,
+                                  thresholds)
+    features = _control_features(draws, variants[0][0]) if controlled else None
+    return [probs.sum(axis=2) for probs in curves], features
 
 
 @functools.cache
@@ -328,10 +355,10 @@ def _gather_counts(variants, trials, master_seed, workers, control=False):
     """Each variant's (trials, 1 + rounds) counts and its ``_regression``, or None.
 
     The counts are filled chunk by chunk in chunk order, and so are the
-    (trials, 6) layout features of a draw, from each chunk's
-    ``_layout_sums``.  A draw's features, and its regression, are formed
-    only with ``control`` and if some variant of it is not ``multi_round``;
-    a ``multi_round`` variant always gets None.
+    (trials, 8) features of a draw, from each chunk's ``_control_features``.
+    A draw's features, and its regression, are formed only with ``control``
+    and if some variant of it is not ``multi_round``; a ``multi_round``
+    variant always gets None.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -342,22 +369,16 @@ def _gather_counts(variants, trials, master_seed, workers, control=False):
         worker = functools.partial(_decoded_counts, group, _thresholds(group), controlled,
                                    master_seed)
         counts = [np.empty((trials, 1 + protocol.rounds)) for _, protocol in group]
-        sums = np.empty((trials, 3)) if controlled else None
+        features = np.empty((trials, 8)) if controlled else None
         start = 0
-        for pieces, piece_sums in _map_chunks(worker, trials, workers):
+        for pieces, piece_features in _map_chunks(worker, trials, workers):
             stop = start + len(pieces[0])
             for whole, piece in zip(counts, pieces):
                 whole[start:stop] = piece
             if controlled:
-                for column, piece in zip(sums.T, piece_sums):
-                    column[start:stop] = piece
+                features[start:stop] = piece_features
             start = stop
-        regression = None
-        if controlled:
-            a, s, i = sums.T
-            with np.errstate(over="ignore", invalid="ignore"):
-                features = np.stack([a, s, i, a * a, i * i, a * i], axis=1)
-            regression = _regression(features, group[0][0])
+        regression = _regression(features, group[0][0]) if controlled else None
         out += [(whole, None if protocol.name == "multi_round" else regression)
                 for whole, (_, protocol) in zip(counts, group)]
     return out
@@ -372,8 +393,8 @@ def _regression(features: np.ndarray, config: ScenarioConfig) -> np.ndarray | No
     the exact means rides along as a last row o V / s, which, dotted with
     an entry's coefficients on those columns, gives beta . o.  So the
     result is (trials + 1, p).  A feature with no resolvable spread is
-    dropped (the interference terms when m_occupied = 0), and a direction
-    the others span is too.  If a feature or an exact mean is not finite,
+    dropped (the interference terms when m_occupied = 0, the member terms
+    when n_uavs = 1), and a direction the others span is too.  If a feature or an exact mean is not finite,
     none is used.
     """
     means = _feature_means(config)

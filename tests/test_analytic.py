@@ -367,7 +367,8 @@ def test_phase2_decode_against_conditional_simulation(config):
     swarm = geometry.sample_swarm_layout(config, rng, trials)
     decoders = rng.permuted(np.tile(np.arange(40) < 36, (trials, 1)), axis=1)
     draw = fading.draw_phase2(config, rng, trials)
-    sinrs = fading.phase2_sinrs(fading.relay_gains(swarm, config), decoders, draw, config)
+    power = fading.relay_power(fading.relay_gains(swarm, config), decoders)
+    sinrs = fading.phase2_sinrs(power, draw, config)
     frac = (sinrs[~decoders] >= theta2).mean()
     assert abs(frac - target) < 0.01
 

@@ -196,7 +196,8 @@ def test_phase2_no_decoders_means_silence(config):
     path_gain = fading.relay_gains(geometry.sample_swarm_layout(config, rng, 3), config)
     gains = fading.draw_phase2(config, rng, 3)
     assert gains.shape == (3, 40)
-    sinrs = fading.phase2_sinrs(path_gain, np.zeros((3, 40), dtype=bool), gains, config)
+    sinrs = fading.phase2_sinrs(fading.relay_power(path_gain, np.zeros((3, 40), dtype=bool)),
+                                 gains, config)
     assert sinrs.shape == (3, 40)
     assert (sinrs == 0.0).all()
 
@@ -207,7 +208,8 @@ def test_phase2_single_relay_hand_value():
     _, swarm = _scene(cfg, [[100, 0]], [[0, 0], [10, 0]])
     # the mean SINR, reached at a unit exponential draw
     draw = np.ones((1, 2))
-    sinr = fading.phase2_sinrs(fading.relay_gains(swarm, cfg), _relays(2, [0]), draw, cfg)
+    sinr = fading.phase2_sinrs(fading.relay_power(fading.relay_gains(swarm, cfg), _relays(2, [0])),
+                               draw, cfg)
     assert sinr[0, 1] == pytest.approx(1.9952623149688795, rel=1e-12)
 
 
@@ -217,9 +219,9 @@ def test_phase2_noise_scaling():
     _, swarm = _scene(cfg, [[100, 0]], [[0, 0], [10, 0], [0, 15]])
     rng = np.random.default_rng(13)
     draw = fading.draw_phase2(cfg, rng, 1)
-    path_gain = fading.relay_gains(swarm, cfg)
-    s1 = fading.phase2_sinrs(path_gain, _relays(3, [0]), draw, cfg)[0, 1:]
-    s2 = fading.phase2_sinrs(path_gain, _relays(3, [0]), draw, cfg_noisier)[0, 1:]
+    power = fading.relay_power(fading.relay_gains(swarm, cfg), _relays(3, [0]))
+    s1 = fading.phase2_sinrs(power, draw, cfg)[0, 1:]
+    s2 = fading.phase2_sinrs(power, draw, cfg_noisier)[0, 1:]
     assert np.allclose(s1 / s2, 2.0, rtol=1e-12)
 
 
@@ -231,10 +233,11 @@ def test_phase2_permutation_equivariant():
     rng = np.random.default_rng(15)
     gains = fading.draw_phase2(cfg, rng, 1)
     relays = _relays(6, [0, 2, 4])
-    base = fading.phase2_sinrs(fading.relay_gains(swarm, cfg), relays, gains, cfg)
+    base = fading.phase2_sinrs(fading.relay_power(fading.relay_gains(swarm, cfg), relays), gains,
+                               cfg)
     # relabel the UAVs: positions, relay mask and gains move together
     perm = np.array([4, 3, 0, 5, 2, 1])
     _, moved = _scene(cfg, [[100, 0]], swarm[0, perm, :2])
-    swapped = fading.phase2_sinrs(fading.relay_gains(moved, cfg), relays[:, perm],
-                                  gains[:, perm], cfg)
+    swapped = fading.phase2_sinrs(fading.relay_power(fading.relay_gains(moved, cfg),
+                                                     relays[:, perm]), gains[:, perm], cfg)
     assert np.allclose(base[:, perm], swapped, rtol=1e-12)

@@ -75,18 +75,30 @@ def test_estimate_worker_count_invariance(config):
 
 
 def _layout_features(config, trials, seed):
-    """The six control features of each trial, from the GBS layouts run_trial
-    draws chunk by chunk (chunks of ceil(trials / 16), at most 64)."""
+    """The eight control features of each trial, chunk by chunk (chunks of
+    ceil(trials / 16), at most 64): six from the GBS layouts run_trial
+    draws, and the two member-fading ones from a redraw of each chunk's
+    layouts and cellular fading on a copy of its rng."""
     chunk = max(1, min(64, math.ceil(trials / 16)))
-    gbs = np.concatenate([mc.run_trial([(config, mc.ALL_GBS)], mc.trial_rng(seed, start),
-                                       min(chunk, trials - start))[1]
-                          for start in range(0, trials, chunk)])
-    d2 = (gbs ** 2).sum(axis=2) + config.swarm_altitude_m ** 2
-    gain = d2 ** (-config.pathloss_exp_cell / 2.0)
-    m0 = config.m_available
-    a = np.sqrt(gain[:, :m0]).sum(axis=1)
-    s, i = gain[:, :m0].sum(axis=1), gain[:, m0:].sum(axis=1)
-    return np.column_stack([a, s, i, a * a, i * i, a * i])
+    rows = []
+    for start in range(0, trials, chunk):
+        n = min(chunk, trials - start)
+        gbs, _ = mc.run_trial([(config, mc.ALL_GBS)], mc.trial_rng(seed, start), n)[1]
+        replay = mc.trial_rng(seed, start)
+        assert np.array_equal(geometry.sample_gbs_layout(config, replay, n), gbs)
+        geometry.sample_swarm_layout(config, replay, n)
+        h = fading.draw_phase1(config, replay, n)
+        d2 = (gbs ** 2).sum(axis=2) + config.swarm_altitude_m ** 2
+        gain = d2 ** (-config.pathloss_exp_cell / 2.0)
+        m0 = config.m_available
+        a = np.sqrt(gain[:, :m0]).sum(axis=1)
+        s, i = gain[:, :m0].sum(axis=1), gain[:, m0:].sum(axis=1)
+        phase = np.exp(-1j * np.angle(h[:, 0, :m0]))  # the head's conjugate phases
+        combined = (h[:, 1:, :m0] * (phase * np.sqrt(gain[:, :m0]))[:, None, :]).sum(axis=2)
+        signal = (np.abs(combined) ** 2).mean(axis=1)
+        interference = (np.abs(h[:, 1:, m0:]) ** 2 * gain[:, None, m0:]).sum(axis=2).mean(axis=1)
+        rows.append(np.column_stack([a, s, i, a * a, i * i, a * i, signal, interference]))
+    return np.concatenate(rows)
 
 
 def _intercept(y, features, config):
@@ -159,7 +171,7 @@ def test_controlled_entry_is_the_intercept_of_a_regression_on_the_centered_featu
     eta, std_err, rank = _intercept(counts[:, -1] / config.n_uavs,
                                     _layout_features(config, n, 21), config)
     [[est]] = mc.estimate_variants([(config, mc.ALL_GBS)], n, 21)
-    assert rank == 7
+    assert rank == 9
     assert est.eta_mean == pytest.approx(eta, rel=1e-9)
     assert est.std_err == pytest.approx(std_err, rel=1e-9)
 
@@ -174,19 +186,21 @@ def test_controlled_rows_of_a_shared_draw_equal_their_own_estimates(config):
 
 
 @pytest.mark.parametrize("overrides", [{}, {"m_available": 4, "m_occupied": 2,
-                                            "pathloss_exp_cell": 3.0}])
+                                            "pathloss_exp_cell": 3.0, "rician_k": 10.0}])
 def test_layout_feature_means_are_exact(overrides):
-    # each of the six means within 4 standard errors of a 10^6-layout mean
-    cfg = make_config(**overrides)
+    # each of the eight means within 4 standard errors of the mean of 10^6
+    # draws of a layout and its cellular fading; no mean depends on the
+    # swarm size, so one member per draw keeps the fading draws small
+    cfg = make_config(n_uavs=2, **overrides)
     rng = np.random.default_rng(17)
-    sums, squares, layouts = np.zeros(6), np.zeros(6), 1_000_000
+    sums, squares, draws = np.zeros(8), np.zeros(8), 1_000_000
     for _ in range(10):
-        a, s, i = mc._layout_sums(geometry.sample_gbs_layout(cfg, rng, layouts // 10), cfg)
-        features = np.stack([a, s, i, a * a, i * i, a * i], axis=1)
+        gbs = geometry.sample_gbs_layout(cfg, rng, draws // 10)
+        features = mc._control_features((gbs, fading.draw_phase1(cfg, rng, draws // 10)), cfg)
         sums += features.sum(axis=0)
         squares += (features * features).sum(axis=0)
-    mean = sums / layouts
-    std_err = np.sqrt((squares / layouts - mean * mean) / layouts)
+    mean = sums / draws
+    std_err = np.sqrt((squares / draws - mean * mean) / draws)
     gap = np.abs(mean - mc._feature_means(cfg)) / std_err
     assert (gap <= 4.0).all(), gap
 
@@ -194,6 +208,15 @@ def test_layout_feature_means_are_exact(overrides):
 def test_a_draw_without_interferers_gives_finite_rows():
     # with m_occupied = 0 the interference features are 0 and are dropped
     cfg = make_config(n_uavs=10, message_bits=150.0, m_occupied=0)
+    protocols = (mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY)
+    for curve in mc.estimate_variants([(cfg, p) for p in protocols], mc.CONTROL_MIN_TRIALS, 4):
+        for est in curve:
+            assert 0.0 <= est.eta_mean <= 1.0 and math.isfinite(est.std_err), est
+
+
+def test_a_draw_without_members_gives_finite_rows():
+    # with n_uavs = 1 the member features are 0 and are dropped
+    cfg = make_config(n_uavs=1)
     protocols = (mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY)
     for curve in mc.estimate_variants([(cfg, p) for p in protocols], mc.CONTROL_MIN_TRIALS, 4):
         for est in curve:
@@ -245,14 +268,21 @@ def test_estimate_clt_scaling(config):
 
 
 def test_multiround_sets_nested_and_curve_monotone():
+    # the cellular stage is sampled, the relay rounds exact, and each UAV's
+    # curve is non-decreasing within each trial, with and without the head
     cfg = make_config(n_uavs=10, message_bits=150.0)
-    masks = mc.run_trial([(cfg, mc.multi_round(4))], mc.trial_rng(6, 0), 30)[0][0]
-    assert masks.shape == (30, 5, 10)
-    assert (masks[:, :-1] <= masks[:, 1:]).all()
-    curve = mc.estimate(cfg, mc.multi_round(4, True), 200, 6)
-    etas = [e.eta_mean for e in curve]
-    assert len(etas) == 5
-    assert all(a <= b + 1e-12 for a, b in zip(etas, etas[1:]))
+    for with_head in (True, False):
+        masks = mc.run_trial([(cfg, mc.multi_round(4, with_head))], mc.trial_rng(6, 0),
+                             30)[0][0]
+        assert masks.shape == (30, 5, 10)
+        assert np.isin(masks[:, 0], (0.0, 1.0)).all()
+        assert ((0.0 <= masks) & (masks <= 1.0)).all()
+        assert not np.isin(masks[:, 1:], (0.0, 1.0)).all()
+        assert (masks[:, :-1] <= masks[:, 1:]).all()
+        curve = mc.estimate(cfg, mc.multi_round(4, with_head), 200, 6)
+        etas = [e.eta_mean for e in curve]
+        assert len(etas) == 5
+        assert all(a <= b + 1e-12 for a, b in zip(etas, etas[1:]))
 
 
 def test_multiround_prefix_property():
@@ -265,6 +295,56 @@ def test_multiround_prefix_property():
     short = mc.run_trial([(cfg, mc.multi_round(2))], mc.trial_rng(9, 0), 10)[0][0]
     long = mc.run_trial([(cfg, mc.multi_round(5))], mc.trial_rng(9, 0), 10)[0][0]
     assert np.array_equal(short, long[:, :3])
+
+
+@pytest.mark.parametrize("with_head", [True, False])
+def test_multiround_entry_r_is_the_last_entry_of_an_r_round_run(with_head):
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    curve = mc.estimate(cfg, mc.multi_round(4, with_head), 120, 19)
+    for r in range(1, 5):
+        assert mc.estimate(cfg, mc.multi_round(r, with_head), 120, 19)[-1] == curve[r]
+
+
+def sampled_rounds(config, rounds, with_head, rng, trials):
+    """Each UAV's sampled decode indicator (trials, 1 + rounds, N) of ``multi_round``.
+
+    A chunk's geometry, cellular fading and relay draws are replayed from
+    ``rng``, in ``mc.run_trial``'s order, and every relay round is sampled:
+    a listener decodes once its SINR clears the threshold.
+    """
+    gbs = geometry.sample_gbs_layout(config, rng, trials)
+    uav = geometry.sample_swarm_layout(config, rng, trials)
+    gains = fading.draw_phase1(config, rng, trials)
+    draws = [fading.draw_phase2(config, rng, trials) for _ in range(rounds)]
+    decoded = (fading.phase1_sinrs(gbs, uav, gains, config, with_head)
+               >= scenario.full_slot_cell_threshold(config))
+    path_gain = fading.relay_gains(uav, config)
+    out = [decoded.copy()]
+    for draw in draws:
+        sinrs = fading.phase2_sinrs(fading.relay_power(path_gain, decoded), draw, config)
+        decoded |= ((sinrs >= scenario.full_slot_d2d_threshold(config))
+                    & decoded.any(axis=1, keepdims=True))
+        out.append(decoded.copy())
+    return np.stack(out, axis=1)
+
+
+@pytest.mark.parametrize("with_head", [True, False])
+def test_exact_relay_rounds_agree_with_the_sampled_indicator(with_head):
+    # each round is exact over its fading given the sampled relay set of the
+    # round before: a UAV that the sampled rounds had decoded scores 1, and
+    # over 200 seeds the paired gap of the curves' means has |z| <= 3
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    rounds, trials, seeds = 4, 50, 200
+    gaps = np.empty((seeds, rounds))
+    for seed in range(seeds):
+        [exact], _ = mc.run_trial([(cfg, mc.multi_round(rounds, with_head))],
+                                  mc.trial_rng(2400 + seed, 0), trials)
+        sampled = sampled_rounds(cfg, rounds, with_head, mc.trial_rng(2400 + seed, 0), trials)
+        assert np.array_equal(exact[:, 0], sampled[:, 0])
+        assert (exact[:, 1:][sampled[:, :-1]] == 1.0).all()
+        gaps[seed] = (exact[:, 1:] - sampled[:, 1:]).mean(axis=(0, 2))
+    z = gaps.mean(axis=0) / (gaps.std(axis=0, ddof=1) / math.sqrt(seeds))
+    assert (np.abs(z) <= 3.0).all(), z
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -386,13 +466,19 @@ def _relay_scene(config, seed, trials):
     return uav, relays
 
 
+def _decode_probs(path_gain, relays, config, threshold):
+    """``fading.phase2_decode_probs`` when the ``relays`` relay over the pair gains ``path_gain``."""
+    return fading.phase2_decode_probs(fading.relay_power(path_gain, relays), relays, config,
+                                      threshold)
+
+
 def test_phase2_decode_probs_match_sampled_frequency(config):
     # fixed layout and relay set: the exact probability against the share of
     # complex Rayleigh draws whose combined SINR reaches the threshold
     batch = 2_000
     uav, relays = _relay_scene(config, 40, batch)
     theta2 = scenario.phase2_threshold(config)
-    exact = fading.phase2_decode_probs(fading.relay_gains(uav, config), relays, config, theta2)
+    exact = _decode_probs(fading.relay_gains(uav, config), relays, config, theta2)
     assert (exact == exact[0]).all()
     exact = exact[0, 3:]
     assert ((0.05 < exact) & (exact < 0.95)).sum() >= 30
@@ -421,12 +507,12 @@ def test_phase2_sinrs_decode_as_often_as_complex_gains(config, scale):
     oracle = np.zeros(37)
     gains = np.zeros((batch, 40, 40), dtype=complex)  # only the relays' columns are heard
     for _ in range(draws // batch):
-        sinrs = fading.phase2_sinrs(path_gain, relays, fading.draw_phase2(config, rng, batch),
-                                    config)
+        sinrs = fading.phase2_sinrs(fading.relay_power(path_gain, relays),
+                                    fading.draw_phase2(config, rng, batch), config)
         ours += (sinrs[:, 3:] >= threshold).sum(axis=0)
         gains[:, :, :3] = fading.sample_rayleigh(rng, size=(batch, 40, 3))
         oracle += (complex_gain_sinrs(uav, relays, gains, config)[:, 3:] >= threshold).sum(axis=0)
-    exact = fading.phase2_decode_probs(path_gain, relays, config, threshold)[0, 3:]
+    exact = _decode_probs(path_gain, relays, config, threshold)[0, 3:]
     assert ((0.05 < exact) & (exact < 0.95)).sum() >= 10
     sigma = np.sqrt(2.0 * exact * (1.0 - exact) / draws)
     assert (np.abs(ours - oracle) / draws <= 4.0 * sigma).all()
@@ -436,25 +522,25 @@ def test_phase2_decode_probs_limits(config):
     uav, relays = _relay_scene(config, 42, 2)
     path_gain = fading.relay_gains(uav, config)
     nobody = np.zeros_like(relays)
-    probs = lambda theta: fading.phase2_decode_probs(path_gain, relays, config, theta)[:, 3:]
+    probs = lambda theta: _decode_probs(path_gain, relays, config, theta)[:, 3:]
     assert (probs(0.0) == 1.0).all()
-    assert (fading.phase2_decode_probs(path_gain, nobody, config, 0.0) == 0.0).all()
-    assert (fading.phase2_decode_probs(path_gain, nobody, config, 0.5) == 0.0).all()
+    assert (_decode_probs(path_gain, nobody, config, 0.0) == 0.0).all()
+    assert (_decode_probs(path_gain, nobody, config, 0.5) == 0.0).all()
     grid = [probs(t) for t in (0.1, 0.5, 2.0, 1e3)]
     assert all((a >= b).all() for a, b in zip(grid, grid[1:]))
     # one trial relays and the other does not: each gets its own answer
     mixed = relays.copy()
     mixed[1] = False
-    got = fading.phase2_decode_probs(path_gain, mixed, config, 0.5)
-    assert np.array_equal(got[0], fading.phase2_decode_probs(path_gain, relays, config, 0.5)[0])
+    got = _decode_probs(path_gain, mixed, config, 0.5)
+    assert np.array_equal(got[0], _decode_probs(path_gain, relays, config, 0.5)[0])
     assert (got[1] == 0.0).all()
     # a path gain that underflows to 0, and a ratio past exp's range, give 0
     with np.errstate(over="ignore"):
         far = fading.relay_gains(uav * 1e300, config)
     assert (far == 0.0).all()
     with np.errstate(all="raise"):
-        assert (fading.phase2_decode_probs(far, relays, config, 0.5)[:, 3:] == 0.0).all()
-        assert (fading.phase2_decode_probs(far, relays, config, 0.0)[:, 3:] == 1.0).all()
+        assert (_decode_probs(far, relays, config, 0.5)[:, 3:] == 0.0).all()
+        assert (_decode_probs(far, relays, config, 0.0)[:, 3:] == 1.0).all()
         assert (probs(1e300) == 0.0).all()
 
 
@@ -478,7 +564,8 @@ def sampled_relay_fractions(config, protocol, trials, seed):
         if protocol.name == "head_relay":
             relays[:, 1:] = False
         gains = fading.draw_phase2(config, rng, stop - start)
-        sinrs = fading.phase2_sinrs(fading.relay_gains(uav, config), relays, gains, config)
+        sinrs = fading.phase2_sinrs(fading.relay_power(fading.relay_gains(uav, config), relays),
+                                    gains, config)
         decoded |= (sinrs >= theta2) & relays.any(axis=1, keepdims=True)
         return decoded.sum(axis=1) / config.n_uavs
 
