@@ -13,6 +13,7 @@ mpmath).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -290,6 +291,24 @@ def reach_width(rate: float) -> float:
     return max(1.0, 40.0 / (rate * math.sinh(_MAX_REACH)))
 
 
+@functools.lru_cache(maxsize=64)
+def _sinh_cosh(grid: str, step: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sinh and cosh of an ``adaptive_quad`` t grid, read-only: its nodes at
+    -n..n times ``step`` ("all"), the four on each side past n ("wings"),
+    or the odd multiples between -n and n ("odd")."""
+    if grid == "all":
+        t = step * np.arange(-n, n + 1)
+    elif grid == "wings":
+        k = np.arange(n + 1, n + 5)
+        t = step * np.concatenate((-k[::-1], k))
+    else:
+        t = step * np.arange(1 - n, n, 2)
+    out = np.sinh(t), np.cosh(t)
+    for values in out:
+        values.flags.writeable = False
+    return out
+
+
 def adaptive_quad(f, width: float, rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> float:
     """Integral over the real line of ``f``, by the trapezoid rule in x = width * sinh(t).
 
@@ -303,22 +322,22 @@ def adaptive_quad(f, width: float, rel_tol: float = 1e-10, abs_tol: float = 1e-1
     ``QuadratureError``.  The result is a plain ``float``.
     """
 
-    def mapped(t):
-        return f(width * np.sinh(t)) * (width * np.cosh(t))
+    def mapped(grid, step, n):
+        sinh, cosh = _sinh_cosh(grid, step, n)
+        return f(width * sinh) * (width * cosh)
 
     step, n = 0.5, 6  # nodes at -n..n times the step
-    values = mapped(step * np.arange(-n, n + 1))
+    values = mapped("all", step, n)
     total = step * np.sum(values)
     while max(abs(values[0]), abs(values[-1])) > max(abs_tol, _EPS * abs(total)):
         if not math.isfinite(total) or n * step >= _MAX_REACH:
             raise QuadratureError(f"integrand does not decay within |t| <= {n * step}")
-        k = np.arange(n + 1, n + 5)
-        values = mapped(step * np.concatenate((-k[::-1], k)))
+        values = mapped("wings", step, n)
         total += step * np.sum(values)
         n += 4
     for _ in range(_MAX_HALVINGS):
         step, n = 0.5 * step, 2 * n
-        refined = 0.5 * total + step * np.sum(mapped(step * np.arange(1 - n, n, 2)))
+        refined = 0.5 * total + step * np.sum(mapped("odd", step, n))
         if abs(refined - total) <= max(abs_tol, rel_tol * abs(refined)):
             return float(refined)
         total = refined
