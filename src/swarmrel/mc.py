@@ -394,8 +394,8 @@ def _regression(features: np.ndarray, config: ScenarioConfig) -> np.ndarray | No
     an entry's coefficients on those columns, gives beta . o.  So the
     result is (trials + 1, p).  A feature with no resolvable spread is
     dropped (the interference terms when m_occupied = 0, the member terms
-    when n_uavs = 1), and a direction the others span is too.  If a feature or an exact mean is not finite,
-    none is used.
+    when n_uavs = 1), and a direction the others span is too.  If a
+    feature or an exact mean is not finite, none is used.
     """
     means = _feature_means(config)
     if means is None or not np.isfinite(features).all():

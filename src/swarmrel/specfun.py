@@ -291,6 +291,8 @@ def reach_width(rate: float) -> float:
     return max(1.0, 40.0 / (rate * math.sinh(_MAX_REACH)))
 
 
+# one call visits at most 32 grids (the first, 19 widenings, 12 halvings),
+# and 240 operating points drawn like the benchmark's visit 9 in all
 @functools.lru_cache(maxsize=64)
 def _sinh_cosh(grid: str, step: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """sinh and cosh of an ``adaptive_quad`` t grid, read-only: its nodes at
