@@ -1,21 +1,22 @@
 """Small-scale fading draws, Rician magnitude moments, and per-UAV SINRs.
 
 The Monte Carlo engine draws the fading and forms the SINRs of both stages
-for a chunk of trials at once, every array with a leading trials axis, or,
-for a relay stage it does not sample, takes each listener's decode
-probability exact over the Rayleigh fading; the closed-form model takes only
-the moments of the Rician magnitude.
+for a chunk of trials at once, every array with a leading trials axis, and
+takes each listener's relay-stage decode probability exact over the
+Rayleigh fading; the closed-form model takes only the moments of the Rician
+magnitude.
 
 The cellular stage's SINRs are formed from sampled channel coefficients,
 since the head's weights depend on their phases; its servers are the first
 ``m_available`` GBSs of a layout, or the nearest of them to the swarm
 center, and the rest interfere.  The relay stage rests on one quantity,
-each listener's summed relay path gain sum_t a_t^2, summed from the (trials,
-N, N) pair gains that ``relay_gains`` forms once per chunk: over
-independent Rayleigh links the SINR is exponential with mean P sum_t a_t^2 /
-N0, which is sampled with one exponential draw per listener or, for its
-decode probability, taken exact.  No symbol waveforms are generated, since
-decode decisions depend only on signal and interference powers.
+each listener's summed relay path gain sum_t a_t^2 (``relay_power``),
+summed from the (trials, N, N) pair gains that ``relay_gains`` forms once
+per chunk: over independent Rayleigh links the SINR is exponential with
+mean P sum_t a_t^2 / N0, which is sampled with one exponential draw per
+listener and, for its decode probability, taken exact.  No symbol
+waveforms are generated, since decode decisions depend only on signal and
+interference powers.
 """
 
 from __future__ import annotations
