@@ -295,14 +295,11 @@ def test_multiround_prefix_property():
     short = mc.run_trial([(cfg, mc.multi_round(2))], mc.trial_rng(9, 0), 10)[0][0]
     long = mc.run_trial([(cfg, mc.multi_round(5))], mc.trial_rng(9, 0), 10)[0][0]
     assert np.array_equal(short, long[:, :3])
-
-
-@pytest.mark.parametrize("with_head", [True, False])
-def test_multiround_entry_r_is_the_last_entry_of_an_r_round_run(with_head):
-    cfg = make_config(n_uavs=10, message_bits=150.0)
-    curve = mc.estimate(cfg, mc.multi_round(4, with_head), 120, 19)
-    for r in range(1, 5):
-        assert mc.estimate(cfg, mc.multi_round(r, with_head), 120, 19)[-1] == curve[r]
+    # entry r of a curve is the last entry of an r-round run, bit for bit
+    for with_head in (True, False):
+        curve = mc.estimate(cfg, mc.multi_round(4, with_head), 120, 19)
+        for r in range(1, 5):
+            assert mc.estimate(cfg, mc.multi_round(r, with_head), 120, 19)[-1] == curve[r]
 
 
 def sampled_rounds(config, rounds, with_head, rng, trials):
