@@ -1,10 +1,10 @@
 """Small-scale fading draws, Rician magnitude moments, and per-UAV SINRs.
 
-The Monte Carlo engine draws the fading and forms the SINRs of both stages
-for a chunk of trials at once, every array with a leading trials axis, and
-takes each listener's relay-stage decode probability exact over the
-Rayleigh fading; the closed-form model takes only the moments of the Rician
-magnitude.
+The Monte Carlo engine draws the fading of a chunk of trials at once and
+forms the SINRs of both stages for a run of chunks at once, every array
+with a leading trials axis, and takes each listener's relay-stage decode
+probability exact over the Rayleigh fading; the closed-form model takes
+only the moments of the Rician magnitude.
 
 The cellular stage's SINRs are formed from sampled channel coefficients,
 since the head's weights depend on their phases; its servers are the first
@@ -12,7 +12,7 @@ since the head's weights depend on their phases; its servers are the first
 center, and the rest interfere.  The relay stage rests on one quantity,
 each listener's summed relay path gain sum_t a_t^2 (``relay_power``),
 summed from the (trials, N, N) pair gains that ``relay_gains`` forms once
-per chunk: over independent Rayleigh links the SINR is exponential with
+per run: over independent Rayleigh links the SINR is exponential with
 mean P sum_t a_t^2 / N0, which is sampled with one exponential draw per
 listener and, for its decode probability, taken exact.  No symbol
 waveforms are generated, since decode decisions depend only on signal and
@@ -230,9 +230,7 @@ def phase2_decode_probs(
         # every SINR, zero included, reaches it once somebody transmits
         return np.broadcast_to(relays.any(axis=1, keepdims=True), relays.shape).astype(float)
     ratio = threshold * config.intf_noise_phase2_w / config.tx_power_uav_w
-    # exp(-746) is below the least float, so where ratio/power would pass 746
-    # (power underflowed to 0 among them, and no relays gives 0) the
-    # probability is 0
-    exponent = np.divide(ratio, power, out=np.full(power.shape, np.inf),
-                         where=power > ratio / 746.0)
-    return np.exp(-exponent)
+    # a power of 0 (no relays, or a path gain that underflowed) divides to
+    # -inf, and a subnormal one may overflow to it: either way exp gives 0
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        return np.exp(-ratio / power)
