@@ -10,17 +10,20 @@ has a smaller standard error for the same trials.  ``multi_round`` also
 samples each listener's SINR from the same law, and that sampled outcome
 sets the next round's relay set.
 
-Trials run in chunks whose bounds depend only on the trial count.  One
-kernel call draws a whole chunk on one rng seeded from (master_seed, the
-chunk's first trial) for every variant, a (config, protocol) pair, whose
-config differs only in ``message_bits`` and ``tau_phase1_s``; variants that
-differ only in relay round count share one curve, computed at the largest
-count, and each takes its prefix.  So results are a function of (config,
-seed, trials), whatever the worker count.
+Trials run in chunks whose bounds depend only on the trial count, and each
+chunk is drawn on its own rng seeded from (master_seed, the chunk's first
+trial).  One kernel call takes a run of consecutive chunks, as many as keep
+its arrays within a fixed element budget: it draws each chunk on its own
+rng, then decodes the whole run at once, for every variant, a (config,
+protocol) pair, whose config differs only in ``message_bits`` and
+``tau_phase1_s``; variants that differ only in relay round count share one
+curve, computed at the largest count, and each takes its prefix.  A trial's
+values are those of a call on its chunk alone, so results are a function of
+(config, seed, trials), whatever the runs or the worker count.
 
 From ``CONTROL_MIN_TRIALS`` trials up, each entry of a curve that is not
 ``multi_round`` is a regression control-variate estimate: the sample mean
-less the fitted effect of eight features of the chunk's GBS layouts and
+less the fitted effect of eight features of each trial's GBS layout and
 cellular fading, whose means are exact (``_control_features``,
 ``_feature_means``).  It draws nothing more.
 """
@@ -149,6 +152,10 @@ CONTROL_MIN_TRIALS = 100
 # below this share of a unit-spread column's norm is spanned by the others:
 # neither is used as a control
 _RESOLVABLE = math.sqrt(float(np.finfo(float).eps))
+# trials times per-trial elements (N max(N, M)) that one kernel call may
+# draw over several chunks: it bounds the (trials, N, N) and (trials, N, M)
+# arrays of a run, so the memory it adds stays small
+_RUN_ELEMENTS = 1 << 14
 
 
 def trial_rng(master_seed: int, start: int) -> np.random.Generator:
@@ -178,43 +185,57 @@ def _thresholds(variants) -> list[tuple[float, float | None]]:
     return out
 
 
-def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None):
-    """Decode probabilities of ``trials`` trials on one draw of geometry and fading.
+def run_trial(variants, rng, trials, thresholds=None):
+    """Decode probabilities of a run of chunks of trials, each chunk drawn on its own rng.
 
-    ``variants`` are (config, protocol) pairs whose configs differ only in
-    ``message_bits`` and ``tau_phase1_s``, which no draw reads; ``thresholds``
-    are theirs (``_thresholds``), computed here if not given.  Returns
-    ``(curves, draws)``: ``curves`` holds one float (trials, 1 + relay
-    rounds, N) array per variant, and ``draws`` are the chunk's GBS layouts
-    (trials, M, 2) and cellular gains (trials, N, M), whence the control
-    features (``_control_features``).  Row 0 of a trial is the cellular
-    stage, row r the probability that each UAV has decoded by relay round
-    r.  The cellular stage is sampled (0 or 1).  Each relay round is exact
-    over its D2D fading (``fading.phase2_decode_probs``) given the relay
-    set after the round before, and held non-decreasing per UAV; in
-    ``multi_round`` that set is the sampled one, grown each round by the
-    listeners whose sampled SINR clears the threshold.
+    ``rng`` and ``trials`` are one chunk's Generator and trial count, or
+    the matching sequences of a run of consecutive chunks.  ``variants``
+    are (config, protocol) pairs whose configs differ only in
+    ``message_bits`` and ``tau_phase1_s``, which no draw reads;
+    ``thresholds`` are theirs (``_thresholds``), computed here if not
+    given.  Returns ``(curves, draws)`` over the run's trials, in chunk
+    order: ``curves`` holds one float (trials, 1 + relay rounds, N) array
+    per variant, and ``draws`` are the GBS layouts (trials, M, 2) and
+    cellular gains (trials, N, M), whence the control features
+    (``_control_features``).  Row 0 of a trial is the cellular stage, row
+    r the probability that each UAV has decoded by relay round r.  The
+    cellular stage is sampled (0 or 1).  Each relay round is exact over its
+    D2D fading (``fading.phase2_decode_probs``) given the relay set after
+    the round before, and held non-decreasing per UAV; in ``multi_round``
+    that set is the sampled one, grown each round by the listeners whose
+    sampled SINR clears the threshold.
 
-    Draw order is fixed: the GBS layouts, one hard-core placement per trial
-    in trial order, the cellular fading, then for ``multi_round`` one D2D
-    draw per UAV of all trials per relay round (``fading.draw_phase2``),
-    whatever the outcomes.  So relay round r draws the same whatever the
-    round count, and variants that differ only in it share one curve,
-    computed at their largest count: each gets its prefix, the array of a
-    run of it alone.  The D2D pair gains (``fading.relay_gains``) draw
-    nothing; they are formed once, and only if some curve relays.
+    Each chunk's draw order is fixed: the GBS layouts, one hard-core
+    placement per trial in trial order, the cellular fading, then for
+    ``multi_round`` one D2D draw per UAV of all its trials per relay round
+    (``fading.draw_phase2``), whatever the outcomes.  So relay round r
+    draws the same whatever the round count, and variants that differ only
+    in it share one curve, computed at their largest count: each gets its
+    prefix, the array of a run of it alone.  Everything after the draws
+    works trial by trial, so a trial's values are those of a call on its
+    chunk alone, bit for bit.  The D2D pair gains (``fading.relay_gains``)
+    draw nothing; they are formed once, and only if some curve relays.
     """
+    if isinstance(rng, np.random.Generator):
+        rng, trials = [rng], [trials]
     thresholds = thresholds or _thresholds(variants)
     config = variants[0][0]
     keys = [(p.name, p.with_head, t) for (_, p), t in zip(variants, thresholds)]
     longest = {}  # the most relay rounds any variant asks of each curve
     for key, (_, protocol) in zip(keys, variants):
         longest[key] = max(longest.get(key, 0), protocol.rounds)
-    gbs = geometry.sample_gbs_layout(config, rng, trials)
-    uav = geometry.sample_swarm_layout(config, rng, trials)
-    gains = fading.draw_phase1(config, rng, trials)
-    relay_draws = [fading.draw_phase2(config, rng, trials) for _ in range(
-        max((p.rounds for _, p in variants if p.name == "multi_round"), default=0))]
+    sampled = max((p.rounds for _, p in variants if p.name == "multi_round"), default=0)
+    n, m, total = config.n_uavs, config.m_total, sum(trials)
+    gbs, uav = np.empty((total, m, 2)), np.empty((total, n, 2))
+    gains, relay_draws = np.empty((total, n, m), dtype=complex), np.empty((sampled, total, n))
+    stop = 0
+    for chunk_rng, size in zip(rng, trials):
+        start, stop = stop, stop + size
+        gbs[start:stop] = geometry.sample_gbs_layout(config, chunk_rng, size)
+        uav[start:stop] = geometry.sample_swarm_layout(config, chunk_rng, size)
+        gains[start:stop] = fading.draw_phase1(config, chunk_rng, size)
+        for draw in relay_draws:
+            draw[start:stop] = fading.draw_phase2(config, chunk_rng, size)
     cell_sinrs = {}  # by head weighting and serving set
     path_gain = None  # the D2D pair gains, formed for the first curve that relays
     curves = {}
@@ -224,7 +245,7 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None):
         if cell not in cell_sinrs:
             cell_sinrs[cell] = fading.phase1_sinrs(gbs, uav, gains, config, *cell)
         decoded = cell_sinrs[cell] >= cell_threshold
-        probs = np.empty((trials, 1 + rounds, config.n_uavs))
+        probs = np.empty((total, 1 + rounds, n))
         probs[:, 0] = decoded
         speakers = (np.arange(config.n_uavs) == 0 if name == "head_relay"
                     else np.ones(config.n_uavs, dtype=bool))
@@ -249,7 +270,7 @@ def run_trial(variants, rng: np.random.Generator, trials: int, thresholds=None):
 
 
 def _control_features(draws, config: ScenarioConfig) -> np.ndarray:
-    """The eight control features (trials, 8) of a chunk's ``run_trial`` draws.
+    """The eight control features (trials, 8) of a run's ``run_trial`` draws.
 
     ``draws`` are the GBS layouts (trials, M, 2) and the cellular gains
     (trials, N, M).  With D_m GBS m's 3-D distance to the swarm center and
@@ -307,15 +328,20 @@ def _feature_means(config: ScenarioConfig) -> np.ndarray | None:
     return means if np.isfinite(means).all() else None
 
 
-def _decoded_counts(variants, thresholds, controlled, master_seed, start, stop):
-    """Each variant's expected decoded counts for trials [start, stop), (trials, 1 + rounds),
-    and the chunk's ``_control_features`` if ``controlled``, else None."""
+def _decoded_counts(variants, thresholds, controlled, master_seed, bounds):
+    """Each variant's expected decoded counts, (trials, 1 + rounds), over a run of chunks,
+    and its ``_control_features`` if ``controlled``, else None.
+
+    ``bounds`` are the run's chunk boundaries: chunk i holds trials
+    [bounds[i], bounds[i + 1]) and is drawn on ``trial_rng(master_seed,
+    bounds[i])``.
+    """
+    rngs = [trial_rng(master_seed, start) for start in bounds[:-1]]
     # a squared length past the float range overflows to inf, which clears
     # every separation in placement and gives a path gain of 0: the limits
     # wanted, so the overflow is not reported
     with np.errstate(over="ignore"):
-        curves, draws = run_trial(variants, trial_rng(master_seed, start), stop - start,
-                                  thresholds)
+        curves, draws = run_trial(variants, rngs, np.diff(bounds).tolist(), thresholds)
     features = _control_features(draws, variants[0][0]) if controlled else None
     return [probs.sum(axis=2) for probs in curves], features
 
@@ -330,32 +356,35 @@ def _pool(workers: int):
     return pool
 
 
-def _map_chunks(worker, trials: int, workers: int):
-    """Run worker(start, stop) over a fixed chunking of range(trials).
+def _map_chunks(worker, trials: int, workers: int, elements: int):
+    """Run worker(bounds) over the runs of a fixed chunking of range(trials).
 
-    Chunk boundaries depend only on ``trials``, never on ``workers``, and
-    results come back in chunk order, so the reduction order (and the
-    result, bit for bit) is independent of the worker count.  They come as
-    an iterator, so a caller can consume each before the next is held.  One
-    pool per worker count serves every call in the process.  A pool task
-    carries a run of consecutive chunks, two runs per worker: a chunk is one
-    kernel call, often no longer than a task's round trip.  After a failed
-    chunk the pool's queued work is cancelled.
+    Chunk bounds depend only on ``trials``: about 16 chunks of at most 64
+    trials.  A run is a stretch of consecutive chunks, as many as keep its
+    trials times ``elements`` per trial within ``_RUN_ELEMENTS``, or one
+    chunk where a chunk alone does not; ``bounds`` are its chunk
+    boundaries, chunk i holding trials [bounds[i], bounds[i + 1]).  Runs
+    never depend on ``workers``, and results come back in run order, so the
+    reduction order (and the result, bit for bit) is independent of the
+    worker count.  They come as an iterator, so a caller can consume each
+    before the next is held.  One pool per worker count serves every call
+    in the process, and a pool task is one run.  After a failed run the
+    pool's queued work is cancelled.
     """
     chunk = max(1, min(64, math.ceil(trials / 16)))
-    starts = range(0, trials, chunk)
-    stops = [min(s + chunk, trials) for s in starts]
+    bounds = [*range(0, trials, chunk), trials]
+    per_run = max(1, _RUN_ELEMENTS // (chunk * elements))
+    runs = [bounds[i:i + per_run + 1] for i in range(0, len(bounds) - 1, per_run)]
     if workers <= 1:
-        return map(worker, starts, stops)
-    per_task = math.ceil(len(starts) / (2 * workers))
-    return _pool(workers).map(worker, starts, stops, chunksize=per_task)
+        return map(worker, runs)
+    return _pool(workers).map(worker, runs)
 
 
 def _gather_counts(variants, trials, master_seed, workers, control=False):
     """Each variant's (trials, 1 + rounds) counts and its ``_regression``, or None.
 
-    The counts are filled chunk by chunk in chunk order, and so are the
-    (trials, 8) features of a draw, from each chunk's ``_control_features``.
+    The counts are filled run by run in chunk order, and so are the
+    (trials, 8) features of a draw, from each run's ``_control_features``.
     A draw's features, and its regression, are formed only with ``control``
     and if some variant of it is not ``multi_round``; a ``multi_round``
     variant always gets None.
@@ -365,20 +394,23 @@ def _gather_counts(variants, trials, master_seed, workers, control=False):
     out = []
     for _, group in itertools.groupby(variants, key=lambda variant: _draw_key(variant[0])):
         group = list(group)  # its thresholds are checked before its first chunk is drawn
+        config = group[0][0]
         controlled = control and any(p.name != "multi_round" for _, p in group)
         worker = functools.partial(_decoded_counts, group, _thresholds(group), controlled,
                                    master_seed)
         counts = [np.empty((trials, 1 + protocol.rounds)) for _, protocol in group]
         features = np.empty((trials, 8)) if controlled else None
         start = 0
-        for pieces, piece_features in _map_chunks(worker, trials, workers):
+        # the largest per-trial arrays are the (N, N) pair gains and the (N, M) cellular ones
+        elements = config.n_uavs * max(config.n_uavs, config.m_total)
+        for pieces, piece_features in _map_chunks(worker, trials, workers, elements):
             stop = start + len(pieces[0])
             for whole, piece in zip(counts, pieces):
                 whole[start:stop] = piece
             if controlled:
                 features[start:stop] = piece_features
             start = stop
-        regression = _regression(features, group[0][0]) if controlled else None
+        regression = _regression(features, config) if controlled else None
         out += [(whole, None if protocol.name == "multi_round" else regression)
                 for whole, (_, protocol) in zip(counts, group)]
     return out

@@ -247,12 +247,13 @@ def test_sweep_rounds_with_multiround(capsys, config_path):
 
 def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
     # every value is read off one run at the largest, not one run per value:
-    # 64 trials are one pass over 16 chunks of 4
+    # 64 trials are one pass over 16 chunks of 4, two chunks per kernel call
+    # at N=40
     calls = []
     run_trial = mc.run_trial
 
     def counting(variants, rng, trials, thresholds=None):
-        calls.append((max(p.rounds for _, p in variants), trials))
+        calls.append((max(p.rounds for _, p in variants), list(trials)))
         return run_trial(variants, rng, trials, thresholds)
 
     monkeypatch.setattr(mc, "run_trial", counting)
@@ -262,7 +263,7 @@ def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
     )
     assert code == 0
     assert len(parse_csv(out)[1]) == 3
-    assert calls == [(3, 4)] * 16
+    assert calls == [(3, [4, 4])] * 8
 
 
 @pytest.mark.parametrize("no_head", [(), ("--no-head",)])
@@ -323,12 +324,12 @@ def test_compare_rows_equal_simulate(capsys, config_path, workers):
 
 def test_threshold_sweep_runs_the_trials_once(capsys, config_path, monkeypatch):
     # all five rows share each chunk's draw: 64 trials are one pass over 16
-    # chunks of 4, not one pass per row
+    # chunks of 4, two chunks per kernel call at N=40, not one pass per row
     calls = []
     run_trial = mc.run_trial
 
     def counting(variants, rng, trials, thresholds=None):
-        calls.append((len(variants), trials))
+        calls.append((len(variants), list(trials)))
         return run_trial(variants, rng, trials, thresholds)
 
     monkeypatch.setattr(mc, "run_trial", counting)
@@ -338,7 +339,7 @@ def test_threshold_sweep_runs_the_trials_once(capsys, config_path, monkeypatch):
     )
     assert code == 0
     assert len(parse_csv(out)[1]) == 10
-    assert calls == [(5, 4)] * 16
+    assert calls == [(5, [4, 4])] * 8
 
 
 def test_threshold_sweep_bad_value_fails_before_any_row(capsys, config_path):

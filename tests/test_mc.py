@@ -55,16 +55,16 @@ def test_estimate_deterministic(config):
     assert e3.eta_mean != e1.eta_mean
 
 
-def _worker_pid(start, stop):
+def _worker_pid(bounds):
     return os.getpid()
 
 
 def test_one_pool_serves_every_call_at_a_worker_count():
-    # three two-worker calls share at most two processes; a pool per call
-    # would bring at least one new process each time
+    # three two-worker calls of 16 one-chunk runs share at most two
+    # processes; a pool per call would bring at least one new process each time
     pids = set()
     for _ in range(3):
-        pids |= set(mc._map_chunks(_worker_pid, 64, 2))
+        pids |= set(mc._map_chunks(_worker_pid, 64, 2, mc._RUN_ELEMENTS))
     assert os.getpid() not in pids and len(pids) <= 2
 
 
@@ -114,35 +114,97 @@ def _intercept(y, features, config):
     return coef[0], std_err, rank
 
 
-def test_each_chunk_is_one_kernel_call_on_its_own_stream(config, monkeypatch):
-    # 300 trials are 16 chunks of at most 19; each is one run_trial call on
-    # the stream of its first trial, for both variants of the draw
+@pytest.mark.parametrize("n_uavs, runs", [
+    # 300 trials are 16 chunks of at most 19; at N=40 a chunk alone fills
+    # the element budget, and at N=10 a run holds five chunks
+    (40, [[19]] * 15 + [[15]]),
+    (10, [[19] * 5] * 3 + [[15]]),
+], ids=["n40", "n10"])
+def test_each_run_is_one_kernel_call_with_a_stream_per_chunk(monkeypatch, n_uavs, runs):
+    # each run is one run_trial call, each chunk of it on the stream of its
+    # first trial, for both variants of the draw
+    config = make_config(n_uavs=n_uavs)
     calls = []
     run_trial = mc.run_trial
 
     def counting(variants, rng, trials, thresholds=None):
-        calls.append(trials)
+        calls.append(list(trials))
         return run_trial(variants, rng, trials, thresholds)
 
     monkeypatch.setattr(mc, "run_trial", counting)
     variants = [(config, mc.PROPOSED), (config, mc.multi_round(1))]
     est = mc.estimate_variants(variants, 300, 77)
-    assert calls == [19] * 15 + [15]
-    first, _ = mc.run_trial(variants, mc.trial_rng(77, 0), 19)
+    assert calls == runs
+    monkeypatch.undo()
+    starts = range(0, 19 * len(runs[0]), 19)
+    first, _ = mc.run_trial(variants, [mc.trial_rng(77, s) for s in starts], runs[0])
     last, _ = mc.run_trial(variants, mc.trial_rng(77, 285), 15)
     gathered = mc._gather_counts(variants, 300, 77, 1)
-    for (counts, _), head, tail in zip(gathered, first, last):
-        assert np.array_equal(counts[:19], head.sum(axis=2))
+    head = sum(runs[0])
+    for (counts, _), run, tail in zip(gathered, first, last):
+        assert np.array_equal(counts[:head], run.sum(axis=2))
         assert np.array_equal(counts[285:], tail.sum(axis=2))
     # the raw multi_round entry is the sample mean of the chunk-ordered counts
-    fractions = gathered[1][0][:, -1] / 40
+    fractions = gathered[1][0][:, -1] / n_uavs
     assert est[1][-1] == mc.ReliabilityEstimate(
         float(fractions.mean()), float(fractions.std(ddof=1) / math.sqrt(300)), 300, 77)
     # and the controlled entry regresses them on the chunk-ordered layouts
-    eta, std_err, _ = _intercept(gathered[0][0][:, -1] / 40, _layout_features(config, 300, 77),
-                                 config)
+    eta, std_err, _ = _intercept(gathered[0][0][:, -1] / n_uavs,
+                                 _layout_features(config, 300, 77), config)
     assert est[0][-1].eta_mean == pytest.approx(eta, rel=1e-9)
     assert est[0][-1].std_err == pytest.approx(std_err, rel=1e-9)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+RUN_PROTOCOLS = (mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY, mc.multi_round(3),
+                 mc.multi_round(2, with_head=False))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"n_uavs": 10, "message_bits": 150.0},
+    {},
+    # first blocks often fall short of the prefix: the lockstep windows
+    # judge whole blocks
+    {"n_uavs": 8, "swarm_radius_m": 15.0, "message_bits": 150.0},
+    {"n_uavs": 1},
+    {"n_uavs": 10, "message_bits": 150.0, "m_occupied": 0},
+], ids=["n10", "n40", "dense-n8", "n1", "no-interferers"])
+def test_a_run_of_chunks_is_one_kernel_call_per_chunk_bit_for_bit(monkeypatch, overrides):
+    # ragged chunks, a one-trial chunk among them, each on its own stream
+    cfg = make_config(**overrides)
+    variants = [(cfg, p) for p in RUN_PROTOCOLS]
+    sizes = [16, 16, 1, 9]
+    starts = [0, 16, 32, 33]
+    run, draws = mc.run_trial(variants, [mc.trial_rng(5, s) for s in starts], sizes)
+    ones = [mc.run_trial(variants, mc.trial_rng(5, s), n) for s, n in zip(starts, sizes)]
+    for v, curve in enumerate(run):
+        assert _same_bits(curve, np.concatenate([curves[v] for curves, _ in ones]))
+    assert _same_bits(mc._control_features(draws, cfg),
+                      np.concatenate([mc._control_features(d, cfg) for _, d in ones]))
+    # and so the counts and regressions of a command, against one chunk per run
+    gathered = mc._gather_counts(variants, 250, 6, 1, control=True)
+    monkeypatch.setattr(mc, "_RUN_ELEMENTS", 0)
+    for (counts, regression), (one_counts, one_regression) in zip(
+            gathered, mc._gather_counts(variants, 250, 6, 1, control=True)):
+        assert _same_bits(counts, one_counts)
+        assert (regression is None) == (one_regression is None)
+        assert regression is None or _same_bits(regression, one_regression)
+
+
+@pytest.mark.parametrize("trials", [1, 5, 17, 250, 1000, 20_000])
+@pytest.mark.parametrize("elements", [1, 160, 1_600, mc._RUN_ELEMENTS, 3 * mc._RUN_ELEMENTS])
+def test_every_run_keeps_to_the_element_budget_or_is_one_chunk(trials, elements):
+    runs = list(mc._map_chunks(lambda bounds: bounds, trials, 1, elements))
+    # the runs cover the trial count's chunks in order, whatever the budget
+    chunk = max(1, min(64, math.ceil(trials / 16)))
+    assert [start for bounds in runs for start in bounds[:-1]] == list(range(0, trials, chunk))
+    assert [bounds[-1] for bounds in runs[:-1]] == [bounds[0] for bounds in runs[1:]]
+    assert runs[-1][-1] == trials
+    for bounds in runs:
+        assert len(bounds) == 2 or (bounds[-1] - bounds[0]) * elements <= mc._RUN_ELEMENTS
 
 
 def test_control_variates_start_at_the_trial_floor_and_leave_multi_round_raw():
@@ -357,30 +419,33 @@ def _count_calls(monkeypatch, calls, module, name):
 
 @pytest.mark.parametrize("with_head", [True, False])
 def test_round_counts_of_one_protocol_share_one_curve(monkeypatch, with_head):
-    # each row equals its own estimate, and each chunk computes one
-    # three-round curve: one kernel call and three relay rounds, not nine
+    # each row equals its own estimate, and the 16 chunks of 4, one run at
+    # N=10, compute one three-round curve: one kernel call, three relay
+    # draws per chunk and three relay rounds, not nine
     cfg = make_config(n_uavs=10, message_bits=150.0)
     pairs = [(cfg, mc.multi_round(rounds, with_head)) for rounds in (3, 1, 3, 2)]
     own = [mc.estimate(c, p, 64, 14) for c, p in pairs]
     calls = []
     _count_calls(monkeypatch, calls, mc, "run_trial")
+    _count_calls(monkeypatch, calls, fading, "draw_phase2")
     _count_calls(monkeypatch, calls, fading, "phase2_sinrs")
     assert mc.estimate_variants(pairs, 64, 14) == own
-    assert calls == ["run_trial", *["phase2_sinrs"] * 3] * 16
+    assert calls == ["run_trial", *["draw_phase2"] * 3 * 16, *["phase2_sinrs"] * 3]
 
 
 def test_relay_gains_are_formed_once_per_kernel_call_and_only_to_relay(monkeypatch, config):
-    # the five rows of a message_bits sweep share each chunk's draw and its
-    # D2D pair gains; dist-k stops after the cellular stage and forms none
+    # the five rows of a message_bits sweep share each run's draw and its
+    # D2D pair gains, 64 trials at N=40 being 8 runs of two chunks of 4;
+    # dist-k stops after the cellular stage and forms none
     pairs = [(replace(config, message_bits=bits), mc.PROPOSED) for bits in (8, 16, 24, 32, 40)]
     calls = []
     _count_calls(monkeypatch, calls, mc, "run_trial")
     _count_calls(monkeypatch, calls, fading, "relay_gains")
     mc.estimate_variants(pairs, 64, 15)
-    assert calls == ["run_trial", "relay_gains"] * 16
+    assert calls == ["run_trial", "relay_gains"] * 8
     calls.clear()
     mc.phase1_count_distribution(config, 64, 15)
-    assert calls == ["run_trial"] * 16
+    assert calls == ["run_trial"] * 8
 
 
 def test_protocols_on_one_seed_share_the_cellular_stage():
@@ -541,6 +606,24 @@ def test_phase2_decode_probs_limits(config):
         assert (probs(1e300) == 0.0).all()
 
 
+def test_phase2_decode_probs_at_edge_powers_match_the_masked_divide(config):
+    # exp(-ratio / power) against the guarded form it replaced, bit for bit:
+    # a power of 0 or a subnormal one, the powers around ratio/746 and
+    # ratio/745 where exp leaves the float range, inf, and a spread between
+    theta = scenario.phase2_threshold(config)
+    ratio = theta * config.intf_noise_phase2_w / config.tx_power_uav_w
+    edges = np.array([0.0, 5e-324, 1e-310, ratio / 746.0, ratio / 745.0, ratio, np.inf])
+    power = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, 0.0),
+                            ratio * np.logspace(-4, 4, 2_000)])
+    relays = np.ones((1, len(power)), dtype=bool)
+    guarded = np.exp(-np.divide(ratio, power, out=np.full(power.shape, np.inf),
+                                where=power > ratio / 746.0))
+    with np.errstate(all="raise"):
+        probs = fading.phase2_decode_probs(power[None], relays, config, theta)[0]
+    assert _same_bits(probs, guarded)
+    assert probs[0] == 0.0 and probs[len(edges) - 1] == 1.0
+
+
 def sampled_relay_fractions(config, protocol, trials, seed):
     """Per-trial decoded fractions of a split protocol with its relay round sampled.
 
@@ -566,7 +649,9 @@ def sampled_relay_fractions(config, protocol, trials, seed):
         decoded |= (sinrs >= theta2) & relays.any(axis=1, keepdims=True)
         return decoded.sum(axis=1) / config.n_uavs
 
-    return np.concatenate(list(mc._map_chunks(chunk, trials, 1)))
+    runs = mc._map_chunks(lambda bounds: bounds, trials, 1, 1)  # chunk bounds, whatever the runs
+    return np.concatenate([chunk(start, stop) for bounds in runs
+                           for start, stop in zip(bounds, bounds[1:])])
 
 
 @pytest.mark.parametrize("protocol, overrides", [
