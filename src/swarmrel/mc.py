@@ -211,7 +211,7 @@ def run_trial(variants, rng, trials, thresholds=None):
     (``fading.draw_phase2``), whatever the outcomes.  So relay round r
     draws the same whatever the round count, and variants that differ only
     in it share one curve, computed at their largest count: each gets its
-    prefix, the array of a run of it alone.  Everything after the draws
+    prefix, the array of a call on it alone.  Everything after the draws
     works trial by trial, so a trial's values are those of a call on its
     chunk alone, bit for bit.  The D2D pair gains (``fading.relay_gains``)
     draw nothing; they are formed once, and only if some curve relays.
@@ -247,8 +247,7 @@ def run_trial(variants, rng, trials, thresholds=None):
         decoded = cell_sinrs[cell] >= cell_threshold
         probs = np.empty((total, 1 + rounds, n))
         probs[:, 0] = decoded
-        speakers = (np.arange(config.n_uavs) == 0 if name == "head_relay"
-                    else np.ones(config.n_uavs, dtype=bool))
+        speakers = np.arange(n) == 0 if name == "head_relay" else np.ones(n, dtype=bool)
         if rounds and path_gain is None:
             path_gain = fading.relay_gains(uav, config)
         for r in range(1, rounds + 1):

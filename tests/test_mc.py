@@ -159,10 +159,6 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-RUN_PROTOCOLS = (mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY, mc.multi_round(3),
-                 mc.multi_round(2, with_head=False))
-
-
 @pytest.mark.parametrize("overrides", [
     {"n_uavs": 10, "message_bits": 150.0},
     {},
@@ -175,7 +171,8 @@ RUN_PROTOCOLS = (mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY, mc.mult
 def test_a_run_of_chunks_is_one_kernel_call_per_chunk_bit_for_bit(monkeypatch, overrides):
     # ragged chunks, a one-trial chunk among them, each on its own stream
     cfg = make_config(**overrides)
-    variants = [(cfg, p) for p in RUN_PROTOCOLS]
+    variants = [(cfg, p) for p in (mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY,
+                                   mc.multi_round(3), mc.multi_round(2, with_head=False))]
     sizes = [16, 16, 1, 9]
     starts = [0, 16, 32, 33]
     run, draws = mc.run_trial(variants, [mc.trial_rng(5, s) for s in starts], sizes)
