@@ -13,7 +13,8 @@ sets the next round's relay set.
 Trials run in chunks whose bounds depend only on the trial count, and each
 chunk is drawn on its own rng seeded from (master_seed, the chunk's first
 trial).  One kernel call takes a run of consecutive chunks, as many as keep
-its arrays within a fixed element budget: it draws each chunk on its own
+its arrays within a fixed element budget (fewer on a pool, where the runs
+split the chunks evenly among the workers): it draws each chunk on its own
 rng, then decodes the whole run at once, for every variant, a (config,
 protocol) pair, whose config differs only in ``message_bits`` and
 ``tau_phase1_s``; variants that differ only in relay round count share one
@@ -21,11 +22,14 @@ curve, computed at the largest count, and each takes its prefix.  A trial's
 values are those of a call on its chunk alone, so results are a function of
 (config, seed, trials), whatever the runs or the worker count.
 
-From ``CONTROL_MIN_TRIALS`` trials up, each entry of a curve that is not
-``multi_round`` is a regression control-variate estimate: the sample mean
+From ``CONTROL_MIN_TRIALS`` trials up, each entry of every curve, relay
+rounds included, is a regression control-variate estimate: the sample mean
 less the fitted effect of eight features of each trial's GBS layout and
 cellular fading, whose means are exact (``_control_features``,
-``_feature_means``).  It draws nothing more.
+``_feature_means``).  It draws nothing more.  Each entry fits its own
+coefficients to its own column, so the prefix property holds, but a
+``multi_round`` curve is not non-decreasing by construction: none has been
+seen to fall, and an entry whose trials all decoded is exactly 1.
 """
 
 from __future__ import annotations
@@ -107,9 +111,9 @@ class ReliabilityEstimate:
     """Mean decoded fraction with its standard error.
 
     It is the sample mean of the trials' decoded fractions, or from
-    ``CONTROL_MIN_TRIALS`` trials up, unless the protocol is ``multi_round``,
-    its control-variate estimate on the eight layout and member-fading
-    features (``_entry``), with the residual standard error.
+    ``CONTROL_MIN_TRIALS`` trials up, whatever the protocol, its
+    control-variate estimate on the eight layout and member-fading features
+    (``_entry``), with the residual standard error.
     """
 
     eta_mean: float
@@ -327,9 +331,9 @@ def _feature_means(config: ScenarioConfig) -> np.ndarray | None:
     return means if np.isfinite(means).all() else None
 
 
-def _decoded_counts(variants, thresholds, controlled, master_seed, bounds):
+def _decoded_counts(variants, thresholds, control, master_seed, bounds):
     """Each variant's expected decoded counts, (trials, 1 + rounds), over a run of chunks,
-    and its ``_control_features`` if ``controlled``, else None.
+    and its ``_control_features`` if ``control``, else None.
 
     ``bounds`` are the run's chunk boundaries: chunk i holds trials
     [bounds[i], bounds[i + 1]) and is drawn on ``trial_rng(master_seed,
@@ -341,7 +345,7 @@ def _decoded_counts(variants, thresholds, controlled, master_seed, bounds):
     # wanted, so the overflow is not reported
     with np.errstate(over="ignore"):
         curves, draws = run_trial(variants, rngs, np.diff(bounds).tolist(), thresholds)
-    features = _control_features(draws, variants[0][0]) if controlled else None
+    features = _control_features(draws, variants[0][0]) if control else None
     return [probs.sum(axis=2) for probs in curves], features
 
 
@@ -362,18 +366,26 @@ def _map_chunks(worker, trials: int, workers: int, elements: int):
     trials.  A run is a stretch of consecutive chunks, as many as keep its
     trials times ``elements`` per trial within ``_RUN_ELEMENTS``, or one
     chunk where a chunk alone does not; ``bounds`` are its chunk
-    boundaries, chunk i holding trials [bounds[i], bounds[i + 1]).  Runs
-    never depend on ``workers``, and results come back in run order, so the
-    reduction order (and the result, bit for bit) is independent of the
-    worker count.  They come as an iterator, so a caller can consume each
-    before the next is held.  One pool per worker count serves every call
-    in the process, and a pool task is one run.  After a failed run the
-    pool's queued work is cancelled.
+    boundaries, chunk i holding trials [bounds[i], bounds[i + 1]).  With
+    more than one worker the run count is rounded up to a multiple of
+    ``workers``, at most one run per chunk, and the chunks are split evenly
+    among the runs, so no worker draws most of the trials; runs only get
+    shorter.  No trial's values depend on the runs, and results come back
+    in run order, so the reduction order (and the result, bit for bit) is
+    independent of the worker count.  They come as an iterator, so a caller
+    can consume each before the next is held.  One pool per worker count
+    serves every call in the process, and a pool task is one run.  After a
+    failed run the pool's queued work is cancelled.
     """
     chunk = max(1, min(64, math.ceil(trials / 16)))
     bounds = [*range(0, trials, chunk), trials]
-    per_run = max(1, _RUN_ELEMENTS // (chunk * elements))
-    runs = [bounds[i:i + per_run + 1] for i in range(0, len(bounds) - 1, per_run)]
+    chunks = len(bounds) - 1
+    starts = range(0, chunks, max(1, _RUN_ELEMENTS // (chunk * elements)))
+    if workers > 1:
+        # a multiple of the workers, the runs' lengths at most a chunk apart
+        count = min(chunks, -(-len(starts) // workers) * workers)
+        starts = [i * chunks // count for i in range(count)]
+    runs = [bounds[a:b + 1] for a, b in zip(starts, [*starts[1:], chunks])]
     if workers <= 1:
         return map(worker, runs)
     return _pool(workers).map(worker, runs)
@@ -384,9 +396,8 @@ def _gather_counts(variants, trials, master_seed, workers, control=False):
 
     The counts are filled run by run in chunk order, and so are the
     (trials, 8) features of a draw, from each run's ``_control_features``.
-    A draw's features, and its regression, are formed only with ``control``
-    and if some variant of it is not ``multi_round``; a ``multi_round``
-    variant always gets None.
+    A draw's features, and its regression, are formed only with
+    ``control``, and every variant of the draw gets that regression.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -394,11 +405,10 @@ def _gather_counts(variants, trials, master_seed, workers, control=False):
     for _, group in itertools.groupby(variants, key=lambda variant: _draw_key(variant[0])):
         group = list(group)  # its thresholds are checked before its first chunk is drawn
         config = group[0][0]
-        controlled = control and any(p.name != "multi_round" for _, p in group)
-        worker = functools.partial(_decoded_counts, group, _thresholds(group), controlled,
+        worker = functools.partial(_decoded_counts, group, _thresholds(group), control,
                                    master_seed)
         counts = [np.empty((trials, 1 + protocol.rounds)) for _, protocol in group]
-        features = np.empty((trials, 8)) if controlled else None
+        features = np.empty((trials, 8)) if control else None
         start = 0
         # the largest per-trial arrays are the (N, N) pair gains and the (N, M) cellular ones
         elements = config.n_uavs * max(config.n_uavs, config.m_total)
@@ -406,12 +416,11 @@ def _gather_counts(variants, trials, master_seed, workers, control=False):
             stop = start + len(pieces[0])
             for whole, piece in zip(counts, pieces):
                 whole[start:stop] = piece
-            if controlled:
+            if control:
                 features[start:stop] = piece_features
             start = stop
-        regression = _regression(features, config) if controlled else None
-        out += [(whole, None if protocol.name == "multi_round" else regression)
-                for whole, (_, protocol) in zip(counts, group)]
+        regression = _regression(features, config) if control else None
+        out += [(whole, regression) for whole in counts]
     return out
 
 
@@ -491,12 +500,18 @@ def estimate_variants(variants, trials: int, master_seed: int, workers: int = 1)
 
     Consecutive pairs whose configs differ only in ``message_bits`` and
     ``tau_phase1_s`` share one draw per chunk, yet each curve equals its own ``estimate``.
+    Equal configs draw alike, so pairs that differ only in relay round count
+    share one curve's entries, each formed once.
     """
     gathered = _gather_counts(variants, trials, master_seed, workers,
                               control=trials >= CONTROL_MIN_TRIALS)
-    return [[_entry(counts / config.n_uavs, regression, trials, master_seed)
-             for counts in all_counts.T]
-            for (config, _), (all_counts, regression) in zip(variants, gathered)]
+    shared, curves = {}, []
+    for (config, protocol), (all_counts, regression) in zip(variants, gathered):
+        entries = shared.setdefault((config, protocol.name, protocol.with_head), [])
+        entries += [_entry(counts / config.n_uavs, regression, trials, master_seed)
+                    for counts in all_counts.T[len(entries):]]
+        curves.append(entries[:1 + protocol.rounds])
+    return curves
 
 
 def phase1_count_distribution(

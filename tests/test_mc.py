@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 from dataclasses import replace
@@ -139,20 +140,21 @@ def test_each_run_is_one_kernel_call_with_a_stream_per_chunk(monkeypatch, n_uavs
     starts = range(0, 19 * len(runs[0]), 19)
     first, _ = mc.run_trial(variants, [mc.trial_rng(77, s) for s in starts], runs[0])
     last, _ = mc.run_trial(variants, mc.trial_rng(77, 285), 15)
-    gathered = mc._gather_counts(variants, 300, 77, 1)
+    gathered = mc._gather_counts(variants, 300, 77, 1, control=True)
     head = sum(runs[0])
     for (counts, _), run, tail in zip(gathered, first, last):
         assert np.array_equal(counts[:head], run.sum(axis=2))
         assert np.array_equal(counts[285:], tail.sum(axis=2))
-    # the raw multi_round entry is the sample mean of the chunk-ordered counts
-    fractions = gathered[1][0][:, -1] / n_uavs
-    assert est[1][-1] == mc.ReliabilityEstimate(
-        float(fractions.mean()), float(fractions.std(ddof=1) / math.sqrt(300)), 300, 77)
-    # and the controlled entry regresses them on the chunk-ordered layouts
-    eta, std_err, _ = _intercept(gathered[0][0][:, -1] / n_uavs,
-                                 _layout_features(config, 300, 77), config)
-    assert est[0][-1].eta_mean == pytest.approx(eta, rel=1e-9)
-    assert est[0][-1].std_err == pytest.approx(std_err, rel=1e-9)
+    # both variants, multi_round too, share their draw's regression, and
+    # each entry regresses the chunk-ordered counts on the chunk-ordered layouts
+    assert gathered[0][1] is gathered[1][1]
+    features = _layout_features(config, 300, 77)
+    for (counts, regression), curve in zip(gathered, est):
+        fractions = counts[:, -1] / n_uavs
+        assert curve[-1] == mc._entry(fractions, regression, 300, 77)
+        eta, std_err, _ = _intercept(fractions, features, config)
+        assert curve[-1].eta_mean == pytest.approx(eta, rel=1e-9)
+        assert curve[-1].std_err == pytest.approx(std_err, rel=1e-9)
 
 
 def _same_bits(a, b):
@@ -204,9 +206,37 @@ def test_every_run_keeps_to_the_element_budget_or_is_one_chunk(trials, elements)
         assert len(bounds) == 2 or (bounds[-1] - bounds[0]) * elements <= mc._RUN_ELEMENTS
 
 
-def test_control_variates_start_at_the_trial_floor_and_leave_multi_round_raw():
-    # below the floor every entry, and at any count a multi_round entry, is
-    # the sample mean with its sample standard error, bit for bit
+def _bounds(bounds):
+    return bounds
+
+
+def test_pool_runs_split_the_chunks_evenly_across_the_workers():
+    # 250 trials at N=10 (160 elements a trial) are 16 chunks, and the
+    # budget holds six a run: at two workers the three runs become four of
+    # four chunks, where one worker would draw two runs, 154 of the trials
+    sizes = [[len(bounds) - 1 for bounds in mc._map_chunks(_bounds, 250, workers, 160)]
+             for workers in (1, 2)]
+    assert sizes == [[6, 6, 4], [4, 4, 4, 4]]
+    for trials, elements in itertools.product((1, 5, 17, 250, 1000, 20_000),
+                                              (1, 160, 1_600, mc._RUN_ELEMENTS)):
+        serial = list(mc._map_chunks(_bounds, trials, 1, elements))
+        runs = list(mc._map_chunks(_bounds, trials, 2, elements))
+        # the same chunks in order, in at least as many runs, an even count
+        # of runs at most a chunk apart unless each run is one chunk
+        assert [b for bounds in runs for b in bounds[:-1]] == [
+            b for bounds in serial for b in bounds[:-1]]
+        assert runs[-1][-1] == trials and len(runs) >= len(serial)
+        sizes = [len(bounds) - 1 for bounds in runs]
+        assert len(runs) % 2 == 0 or sizes == [1] * len(runs), (trials, elements, sizes)
+        assert max(sizes) - min(sizes) <= 1
+        for bounds in runs:
+            assert len(bounds) == 2 or (bounds[-1] - bounds[0]) * elements <= mc._RUN_ELEMENTS
+
+
+def test_control_variates_start_at_the_trial_floor_for_every_protocol():
+    # below the floor every entry is the sample mean with its sample
+    # standard error, bit for bit; from it every entry, multi_round's too,
+    # is the draw's control-variate estimate, and none is the sample mean
     cfg = make_config(n_uavs=10, message_bits=150.0)
     variants = [(cfg, mc.multi_round(3)), (cfg, mc.PROPOSED)]
 
@@ -216,11 +246,15 @@ def test_control_variates_start_at_the_trial_floor_and_leave_multi_round_raw():
                                       float(fractions.std(ddof=1) / math.sqrt(trials)), trials, 8)
 
     for trials in (mc.CONTROL_MIN_TRIALS - 1, mc.CONTROL_MIN_TRIALS):
-        [(rounds, _), (split, _)] = mc._gather_counts(variants, trials, 8, 1)
-        curves = mc.estimate_variants(variants, trials, 8)
-        assert curves[0] == [raw(counts, trials) for counts in rounds.T]
         controlled = trials >= mc.CONTROL_MIN_TRIALS
-        assert (curves[1] == [raw(counts, trials) for counts in split.T]) != controlled
+        gathered = mc._gather_counts(variants, trials, 8, 1, control=controlled)
+        curves = mc.estimate_variants(variants, trials, 8)
+        for curve, (all_counts, regression) in zip(curves, gathered):
+            assert (regression is None) != controlled
+            assert curve == [mc._entry(counts / 10, regression, trials, 8)
+                             for counts in all_counts.T]
+            for est, counts in zip(curve, all_counts.T):
+                assert (est == raw(counts, trials)) != controlled
 
 
 def test_controlled_entry_is_the_intercept_of_a_regression_on_the_centered_features(config):
@@ -287,13 +321,19 @@ def test_controlled_standard_error_is_honest():
     # matches its reported standard error, and its mean that of the sample
     # means of the same draws: mid-range at 150 bits, and near 1 at 4 bits
     # (eta about 0.9998 and 0.986), where no entry meets the clamp at 1.
-    # The gap of the means is bounded by 3 standard errors of the paired
-    # gap, whose spread grows as the controls strengthen
+    # At 150 bits the last entries of six-round multi_round curves, with and
+    # without the head, are held to the same bounds; they reach 1 (eta about
+    # 0.9986 and 0.985), in 37 and 2 of the draws, of which 1 each is
+    # clamped and the rest decoded every UAV of every trial.  The gap of
+    # the means is bounded by 3 standard errors of the paired gap, whose
+    # spread grows as the controls strengthen
     trials, seeds = 100, 200
-    for bits in (150.0, 4.0):
+    for bits, protocols in ((150.0, (mc.PROPOSED, mc.ALL_GBS, mc.multi_round(6),
+                                     mc.multi_round(6, with_head=False))),
+                            (4.0, (mc.PROPOSED, mc.ALL_GBS))):
         cfg = make_config(n_uavs=10, message_bits=bits)
-        variants = [(cfg, mc.PROPOSED), (cfg, mc.ALL_GBS)]
-        eta, std_err, sample_mean = (np.empty((seeds, 2)) for _ in range(3))
+        variants = [(cfg, protocol) for protocol in protocols]
+        eta, std_err, sample_mean = (np.empty((seeds, len(variants))) for _ in range(3))
         for seed in range(seeds):
             gathered = mc._gather_counts(variants, trials, 3000 + seed, 1, control=True)
             for j, (counts, regression) in enumerate(gathered):
@@ -301,7 +341,7 @@ def test_controlled_standard_error_is_honest():
                 est = mc._entry(fractions, regression, trials, 3000 + seed)
                 eta[seed, j], std_err[seed, j] = est.eta_mean, est.std_err
                 sample_mean[seed, j] = fractions.mean()
-        assert (eta < 1.0).all()
+        assert (eta[:, :2] < 1.0).all()
         spread = eta.std(axis=0, ddof=1)
         honesty = spread / np.sqrt((std_err * std_err).mean(axis=0))
         assert ((0.85 <= honesty) & (honesty <= 1.15)).all(), (bits, honesty)
@@ -342,6 +382,20 @@ def test_multiround_sets_nested_and_curve_monotone():
         etas = [e.eta_mean for e in curve]
         assert len(etas) == 5
         assert all(a <= b + 1e-12 for a, b in zip(etas, etas[1:]))
+
+
+def test_controlled_multi_round_curves_never_fall():
+    # each entry fits its own coefficients, so nothing forces a controlled
+    # curve up: seeded draws at the benchmark's rounds sweep (N=10, 150
+    # bits, 250 trials) and at the reference point, where the curve
+    # saturates (N=40, 40 bits, 100 trials), with and without the head
+    for cfg, trials, seeds in ((make_config(n_uavs=10, message_bits=150.0), 250, 100),
+                               (make_config(), 100, 40)):
+        variants = [(cfg, mc.multi_round(6)), (cfg, mc.multi_round(6, with_head=False))]
+        for seed in range(seeds):
+            for curve in mc.estimate_variants(variants, trials, seed):
+                etas = [est.eta_mean for est in curve]
+                assert all(a <= b for a, b in zip(etas, etas[1:])), (trials, seed, etas)
 
 
 def test_multiround_prefix_property():
@@ -428,6 +482,23 @@ def test_round_counts_of_one_protocol_share_one_curve(monkeypatch, with_head):
     _count_calls(monkeypatch, calls, fading, "phase2_sinrs")
     assert mc.estimate_variants(pairs, 64, 14) == own
     assert calls == ["run_trial", *["draw_phase2"] * 3 * 16, *["phase2_sinrs"] * 3]
+
+
+def test_variants_of_one_curve_share_its_controlled_entries(monkeypatch):
+    # each row equals its own estimate, and the four entries of the
+    # three-round curve are formed once, also for an equal config drawn
+    # again after another draw; the other draw's curve has two entries, and
+    # the no-head curve of the first draw three
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    pairs = [(cfg, mc.multi_round(rounds)) for rounds in (3, 1, 2)]
+    pairs += [(cfg, mc.multi_round(2, with_head=False)), (replace(cfg, n_uavs=8), mc.PROPOSED),
+              (cfg, mc.multi_round(3))]
+    trials = mc.CONTROL_MIN_TRIALS
+    own = [mc.estimate(c, p, trials, 14) for c, p in pairs]
+    calls = []
+    _count_calls(monkeypatch, calls, mc, "_entry")
+    assert mc.estimate_variants(pairs, trials, 14) == own
+    assert len(calls) == 4 + 3 + 2
 
 
 def test_relay_gains_are_formed_once_per_kernel_call_and_only_to_relay(monkeypatch, config):
