@@ -11,12 +11,12 @@ in ``fading.relay_gains``).
 
 A chunk's swarms are, by contract, the placements of one
 ``sample_hardcore_disk`` call per trial in trial order, and leave the rng
-where those calls leave it.  When the chunk's first placement ends early in
-its first block of 64 darts, the next trials' first blocks are judged in
-lockstep, in windows of consecutive blocks drawn at once; the rng is rewound
-past the blocks kept.  The first trial whose block falls short, every trial
-after it, and every trial of a chunk whose first placement needs more darts,
-as dense swarms' do, are placed by the per-trial sampler.
+where those calls leave it.  The sampler places the chunk's first trial and
+reports B, the blocks of 64 darts it drew; the next trials are judged in
+lockstep windows, B consecutive blocks a slot, drawn at once.  A slot that
+takes fewer blocks ends its window and is kept, the rng rewound past it; the
+sampler places one that needs more.  Past two blocks, as dense swarms draw,
+the sampler places every trial.
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ __all__ = [
 ]
 
 _CANDIDATE_BLOCK = 64
-# dart pairs of a window's prefixes, judged at once: it bounds the (slots,
-# prefix, prefix) temporaries, and keeps them in cache
-_WINDOW_PAIRS = 1 << 14
+# dart pairs a window judges at once: it bounds its (slots, darts, darts or
+# N) temporaries below 256 kB, past which each one costs twice as much; and
+# the most blocks a window slot takes, past which block counts vary too
+# much for lockstep to pay
+_WINDOW_PAIRS = 3 << 13
+_WINDOW_BLOCKS = 2
 # darts per point before a layout counts as wedged, and layouts drawn before
 # placement gives up
 _ATTEMPTS_PER_POINT = 10_000
@@ -66,82 +69,76 @@ def sample_uniform_disk(size, radius: float, rng: np.random.Generator) -> np.nda
     return _disk_points(u_radius, rng.random(size), radius)
 
 
+def _far(x: np.ndarray, y: np.ndarray, px: np.ndarray, py: np.ndarray, dmin2: float) -> np.ndarray:
+    """Whether each dart (x, y) lies at least d_min from each point (px, py), broadcast."""
+    dx, dy = x - px, y - py
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx >= dmin2
+
+
 def _clear_bits(x: np.ndarray, y: np.ndarray, dmin2: float) -> np.ndarray:
     """uint64 whose bit i of entry j is set when dart i lies at least d_min from dart j.
 
     The darts, at most 64, lie along the last axis.
     """
-    dx = x[..., :, None] - x[..., None, :]
-    dy = y[..., :, None] - y[..., None, :]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    bits = np.packbits(dx >= dmin2, axis=-1, bitorder="little")
+    far = _far(x[..., :, None], y[..., :, None], x[..., None, :], y[..., None, :], dmin2)
+    bits = np.packbits(far, axis=-1, bitorder="little")
     packed = np.zeros(bits.shape[:-1] + (8,), dtype=np.uint8)
     packed[..., : bits.shape[-1]] = bits
     return packed.view("<u8")[..., 0]
 
 
-def _greedy(clear: list[int], room: int) -> list[int]:
-    """Greedy inhibition in dart order: the first ``room`` darts clear of all accepted before.
+def _greedy(clear: list[int], room: int, darts: int) -> int:
+    """Greedy inhibition in dart order over the first ``darts`` darts, as bits: bit k is set
+    when dart k is among the first ``room`` darts clear of all accepted before it.
 
     Bit i of ``clear[j]`` is set when dart i lies at least d_min from dart j.
     """
-    live = (1 << len(clear)) - 1  # bit j set: dart j is still clear of every accepted dart
-    accepted = []
-    while live and len(accepted) < room:
-        k = (live & -live).bit_length() - 1  # the first live dart
-        accepted.append(k)
-        live &= clear[k] & ~(1 << k)
-    return accepted
+    live = (1 << darts) - 1  # bit j set: dart j is still clear of every accepted dart
+    taken = 0
+    while live and room:
+        bit = live & -live  # the first live dart
+        taken |= bit
+        room -= 1
+        live &= clear[bit.bit_length() - 1] & ~bit
+    return taken
 
 
-def sample_hardcore_disk(
-    n: int,
-    radius: float,
-    d_min: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sequential inhibition: uniform darts rejected within d_min of a point.
-
-    Darts are drawn in blocks of up to 64 and judged in draw order, as if one
-    at a time: a block first drops the darts too close to a point placed
-    before it, then accepts the survivors greedily, each accepted dart
-    dropping the later survivors too close to it.  A point gets
-    ``_ATTEMPTS_PER_POINT`` darts; if the layout wedges (some point cannot be
-    placed) the whole layout is redrawn, up to ``_LAYOUT_RETRIES`` times, after
-    which ``PlacementError`` is raised rather than relaxing the separation
-    constraint.
-    """
+def _sample_hardcore(n: int, radius: float, d_min: float,
+                     rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """``sample_hardcore_disk``'s placement, and the dart blocks its last layout drew."""
     dmin2 = d_min * d_min
-    px = np.empty(n)
-    py = np.empty(n)
+    px, py = np.empty((2, n))
     most = 0
     for _ in range(_LAYOUT_RETRIES):
-        count = 0
+        count = blocks = 0
         budget = _ATTEMPTS_PER_POINT
         while count < n:
             block = min(_CANDIDATE_BLOCK, budget)
             if block == 0:
                 break
             darts = sample_uniform_disk(block, radius, rng)
+            blocks += 1
             budget -= block
             x, y = darts[:, 0], darts[:, 1]
             if count:
-                dx = x[:, None] - px[:count]
-                dy = y[:, None] - py[:count]
-                keep = (dx * dx + dy * dy >= dmin2).all(axis=1)
+                keep = _far(x[:, None], y[:, None], px[:count], py[:count], dmin2).all(axis=1)
                 x, y = x[keep], y[keep]
                 if len(x) == 0:
                     continue
-            accepted = _greedy(_clear_bits(x, y, dmin2).tolist(), n - count)
-            px[count : count + len(accepted)] = x[accepted]
-            py[count : count + len(accepted)] = y[accepted]
-            count += len(accepted)
+            clear = _clear_bits(x, y, dmin2).tolist()
+            taken = np.array([_greedy(clear, n - count, len(x))], "<u8").view(np.uint8)
+            taken = np.unpackbits(taken, count=len(x), bitorder="little").view(bool)
+            x, y = x[taken], y[taken]
+            px[count : count + len(x)] = x
+            py[count : count + len(x)] = y
+            count += len(x)
             # the darts left in a block after an acceptance are already paid for
             budget = _ATTEMPTS_PER_POINT
         if count == n:
-            return np.column_stack([px, py])
+            return np.column_stack([px, py]), blocks
         most = max(most, count)
     ratio = d_min / (2.0 * radius)
     coverage = n * ratio * ratio
@@ -154,6 +151,22 @@ def sample_hardcore_disk(
     )
 
 
+def sample_hardcore_disk(n: int, radius: float, d_min: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Sequential inhibition: uniform darts rejected within d_min of a point.
+
+    Darts are drawn in blocks of up to 64 and judged in draw order, as if one
+    at a time: a block first drops the darts too close to a point placed
+    before it, then accepts the survivors greedily, each accepted dart
+    dropping the later survivors too close to it.  A point gets
+    ``_ATTEMPTS_PER_POINT`` darts; if the layout wedges (some point cannot be
+    placed) the whole layout is redrawn, up to ``_LAYOUT_RETRIES`` times, after
+    which ``PlacementError`` is raised rather than relaxing the separation
+    constraint.
+    """
+    return _sample_hardcore(n, radius, d_min, rng)[0]
+
+
 def sample_gbs_layout(config: ScenarioConfig, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Planar GBS positions (trials, M, 2), i.i.d. uniform on the coverage disk.
 
@@ -164,40 +177,76 @@ def sample_gbs_layout(config: ScenarioConfig, rng: np.random.Generator, trials: 
     return sample_uniform_disk((trials, config.m_total), config.coverage_radius_m, rng)
 
 
-def _place_window(out: np.ndarray, radius: float, d_min: float, block: int, prefix: int,
-                  rng: np.random.Generator) -> int:
-    """Fill the leading run of ``out`` (slots, n, 2) from one dart block per slot, in lockstep.
+def _place_window(out: np.ndarray, radius: float, d_min: float, blocks: int,
+                  rng: np.random.Generator) -> tuple[int, int]:
+    """Fill leading slots of ``out`` (trials, n, 2) from ``blocks`` dart blocks each, in lockstep.
 
-    Slot s is placed as ``sample_hardcore_disk`` places a layout from the
-    s-th of ``slots`` consecutive blocks of the rng, if that block places all
-    n points: as a fresh layout, by the greedy in dart order over its packed
-    conflict bits.  The slots are judged in order, each on its first
-    ``prefix`` darts and, only if they fall short, on its whole block; the
-    greedy accepts darts in order, so a prefix that places all n points
-    places what the block does.  Returns the number of slots placed before
-    the first that falls short, with the rng just past their blocks.
+    The rng's next runs of ``blocks`` blocks, one a slot, are drawn at once,
+    and block j of every slot is judged at once, as ``sample_hardcore_disk``
+    judges a layout's block j: its darts against the slot's accepted points,
+    padded with inf, then the greedy over the survivors.  A first block
+    alone (``blocks`` 1) is judged on its first max(8, 2n) darts and, only
+    if they fall short, on the whole block: the greedy accepts darts in
+    order.  The first slot that does not take ``blocks`` blocks ends the
+    window.  It is kept if it took fewer, else placed by the sampler from
+    its first block on.  A slot's first block accepts its first dart, so at
+    ``_WINDOW_BLOCKS`` 2 every block it judges has the sampler's full size.
+    Returns the slots filled and the blocks the last drew, the rng just
+    past them.
     """
-    slots, n = out.shape[:2]
+    n = out.shape[1]
+    block = min(_CANDIDATE_BLOCK, _ATTEMPTS_PER_POINT)
+    width = min(block, max(8, 2 * n)) if blocks == 1 else block
+    slots = min(len(out), max(1, _WINDOW_PAIRS // (width * max(width, n))))
     dmin2 = d_min * d_min
     state = rng.bit_generator.state
-    uniforms = rng.random((slots, 2, block))  # per block: radius uniforms, then angle uniforms
-    darts = _disk_points(uniforms[:, 0], uniforms[:, 1], radius)
-    x, y = darts[..., 0], darts[..., 1]
-    accepted = []
-    for s, clear in enumerate(_clear_bits(x[:, :prefix], y[:, :prefix], dmin2).tolist()):
-        points = _greedy(clear, n)
-        if len(points) < n and prefix < block:
-            points = _greedy(_clear_bits(x[s], y[s], dmin2).tolist(), n)
-        if len(points) < n:
+    uniforms = rng.random((slots, blocks, 2, block))  # per block: radius, then angle uniforms
+    darts = _disk_points(uniforms[:, :, 0], uniforms[:, :, 1], radius)
+    out[:slots] = np.inf
+    px, py = out[:slots, :, 0], out[:slots, :, 1]  # each slot's accepted points, then inf
+    count, rows = [0] * slots, np.arange(slots)[:, None]
+    # the slots filled, the blocks the last drew, and whether the sampler places it
+    filled, used, short = slots, blocks, False
+    for j in range(blocks):
+        judged = filled - (used <= j)  # the slot that ends the window is judged no further
+        if not judged:
             break
-        accepted.append(points)
-    kept = len(accepted)
-    if kept:
-        out[:kept] = darts[np.arange(kept)[:, None], accepted]
-    if kept < slots:
+        x, y = darts[:judged, j, :, 0], darts[:judged, j, :, 1]
+        if j == 0:
+            survivors = [width] * judged
+            clear = _clear_bits(x[:, :width], y[:, :width], dmin2).tolist()
+        else:
+            keep = _far(x[:, :, None], y[:, :, None], px[:judged, None, :], py[:judged, None, :],
+                        dmin2).all(axis=2)
+            survivors = keep.sum(axis=1).tolist()
+            order = np.argsort(~keep, axis=1, kind="stable")[:, : max(survivors)]
+            x, y = x[rows[:judged], order], y[rows[:judged], order]
+            clear = _clear_bits(x, y, dmin2).tolist()
+        before, taken = count[:judged], []
+        for s in range(judged):
+            mask = _greedy(clear[s], n - count[s], survivors[s])
+            if j == 0 and width < block and mask.bit_count() < n:
+                mask = _greedy(_clear_bits(x[s], y[s], dmin2).tolist(), n, block)
+            taken.append(mask)
+            count[s] += mask.bit_count()
+            done = count[s] == n
+            if done != (j == blocks - 1):
+                filled, used, short = s + 1, j + 1, not done
+                break
+        # each slot's accepted darts, in dart order, follow its points so far
+        packed = np.array(taken, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        chosen = np.unpackbits(packed, axis=1, count=x.shape[1], bitorder="little").view(bool)
+        slot, dart = np.nonzero(chosen)
+        cols = np.cumsum(chosen, axis=1)[slot, dart] + np.array(before)[slot] - 1
+        px[slot, cols] = x[slot, dart]
+        py[slot, cols] = y[slot, dart]
+    drawn = blocks * (filled - 1) + (0 if short else used)
+    if drawn < blocks * slots:
         rng.bit_generator.state = state
-        rng.random(2 * block * kept)
-    return kept
+        rng.random(2 * block * drawn)
+    if short:
+        out[filled - 1], used = _sample_hardcore(n, radius, d_min, rng)
+    return filled, used
 
 
 def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
@@ -207,36 +256,21 @@ def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
     The swarms, and the rng state after them, are those of one
     ``sample_hardcore_disk`` placement per trial in trial order; every UAV
     flies at the config's ``swarm_altitude_m``.  That sampler places the
-    first trial.  Only if its placement took one block of darts, and its last
-    point is among the block's first ``prefix`` darts, do windows place the
-    next trials from their first blocks in lockstep (``_place_window``), one
-    window after another while each places all its slots.  The first trial
-    a window leaves, and every trial after it, is placed by the sampler.
+    first trial and reports B, the dart blocks it drew.  Windows
+    (``_place_window``) then place the next trials in lockstep, B blocks a
+    slot, one window after the other; a window that fills one slot passes
+    on the blocks that slot drew as the next B.  Once B passes
+    ``_WINDOW_BLOCKS`` the sampler places the rest.
     """
     n, radius, d_min = config.n_uavs, config.swarm_radius_m, config.min_separation_m
     positions = np.empty((trials, n, 2))
-    start = 0
-    if trials > 1:
-        start = 1
-        bit_generator = rng.bit_generator
-        before = bit_generator.state
-        positions[0] = sample_hardcore_disk(n, radius, d_min, rng)
-        after = bit_generator.state
-        block = min(_CANDIDATE_BLOCK, _ATTEMPTS_PER_POINT)
-        prefix = min(block, max(8, 2 * n))
-        # redraw the first block: did the placement end there, within the prefix?
-        bit_generator.state = before
-        darts = sample_uniform_disk(block, radius, rng)[:prefix]
-        opened = bit_generator.state == after and bool(
-            (darts == positions[0, -1]).all(axis=1).any())
-        bit_generator.state = after
-        slots = max(1, _WINDOW_PAIRS // (prefix * prefix))
-        while opened and start < trials:
-            window = min(slots, trials - start)
-            kept = _place_window(positions[start : start + window], radius, d_min, block, prefix,
-                                 rng)
-            start += kept
-            opened = kept == window
+    start = min(1, trials)
+    if start:
+        positions[0], blocks = _sample_hardcore(n, radius, d_min, rng)
+    while start < trials and blocks <= _WINDOW_BLOCKS:
+        filled, used = _place_window(positions[start:], radius, d_min, blocks, rng)
+        start += filled
+        blocks = used if filled == 1 else blocks
     for b in range(start, trials):
-        positions[b] = sample_hardcore_disk(n, radius, d_min, rng)
+        positions[b] = _sample_hardcore(n, radius, d_min, rng)[0]
     return positions

@@ -158,8 +158,8 @@ CONTROL_MIN_TRIALS = 100
 _RESOLVABLE = math.sqrt(float(np.finfo(float).eps))
 # trials times per-trial elements (N max(N, M)) that one kernel call may
 # draw over several chunks: it bounds the (trials, N, N) and (trials, N, M)
-# arrays of a run, so the memory it adds stays small
-_RUN_ELEMENTS = 1 << 14
+# arrays of a run to about a MB, and decodes 100 trials at N=40 in 3 calls
+_RUN_ELEMENTS = 1 << 16
 
 
 def trial_rng(master_seed: int, start: int) -> np.random.Generator:

@@ -247,8 +247,8 @@ def test_sweep_rounds_with_multiround(capsys, config_path):
 
 def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
     # every value is read off one run at the largest, not one run per value:
-    # 64 trials are one pass over 16 chunks of 4, two chunks per kernel call
-    # at N=40
+    # 64 trials are one pass over 16 chunks of 4, in kernel calls of ten and
+    # six chunks at N=40
     calls = []
     run_trial = mc.run_trial
 
@@ -263,7 +263,7 @@ def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
     )
     assert code == 0
     assert len(parse_csv(out)[1]) == 3
-    assert calls == [(3, [4, 4])] * 8
+    assert calls == [(3, [4] * 10), (3, [4] * 6)]
 
 
 @pytest.mark.parametrize("no_head", [(), ("--no-head",)])
@@ -324,7 +324,8 @@ def test_compare_rows_equal_simulate(capsys, config_path, workers):
 
 def test_threshold_sweep_runs_the_trials_once(capsys, config_path, monkeypatch):
     # all five rows share each chunk's draw: 64 trials are one pass over 16
-    # chunks of 4, two chunks per kernel call at N=40, not one pass per row
+    # chunks of 4, in kernel calls of ten and six chunks at N=40, not one
+    # pass per row
     calls = []
     run_trial = mc.run_trial
 
@@ -339,7 +340,7 @@ def test_threshold_sweep_runs_the_trials_once(capsys, config_path, monkeypatch):
     )
     assert code == 0
     assert len(parse_csv(out)[1]) == 10
-    assert calls == [(5, [4, 4])] * 8
+    assert calls == [(5, [4] * 10), (5, [4] * 6)]
 
 
 def test_threshold_sweep_bad_value_fails_before_any_row(capsys, config_path):

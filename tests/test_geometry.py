@@ -158,73 +158,100 @@ def test_swarm_layout_separation(config):
 
 def _count_per_trial_calls(monkeypatch):
     """The hard-core sampler, and the list of calls that ``geometry`` makes to it from now on."""
-    per_trial = geometry.sample_hardcore_disk
+    per_trial = geometry._sample_hardcore
     calls = []
 
     def counted(*args):
         calls.append(args)
         return per_trial(*args)
 
-    monkeypatch.setattr(geometry, "sample_hardcore_disk", counted)
-    return per_trial, calls
+    monkeypatch.setattr(geometry, "_sample_hardcore", counted)
+    return geometry.sample_hardcore_disk, calls
 
 
 @pytest.mark.parametrize(
-    "n, radius", [(10, 30.0), (40, 30.0), (20, 20.0), (1, 30.0)],
-    ids=["n10-r30", "n40-r30", "n20-r20", "n1-r30"],
+    "n, radius",
+    [(10, 30.0), (40, 30.0), (20, 20.0), (1, 30.0), (40, 27.0), (40, 25.0), (8, 15.0)],
+    ids=["n10-r30", "n40-r30", "n20-r20", "n1-r30", "n40-r27", "n40-r25", "n8-r15"],
 )
 def test_swarm_layouts_are_per_trial_placements_in_trial_order(n, radius, monkeypatch):
     # a chunk's swarms are the hard-core sampler's placements, one per trial,
     # in trial order on the chunk's rng, whether lockstep windows or the
-    # sampler itself place them: N=10 chunks are all windows after the first
-    # trial, N=40 chunks stay on the sampler, and at N=20 in a 20 m disk
-    # (first blocks place about 96% of swarms) windows break mid-chunk
-    per_trial, calls = _count_per_trial_calls(monkeypatch)
+    # sampler itself place them.  Swarms of N=10 take one block of darts and
+    # N=40 ones two, so windows place every trial of their chunks after the
+    # first; N=20 in a 20 m disk (4% take two blocks) and N=40 in 27 m (18%
+    # take three) break windows mid-chunk; N=40 in 25 m mostly takes three,
+    # and the sampler places such chunks; N=8 in 15 m often needs more than
+    # the first 2N darts, and windows judge its whole blocks
+    _, calls = _count_per_trial_calls(monkeypatch)
     cfg = make_config(n_uavs=n, swarm_radius_m=radius)
-    sampled = []
-    for trials in (1, 7, 16, 64):
+    routed = []
+    for trials in (1, 2, 7, 16, 64):
         for seed in range(9, 17):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             calls.clear()
             layout = geometry.sample_swarm_layout(cfg, rng, trials)
-            want = np.stack([per_trial(n, radius, 5.0, ref) for _ in range(trials)])
-            assert np.array_equal(layout, want)
+            sampled = len(calls)
+            want = [geometry._sample_hardcore(n, radius, 5.0, ref) for _ in range(trials)]
+            assert np.array_equal(layout, np.stack([points for points, _ in want]))
             assert rng.bit_generator.state == ref.bit_generator.state
-            sampled.append((trials, len(calls)))
-    if n in (1, 10):
-        assert all(count == 1 for _, count in sampled)
-    if n == 40:
-        assert all(count == trials for trials, count in sampled)
-    if n == 20:
-        assert any(1 < count < trials for trials, count in sampled)
+            routed.append((trials, sampled, {blocks for _, blocks in want}, want[0][1]))
+    for trials, sampled, blocks, first in routed:
+        # windows place every trial after the first of a chunk whose trials
+        # all take the same one or two blocks, and none of a chunk whose
+        # first trial takes more
+        if len(blocks) == 1 and first <= 2:
+            assert sampled == 1
+        if first > 2:
+            assert sampled == trials
+        assert 1 <= sampled <= trials
+    uniform = [trials for trials, _, blocks, first in routed if blocks == {first}]
+    if n in (1, 10, 40) and radius == 30.0:
+        assert max(uniform) == 64
+    if (n, radius) in ((20, 20.0), (40, 27.0)):
+        assert any(1 < sampled < trials for trials, sampled, _, _ in routed)
+    if radius == 25.0:
+        assert any(sampled == trials > 1 for trials, sampled, _, _ in routed)
 
 
 def test_swarm_layout_fails_as_the_per_trial_loop_does(monkeypatch):
-    # a budget of one 16-dart block per point and one layout wedges some
-    # placements of 6 UAVs in a 10 m disk; the chunk then raises what the
-    # per-trial loop raises, the best layout's count included, also when
-    # windows placed the trials before the wedged one
-    monkeypatch.setattr(geometry, "_ATTEMPTS_PER_POINT", 16)
-    monkeypatch.setattr(geometry, "_LAYOUT_RETRIES", 1)
+    # one layout and a budget of a few blocks of darts per point wedge some
+    # placements: 16-dart blocks of 6 UAVs in a 10 m disk, and 64-dart ones
+    # of 9 UAVs, which take one to three blocks, where a block that accepts
+    # none leaves a 32-dart one.  The chunk then raises what the per-trial
+    # loop raises, the best layout's count included, also when windows, of
+    # one block a slot and of two, placed the trials before the wedged one;
+    # and it leaves the rng where the loop does
     per_trial, calls = _count_per_trial_calls(monkeypatch)
-    cfg = make_config(n_uavs=6, swarm_radius_m=10.0)
-    after_windows = 0
-    for seed in range(20):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = []
-        try:
-            for _ in range(16):
-                want.append(per_trial(6, 10.0, 5.0, ref))
-        except PlacementError as exc:
-            calls.clear()
-            with pytest.raises(PlacementError, match="the best layout placed") as got:
-                geometry.sample_swarm_layout(cfg, rng, 16)
-            assert str(got.value) == str(exc)
-            after_windows += len(calls) < len(want) + 1
-        else:
-            assert np.array_equal(geometry.sample_swarm_layout(cfg, rng, 16), np.stack(want))
-        assert rng.bit_generator.state == ref.bit_generator.state
-    assert after_windows
+    window, windows = geometry._place_window, []
+
+    def recorded(out, radius, d_min, blocks, rng):
+        windows.append(blocks)
+        return window(out, radius, d_min, blocks, rng)
+
+    monkeypatch.setattr(geometry, "_place_window", recorded)
+    monkeypatch.setattr(geometry, "_LAYOUT_RETRIES", 1)
+    for attempts, n, blocks in ((16, 6, 1), (96, 9, 2)):
+        monkeypatch.setattr(geometry, "_ATTEMPTS_PER_POINT", attempts)
+        cfg = make_config(n_uavs=n, swarm_radius_m=10.0)
+        after_windows = 0
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = []
+            try:
+                for _ in range(16):
+                    want.append(per_trial(n, 10.0, 5.0, ref))
+            except PlacementError as exc:
+                calls.clear()
+                windows.clear()
+                with pytest.raises(PlacementError, match="the best layout placed") as got:
+                    geometry.sample_swarm_layout(cfg, rng, 16)
+                assert str(got.value) == str(exc)
+                after_windows += len(calls) < len(want) + 1 and blocks in windows
+            else:
+                assert np.array_equal(geometry.sample_swarm_layout(cfg, rng, 16), np.stack(want))
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert after_windows
 
 
 def test_relay_gains_match_summed_squares_bitwise(config):

@@ -116,10 +116,10 @@ def _intercept(y, features, config):
 
 
 @pytest.mark.parametrize("n_uavs, runs", [
-    # 300 trials are 16 chunks of at most 19; at N=40 a chunk alone fills
-    # the element budget, and at N=10 a run holds five chunks
-    (40, [[19]] * 15 + [[15]]),
-    (10, [[19] * 5] * 3 + [[15]]),
+    # 300 trials are 16 chunks of at most 19; at N=40 a run holds two
+    # chunks, and at N=10 one run holds all sixteen
+    (40, [[19, 19]] * 7 + [[19, 15]]),
+    (10, [[19] * 15 + [15]]),
 ], ids=["n40", "n10"])
 def test_each_run_is_one_kernel_call_with_a_stream_per_chunk(monkeypatch, n_uavs, runs):
     # each run is one run_trial call, each chunk of it on the stream of its
@@ -194,7 +194,8 @@ def test_a_run_of_chunks_is_one_kernel_call_per_chunk_bit_for_bit(monkeypatch, o
 
 
 @pytest.mark.parametrize("trials", [1, 5, 17, 250, 1000, 20_000])
-@pytest.mark.parametrize("elements", [1, 160, 1_600, mc._RUN_ELEMENTS, 3 * mc._RUN_ELEMENTS])
+@pytest.mark.parametrize("elements", [1, 160, 1_600, 1 << 14, 3 << 14, mc._RUN_ELEMENTS,
+                                      3 * mc._RUN_ELEMENTS])
 def test_every_run_keeps_to_the_element_budget_or_is_one_chunk(trials, elements):
     runs = list(mc._map_chunks(lambda bounds: bounds, trials, 1, elements))
     # the runs cover the trial count's chunks in order, whatever the budget
@@ -211,10 +212,11 @@ def _bounds(bounds):
 
 
 def test_pool_runs_split_the_chunks_evenly_across_the_workers():
-    # 250 trials at N=10 (160 elements a trial) are 16 chunks, and the
-    # budget holds six a run: at two workers the three runs become four of
-    # four chunks, where one worker would draw two runs, 154 of the trials
-    sizes = [[len(bounds) - 1 for bounds in mc._map_chunks(_bounds, 250, workers, 160)]
+    # 250 trials are 16 chunks of 16, and at a 96th of the budget per trial
+    # a run holds six: at two workers the three runs become four of four
+    # chunks, where one worker would draw two runs, 154 of the trials
+    elements = mc._RUN_ELEMENTS // 96
+    sizes = [[len(bounds) - 1 for bounds in mc._map_chunks(_bounds, 250, workers, elements)]
              for workers in (1, 2)]
     assert sizes == [[6, 6, 4], [4, 4, 4, 4]]
     for trials, elements in itertools.product((1, 5, 17, 250, 1000, 20_000),
@@ -503,17 +505,17 @@ def test_variants_of_one_curve_share_its_controlled_entries(monkeypatch):
 
 def test_relay_gains_are_formed_once_per_kernel_call_and_only_to_relay(monkeypatch, config):
     # the five rows of a message_bits sweep share each run's draw and its
-    # D2D pair gains, 64 trials at N=40 being 8 runs of two chunks of 4;
-    # dist-k stops after the cellular stage and forms none
+    # D2D pair gains, 64 trials at N=40 being runs of ten and six chunks of
+    # 4; dist-k stops after the cellular stage and forms none
     pairs = [(replace(config, message_bits=bits), mc.PROPOSED) for bits in (8, 16, 24, 32, 40)]
     calls = []
     _count_calls(monkeypatch, calls, mc, "run_trial")
     _count_calls(monkeypatch, calls, fading, "relay_gains")
     mc.estimate_variants(pairs, 64, 15)
-    assert calls == ["run_trial", "relay_gains"] * 8
+    assert calls == ["run_trial", "relay_gains"] * 2
     calls.clear()
     mc.phase1_count_distribution(config, 64, 15)
-    assert calls == ["run_trial"] * 8
+    assert calls == ["run_trial"] * 2
 
 
 def test_protocols_on_one_seed_share_the_cellular_stage():
