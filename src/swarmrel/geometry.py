@@ -258,9 +258,10 @@ def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
     flies at the config's ``swarm_altitude_m``.  That sampler places the
     first trial and reports B, the dart blocks it drew.  Windows
     (``_place_window``) then place the next trials in lockstep, B blocks a
-    slot, one window after the other; a window that fills one slot passes
-    on the blocks that slot drew as the next B.  Once B passes
-    ``_WINDOW_BLOCKS`` the sampler places the rest.
+    slot, one window after the other.  A window that fills one slot passes
+    on the blocks that slot drew as the next B, and so does one whose last
+    slot drew more than ``_WINDOW_BLOCKS``; once B passes that, the sampler
+    places the rest.
     """
     n, radius, d_min = config.n_uavs, config.swarm_radius_m, config.min_separation_m
     positions = np.empty((trials, n, 2))
@@ -270,7 +271,7 @@ def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
     while start < trials and blocks <= _WINDOW_BLOCKS:
         filled, used = _place_window(positions[start:], radius, d_min, blocks, rng)
         start += filled
-        blocks = used if filled == 1 else blocks
+        blocks = used if filled == 1 or used > _WINDOW_BLOCKS else blocks
     for b in range(start, trials):
         positions[b] = _sample_hardcore(n, radius, d_min, rng)[0]
     return positions
