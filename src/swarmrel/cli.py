@@ -90,8 +90,6 @@ def _positive_int(text: str) -> int:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -216,7 +214,7 @@ def _sweep_rows(config, args, values, engines, protocol, seed) -> list:
         for engine in engines:
             if engine == "analytic":
                 eta = analytic.reliability(point).eta
-                cells = ["analytic", "proposed", "", seed, eta, 1.0 - eta, None]
+                cells = ["analytic", "proposed", "", seed, eta, 1.0 - eta, ""]
             else:
                 cells = _mc_row(curve[-1], row_protocol)
             rows.append([args.var, value, *cells])

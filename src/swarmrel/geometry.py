@@ -106,9 +106,20 @@ def _greedy(clear: list[int], room: int, darts: int) -> int:
     return taken
 
 
-def _sample_hardcore(n: int, radius: float, d_min: float,
-                     rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """``sample_hardcore_disk``'s placement, and the dart blocks its last layout drew."""
+def sample_hardcore_disk(n: int, radius: float, d_min: float,
+                         rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Sequential inhibition: uniform darts rejected within d_min of a point.
+
+    Darts are drawn in blocks of up to 64 and judged in draw order, as if one
+    at a time: a block first drops the darts too close to a point placed
+    before it, then accepts the survivors greedily, each accepted dart
+    dropping the later survivors too close to it.  A point gets
+    ``_ATTEMPTS_PER_POINT`` darts; if the layout wedges (some point cannot be
+    placed) the whole layout is redrawn, up to ``_LAYOUT_RETRIES`` times, after
+    which ``PlacementError`` is raised rather than relaxing the separation
+    constraint.  Returns the placement (n, 2) and the dart blocks its last
+    layout drew.
+    """
     dmin2 = d_min * d_min
     px, py = np.empty((2, n))
     most = 0
@@ -149,22 +160,6 @@ def _sample_hardcore(n: int, radius: float, d_min: float,
         f"{coverage:.1%}, against a jamming limit near 54.7% for random sequential "
         f"adsorption of disks"
     )
-
-
-def sample_hardcore_disk(n: int, radius: float, d_min: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Sequential inhibition: uniform darts rejected within d_min of a point.
-
-    Darts are drawn in blocks of up to 64 and judged in draw order, as if one
-    at a time: a block first drops the darts too close to a point placed
-    before it, then accepts the survivors greedily, each accepted dart
-    dropping the later survivors too close to it.  A point gets
-    ``_ATTEMPTS_PER_POINT`` darts; if the layout wedges (some point cannot be
-    placed) the whole layout is redrawn, up to ``_LAYOUT_RETRIES`` times, after
-    which ``PlacementError`` is raised rather than relaxing the separation
-    constraint.
-    """
-    return _sample_hardcore(n, radius, d_min, rng)[0]
 
 
 def sample_gbs_layout(config: ScenarioConfig, rng: np.random.Generator, trials: int) -> np.ndarray:
@@ -245,7 +240,7 @@ def _place_window(out: np.ndarray, radius: float, d_min: float, blocks: int,
         rng.bit_generator.state = state
         rng.random(2 * block * drawn)
     if short:
-        out[filled - 1], used = _sample_hardcore(n, radius, d_min, rng)
+        out[filled - 1], used = sample_hardcore_disk(n, radius, d_min, rng)
     return filled, used
 
 
@@ -267,11 +262,11 @@ def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
     positions = np.empty((trials, n, 2))
     start = min(1, trials)
     if start:
-        positions[0], blocks = _sample_hardcore(n, radius, d_min, rng)
+        positions[0], blocks = sample_hardcore_disk(n, radius, d_min, rng)
     while start < trials and blocks <= _WINDOW_BLOCKS:
         filled, used = _place_window(positions[start:], radius, d_min, blocks, rng)
         start += filled
         blocks = used if filled == 1 or used > _WINDOW_BLOCKS else blocks
     for b in range(start, trials):
-        positions[b] = _sample_hardcore(n, radius, d_min, rng)[0]
+        positions[b] = sample_hardcore_disk(n, radius, d_min, rng)[0]
     return positions

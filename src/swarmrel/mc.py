@@ -15,9 +15,10 @@ chunk is drawn on its own rng seeded from (master_seed, the chunk's first
 trial).  One kernel call takes a run of consecutive chunks, as many as keep
 its arrays within a fixed element budget (fewer on a pool, where the runs
 split the chunks evenly among the workers): it draws each chunk on its own
-rng, then decodes the whole run at once, for every variant, a (config,
-protocol) pair, whose config differs only in ``message_bits`` and
-``tau_phase1_s``; variants that differ only in relay round count share one
+rng, then decodes the whole run at once, one curve for each (config,
+protocol) pair it is handed, whose configs differ only in ``message_bits``
+and ``tau_phase1_s``.  Which pairs share a curve is decided once, in
+``estimate_variants``: those that differ only in relay round count are one
 curve, computed at the largest count, and each takes its prefix.  A trial's
 values are those of a call on its chunk alone, so results are a function of
 (config, seed, trials), whatever the runs or the worker count.
@@ -189,17 +190,17 @@ def _thresholds(variants) -> list[tuple[float, float | None]]:
     return out
 
 
-def run_trial(variants, rng, trials, thresholds=None):
+def run_trial(variants, rng, trials):
     """Decode probabilities of a run of chunks of trials, each chunk drawn on its own rng.
 
     ``rng`` and ``trials`` are one chunk's Generator and trial count, or
     the matching sequences of a run of consecutive chunks.  ``variants``
     are (config, protocol) pairs whose configs differ only in
-    ``message_bits`` and ``tau_phase1_s``, which no draw reads;
-    ``thresholds`` are theirs (``_thresholds``), computed here if not
-    given.  Returns ``(curves, draws)`` over the run's trials, in chunk
-    order: ``curves`` holds one float (trials, 1 + relay rounds, N) array
-    per variant, and ``draws`` are the GBS layouts (trials, M, 2) and
+    ``message_bits`` and ``tau_phase1_s``, which no draw reads; their
+    thresholds (``_thresholds``) are computed before the first draw.
+    Returns ``(curves, draws)`` over the run's trials, in chunk order:
+    ``curves`` holds one float (trials, 1 + relay rounds, N) array per
+    variant, and ``draws`` are the GBS layouts (trials, M, 2) and
     cellular gains (trials, N, M), whence the control features
     (``_control_features``).  Row 0 of a trial is the cellular stage, row
     r the probability that each UAV has decoded by relay round r.  The
@@ -213,21 +214,17 @@ def run_trial(variants, rng, trials, thresholds=None):
     placement per trial in trial order, the cellular fading, then for
     ``multi_round`` one D2D draw per UAV of all its trials per relay round
     (``fading.draw_phase2``), whatever the outcomes.  So relay round r
-    draws the same whatever the round count, and variants that differ only
-    in it share one curve, computed at their largest count: each gets its
-    prefix, the array of a call on it alone.  Everything after the draws
-    works trial by trial, so a trial's values are those of a call on its
-    chunk alone, bit for bit.  The D2D pair gains (``fading.relay_gains``)
-    draw nothing; they are formed once, and only if some curve relays.
+    draws the same whatever the round count.  Each variant is one curve:
+    which variants share one is ``estimate_variants``' to decide.
+    Everything after the draws works trial by trial, so a trial's values
+    are those of a call on its chunk alone, bit for bit.  The D2D pair
+    gains (``fading.relay_gains``) draw nothing; they are formed once, and
+    only if some curve relays.
     """
     if isinstance(rng, np.random.Generator):
         rng, trials = [rng], [trials]
-    thresholds = thresholds or _thresholds(variants)
+    thresholds = _thresholds(variants)
     config = variants[0][0]
-    keys = [(p.name, p.with_head, t) for (_, p), t in zip(variants, thresholds)]
-    longest = {}  # the most relay rounds any variant asks of each curve
-    for key, (_, protocol) in zip(keys, variants):
-        longest[key] = max(longest.get(key, 0), protocol.rounds)
     sampled = max((p.rounds for _, p in variants if p.name == "multi_round"), default=0)
     n, m, total = config.n_uavs, config.m_total, sum(trials)
     gbs, uav = np.empty((total, m, 2)), np.empty((total, n, 2))
@@ -242,10 +239,10 @@ def run_trial(variants, rng, trials, thresholds=None):
             draw[start:stop] = fading.draw_phase2(config, chunk_rng, size)
     cell_sinrs = {}  # by head weighting and serving set
     path_gain = None  # the D2D pair gains, formed for the first curve that relays
-    curves = {}
-    for key, rounds in longest.items():
-        name, with_head, (cell_threshold, d2d_threshold) = key
-        cell = (with_head, name == "nearest_gbs")
+    curves = []
+    for (_, protocol), (cell_threshold, d2d_threshold) in zip(variants, thresholds):
+        name, rounds = protocol.name, protocol.rounds
+        cell = (protocol.with_head, name == "nearest_gbs")
         if cell not in cell_sinrs:
             cell_sinrs[cell] = fading.phase1_sinrs(gbs, uav, gains, config, *cell)
         decoded = cell_sinrs[cell] >= cell_threshold
@@ -267,9 +264,8 @@ def run_trial(variants, rng, trials, thresholds=None):
                 # nobody relaying there is no transmission to decode
                 sinrs = fading.phase2_sinrs(power, relay_draws[r - 1], config)
                 decoded |= (sinrs >= d2d_threshold) & relays.any(axis=1, keepdims=True)
-        curves[key] = probs
-    return ([curves[key][:, :1 + protocol.rounds] for key, (_, protocol) in zip(keys, variants)],
-            (gbs, gains))
+        curves.append(probs)
+    return curves, (gbs, gains)
 
 
 def _control_features(draws, config: ScenarioConfig) -> np.ndarray:
@@ -331,9 +327,9 @@ def _feature_means(config: ScenarioConfig) -> np.ndarray | None:
     return means if np.isfinite(means).all() else None
 
 
-def _decoded_counts(variants, thresholds, control, master_seed, bounds):
-    """Each variant's expected decoded counts, (trials, 1 + rounds), over a run of chunks,
-    and its ``_control_features`` if ``control``, else None.
+def _decoded_counts(curves, control, master_seed, bounds):
+    """A run's table (trials, columns): each curve's expected decoded counts, 1 + rounds
+    columns each, then the run's eight ``_control_features`` if ``control``.
 
     ``bounds`` are the run's chunk boundaries: chunk i holds trials
     [bounds[i], bounds[i + 1]) and is drawn on ``trial_rng(master_seed,
@@ -344,9 +340,9 @@ def _decoded_counts(variants, thresholds, control, master_seed, bounds):
     # every separation in placement and gives a path gain of 0: the limits
     # wanted, so the overflow is not reported
     with np.errstate(over="ignore"):
-        curves, draws = run_trial(variants, rngs, np.diff(bounds).tolist(), thresholds)
-    features = _control_features(draws, variants[0][0]) if control else None
-    return [probs.sum(axis=2) for probs in curves], features
+        probs, draws = run_trial(curves, rngs, np.diff(bounds).tolist())
+    features = [_control_features(draws, curves[0][0])] if control else []
+    return np.concatenate([curve.sum(axis=2) for curve in probs] + features, axis=1)
 
 
 @functools.cache
@@ -391,36 +387,32 @@ def _map_chunks(worker, trials: int, workers: int, elements: int):
     return _pool(workers).map(worker, runs)
 
 
-def _gather_counts(variants, trials, master_seed, workers, control=False):
-    """Each variant's (trials, 1 + rounds) counts and its ``_regression``, or None.
+def _gather_counts(curves, trials, master_seed, workers, control=False):
+    """Each curve's (trials, 1 + rounds) counts and its draw's ``_regression``, or None.
 
-    The counts are filled run by run in chunk order, and so are the
-    (trials, 8) features of a draw, from each run's ``_control_features``.
-    A draw's features, and its regression, are formed only with
-    ``control``, and every variant of the draw gets that regression.
+    Each (config, protocol) pair of ``curves`` is computed once.  Consecutive
+    curves whose configs share a draw (``_draw_key``) are decoded together:
+    their runs' tables (``_decoded_counts``) fill one (trials, columns)
+    table in chunk order, and each curve gets a view of its columns.  A draw's features, and its regression, are formed only
+    with ``control``, and every curve of the draw gets that regression.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     out = []
-    for _, group in itertools.groupby(variants, key=lambda variant: _draw_key(variant[0])):
-        group = list(group)  # its thresholds are checked before its first chunk is drawn
+    for _, group in itertools.groupby(curves, key=lambda curve: _draw_key(curve[0])):
+        group = list(group)
         config = group[0][0]
-        worker = functools.partial(_decoded_counts, group, _thresholds(group), control,
-                                   master_seed)
-        counts = [np.empty((trials, 1 + protocol.rounds)) for _, protocol in group]
-        features = np.empty((trials, 8)) if control else None
+        edges = [0, *itertools.accumulate(1 + protocol.rounds for _, protocol in group)]
+        table = np.empty((trials, edges[-1] + (8 if control else 0)))
         start = 0
         # the largest per-trial arrays are the (N, N) pair gains and the (N, M) cellular ones
         elements = config.n_uavs * max(config.n_uavs, config.m_total)
-        for pieces, piece_features in _map_chunks(worker, trials, workers, elements):
-            stop = start + len(pieces[0])
-            for whole, piece in zip(counts, pieces):
-                whole[start:stop] = piece
-            if control:
-                features[start:stop] = piece_features
-            start = stop
-        regression = _regression(features, config) if control else None
-        out += [(whole, regression) for whole in counts]
+        worker = functools.partial(_decoded_counts, group, control, master_seed)
+        for piece in _map_chunks(worker, trials, workers, elements):
+            table[start:start + len(piece)] = piece
+            start += len(piece)
+        regression = _regression(table[:, edges[-1]:], config) if control else None
+        out += [(table[:, a:b], regression) for a, b in zip(edges, edges[1:])]
     return out
 
 
@@ -498,20 +490,25 @@ def estimate(
 def estimate_variants(variants, trials: int, master_seed: int, workers: int = 1) -> list:
     """The ``estimate`` curve of each (config, protocol) pair of ``variants``, on one seed.
 
-    Consecutive pairs whose configs differ only in ``message_bits`` and
-    ``tau_phase1_s`` share one draw per chunk, yet each curve equals its own ``estimate``.
-    Equal configs draw alike, so pairs that differ only in relay round count
-    share one curve's entries, each formed once.
+    Variants that differ only in relay round count are one curve, decided
+    here alone: it is computed at the most rounds any of them asks, its
+    entries are formed once, and each takes its prefix.  Consecutive curves
+    whose configs differ only in ``message_bits`` and ``tau_phase1_s``
+    share one draw per chunk, yet each equals its own ``estimate``.
     """
-    gathered = _gather_counts(variants, trials, master_seed, workers,
+    longest = {}  # each curve, in order of first ask, and the most relay rounds asked of it
+    for config, protocol in variants:
+        key = (config, protocol.name, protocol.with_head)
+        longest[key] = max(longest.get(key, 0), protocol.rounds)
+    curves = [(config, Protocol(name, rounds, with_head))
+              for (config, name, with_head), rounds in longest.items()]
+    gathered = _gather_counts(curves, trials, master_seed, workers,
                               control=trials >= CONTROL_MIN_TRIALS)
-    shared, curves = {}, []
-    for (config, protocol), (all_counts, regression) in zip(variants, gathered):
-        entries = shared.setdefault((config, protocol.name, protocol.with_head), [])
-        entries += [_entry(counts / config.n_uavs, regression, trials, master_seed)
-                    for counts in all_counts.T[len(entries):]]
-        curves.append(entries[:1 + protocol.rounds])
-    return curves
+    entries = {key: [_entry(counts / key[0].n_uavs, regression, trials, master_seed)
+                     for counts in all_counts.T]
+               for key, (all_counts, regression) in zip(longest, gathered)}
+    return [entries[config, protocol.name, protocol.with_head][:1 + protocol.rounds]
+            for config, protocol in variants]
 
 
 def phase1_count_distribution(

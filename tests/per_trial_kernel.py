@@ -27,7 +27,7 @@ def _gbs_layout(config, rng):
 
 
 def _swarm_layout(config, rng):
-    planar = geometry.sample_hardcore_disk(
+    planar, _ = geometry.sample_hardcore_disk(
         config.n_uavs, config.swarm_radius_m, config.min_separation_m, rng
     )
     positions = np.column_stack([planar, np.full(config.n_uavs, config.swarm_altitude_m)])

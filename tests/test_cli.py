@@ -252,9 +252,9 @@ def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
     calls = []
     run_trial = mc.run_trial
 
-    def counting(variants, rng, trials, thresholds=None):
+    def counting(variants, rng, trials):
         calls.append((max(p.rounds for _, p in variants), list(trials)))
-        return run_trial(variants, rng, trials, thresholds)
+        return run_trial(variants, rng, trials)
 
     monkeypatch.setattr(mc, "run_trial", counting)
     code, out, _ = run_cli(
@@ -329,9 +329,9 @@ def test_threshold_sweep_runs_the_trials_once(capsys, config_path, monkeypatch):
     calls = []
     run_trial = mc.run_trial
 
-    def counting(variants, rng, trials, thresholds=None):
+    def counting(variants, rng, trials):
         calls.append((len(variants), list(trials)))
-        return run_trial(variants, rng, trials, thresholds)
+        return run_trial(variants, rng, trials)
 
     monkeypatch.setattr(mc, "run_trial", counting)
     code, out, _ = run_cli(

@@ -13,7 +13,7 @@ from conftest import make_config
 def seed_hardcore_disk(n, radius, d_min, rng, attempts_per_point=10_000, layout_retries=100):
     """The one-dart-at-a-time sequential inhibition loop, kept as the oracle.
 
-    ``geometry.sample_hardcore_disk`` must return the same array, leave the
+    ``geometry.sample_hardcore_disk`` must return the same placement, leave the
     rng in the same state and fail in the same cases.  On failure the oracle
     raises ``PlacementError`` whose message is the most points any layout
     placed.
@@ -83,7 +83,7 @@ def test_hardcore_matches_one_dart_oracle(args, kwargs, monkeypatch):
             got, err = _placement(geometry.sample_hardcore_disk, rng_new, args, {})
             ref, ref_err = _placement(seed_hardcore_disk, rng_ref, args, kwargs)
             if ref_err is None:
-                assert err is None and np.array_equal(got, ref)
+                assert err is None and np.array_equal(got[0], ref)
             else:
                 failures += 1
                 assert err is not None
@@ -158,15 +158,15 @@ def test_swarm_layout_separation(config):
 
 def _count_per_trial_calls(monkeypatch):
     """The hard-core sampler, and the list of calls that ``geometry`` makes to it from now on."""
-    per_trial = geometry._sample_hardcore
+    per_trial = geometry.sample_hardcore_disk
     calls = []
 
     def counted(*args):
         calls.append(args)
         return per_trial(*args)
 
-    monkeypatch.setattr(geometry, "_sample_hardcore", counted)
-    return geometry.sample_hardcore_disk, calls
+    monkeypatch.setattr(geometry, "sample_hardcore_disk", counted)
+    return per_trial, calls
 
 
 @pytest.mark.parametrize(
@@ -183,7 +183,7 @@ def test_swarm_layouts_are_per_trial_placements_in_trial_order(n, radius, monkey
     # take three) break windows mid-chunk; N=40 in 25 m mostly takes three,
     # and the sampler places such chunks; N=8 in 15 m often needs more than
     # the first 2N darts, and windows judge its whole blocks
-    _, calls = _count_per_trial_calls(monkeypatch)
+    per_trial, calls = _count_per_trial_calls(monkeypatch)
     cfg = make_config(n_uavs=n, swarm_radius_m=radius)
     routed = []
     for trials in (1, 2, 7, 16, 64):
@@ -192,7 +192,7 @@ def test_swarm_layouts_are_per_trial_placements_in_trial_order(n, radius, monkey
             calls.clear()
             layout = geometry.sample_swarm_layout(cfg, rng, trials)
             sampled = len(calls)
-            want = [geometry._sample_hardcore(n, radius, 5.0, ref) for _ in range(trials)]
+            want = [per_trial(n, radius, 5.0, ref) for _ in range(trials)]
             assert np.array_equal(layout, np.stack([points for points, _ in want]))
             assert rng.bit_generator.state == ref.bit_generator.state
             routed.append((trials, sampled, {blocks for _, blocks in want}, want[0][1]))
@@ -240,7 +240,7 @@ def test_swarm_layout_fails_as_the_per_trial_loop_does(monkeypatch):
             want = []
             try:
                 for _ in range(16):
-                    want.append(per_trial(n, 10.0, 5.0, ref))
+                    want.append(per_trial(n, 10.0, 5.0, ref)[0])
             except PlacementError as exc:
                 calls.clear()
                 windows.clear()
