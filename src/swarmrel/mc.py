@@ -12,16 +12,14 @@ sets the next round's relay set.
 
 Trials run in chunks whose bounds depend only on the trial count, and each
 chunk is drawn on its own rng seeded from (master_seed, the chunk's first
-trial).  One kernel call takes a run of consecutive chunks, as many as keep
-its arrays within a fixed element budget (fewer on a pool, where the runs
-split the chunks evenly among the workers): it draws each chunk on its own
-rng, then decodes the whole run at once, one curve for each (config,
-protocol) pair it is handed, whose configs differ only in ``message_bits``
-and ``tau_phase1_s``.  Which pairs share a curve is decided once, in
-``estimate_variants``: those that differ only in relay round count are one
-curve, computed at the largest count, and each takes its prefix.  A trial's
-values are those of a call on its chunk alone, so results are a function of
-(config, seed, trials), whatever the runs or the worker count.
+trial).  One kernel call takes a run of chunks in trial order, as many as
+keep its arrays within a fixed element budget (fewer on a pool, where the
+runs split the chunks evenly among the workers): it draws each chunk on its
+own rng, then decodes the whole run at once, one curve for each (config,
+protocol) pair it is handed, all of one draw.  Which pairs share a curve,
+and which curves a draw, is decided once, in ``estimate_variants``.  A
+trial's values are those of a call on its chunk alone, so results are a
+function of (config, seed, trials), whatever the runs or the worker count.
 
 From ``CONTROL_MIN_TRIALS`` trials up, each entry of every curve, relay
 rounds included, is a regression control-variate estimate: the sample mean
@@ -39,7 +37,7 @@ import atexit
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,20 +166,22 @@ def trial_rng(master_seed: int, start: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, start)))
 
 
-def _draw_key(config: ScenarioConfig) -> ScenarioConfig:
-    """``config`` without the fields only the thresholds read: equal keys share a draw."""
-    return replace(config, message_bits=0.0, tau_phase1_s=0.0)
+def _draw_key(config: ScenarioConfig) -> tuple:
+    """Each (name, value) a draw reads: every attribute but message_bits and tau_phase1_s."""
+    return tuple(kv for kv in vars(config).items() if kv[0] not in ("message_bits", "tau_phase1_s"))
 
 
 def _thresholds(variants) -> list[tuple[float, float | None]]:
     """Each variant's (cellular, D2D) decode thresholds, once all are checked to share a draw."""
-    base = vars(_draw_key(variants[0][0]))
+    base = _draw_key(variants[0][0])
     out = []
     for config, protocol in variants:
-        unshared = [k for k, v in vars(_draw_key(config)).items() if v != base[k]]
-        if unshared:
-            raise ValueError(f"{unshared[0]}: variants of one draw may differ only in "
-                             "message_bits and tau_phase1_s")
+        # value by value: a NaN differs even from itself, where a tuple's ==
+        # would pass it on its identity
+        for (name, value), (_, shared) in zip(_draw_key(config), base):
+            if value != shared:
+                raise ValueError(f"{name}: variants of one draw may differ only in "
+                                 "message_bits and tau_phase1_s")
         split = protocol.name in ("proposed", "head_relay")
         cell, d2d = ((scenario.phase1_threshold, scenario.phase2_threshold) if split else
                      (scenario.full_slot_cell_threshold, scenario.full_slot_d2d_threshold))
@@ -388,32 +388,28 @@ def _map_chunks(worker, trials: int, workers: int, elements: int):
 
 
 def _gather_counts(curves, trials, master_seed, workers, control=False):
-    """Each curve's (trials, 1 + rounds) counts and its draw's ``_regression``, or None.
+    """Each curve's (trials, 1 + rounds) counts and the draw's ``_regression``, or None.
 
-    Each (config, protocol) pair of ``curves`` is computed once.  Consecutive
-    curves whose configs share a draw (``_draw_key``) are decoded together:
-    their runs' tables (``_decoded_counts``) fill one (trials, columns)
-    table in chunk order, and each curve gets a view of its columns.  A draw's features, and its regression, are formed only
-    with ``control``, and every curve of the draw gets that regression.
+    ``curves`` are (config, protocol) pairs of one draw, each computed
+    once: the runs' tables (``_decoded_counts``) fill one (trials, columns)
+    table in chunk order, and each curve gets a view of its columns.  The
+    draw's features, and its regression, are formed only with ``control``,
+    and every curve gets that regression.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    out = []
-    for _, group in itertools.groupby(curves, key=lambda curve: _draw_key(curve[0])):
-        group = list(group)
-        config = group[0][0]
-        edges = [0, *itertools.accumulate(1 + protocol.rounds for _, protocol in group)]
-        table = np.empty((trials, edges[-1] + (8 if control else 0)))
-        start = 0
-        # the largest per-trial arrays are the (N, N) pair gains and the (N, M) cellular ones
-        elements = config.n_uavs * max(config.n_uavs, config.m_total)
-        worker = functools.partial(_decoded_counts, group, control, master_seed)
-        for piece in _map_chunks(worker, trials, workers, elements):
-            table[start:start + len(piece)] = piece
-            start += len(piece)
-        regression = _regression(table[:, edges[-1]:], config) if control else None
-        out += [(table[:, a:b], regression) for a, b in zip(edges, edges[1:])]
-    return out
+    config = curves[0][0]
+    edges = [0, *itertools.accumulate(1 + protocol.rounds for _, protocol in curves)]
+    table = np.empty((trials, edges[-1] + (8 if control else 0)))
+    start = 0
+    # the largest per-trial arrays are the (N, N) pair gains and the (N, M) cellular ones
+    elements = config.n_uavs * max(config.n_uavs, config.m_total)
+    worker = functools.partial(_decoded_counts, curves, control, master_seed)
+    for piece in _map_chunks(worker, trials, workers, elements):
+        table[start:start + len(piece)] = piece
+        start += len(piece)
+    regression = _regression(table[:, edges[-1]:], config) if control else None
+    return [(table[:, a:b], regression) for a, b in zip(edges, edges[1:])]
 
 
 def _regression(features: np.ndarray, config: ScenarioConfig) -> np.ndarray | None:
@@ -490,23 +486,28 @@ def estimate(
 def estimate_variants(variants, trials: int, master_seed: int, workers: int = 1) -> list:
     """The ``estimate`` curve of each (config, protocol) pair of ``variants``, on one seed.
 
-    Variants that differ only in relay round count are one curve, decided
-    here alone: it is computed at the most rounds any of them asks, its
-    entries are formed once, and each takes its prefix.  Consecutive curves
+    Which pairs share a curve, and which curves a draw, is decided here
+    alone, over the whole command.  Pairs that differ only in relay round
+    count are one curve: it is computed at the most rounds any of them
+    asks, its entries are formed once, and each takes its prefix.  Curves
     whose configs differ only in ``message_bits`` and ``tau_phase1_s``
-    share one draw per chunk, yet each equals its own ``estimate``.
+    (equal ``_draw_key``), wherever they are asked, share one draw per
+    chunk, yet each equals its own ``estimate``.
     """
-    longest = {}  # each curve, in order of first ask, and the most relay rounds asked of it
+    plan = {}  # draw -> curve -> the most relay rounds asked of it, in order of first ask
     for config, protocol in variants:
+        curves = plan.setdefault(_draw_key(config), {})
         key = (config, protocol.name, protocol.with_head)
-        longest[key] = max(longest.get(key, 0), protocol.rounds)
-    curves = [(config, Protocol(name, rounds, with_head))
-              for (config, name, with_head), rounds in longest.items()]
-    gathered = _gather_counts(curves, trials, master_seed, workers,
-                              control=trials >= CONTROL_MIN_TRIALS)
-    entries = {key: [_entry(counts / key[0].n_uavs, regression, trials, master_seed)
-                     for counts in all_counts.T]
-               for key, (all_counts, regression) in zip(longest, gathered)}
+        curves[key] = max(curves.get(key, 0), protocol.rounds)
+    entries = {}
+    for curves in plan.values():
+        gathered = _gather_counts([(config, Protocol(name, rounds, with_head))
+                                   for (config, name, with_head), rounds in curves.items()],
+                                  trials, master_seed, workers,
+                                  control=trials >= CONTROL_MIN_TRIALS)
+        for key, (all_counts, regression) in zip(curves, gathered):
+            entries[key] = [_entry(counts / key[0].n_uavs, regression, trials, master_seed)
+                            for counts in all_counts.T]
     return [entries[config, protocol.name, protocol.with_head][:1 + protocol.rounds]
             for config, protocol in variants]
 
@@ -522,7 +523,6 @@ def phase1_count_distribution(
     The trials stop after the cellular stage; the relay draws come after
     the cellular ones, so the counts are those of full ``PROPOSED`` trials.
     """
-    cellular = replace(PROPOSED, rounds=0)
-    [(counts, _)] = _gather_counts([(config, cellular)], trials, master_seed, workers)
+    [(counts, _)] = _gather_counts([(config, Protocol("proposed"))], trials, master_seed, workers)
     pmf = np.bincount(counts[:, 0].astype(int), minlength=config.n_uavs + 1) / trials
     return Phase1CountDistribution(pmf=pmf, trials=trials, seed=master_seed)

@@ -295,6 +295,8 @@ def test_member_decode_limits(config):
     assert analytic.member_decode_prob(0.0, config) == 1.0
     assert analytic.member_decode_prob(1e-9, config) == pytest.approx(1.0, abs=1e-6)
     assert analytic.member_decode_prob(1e4, config) < 1e-3
+    # without interferers a member's SINR is unbounded, whatever the threshold
+    assert analytic.member_decode_prob(1e4, make_config(m_occupied=0)) == 1.0
 
 
 def test_member_decode_against_oracle(config):

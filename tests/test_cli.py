@@ -234,6 +234,29 @@ def test_sweep_rounds_requires_multiround(capsys, config_path):
     assert "multi_round" in err
 
 
+@pytest.mark.parametrize("protocol", [["--engine", "both", "--protocol", "all_gbs"],
+                                      ["--engine", "analytic", "--protocol", "multi_round",
+                                       "--rounds", "2"]], ids=["both-all_gbs", "analytic-multi"])
+def test_analytic_sweep_refuses_other_protocols(capsys, config_path, protocol):
+    code, out, err = run_cli(capsys, "sweep", "--config", config_path, "--var", "message_bits",
+                             "--values", "40", "--trials", "10", *protocol)
+    assert code == cli.EXIT_CONFIG
+    assert "the analytic engine models the proposed two-phase protocol only" in err
+    assert out == "" and "eta=" not in err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--seed", "18446744073709551616", "seed must be in [0, 2^64)"),
+    ("--trials", "0", "must be >= 1, got 0"),
+])
+def test_out_of_range_option_is_an_argparse_error(capsys, config_path, option, value, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--config", config_path, option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and option in captured.err and captured.out == ""
+
+
 def test_sweep_rounds_with_multiround(capsys, config_path):
     code, out, _ = run_cli(
         capsys, "sweep", "--config", config_path, "--var", "rounds", "--values", "1,2",
@@ -506,6 +529,18 @@ def test_unparseable_sweep_values_exit_code(capsys, config_path):
                                "--values", values, "--engine", "analytic")
         assert code == cli.EXIT_CONFIG, err
         assert "values" in err and var in err
+    # no values at all, an incomplete range, a step that never advances and
+    # a range whose start lies past its stop
+    for grid, message in ((["--values", ","], "values: must be non-empty"),
+                          (["--start", "1", "--stop", "2"],
+                           "values: give either --values or all of --start/--stop/--step"),
+                          (["--start", "1", "--stop", "2", "--step", "0"],
+                           "step: must be > 0, got 0.0"),
+                          (["--start", "2", "--stop", "1", "--step", "1"], "values: empty grid")):
+        code, out, err = run_cli(capsys, "sweep", "--config", config_path,
+                                 "--var", "message_bits", "--engine", "analytic", *grid)
+        assert code == cli.EXIT_CONFIG, (grid, err)
+        assert message in err and out == "", (grid, err)
     code, _, err = run_cli(capsys, "optimize-tau", "--config", config_path,
                            "--start", "0.0001", "--stop", "inf", "--step", "0.0001")
     assert code == cli.EXIT_CONFIG

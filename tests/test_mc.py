@@ -523,6 +523,21 @@ def test_a_curve_asked_for_twice_apart_is_drawn_once(monkeypatch):
     assert len(calls) == 2 * 15
 
 
+def test_a_draw_asked_for_again_apart_is_drawn_once(monkeypatch):
+    # the first config's draw is asked for again, at another threshold and
+    # protocol, after another draw's curve, yet its 15 chunks are drawn once
+    # with both of its curves and once for the other config, not a third time
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    pairs = [(cfg, mc.PROPOSED), (replace(cfg, n_uavs=8), mc.PROPOSED),
+             (replace(cfg, message_bits=80.0), mc.ALL_GBS)]
+    trials = mc.CONTROL_MIN_TRIALS
+    own = [mc.estimate(c, p, trials, 14) for c, p in pairs]
+    calls = []
+    _count_calls(monkeypatch, calls, geometry, "sample_swarm_layout")
+    assert mc.estimate_variants(pairs, trials, 14) == own
+    assert len(calls) == 2 * 15
+
+
 def test_variants_of_one_curve_share_its_controlled_entries(monkeypatch):
     # each row equals its own estimate, and the four entries of the
     # three-round curve are formed once, also for an equal config drawn
@@ -584,6 +599,11 @@ def test_variants_share_a_draw_only_when_only_thresholds_differ():
     pairs = [(cfg, mc.PROPOSED), (replace(cfg, message_bits=80.0), mc.ALL_GBS),
              (wider, mc.PROPOSED)]
     assert mc.estimate_variants(pairs, 30, 12) == [mc.estimate(c, p, 30, 12) for c, p in pairs]
+    # an unvalidated config with a NaN differs from itself field by field;
+    # comparing whole draw keys would pass it on its identity, and the
+    # trials would compute from the NaN without a word
+    with pytest.raises(ValueError, match="rician_k"):
+        mc.estimate(replace(cfg, rician_k=math.nan), mc.PROPOSED, 10, 12)
 
 
 def test_proposed_protocol_dominates_at_reference_point(config):
@@ -609,6 +629,9 @@ def test_phase1_count_point_mass_at_n():
     assert dist.pmf[40] == 1.0
     assert dist.mode == 40
     assert dist.mean_count == 40.0
+    # one trial has no spread to estimate its standard error from
+    one = mc.phase1_count_distribution(cfg, 1, 8)
+    assert one.pmf[40] == 1.0 and math.isnan(one.std_err_count)
 
 
 def test_phase1_count_matches_expectation(config):

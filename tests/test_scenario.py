@@ -30,6 +30,16 @@ def test_all_violations_reported_at_once():
         make_config(n_uavs=0, rician_k=-1.0, sinr_gap_cell=2.0)
     text = str(err.value)
     assert "n_uavs" in text and "rician_k" in text and "sinr_gap_cell" in text
+    # and every other range check, each naming its field
+    bad = dict(m_available=0, m_occupied=-1, swarm_radius_m=0.0, swarm_altitude_m=0.0,
+               min_separation_m=-1.0, pathloss_exp_cell=1.5, pathloss_exp_d2d=1.5,
+               bandwidth_cell_hz=0.0, bandwidth_d2d_hz=0.0, sinr_gap_d2d=0.0,
+               message_bits=-1.0, tau_total_s=0.0)
+    with pytest.raises(ConfigError) as err:
+        make_config(**bad)
+    problems = err.value.problems
+    for field in bad:
+        assert any(p.startswith(f"{field}: must") for p in problems), (field, problems)
 
 
 def test_non_finite_values_rejected():
@@ -139,6 +149,10 @@ def test_unknown_and_missing_keys_rejected():
         scenario.parse_config(clipped)
     with pytest.raises(ConfigError, match="duplicate"):
         scenario.parse_config(text + "n_uavs = 4\n")
+    with pytest.raises(ConfigError, match="line 24: expected 'key = value', got 'n_uavs 4'"):
+        scenario.parse_config(text + "n_uavs 4\n")
+    with pytest.raises(ConfigError, match="line 1: n_uavs: cannot parse 'forty'"):
+        scenario.parse_config(text.replace("n_uavs = 40", "n_uavs = forty"))
 
 
 def test_comments_and_blanks_ignored():
