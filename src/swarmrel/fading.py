@@ -1,8 +1,9 @@
 """Small-scale fading draws, Rician magnitude moments, and per-UAV SINRs.
 
 The Monte Carlo engine draws the fading of a chunk of trials at once and
-forms the SINRs of both stages for a run of chunks at once, every array
-with a leading trials axis, and takes each listener's relay-stage decode
+forms the SINRs of both stages for a run of chunks at once, the cellular
+stage's with a leading trials axis and the relay stage's one row per
+listener still to decode, and takes each listener's relay-stage decode
 probability exact over the Rayleigh fading; the closed-form model takes
 only the moments of the Rician magnitude.
 
@@ -11,12 +12,12 @@ since the head's weights depend on their phases; its servers are the first
 ``m_available`` GBSs of a layout, or the nearest of them to the swarm
 center, and the rest interfere.  The relay stage rests on one quantity,
 each listener's summed relay path gain sum_t a_t^2 (``relay_power``),
-summed from the (trials, N, N) pair gains that ``relay_gains`` forms once
-per run: over independent Rayleigh links the SINR is exponential with
-mean P sum_t a_t^2 / N0, which is sampled with one exponential draw per
-listener and, for its decode probability, taken exact.  No symbol
-waveforms are generated, since decode decisions depend only on signal and
-interference powers.
+summed from the (K, N) pair gains that ``relay_gains`` forms once per run
+for the K listeners that the cellular stage left undecoded: over
+independent Rayleigh links the SINR is exponential with mean P sum_t a_t^2
+/ N0, which is sampled with one exponential draw per listener and, for its
+decode probability, taken exact.  No symbol waveforms are generated, since
+decode decisions depend only on signal and interference powers.
 """
 
 from __future__ import annotations
@@ -173,41 +174,45 @@ def head_weights(head: np.ndarray) -> np.ndarray:
     return np.conj(head) / np.abs(head)
 
 
-def relay_gains(uav: np.ndarray, config: ScenarioConfig) -> np.ndarray:
-    """Mean D2D power gains ref_gain w^-alpha (trials, N, N) between the UAVs at planar ``uav``.
+def relay_gains(uav: np.ndarray, listeners: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """Mean D2D power gains ref_gain w^-alpha (K, N) to the K ``listeners`` from every UAV.
 
-    Entry (i, t) is the link from UAV t to UAV i over the planar pair
-    distance w = sqrt(dx * dx + dy * dy), formed in place; a UAV's own link,
-    on the diagonal, gains 0.
+    Row k is the k-th listener of the (trials, N) mask over the planar
+    ``uav`` in row-major order, and entry (k, t) the link from UAV t of its
+    trial over the planar pair distance w = sqrt(dx * dx + dy * dy), formed
+    in place; a listener's own link gains 0.
     """
-    gain = uav[:, :, None, 0] - uav[:, None, :, 0]
-    dy = uav[:, :, None, 1] - uav[:, None, :, 1]
+    counts, here = listeners.sum(axis=1), uav[listeners]
+    gain = np.repeat(uav[:, :, 0], counts, axis=0)
+    dy = np.repeat(uav[:, :, 1], counts, axis=0)
+    np.subtract(here[:, None, 0], gain, out=gain)
+    np.subtract(here[:, None, 1], dy, out=dy)
     gain *= gain
     dy *= dy
     gain += dy
     np.sqrt(gain, out=gain)
-    own = np.arange(gain.shape[-1])
-    gain[:, own, own] = np.inf  # inf^-alpha is 0, and 0^-alpha would divide by zero
+    # inf^-alpha is 0, and 0^-alpha would divide by zero
+    gain[np.arange(len(gain)), np.nonzero(listeners)[1]] = np.inf
     np.power(gain, -config.pathloss_exp_d2d, out=gain)
     gain *= config.ref_gain_d2d
     return gain
 
 
 def relay_power(path_gain: np.ndarray, relays: np.ndarray) -> np.ndarray:
-    """Each listener's summed relay path gain sum_t a_t^2, (trials, N), when the ``relays`` relay.
+    """Each listener's summed relay path gain sum_t a_t^2, (K,), when the ``relays`` relay.
 
-    ``path_gain`` holds the pair gains of ``relay_gains`` and ``relays`` is
-    a (trials, N) mask; a relay does not hear itself.
+    ``path_gain`` holds K listeners' rows of ``relay_gains`` and ``relays``
+    the (K, N) relay mask of each row's trial; a relay does not hear itself.
     """
-    return np.where(relays[:, None, :], path_gain, 0.0).sum(axis=2)
+    return np.where(relays, path_gain, 0.0).sum(axis=1)
 
 
 def phase2_sinrs(power: np.ndarray, gains: np.ndarray, config: ScenarioConfig) -> np.ndarray:
-    """SINR at every UAV, (trials, N), of listeners with summed relay path gains ``power``.
+    """SINR of listeners with summed relay path gains ``power``, elementwise.
 
-    ``power`` is ``relay_power``'s, and ``gains`` the (trials, N) draw of
-    ``draw_phase2``, which scales it.  A UAV in a trial without relays
-    hears no transmission and has SINR zero.
+    ``power`` is ``relay_power``'s, and ``gains`` the listeners' entries of
+    the (trials, N) draw of ``draw_phase2``, which scales it.  A listener in
+    a trial without relays hears no transmission and has SINR zero.
     """
     return config.tx_power_uav_w * power * gains / config.intf_noise_phase2_w
 
@@ -218,7 +223,7 @@ def phase2_decode_probs(
     config: ScenarioConfig,
     threshold: float,
 ) -> np.ndarray:
-    """P(SINR >= threshold) at every UAV, (trials, N), when the ``relays`` mask relay.
+    """P(SINR >= threshold) of K listeners, (K,), when the (K, N) ``relays`` masks relay.
 
     Exact over the fading of ``phase2_sinrs``: with ``power`` the summed
     relay path gains of ``relay_power``, the SINR is exponential with mean
@@ -228,7 +233,7 @@ def phase2_decode_probs(
     """
     if threshold == 0.0:
         # every SINR, zero included, reaches it once somebody transmits
-        return np.broadcast_to(relays.any(axis=1, keepdims=True), relays.shape).astype(float)
+        return relays.any(axis=1).astype(float)
     ratio = threshold * config.intf_noise_phase2_w / config.tx_power_uav_w
     # a power of 0 (no relays, or a path gain that underflowed) divides to
     # -inf, and a subnormal one may overflow to it: either way exp gives 0

@@ -179,6 +179,8 @@ def _thresholds(variants) -> list[tuple[float, float | None]]:
         # value by value: a NaN differs even from itself, where a tuple's ==
         # would pass it on its identity
         for (name, value), (_, shared) in zip(_draw_key(config), base):
+            if value != value:
+                raise ValueError(f"{name}: {value} is not finite")
             if value != shared:
                 raise ValueError(f"{name}: variants of one draw may differ only in "
                                  "message_bits and tau_phase1_s")
@@ -218,8 +220,10 @@ def run_trial(variants, rng, trials):
     which variants share one is ``estimate_variants``' to decide.
     Everything after the draws works trial by trial, so a trial's values
     are those of a call on its chunk alone, bit for bit.  The D2D pair
-    gains (``fading.relay_gains``) draw nothing; they are formed once, and
-    only if some curve relays.
+    gains (``fading.relay_gains``) draw nothing; they are formed once, one
+    row for each listener that some relaying curve leaves to the relay
+    stage.  A round sums, decodes and samples only its curve's listeners
+    still to decode, each row's sum with the bits of the whole matrix's.
     """
     if isinstance(rng, np.random.Generator):
         rng, trials = [rng], [trials]
@@ -238,33 +242,44 @@ def run_trial(variants, rng, trials):
         for draw in relay_draws:
             draw[start:stop] = fading.draw_phase2(config, chunk_rng, size)
     cell_sinrs = {}  # by head weighting and serving set
-    path_gain = None  # the D2D pair gains, formed for the first curve that relays
-    curves = []
-    for (_, protocol), (cell_threshold, d2d_threshold) in zip(variants, thresholds):
-        name, rounds = protocol.name, protocol.rounds
-        cell = (protocol.with_head, name == "nearest_gbs")
+    decodes, pending = [], np.zeros((total, n), dtype=bool)  # pending: left to some curve's relays
+    for (_, protocol), (cell_threshold, _) in zip(variants, thresholds):
+        cell = (protocol.with_head, protocol.name == "nearest_gbs")
         if cell not in cell_sinrs:
             cell_sinrs[cell] = fading.phase1_sinrs(gbs, uav, gains, config, *cell)
-        decoded = cell_sinrs[cell] >= cell_threshold
-        probs = np.empty((total, 1 + rounds, n))
-        probs[:, 0] = decoded
+        decodes.append(cell_sinrs[cell] >= cell_threshold)
+        if protocol.rounds:
+            pending |= ~decodes[-1]
+    path_gain = fading.relay_gains(uav, pending, config) if pending.any() else np.empty((0, n))
+    curves = []
+    for (_, protocol), (_, d2d_threshold), decoded in zip(variants, thresholds, decodes):
+        name, rounds = protocol.name, protocol.rounds
+        probs = np.empty((1 + rounds, total, n))  # round by round, returned trial by trial
+        probs[0] = decoded
         speakers = np.arange(n) == 0 if name == "head_relay" else np.ones(n, dtype=bool)
-        if rounds and path_gain is None:
-            path_gain = fading.relay_gains(uav, config)
         for r in range(1, rounds + 1):
+            # one row per listener still to decode, in row-major order
+            listening = ~decoded
             relays = decoded & speakers
-            power = fading.relay_power(path_gain, relays)
-            heard = fading.phase2_decode_probs(power, relays, config, d2d_threshold)
+            counts = listening.sum(axis=1)
+            row_relays = np.repeat(relays, counts, axis=0)
+            row_gain = (path_gain if len(row_relays) == len(path_gain) else
+                        np.compress(listening[pending], path_gain, axis=0))
+            power = fading.relay_power(row_gain, row_relays)
+            heard = fading.phase2_decode_probs(power, row_relays, config, d2d_threshold)
             # exact over this round's fading given the relay set; a curve
             # that relays from a grown set never falls, and the maximum
             # keeps rounding from making it
-            np.maximum(np.where(decoded, 1.0, heard), probs[:, r - 1], out=probs[:, r])
+            probs[r] = decoded
+            probs[r][listening] = heard
+            np.maximum(probs[r], probs[r - 1], out=probs[r])
             if name == "multi_round":
                 # the sampled outcome sets the next round's relays; with
                 # nobody relaying there is no transmission to decode
-                sinrs = fading.phase2_sinrs(power, relay_draws[r - 1], config)
-                decoded |= (sinrs >= d2d_threshold) & relays.any(axis=1, keepdims=True)
-        curves.append(probs)
+                sinrs = fading.phase2_sinrs(power, relay_draws[r - 1][listening], config)
+                decoded[listening] = ((sinrs >= d2d_threshold)
+                                      & np.repeat(relays.any(axis=1), counts))
+        curves.append(probs.transpose(1, 0, 2))
     return curves, (gbs, gains)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmrel import scenario
+from swarmrel import fading, scenario
 
 
 BASE = dict(
@@ -41,6 +41,17 @@ def write_config(config: scenario.ScenarioConfig, path) -> None:
     """Write ``config`` to ``path`` in the format ``scenario.read_config`` reads."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(scenario.format_config(config))
+
+
+def relay_power_everywhere(uav, relays, config):
+    """Every UAV's summed relay path gain (trials, N) when the ``relays`` mask relays.
+
+    Every UAV is a listener of ``fading.relay_gains``, whose rows run
+    trial by trial, and each row sums over the relays of its trial.
+    """
+    path_gain = fading.relay_gains(uav, np.ones(relays.shape, dtype=bool), config)
+    rows = np.repeat(relays, relays.shape[1], axis=0)
+    return fading.relay_power(path_gain, rows).reshape(relays.shape)
 
 
 def complex_gain_sinrs(uav, relays, gains, config):

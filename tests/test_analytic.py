@@ -369,9 +369,12 @@ def test_phase2_decode_against_conditional_simulation(config):
     swarm = geometry.sample_swarm_layout(config, rng, trials)
     decoders = rng.permuted(np.tile(np.arange(40) < 36, (trials, 1)), axis=1)
     draw = fading.draw_phase2(config, rng, trials)
-    power = fading.relay_power(fading.relay_gains(swarm, config), decoders)
-    sinrs = fading.phase2_sinrs(power, draw, config)
-    frac = (sinrs[~decoders] >= theta2).mean()
+    # one row per listener, each summing over its trial's decoders
+    listeners = ~decoders
+    power = fading.relay_power(fading.relay_gains(swarm, listeners, config),
+                               np.repeat(decoders, listeners.sum(axis=1), axis=0))
+    sinrs = fading.phase2_sinrs(power, draw[listeners], config)
+    frac = (sinrs >= theta2).mean()
     assert abs(frac - target) < 0.01
 
 

@@ -7,7 +7,7 @@ from scipy import integrate, stats
 
 from swarmrel import fading, geometry
 
-from conftest import make_config
+from conftest import make_config, relay_power_everywhere
 
 
 def test_rician_pure_los_limit():
@@ -193,11 +193,11 @@ def test_phase1_coherent_beats_unit_combining_at_head():
 
 def test_phase2_no_decoders_means_silence(config):
     rng = np.random.default_rng(12)
-    path_gain = fading.relay_gains(geometry.sample_swarm_layout(config, rng, 3), config)
+    uav = geometry.sample_swarm_layout(config, rng, 3)
     gains = fading.draw_phase2(config, rng, 3)
     assert gains.shape == (3, 40)
-    sinrs = fading.phase2_sinrs(fading.relay_power(path_gain, np.zeros((3, 40), dtype=bool)),
-                                 gains, config)
+    sinrs = fading.phase2_sinrs(
+        relay_power_everywhere(uav, np.zeros((3, 40), dtype=bool), config), gains, config)
     assert sinrs.shape == (3, 40)
     assert (sinrs == 0.0).all()
 
@@ -208,8 +208,7 @@ def test_phase2_single_relay_hand_value():
     _, swarm = _scene(cfg, [[100, 0]], [[0, 0], [10, 0]])
     # the mean SINR, reached at a unit exponential draw
     draw = np.ones((1, 2))
-    sinr = fading.phase2_sinrs(fading.relay_power(fading.relay_gains(swarm, cfg), _relays(2, [0])),
-                               draw, cfg)
+    sinr = fading.phase2_sinrs(relay_power_everywhere(swarm, _relays(2, [0]), cfg), draw, cfg)
     assert sinr[0, 1] == pytest.approx(1.9952623149688795, rel=1e-12)
 
 
@@ -219,7 +218,7 @@ def test_phase2_noise_scaling():
     _, swarm = _scene(cfg, [[100, 0]], [[0, 0], [10, 0], [0, 15]])
     rng = np.random.default_rng(13)
     draw = fading.draw_phase2(cfg, rng, 1)
-    power = fading.relay_power(fading.relay_gains(swarm, cfg), _relays(3, [0]))
+    power = relay_power_everywhere(swarm, _relays(3, [0]), cfg)
     s1 = fading.phase2_sinrs(power, draw, cfg)[0, 1:]
     s2 = fading.phase2_sinrs(power, draw, cfg_noisier)[0, 1:]
     assert np.allclose(s1 / s2, 2.0, rtol=1e-12)
@@ -233,11 +232,10 @@ def test_phase2_permutation_equivariant():
     rng = np.random.default_rng(15)
     gains = fading.draw_phase2(cfg, rng, 1)
     relays = _relays(6, [0, 2, 4])
-    base = fading.phase2_sinrs(fading.relay_power(fading.relay_gains(swarm, cfg), relays), gains,
-                               cfg)
+    base = fading.phase2_sinrs(relay_power_everywhere(swarm, relays, cfg), gains, cfg)
     # relabel the UAVs: positions, relay mask and gains move together
     perm = np.array([4, 3, 0, 5, 2, 1])
     _, moved = _scene(cfg, [[100, 0]], swarm[0, perm, :2])
-    swapped = fading.phase2_sinrs(fading.relay_power(fading.relay_gains(moved, cfg),
-                                                     relays[:, perm]), gains[:, perm], cfg)
+    swapped = fading.phase2_sinrs(relay_power_everywhere(moved, relays[:, perm], cfg),
+                                  gains[:, perm], cfg)
     assert np.allclose(base[:, perm], swapped, rtol=1e-12)

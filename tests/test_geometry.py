@@ -138,8 +138,8 @@ def test_swarm_layout_single_point():
     cfg = make_config(n_uavs=1)
     layout = geometry.sample_swarm_layout(cfg, np.random.default_rng(5), 3)
     assert layout.shape == (3, 1, 2)
-    assert (fading.relay_gains(layout, cfg) == 0.0).all()
-    assert fading.relay_gains(layout, cfg).shape == (3, 1, 1)
+    gain = fading.relay_gains(layout, np.ones((3, 1), dtype=bool), cfg)
+    assert gain.shape == (3, 1) and (gain == 0.0).all()
 
 
 def test_swarm_layout_separation(config):
@@ -257,18 +257,23 @@ def test_swarm_layout_fails_as_the_per_trial_loop_does(monkeypatch):
 def test_relay_gains_match_summed_squares_bitwise(config):
     # the in-place dx*dx + dy*dy, its root, the power and then the reference
     # gain give the bits of the reduction over the last axis; a UAV's own
-    # link gains 0, and the gains are symmetric
+    # link gains 0, and the gains are symmetric; the rows of some listeners
+    # are those rows of every listener's, in row-major order, and no
+    # listener gives no rows
     rng = np.random.default_rng(10)
     layout = geometry.sample_swarm_layout(config, rng, 50)
     diff = layout[:, :, None, :] - layout[:, None, :, :]
     own = np.eye(40, dtype=bool)
+    some = rng.random((50, 40)) < 0.3
     for alpha in (2.0, 3.0188):
         cfg = make_config(pathloss_exp_d2d=alpha)
         with np.errstate(divide="ignore"):
             want = cfg.ref_gain_d2d * np.sqrt((diff**2).sum(axis=-1)) ** -alpha
-        gain = fading.relay_gains(layout, cfg)
+        gain = fading.relay_gains(layout, np.ones((50, 40), dtype=bool), cfg).reshape(50, 40, 40)
         assert np.array_equal(gain, np.where(own, 0.0, want))
         assert np.array_equal(gain, gain.transpose(0, 2, 1))
+        assert np.array_equal(fading.relay_gains(layout, some, cfg), gain[some])
+        assert fading.relay_gains(layout, np.zeros((50, 40), dtype=bool), cfg).shape == (0, 40)
 
 
 def test_hardcore_feasible_at_reference_density():

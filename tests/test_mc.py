@@ -9,7 +9,7 @@ import pytest
 from swarmrel import analytic, fading, geometry, mc, scenario
 
 import per_trial_kernel
-from conftest import complex_gain_sinrs, make_config
+from conftest import complex_gain_sinrs, make_config, relay_power_everywhere
 
 
 def test_protocol_labels_and_validation():
@@ -191,6 +191,97 @@ def test_a_run_of_chunks_is_one_kernel_call_per_chunk_bit_for_bit(monkeypatch, o
         assert _same_bits(counts, one_counts)
         assert (regression is None) == (one_regression is None)
         assert regression is None or _same_bits(regression, one_regression)
+
+
+def whole_matrix_relay(config, protocol, rng, trials):
+    """Decode probabilities (trials, 1 + rounds, N) of one chunk by the whole-matrix relay loop.
+
+    The chunk's draws are replayed from ``rng`` in ``mc.run_trial``'s order.
+    Each relay round sums every UAV's relay power over the (trials, N, N)
+    pair gains, forms every UAV's decode probability, and then scores a UAV
+    that has decoded 1: what ``mc.run_trial`` did before it kept to the
+    listeners still to decode.
+    """
+    n, rounds = config.n_uavs, protocol.rounds
+    gbs = geometry.sample_gbs_layout(config, rng, trials)
+    uav = geometry.sample_swarm_layout(config, rng, trials)
+    gains = fading.draw_phase1(config, rng, trials)
+    draws = [fading.draw_phase2(config, rng, trials)
+             for _ in range(rounds if protocol.name == "multi_round" else 0)]
+    split = protocol.name in ("proposed", "head_relay")
+    cell = scenario.phase1_threshold if split else scenario.full_slot_cell_threshold
+    decoded = (fading.phase1_sinrs(gbs, uav, gains, config, protocol.with_head,
+                                   protocol.name == "nearest_gbs") >= cell(config))
+    probs = np.empty((trials, 1 + rounds, n))
+    probs[:, 0] = decoded
+    if not rounds:
+        return probs
+    d2d = (scenario.phase2_threshold if split else scenario.full_slot_d2d_threshold)(config)
+    ratio = d2d * config.intf_noise_phase2_w / config.tx_power_uav_w
+    with np.errstate(over="ignore", divide="ignore"):
+        gain = uav[:, :, None, 0] - uav[:, None, :, 0]
+        dy = uav[:, :, None, 1] - uav[:, None, :, 1]
+        gain *= gain
+        dy *= dy
+        gain += dy
+        np.sqrt(gain, out=gain)
+        gain[:, np.arange(n), np.arange(n)] = np.inf
+        np.power(gain, -config.pathloss_exp_d2d, out=gain)
+        gain *= config.ref_gain_d2d
+    speakers = np.arange(n) == 0 if protocol.name == "head_relay" else np.ones(n, dtype=bool)
+    for r in range(1, rounds + 1):
+        relays = decoded & speakers
+        power = np.where(relays[:, None, :], gain, 0.0).sum(axis=2)
+        if d2d == 0.0:
+            heard = np.broadcast_to(relays.any(axis=1, keepdims=True), relays.shape).astype(float)
+        else:
+            with np.errstate(divide="ignore", over="ignore", under="ignore"):
+                heard = np.exp(-ratio / power)
+        np.maximum(np.where(decoded, 1.0, heard), probs[:, r - 1], out=probs[:, r])
+        if protocol.name == "multi_round":
+            sinrs = config.tx_power_uav_w * power * draws[r - 1] / config.intf_noise_phase2_w
+            decoded |= (sinrs >= d2d) & relays.any(axis=1, keepdims=True)
+    return probs
+
+
+@pytest.mark.parametrize("overrides, raw", [
+    ({"n_uavs": 10, "message_bits": 150.0}, {}),
+    ({}, {}),
+    ({"n_uavs": 1}, {}),
+    ({"n_uavs": 10, "message_bits": 150.0, "m_occupied": 0}, {}),
+    # the cellular stage decodes every UAV, at thresholds of 0: no listener
+    # is pending
+    ({"message_bits": 0.0}, {}),
+    # nearly every listener is pending
+    ({"n_uavs": 10, "message_bits": 150.0, "m_available": 1}, {}),
+    # a D2D threshold of 0 with listeners pending
+    ({"n_uavs": 10, "message_bits": 150.0}, {"bandwidth_d2d_hz": math.inf}),
+    # coincident UAVs: pair gains of inf
+    ({"n_uavs": 10, "message_bits": 150.0},
+     {"swarm_radius_m": 1e-160, "min_separation_m": 1e-170}),
+], ids=["n10", "n40", "n1", "no-interferers", "all-decode", "weak-cellular", "d2d-threshold-0",
+        "inf-gains"])
+def test_relay_rows_match_the_whole_matrix_bit_for_bit(overrides, raw):
+    # every protocol, multi_round at 1-6 rounds with and without the head,
+    # and a second and third threshold on the same draw, in one run of
+    # ragged chunks, and each protocol alone on one chunk: every curve has
+    # the bits of the whole-matrix loop on its own draws
+    cfg = replace(make_config(**overrides), **raw)
+    protocols = [mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY]
+    protocols += [mc.multi_round(r, h) for r in range(1, 7) for h in (True, False)]
+    variants = [(cfg, p) for p in protocols]
+    variants += [(replace(cfg, message_bits=cfg.message_bits / 2), mc.PROPOSED),
+                 (replace(cfg, message_bits=cfg.message_bits / 4), mc.multi_round(3))]
+    sizes, starts = [16, 16, 1, 9], [0, 16, 32, 33]
+    with np.errstate(over="ignore", divide="ignore"):
+        run, _ = mc.run_trial(variants, [mc.trial_rng(8, s) for s in starts], sizes)
+        for (config, protocol), curve in zip(variants, run):
+            want = [whole_matrix_relay(config, protocol, mc.trial_rng(8, s), n)
+                    for s, n in zip(starts, sizes)]
+            assert _same_bits(curve, np.concatenate(want)), protocol.label
+        for protocol in protocols:
+            [alone], _ = mc.run_trial([(cfg, protocol)], mc.trial_rng(9, 0), 20)
+            assert _same_bits(alone, whole_matrix_relay(cfg, protocol, mc.trial_rng(9, 0), 20))
 
 
 @pytest.mark.parametrize("trials", [1, 5, 17, 250, 1000, 20_000])
@@ -444,10 +535,9 @@ def sampled_rounds(config, rounds, with_head, rng, trials):
     draws = [fading.draw_phase2(config, rng, trials) for _ in range(rounds)]
     decoded = (fading.phase1_sinrs(gbs, uav, gains, config, with_head)
                >= scenario.full_slot_cell_threshold(config))
-    path_gain = fading.relay_gains(uav, config)
     out = [decoded.copy()]
     for draw in draws:
-        sinrs = fading.phase2_sinrs(fading.relay_power(path_gain, decoded), draw, config)
+        sinrs = fading.phase2_sinrs(relay_power_everywhere(uav, decoded, config), draw, config)
         decoded |= ((sinrs >= scenario.full_slot_d2d_threshold(config))
                     & decoded.any(axis=1, keepdims=True))
         out.append(decoded.copy())
@@ -558,7 +648,8 @@ def test_variants_of_one_curve_share_its_controlled_entries(monkeypatch):
 def test_relay_gains_are_formed_once_per_kernel_call_and_only_to_relay(monkeypatch, config):
     # the five rows of a message_bits sweep share each run's draw and its
     # D2D pair gains, 64 trials at N=40 being runs of ten and six chunks of
-    # 4; dist-k stops after the cellular stage and forms none
+    # 4; dist-k stops after the cellular stage and forms none, and neither
+    # does a relaying curve whose cellular stage decodes every UAV
     pairs = [(replace(config, message_bits=bits), mc.PROPOSED) for bits in (8, 16, 24, 32, 40)]
     calls = []
     _count_calls(monkeypatch, calls, mc, "run_trial")
@@ -568,6 +659,10 @@ def test_relay_gains_are_formed_once_per_kernel_call_and_only_to_relay(monkeypat
     calls.clear()
     mc.phase1_count_distribution(config, 64, 15)
     assert calls == ["run_trial"] * 2
+    calls.clear()
+    everyone = mc.estimate(replace(config, message_bits=0.0), mc.multi_round(2), 64, 15)
+    assert calls == ["run_trial"] * 2
+    assert [est.eta_mean for est in everyone] == [1.0] * 3
 
 
 def test_protocols_on_one_seed_share_the_cellular_stage():
@@ -599,11 +694,15 @@ def test_variants_share_a_draw_only_when_only_thresholds_differ():
     pairs = [(cfg, mc.PROPOSED), (replace(cfg, message_bits=80.0), mc.ALL_GBS),
              (wider, mc.PROPOSED)]
     assert mc.estimate_variants(pairs, 30, 12) == [mc.estimate(c, p, 30, 12) for c, p in pairs]
-    # an unvalidated config with a NaN differs from itself field by field;
-    # comparing whole draw keys would pass it on its identity, and the
-    # trials would compute from the NaN without a word
-    with pytest.raises(ValueError, match="rician_k"):
-        mc.estimate(replace(cfg, rician_k=math.nan), mc.PROPOSED, 10, 12)
+    # an unvalidated config with a NaN differs from itself field by field,
+    # and is named not finite, first or not; comparing whole draw keys
+    # would pass it on its identity, and the trials would compute from the
+    # NaN without a word
+    nan = replace(cfg, rician_k=math.nan)
+    with pytest.raises(ValueError, match="rician_k: nan is not finite"):
+        mc.estimate(nan, mc.PROPOSED, 10, 12)
+    with pytest.raises(ValueError, match="rician_k: nan is not finite"):
+        mc.run_trial([(cfg, mc.PROPOSED), (nan, mc.PROPOSED)], mc.trial_rng(12, 0), 4)
 
 
 def test_proposed_protocol_dominates_at_reference_point(config):
@@ -658,10 +757,12 @@ def _relay_scene(config, seed, trials):
     return uav, relays
 
 
-def _decode_probs(path_gain, relays, config, threshold):
-    """``fading.phase2_decode_probs`` when the ``relays`` relay over the pair gains ``path_gain``."""
-    return fading.phase2_decode_probs(fading.relay_power(path_gain, relays), relays, config,
-                                      threshold)
+def _decode_probs(uav, relays, config, threshold):
+    """``fading.phase2_decode_probs`` of every UAV (trials, N) at planar ``uav`` when the
+    ``relays`` relay: one row per UAV, each with its trial's relays."""
+    rows = np.repeat(relays, relays.shape[1], axis=0)
+    power = relay_power_everywhere(uav, relays, config).ravel()
+    return fading.phase2_decode_probs(power, rows, config, threshold).reshape(relays.shape)
 
 
 def test_phase2_decode_probs_match_sampled_frequency(config):
@@ -670,7 +771,7 @@ def test_phase2_decode_probs_match_sampled_frequency(config):
     batch = 2_000
     uav, relays = _relay_scene(config, 40, batch)
     theta2 = scenario.phase2_threshold(config)
-    exact = _decode_probs(fading.relay_gains(uav, config), relays, config, theta2)
+    exact = _decode_probs(uav, relays, config, theta2)
     assert (exact == exact[0]).all()
     exact = exact[0, 3:]
     assert ((0.05 < exact) & (exact < 0.95)).sum() >= 30
@@ -692,19 +793,18 @@ def test_phase2_sinrs_decode_as_often_as_complex_gains(config, scale):
     # complex Rayleigh draws combined by the oracle
     batch, draws = 2_000, 20_000
     uav, relays = _relay_scene(config, 44, batch)
-    path_gain = fading.relay_gains(uav, config)
+    power = relay_power_everywhere(uav, relays, config)
     threshold = scale * scenario.phase2_threshold(config)
     rng = np.random.default_rng(45)
     ours = np.zeros(37)
     oracle = np.zeros(37)
     gains = np.zeros((batch, 40, 40), dtype=complex)  # only the relays' columns are heard
     for _ in range(draws // batch):
-        sinrs = fading.phase2_sinrs(fading.relay_power(path_gain, relays),
-                                    fading.draw_phase2(config, rng, batch), config)
+        sinrs = fading.phase2_sinrs(power, fading.draw_phase2(config, rng, batch), config)
         ours += (sinrs[:, 3:] >= threshold).sum(axis=0)
         gains[:, :, :3] = fading.sample_rayleigh(rng, size=(batch, 40, 3))
         oracle += (complex_gain_sinrs(uav, relays, gains, config)[:, 3:] >= threshold).sum(axis=0)
-    exact = _decode_probs(path_gain, relays, config, threshold)[0, 3:]
+    exact = _decode_probs(uav, relays, config, threshold)[0, 3:]
     assert ((0.05 < exact) & (exact < 0.95)).sum() >= 10
     sigma = np.sqrt(2.0 * exact * (1.0 - exact) / draws)
     assert (np.abs(ours - oracle) / draws <= 4.0 * sigma).all()
@@ -712,27 +812,33 @@ def test_phase2_sinrs_decode_as_often_as_complex_gains(config, scale):
 
 def test_phase2_decode_probs_limits(config):
     uav, relays = _relay_scene(config, 42, 2)
-    path_gain = fading.relay_gains(uav, config)
     nobody = np.zeros_like(relays)
-    probs = lambda theta: _decode_probs(path_gain, relays, config, theta)[:, 3:]
+    probs = lambda theta: _decode_probs(uav, relays, config, theta)[:, 3:]
     assert (probs(0.0) == 1.0).all()
-    assert (_decode_probs(path_gain, nobody, config, 0.0) == 0.0).all()
-    assert (_decode_probs(path_gain, nobody, config, 0.5) == 0.0).all()
+    assert (_decode_probs(uav, nobody, config, 0.0) == 0.0).all()
+    assert (_decode_probs(uav, nobody, config, 0.5) == 0.0).all()
+    # at threshold 0 too, one probability per row, each of its own trial
+    rows = np.array([[True, False], [False, False], [False, True]])
+    assert _same_bits(fading.phase2_decode_probs(np.zeros(3), rows, config, 0.0),
+                      np.array([1.0, 0.0, 1.0]))
     grid = [probs(t) for t in (0.1, 0.5, 2.0, 1e3)]
     assert all((a >= b).all() for a, b in zip(grid, grid[1:]))
     # one trial relays and the other does not: each gets its own answer
     mixed = relays.copy()
     mixed[1] = False
-    got = _decode_probs(path_gain, mixed, config, 0.5)
-    assert np.array_equal(got[0], _decode_probs(path_gain, relays, config, 0.5)[0])
+    got = _decode_probs(uav, mixed, config, 0.5)
+    assert np.array_equal(got[0], _decode_probs(uav, relays, config, 0.5)[0])
     assert (got[1] == 0.0).all()
     # a path gain that underflows to 0, and a ratio past exp's range, give 0
     with np.errstate(over="ignore"):
-        far = fading.relay_gains(uav * 1e300, config)
+        far = fading.relay_gains(uav * 1e300, np.ones_like(relays), config)
     assert (far == 0.0).all()
+    rows = np.repeat(relays, relays.shape[1], axis=0)
+    far_probs = lambda theta: fading.phase2_decode_probs(fading.relay_power(far, rows), rows,
+                                                         config, theta).reshape(relays.shape)
     with np.errstate(all="raise"):
-        assert (_decode_probs(far, relays, config, 0.5)[:, 3:] == 0.0).all()
-        assert (_decode_probs(far, relays, config, 0.0)[:, 3:] == 1.0).all()
+        assert (far_probs(0.5)[:, 3:] == 0.0).all()
+        assert (far_probs(0.0)[:, 3:] == 1.0).all()
         assert (probs(1e300) == 0.0).all()
 
 
@@ -745,11 +851,11 @@ def test_phase2_decode_probs_at_edge_powers_match_the_masked_divide(config):
     edges = np.array([0.0, 5e-324, 1e-310, ratio / 746.0, ratio / 745.0, ratio, np.inf])
     power = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, 0.0),
                             ratio * np.logspace(-4, 4, 2_000)])
-    relays = np.ones((1, len(power)), dtype=bool)
+    relays = np.ones((len(power), 1), dtype=bool)  # each row's trial has a relay
     guarded = np.exp(-np.divide(ratio, power, out=np.full(power.shape, np.inf),
                                 where=power > ratio / 746.0))
     with np.errstate(all="raise"):
-        probs = fading.phase2_decode_probs(power[None], relays, config, theta)[0]
+        probs = fading.phase2_decode_probs(power, relays, config, theta)
     assert _same_bits(probs, guarded)
     assert probs[0] == 0.0 and probs[len(edges) - 1] == 1.0
 
@@ -774,8 +880,7 @@ def sampled_relay_fractions(config, protocol, trials, seed):
         if protocol.name == "head_relay":
             relays[:, 1:] = False
         gains = fading.draw_phase2(config, rng, stop - start)
-        sinrs = fading.phase2_sinrs(fading.relay_power(fading.relay_gains(uav, config), relays),
-                                    gains, config)
+        sinrs = fading.phase2_sinrs(relay_power_everywhere(uav, relays, config), gains, config)
         decoded |= (sinrs >= theta2) & relays.any(axis=1, keepdims=True)
         return decoded.sum(axis=1) / config.n_uavs
 
