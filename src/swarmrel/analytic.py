@@ -94,13 +94,12 @@ def inv_gamma_fit(mu: float, nu: float) -> InvGammaFit:
     return InvGammaFit(a=r + 2.0, b=(r + 1.0) * mu)
 
 
-def _log_span(config: ScenarioConfig) -> float:
-    """L = log(d_max / H) = log(1 + (R/H)^2) / 2 for the GBS distance d in [H, d_max].
+def _log_span(h: float, r: float) -> float:
+    """L = log(d_max / h) = log(1 + (r/h)^2) / 2 for the GBS distance d in [h, d_max].
 
     Only a ratio of at most 1 is squared, so no length squared leaves the
     float range.
     """
-    h, r = config.swarm_altitude_m, config.coverage_radius_m
     t = r / h
     if t <= 1.0:
         return 0.5 * math.log1p(t * t)
@@ -122,28 +121,26 @@ def _log_sinhc(y: float) -> float:
     return math.log1p(excess)
 
 
-def _distance_power_moments(config: ScenarioConfig, q: float, fade1: float,
+def _distance_power_moments(h: float, r: float, q: float, fade1: float,
                             fade2: float) -> tuple[float, float]:
     """Mean and variance of d^-q A for the GBS distance d and an independent fading term A.
 
     ``fade1`` and ``fade2`` are E[A] and E[A^2].  d^2 is uniform on [H^2,
-    H^2 + R^2], so with L = log(d_max/H) and phi(y) = expm1(y)/y, E[d^-s] =
-    H^-s phi((2-s)L) / phi(2L).  Written with g of ``_log_sinhc``, log phi(y)
+    H^2 + R^2], for H = ``h`` and R = ``r``, so with L = log(d_max/H) and
+    phi(y) = expm1(y)/y, E[d^-s] = H^-s phi((2-s)L) / phi(2L).  Written with g of ``_log_sinhc``, log phi(y)
     = y/2 + g(y), so E[d^-q] = H^-q exp(g(a) - g(b) - qL/2) and Var[d^-q] /
     E[d^-2q] = -expm1(2g(a) - g(b) - g(c)) for a = (2-q)L, b = 2L and c =
     (2-2q)L: since 2a = b + c the linear parts cancel exactly, and no
     difference of nearly equal moments is formed at any span.
     """
-    span = _log_span(config)
+    span = _log_span(h, r)
     ga, gb, gc = (_log_sinhc(y * span) for y in (2.0 - q, 2.0, 2.0 - 2.0 * q))
-    h = config.swarm_altitude_m
     try:
         mean = h**-q * math.exp(ga - gb - q * span / 2.0)
         second = h ** (-2.0 * q) * math.exp(gc - gb - q * span)
     except OverflowError:
         raise MomentFitError(f"the moments of d^-{q:g} for the GBS distance d overflow at "
-                             f"swarm_altitude_m = {h:g}, coverage_radius_m = "
-                             f"{config.coverage_radius_m:g}") from None
+                             f"swarm_altitude_m = {h:g}, coverage_radius_m = {r:g}") from None
     spread = -math.expm1(2.0 * ga - gb - gc)
     return mean * fade1, second * (fade1 * fade1 * spread + (fade2 - fade1 * fade1))
 
@@ -151,19 +148,22 @@ def _distance_power_moments(config: ScenarioConfig, q: float, fade1: float,
 def moments_head_signal(config: ScenarioConfig) -> tuple[float, float]:
     """Mean and variance of one serving GBS's amplitude term d^(-alpha/2) |h|."""
     m1, m2, _ = rician_moments(config.rician_k)
-    return _distance_power_moments(config, config.pathloss_exp_cell / 2.0, m1, m2)
+    h, r = config.swarm_altitude_m, config.coverage_radius_m
+    return _distance_power_moments(h, r, config.pathloss_exp_cell / 2.0, m1, m2)
 
 
 def moments_interference(config: ScenarioConfig) -> tuple[float, float]:
     """Mean and variance of the occupied GBSs' total power d^-alpha |h|^2."""
     _, m2, m4 = rician_moments(config.rician_k)
-    mu, nu = _distance_power_moments(config, config.pathloss_exp_cell, m2, m4)
+    h, r = config.swarm_altitude_m, config.coverage_radius_m
+    mu, nu = _distance_power_moments(h, r, config.pathloss_exp_cell, m2, m4)
     return config.m_occupied * mu, config.m_occupied * nu
 
 
 def moments_pathloss_sum(config: ScenarioConfig) -> tuple[float, float]:
     """Mean and variance of the serving GBSs' summed path loss d^-alpha."""
-    mu, nu = _distance_power_moments(config, config.pathloss_exp_cell, 1.0, 1.0)
+    h, r = config.swarm_altitude_m, config.coverage_radius_m
+    mu, nu = _distance_power_moments(h, r, config.pathloss_exp_cell, 1.0, 1.0)
     return config.m_available * mu, config.m_available * nu
 
 

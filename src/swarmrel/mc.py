@@ -15,11 +15,12 @@ chunk is drawn on its own rng seeded from (master_seed, the chunk's first
 trial).  One kernel call takes a run of chunks in trial order, as many as
 keep its arrays within a fixed element budget (fewer on a pool, where the
 runs split the chunks evenly among the workers): it draws each chunk on its
-own rng, then decodes the whole run at once, one curve for each (config,
-protocol) pair it is handed, all of one draw.  Which pairs share a curve,
-and which curves a draw, is decided once, in ``estimate_variants``.  A
-trial's values are those of a call on its chunk alone, so results are a
-function of (config, seed, trials), whatever the runs or the worker count.
+own rng, then decodes the whole run at once, one curve for each (protocol,
+thresholds) it is handed, all of one draw.  Which of a command's (config,
+protocol) pairs share a curve, which curves a draw, and each curve's
+thresholds are decided once, in ``estimate_variants``.  A trial's values
+are those of a call on its chunk alone, so results are a function of
+(config, seed, trials), whatever the runs or the worker count.
 
 From ``CONTROL_MIN_TRIALS`` trials up, each entry of every curve, relay
 rounds included, is a regression control-variate estimate: the sample mean
@@ -159,6 +160,10 @@ _RESOLVABLE = math.sqrt(float(np.finfo(float).eps))
 # draw over several chunks: it bounds the (trials, N, N) and (trials, N, M)
 # arrays of a run to about a MB, and decodes 100 trials at N=40 in 3 calls
 _RUN_ELEMENTS = 1 << 16
+# the share q of R^2 at which the control features floor each squared GBS
+# distance: on a wide cell their exact means are carried by near GBSs too
+# rare to be drawn.  At q <= 1/9, a cell with R <= 3H is not floored
+_DISTANCE_FLOOR = 0.1
 
 
 def trial_rng(master_seed: int, start: int) -> np.random.Generator:
@@ -171,38 +176,29 @@ def _draw_key(config: ScenarioConfig) -> tuple:
     return tuple(kv for kv in vars(config).items() if kv[0] not in ("message_bits", "tau_phase1_s"))
 
 
-def _thresholds(variants) -> list[tuple[float, float | None]]:
-    """Each variant's (cellular, D2D) decode thresholds, once all are checked to share a draw."""
-    base = _draw_key(variants[0][0])
-    out = []
-    for config, protocol in variants:
-        # value by value: a NaN differs even from itself, where a tuple's ==
-        # would pass it on its identity
-        for (name, value), (_, shared) in zip(_draw_key(config), base):
-            if value != value:
-                raise ValueError(f"{name}: {value} is not finite")
-            if value != shared:
-                raise ValueError(f"{name}: variants of one draw may differ only in "
-                                 "message_bits and tau_phase1_s")
-        split = protocol.name in ("proposed", "head_relay")
-        cell, d2d = ((scenario.phase1_threshold, scenario.phase2_threshold) if split else
-                     (scenario.full_slot_cell_threshold, scenario.full_slot_d2d_threshold))
-        # past its rate cap an unused D2D threshold would raise ConfigError
-        out.append((cell(config), d2d(config) if protocol.rounds else None))
-    return out
+def _thresholds(config: ScenarioConfig, protocol: Protocol) -> tuple[float, float | None]:
+    """A curve's (cellular, D2D) decode thresholds; a draw field that is NaN is refused."""
+    for name, value in _draw_key(config):
+        # a NaN differs even from itself; the trials would compute from it without a word
+        if value != value:
+            raise ValueError(f"{name}: {value} is not finite")
+    split = protocol.name in ("proposed", "head_relay")
+    cell, d2d = ((scenario.phase1_threshold, scenario.phase2_threshold) if split else
+                 (scenario.full_slot_cell_threshold, scenario.full_slot_d2d_threshold))
+    # past its rate cap an unused D2D threshold would raise ConfigError
+    return cell(config), d2d(config) if protocol.rounds else None
 
 
-def run_trial(variants, rng, trials):
+def run_trial(config: ScenarioConfig, curves, rngs, trials):
     """Decode probabilities of a run of chunks of trials, each chunk drawn on its own rng.
 
-    ``rng`` and ``trials`` are one chunk's Generator and trial count, or
-    the matching sequences of a run of consecutive chunks.  ``variants``
-    are (config, protocol) pairs whose configs differ only in
-    ``message_bits`` and ``tau_phase1_s``, which no draw reads; their
-    thresholds (``_thresholds``) are computed before the first draw.
-    Returns ``(curves, draws)`` over the run's trials, in chunk order:
-    ``curves`` holds one float (trials, 1 + relay rounds, N) array per
-    variant, and ``draws`` are the GBS layouts (trials, M, 2) and
+    ``config`` is the draw's config, and ``rngs`` and ``trials`` are the
+    Generators and trial counts of a run of consecutive chunks.  Each of
+    ``curves`` is (protocol, cellular threshold, D2D threshold), the last
+    None without relay rounds, as ``estimate_variants`` plans them
+    (``_thresholds``).  Returns ``(probs, draws)`` over the run's trials,
+    in chunk order: ``probs`` holds one float (trials, 1 + relay rounds, N)
+    array per curve, and ``draws`` are the GBS layouts (trials, M, 2) and
     cellular gains (trials, N, M), whence the control features
     (``_control_features``).  Row 0 of a trial is the cellular stage, row
     r the probability that each UAV has decoded by relay round r.  The
@@ -216,8 +212,8 @@ def run_trial(variants, rng, trials):
     placement per trial in trial order, the cellular fading, then for
     ``multi_round`` one D2D draw per UAV of all its trials per relay round
     (``fading.draw_phase2``), whatever the outcomes.  So relay round r
-    draws the same whatever the round count.  Each variant is one curve:
-    which variants share one is ``estimate_variants``' to decide.
+    draws the same whatever the round count.  Which curves share a draw is
+    ``estimate_variants``' to decide.
     Everything after the draws works trial by trial, so a trial's values
     are those of a call on its chunk alone, bit for bit.  The D2D pair
     gains (``fading.relay_gains``) draw nothing; they are formed once, one
@@ -225,16 +221,12 @@ def run_trial(variants, rng, trials):
     stage.  A round sums, decodes and samples only its curve's listeners
     still to decode, each row's sum with the bits of the whole matrix's.
     """
-    if isinstance(rng, np.random.Generator):
-        rng, trials = [rng], [trials]
-    thresholds = _thresholds(variants)
-    config = variants[0][0]
-    sampled = max((p.rounds for _, p in variants if p.name == "multi_round"), default=0)
+    sampled = max((p.rounds for p, _, _ in curves if p.name == "multi_round"), default=0)
     n, m, total = config.n_uavs, config.m_total, sum(trials)
     gbs, uav = np.empty((total, m, 2)), np.empty((total, n, 2))
     gains, relay_draws = np.empty((total, n, m), dtype=complex), np.empty((sampled, total, n))
     stop = 0
-    for chunk_rng, size in zip(rng, trials):
+    for chunk_rng, size in zip(rngs, trials):
         start, stop = stop, stop + size
         gbs[start:stop] = geometry.sample_gbs_layout(config, chunk_rng, size)
         uav[start:stop] = geometry.sample_swarm_layout(config, chunk_rng, size)
@@ -243,7 +235,7 @@ def run_trial(variants, rng, trials):
             draw[start:stop] = fading.draw_phase2(config, chunk_rng, size)
     cell_sinrs = {}  # by head weighting and serving set
     decodes, pending = [], np.zeros((total, n), dtype=bool)  # pending: left to some curve's relays
-    for (_, protocol), (cell_threshold, _) in zip(variants, thresholds):
+    for protocol, cell_threshold, _ in curves:
         cell = (protocol.with_head, protocol.name == "nearest_gbs")
         if cell not in cell_sinrs:
             cell_sinrs[cell] = fading.phase1_sinrs(gbs, uav, gains, config, *cell)
@@ -251,8 +243,8 @@ def run_trial(variants, rng, trials):
         if protocol.rounds:
             pending |= ~decodes[-1]
     path_gain = fading.relay_gains(uav, pending, config) if pending.any() else np.empty((0, n))
-    curves = []
-    for (_, protocol), (_, d2d_threshold), decoded in zip(variants, thresholds, decodes):
+    out = []
+    for (protocol, _, d2d_threshold), decoded in zip(curves, decodes):
         name, rounds = protocol.name, protocol.rounds
         probs = np.empty((1 + rounds, total, n))  # round by round, returned trial by trial
         probs[0] = decoded
@@ -279,15 +271,16 @@ def run_trial(variants, rng, trials):
                 sinrs = fading.phase2_sinrs(power, relay_draws[r - 1][listening], config)
                 decoded[listening] = ((sinrs >= d2d_threshold)
                                       & np.repeat(relays.any(axis=1), counts))
-        curves.append(probs.transpose(1, 0, 2))
-    return curves, (gbs, gains)
+        out.append(probs.transpose(1, 0, 2))
+    return out, (gbs, gains)
 
 
 def _control_features(draws, config: ScenarioConfig) -> np.ndarray:
     """The eight control features (trials, 8) of a run's ``run_trial`` draws.
 
     ``draws`` are the GBS layouts (trials, M, 2) and the cellular gains
-    (trials, N, M).  With D_m GBS m's 3-D distance to the swarm center and
+    (trials, N, M).  With D_m GBS m's 3-D distance to the swarm center,
+    floored at sqrt(c) for c = max(H^2, q R^2), q = ``_DISTANCE_FLOOR``, and
     alpha the cellular path-loss exponent, A = sum of D_m^(-alpha/2) and S =
     sum of D_m^-alpha over the serving GBSs, and I = sum of D_m^-alpha over
     the occupied ones; the features are A, S, I, A^2, I^2, A I and, over
@@ -298,10 +291,12 @@ def _control_features(draws, config: ScenarioConfig) -> np.ndarray:
     """
     gbs, gains = draws
     m0, members = config.m_available, max(1, config.n_uavs - 1)
+    h, r = config.swarm_altitude_m, config.coverage_radius_m
     # a feature that is not finite only leaves its draw's entries raw
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         amp = np.einsum("tmk,tmk->tm", gbs, gbs)
-        amp += config.swarm_altitude_m * config.swarm_altitude_m
+        amp += h * h
+        np.maximum(amp, max(h * h, _DISTANCE_FLOOR * r * r), out=amp)
         np.power(amp, -config.pathloss_exp_cell / 4.0, out=amp)
         serving, occupied = amp[:, :m0], amp[:, m0:]
         a = serving.sum(axis=1)
@@ -320,21 +315,31 @@ def _feature_means(config: ScenarioConfig) -> np.ndarray | None:
     """The exact means of the eight control features, or None where they are not finite.
 
     D^2 is uniform on [H^2, H^2 + R^2] (``analytic._distance_power_moments``),
-    and the GBS distances are i.i.d., so E[A^2] = m0 E[D^-alpha] + m0 (m0 - 1)
-    E[D^(-alpha/2)]^2, and so on.  The fading is independent of the layout,
-    with E h = 0 under its random line-of-sight phase and E|h|^2 = 1, and
-    the head's weights are independent of the members' fading, so the mean
-    member signal has mean m0 E[D^-alpha] and the mean member interference
-    m1 E[D^-alpha].
+    so the floored one of ``_control_features`` has a mass (c - H^2) / R^2
+    at c and is uniform on [c, H^2 + R^2] else.  The GBS distances are
+    i.i.d., so E[A^2] = m0 E[D^-alpha] + m0 (m0 - 1) E[D^(-alpha/2)]^2, and
+    so on.  The fading is independent of the layout, with E h = 0 under its
+    random line-of-sight phase and E|h|^2 = 1, and the head's weights are
+    independent of the members' fading, so the mean member signal has mean
+    m0 E[D^-alpha] and the mean member interference m1 E[D^-alpha].
     """
-    alpha = config.pathloss_exp_cell
+    alpha, h, r = config.pathloss_exp_cell, config.swarm_altitude_m, config.coverage_radius_m
+
+    def moments(s):  # E[D^-s] and E[D^-2s]
+        if _DISTANCE_FLOOR * r * r <= h * h:
+            mean, var = analytic._distance_power_moments(h, r, s, 1.0, 1.0)
+            return mean, var + mean * mean
+        low, mass = math.sqrt(_DISTANCE_FLOOR) * r, _DISTANCE_FLOOR - (h / r) ** 2
+        radius = math.hypot(h, math.sqrt(1.0 - _DISTANCE_FLOOR) * r)
+        mean, var = analytic._distance_power_moments(low, radius, s, 1.0, 1.0)
+        return (mass * low ** -s + (1.0 - mass) * mean,
+                mass * low ** (-2.0 * s) + (1.0 - mass) * (var + mean * mean))
+
     try:
-        half, _ = analytic._distance_power_moments(config, alpha / 2.0, 1.0, 1.0)
-        full, var = analytic._distance_power_moments(config, alpha, 1.0, 1.0)
-    except analytic.MomentFitError:
+        (half, _), (full, second) = moments(alpha / 2.0), moments(alpha)
+    except (analytic.MomentFitError, OverflowError):
         return None
     m0, m1 = config.m_available, config.m_occupied
-    second = var + full * full  # E[D^-2alpha]
     means = np.array([m0 * half, m0 * full, m1 * full,
                       m0 * full + m0 * (m0 - 1) * half * half,
                       m1 * second + m1 * (m1 - 1) * full * full,
@@ -342,7 +347,7 @@ def _feature_means(config: ScenarioConfig) -> np.ndarray | None:
     return means if np.isfinite(means).all() else None
 
 
-def _decoded_counts(curves, control, master_seed, bounds):
+def _decoded_counts(config, curves, control, master_seed, bounds):
     """A run's table (trials, columns): each curve's expected decoded counts, 1 + rounds
     columns each, then the run's eight ``_control_features`` if ``control``.
 
@@ -355,8 +360,8 @@ def _decoded_counts(curves, control, master_seed, bounds):
     # every separation in placement and gives a path gain of 0: the limits
     # wanted, so the overflow is not reported
     with np.errstate(over="ignore"):
-        probs, draws = run_trial(curves, rngs, np.diff(bounds).tolist())
-    features = [_control_features(draws, curves[0][0])] if control else []
+        probs, draws = run_trial(config, curves, rngs, np.diff(bounds).tolist())
+    features = [_control_features(draws, config)] if control else []
     return np.concatenate([curve.sum(axis=2) for curve in probs] + features, axis=1)
 
 
@@ -402,24 +407,23 @@ def _map_chunks(worker, trials: int, workers: int, elements: int):
     return _pool(workers).map(worker, runs)
 
 
-def _gather_counts(curves, trials, master_seed, workers, control=False):
+def _gather_counts(config, curves, trials, master_seed, workers, control=False):
     """Each curve's (trials, 1 + rounds) counts and the draw's ``_regression``, or None.
 
-    ``curves`` are (config, protocol) pairs of one draw, each computed
-    once: the runs' tables (``_decoded_counts``) fill one (trials, columns)
-    table in chunk order, and each curve gets a view of its columns.  The
-    draw's features, and its regression, are formed only with ``control``,
-    and every curve gets that regression.
+    ``curves`` are the planned curves (``run_trial``) of ``config``'s draw,
+    each computed once: the runs' tables (``_decoded_counts``) fill one
+    (trials, columns) table in chunk order, and each curve gets a view of
+    its columns.  The draw's features, and its regression, are formed only
+    with ``control``, and every curve gets that regression.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    config = curves[0][0]
-    edges = [0, *itertools.accumulate(1 + protocol.rounds for _, protocol in curves)]
+    edges = [0, *itertools.accumulate(1 + protocol.rounds for protocol, _, _ in curves)]
     table = np.empty((trials, edges[-1] + (8 if control else 0)))
     start = 0
     # the largest per-trial arrays are the (N, N) pair gains and the (N, M) cellular ones
     elements = config.n_uavs * max(config.n_uavs, config.m_total)
-    worker = functools.partial(_decoded_counts, curves, control, master_seed)
+    worker = functools.partial(_decoded_counts, config, curves, control, master_seed)
     for piece in _map_chunks(worker, trials, workers, elements):
         table[start:start + len(piece)] = piece
         start += len(piece)
@@ -507,18 +511,19 @@ def estimate_variants(variants, trials: int, master_seed: int, workers: int = 1)
     asks, its entries are formed once, and each takes its prefix.  Curves
     whose configs differ only in ``message_bits`` and ``tau_phase1_s``
     (equal ``_draw_key``), wherever they are asked, share one draw per
-    chunk, yet each equals its own ``estimate``.
+    chunk, yet each equals its own ``estimate``.  Every curve's thresholds
+    are formed here once, before any draw, so a bad one fails first.
     """
-    plan = {}  # draw -> curve -> the most relay rounds asked of it, in order of first ask
+    plan = {}  # draw -> curve -> its protocol at the most rounds asked, in order of first ask
     for config, protocol in variants:
         curves = plan.setdefault(_draw_key(config), {})
         key = (config, protocol.name, protocol.with_head)
-        curves[key] = max(curves.get(key, 0), protocol.rounds)
+        curves[key] = max(curves.get(key, protocol), protocol, key=lambda p: p.rounds)
+    planned = [[(p, *_thresholds(key[0], p)) for key, p in curves.items()]
+               for curves in plan.values()]
     entries = {}
-    for curves in plan.values():
-        gathered = _gather_counts([(config, Protocol(name, rounds, with_head))
-                                   for (config, name, with_head), rounds in curves.items()],
-                                  trials, master_seed, workers,
+    for curves, draw in zip(plan.values(), planned):
+        gathered = _gather_counts(next(iter(curves))[0], draw, trials, master_seed, workers,
                                   control=trials >= CONTROL_MIN_TRIALS)
         for key, (all_counts, regression) in zip(curves, gathered):
             entries[key] = [_entry(counts / key[0].n_uavs, regression, trials, master_seed)
@@ -538,6 +543,8 @@ def phase1_count_distribution(
     The trials stop after the cellular stage; the relay draws come after
     the cellular ones, so the counts are those of full ``PROPOSED`` trials.
     """
-    [(counts, _)] = _gather_counts([(config, Protocol("proposed"))], trials, master_seed, workers)
+    cellular = Protocol("proposed")
+    [(counts, _)] = _gather_counts(config, [(cellular, *_thresholds(config, cellular))], trials,
+                                   master_seed, workers)
     pmf = np.bincount(counts[:, 0].astype(int), minlength=config.n_uavs + 1) / trials
     return Phase1CountDistribution(pmf=pmf, trials=trials, seed=master_seed)

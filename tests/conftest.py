@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmrel import fading, scenario
+from swarmrel import fading, mc, scenario
 
 
 BASE = dict(
@@ -41,6 +41,41 @@ def write_config(config: scenario.ScenarioConfig, path) -> None:
     """Write ``config`` to ``path`` in the format ``scenario.read_config`` reads."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(scenario.format_config(config))
+
+
+def planned_curves(variants):
+    """The curves of one draw's (config, protocol) pairs, each at its own thresholds, as
+    ``mc.estimate_variants`` plans them; the pairs must share their draw."""
+    assert len({mc._draw_key(config) for config, _ in variants}) == 1, "pairs of several draws"
+    return [(protocol, *mc._thresholds(config, protocol)) for config, protocol in variants]
+
+
+def run_kernel(variants, rng, trials):
+    """``mc.run_trial`` on one draw's (config, protocol) pairs (``planned_curves``).
+
+    ``rng`` and ``trials`` are one chunk's Generator and trial count, or the
+    matching sequences of a run of consecutive chunks.
+    """
+    if isinstance(rng, np.random.Generator):
+        rng, trials = [rng], [trials]
+    return mc.run_trial(variants[0][0], planned_curves(variants), rng, trials)
+
+
+def gather_counts(variants, trials, seed, control=False):
+    """``mc._gather_counts`` at one worker on one draw's (config, protocol) pairs."""
+    return mc._gather_counts(variants[0][0], planned_curves(variants), trials, seed, 1,
+                             control=control)
+
+
+def record_kernel_calls(monkeypatch, calls):
+    """Append (config, curves, chunk sizes) of each ``mc.run_trial`` call to ``calls``."""
+    run_trial = mc.run_trial
+
+    def recording(config, curves, rngs, trials):
+        calls.append((config, curves, list(trials)))
+        return run_trial(config, curves, rngs, trials)
+
+    monkeypatch.setattr(mc, "run_trial", recording)
 
 
 def relay_power_everywhere(uav, relays, config):

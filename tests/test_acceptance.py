@@ -15,7 +15,7 @@ from scipy import integrate, special
 
 from swarmrel import analytic, geometry, mc, scenario, specfun
 
-from conftest import make_config
+from conftest import make_config, run_kernel
 
 WORKERS = 2
 
@@ -270,11 +270,11 @@ def test_criterion_8_structural_invariants():
     assert off.shape == (100, 190)
     assert off.min() >= 5.0
 
-    masks = mc.run_trial([(cfg, mc.PROPOSED)], mc.trial_rng(802, 0), 100)[0][0]
+    masks = run_kernel([(cfg, mc.PROPOSED)], mc.trial_rng(802, 0), 100)[0][0]
     assert (masks[:, 0] <= masks[:, -1]).all()
 
     cfg_mr = make_config(n_uavs=10, message_bits=150.0)
-    masks = mc.run_trial([(cfg_mr, mc.multi_round(4))], mc.trial_rng(803, 0), 100)[0][0]
+    masks = run_kernel([(cfg_mr, mc.multi_round(4))], mc.trial_rng(803, 0), 100)[0][0]
     assert (masks[:, :-1] <= masks[:, 1:]).all()
 
     serial = mc.estimate(cfg, mc.PROPOSED, 600, 804, workers=1)[-1]

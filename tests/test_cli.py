@@ -8,7 +8,7 @@ import pytest
 
 from swarmrel import analytic, cli, mc, specfun
 
-from conftest import make_config, write_config
+from conftest import make_config, record_kernel_calls, write_config
 
 
 @pytest.fixture
@@ -273,20 +273,15 @@ def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
     # 64 trials are one pass over 16 chunks of 4, in kernel calls of ten and
     # six chunks at N=40
     calls = []
-    run_trial = mc.run_trial
-
-    def counting(variants, rng, trials):
-        calls.append((max(p.rounds for _, p in variants), list(trials)))
-        return run_trial(variants, rng, trials)
-
-    monkeypatch.setattr(mc, "run_trial", counting)
+    record_kernel_calls(monkeypatch, calls)
     code, out, _ = run_cli(
         capsys, "sweep", "--config", config_path, "--var", "rounds", "--values", "1,2,3",
         "--engine", "mc", "--protocol", "multi_round", "--trials", "64", "--workers", "1",
     )
     assert code == 0
     assert len(parse_csv(out)[1]) == 3
-    assert calls == [(3, [4] * 10), (3, [4] * 6)]
+    assert [(max(p.rounds for p, _, _ in curves), sizes) for _, curves, sizes in calls] == [
+        (3, [4] * 10), (3, [4] * 6)]
 
 
 @pytest.mark.parametrize("no_head", [(), ("--no-head",)])
@@ -350,20 +345,14 @@ def test_threshold_sweep_runs_the_trials_once(capsys, config_path, monkeypatch):
     # chunks of 4, in kernel calls of ten and six chunks at N=40, not one
     # pass per row
     calls = []
-    run_trial = mc.run_trial
-
-    def counting(variants, rng, trials):
-        calls.append((len(variants), list(trials)))
-        return run_trial(variants, rng, trials)
-
-    monkeypatch.setattr(mc, "run_trial", counting)
+    record_kernel_calls(monkeypatch, calls)
     code, out, _ = run_cli(
         capsys, "sweep", "--config", config_path, "--var", "message_bits",
         "--values", "8,16,24,32,40", "--engine", "both", "--trials", "64", "--workers", "1",
     )
     assert code == 0
     assert len(parse_csv(out)[1]) == 10
-    assert calls == [(5, [4] * 10), (5, [4] * 6)]
+    assert [(len(curves), sizes) for _, curves, sizes in calls] == [(5, [4] * 10), (5, [4] * 6)]
 
 
 def test_threshold_sweep_bad_value_fails_before_any_row(capsys, config_path):

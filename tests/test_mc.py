@@ -9,7 +9,8 @@ import pytest
 from swarmrel import analytic, fading, geometry, mc, scenario
 
 import per_trial_kernel
-from conftest import complex_gain_sinrs, make_config, relay_power_everywhere
+from conftest import (complex_gain_sinrs, gather_counts, make_config, planned_curves,
+                      record_kernel_calls, relay_power_everywhere, run_kernel)
 
 
 def test_protocol_labels_and_validation():
@@ -25,13 +26,13 @@ def test_protocol_labels_and_validation():
 
 def test_zero_bits_all_decode_in_phase1():
     cfg = make_config(message_bits=0.0)
-    probs = mc.run_trial([(cfg, mc.PROPOSED)], mc.trial_rng(1, 0), 5)[0][0]
+    probs = run_kernel([(cfg, mc.PROPOSED)], mc.trial_rng(1, 0), 5)[0][0]
     assert probs.shape == (5, 2, 40)
     assert (probs == 1.0).all()
 
 
 def test_sets_disjoint_and_within_range(config):
-    probs = mc.run_trial([(config, mc.PROPOSED)], mc.trial_rng(2, 0), 50)[0][0]
+    probs = run_kernel([(config, mc.PROPOSED)], mc.trial_rng(2, 0), 50)[0][0]
     assert probs.shape == (50, 2, 40) and probs.dtype == np.float64
     assert np.isin(probs[:, 0], (0.0, 1.0)).all()  # the cellular stage is sampled
     assert ((0.0 <= probs) & (probs <= 1.0)).all()
@@ -42,7 +43,7 @@ def test_head_relay_without_head_means_no_phase2():
     # large message: the head frequently fails the cellular stage, and then
     # nobody relays
     cfg = make_config(n_uavs=10, message_bits=150.0)
-    masks = mc.run_trial([(cfg, mc.HEAD_RELAY)], mc.trial_rng(3, 0), 200)[0][0]
+    masks = run_kernel([(cfg, mc.HEAD_RELAY)], mc.trial_rng(3, 0), 200)[0][0]
     headless = masks[:, 0, 0] == 0.0
     assert headless.sum() > 0
     assert (masks[headless, -1] == masks[headless, 0]).all()
@@ -84,7 +85,7 @@ def _layout_features(config, trials, seed):
     rows = []
     for start in range(0, trials, chunk):
         n = min(chunk, trials - start)
-        gbs, _ = mc.run_trial([(config, mc.ALL_GBS)], mc.trial_rng(seed, start), n)[1]
+        gbs, _ = run_kernel([(config, mc.ALL_GBS)], mc.trial_rng(seed, start), n)[1]
         replay = mc.trial_rng(seed, start)
         assert np.array_equal(geometry.sample_gbs_layout(config, replay, n), gbs)
         geometry.sample_swarm_layout(config, replay, n)
@@ -126,21 +127,15 @@ def test_each_run_is_one_kernel_call_with_a_stream_per_chunk(monkeypatch, n_uavs
     # first trial, for both variants of the draw
     config = make_config(n_uavs=n_uavs)
     calls = []
-    run_trial = mc.run_trial
-
-    def counting(variants, rng, trials):
-        calls.append(list(trials))
-        return run_trial(variants, rng, trials)
-
-    monkeypatch.setattr(mc, "run_trial", counting)
+    record_kernel_calls(monkeypatch, calls)
     variants = [(config, mc.PROPOSED), (config, mc.multi_round(1))]
     est = mc.estimate_variants(variants, 300, 77)
-    assert calls == runs
+    assert calls == [(config, planned_curves(variants), sizes) for sizes in runs]
     monkeypatch.undo()
     starts = range(0, 19 * len(runs[0]), 19)
-    first, _ = mc.run_trial(variants, [mc.trial_rng(77, s) for s in starts], runs[0])
-    last, _ = mc.run_trial(variants, mc.trial_rng(77, 285), 15)
-    gathered = mc._gather_counts(variants, 300, 77, 1, control=True)
+    first, _ = run_kernel(variants, [mc.trial_rng(77, s) for s in starts], runs[0])
+    last, _ = run_kernel(variants, mc.trial_rng(77, 285), 15)
+    gathered = gather_counts(variants, 300, 77, control=True)
     head = sum(runs[0])
     for (counts, _), run, tail in zip(gathered, first, last):
         assert np.array_equal(counts[:head], run.sum(axis=2))
@@ -177,17 +172,17 @@ def test_a_run_of_chunks_is_one_kernel_call_per_chunk_bit_for_bit(monkeypatch, o
                                    mc.multi_round(3), mc.multi_round(2, with_head=False))]
     sizes = [16, 16, 1, 9]
     starts = [0, 16, 32, 33]
-    run, draws = mc.run_trial(variants, [mc.trial_rng(5, s) for s in starts], sizes)
-    ones = [mc.run_trial(variants, mc.trial_rng(5, s), n) for s, n in zip(starts, sizes)]
+    run, draws = run_kernel(variants, [mc.trial_rng(5, s) for s in starts], sizes)
+    ones = [run_kernel(variants, mc.trial_rng(5, s), n) for s, n in zip(starts, sizes)]
     for v, curve in enumerate(run):
         assert _same_bits(curve, np.concatenate([curves[v] for curves, _ in ones]))
     assert _same_bits(mc._control_features(draws, cfg),
                       np.concatenate([mc._control_features(d, cfg) for _, d in ones]))
     # and so the counts and regressions of a command, against one chunk per run
-    gathered = mc._gather_counts(variants, 250, 6, 1, control=True)
+    gathered = gather_counts(variants, 250, 6, control=True)
     monkeypatch.setattr(mc, "_RUN_ELEMENTS", 0)
     for (counts, regression), (one_counts, one_regression) in zip(
-            gathered, mc._gather_counts(variants, 250, 6, 1, control=True)):
+            gathered, gather_counts(variants, 250, 6, control=True)):
         assert _same_bits(counts, one_counts)
         assert (regression is None) == (one_regression is None)
         assert regression is None or _same_bits(regression, one_regression)
@@ -274,13 +269,13 @@ def test_relay_rows_match_the_whole_matrix_bit_for_bit(overrides, raw):
                  (replace(cfg, message_bits=cfg.message_bits / 4), mc.multi_round(3))]
     sizes, starts = [16, 16, 1, 9], [0, 16, 32, 33]
     with np.errstate(over="ignore", divide="ignore"):
-        run, _ = mc.run_trial(variants, [mc.trial_rng(8, s) for s in starts], sizes)
+        run, _ = run_kernel(variants, [mc.trial_rng(8, s) for s in starts], sizes)
         for (config, protocol), curve in zip(variants, run):
             want = [whole_matrix_relay(config, protocol, mc.trial_rng(8, s), n)
                     for s, n in zip(starts, sizes)]
             assert _same_bits(curve, np.concatenate(want)), protocol.label
         for protocol in protocols:
-            [alone], _ = mc.run_trial([(cfg, protocol)], mc.trial_rng(9, 0), 20)
+            [alone], _ = run_kernel([(cfg, protocol)], mc.trial_rng(9, 0), 20)
             assert _same_bits(alone, whole_matrix_relay(cfg, protocol, mc.trial_rng(9, 0), 20))
 
 
@@ -340,7 +335,7 @@ def test_control_variates_start_at_the_trial_floor_for_every_protocol():
 
     for trials in (mc.CONTROL_MIN_TRIALS - 1, mc.CONTROL_MIN_TRIALS):
         controlled = trials >= mc.CONTROL_MIN_TRIALS
-        gathered = mc._gather_counts(variants, trials, 8, 1, control=controlled)
+        gathered = gather_counts(variants, trials, 8, control=controlled)
         curves = mc.estimate_variants(variants, trials, 8)
         for curve, (all_counts, regression) in zip(curves, gathered):
             assert (regression is None) != controlled
@@ -353,7 +348,7 @@ def test_control_variates_start_at_the_trial_floor_for_every_protocol():
 def test_controlled_entry_is_the_intercept_of_a_regression_on_the_centered_features(config):
     # eta = mean(y) - beta . (mean(x) - mu) is the intercept of y on x - mu
     n = 150
-    [(counts, _)] = mc._gather_counts([(config, mc.ALL_GBS)], n, 21, 1)
+    [(counts, _)] = gather_counts([(config, mc.ALL_GBS)], n, 21)
     eta, std_err, rank = _intercept(counts[:, -1] / config.n_uavs,
                                     _layout_features(config, n, 21), config)
     [[est]] = mc.estimate_variants([(config, mc.ALL_GBS)], n, 21)
@@ -372,11 +367,13 @@ def test_controlled_rows_of_a_shared_draw_equal_their_own_estimates(config):
 
 
 @pytest.mark.parametrize("overrides", [{}, {"m_available": 4, "m_occupied": 2,
-                                            "pathloss_exp_cell": 3.0, "rician_k": 10.0}])
+                                            "pathloss_exp_cell": 3.0, "rician_k": 10.0},
+                                       {"coverage_radius_m": 1e4, "pathloss_exp_cell": 3.0}])
 def test_layout_feature_means_are_exact(overrides):
     # each of the eight means within 4 standard errors of the mean of 10^6
-    # draws of a layout and its cellular fading; no mean depends on the
-    # swarm size, so one member per draw keeps the fading draws small
+    # draws of a layout and its cellular fading, on a wide cell too, whose
+    # squared distances are floored; no mean depends on the swarm size, so
+    # one member per draw keeps the fading draws small
     cfg = make_config(n_uavs=2, **overrides)
     rng = np.random.default_rng(17)
     sums, squares, draws = np.zeros(8), np.zeros(8), 1_000_000
@@ -417,18 +414,22 @@ def test_controlled_standard_error_is_honest():
     # At 150 bits the last entries of six-round multi_round curves, with and
     # without the head, are held to the same bounds; they reach 1 (eta about
     # 0.9986 and 0.985), in 37 and 2 of the draws, of which 1 each is
-    # clamped and the rest decoded every UAV of every trial.  The gap of
-    # the means is bounded by 3 standard errors of the paired gap, whose
-    # spread grows as the controls strengthen
+    # clamped and the rest decoded every UAV of every trial.  So are wide
+    # cells at 40 bits, where the features' distances are floored (eta
+    # about 0.02-0.88).  The gap of the means is bounded by 3 standard
+    # errors of the paired gap, whose spread grows as the controls strengthen
     trials, seeds = 100, 200
-    for bits, protocols in ((150.0, (mc.PROPOSED, mc.ALL_GBS, mc.multi_round(6),
-                                     mc.multi_round(6, with_head=False))),
-                            (4.0, (mc.PROPOSED, mc.ALL_GBS))):
-        cfg = make_config(n_uavs=10, message_bits=bits)
+    points = [({"message_bits": 150.0}, (mc.PROPOSED, mc.ALL_GBS, mc.multi_round(6),
+                                         mc.multi_round(6, with_head=False))),
+              ({"message_bits": 4.0}, (mc.PROPOSED, mc.ALL_GBS))]
+    points += [({"pathloss_exp_cell": alpha, "coverage_radius_m": radius},
+                (mc.PROPOSED, mc.ALL_GBS)) for alpha in (2.5, 3.0) for radius in (1e4, 1e5)]
+    for overrides, protocols in points:
+        cfg = make_config(n_uavs=10, **overrides)
         variants = [(cfg, protocol) for protocol in protocols]
         eta, std_err, sample_mean = (np.empty((seeds, len(variants))) for _ in range(3))
         for seed in range(seeds):
-            gathered = mc._gather_counts(variants, trials, 3000 + seed, 1, control=True)
+            gathered = gather_counts(variants, trials, 3000 + seed, control=True)
             for j, (counts, regression) in enumerate(gathered):
                 fractions = counts[:, -1] / cfg.n_uavs
                 est = mc._entry(fractions, regression, trials, 3000 + seed)
@@ -437,21 +438,20 @@ def test_controlled_standard_error_is_honest():
         assert (eta[:, :2] < 1.0).all()
         spread = eta.std(axis=0, ddof=1)
         honesty = spread / np.sqrt((std_err * std_err).mean(axis=0))
-        assert ((0.85 <= honesty) & (honesty <= 1.15)).all(), (bits, honesty)
+        assert ((0.85 <= honesty) & (honesty <= 1.15)).all(), (overrides, honesty)
         gap = eta - sample_mean
         bias = np.abs(gap.mean(axis=0))
-        assert (bias <= 3.0 * gap.std(axis=0, ddof=1) / math.sqrt(seeds)).all(), (bits, bias)
+        assert (bias <= 3.0 * gap.std(axis=0, ddof=1) / math.sqrt(seeds)).all(), (overrides, bias)
 
 
-@pytest.mark.xfail(strict=True, reason="on a wide cell the features' sample means miss their "
-                   "exact means by many standard errors, and the controls carry that into eta")
 def test_controlled_eta_stays_near_the_sample_mean_on_a_wide_cell():
     # CI's wide-cell repro, the reference config with R = 1e6 m and
-    # alpha_cell = 3: the controlled eta, about 0.48 with a std_err of
-    # 3.5e-6, against a sample mean of the same trials of about 0.0006
+    # alpha_cell = 3, whose trials' sample mean is about 0.0006: without the
+    # floor on the features' GBS distances, their exact means are carried by
+    # near GBSs too rare to be drawn, and the controlled eta read about 0.48
     cfg = make_config(coverage_radius_m=1e6, pathloss_exp_cell=3.0)
     est = mc.estimate(cfg, mc.PROPOSED, 500, 3)[-1]
-    [(counts, _)] = mc._gather_counts([(cfg, mc.PROPOSED)], 500, 3, 1)
+    [(counts, _)] = gather_counts([(cfg, mc.PROPOSED)], 500, 3)
     fractions = counts[:, -1] / cfg.n_uavs
     raw_std_err = float(fractions.std(ddof=1)) / math.sqrt(500)
     assert abs(est.eta_mean - fractions.mean()) <= 4.0 * max(est.std_err, raw_std_err)
@@ -478,7 +478,7 @@ def test_multiround_sets_nested_and_curve_monotone():
     # curve is non-decreasing within each trial, with and without the head
     cfg = make_config(n_uavs=10, message_bits=150.0)
     for with_head in (True, False):
-        masks = mc.run_trial([(cfg, mc.multi_round(4, with_head))], mc.trial_rng(6, 0),
+        masks = run_kernel([(cfg, mc.multi_round(4, with_head))], mc.trial_rng(6, 0),
                              30)[0][0]
         assert masks.shape == (30, 5, 10)
         assert np.isin(masks[:, 0], (0.0, 1.0)).all()
@@ -512,8 +512,8 @@ def test_multiround_prefix_property():
     long = mc.estimate(cfg, mc.multi_round(5, True), 150, 9)
     for a, b in zip(short, long[: len(short)]):
         assert a.eta_mean == b.eta_mean
-    short = mc.run_trial([(cfg, mc.multi_round(2))], mc.trial_rng(9, 0), 10)[0][0]
-    long = mc.run_trial([(cfg, mc.multi_round(5))], mc.trial_rng(9, 0), 10)[0][0]
+    short = run_kernel([(cfg, mc.multi_round(2))], mc.trial_rng(9, 0), 10)[0][0]
+    long = run_kernel([(cfg, mc.multi_round(5))], mc.trial_rng(9, 0), 10)[0][0]
     assert np.array_equal(short, long[:, :3])
     # entry r of a curve is the last entry of an r-round run, bit for bit
     for with_head in (True, False):
@@ -553,7 +553,7 @@ def test_exact_relay_rounds_agree_with_the_sampled_indicator(with_head):
     rounds, trials, seeds = 4, 50, 200
     gaps = np.empty((seeds, rounds))
     for seed in range(seeds):
-        [exact], _ = mc.run_trial([(cfg, mc.multi_round(rounds, with_head))],
+        [exact], _ = run_kernel([(cfg, mc.multi_round(rounds, with_head))],
                                   mc.trial_rng(2400 + seed, 0), trials)
         sampled = sampled_rounds(cfg, rounds, with_head, mc.trial_rng(2400 + seed, 0), trials)
         assert np.array_equal(exact[:, 0], sampled[:, 0])
@@ -582,20 +582,13 @@ def test_round_counts_of_one_protocol_share_one_curve(monkeypatch, with_head):
     cfg = make_config(n_uavs=10, message_bits=150.0)
     pairs = [(cfg, mc.multi_round(rounds, with_head)) for rounds in (3, 1, 3, 2)]
     own = [mc.estimate(c, p, 64, 14) for c, p in pairs]
-    calls, handed = [], []
-    run_trial = mc.run_trial
-
-    def recording(variants, *args):
-        calls.append("run_trial")
-        handed.append(variants)
-        return run_trial(variants, *args)
-
-    monkeypatch.setattr(mc, "run_trial", recording)
+    calls = []
+    record_kernel_calls(monkeypatch, calls)
     _count_calls(monkeypatch, calls, fading, "draw_phase2")
     _count_calls(monkeypatch, calls, fading, "phase2_sinrs")
     assert mc.estimate_variants(pairs, 64, 14) == own
-    assert calls == ["run_trial", *["draw_phase2"] * 3 * 16, *["phase2_sinrs"] * 3]
-    assert handed == [[(cfg, mc.multi_round(3, with_head))]]
+    curve = planned_curves([(cfg, mc.multi_round(3, with_head))])
+    assert calls == [(cfg, curve, [4] * 16), *["draw_phase2"] * 3 * 16, *["phase2_sinrs"] * 3]
 
 
 def test_a_curve_asked_for_twice_apart_is_drawn_once(monkeypatch):
@@ -665,18 +658,41 @@ def test_relay_gains_are_formed_once_per_kernel_call_and_only_to_relay(monkeypat
     assert [est.eta_mean for est in everyone] == [1.0] * 3
 
 
+def test_each_curve_s_thresholds_are_formed_once_per_command(monkeypatch, config):
+    # the criterion-3 sweep at 100 trials is three kernel calls at N=40, yet
+    # the cellular threshold of each of its five rows is formed once
+    pairs = [(replace(config, message_bits=bits), mc.PROPOSED) for bits in (8, 16, 24, 32, 40)]
+    kernel, calls = [], []
+    record_kernel_calls(monkeypatch, kernel)
+    _count_calls(monkeypatch, calls, scenario, "phase1_threshold")
+    mc.estimate_variants(pairs, mc.CONTROL_MIN_TRIALS, 15)
+    assert len(kernel) == 3 and calls == ["phase1_threshold"] * 5
+
+
+def test_a_bad_threshold_of_a_later_draw_fails_before_any_kernel_call(monkeypatch):
+    # the second draw's decode threshold overflows: the command fails
+    # before the first draw's trials are run
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    pairs = [(cfg, mc.PROPOSED), (replace(cfg, n_uavs=8, message_bits=102374.0), mc.PROPOSED)]
+    calls = []
+    record_kernel_calls(monkeypatch, calls)
+    with pytest.raises(scenario.ConfigError, match="overflow"):
+        mc.estimate_variants(pairs, mc.CONTROL_MIN_TRIALS, 12)
+    assert calls == []
+
+
 def test_protocols_on_one_seed_share_the_cellular_stage():
     # same serving set, combining and threshold on the same trial rng give
     # the same row 0, whatever happens in the relay rounds afterwards
     cfg = make_config(n_uavs=10, message_bits=150.0)
     trials = 30
-    row0 = lambda p: mc.run_trial([(cfg, p)], mc.trial_rng(10, 0), trials)[0][0][:, 0]
+    row0 = lambda p: run_kernel([(cfg, p)], mc.trial_rng(10, 0), trials)[0][0][:, 0]
     assert np.array_equal(row0(mc.PROPOSED), row0(mc.HEAD_RELAY))
-    all_gbs = mc.run_trial([(cfg, mc.ALL_GBS)], mc.trial_rng(10, 0), trials)[0][0]
+    all_gbs = run_kernel([(cfg, mc.ALL_GBS)], mc.trial_rng(10, 0), trials)[0][0]
     assert all_gbs.shape == (trials, 1, 10)
     for rounds in (1, 3):
         assert np.array_equal(all_gbs[:, 0], row0(mc.multi_round(rounds)))
-    cellular = mc.run_trial([(cfg, replace(mc.PROPOSED, rounds=0))], mc.trial_rng(10, 0),
+    cellular = run_kernel([(cfg, replace(mc.PROPOSED, rounds=0))], mc.trial_rng(10, 0),
                             trials)[0][0]
     assert cellular.shape == (trials, 1, 10)
     assert np.array_equal(cellular[:, 0], row0(mc.PROPOSED))
@@ -686,23 +702,21 @@ def test_protocols_on_one_seed_share_the_cellular_stage():
 
 
 def test_variants_share_a_draw_only_when_only_thresholds_differ():
+    # estimate_variants draws a variant with a wider swarm on its own
     cfg = make_config(n_uavs=10)
     wider = replace(cfg, swarm_radius_m=2.0 * cfg.swarm_radius_m)
-    with pytest.raises(ValueError, match="swarm_radius_m"):
-        mc.run_trial([(cfg, mc.PROPOSED), (wider, mc.PROPOSED)], mc.trial_rng(12, 0), 4)
-    # estimate_variants draws each such variant on its own
     pairs = [(cfg, mc.PROPOSED), (replace(cfg, message_bits=80.0), mc.ALL_GBS),
              (wider, mc.PROPOSED)]
     assert mc.estimate_variants(pairs, 30, 12) == [mc.estimate(c, p, 30, 12) for c, p in pairs]
-    # an unvalidated config with a NaN differs from itself field by field,
-    # and is named not finite, first or not; comparing whole draw keys
-    # would pass it on its identity, and the trials would compute from the
-    # NaN without a word
+    # an unvalidated config with a NaN is named not finite, field by field,
+    # and the trials do not compute from it without a word
     nan = replace(cfg, rician_k=math.nan)
     with pytest.raises(ValueError, match="rician_k: nan is not finite"):
         mc.estimate(nan, mc.PROPOSED, 10, 12)
     with pytest.raises(ValueError, match="rician_k: nan is not finite"):
-        mc.run_trial([(cfg, mc.PROPOSED), (nan, mc.PROPOSED)], mc.trial_rng(12, 0), 4)
+        mc.estimate_variants([(cfg, mc.PROPOSED), (nan, mc.PROPOSED)], 10, 12)
+    with pytest.raises(ValueError, match="rician_k: nan is not finite"):
+        mc.phase1_count_distribution(nan, 10, 12)
 
 
 def test_proposed_protocol_dominates_at_reference_point(config):
@@ -872,7 +886,7 @@ def sampled_relay_fractions(config, protocol, trials, seed):
     def chunk(start, stop):
         rng = mc.trial_rng(seed, start)
         cellular = [(config, replace(protocol, rounds=0))]
-        decoded = mc.run_trial(cellular, rng, stop - start)[0][0][:, 0] > 0
+        decoded = run_kernel(cellular, rng, stop - start)[0][0][:, 0] > 0
         replay = mc.trial_rng(seed, start)
         geometry.sample_gbs_layout(config, replay, stop - start)
         uav = geometry.sample_swarm_layout(config, replay, stop - start)
