@@ -46,14 +46,7 @@ SWEEPABLE = (
     "m_occupied",
     "rounds",
 )
-_INT_VARS = {"n_uavs", "m_available", "m_occupied", "rounds"}
-
-_PROTOCOLS = {
-    "proposed": mc.PROPOSED,
-    "nearest_gbs": mc.NEAREST_GBS,
-    "all_gbs": mc.ALL_GBS,
-    "head_relay": mc.HEAD_RELAY,
-}
+_INT_VARS = scenario.INT_FIELDS | {"rounds"}
 
 
 def _status(msg: str) -> None:
@@ -64,15 +57,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR}: cannot parse {env!r} as an integer")
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"{SEED_ENV_VAR}: seed must be in [0, 2^64), got {seed}")
-        return seed
-    return DEFAULT_SEED
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        return _uint64(env)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"{SEED_ENV_VAR}: {exc}")
 
 
 def _uint64(text: str) -> int:
@@ -93,17 +83,10 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _multi_round(rounds: int, args) -> mc.Protocol:
-    try:
-        return mc.multi_round(rounds, with_head=not args.no_head)
-    except ValueError as exc:
-        raise ConfigError(f"rounds: {exc}")
-
-
 def _protocol_for(args) -> mc.Protocol:
     if args.protocol == "multi_round":
-        return _multi_round(args.rounds, args)
-    return _PROTOCOLS[args.protocol]
+        return mc.multi_round(args.rounds, with_head=not args.no_head)
+    return mc.PROTOCOLS[args.protocol]
 
 
 # --- commands -----------------------------------------------------------------
@@ -169,7 +152,7 @@ def cmd_simulate(config, seed, args, protocols=None):
 
 
 def cmd_compare(config, seed, args):
-    return cmd_simulate(config, seed, args, protocols=list(_PROTOCOLS.values()))
+    return cmd_simulate(config, seed, args, protocols=list(mc.PROTOCOLS.values()))
 
 
 _SWEEP_HEADER = ["variable", "value", *_EST_HEADER]
@@ -204,7 +187,7 @@ def _parse_values(args) -> tuple:
 
 
 def _sweep_rows(config, args, values, engines, protocol, seed) -> list:
-    variants = [(config, _multi_round(value, args)) if args.var == "rounds" else
+    variants = [(config, replace(protocol, rounds=value)) if args.var == "rounds" else
                 (scenario.validate(replace(config, **{args.var: value})), protocol)
                 for value in values]
     curves = (mc.estimate_variants(variants, args.trials, seed, workers=args.workers)
@@ -239,10 +222,6 @@ _OPT_HEADER = _SWEEP_HEADER + ["is_best"]
 def cmd_optimize_tau(config, seed, args):
     """The tau_phase1_s sweep of the proposed protocol, plus its argmax."""
     values = _parse_values(args)
-    if values[0] <= 0 or values[-1] >= config.tau_total_s:
-        raise ConfigError(
-            f"grid: tau_phase1_s values must lie strictly inside (0, {config.tau_total_s})"
-        )
     rows = _sweep_rows(config, args, values, (args.engine,), mc.PROPOSED, seed)
     etas = [row[6] for row in rows]
     # the grid ascends, so the first maximum breaks ties toward the smaller
@@ -286,7 +265,7 @@ def _add_command(sub, name, func, summary, trials=True):
 
 def _add_protocol(p):
     """The --protocol/--rounds/--no-head options of simulate and sweep."""
-    p.add_argument("--protocol", default="proposed", choices=[*_PROTOCOLS, "multi_round"])
+    p.add_argument("--protocol", default="proposed", choices=[*mc.PROTOCOLS, "multi_round"])
     p.add_argument("--rounds", type=int, default=1, help="relay rounds (multi_round)")
     p.add_argument("--no-head", action="store_true",
                    help="multi_round without the head's pilot weighting")
@@ -344,6 +323,10 @@ def main(argv=None) -> int:
     except UnicodeDecodeError as exc:
         # the one file read as text is the config
         _status(f"config error: {args.config}: {exc}")
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # the run's arrays grow with the trials and the relay rounds
+        _status(f"config error: the run does not fit in memory, lower --trials or --rounds: {exc}")
         return EXIT_CONFIG
     except (NumericalError, PlacementError) as exc:
         _status(f"numerical error: {exc}")

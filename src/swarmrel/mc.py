@@ -51,6 +51,7 @@ __all__ = [
     "NEAREST_GBS",
     "ALL_GBS",
     "HEAD_RELAY",
+    "PROTOCOLS",
     "multi_round",
     "ReliabilityEstimate",
     "Phase1CountDistribution",
@@ -86,7 +87,7 @@ class Protocol:
 
     def __post_init__(self):
         if self.name == "multi_round" and self.rounds < 1:
-            raise ValueError("multi_round requires rounds >= 1")
+            raise scenario.ConfigError("rounds: multi_round requires rounds >= 1")
 
     @property
     def label(self) -> str:
@@ -100,6 +101,8 @@ PROPOSED = Protocol("proposed", rounds=1)
 NEAREST_GBS = Protocol("nearest_gbs")
 ALL_GBS = Protocol("all_gbs")
 HEAD_RELAY = Protocol("head_relay", rounds=1)
+# the fixed protocols by name, in the order ``compare`` reports them
+PROTOCOLS = {p.name: p for p in (PROPOSED, NEAREST_GBS, ALL_GBS, HEAD_RELAY)}
 
 
 def multi_round(rounds: int, with_head: bool = True) -> Protocol:
@@ -113,7 +116,10 @@ class ReliabilityEstimate:
     It is the sample mean of the trials' decoded fractions, or from
     ``CONTROL_MIN_TRIALS`` trials up, whatever the protocol, its
     control-variate estimate on the eight layout and member-fading features
-    (``_entry``), with the residual standard error.
+    (``_entry``), with the residual standard error.  An entry whose trials
+    all read 0, or all 1, has a ``std_err`` of 0.0, yet its rate is not
+    known exactly: with no other trial seen, eta (or 1 - eta) is below
+    about 3 / trials at 95% (the rule of three).
     """
 
     eta_mean: float
@@ -157,8 +163,11 @@ CONTROL_MIN_TRIALS = 100
 # neither is used as a control
 _RESOLVABLE = math.sqrt(float(np.finfo(float).eps))
 # trials times per-trial elements (N max(N, M)) that one kernel call may
-# draw over several chunks: it bounds the (trials, N, N) and (trials, N, M)
-# arrays of a run to about a MB, and decodes 100 trials at N=40 in 3 calls
+# draw over several chunks: it bounds a run's (trials, N, M) cellular gains
+# and its (K, N) pair gains, K <= trials N rows left to the relay stage, to
+# about a MB, and decodes 100 trials at N=40 in 3 calls.  It does not count
+# each curve's (1 + rounds) N probabilities or the rounds N relay draws per
+# trial, which grow with the round count past it
 _RUN_ELEMENTS = 1 << 16
 # the share q of R^2 at which the control features floor each squared GBS
 # distance: on a wide cell their exact means are carried by near GBSs too
@@ -177,11 +186,7 @@ def _draw_key(config: ScenarioConfig) -> tuple:
 
 
 def _thresholds(config: ScenarioConfig, protocol: Protocol) -> tuple[float, float | None]:
-    """A curve's (cellular, D2D) decode thresholds; a draw field that is NaN is refused."""
-    for name, value in _draw_key(config):
-        # a NaN differs even from itself; the trials would compute from it without a word
-        if value != value:
-            raise ValueError(f"{name}: {value} is not finite")
+    """A curve's (cellular, D2D) decode thresholds."""
     split = protocol.name in ("proposed", "head_relay")
     cell, d2d = ((scenario.phase1_threshold, scenario.phase2_threshold) if split else
                  (scenario.full_slot_cell_threshold, scenario.full_slot_d2d_threshold))
@@ -511,12 +516,13 @@ def estimate_variants(variants, trials: int, master_seed: int, workers: int = 1)
     asks, its entries are formed once, and each takes its prefix.  Curves
     whose configs differ only in ``message_bits`` and ``tau_phase1_s``
     (equal ``_draw_key``), wherever they are asked, share one draw per
-    chunk, yet each equals its own ``estimate``.  Every curve's thresholds
-    are formed here once, before any draw, so a bad one fails first.
+    chunk, yet each equals its own ``estimate``.  Every config is
+    validated (``scenario.validate``) and every curve's thresholds formed
+    here once, before any draw, so a bad one fails first.
     """
     plan = {}  # draw -> curve -> its protocol at the most rounds asked, in order of first ask
     for config, protocol in variants:
-        curves = plan.setdefault(_draw_key(config), {})
+        curves = plan.setdefault(_draw_key(scenario.validate(config)), {})
         key = (config, protocol.name, protocol.with_head)
         curves[key] = max(curves.get(key, protocol), protocol, key=lambda p: p.rounds)
     planned = [[(p, *_thresholds(key[0], p)) for key, p in curves.items()]
@@ -542,9 +548,10 @@ def phase1_count_distribution(
 
     The trials stop after the cellular stage; the relay draws come after
     the cellular ones, so the counts are those of full ``PROPOSED`` trials.
+    ``config`` is validated first (``scenario.validate``).
     """
     cellular = Protocol("proposed")
-    [(counts, _)] = _gather_counts(config, [(cellular, *_thresholds(config, cellular))], trials,
-                                   master_seed, workers)
+    curve = (cellular, *_thresholds(scenario.validate(config), cellular))
+    [(counts, _)] = _gather_counts(config, [curve], trials, master_seed, workers)
     pmf = np.bincount(counts[:, 0].astype(int), minlength=config.n_uavs + 1) / trials
     return Phase1CountDistribution(pmf=pmf, trials=trials, seed=master_seed)

@@ -9,11 +9,13 @@ everything downstream works in linear units only.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import MISSING, dataclass, fields
 
 __all__ = [
     "ConfigError",
     "ScenarioConfig",
+    "INT_FIELDS",
     "validate",
     "sinr_threshold",
     "phase1_threshold",
@@ -116,6 +118,10 @@ class ScenarioConfig:
     @property
     def tau_phase2_s(self) -> float:
         return self.tau_total_s - self.tau_phase1_s
+
+
+# the fields annotated int; every other field is a float
+INT_FIELDS = frozenset(k for k, t in typing.get_type_hints(ScenarioConfig).items() if t is int)
 
 
 def validate(config: ScenarioConfig) -> ScenarioConfig:
@@ -254,7 +260,6 @@ def full_slot_d2d_threshold(config: ScenarioConfig) -> float:
 # are written with repr() so that write -> read is bit-exact, which sweep
 # tooling relies on.
 
-_INT_FIELDS = {"n_uavs", "m_available", "m_occupied"}
 _FIELD_NAMES = [f.name for f in fields(ScenarioConfig)]
 _REQUIRED = [f.name for f in fields(ScenarioConfig) if f.default is MISSING]
 
@@ -280,7 +285,7 @@ def parse_config(text: str) -> ScenarioConfig:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue
         try:
-            values[key] = int(val) if key in _INT_FIELDS else float(val)
+            values[key] = int(val) if key in INT_FIELDS else float(val)
         except ValueError:
             problems.append(f"line {lineno}: {key}: cannot parse {val!r}")
     for name in _REQUIRED:

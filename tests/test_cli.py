@@ -333,7 +333,7 @@ def test_compare_rows_equal_simulate(capsys, config_path, workers):
     code, out, _ = run_cli(capsys, "compare", *common)
     assert code == 0
     _, rows = parse_csv(out)
-    assert [r[1] for r in rows] == list(cli._PROTOCOLS)
+    assert [r[1] for r in rows] == list(mc.PROTOCOLS)
     for row in rows:
         code, out, _ = run_cli(capsys, "simulate", *common, "--protocol", row[1])
         assert code == 0
@@ -401,7 +401,19 @@ def test_optimize_tau_grid_must_be_interior(capsys, config_path):
         "--engine", "analytic",
     )
     assert code == cli.EXIT_CONFIG
-    assert "strictly inside" in err
+    assert "tau_phase1_s: must satisfy 0 < tau_phase1_s < tau_total_s, got 0.0" in err
+
+
+@pytest.mark.parametrize("size", [["--trials", "1000000000000000"],
+                                  ["--protocol", "multi_round", "--rounds", "1000000000000000",
+                                   "--trials", "10"]], ids=["trials", "rounds"])
+def test_oversized_run_is_a_config_error(capsys, config_path, size):
+    # 10^15 trials, or relay rounds, ask for petabytes: no machine holds the
+    # arrays, so the allocation fails at once and the run ends cleanly
+    code, out, err = run_cli(capsys, "simulate", "--config", config_path, *size)
+    assert code == cli.EXIT_CONFIG
+    assert "--trials" in err and "--rounds" in err and "memory" in err
+    assert out == "" and "Traceback" not in err
 
 
 def test_dist_k_sums_to_one(capsys, config_path):

@@ -20,8 +20,10 @@ def test_protocol_labels_and_validation():
     ]
     assert mc.multi_round(3).label == "multi_round3"
     assert mc.multi_round(6, with_head=False).label == "multi_round6_nohead"
-    with pytest.raises(ValueError):
+    with pytest.raises(scenario.ConfigError, match="rounds: multi_round requires rounds >= 1"):
         mc.multi_round(0)
+    assert list(mc.PROTOCOLS) == ["proposed", "nearest_gbs", "all_gbs", "head_relay"]
+    assert all(p.name == name for name, p in mc.PROTOCOLS.items())
 
 
 def test_zero_bits_all_decode_in_phase1():
@@ -711,12 +713,28 @@ def test_variants_share_a_draw_only_when_only_thresholds_differ():
     # an unvalidated config with a NaN is named not finite, field by field,
     # and the trials do not compute from it without a word
     nan = replace(cfg, rician_k=math.nan)
-    with pytest.raises(ValueError, match="rician_k: nan is not finite"):
+    with pytest.raises(ValueError, match="rician_k: must be finite, got nan"):
         mc.estimate(nan, mc.PROPOSED, 10, 12)
-    with pytest.raises(ValueError, match="rician_k: nan is not finite"):
+    with pytest.raises(ValueError, match="rician_k: must be finite, got nan"):
         mc.estimate_variants([(cfg, mc.PROPOSED), (nan, mc.PROPOSED)], 10, 12)
-    with pytest.raises(ValueError, match="rician_k: nan is not finite"):
+    with pytest.raises(ValueError, match="rician_k: must be finite, got nan"):
         mc.phase1_count_distribution(nan, 10, 12)
+
+
+@pytest.mark.parametrize("field, value", [("rician_k", math.nan), ("coverage_radius_m", -900.0)])
+def test_library_calls_refuse_invalid_configs(monkeypatch, field, value):
+    # each entry point validates every config it is handed before any draw,
+    # a valid one handed first included
+    cfg = make_config(n_uavs=10)
+    bad = replace(cfg, **{field: value})
+    calls = []
+    record_kernel_calls(monkeypatch, calls)
+    for call in (lambda: mc.estimate(bad, mc.PROPOSED, 50, 3),
+                 lambda: mc.estimate_variants([(cfg, mc.PROPOSED), (bad, mc.ALL_GBS)], 50, 3),
+                 lambda: mc.phase1_count_distribution(bad, 50, 3)):
+        with pytest.raises(scenario.ConfigError, match=f"{field}: must be"):
+            call()
+    assert calls == []
 
 
 def test_proposed_protocol_dominates_at_reference_point(config):
