@@ -11,12 +11,15 @@ in ``fading.relay_gains``).
 
 A chunk's swarms are, by contract, the placements of one
 ``sample_hardcore_disk`` call per trial in trial order, and leave the rng
-where those calls leave it.  The sampler places the chunk's first trial and
-reports B, the blocks of 64 darts it drew; the next trials are judged in
-lockstep windows, B consecutive blocks a slot, drawn at once.  A slot that
-takes fewer blocks ends its window and is kept, the rng rewound past it; the
-sampler places one that needs more.  Past two blocks, as dense swarms draw,
-the sampler places every trial.
+where those calls leave it.  They are judged in lockstep windows, B
+consecutive blocks of 64 darts a slot, drawn at once.  B is handed on from
+the run's previous chunk, and a chunk handed one of at most two blocks
+opens a window at its first trial; otherwise, as in a run's first chunk,
+the sampler places that trial and reports B, the blocks it drew.  A slot
+that takes fewer blocks ends its window and is kept, the rng rewound past
+it; the sampler places one that needs more, and a lone trial left after
+the windows.  Past two blocks, as dense swarms draw, the sampler places
+every trial.  B decides only which route places a trial, never a value.
 """
 
 from __future__ import annotations
@@ -35,10 +38,11 @@ __all__ = [
 
 _CANDIDATE_BLOCK = 64
 # dart pairs a window judges at once: it bounds its (slots, darts, darts or
-# N) temporaries below 256 kB, past which each one costs twice as much; and
+# N) temporaries below 256 kB, past which each one costs twice as much, and
+# gives an N=40 window the seven slots of a 7-trial chunk handed its B; and
 # the most blocks a window slot takes, past which block counts vary too
 # much for lockstep to pay
-_WINDOW_PAIRS = 3 << 13
+_WINDOW_PAIRS = 7 << 12
 _WINDOW_BLOCKS = 2
 # darts per point before a layout counts as wedged, and layouts drawn before
 # placement gives up
@@ -186,6 +190,8 @@ def _place_window(out: np.ndarray, radius: float, d_min: float, blocks: int,
     window.  It is kept if it took fewer, else placed by the sampler from
     its first block on.  A slot's first block accepts its first dart, so at
     ``_WINDOW_BLOCKS`` 2 every block it judges has the sampler's full size.
+    A window may open at a chunk's first trial, on the B the run's previous
+    chunk handed on; the slots are the sampler's placements at any B.
     Returns the slots filled and the blocks the last drew, the rng just
     past them.
     """
@@ -244,29 +250,35 @@ def _place_window(out: np.ndarray, radius: float, d_min: float, blocks: int,
     return filled, used
 
 
-def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator,
-                        trials: int) -> np.ndarray:
-    """Planar UAV positions (trials, N, 2) of ``trials`` hard-core swarms; head is UAV 0.
+def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator, trials: int,
+                        blocks: int | None = None) -> tuple[np.ndarray, int | None]:
+    """Planar UAV positions (trials, N, 2) of ``trials`` hard-core swarms, and the B they end on.
 
     The swarms, and the rng state after them, are those of one
-    ``sample_hardcore_disk`` placement per trial in trial order; every UAV
-    flies at the config's ``swarm_altitude_m``.  That sampler places the
-    first trial and reports B, the dart blocks it drew.  Windows
-    (``_place_window``) then place the next trials in lockstep, B blocks a
-    slot, one window after the other.  A window that fills one slot passes
-    on the blocks that slot drew as the next B, and so does one whose last
-    slot drew more than ``_WINDOW_BLOCKS``; once B passes that, the sampler
-    places the rest.
+    ``sample_hardcore_disk`` placement per trial in trial order, whatever
+    ``blocks`` is; every UAV flies at the config's ``swarm_altitude_m``,
+    and UAV 0 is the head.  ``blocks`` is B, the dart blocks a window slot
+    draws (``_place_window``), as the run's previous chunk ended on it.
+    Handed a B of at most ``_WINDOW_BLOCKS``, the chunk opens a window at
+    its first trial; else, or without one (a run's first chunk), the
+    sampler places the first trial and its blocks are B.  Windows then
+    place the next trials, one after the other.  A window that fills one
+    slot passes on the blocks that slot drew as the next B, and so does one
+    whose last slot drew more than ``_WINDOW_BLOCKS``; once B passes that,
+    the sampler places the rest, and it places a lone trial left after the
+    windows.  Returns the B a next window would take, for the run's next
+    chunk.  B decides only which route places a trial, never a value.
     """
     n, radius, d_min = config.n_uavs, config.swarm_radius_m, config.min_separation_m
     positions = np.empty((trials, n, 2))
-    start = min(1, trials)
-    if start:
+    start = 0
+    if trials and (blocks is None or blocks > _WINDOW_BLOCKS):
         positions[0], blocks = sample_hardcore_disk(n, radius, d_min, rng)
-    while start < trials and blocks <= _WINDOW_BLOCKS:
+        start = 1
+    while trials - start > 1 and blocks <= _WINDOW_BLOCKS:
         filled, used = _place_window(positions[start:], radius, d_min, blocks, rng)
         start += filled
         blocks = used if filled == 1 or used > _WINDOW_BLOCKS else blocks
     for b in range(start, trials):
         positions[b] = sample_hardcore_disk(n, radius, d_min, rng)[0]
-    return positions
+    return positions, blocks

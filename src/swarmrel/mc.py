@@ -217,7 +217,10 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     placement per trial in trial order, the cellular fading, then for
     ``multi_round`` one D2D draw per UAV of all its trials per relay round
     (``fading.draw_phase2``), whatever the outcomes.  So relay round r
-    draws the same whatever the round count.  Which curves share a draw is
+    draws the same whatever the round count.  The placements are judged in
+    lockstep windows of B dart blocks a slot, B handed on from chunk to
+    chunk (``geometry.sample_swarm_layout``); the sampler places the run's
+    first trial, and B never changes a draw.  Which curves share a draw is
     ``estimate_variants``' to decide.
     Everything after the draws works trial by trial, so a trial's values
     are those of a call on its chunk alone, bit for bit.  The D2D pair
@@ -230,11 +233,11 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     n, m, total = config.n_uavs, config.m_total, sum(trials)
     gbs, uav = np.empty((total, m, 2)), np.empty((total, n, 2))
     gains, relay_draws = np.empty((total, n, m), dtype=complex), np.empty((sampled, total, n))
-    stop = 0
+    stop, blocks = 0, None
     for chunk_rng, size in zip(rngs, trials):
         start, stop = stop, stop + size
         gbs[start:stop] = geometry.sample_gbs_layout(config, chunk_rng, size)
-        uav[start:stop] = geometry.sample_swarm_layout(config, chunk_rng, size)
+        uav[start:stop], blocks = geometry.sample_swarm_layout(config, chunk_rng, size, blocks)
         gains[start:stop] = fading.draw_phase1(config, chunk_rng, size)
         for draw in relay_draws:
             draw[start:stop] = fading.draw_phase2(config, chunk_rng, size)

@@ -263,7 +263,7 @@ def test_criterion_7_parameter_trends():
 
 def test_criterion_8_structural_invariants():
     cfg = make_config(n_uavs=20, message_bits=60.0)
-    uav = geometry.sample_swarm_layout(cfg, mc.trial_rng(801, 0), 100)
+    uav = geometry.sample_swarm_layout(cfg, mc.trial_rng(801, 0), 100)[0]
     rows, cols = np.triu_indices(20, k=1)
     diff = uav[:, rows] - uav[:, cols]
     off = np.hypot(diff[..., 0], diff[..., 1])

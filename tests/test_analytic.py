@@ -366,7 +366,7 @@ def test_phase2_decode_against_conditional_simulation(config):
     target = analytic.phase2_decode_prob(theta2, 36.0, config)
     rng = np.random.default_rng(22)
     trials = 10_000
-    swarm = geometry.sample_swarm_layout(config, rng, trials)
+    swarm = geometry.sample_swarm_layout(config, rng, trials)[0]
     decoders = rng.permuted(np.tile(np.arange(40) < 36, (trials, 1)), axis=1)
     draw = fading.draw_phase2(config, rng, trials)
     # one row per listener, each summing over its trial's decoders

@@ -102,7 +102,7 @@ def test_phase1_channels_match_summed_squares_bitwise(config):
     rng = np.random.default_rng(11)
     trials = 50
     gbs = geometry.sample_gbs_layout(config, rng, trials)
-    uav = geometry.sample_swarm_layout(config, rng, trials)
+    uav = geometry.sample_swarm_layout(config, rng, trials)[0]
     draw = fading.draw_phase1(config, rng, trials)
     assert draw.shape == (trials, 40, 16)
     gbs3d = np.concatenate([gbs, np.zeros((trials, 16, 1))], axis=2)
@@ -193,7 +193,7 @@ def test_phase1_coherent_beats_unit_combining_at_head():
 
 def test_phase2_no_decoders_means_silence(config):
     rng = np.random.default_rng(12)
-    uav = geometry.sample_swarm_layout(config, rng, 3)
+    uav = geometry.sample_swarm_layout(config, rng, 3)[0]
     gains = fading.draw_phase2(config, rng, 3)
     assert gains.shape == (3, 40)
     sinrs = fading.phase2_sinrs(

@@ -136,7 +136,7 @@ def test_gbs_layout_distances_bounded(config):
 
 def test_swarm_layout_single_point():
     cfg = make_config(n_uavs=1)
-    layout = geometry.sample_swarm_layout(cfg, np.random.default_rng(5), 3)
+    layout = geometry.sample_swarm_layout(cfg, np.random.default_rng(5), 3)[0]
     assert layout.shape == (3, 1, 2)
     gain = fading.relay_gains(layout, np.ones((3, 1), dtype=bool), cfg)
     assert gain.shape == (3, 1) and (gain == 0.0).all()
@@ -145,7 +145,7 @@ def test_swarm_layout_single_point():
 def test_swarm_layout_separation(config):
     cfg = make_config(n_uavs=30)
     rng = np.random.default_rng(6)
-    layout = geometry.sample_swarm_layout(cfg, rng, 20)
+    layout = geometry.sample_swarm_layout(cfg, rng, 20)[0]
     assert layout.shape == (20, 30, 2)
     rows, cols = np.triu_indices(30, k=1)
     diff = layout[:, rows] - layout[:, cols]
@@ -169,6 +169,27 @@ def _count_per_trial_calls(monkeypatch):
     return per_trial, calls
 
 
+def _uniform_chunk_sampler_calls(trials, handed, blocks, n):
+    """Sampler calls that place a chunk whose placements all take ``blocks`` blocks.
+
+    A chunk handed a B of at most two opens a window at its first trial;
+    otherwise the sampler places that trial.  A first slot that takes more
+    than the handed B is placed by the sampler, one that takes fewer is
+    kept, and a window of the placements' own B fills all its slots, as
+    many as ``_WINDOW_PAIRS`` allows; one trial left goes to the sampler.
+    """
+    width = min(64, max(8, 2 * n)) if blocks == 1 else 64
+    slots = max(1, geometry._WINDOW_PAIRS // (width * max(width, n)))
+    calls, left = 0, trials
+    if left and (handed is None or handed > geometry._WINDOW_BLOCKS):
+        calls, left = 1, left - 1
+    elif left > 1 and handed != blocks:
+        calls, left = int(handed < blocks), left - 1
+    while left > 1 and blocks <= geometry._WINDOW_BLOCKS:
+        left -= min(slots, left)
+    return calls + left
+
+
 @pytest.mark.parametrize(
     "n, radius",
     [(10, 30.0), (40, 30.0), (20, 20.0), (1, 30.0), (40, 27.0), (40, 25.0), (8, 15.0)],
@@ -177,41 +198,49 @@ def _count_per_trial_calls(monkeypatch):
 def test_swarm_layouts_are_per_trial_placements_in_trial_order(n, radius, monkeypatch):
     # a chunk's swarms are the hard-core sampler's placements, one per trial,
     # in trial order on the chunk's rng, whether lockstep windows or the
-    # sampler itself place them.  Swarms of N=10 take one block of darts and
-    # N=40 ones two, so windows place every trial of their chunks after the
-    # first; N=20 in a 20 m disk (4% take two blocks) and N=40 in 27 m (18%
-    # take three) break windows mid-chunk; N=40 in 25 m mostly takes three,
-    # and the sampler places such chunks; N=8 in 15 m often needs more than
-    # the first 2N darts, and windows judge its whole blocks
+    # sampler itself place them, and whatever B the chunk is handed: none,
+    # as a run's first chunk, or the 1, 2 or 3 blocks a previous chunk ended
+    # on.  Swarms of N=10 take one block of darts and N=40 ones two, so
+    # windows place every trial of their chunks but a lone remainder; N=20
+    # in a 20 m disk (4% take two blocks) and N=40 in 27 m (18% take three)
+    # break windows mid-chunk; N=40 in 25 m mostly takes three, and the
+    # sampler places such chunks; N=8 in 15 m often needs more than the
+    # first 2N darts, and windows judge its whole blocks
     per_trial, calls = _count_per_trial_calls(monkeypatch)
     cfg = make_config(n_uavs=n, swarm_radius_m=radius)
     routed = []
-    for trials in (1, 2, 7, 16, 64):
-        for seed in range(9, 17):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            calls.clear()
-            layout = geometry.sample_swarm_layout(cfg, rng, trials)
-            sampled = len(calls)
-            want = [per_trial(n, radius, 5.0, ref) for _ in range(trials)]
-            assert np.array_equal(layout, np.stack([points for points, _ in want]))
-            assert rng.bit_generator.state == ref.bit_generator.state
-            routed.append((trials, sampled, {blocks for _, blocks in want}, want[0][1]))
-    for trials, sampled, blocks, first in routed:
-        # windows place every trial after the first of a chunk whose trials
-        # all take the same one or two blocks, and none of a chunk whose
-        # first trial takes more
-        if len(blocks) == 1 and first <= 2:
-            assert sampled == 1
-        if first > 2:
-            assert sampled == trials
-        assert 1 <= sampled <= trials
-    uniform = [trials for trials, _, blocks, first in routed if blocks == {first}]
+    for handed in (None, 1, 2, 3):
+        for trials in (1, 2, 7, 16, 64):
+            for seed in range(9, 17):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                calls.clear()
+                layout, ended = geometry.sample_swarm_layout(cfg, rng, trials, handed)
+                sampled = len(calls)
+                want = [per_trial(n, radius, 5.0, ref) for _ in range(trials)]
+                assert np.array_equal(layout, np.stack([points for points, _ in want]))
+                assert rng.bit_generator.state == ref.bit_generator.state
+                blocks = {b for _, b in want}
+                routed.append((handed, trials, sampled, blocks))
+                if len(blocks) == 1:
+                    # a chunk whose trials all take the handed B makes no
+                    # sampler call, a lone remainder one
+                    [b] = blocks
+                    assert sampled == _uniform_chunk_sampler_calls(trials, handed, b, n)
+                    # the B a next window takes: a lone trial opens none
+                    alone = trials == 1 and handed is not None and handed <= 2
+                    assert ended == (handed if alone else b)
+                if want[0][1] > 2:
+                    assert sampled == trials
+                assert 0 <= sampled <= trials
+    uniform = [(handed, trials, sampled) for handed, trials, sampled, blocks in routed
+               if len(blocks) == 1]
     if n in (1, 10, 40) and radius == 30.0:
-        assert max(uniform) == 64
+        assert max(trials for _, trials, _ in uniform) == 64
+        assert any(sampled == 0 and trials >= 7 for _, trials, sampled in uniform)
     if (n, radius) in ((20, 20.0), (40, 27.0)):
-        assert any(1 < sampled < trials for trials, sampled, _, _ in routed)
+        assert any(1 < sampled < trials for _, trials, sampled, _ in routed)
     if radius == 25.0:
-        assert any(sampled == trials > 1 for trials, sampled, _, _ in routed)
+        assert any(sampled == trials > 1 for _, trials, sampled, _ in routed)
 
 
 def test_swarm_layout_fails_as_the_per_trial_loop_does(monkeypatch):
@@ -220,8 +249,8 @@ def test_swarm_layout_fails_as_the_per_trial_loop_does(monkeypatch):
     # of 9 UAVs, which take one to three blocks, where a block that accepts
     # none leaves a 32-dart one.  The chunk then raises what the per-trial
     # loop raises, the best layout's count included, also when windows, of
-    # one block a slot and of two, placed the trials before the wedged one;
-    # and it leaves the rng where the loop does
+    # one block a slot and of two, placed the trials before the wedged one,
+    # and whatever B it is handed; and it leaves the rng where the loop does
     per_trial, calls = _count_per_trial_calls(monkeypatch)
     window, windows = geometry._place_window, []
 
@@ -234,24 +263,26 @@ def test_swarm_layout_fails_as_the_per_trial_loop_does(monkeypatch):
     for attempts, n, blocks in ((16, 6, 1), (96, 9, 2)):
         monkeypatch.setattr(geometry, "_ATTEMPTS_PER_POINT", attempts)
         cfg = make_config(n_uavs=n, swarm_radius_m=10.0)
-        after_windows = 0
-        for seed in range(20):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            want = []
-            try:
-                for _ in range(16):
-                    want.append(per_trial(n, 10.0, 5.0, ref)[0])
-            except PlacementError as exc:
-                calls.clear()
-                windows.clear()
-                with pytest.raises(PlacementError, match="the best layout placed") as got:
-                    geometry.sample_swarm_layout(cfg, rng, 16)
-                assert str(got.value) == str(exc)
-                after_windows += len(calls) < len(want) + 1 and blocks in windows
-            else:
-                assert np.array_equal(geometry.sample_swarm_layout(cfg, rng, 16), np.stack(want))
-            assert rng.bit_generator.state == ref.bit_generator.state
-        assert after_windows
+        for handed in (None, 1, 2):
+            after_windows = 0
+            for seed in range(20):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = []
+                try:
+                    for _ in range(16):
+                        want.append(per_trial(n, 10.0, 5.0, ref)[0])
+                except PlacementError as exc:
+                    calls.clear()
+                    windows.clear()
+                    with pytest.raises(PlacementError, match="the best layout placed") as got:
+                        geometry.sample_swarm_layout(cfg, rng, 16, handed)
+                    assert str(got.value) == str(exc)
+                    after_windows += len(calls) < len(want) + 1 and blocks in windows
+                else:
+                    layout, _ = geometry.sample_swarm_layout(cfg, rng, 16, handed)
+                    assert np.array_equal(layout, np.stack(want))
+                assert rng.bit_generator.state == ref.bit_generator.state
+            assert after_windows
 
 
 def test_relay_gains_match_summed_squares_bitwise(config):
@@ -261,7 +292,7 @@ def test_relay_gains_match_summed_squares_bitwise(config):
     # are those rows of every listener's, in row-major order, and no
     # listener gives no rows
     rng = np.random.default_rng(10)
-    layout = geometry.sample_swarm_layout(config, rng, 50)
+    layout = geometry.sample_swarm_layout(config, rng, 50)[0]
     diff = layout[:, :, None, :] - layout[:, None, :, :]
     own = np.eye(40, dtype=bool)
     some = rng.random((50, 40)) < 0.3

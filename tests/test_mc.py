@@ -201,7 +201,7 @@ def whole_matrix_relay(config, protocol, rng, trials):
     """
     n, rounds = config.n_uavs, protocol.rounds
     gbs = geometry.sample_gbs_layout(config, rng, trials)
-    uav = geometry.sample_swarm_layout(config, rng, trials)
+    uav = geometry.sample_swarm_layout(config, rng, trials)[0]
     gains = fading.draw_phase1(config, rng, trials)
     draws = [fading.draw_phase2(config, rng, trials)
              for _ in range(rounds if protocol.name == "multi_round" else 0)]
@@ -532,7 +532,7 @@ def sampled_rounds(config, rounds, with_head, rng, trials):
     a listener decodes once its SINR clears the threshold.
     """
     gbs = geometry.sample_gbs_layout(config, rng, trials)
-    uav = geometry.sample_swarm_layout(config, rng, trials)
+    uav = geometry.sample_swarm_layout(config, rng, trials)[0]
     gains = fading.draw_phase1(config, rng, trials)
     draws = [fading.draw_phase2(config, rng, trials) for _ in range(rounds)]
     decoded = (fading.phase1_sinrs(gbs, uav, gains, config, with_head)
@@ -671,6 +671,23 @@ def test_each_curve_s_thresholds_are_formed_once_per_command(monkeypatch, config
     assert len(kernel) == 3 and calls == ["phase1_threshold"] * 5
 
 
+def test_a_run_hands_each_chunk_the_blocks_its_last_placed_on(monkeypatch, config):
+    # the lockstep windows go on from chunk to chunk: a 250-trial command at
+    # N=10, one run of 16 chunks, places only its first trial with the
+    # sampler (one call a chunk before), and the criterion-3 sweep at N=40,
+    # three runs of five chunks, makes 11 calls, against 21 when each chunk
+    # began with the sampler; the other calls are window breaks and lone
+    # remainders
+    calls = []
+    _count_calls(monkeypatch, calls, geometry, "sample_hardcore_disk")
+    mc.estimate(make_config(n_uavs=10, message_bits=150.0), mc.PROPOSED, 250, 7)
+    assert len(calls) == 1
+    calls.clear()
+    pairs = [(replace(config, message_bits=bits), mc.PROPOSED) for bits in (8, 16, 24, 32, 40)]
+    mc.estimate_variants(pairs, mc.CONTROL_MIN_TRIALS, 7)
+    assert len(calls) <= 11
+
+
 def test_a_bad_threshold_of_a_later_draw_fails_before_any_kernel_call(monkeypatch):
     # the second draw's decode threshold overflows: the command fails
     # before the first draw's trials are run
@@ -782,7 +799,7 @@ def test_estimate_validates_trials(config):
 
 def _relay_scene(config, seed, trials):
     """One sampled swarm repeated over ``trials`` trials, with UAVs 0-2 relaying."""
-    one = geometry.sample_swarm_layout(config, np.random.default_rng(seed), 1)
+    one = geometry.sample_swarm_layout(config, np.random.default_rng(seed), 1)[0]
     uav = np.broadcast_to(one, (trials, config.n_uavs, 2))
     relays = np.zeros((trials, config.n_uavs), dtype=bool)
     relays[:, :3] = True
@@ -907,7 +924,7 @@ def sampled_relay_fractions(config, protocol, trials, seed):
         decoded = run_kernel(cellular, rng, stop - start)[0][0][:, 0] > 0
         replay = mc.trial_rng(seed, start)
         geometry.sample_gbs_layout(config, replay, stop - start)
-        uav = geometry.sample_swarm_layout(config, replay, stop - start)
+        uav = geometry.sample_swarm_layout(config, replay, stop - start)[0]
         relays = decoded.copy()
         if protocol.name == "head_relay":
             relays[:, 1:] = False
