@@ -54,11 +54,11 @@ class PlacementError(RuntimeError):
     """Hard-core placement failed within the attempt budget."""
 
 
-def _disk_points(u_radius: np.ndarray, u_angle: np.ndarray, radius: float) -> np.ndarray:
-    """Points (*u.shape, 2) of the disk at radius·sqrt(u_radius) and angle 2π·u_angle."""
+def _disk_points(u_radius: np.ndarray, u_angle: np.ndarray, radius: float, out=None) -> np.ndarray:
+    """Points (*u.shape, 2), or ``out``, of the disk at radius·sqrt(u_radius), angle 2π·u_angle."""
     r = radius * np.sqrt(u_radius)
     phi = 2.0 * np.pi * u_angle
-    points = np.empty(r.shape + (2,))
+    points = np.empty(r.shape + (2,)) if out is None else out
     np.multiply(r, np.cos(phi), out=points[..., 0])
     np.multiply(r, np.sin(phi), out=points[..., 1])
     return points
@@ -180,20 +180,20 @@ def _place_window(out: np.ndarray, radius: float, d_min: float, blocks: int,
                   rng: np.random.Generator) -> tuple[int, int]:
     """Fill leading slots of ``out`` (trials, n, 2) from ``blocks`` dart blocks each, in lockstep.
 
-    The rng's next runs of ``blocks`` blocks, one a slot, are drawn at once,
-    and block j of every slot is judged at once, as ``sample_hardcore_disk``
-    judges a layout's block j: its darts against the slot's accepted points,
-    padded with inf, then the greedy over the survivors.  A first block
-    alone (``blocks`` 1) is judged on its first max(8, 2n) darts and, only
-    if they fall short, on the whole block: the greedy accepts darts in
-    order.  The first slot that does not take ``blocks`` blocks ends the
-    window.  It is kept if it took fewer, else placed by the sampler from
-    its first block on.  A slot's first block accepts its first dart, so at
+    The rng's next runs of ``blocks`` blocks, one a slot, are drawn at
+    once, and block j of every slot is judged at once, as
+    ``sample_hardcore_disk`` judges a layout's block j: its darts against
+    the slot's accepted points, padded with inf, then the greedy over the
+    survivors.  A first block alone (``blocks`` 1) is judged on its first
+    max(8, 2n) darts and, only if they fall short, on the whole block,
+    whose other darts are formed then: the greedy accepts darts in order.
+    The first slot that does not take ``blocks`` blocks ends the window.
+    It is kept if it took fewer, else placed by the sampler from its first
+    block on.  A slot's first block accepts its first dart, so at
     ``_WINDOW_BLOCKS`` 2 every block it judges has the sampler's full size.
-    A window may open at a chunk's first trial, on the B the run's previous
-    chunk handed on; the slots are the sampler's placements at any B.
-    Returns the slots filled and the blocks the last drew, the rng just
-    past them.
+    A window may open at a chunk's first trial, on the B handed on from the
+    chunk before; its slots are the sampler's placements at any B.  Returns
+    the slots filled and the blocks the last drew, the rng just past them.
     """
     n = out.shape[1]
     block = min(_CANDIDATE_BLOCK, _ATTEMPTS_PER_POINT)
@@ -202,7 +202,8 @@ def _place_window(out: np.ndarray, radius: float, d_min: float, blocks: int,
     dmin2 = d_min * d_min
     state = rng.bit_generator.state
     uniforms = rng.random((slots, blocks, 2, block))  # per block: radius, then angle uniforms
-    darts = _disk_points(uniforms[:, :, 0], uniforms[:, :, 1], radius)
+    darts = np.empty((slots, blocks, block, 2))  # a lone first block's tail: formed if judged
+    _disk_points(uniforms[..., 0, :width], uniforms[..., 1, :width], radius, darts[..., :width, :])
     out[:slots] = np.inf
     px, py = out[:slots, :, 0], out[:slots, :, 1]  # each slot's accepted points, then inf
     count, rows = [0] * slots, np.arange(slots)[:, None]
@@ -227,6 +228,7 @@ def _place_window(out: np.ndarray, radius: float, d_min: float, blocks: int,
         for s in range(judged):
             mask = _greedy(clear[s], n - count[s], survivors[s])
             if j == 0 and width < block and mask.bit_count() < n:
+                _disk_points(uniforms[s, 0, 0], uniforms[s, 0, 1], radius, darts[s, 0])
                 mask = _greedy(_clear_bits(x[s], y[s], dmin2).tolist(), n, block)
             taken.append(mask)
             count[s] += mask.bit_count()
@@ -260,14 +262,13 @@ def sample_swarm_layout(config: ScenarioConfig, rng: np.random.Generator, trials
     and UAV 0 is the head.  ``blocks`` is B, the dart blocks a window slot
     draws (``_place_window``), as the run's previous chunk ended on it.
     Handed a B of at most ``_WINDOW_BLOCKS``, the chunk opens a window at
-    its first trial; else, or without one (a run's first chunk), the
-    sampler places the first trial and its blocks are B.  Windows then
-    place the next trials, one after the other.  A window that fills one
-    slot passes on the blocks that slot drew as the next B, and so does one
-    whose last slot drew more than ``_WINDOW_BLOCKS``; once B passes that,
-    the sampler places the rest, and it places a lone trial left after the
-    windows.  Returns the B a next window would take, for the run's next
-    chunk.  B decides only which route places a trial, never a value.
+    its first trial; else, or without one, the sampler places the first
+    trial and its blocks are B.  A window that fills one slot passes on the
+    blocks that slot drew as the next B, and so does one whose last slot
+    drew more than ``_WINDOW_BLOCKS``; once B passes that, the sampler
+    places the rest, and a lone trial left after the windows.  Returns the
+    B a next window would take.  B decides which route places a trial,
+    never a value.
     """
     n, radius, d_min = config.n_uavs, config.swarm_radius_m, config.min_separation_m
     positions = np.empty((trials, n, 2))

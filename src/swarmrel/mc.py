@@ -217,11 +217,10 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     placement per trial in trial order, the cellular fading, then for
     ``multi_round`` one D2D draw per UAV of all its trials per relay round
     (``fading.draw_phase2``), whatever the outcomes.  So relay round r
-    draws the same whatever the round count.  The placements are judged in
-    lockstep windows of B dart blocks a slot, B handed on from chunk to
-    chunk (``geometry.sample_swarm_layout``); the sampler places the run's
-    first trial, and B never changes a draw.  Which curves share a draw is
-    ``estimate_variants``' to decide.
+    draws the same whatever the round count.  Placement windows hand B on
+    from chunk to chunk (``geometry.sample_swarm_layout``): the sampler
+    places a run's first trial, and B never changes a draw.  Which curves
+    share a draw is ``estimate_variants``' to decide.
     Everything after the draws works trial by trial, so a trial's values
     are those of a call on its chunk alone, bit for bit.  The D2D pair
     gains (``fading.relay_gains``) draw nothing; they are formed once, one
