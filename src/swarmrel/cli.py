@@ -85,7 +85,11 @@ def _fmt(value) -> str:
 
 def _protocol_for(args) -> mc.Protocol:
     if args.protocol == "multi_round":
-        return mc.multi_round(args.rounds, with_head=not args.no_head)
+        rounds = 1 if args.rounds is None else args.rounds
+        return mc.multi_round(rounds, with_head=not args.no_head)
+    if args.rounds is not None or args.no_head:
+        option = "--rounds" if args.rounds is not None else "--no-head"
+        raise ConfigError(f"{option}: only --protocol multi_round takes it, not {args.protocol}")
     return mc.PROTOCOLS[args.protocol]
 
 
@@ -211,6 +215,8 @@ def cmd_sweep(config, seed, args):
     values = _parse_values(args)
     if args.var == "rounds" and protocol.name != "multi_round":
         raise ConfigError("variable 'rounds' requires --protocol multi_round")
+    if args.var == "rounds" and args.rounds is not None:
+        raise ConfigError("--rounds: a sweep over rounds takes its round counts from the values")
     if "analytic" in engines and protocol.name != "proposed":
         raise ConfigError("the analytic engine models the proposed two-phase protocol only")
     return _SWEEP_HEADER, _sweep_rows(config, args, values, engines, protocol, seed)
@@ -266,7 +272,7 @@ def _add_command(sub, name, func, summary, trials=True):
 def _add_protocol(p):
     """The --protocol/--rounds/--no-head options of simulate and sweep."""
     p.add_argument("--protocol", default="proposed", choices=[*mc.PROTOCOLS, "multi_round"])
-    p.add_argument("--rounds", type=int, default=1, help="relay rounds (multi_round)")
+    p.add_argument("--rounds", type=int, help="relay rounds (multi_round, default 1)")
     p.add_argument("--no-head", action="store_true",
                    help="multi_round without the head's pilot weighting")
 

@@ -12,15 +12,14 @@ sets the next round's relay set.
 
 Trials run in chunks whose bounds depend only on the trial count, and each
 chunk is drawn on its own rng seeded from (master_seed, the chunk's first
-trial).  One kernel call takes a run of chunks in trial order, as many as
-keep its arrays within a fixed element budget (fewer on a pool, where the
-runs split the chunks evenly among the workers): it draws each chunk on its
-own rng, then decodes the whole run at once, one curve for each (protocol,
-thresholds) it is handed, all of one draw.  Which of a command's (config,
-protocol) pairs share a curve, which curves a draw, and each curve's
-thresholds are decided once, in ``estimate_variants``.  A trial's values
-are those of a call on its chunk alone, so results are a function of
-(config, seed, trials), whatever the runs or the worker count.
+trial).  One kernel call takes a run of consecutive chunks, by one rule at
+any worker count (``_runs``): it draws each chunk on its own rng, then
+decodes the whole run at once, one curve for each (protocol, thresholds)
+it is handed, all of one draw.  Which of a command's (config, protocol)
+pairs share a curve, which curves a draw, and each curve's thresholds are
+decided once, in ``estimate_variants``.  A trial's values are those of a
+call on its chunk alone, so results are a function of (config, seed,
+trials), whatever the runs or the worker count.
 
 From ``CONTROL_MIN_TRIALS`` trials up, each entry of every curve, relay
 rounds included, is a regression control-variate estimate: the sample mean
@@ -217,9 +216,9 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     placement per trial in trial order, the cellular fading, then for
     ``multi_round`` one D2D draw per UAV of all its trials per relay round
     (``fading.draw_phase2``), whatever the outcomes.  So relay round r
-    draws the same whatever the round count.  Placement windows hand B on
-    from chunk to chunk (``geometry.sample_swarm_layout``): the sampler
-    places a run's first trial, and B never changes a draw.  Which curves
+    draws the same whatever the round count.  Which route places each
+    swarm, as the run's chunks hand on their block count, is set out in
+    ``geometry``'s module docstring; no route changes a draw.  Which curves
     share a draw is ``estimate_variants``' to decide.
     Everything after the draws works trial by trial, so a trial's values
     are those of a call on its chunk alone, bit for bit.  The D2D pair
@@ -382,46 +381,38 @@ def _pool(workers: int):
     return pool
 
 
-def _map_chunks(worker, trials: int, workers: int, elements: int):
-    """Run worker(bounds) over the runs of a fixed chunking of range(trials).
+def _runs(trials: int, workers: int, elements: int) -> list[list[int]]:
+    """The chunk bounds of each kernel run of ``trials`` trials, in trial order.
 
     Chunk bounds depend only on ``trials``: about 16 chunks of at most 64
-    trials.  A run is a stretch of consecutive chunks, as many as keep its
-    trials times ``elements`` per trial within ``_RUN_ELEMENTS``, or one
-    chunk where a chunk alone does not; ``bounds`` are its chunk
-    boundaries, chunk i holding trials [bounds[i], bounds[i + 1]).  With
-    more than one worker the run count is rounded up to a multiple of
-    ``workers``, at most one run per chunk, and the chunks are split evenly
-    among the runs, so no worker draws most of the trials; runs only get
-    shorter.  No trial's values depend on the runs, and results come back
-    in run order, so the reduction order (and the result, bit for bit) is
-    independent of the worker count.  They come as an iterator, so a caller
-    can consume each before the next is held.  One pool per worker count
-    serves every call in the process, and a pool task is one run.  After a
-    failed run the pool's queued work is cancelled.
+    trials.  A run is a stretch of consecutive chunks, given by its chunk
+    boundaries, chunk i holding trials [bounds[i], bounds[i + 1]).  The
+    runs are the fewest that keep each run's trials times ``elements`` per
+    trial within ``_RUN_ELEMENTS`` (one chunk a run where a chunk alone
+    does not), rounded up to a multiple of ``workers`` but at most one run
+    a chunk, and the chunks are split evenly among them, so no worker draws
+    most of the trials.  No trial's values depend on the runs.
     """
     chunk = max(1, min(64, math.ceil(trials / 16)))
     bounds = [*range(0, trials, chunk), trials]
     chunks = len(bounds) - 1
-    starts = range(0, chunks, max(1, _RUN_ELEMENTS // (chunk * elements)))
-    if workers > 1:
-        # a multiple of the workers, the runs' lengths at most a chunk apart
-        count = min(chunks, -(-len(starts) // workers) * workers)
-        starts = [i * chunks // count for i in range(count)]
-    runs = [bounds[a:b + 1] for a, b in zip(starts, [*starts[1:], chunks])]
-    if workers <= 1:
-        return map(worker, runs)
-    return _pool(workers).map(worker, runs)
+    fewest = -(-chunks // max(1, _RUN_ELEMENTS // (chunk * elements)))
+    count = min(chunks, -(-fewest // workers) * workers)
+    starts = [i * chunks // count for i in range(count)]
+    return [bounds[a:b + 1] for a, b in zip(starts, [*starts[1:], chunks])]
 
 
 def _gather_counts(config, curves, trials, master_seed, workers, control=False):
     """Each curve's (trials, 1 + rounds) counts and the draw's ``_regression``, or None.
 
     ``curves`` are the planned curves (``run_trial``) of ``config``'s draw,
-    each computed once: the runs' tables (``_decoded_counts``) fill one
-    (trials, columns) table in chunk order, and each curve gets a view of
-    its columns.  The draw's features, and its regression, are formed only
-    with ``control``, and every curve gets that regression.
+    each computed once.  Each of the ``_runs`` is one ``_decoded_counts``
+    call, here at one worker, else a task of the one pool per worker count,
+    whose queued work is cancelled after a failed run.  The runs' tables
+    come back in run order and fill one (trials, columns) table in chunk
+    order, the same bit for bit at any worker count, and each curve gets a
+    view of its columns.  The draw's features, and its regression, are
+    formed only with ``control``, and every curve gets that regression.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -431,7 +422,8 @@ def _gather_counts(config, curves, trials, master_seed, workers, control=False):
     # the largest per-trial arrays are the (N, N) pair gains and the (N, M) cellular ones
     elements = config.n_uavs * max(config.n_uavs, config.m_total)
     worker = functools.partial(_decoded_counts, config, curves, control, master_seed)
-    for piece in _map_chunks(worker, trials, workers, elements):
+    mapper = map if workers <= 1 else _pool(workers).map
+    for piece in mapper(worker, _runs(trials, workers, elements)):
         table[start:start + len(piece)] = piece
         start += len(piece)
     regression = _regression(table[:, edges[-1]:], config) if control else None

@@ -257,6 +257,31 @@ def test_out_of_range_option_is_an_argparse_error(capsys, config_path, option, v
     assert message in captured.err and option in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("simulate", "--protocol", "head_relay", "--rounds", "4"), "--rounds"),
+    (("simulate", "--no-head"), "--no-head"),
+    (("sweep", "--var", "message_bits", "--values", "40", "--engine", "mc",
+      "--protocol", "all_gbs", "--rounds", "2"), "--rounds"),
+    (("sweep", "--var", "message_bits", "--values", "40", "--engine", "mc", "--no-head"),
+     "--no-head"),
+    (("sweep", "--var", "rounds", "--values", "1,2", "--engine", "mc",
+      "--protocol", "multi_round", "--rounds", "9"), "--rounds"),
+], ids=["simulate-rounds", "simulate-no-head", "sweep-rounds", "sweep-no-head",
+        "sweep-var-rounds"])
+def test_an_option_the_protocol_would_drop_is_refused(capsys, config_path, argv, option):
+    # each of these was dropped without a word: its row was the one without it
+    code, out, err = run_cli(capsys, *argv, "--config", config_path, "--trials", "5")
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {option}:" in err and out == "" and "eta=" not in err
+
+
+def test_multi_round_defaults_to_one_round(capsys, config_path):
+    common = ("--config", config_path, "--protocol", "multi_round", "--trials", "5")
+    default = run_cli(capsys, "simulate", *common)
+    assert default[0] == 0 and parse_csv(default[1])[1][0][1] == "multi_round1"
+    assert run_cli(capsys, "simulate", *common, "--rounds", "1") == default
+
+
 def test_sweep_rounds_with_multiround(capsys, config_path):
     code, out, _ = run_cli(
         capsys, "sweep", "--config", config_path, "--var", "rounds", "--values", "1,2",
@@ -270,8 +295,8 @@ def test_sweep_rounds_with_multiround(capsys, config_path):
 
 def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
     # every value is read off one run at the largest, not one run per value:
-    # 64 trials are one pass over 16 chunks of 4, in kernel calls of ten and
-    # six chunks at N=40
+    # 64 trials are one pass over 16 chunks of 4, in two kernel calls of
+    # eight chunks at N=40
     calls = []
     record_kernel_calls(monkeypatch, calls)
     code, out, _ = run_cli(
@@ -281,7 +306,7 @@ def test_sweep_rounds_runs_the_trials_once(capsys, config_path, monkeypatch):
     assert code == 0
     assert len(parse_csv(out)[1]) == 3
     assert [(max(p.rounds for p, _, _ in curves), sizes) for _, curves, sizes in calls] == [
-        (3, [4] * 10), (3, [4] * 6)]
+        (3, [4] * 8), (3, [4] * 8)]
 
 
 @pytest.mark.parametrize("no_head", [(), ("--no-head",)])
@@ -342,8 +367,8 @@ def test_compare_rows_equal_simulate(capsys, config_path, workers):
 
 def test_threshold_sweep_runs_the_trials_once(capsys, config_path, monkeypatch):
     # all five rows share each chunk's draw: 64 trials are one pass over 16
-    # chunks of 4, in kernel calls of ten and six chunks at N=40, not one
-    # pass per row
+    # chunks of 4, in two kernel calls of eight chunks at N=40, not one pass
+    # per row
     calls = []
     record_kernel_calls(monkeypatch, calls)
     code, out, _ = run_cli(
@@ -352,7 +377,7 @@ def test_threshold_sweep_runs_the_trials_once(capsys, config_path, monkeypatch):
     )
     assert code == 0
     assert len(parse_csv(out)[1]) == 10
-    assert [(len(curves), sizes) for _, curves, sizes in calls] == [(5, [4] * 10), (5, [4] * 6)]
+    assert [(len(curves), sizes) for _, curves, sizes in calls] == [(5, [4] * 8), (5, [4] * 8)]
 
 
 def test_threshold_sweep_bad_value_fails_before_any_row(capsys, config_path):

@@ -3,7 +3,7 @@
 A config that passes ``scenario.validate`` must give plain finite floats,
 with the probabilities in [0, 1], from ``analytic.reliability``, or fail
 with ``ConfigError`` or ``NumericalError``; ``analyze`` on it exits 0, 2 or
-3, never with a traceback.
+3, never with a traceback, and so does a 5-trial ``simulate``.
 """
 
 import math
@@ -180,7 +180,9 @@ def test_validated_config_gives_probabilities_or_documented_error(timing, **over
         path = os.path.join(directory, "scenario.cfg")
         write_config(config, path)
         code = cli.main(["analyze", "--config", path])
+        simulated = cli.main(["simulate", "--config", path, "--trials", "5", "--seed", "1"])
     assert code == 0 if br is not None else code in (2, 3)
+    assert simulated in (0, 2, 3)
 
 
 def test_member_probability_at_an_underflowing_tricomi_peak():

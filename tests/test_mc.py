@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 from dataclasses import replace
@@ -68,7 +67,7 @@ def test_one_pool_serves_every_call_at_a_worker_count():
     # processes; a pool per call would bring at least one new process each time
     pids = set()
     for _ in range(3):
-        pids |= set(mc._map_chunks(_worker_pid, 64, 2, mc._RUN_ELEMENTS))
+        pids |= set(mc._pool(2).map(_worker_pid, mc._runs(64, 2, mc._RUN_ELEMENTS)))
     assert os.getpid() not in pids and len(pids) <= 2
 
 
@@ -282,45 +281,30 @@ def test_relay_rows_match_the_whole_matrix_bit_for_bit(overrides, raw):
 
 
 @pytest.mark.parametrize("trials", [1, 5, 17, 250, 1000, 20_000])
-@pytest.mark.parametrize("elements", [1, 160, 1_600, 1 << 14, 3 << 14, mc._RUN_ELEMENTS,
-                                      3 * mc._RUN_ELEMENTS])
+@pytest.mark.parametrize("elements", [1, 160, mc._RUN_ELEMENTS // 96, 1_600, 1 << 14, 3 << 14,
+                                      mc._RUN_ELEMENTS, 3 * mc._RUN_ELEMENTS])
 def test_every_run_keeps_to_the_element_budget_or_is_one_chunk(trials, elements):
-    runs = list(mc._map_chunks(lambda bounds: bounds, trials, 1, elements))
-    # the runs cover the trial count's chunks in order, whatever the budget
     chunk = max(1, min(64, math.ceil(trials / 16)))
-    assert [start for bounds in runs for start in bounds[:-1]] == list(range(0, trials, chunk))
-    assert [bounds[-1] for bounds in runs[:-1]] == [bounds[0] for bounds in runs[1:]]
-    assert runs[-1][-1] == trials
-    for bounds in runs:
-        assert len(bounds) == 2 or (bounds[-1] - bounds[0]) * elements <= mc._RUN_ELEMENTS
-
-
-def _bounds(bounds):
-    return bounds
-
-
-def test_pool_runs_split_the_chunks_evenly_across_the_workers():
-    # 250 trials are 16 chunks of 16, and at a 96th of the budget per trial
-    # a run holds six: at two workers the three runs become four of four
-    # chunks, where one worker would draw two runs, 154 of the trials
-    elements = mc._RUN_ELEMENTS // 96
-    sizes = [[len(bounds) - 1 for bounds in mc._map_chunks(_bounds, 250, workers, elements)]
-             for workers in (1, 2)]
-    assert sizes == [[6, 6, 4], [4, 4, 4, 4]]
-    for trials, elements in itertools.product((1, 5, 17, 250, 1000, 20_000),
-                                              (1, 160, 1_600, mc._RUN_ELEMENTS)):
-        serial = list(mc._map_chunks(_bounds, trials, 1, elements))
-        runs = list(mc._map_chunks(_bounds, trials, 2, elements))
-        # the same chunks in order, in at least as many runs, an even count
-        # of runs at most a chunk apart unless each run is one chunk
-        assert [b for bounds in runs for b in bounds[:-1]] == [
-            b for bounds in serial for b in bounds[:-1]]
-        assert runs[-1][-1] == trials and len(runs) >= len(serial)
-        sizes = [len(bounds) - 1 for bounds in runs]
-        assert len(runs) % 2 == 0 or sizes == [1] * len(runs), (trials, elements, sizes)
-        assert max(sizes) - min(sizes) <= 1
+    chunks = len(range(0, trials, chunk))
+    for workers in (1, 2, 3):
+        runs = mc._runs(trials, workers, elements)
+        # the runs cover the trial count's chunks in order, whatever the budget
+        assert [start for bounds in runs for start in bounds[:-1]] == list(range(0, trials, chunk))
+        assert [bounds[-1] for bounds in runs[:-1]] == [bounds[0] for bounds in runs[1:]]
+        assert runs[-1][-1] == trials
         for bounds in runs:
             assert len(bounds) == 2 or (bounds[-1] - bounds[0]) * elements <= mc._RUN_ELEMENTS
+        # a multiple of the workers unless each run is one chunk, at most a
+        # chunk apart, and no fewer by a multiple of the workers keeps the budget
+        sizes = [len(bounds) - 1 for bounds in runs]
+        assert len(runs) % workers == 0 or sizes == [1] * len(runs), (workers, sizes)
+        assert max(sizes) - min(sizes) <= 1
+        assert len(runs) <= workers or (
+            -(-chunks // (len(runs) - workers)) * chunk * elements > mc._RUN_ELEMENTS)
+        if (trials, elements) == (250, mc._RUN_ELEMENTS // 96):
+            # 16 chunks of 16 trials, six to a run: the fewest runs are
+            # three, and at two workers four of four chunks
+            assert sizes == {1: [5, 5, 6], 2: [4, 4, 4, 4], 3: [5, 5, 6]}[workers]
 
 
 def test_control_variates_start_at_the_trial_floor_for_every_protocol():
@@ -933,7 +917,7 @@ def sampled_relay_fractions(config, protocol, trials, seed):
         decoded |= (sinrs >= theta2) & relays.any(axis=1, keepdims=True)
         return decoded.sum(axis=1) / config.n_uavs
 
-    runs = mc._map_chunks(lambda bounds: bounds, trials, 1, 1)  # chunk bounds, whatever the runs
+    runs = mc._runs(trials, 1, 1)  # chunk bounds, whatever the runs
     return np.concatenate([chunk(start, stop) for bounds in runs
                            for start, stop in zip(bounds, bounds[1:])])
 
