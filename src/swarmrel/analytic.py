@@ -353,7 +353,8 @@ def reliability(config: ScenarioConfig) -> AnalyticBreakdown:
     count in the relay-stage probability.  The substitution presumes most
     UAVs already decode in the cellular stage; if fewer than one decoder is
     expected, the count is clamped to one and the result is flagged
-    ``in_regime=False`` rather than extrapolated.
+    ``in_regime=False`` rather than extrapolated.  A lone UAV has no relay
+    term (N - k_eff = 0), so eta is p_head and always in regime.
     """
     n = config.n_uavs
     theta1 = phase1_threshold(config)
@@ -361,7 +362,7 @@ def reliability(config: ScenarioConfig) -> AnalyticBreakdown:
     p_head = head_decode_prob(theta1, config)
     p_member = member_decode_prob(theta1, config)
     expected1 = p_head + (n - 1) * p_member
-    in_regime = expected1 >= 1.0
+    in_regime = expected1 >= 1.0 or n == 1
     k_eff = min(float(n), max(1.0, expected1))
     p2 = phase2_decode_prob(theta2, k_eff, config)
     eta = (expected1 + (n - k_eff) * p2) / n

@@ -143,8 +143,8 @@ def cmd_analyze(config, seed, args):
 
 def _mc_row(est, protocol) -> list:
     _status(f"{protocol.label}: eta={est.eta_mean:.6f} std_err={est.std_err:.2e}")
-    return ["mc", protocol.label, est.trials, est.seed, est.eta_mean, 1.0 - est.eta_mean,
-            est.std_err]
+    std_err = "" if math.isnan(est.std_err) else est.std_err
+    return ["mc", protocol.label, est.trials, est.seed, est.eta_mean, 1.0 - est.eta_mean, std_err]
 
 
 def cmd_simulate(config, seed, args, protocols=None):

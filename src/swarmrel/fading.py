@@ -15,9 +15,9 @@ each listener's summed relay path gain sum_t a_t^2 (``relay_power``),
 summed from the (K, N) pair gains that ``relay_gains`` forms once per run
 for the K listeners that the cellular stage left undecoded: over
 independent Rayleigh links the SINR is exponential with mean P sum_t a_t^2
-/ N0, which is sampled with one exponential draw per listener and, for its
-decode probability, taken exact.  No symbol waveforms are generated, since
-decode decisions depend only on signal and interference powers.
+/ N0, taken exact for its decode probability and, where a later round reads
+it, sampled with one exponential draw per listener.  No symbol waveforms are
+generated: decode decisions depend only on signal and interference powers.
 """
 
 from __future__ import annotations

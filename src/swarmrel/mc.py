@@ -4,11 +4,8 @@ Each trial draws fresh geometry and fading, runs the selected protocol, and
 reports each UAV's decode probability after the cellular stage and after
 each relay round; ``estimate`` averages that into the reliability curve, one
 estimate per stage.  The cellular stage is sampled, so its probabilities
-are 0 or 1.  Every relay round is exact over its Rayleigh fading, given the
-trial's geometry and the relay set after the round before, so its estimate
-has a smaller standard error for the same trials.  ``multi_round`` also
-samples each listener's SINR from the same law, and that sampled outcome
-sets the next round's relay set.
+are 0 or 1.  Every relay round is ``Protocol``'s one step, exact over its
+Rayleigh fading given the relay set, for a smaller standard error.
 
 Trials run in chunks whose bounds depend only on the trial count, and each
 chunk is drawn on its own rng seeded from (master_seed, the chunk's first
@@ -27,8 +24,8 @@ less the fitted effect of eight features of each trial's GBS layout and
 cellular fading, whose means are exact (``_control_features``,
 ``_feature_means``).  It draws nothing more.  Each entry fits its own
 coefficients to its own column, so the prefix property holds, but a
-``multi_round`` curve is not non-decreasing by construction: none has been
-seen to fall, and an entry whose trials all decoded is exactly 1.
+curve of several relay rounds is not non-decreasing by construction: none
+has been seen to fall, and an entry whose trials all decoded is exactly 1.
 """
 
 from __future__ import annotations
@@ -63,21 +60,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Protocol:
-    """A delivery protocol variant.
+    """A delivery protocol: a cellular stage, then ``rounds`` relay rounds.
 
-    ``proposed``     split slot: all serving GBSs with head-phased weights,
-                     then every decoder relays.
-    ``nearest_gbs``  the single closest serving GBS transmits for the whole
-                     slot; no relaying.
-    ``all_gbs``      all serving GBSs transmit (head-phased weights) for the
-                     whole slot; no relaying.
-    ``head_relay``   like ``proposed`` but only the head relays.
-    ``multi_round``  whole-slot cellular stage, then whole-slot relay
-                     rounds over fixed geometry with fresh fading;
-                     ``with_head=False`` drops the head's pilot so GBS
-                     transmissions are unweighted.
+    ``proposed``     split slot, all serving GBSs; every decoder relays.
+    ``head_relay``   split slot, all serving GBSs; only the head relays.
+    ``nearest_gbs``  whole slot, the closest serving GBS alone; no relaying.
+    ``all_gbs``      whole slot, all serving GBSs; no relaying.
+    ``multi_round``  whole slot, all serving GBSs; every decoder relays.
 
-    ``rounds`` is the number of relay rounds after the cellular stage.
+    ``PROPOSED`` and ``HEAD_RELAY`` relay for one round.  A split slot gives
+    the cellular stage ``tau_phase1_s`` and the relays the rest; a whole
+    slot gives each stage all of it.  The serving GBSs transmit with the
+    head's pilot weights, or unweighted with ``with_head=False``.
+
+    Every relay round is one step, whatever the protocol: each speaker that
+    has decoded relays over D2D, over the fixed geometry with fresh fading,
+    to every UAV still to decode.  A listener's probability is exact over
+    the round's Rayleigh fading given that relay set, and never below the
+    round before's.  Only if a later round follows is each listener's
+    outcome sampled from the same law, to add its decoders to the next
+    round's relays, so an R-round protocol samples R - 1 rounds.
     """
 
     name: str
@@ -165,8 +167,8 @@ _RESOLVABLE = math.sqrt(float(np.finfo(float).eps))
 # draw over several chunks: it bounds a run's (trials, N, M) cellular gains
 # and its (K, N) pair gains, K <= trials N rows left to the relay stage, to
 # about a MB, and decodes 100 trials at N=40 in 3 calls.  It does not count
-# each curve's (1 + rounds) N probabilities or the rounds N relay draws per
-# trial, which grow with the round count past it
+# each curve's (1 + rounds) N probabilities or the (rounds - 1) N relay draws
+# per trial, which grow with the round count past it
 _RUN_ELEMENTS = 1 << 16
 # the share q of R^2 at which the control features floor each squared GBS
 # distance: on a wide cell their exact means are carried by near GBSs too
@@ -206,20 +208,17 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     cellular gains (trials, N, M), whence the control features
     (``_control_features``).  Row 0 of a trial is the cellular stage, row
     r the probability that each UAV has decoded by relay round r.  The
-    cellular stage is sampled (0 or 1).  Each relay round is exact over its
-    D2D fading (``fading.phase2_decode_probs``) given the relay set after
-    the round before, and held non-decreasing per UAV; in ``multi_round``
-    that set is the sampled one, grown each round by the listeners whose
-    sampled SINR clears the threshold.
+    cellular stage is sampled (0 or 1), and each relay round is
+    ``Protocol``'s one step (``fading.phase2_decode_probs``).
 
     Each chunk's draw order is fixed: the GBS layouts, one hard-core
-    placement per trial in trial order, the cellular fading, then for
-    ``multi_round`` one D2D draw per UAV of all its trials per relay round
-    (``fading.draw_phase2``), whatever the outcomes.  So relay round r
-    draws the same whatever the round count.  Which route places each
-    swarm, as the run's chunks hand on their block count, is set out in
-    ``geometry``'s module docstring; no route changes a draw.  Which curves
-    share a draw is ``estimate_variants``' to decide.
+    placement per trial in trial order, the cellular fading, then one D2D
+    draw (``fading.draw_phase2``) per relay round that a later round reads,
+    R - 1 for the curves' most rounds R, whatever the outcomes.  So relay
+    round r draws the same whatever the round count.  Which route places
+    each swarm, as the run's chunks hand on their block count, is set out
+    in ``geometry``'s module docstring; no route changes a draw.  Which
+    curves share a draw is ``estimate_variants``' to decide.
     Everything after the draws works trial by trial, so a trial's values
     are those of a call on its chunk alone, bit for bit.  The D2D pair
     gains (``fading.relay_gains``) draw nothing; they are formed once, one
@@ -227,7 +226,7 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     stage.  A round sums, decodes and samples only its curve's listeners
     still to decode, each row's sum with the bits of the whole matrix's.
     """
-    sampled = max((p.rounds for p, _, _ in curves if p.name == "multi_round"), default=0)
+    sampled = max(0, max(p.rounds for p, _, _ in curves) - 1)
     n, m, total = config.n_uavs, config.m_total, sum(trials)
     gbs, uav = np.empty((total, m, 2)), np.empty((total, n, 2))
     gains, relay_draws = np.empty((total, n, m), dtype=complex), np.empty((sampled, total, n))
@@ -271,7 +270,7 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
             probs[r] = decoded
             probs[r][listening] = heard
             np.maximum(probs[r], probs[r - 1], out=probs[r])
-            if name == "multi_round":
+            if r < rounds:
                 # the sampled outcome sets the next round's relays; with
                 # nobody relaying there is no transmission to decode
                 sinrs = fading.phase2_sinrs(power, relay_draws[r - 1][listening], config)

@@ -312,11 +312,16 @@ def test_member_decode_monotone(config):
 
 
 def test_phase1_expected_single_uav():
-    cfg = make_config(n_uavs=1)
-    theta = scenario.phase1_threshold(cfg)
-    assert analytic.reliability(cfg).expected_phase1 == pytest.approx(
-        analytic.head_decode_prob(theta, cfg)
-    )
+    # a lone UAV has no relay term: eta is the head's probability, in regime
+    # even where fewer than one decoder is expected
+    for bits in (40.0, 150.0):
+        cfg = make_config(n_uavs=1, message_bits=bits)
+        theta = scenario.phase1_threshold(cfg)
+        br = analytic.reliability(cfg)
+        assert br.expected_phase1 == pytest.approx(analytic.head_decode_prob(theta, cfg))
+        assert br.expected_phase1 < 1.0
+        assert br.in_regime
+        assert br.eta == br.expected_phase1
 
 
 def test_phase1_expected_zero_threshold():

@@ -132,6 +132,33 @@ def test_analyze_flags_out_of_regime(capsys, tmp_path):
     assert "out of its regime" in err
 
 
+def test_analyze_single_uav_is_in_regime(capsys, tmp_path):
+    path = tmp_path / "one.cfg"
+    write_config(make_config(n_uavs=1, message_bits=150.0), path)
+    code, out, err = run_cli(capsys, "analyze", "--config", str(path))
+    assert code == 0
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert row["in_regime"] == "1" and row["eta"] == row["p_head"]
+    assert "out of its regime" not in err
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--protocol", "multi_round",
+                                                 "--rounds", "2"], ["compare"],
+                                  ["sweep", "--var", "message_bits", "--values", "8,40"]])
+def test_one_trial_rows_leave_std_err_empty(capsys, config_path, argv):
+    # one trial has no standard error: its cell is empty, as an analytic
+    # row's, and every other numeric cell is a plain finite float
+    code, out, _ = run_cli(capsys, *argv, "--config", config_path, "--trials", "1")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert rows and all(dict(zip(header, row))["std_err"] == "" for row in rows)
+    for row in rows:
+        cells = dict(zip(header, row))
+        for name in ("eta", "one_minus_eta"):
+            assert math.isfinite(float(cells[name])) and repr(float(cells[name])) == cells[name]
+
+
 def test_simulate_matches_library(capsys, config_path):
     code, out, _ = run_cli(
         capsys, "simulate", "--config", config_path, "--trials", "60", "--seed", "99"

@@ -196,14 +196,14 @@ def whole_matrix_relay(config, protocol, rng, trials):
     Each relay round sums every UAV's relay power over the (trials, N, N)
     pair gains, forms every UAV's decode probability, and then scores a UAV
     that has decoded 1: what ``mc.run_trial`` did before it kept to the
-    listeners still to decode.
+    listeners still to decode.  Every round but the last is then sampled,
+    whatever the protocol.
     """
     n, rounds = config.n_uavs, protocol.rounds
     gbs = geometry.sample_gbs_layout(config, rng, trials)
     uav = geometry.sample_swarm_layout(config, rng, trials)[0]
     gains = fading.draw_phase1(config, rng, trials)
-    draws = [fading.draw_phase2(config, rng, trials)
-             for _ in range(rounds if protocol.name == "multi_round" else 0)]
+    draws = [fading.draw_phase2(config, rng, trials) for _ in range(rounds - 1)]
     split = protocol.name in ("proposed", "head_relay")
     cell = scenario.phase1_threshold if split else scenario.full_slot_cell_threshold
     decoded = (fading.phase1_sinrs(gbs, uav, gains, config, protocol.with_head,
@@ -234,7 +234,7 @@ def whole_matrix_relay(config, protocol, rng, trials):
             with np.errstate(divide="ignore", over="ignore", under="ignore"):
                 heard = np.exp(-ratio / power)
         np.maximum(np.where(decoded, 1.0, heard), probs[:, r - 1], out=probs[:, r])
-        if protocol.name == "multi_round":
+        if r < rounds:
             sinrs = config.tx_power_uav_w * power * draws[r - 1] / config.intf_noise_phase2_w
             decoded |= (sinrs >= d2d) & relays.any(axis=1, keepdims=True)
     return probs
@@ -259,11 +259,13 @@ def whole_matrix_relay(config, protocol, rng, trials):
         "inf-gains"])
 def test_relay_rows_match_the_whole_matrix_bit_for_bit(overrides, raw):
     # every protocol, multi_round at 1-6 rounds with and without the head,
-    # and a second and third threshold on the same draw, in one run of
-    # ragged chunks, and each protocol alone on one chunk: every curve has
-    # the bits of the whole-matrix loop on its own draws
+    # the split protocols at three rounds, sampled between them, and a
+    # second and third threshold on the same draw, in one run of ragged
+    # chunks, and each protocol alone on one chunk: every curve has the bits
+    # of the whole-matrix loop on its own draws
     cfg = replace(make_config(**overrides), **raw)
-    protocols = [mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY]
+    protocols = [mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY,
+                 mc.Protocol("proposed", rounds=3), mc.Protocol("head_relay", rounds=3)]
     protocols += [mc.multi_round(r, h) for r in range(1, 7) for h in (True, False)]
     variants = [(cfg, p) for p in protocols]
     variants += [(replace(cfg, message_bits=cfg.message_bits / 2), mc.PROPOSED),
@@ -513,7 +515,8 @@ def sampled_rounds(config, rounds, with_head, rng, trials):
 
     A chunk's geometry, cellular fading and relay draws are replayed from
     ``rng``, in ``mc.run_trial``'s order, and every relay round is sampled:
-    a listener decodes once its SINR clears the threshold.
+    a listener decodes once its SINR clears the threshold.  The last round
+    is sampled on one more draw, which the kernel does not make.
     """
     gbs = geometry.sample_gbs_layout(config, rng, trials)
     uav = geometry.sample_swarm_layout(config, rng, trials)[0]
@@ -564,7 +567,8 @@ def _count_calls(monkeypatch, calls, module, name):
 def test_round_counts_of_one_protocol_share_one_curve(monkeypatch, with_head):
     # each row equals its own estimate, and the 16 chunks of 4, one run at
     # N=10, compute one three-round curve: one kernel call, handed that one
-    # curve alone, three relay draws per chunk and three relay rounds, not nine
+    # curve alone, and two relay draws per chunk and two sampled relay
+    # rounds, for the two rounds that a later round reads
     cfg = make_config(n_uavs=10, message_bits=150.0)
     pairs = [(cfg, mc.multi_round(rounds, with_head)) for rounds in (3, 1, 3, 2)]
     own = [mc.estimate(c, p, 64, 14) for c, p in pairs]
@@ -574,7 +578,29 @@ def test_round_counts_of_one_protocol_share_one_curve(monkeypatch, with_head):
     _count_calls(monkeypatch, calls, fading, "phase2_sinrs")
     assert mc.estimate_variants(pairs, 64, 14) == own
     curve = planned_curves([(cfg, mc.multi_round(3, with_head))])
-    assert calls == [(cfg, curve, [4] * 16), *["draw_phase2"] * 3 * 16, *["phase2_sinrs"] * 3]
+    assert calls == [(cfg, curve, [4] * 16), *["draw_phase2"] * 2 * 16, *["phase2_sinrs"] * 2]
+
+
+@pytest.mark.parametrize("protocols, sampled", [
+    (list(mc.PROTOCOLS.values()), 0),
+    ([mc.multi_round(1)], 0),
+    ([mc.multi_round(1, with_head=False)], 0),
+    ([mc.Protocol("proposed", rounds=3)], 2),
+], ids=["compare", "multi_round1", "multi_round1_nohead", "proposed3"])
+def test_only_a_round_that_a_later_round_reads_is_sampled(monkeypatch, protocols, sampled):
+    # compare and a one-round curve draw no relay fading and sample no
+    # round; a split protocol run for three rounds samples its first two,
+    # as multi_round does, so its curve grows past the one-round curve,
+    # which stays its prefix
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    calls = []
+    _count_calls(monkeypatch, calls, fading, "draw_phase2")
+    _count_calls(monkeypatch, calls, fading, "phase2_sinrs")
+    curves = mc.estimate_variants([(cfg, p) for p in protocols], 64, 14)
+    assert calls == [*["draw_phase2"] * sampled * 16, *["phase2_sinrs"] * sampled]
+    if protocols[0].rounds == 3:
+        assert curves[0][:2] == mc.estimate(cfg, mc.PROPOSED, 64, 14)
+        assert curves[0][1].eta_mean < curves[0][2].eta_mean < curves[0][3].eta_mean
 
 
 def test_a_curve_asked_for_twice_apart_is_drawn_once(monkeypatch):
