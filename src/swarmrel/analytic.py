@@ -60,7 +60,12 @@ class InvGammaFit:
 
 @dataclass(frozen=True)
 class AnalyticBreakdown:
-    """Reliability prediction with its intermediate quantities."""
+    """Reliability prediction with its intermediate quantities.
+
+    ``p_phase2`` is NaN where no UAV is left to hear the relay stage
+    (``k_effective == n_uavs``: a one-UAV swarm, or every UAV expected to
+    decode in the cellular stage).
+    """
 
     p_head: float
     p_member: float
@@ -353,8 +358,10 @@ def reliability(config: ScenarioConfig) -> AnalyticBreakdown:
     count in the relay-stage probability.  The substitution presumes most
     UAVs already decode in the cellular stage; if fewer than one decoder is
     expected, the count is clamped to one and the result is flagged
-    ``in_regime=False`` rather than extrapolated.  A lone UAV has no relay
-    term (N - k_eff = 0), so eta is p_head and always in regime.
+    ``in_regime=False`` rather than extrapolated.  Where k_eff = N no UAV is
+    left to hear the relays, so the relay stage is not formed: eta is E1 / N
+    and ``p_phase2`` is NaN.  A lone UAV is such a swarm (eta is p_head),
+    and always in regime.
     """
     n = config.n_uavs
     theta1 = phase1_threshold(config)
@@ -364,8 +371,10 @@ def reliability(config: ScenarioConfig) -> AnalyticBreakdown:
     expected1 = p_head + (n - 1) * p_member
     in_regime = expected1 >= 1.0 or n == 1
     k_eff = min(float(n), max(1.0, expected1))
-    p2 = phase2_decode_prob(theta2, k_eff, config)
-    eta = (expected1 + (n - k_eff) * p2) / n
+    p2, eta = math.nan, expected1 / n  # unless a UAV is left to hear a relay
+    if k_eff < n:
+        p2 = phase2_decode_prob(theta2, k_eff, config)
+        eta = (expected1 + (n - k_eff) * p2) / n
     return AnalyticBreakdown(
         p_head=p_head,
         p_member=p_member,

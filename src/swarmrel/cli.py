@@ -132,7 +132,7 @@ def cmd_analyze(config, seed, args):
         br.p_member,
         br.expected_phase1,
         br.k_effective,
-        br.p_phase2,
+        "" if math.isnan(br.p_phase2) else br.p_phase2,
         br.eta,
         1.0 - br.eta,
         "",

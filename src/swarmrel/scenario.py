@@ -1,16 +1,17 @@
 """Scenario parameters, unit conversions, and SINR decode thresholds.
 
 A validated ``ScenarioConfig`` is the single source of truth shared by the
-closed-form model and the Monte Carlo engine.  All radio quantities are given
-in the customary dB/dBm units and cached in linear units at construction;
-everything downstream works in linear units only.
+closed-form model and the Monte Carlo engine.  Each field declares its own
+rule: the range of its values, and for a radio quantity given in the
+customary dB or dBm units, the attribute that caches it in linear units at
+construction; everything downstream works in linear units only.
 """
 
 from __future__ import annotations
 
 import math
 import typing
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 __all__ = [
     "ConfigError",
@@ -58,15 +59,27 @@ def dbm_to_watts(value_dbm: float) -> float:
     return db_to_linear(value_dbm) * 1e-3
 
 
-# dB or dBm field: (its cached linear attribute, the conversion)
-_LINEAR_FIELDS = {
-    "tx_power_gbs_dbm": ("tx_power_gbs_w", dbm_to_watts),
-    "tx_power_uav_dbm": ("tx_power_uav_w", dbm_to_watts),
-    "ref_gain_cell_db": ("ref_gain_cell", db_to_linear),
-    "ref_gain_d2d_db": ("ref_gain_d2d", db_to_linear),
-    "noise_phase1_dbm": ("noise_phase1_w", dbm_to_watts),
-    "intf_noise_phase2_dbm": ("intf_noise_phase2_w", dbm_to_watts),
-}
+def _range(op, low, high=None):
+    """Field metadata: values ``op`` (">=" or ">") ``low``, and at most ``high`` if given."""
+    text = f"{op} {low}" if high is None else f"in {'[' if op == '>=' else '('}{low}, {high}]"
+    return {"range": (op == ">=", low, high, text)}
+
+
+def _linear(attribute, convert):
+    """Field metadata: a dB or dBm value that ``convert`` caches in linear units."""
+    return {"linear": (attribute, convert)}
+
+
+def _range_problem(name, value, rule):
+    """``name: must be <range>, got <value>`` when ``value`` is outside ``rule``, else None.
+
+    A NaN passes a lower bound alone (``validate`` reports it as non-finite)
+    but fails an upper one.
+    """
+    closed, low, high, text = rule
+    if (value < low if closed else value <= low) or (high is not None and not value <= high):
+        return f"{name}: must be {text}, got {value}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -80,35 +93,36 @@ class ScenarioConfig:
     across parallel workers.
     """
 
-    n_uavs: int
-    m_available: int
-    m_occupied: int
-    coverage_radius_m: float
-    swarm_radius_m: float
-    swarm_altitude_m: float
-    min_separation_m: float
-    pathloss_exp_cell: float
-    pathloss_exp_d2d: float
-    rician_k: float
-    ref_gain_cell_db: float
-    ref_gain_d2d_db: float
-    tx_power_gbs_dbm: float
-    tx_power_uav_dbm: float
-    bandwidth_cell_hz: float
-    bandwidth_d2d_hz: float
-    sinr_gap_cell: float
-    sinr_gap_d2d: float
-    intf_noise_phase2_dbm: float
-    message_bits: float
-    tau_total_s: float
-    tau_phase1_s: float
+    n_uavs: int = field(metadata=_range(">=", 1))
+    m_available: int = field(metadata=_range(">=", 1))
+    m_occupied: int = field(metadata=_range(">=", 0))
+    coverage_radius_m: float = field(metadata=_range(">", 0))
+    swarm_radius_m: float = field(metadata=_range(">", 0))
+    swarm_altitude_m: float = field(metadata=_range(">", 0))
+    min_separation_m: float = field(metadata=_range(">=", 0))  # and < 2 swarm_radius_m
+    pathloss_exp_cell: float = field(metadata=_range(">=", 2))
+    pathloss_exp_d2d: float = field(metadata=_range(">=", 2))
+    rician_k: float = field(metadata=_range(">=", 0))
+    ref_gain_cell_db: float = field(metadata=_linear("ref_gain_cell", db_to_linear))
+    ref_gain_d2d_db: float = field(metadata=_linear("ref_gain_d2d", db_to_linear))
+    tx_power_gbs_dbm: float = field(metadata=_linear("tx_power_gbs_w", dbm_to_watts))
+    tx_power_uav_dbm: float = field(metadata=_linear("tx_power_uav_w", dbm_to_watts))
+    bandwidth_cell_hz: float = field(metadata=_range(">", 0))
+    bandwidth_d2d_hz: float = field(metadata=_range(">", 0))
+    sinr_gap_cell: float = field(metadata=_range(">", 0, 1))
+    sinr_gap_d2d: float = field(metadata=_range(">", 0, 1))
+    intf_noise_phase2_dbm: float = field(metadata=_linear("intf_noise_phase2_w", dbm_to_watts))
+    message_bits: float = field(metadata=_range(">=", 0))
+    tau_total_s: float = field(metadata=_range(">", 0))
+    tau_phase1_s: float  # 0 < tau_phase1_s < tau_total_s
     # cellular-stage AWGN is kept in the simulation but should stay far below
     # the co-channel interference; the closed-form model drops it entirely
-    noise_phase1_dbm: float = -100.0
+    noise_phase1_dbm: float = field(default=-100.0,
+                                    metadata=_linear("noise_phase1_w", dbm_to_watts))
 
     def __post_init__(self):
         # linear-unit cache: converted exactly once per instance
-        for source, (target, convert) in _LINEAR_FIELDS.items():
+        for source, (target, convert) in _UNITS.items():
             object.__setattr__(self, target, convert(getattr(self, source)))
 
     @property
@@ -120,66 +134,46 @@ class ScenarioConfig:
         return self.tau_total_s - self.tau_phase1_s
 
 
-# the fields annotated int; every other field is a float
+# the declarations, read once: the fields annotated int (every other field is
+# a float), the required ones, each declared range and each dB or dBm unit
 INT_FIELDS = frozenset(k for k, t in typing.get_type_hints(ScenarioConfig).items() if t is int)
+_FIELD_NAMES = [f.name for f in fields(ScenarioConfig)]
+_REQUIRED = [f.name for f in fields(ScenarioConfig) if f.default is MISSING]
+_RANGES = {f.name: f.metadata["range"] for f in fields(ScenarioConfig) if "range" in f.metadata}
+_UNITS = {f.name: f.metadata["linear"] for f in fields(ScenarioConfig) if "linear" in f.metadata}
 
 
 def validate(config: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant of ``config`` and return it unchanged.
 
-    Raises ``ConfigError`` listing all violations at once.  Packing
-    infeasibility (the hard-core sampler cannot possibly place ``n_uavs``
-    disks of radius ``min_separation_m / 2`` inside the swarm) is reported
-    as its own violation, and so is a non-finite value, or a dB or dBm value
-    whose linear form leaves the float range (above about 3080 dB it
-    overflows to inf, below about -3200 dB it underflows to 0).
+    Raises ``ConfigError`` listing all violations at once: each value that
+    is not finite, each dB or dBm value whose linear form leaves the float
+    range (above about 3080 dB it overflows to inf, below about -3200 dB it
+    underflows to 0), and each value outside the range its field declares,
+    in the one range message that ``sinr_threshold`` also uses.  The
+    cross-field rules follow: ``min_separation_m`` below the swarm diameter,
+    ``tau_phase1_s`` inside the slot, and packing infeasibility (the
+    hard-core sampler cannot possibly place ``n_uavs`` disks of radius
+    ``min_separation_m / 2`` inside the swarm).
     """
     p = []
-    for f in fields(config):
-        value = getattr(config, f.name)
+    for name in _FIELD_NAMES:
+        value = getattr(config, name)
         if not math.isfinite(value):
-            p.append(f"{f.name}: must be finite, got {value}")
-        elif f.name in _LINEAR_FIELDS:
-            linear = getattr(config, _LINEAR_FIELDS[f.name][0])
-            if not 0.0 < linear < math.inf:
-                p.append(f"{f.name}: {value} is out of float range in linear units")
-    if config.n_uavs < 1:
-        p.append(f"n_uavs: must be >= 1, got {config.n_uavs}")
-    if config.m_available < 1:
-        p.append(f"m_available: must be >= 1, got {config.m_available}")
-    if config.m_occupied < 0:
-        p.append(f"m_occupied: must be >= 0, got {config.m_occupied}")
-    if config.coverage_radius_m <= 0:
-        p.append(f"coverage_radius_m: must be > 0, got {config.coverage_radius_m}")
-    if config.swarm_radius_m <= 0:
-        p.append(f"swarm_radius_m: must be > 0, got {config.swarm_radius_m}")
-    if config.swarm_altitude_m <= 0:
-        p.append(f"swarm_altitude_m: must be > 0, got {config.swarm_altitude_m}")
-    if config.min_separation_m < 0:
-        p.append(f"min_separation_m: must be >= 0, got {config.min_separation_m}")
-    elif config.min_separation_m >= 2.0 * config.swarm_radius_m:
-        p.append(
-            "min_separation_m: must be < 2 * swarm_radius_m "
-            f"({config.min_separation_m} >= {2.0 * config.swarm_radius_m})"
-        )
-    if config.pathloss_exp_cell < 2.0:
-        p.append(f"pathloss_exp_cell: must be >= 2, got {config.pathloss_exp_cell}")
-    if config.pathloss_exp_d2d < 2.0:
-        p.append(f"pathloss_exp_d2d: must be >= 2, got {config.pathloss_exp_d2d}")
-    if config.rician_k < 0:
-        p.append(f"rician_k: must be >= 0, got {config.rician_k}")
-    if config.bandwidth_cell_hz <= 0:
-        p.append(f"bandwidth_cell_hz: must be > 0, got {config.bandwidth_cell_hz}")
-    if config.bandwidth_d2d_hz <= 0:
-        p.append(f"bandwidth_d2d_hz: must be > 0, got {config.bandwidth_d2d_hz}")
-    if not 0.0 < config.sinr_gap_cell <= 1.0:
-        p.append(f"sinr_gap_cell: must be in (0, 1], got {config.sinr_gap_cell}")
-    if not 0.0 < config.sinr_gap_d2d <= 1.0:
-        p.append(f"sinr_gap_d2d: must be in (0, 1], got {config.sinr_gap_d2d}")
-    if config.message_bits < 0:
-        p.append(f"message_bits: must be >= 0, got {config.message_bits}")
-    if config.tau_total_s <= 0:
-        p.append(f"tau_total_s: must be > 0, got {config.tau_total_s}")
+            p.append(f"{name}: must be finite, got {value}")
+        elif name in _UNITS and not 0.0 < getattr(config, _UNITS[name][0]) < math.inf:
+            p.append(f"{name}: {value} is out of float range in linear units")
+    for name, rule in _RANGES.items():
+        problem = _range_problem(name, getattr(config, name), rule)
+        if problem:
+            p.append(problem)
+        # the separation's bound by the swarm diameter is checked once its range
+        # holds, and listed in its place
+        elif name == "min_separation_m" and config.min_separation_m >= 2.0 * config.swarm_radius_m:
+            p.append(
+                "min_separation_m: must be < 2 * swarm_radius_m "
+                f"({config.min_separation_m} >= {2.0 * config.swarm_radius_m})"
+            )
     if not 0.0 < config.tau_phase1_s < config.tau_total_s:
         p.append(
             "tau_phase1_s: must satisfy 0 < tau_phase1_s < tau_total_s, got "
@@ -204,14 +198,12 @@ def sinr_threshold(bits: float, duration_s: float, bandwidth_hz: float, gap: flo
     Inverts the gapped capacity constraint
     ``duration * bandwidth * log2(1 + gap * sinr) >= bits``.
     """
-    if duration_s <= 0:
-        raise ConfigError(f"duration_s: must be > 0, got {duration_s}")
-    if bandwidth_hz <= 0:
-        raise ConfigError(f"bandwidth_hz: must be > 0, got {bandwidth_hz}")
-    if not 0.0 < gap <= 1.0:
-        raise ConfigError(f"gap: must be in (0, 1], got {gap}")
-    if bits < 0:
-        raise ConfigError(f"bits: must be >= 0, got {bits}")
+    for name, value, like in (("duration_s", duration_s, "tau_total_s"),
+                              ("bandwidth_hz", bandwidth_hz, "bandwidth_cell_hz"),
+                              ("gap", gap, "sinr_gap_cell"), ("bits", bits, "message_bits")):
+        problem = _range_problem(name, value, _RANGES[like])
+        if problem:
+            raise ConfigError(problem)
     capacity = duration_s * bandwidth_hz  # underflowed to 0, no finite SINR carries bits
     ratio = bits / capacity if capacity > 0 else (math.inf if bits > 0 else 0.0)
     try:
@@ -259,10 +251,6 @@ def full_slot_d2d_threshold(config: ScenarioConfig) -> float:
 # Flat "key = value" lines keyed exactly by the field names above.  Floats
 # are written with repr() so that write -> read is bit-exact, which sweep
 # tooling relies on.
-
-_FIELD_NAMES = [f.name for f in fields(ScenarioConfig)]
-_REQUIRED = [f.name for f in fields(ScenarioConfig) if f.default is MISSING]
-
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse the flat key=value config format; unknown keys are errors."""

@@ -324,6 +324,25 @@ def test_phase1_expected_single_uav():
         assert br.eta == br.expected_phase1
 
 
+# k_eff = N: a lone UAV, or no occupied channel so that every UAV decodes in
+# the cellular stage; touching UAVs would fail the D2D fit
+NO_RELAY_STAGE = [dict(n_uavs=1, min_separation_m=0.0), dict(m_occupied=0, min_separation_m=0.0),
+                  dict(n_uavs=1, min_separation_m=1e-95)]
+
+
+@pytest.mark.parametrize("overrides", NO_RELAY_STAGE)
+def test_no_relay_stage_where_no_uav_is_left_to_hear_it(monkeypatch, overrides):
+    def d2d_fit(k_effective, config):
+        raise AssertionError("the relay stage was formed")
+
+    monkeypatch.setattr(analytic, "d2d_fit", d2d_fit)
+    cfg = make_config(**overrides)
+    br = analytic.reliability(cfg)
+    assert br.k_effective == cfg.n_uavs
+    assert math.isnan(br.p_phase2)
+    assert br.eta == br.expected_phase1 / cfg.n_uavs
+
+
 def test_phase1_expected_zero_threshold():
     cfg = make_config(message_bits=0.0)
     assert analytic.reliability(cfg).expected_phase1 == pytest.approx(40.0)

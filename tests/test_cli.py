@@ -143,6 +143,18 @@ def test_analyze_single_uav_is_in_regime(capsys, tmp_path):
     assert "out of its regime" not in err
 
 
+@pytest.mark.parametrize("overrides", [dict(n_uavs=1, min_separation_m=0.0),
+                                       dict(m_occupied=0, min_separation_m=0.0)])
+def test_analyze_leaves_p_phase2_empty_without_a_relay_stage(capsys, tmp_path, overrides):
+    # no UAV is left to hear a relay, so the touching UAVs' D2D fit is never formed
+    path = tmp_path / "no-relay.cfg"
+    write_config(make_config(**overrides), path)
+    code, out, _ = run_cli(capsys, "analyze", "--config", str(path))
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert dict(zip(header, rows[0]))["p_phase2"] == ""
+
+
 @pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--protocol", "multi_round",
                                                  "--rounds", "2"], ["compare"],
                                   ["sweep", "--var", "message_bits", "--values", "8,40"]])

@@ -1,7 +1,8 @@
 """Every validated scenario analyzes to probabilities or to a documented error.
 
 A config that passes ``scenario.validate`` must give plain finite floats,
-with the probabilities in [0, 1], from ``analytic.reliability``, or fail
+with the probabilities in [0, 1], from ``analytic.reliability`` (``p_phase2``
+is NaN exactly where no UAV is left to hear a relay), or fail
 with ``ConfigError`` or ``NumericalError``; ``analyze`` on it exits 0, 2 or
 3, never with a traceback, and so does a 5-trial ``simulate``.
 """
@@ -135,9 +136,15 @@ def config_example(tau_phase1_s, tau_total_s=1e-3, bandwidth_cell_hz=200e3,
                 coverage_radius_m=55.0, pathloss_exp_cell=3.0)
 @config_example(**SMALL_SHAPE, **SWARM, tau_phase1_s=9.99e-4, coverage_radius_m=10.0,
                 pathloss_exp_cell=5.0)
-# touching UAVs make E[w^-alpha_d2d] infinite; at 1e-30 m, w^-12 overflows
+# touching UAVs make E[w^-alpha_d2d] infinite; at 1e-30 m, w^-12 overflows.
+# A lone UAV has no relay term to form, so it never meets them; two UAVs
+# with E1 < 2 do
 @config_example(**NEAR_TWO, swarm_radius_m=30.0, min_separation_m=0.0, pathloss_exp_d2d=6.0)
 @config_example(**NEAR_TWO, swarm_radius_m=30.0, min_separation_m=1e-30, pathloss_exp_d2d=6.0)
+@config_example(**dict(NEAR_TWO, n_uavs=2), swarm_radius_m=30.0, min_separation_m=0.0,
+                pathloss_exp_d2d=6.0)
+@config_example(**dict(NEAR_TWO, n_uavs=2), swarm_radius_m=30.0, min_separation_m=1e-30,
+                pathloss_exp_d2d=6.0)
 @config_example(**MEMBER_CAP)
 @config_example(**WIDE_CELL)
 @config_example(**SERIES_BELOW_ZERO)
@@ -171,10 +178,14 @@ def test_validated_config_gives_probabilities_or_documented_error(timing, **over
     except (scenario.ConfigError, NumericalError):
         br = None
     if br is not None:
-        for name in ("p_head", "p_member", "p_phase2", "eta", "expected_phase1", "k_effective"):
+        # p_phase2 is NaN exactly where no UAV is left to hear a relay
+        relayed = br.k_effective < config.n_uavs
+        assert math.isnan(br.p_phase2) != relayed
+        probabilities = ("p_head", "p_member", "eta") + (("p_phase2",) if relayed else ())
+        for name in probabilities + ("expected_phase1", "k_effective"):
             value = getattr(br, name)
             assert type(value) is float and math.isfinite(value), name
-        for name in ("p_head", "p_member", "p_phase2", "eta"):
+        for name in probabilities:
             assert 0.0 <= getattr(br, name) <= 1.0, name
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "scenario.cfg")

@@ -42,6 +42,57 @@ def test_all_violations_reported_at_once():
         assert any(p.startswith(f"{field}: must") for p in problems), (field, problems)
 
 
+# each declared range: its bound, whether the bound is allowed, a value past
+# it, and the range as the message states it
+DECLARED_RANGES = [
+    ("n_uavs", 1, True, 0, ">= 1"),
+    ("m_available", 1, True, 0, ">= 1"),
+    ("m_occupied", 0, True, -1, ">= 0"),
+    ("coverage_radius_m", 0.0, False, -5e-324, "> 0"),
+    ("swarm_radius_m", 0.0, False, -5e-324, "> 0"),
+    ("swarm_altitude_m", 0.0, False, -5e-324, "> 0"),
+    ("min_separation_m", 0.0, True, -5e-324, ">= 0"),
+    ("pathloss_exp_cell", 2.0, True, math.nextafter(2.0, 0.0), ">= 2"),
+    ("pathloss_exp_d2d", 2.0, True, math.nextafter(2.0, 0.0), ">= 2"),
+    ("rician_k", 0.0, True, -5e-324, ">= 0"),
+    ("bandwidth_cell_hz", 0.0, False, -5e-324, "> 0"),
+    ("bandwidth_d2d_hz", 0.0, False, -5e-324, "> 0"),
+    ("sinr_gap_cell", 0.0, False, -5e-324, "in (0, 1]"),
+    ("sinr_gap_cell", 1.0, True, math.nextafter(1.0, 2.0), "in (0, 1]"),
+    ("sinr_gap_d2d", 0.0, False, -5e-324, "in (0, 1]"),
+    ("sinr_gap_d2d", 1.0, True, math.nextafter(1.0, 2.0), "in (0, 1]"),
+    ("message_bits", 0.0, True, -5e-324, ">= 0"),
+    ("tau_total_s", 0.0, False, -5e-324, "> 0"),
+]
+
+
+@pytest.mark.parametrize("field, bound, allowed, past, rule", DECLARED_RANGES)
+def test_declared_range_at_its_bound(field, bound, allowed, past, rule):
+    if allowed:
+        assert getattr(make_config(**{field: bound}), field) == bound
+    for value in (past,) if allowed else (bound, past):
+        with pytest.raises(ConfigError) as err:
+            make_config(**{field: value})
+        assert f"{field}: must be {rule}, got {value}" in err.value.problems
+
+
+@pytest.mark.parametrize("argument, bound, allowed, past, rule", [
+    ("duration_s", 0.0, False, -5e-324, "> 0"),
+    ("bandwidth_hz", 0.0, False, -5e-324, "> 0"),
+    ("gap", 0.0, False, -5e-324, "in (0, 1]"),
+    ("gap", 1.0, True, math.nextafter(1.0, 2.0), "in (0, 1]"),
+    ("bits", 0.0, True, -5e-324, ">= 0"),
+])
+def test_sinr_threshold_arguments_share_the_range_message(argument, bound, allowed, past, rule):
+    reference = dict(bits=40.0, duration_s=0.5e-3, bandwidth_hz=200e3, gap=5 / 6)
+    if allowed:
+        assert scenario.sinr_threshold(**{**reference, argument: bound}) >= 0.0
+    for value in (past,) if allowed else (bound, past):
+        with pytest.raises(ConfigError) as err:
+            scenario.sinr_threshold(**{**reference, argument: value})
+        assert err.value.problems == [f"{argument}: must be {rule}, got {value}"]
+
+
 def test_non_finite_values_rejected():
     # nan passes every comparison, and inf slips past the upper bounds
     for field, value in (("message_bits", math.nan), ("tau_total_s", math.inf),
