@@ -22,7 +22,7 @@ import numpy as np
 
 from . import specfun
 from .fading import rician_moments
-from .scenario import ScenarioConfig, phase1_threshold, phase2_threshold
+from .scenario import ScenarioConfig, stage_thresholds
 
 __all__ = [
     "GammaFit",
@@ -364,8 +364,7 @@ def reliability(config: ScenarioConfig) -> AnalyticBreakdown:
     and always in regime.
     """
     n = config.n_uavs
-    theta1 = phase1_threshold(config)
-    theta2 = phase2_threshold(config)
+    theta1, theta2 = stage_thresholds(config)
     p_head = head_decode_prob(theta1, config)
     p_member = member_decode_prob(theta1, config)
     expected1 = p_head + (n - 1) * p_member

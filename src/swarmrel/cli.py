@@ -21,6 +21,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from fractions import Fraction
 
 from . import analytic, mc, scenario
 from .geometry import PlacementError
@@ -163,15 +164,17 @@ _SWEEP_HEADER = ["variable", "value", *_EST_HEADER]
 
 
 def _parse_values(args) -> tuple:
+    """The --values list, or the --start/--stop/--step grid: point i is start + i step,
+    exact in the decimals given and rounded once (0.0003, not 0.00030000000000000003)."""
+    kind = int if args.var in _INT_VARS else float
     if args.values is not None:
         parts = [p for p in args.values.split(",") if p.strip()]
         if not parts:
             raise ConfigError("values: must be non-empty")
-        parse = int if args.var in _INT_VARS else float
         try:
-            return tuple(parse(p) for p in parts)
+            return tuple(kind(p) for p in parts)
         except ValueError:
-            raise ConfigError(f"values: cannot parse {args.values!r} as {parse.__name__}s "
+            raise ConfigError(f"values: cannot parse {args.values!r} as {kind.__name__}s "
                               f"for {args.var}")
     if args.start is None or args.stop is None or args.step is None:
         raise ConfigError("values: give either --values or all of --start/--stop/--step")
@@ -179,15 +182,21 @@ def _parse_values(args) -> tuple:
         raise ConfigError("start/stop/step: must be finite")
     if args.step <= 0:
         raise ConfigError(f"step: must be > 0, got {args.step}")
-    out = []
-    v = args.start
-    # tolerate float accumulation up to half a step beyond the endpoint
-    while v <= args.stop + 0.5 * args.step:
-        out.append(int(round(v)) if args.var in _INT_VARS else v)
-        v += args.step
-    if not out:
+    for name, value in (("start", args.start), ("step", args.step)):
+        if kind is int and not value.is_integer():
+            raise ConfigError(f"{name}: must be a whole number for {args.var}, got {value}")
+    start, stop, step = (Fraction(repr(v)) for v in (args.start, args.stop, args.step))
+    count = (stop - start) // step + 1
+    if count < 1:
         raise ConfigError("values: empty grid")
-    return tuple(out)
+
+    def point(i):
+        return kind(start + i * step)
+
+    # the float spacing is coarsest at an end of the grid
+    if count > 1 and (point(1) == point(0) or point(count - 1) == point(count - 2)):
+        raise ConfigError(f"step: {args.step} is below the float spacing of the grid")
+    return tuple(point(i) for i in range(count))
 
 
 def _sweep_rows(config, args, values, engines, protocol, seed) -> list:

@@ -187,12 +187,9 @@ def _draw_key(config: ScenarioConfig) -> tuple:
 
 
 def _thresholds(config: ScenarioConfig, protocol: Protocol) -> tuple[float, float | None]:
-    """A curve's (cellular, D2D) decode thresholds."""
-    split = protocol.name in ("proposed", "head_relay")
-    cell, d2d = ((scenario.phase1_threshold, scenario.phase2_threshold) if split else
-                 (scenario.full_slot_cell_threshold, scenario.full_slot_d2d_threshold))
-    # past its rate cap an unused D2D threshold would raise ConfigError
-    return cell(config), d2d(config) if protocol.rounds else None
+    """A curve's (cellular, D2D) decode thresholds (``scenario.stage_thresholds``)."""
+    whole_slot = protocol.name not in ("proposed", "head_relay")
+    return scenario.stage_thresholds(config, whole_slot=whole_slot, relays=protocol.rounds > 0)
 
 
 def run_trial(config: ScenarioConfig, curves, rngs, trials):

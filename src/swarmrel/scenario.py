@@ -19,10 +19,7 @@ __all__ = [
     "INT_FIELDS",
     "validate",
     "sinr_threshold",
-    "phase1_threshold",
-    "phase2_threshold",
-    "full_slot_cell_threshold",
-    "full_slot_d2d_threshold",
+    "stage_thresholds",
     "dbm_to_watts",
     "db_to_linear",
     "parse_config",
@@ -218,32 +215,22 @@ def sinr_threshold(bits: float, duration_s: float, bandwidth_hz: float, gap: flo
     return threshold
 
 
-def phase1_threshold(config: ScenarioConfig) -> float:
-    """Decode threshold for the cellular downlink stage of the split slot."""
-    return sinr_threshold(
-        config.message_bits, config.tau_phase1_s, config.bandwidth_cell_hz, config.sinr_gap_cell
-    )
+def stage_thresholds(config: ScenarioConfig, whole_slot: bool = False,
+                     relays: bool = True) -> tuple[float, float | None]:
+    """The (cellular, D2D) decode thresholds of a slot's two stages.
 
-
-def phase2_threshold(config: ScenarioConfig) -> float:
-    """Decode threshold for the D2D relay stage of the split slot."""
-    return sinr_threshold(
-        config.message_bits, config.tau_phase2_s, config.bandwidth_d2d_hz, config.sinr_gap_d2d
-    )
-
-
-def full_slot_cell_threshold(config: ScenarioConfig) -> float:
-    """Cellular decode threshold when the whole slot is used (no relaying)."""
-    return sinr_threshold(
-        config.message_bits, config.tau_total_s, config.bandwidth_cell_hz, config.sinr_gap_cell
-    )
-
-
-def full_slot_d2d_threshold(config: ScenarioConfig) -> float:
-    """D2D decode threshold for one relay round spanning a whole slot."""
-    return sinr_threshold(
-        config.message_bits, config.tau_total_s, config.bandwidth_d2d_hz, config.sinr_gap_d2d
-    )
+    The split slot gives the cellular stage ``tau_phase1_s`` and the D2D
+    stage the rest; with ``whole_slot`` each stage has all of
+    ``tau_total_s``.  Without ``relays`` the D2D threshold is None: past its
+    rate cap an unused one would raise ``ConfigError``.
+    """
+    cell_s, d2d_s = ((config.tau_total_s, config.tau_total_s) if whole_slot else
+                     (config.tau_phase1_s, config.tau_phase2_s))
+    bits = config.message_bits
+    cell = sinr_threshold(bits, cell_s, config.bandwidth_cell_hz, config.sinr_gap_cell)
+    if not relays:
+        return cell, None
+    return cell, sinr_threshold(bits, d2d_s, config.bandwidth_d2d_hz, config.sinr_gap_d2d)
 
 
 # --- config file round-trip ------------------------------------------------

@@ -88,8 +88,8 @@ def run_trial(config, protocol, rng):
         serving = serving[[np.argmin(center[serving])]]
     combining = "head" if protocol.with_head else "unit"
     sinrs = _phase1_sinrs(gbs_xy, uav, gains, config, combining, serving)
-    cell_threshold = (
-        scenario.phase1_threshold(config) if split else scenario.full_slot_cell_threshold(config)
+    cell_threshold, d2d_threshold = scenario.stage_thresholds(
+        config, whole_slot=not split, relays=protocol.rounds > 0
     )
     decoded = sinrs >= cell_threshold
     probs = np.empty((1 + protocol.rounds, config.n_uavs))
@@ -97,9 +97,6 @@ def run_trial(config, protocol, rng):
     if protocol.rounds == 0:
         return probs
 
-    d2d_threshold = (
-        scenario.phase2_threshold(config) if split else scenario.full_slot_d2d_threshold(config)
-    )
     speakers = np.ones(config.n_uavs, dtype=bool)
     if protocol.name == "head_relay":
         speakers = np.arange(config.n_uavs) == 0

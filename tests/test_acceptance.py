@@ -291,7 +291,7 @@ def test_criterion_9_phase1_count_distribution():
     # message size chosen so the split-slot cellular threshold is exactly 0.25
     bits = 0.5e-3 * 200e3 * math.log2(1.0 + 0.25 * (5.0 / 6.0))
     cfg = make_config(n_uavs=30, m_available=8, m_occupied=4, message_bits=bits)
-    assert scenario.phase1_threshold(cfg) == pytest.approx(0.25, rel=1e-12)
+    assert scenario.stage_thresholds(cfg)[0] == pytest.approx(0.25, rel=1e-12)
     dist = mc.phase1_count_distribution(cfg, 1000, 1, workers=WORKERS)
     expected = analytic.reliability(cfg).expected_phase1
     gap = abs(dist.mean_count - expected)

@@ -221,7 +221,7 @@ def test_head_decode_quad_with_singular_interference_density():
                       pathloss_exp_cell=3.0)
     num, den = analytic._head_fits(cfg)
     assert den.a < 0.01
-    theta = scenario.phase1_threshold(cfg)
+    theta = scenario.stage_thresholds(cfg)[0]
     a, c = mpmath.mpf(num.a), mpmath.mpf(den.a)
     k = mpmath.mpf(num.b) * mpmath.sqrt(mpmath.mpf(theta) / den.b)
 
@@ -242,7 +242,7 @@ def test_head_decode_against_mpmath_where_the_2f2_form_cancels():
     cfg = make_config(m_available=4, m_occupied=8, rician_k=3.4106917927843416,
                       message_bits=71.63349744369316, tau_phase1_s=0.0008804344755401868)
     num, den = analytic._head_fits(cfg)
-    theta = scenario.phase1_threshold(cfg)
+    theta = scenario.stage_thresholds(cfg)[0]
     a, b, c, d = (mpmath.mpf(v) for v in (num.a, num.b, den.a, den.b))
     k = b * mpmath.sqrt(mpmath.mpf(theta) / d)
 
@@ -316,7 +316,7 @@ def test_phase1_expected_single_uav():
     # even where fewer than one decoder is expected
     for bits in (40.0, 150.0):
         cfg = make_config(n_uavs=1, message_bits=bits)
-        theta = scenario.phase1_threshold(cfg)
+        theta = scenario.stage_thresholds(cfg)[0]
         br = analytic.reliability(cfg)
         assert br.expected_phase1 == pytest.approx(analytic.head_decode_prob(theta, cfg))
         assert br.expected_phase1 < 1.0
@@ -386,7 +386,7 @@ def test_phase2_decode_limits(config):
 
 def test_phase2_decode_against_conditional_simulation(config):
     # fix 36 decoders per sampled swarm, measure fresh-receiver success
-    theta2 = scenario.phase2_threshold(config)
+    theta2 = scenario.stage_thresholds(config)[1]
     target = analytic.phase2_decode_prob(theta2, 36.0, config)
     rng = np.random.default_rng(22)
     trials = 10_000

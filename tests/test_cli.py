@@ -3,10 +3,12 @@ import io
 import itertools
 import math
 import re
+import signal
+from dataclasses import replace
 
 import pytest
 
-from swarmrel import analytic, cli, mc, specfun
+from swarmrel import analytic, cli, mc, scenario, specfun
 
 from conftest import make_config, record_kernel_calls, write_config
 
@@ -466,6 +468,90 @@ def test_optimize_tau_grid_must_be_interior(capsys, config_path):
     )
     assert code == cli.EXIT_CONFIG
     assert "tau_phase1_s: must satisfy 0 < tau_phase1_s < tau_total_s, got 0.0" in err
+
+
+def test_range_grid_points_are_formed_once_from_the_decimals_given(capsys, config_path):
+    # point i is start + i step in decimal, rounded once: repeated float
+    # addition once gave 0.00030000000000000003, 0.0006000000000000001 and
+    # 0.0009000000000000002, and their closed-form rows
+    code, out, _ = run_cli(capsys, "optimize-tau", "--config", config_path,
+                           "--start", "0.0001", "--stop", "0.0009", "--step", "0.0001")
+    assert code == 0
+    _, rows = parse_csv(out)
+    values = [f"0.000{i}" for i in range(1, 10)]
+    assert [r[1] for r in rows] == values
+    config = make_config()
+    assert [r[6] for r in rows] == [
+        repr(analytic.reliability(replace(config, tau_phase1_s=float(v))).eta) for v in values]
+
+
+@pytest.mark.parametrize("var, grid, option", [
+    ("n_uavs", ("10", "12", "0.5"), "step"),
+    ("m_available", ("1.6", "4", "1"), "start"),
+])
+def test_integer_grid_refuses_a_fractional_start_or_step(capsys, config_path, var, grid,
+                                                         option):
+    # rounding each point once repeated rows (10, 10, 11, 12, 12) or shifted
+    # the grid (1.6 began at 2)
+    start, stop, step = grid
+    code, out, err = run_cli(capsys, "sweep", "--config", config_path, "--var", var,
+                             "--start", start, "--stop", stop, "--step", step,
+                             "--engine", "analytic")
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert f"{option}: must be a whole number for {var}" in err
+
+
+def test_integer_grid_ends_at_its_last_point_not_past_stop(capsys, config_path):
+    code, out, _ = run_cli(capsys, "sweep", "--config", config_path, "--var", "n_uavs",
+                           "--start", "10", "--stop", "12.5", "--step", "1",
+                           "--engine", "analytic")
+    assert code == 0
+    assert [r[1] for r in parse_csv(out)[1]] == ["10", "11", "12"]
+
+
+class _Unfinished(Exception):
+    pass
+
+
+def test_a_step_below_the_float_spacing_is_refused_at_once(capsys, config_path):
+    # adding 1e-30 to 0.0001 leaves it unchanged, so the grid once grew
+    # without end; an alarm ends the command if it has not returned in a second
+    def unfinished(signum, frame):
+        raise _Unfinished("the grid did not return within a second")
+
+    previous = signal.signal(signal.SIGALRM, unfinished)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, out, err = run_cli(capsys, "optimize-tau", "--config", config_path,
+                                 "--start", "0.0001", "--stop", "0.0009", "--step", "1e-30")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert "step: 1e-30 is below the float spacing of the grid" in err
+
+
+@pytest.mark.parametrize("protocol", [*mc.PROTOCOLS.values(), mc.multi_round(2),
+                                      mc.multi_round(2, with_head=False)],
+                         ids=lambda p: p.label)
+def test_each_protocol_s_thresholds_are_its_slot_s_stage_thresholds(protocol):
+    # the split slot for proposed and head_relay, the whole slot else, and no
+    # D2D threshold without relay rounds
+    config = make_config()
+    whole_slot = protocol.name in ("nearest_gbs", "all_gbs", "multi_round")
+    cell, d2d = scenario.stage_thresholds(config, whole_slot=whole_slot)
+    assert mc._thresholds(config, protocol) == (cell, d2d if protocol.rounds else None)
+
+
+@pytest.mark.parametrize("protocol, code", [("all_gbs", 0), ("proposed", cli.EXIT_CONFIG)])
+def test_a_d2d_threshold_is_formed_only_for_relay_rounds(capsys, tmp_path, protocol, code):
+    # a D2D rate cap that overflows the threshold fails only a protocol that relays
+    path = tmp_path / "narrow-d2d.cfg"
+    write_config(make_config(bandwidth_d2d_hz=0.001), path)
+    got, _, err = run_cli(capsys, "simulate", "--config", str(path), "--protocol", protocol,
+                          "--trials", "10")
+    assert got == code, err
+    assert ("overflow" in err) == (code != 0)
 
 
 @pytest.mark.parametrize("size", [["--trials", "1000000000000000"],

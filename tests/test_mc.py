@@ -205,14 +205,13 @@ def whole_matrix_relay(config, protocol, rng, trials):
     gains = fading.draw_phase1(config, rng, trials)
     draws = [fading.draw_phase2(config, rng, trials) for _ in range(rounds - 1)]
     split = protocol.name in ("proposed", "head_relay")
-    cell = scenario.phase1_threshold if split else scenario.full_slot_cell_threshold
+    cell, d2d = scenario.stage_thresholds(config, whole_slot=not split, relays=rounds > 0)
     decoded = (fading.phase1_sinrs(gbs, uav, gains, config, protocol.with_head,
-                                   protocol.name == "nearest_gbs") >= cell(config))
+                                   protocol.name == "nearest_gbs") >= cell)
     probs = np.empty((trials, 1 + rounds, n))
     probs[:, 0] = decoded
     if not rounds:
         return probs
-    d2d = (scenario.phase2_threshold if split else scenario.full_slot_d2d_threshold)(config)
     ratio = d2d * config.intf_noise_phase2_w / config.tx_power_uav_w
     with np.errstate(over="ignore", divide="ignore"):
         gain = uav[:, :, None, 0] - uav[:, None, :, 0]
@@ -522,13 +521,12 @@ def sampled_rounds(config, rounds, with_head, rng, trials):
     uav = geometry.sample_swarm_layout(config, rng, trials)[0]
     gains = fading.draw_phase1(config, rng, trials)
     draws = [fading.draw_phase2(config, rng, trials) for _ in range(rounds)]
-    decoded = (fading.phase1_sinrs(gbs, uav, gains, config, with_head)
-               >= scenario.full_slot_cell_threshold(config))
+    cell, d2d = scenario.stage_thresholds(config, whole_slot=True)
+    decoded = fading.phase1_sinrs(gbs, uav, gains, config, with_head) >= cell
     out = [decoded.copy()]
     for draw in draws:
         sinrs = fading.phase2_sinrs(relay_power_everywhere(uav, decoded, config), draw, config)
-        decoded |= ((sinrs >= scenario.full_slot_d2d_threshold(config))
-                    & decoded.any(axis=1, keepdims=True))
+        decoded |= (sinrs >= d2d) & decoded.any(axis=1, keepdims=True)
         out.append(decoded.copy())
     return np.stack(out, axis=1)
 
@@ -676,9 +674,9 @@ def test_each_curve_s_thresholds_are_formed_once_per_command(monkeypatch, config
     pairs = [(replace(config, message_bits=bits), mc.PROPOSED) for bits in (8, 16, 24, 32, 40)]
     kernel, calls = [], []
     record_kernel_calls(monkeypatch, kernel)
-    _count_calls(monkeypatch, calls, scenario, "phase1_threshold")
+    _count_calls(monkeypatch, calls, scenario, "stage_thresholds")
     mc.estimate_variants(pairs, mc.CONTROL_MIN_TRIALS, 15)
-    assert len(kernel) == 3 and calls == ["phase1_threshold"] * 5
+    assert len(kernel) == 3 and calls == ["stage_thresholds"] * 5
 
 
 def test_a_run_hands_each_chunk_the_blocks_its_last_placed_on(monkeypatch, config):
@@ -829,7 +827,7 @@ def test_phase2_decode_probs_match_sampled_frequency(config):
     # complex Rayleigh draws whose combined SINR reaches the threshold
     batch = 2_000
     uav, relays = _relay_scene(config, 40, batch)
-    theta2 = scenario.phase2_threshold(config)
+    theta2 = scenario.stage_thresholds(config)[1]
     exact = _decode_probs(uav, relays, config, theta2)
     assert (exact == exact[0]).all()
     exact = exact[0, 3:]
@@ -853,7 +851,7 @@ def test_phase2_sinrs_decode_as_often_as_complex_gains(config, scale):
     batch, draws = 2_000, 20_000
     uav, relays = _relay_scene(config, 44, batch)
     power = relay_power_everywhere(uav, relays, config)
-    threshold = scale * scenario.phase2_threshold(config)
+    threshold = scale * scenario.stage_thresholds(config)[1]
     rng = np.random.default_rng(45)
     ours = np.zeros(37)
     oracle = np.zeros(37)
@@ -905,7 +903,7 @@ def test_phase2_decode_probs_at_edge_powers_match_the_masked_divide(config):
     # exp(-ratio / power) against the guarded form it replaced, bit for bit:
     # a power of 0 or a subnormal one, the powers around ratio/746 and
     # ratio/745 where exp leaves the float range, inf, and a spread between
-    theta = scenario.phase2_threshold(config)
+    theta = scenario.stage_thresholds(config)[1]
     ratio = theta * config.intf_noise_phase2_w / config.tx_power_uav_w
     edges = np.array([0.0, 5e-324, 1e-310, ratio / 746.0, ratio / 745.0, ratio, np.inf])
     power = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, 0.0),
@@ -926,7 +924,7 @@ def sampled_relay_fractions(config, protocol, trials, seed):
     and a threshold test on the chunk's rng, right after the cellular stage;
     the geometry is replayed from a second copy of the chunk's stream.
     """
-    theta2 = scenario.phase2_threshold(config)
+    theta2 = scenario.stage_thresholds(config)[1]
 
     def chunk(start, stop):
         rng = mc.trial_rng(seed, start)

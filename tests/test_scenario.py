@@ -167,11 +167,12 @@ def test_sinr_threshold_overflow_guard():
 
 def test_phase_thresholds_use_their_slices():
     cfg = make_config(tau_phase1_s=0.3e-3)
-    assert scenario.phase1_threshold(cfg) == scenario.sinr_threshold(40.0, 0.3e-3, 200e3, 5 / 6)
-    assert scenario.phase2_threshold(cfg) == scenario.sinr_threshold(40.0, 0.7e-3, 200e3, 5 / 6)
-    assert scenario.full_slot_cell_threshold(cfg) == scenario.sinr_threshold(
-        40.0, 1e-3, 200e3, 5 / 6
-    )
+    split = (scenario.sinr_threshold(40.0, 0.3e-3, 200e3, 5 / 6),
+             scenario.sinr_threshold(40.0, 0.7e-3, 200e3, 5 / 6))
+    assert scenario.stage_thresholds(cfg) == split
+    full = scenario.sinr_threshold(40.0, 1e-3, 200e3, 5 / 6)
+    assert scenario.stage_thresholds(cfg, whole_slot=True) == (full, full)
+    assert scenario.stage_thresholds(cfg, relays=False)[1] is None
 
 
 def test_config_roundtrip_bit_exact():
