@@ -48,6 +48,8 @@ SWEEPABLE = (
     "rounds",
 )
 _INT_VARS = scenario.INT_FIELDS | {"rounds"}
+# the most points of a range grid: at about 1 ms each, a million take a quarter hour
+MAX_GRID_POINTS = 1_000_000
 
 
 def _status(msg: str) -> None:
@@ -196,11 +198,14 @@ def _parse_values(args) -> tuple:
     # the float spacing is coarsest at an end of the grid
     if count > 1 and (point(1) == point(0) or point(count - 1) == point(count - 2)):
         raise ConfigError(f"step: {args.step} is below the float spacing of the grid")
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"step: {args.step} gives {count} grid points, "
+                          f"more than {MAX_GRID_POINTS:,}")
     return tuple(point(i) for i in range(count))
 
 
 def _sweep_rows(config, args, values, engines, protocol, seed) -> list:
-    variants = [(config, replace(protocol, rounds=value)) if args.var == "rounds" else
+    variants = [(config, mc.multi_round(value, protocol.with_head)) if args.var == "rounds" else
                 (scenario.validate(replace(config, **{args.var: value})), protocol)
                 for value in values]
     curves = (mc.estimate_variants(variants, args.trials, seed, workers=args.workers)
@@ -222,11 +227,11 @@ def cmd_sweep(config, seed, args):
     engines = ("analytic", "mc") if args.engine == "both" else (args.engine,)
     protocol = _protocol_for(args)
     values = _parse_values(args)
-    if args.var == "rounds" and protocol.name != "multi_round":
+    if args.var == "rounds" and args.protocol != "multi_round":
         raise ConfigError("variable 'rounds' requires --protocol multi_round")
     if args.var == "rounds" and args.rounds is not None:
         raise ConfigError("--rounds: a sweep over rounds takes its round counts from the values")
-    if "analytic" in engines and protocol.name != "proposed":
+    if "analytic" in engines and protocol != mc.PROPOSED:
         raise ConfigError("the analytic engine models the proposed two-phase protocol only")
     return _SWEEP_HEADER, _sweep_rows(config, args, values, engines, protocol, seed)
 

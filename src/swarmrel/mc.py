@@ -34,7 +34,7 @@ import atexit
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,16 +62,15 @@ __all__ = [
 class Protocol:
     """A delivery protocol: a cellular stage, then ``rounds`` relay rounds.
 
-    ``proposed``     split slot, all serving GBSs; every decoder relays.
-    ``head_relay``   split slot, all serving GBSs; only the head relays.
-    ``nearest_gbs``  whole slot, the closest serving GBS alone; no relaying.
-    ``all_gbs``      whole slot, all serving GBSs; no relaying.
-    ``multi_round``  whole slot, all serving GBSs; every decoder relays.
-
-    ``PROPOSED`` and ``HEAD_RELAY`` relay for one round.  A split slot gives
-    the cellular stage ``tau_phase1_s`` and the relays the rest; a whole
-    slot gives each stage all of it.  The serving GBSs transmit with the
-    head's pilot weights, or unweighted with ``with_head=False``.
+    Its fields are its stages, and ``name`` only labels it.  ``split_slot``
+    gives the cellular stage ``tau_phase1_s`` and the relays the rest, else
+    each stage gets the whole slot; ``nearest`` has only the serving GBS
+    nearest the swarm center transmit, else all serving GBSs do, with the
+    head's pilot weights or unweighted with ``with_head=False``; and
+    ``head_only`` has only the head relay, else every decoder does.
+    ``PROPOSED`` (split slot) and ``HEAD_RELAY`` (split slot, head only)
+    relay for one round, ``NEAREST_GBS`` (nearest) and ``ALL_GBS`` not at
+    all, and ``multi_round`` for its rounds.
 
     Every relay round is one step, whatever the protocol: each speaker that
     has decoded relays over D2D, over the fixed geometry with fresh fading,
@@ -85,10 +84,9 @@ class Protocol:
     name: str
     rounds: int = 0
     with_head: bool = True
-
-    def __post_init__(self):
-        if self.name == "multi_round" and self.rounds < 1:
-            raise scenario.ConfigError("rounds: multi_round requires rounds >= 1")
+    split_slot: bool = False
+    nearest: bool = False
+    head_only: bool = False
 
     @property
     def label(self) -> str:
@@ -98,15 +96,17 @@ class Protocol:
         return f"multi_round{self.rounds}{suffix}"
 
 
-PROPOSED = Protocol("proposed", rounds=1)
-NEAREST_GBS = Protocol("nearest_gbs")
+PROPOSED = Protocol("proposed", rounds=1, split_slot=True)
+NEAREST_GBS = Protocol("nearest_gbs", nearest=True)
 ALL_GBS = Protocol("all_gbs")
-HEAD_RELAY = Protocol("head_relay", rounds=1)
+HEAD_RELAY = Protocol("head_relay", rounds=1, split_slot=True, head_only=True)
 # the fixed protocols by name, in the order ``compare`` reports them
 PROTOCOLS = {p.name: p for p in (PROPOSED, NEAREST_GBS, ALL_GBS, HEAD_RELAY)}
 
 
 def multi_round(rounds: int, with_head: bool = True) -> Protocol:
+    if rounds < 1:
+        raise scenario.ConfigError("rounds: multi_round requires rounds >= 1")
     return Protocol("multi_round", rounds=rounds, with_head=with_head)
 
 
@@ -188,8 +188,8 @@ def _draw_key(config: ScenarioConfig) -> tuple:
 
 def _thresholds(config: ScenarioConfig, protocol: Protocol) -> tuple[float, float | None]:
     """A curve's (cellular, D2D) decode thresholds (``scenario.stage_thresholds``)."""
-    whole_slot = protocol.name not in ("proposed", "head_relay")
-    return scenario.stage_thresholds(config, whole_slot=whole_slot, relays=protocol.rounds > 0)
+    return scenario.stage_thresholds(config, whole_slot=not protocol.split_slot,
+                                     relays=protocol.rounds > 0)
 
 
 def run_trial(config: ScenarioConfig, curves, rngs, trials):
@@ -238,7 +238,7 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     cell_sinrs = {}  # by head weighting and serving set
     decodes, pending = [], np.zeros((total, n), dtype=bool)  # pending: left to some curve's relays
     for protocol, cell_threshold, _ in curves:
-        cell = (protocol.with_head, protocol.name == "nearest_gbs")
+        cell = (protocol.with_head, protocol.nearest)
         if cell not in cell_sinrs:
             cell_sinrs[cell] = fading.phase1_sinrs(gbs, uav, gains, config, *cell)
         decodes.append(cell_sinrs[cell] >= cell_threshold)
@@ -247,10 +247,10 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     path_gain = fading.relay_gains(uav, pending, config) if pending.any() else np.empty((0, n))
     out = []
     for (protocol, _, d2d_threshold), decoded in zip(curves, decodes):
-        name, rounds = protocol.name, protocol.rounds
+        rounds = protocol.rounds
         probs = np.empty((1 + rounds, total, n))  # round by round, returned trial by trial
         probs[0] = decoded
-        speakers = np.arange(n) == 0 if name == "head_relay" else np.ones(n, dtype=bool)
+        speakers = np.arange(n) == 0 if protocol.head_only else np.ones(n, dtype=bool)
         for r in range(1, rounds + 1):
             # one row per listener still to decode, in row-major order
             listening = ~decoded
@@ -513,7 +513,7 @@ def estimate_variants(variants, trials: int, master_seed: int, workers: int = 1)
     plan = {}  # draw -> curve -> its protocol at the most rounds asked, in order of first ask
     for config, protocol in variants:
         curves = plan.setdefault(_draw_key(scenario.validate(config)), {})
-        key = (config, protocol.name, protocol.with_head)
+        key = (config, replace(protocol, rounds=0))
         curves[key] = max(curves.get(key, protocol), protocol, key=lambda p: p.rounds)
     planned = [[(p, *_thresholds(key[0], p)) for key, p in curves.items()]
                for curves in plan.values()]
@@ -524,7 +524,7 @@ def estimate_variants(variants, trials: int, master_seed: int, workers: int = 1)
         for key, (all_counts, regression) in zip(curves, gathered):
             entries[key] = [_entry(counts / key[0].n_uavs, regression, trials, master_seed)
                             for counts in all_counts.T]
-    return [entries[config, protocol.name, protocol.with_head][:1 + protocol.rounds]
+    return [entries[config, replace(protocol, rounds=0)][:1 + protocol.rounds]
             for config, protocol in variants]
 
 
@@ -540,7 +540,7 @@ def phase1_count_distribution(
     the cellular ones, so the counts are those of full ``PROPOSED`` trials.
     ``config`` is validated first (``scenario.validate``).
     """
-    cellular = Protocol("proposed")
+    cellular = replace(PROPOSED, rounds=0)
     curve = (cellular, *_thresholds(scenario.validate(config), cellular))
     [(counts, _)] = _gather_counts(config, [curve], trials, master_seed, workers)
     pmf = np.bincount(counts[:, 0].astype(int), minlength=config.n_uavs + 1) / trials

@@ -275,6 +275,15 @@ def test_sweep_rounds_requires_multiround(capsys, config_path):
     assert "multi_round" in err
 
 
+def test_sweep_over_rounds_refuses_zero_rounds(capsys, config_path):
+    # each round count forms its multi_round protocol, which takes rounds >= 1
+    code, out, err = run_cli(capsys, "sweep", "--config", config_path, "--var", "rounds",
+                             "--values", "0,1", "--protocol", "multi_round", "--engine", "mc",
+                             "--trials", "10")
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert "rounds: multi_round requires rounds >= 1" in err
+
+
 @pytest.mark.parametrize("protocol", [["--engine", "both", "--protocol", "all_gbs"],
                                       ["--engine", "analytic", "--protocol", "multi_round",
                                        "--rounds", "2"]], ids=["both-all_gbs", "analytic-multi"])
@@ -515,20 +524,43 @@ class _Unfinished(Exception):
 
 def test_a_step_below_the_float_spacing_is_refused_at_once(capsys, config_path):
     # adding 1e-30 to 0.0001 leaves it unchanged, so the grid once grew
-    # without end; an alarm ends the command if it has not returned in a second
+    # without end, and a step of 1e-15 (8e11 points) or an n_uavs grid of
+    # 1e12 points was formed point by point before any row; an alarm ends a
+    # command that has not returned in a second
     def unfinished(signum, frame):
         raise _Unfinished("the grid did not return within a second")
 
+    tau = ("optimize-tau", "--config", config_path, "--start", "0.0001", "--stop", "0.0009")
+    cases = [((*tau, "--step", "1e-30"), "step: 1e-30 is below the float spacing of the grid"),
+             ((*tau, "--step", "1e-15"), "step: 1e-15 gives 800000000001 grid points, "
+                                         "more than 1,000,000"),
+             (("sweep", "--config", config_path, "--engine", "analytic", "--var", "n_uavs",
+               "--start", "1", "--stop", "1e12", "--step", "1"),
+              "step: 1.0 gives 1000000000000 grid points, more than 1,000,000")]
     previous = signal.signal(signal.SIGALRM, unfinished)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
-        code, out, err = run_cli(capsys, "optimize-tau", "--config", config_path,
-                                 "--start", "0.0001", "--stop", "0.0009", "--step", "1e-30")
+        for argv, message in cases:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            try:
+                code, out, err = run_cli(capsys, *argv)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+            assert code == cli.EXIT_CONFIG and out == ""
+            assert message in err
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-    assert code == cli.EXIT_CONFIG and out == ""
-    assert "step: 1e-30 is below the float spacing of the grid" in err
+
+
+def test_a_range_grid_of_the_most_points_is_formed(monkeypatch):
+    # the bound refuses a grid past it, not one at it
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 17)
+    args = cli.build_parser().parse_args(["optimize-tau", "--config", "-", "--start", "0.0001",
+                                          "--stop", "0.0017", "--step", "0.0001"])
+    assert len(cli._parse_values(args)) == 17
+    args.stop = 0.0018
+    with pytest.raises(scenario.ConfigError, match="step: 0.0001 gives 18 grid points, more "
+                                                   "than 17"):
+        cli._parse_values(args)
 
 
 @pytest.mark.parametrize("protocol", [*mc.PROTOCOLS.values(), mc.multi_round(2),

@@ -25,6 +25,21 @@ def test_protocol_labels_and_validation():
     assert all(p.name == name for name, p in mc.PROTOCOLS.items())
 
 
+def test_a_protocol_s_stages_are_its_fields_not_its_name():
+    # protocols built from the stage fields alone, under names the kernel
+    # has never seen, give the fixed protocols' curves bit for bit, raw and
+    # controlled; each field changes the curve, so none is ignored
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    split_head = mc.Protocol("split_head", rounds=1, split_slot=True, head_only=True)
+    one_server = mc.Protocol("one_server", nearest=True)
+    for trials in (40, mc.CONTROL_MIN_TRIALS):
+        curves = mc.estimate_variants([(cfg, p) for p in (split_head, one_server, mc.HEAD_RELAY,
+                                                          mc.NEAREST_GBS, mc.PROPOSED,
+                                                          mc.ALL_GBS)], trials, 21)
+        assert curves[0] == curves[2] and curves[1] == curves[3]
+        assert curves[0] != curves[4] and curves[1] != curves[5]
+
+
 def test_zero_bits_all_decode_in_phase1():
     cfg = make_config(message_bits=0.0)
     probs = run_kernel([(cfg, mc.PROPOSED)], mc.trial_rng(1, 0), 5)[0][0]
@@ -264,7 +279,7 @@ def test_relay_rows_match_the_whole_matrix_bit_for_bit(overrides, raw):
     # of the whole-matrix loop on its own draws
     cfg = replace(make_config(**overrides), **raw)
     protocols = [mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY,
-                 mc.Protocol("proposed", rounds=3), mc.Protocol("head_relay", rounds=3)]
+                 replace(mc.PROPOSED, rounds=3), replace(mc.HEAD_RELAY, rounds=3)]
     protocols += [mc.multi_round(r, h) for r in range(1, 7) for h in (True, False)]
     variants = [(cfg, p) for p in protocols]
     variants += [(replace(cfg, message_bits=cfg.message_bits / 2), mc.PROPOSED),
@@ -583,7 +598,7 @@ def test_round_counts_of_one_protocol_share_one_curve(monkeypatch, with_head):
     (list(mc.PROTOCOLS.values()), 0),
     ([mc.multi_round(1)], 0),
     ([mc.multi_round(1, with_head=False)], 0),
-    ([mc.Protocol("proposed", rounds=3)], 2),
+    ([replace(mc.PROPOSED, rounds=3)], 2),
 ], ids=["compare", "multi_round1", "multi_round1_nohead", "proposed3"])
 def test_only_a_round_that_a_later_round_reads_is_sampled(monkeypatch, protocols, sampled):
     # compare and a one-round curve draw no relay fading and sample no
