@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import math
+import operator
 import os
 import sys
 from contextlib import nullcontext
@@ -191,9 +192,15 @@ def _parse_values(args) -> tuple:
     count = (stop - start) // step + 1
     if count < 1:
         raise ConfigError("values: empty grid")
+    # point i is (a + i b) / D over the common denominator D: integer true
+    # division rounds once, correctly, as a Fraction's float does, at a
+    # fraction of its cost; a whole-number grid has D = 1
+    denominator = math.lcm(start.denominator, step.denominator)
+    a, b = (int(v * denominator) for v in (start, step))
+    divide = operator.floordiv if kind is int else operator.truediv
 
     def point(i):
-        return kind(start + i * step)
+        return divide(a + i * b, denominator)
 
     # the float spacing is coarsest at an end of the grid
     if count > 1 and (point(1) == point(0) or point(count - 1) == point(count - 2)):

@@ -8,12 +8,17 @@ probability exact over the Rayleigh fading; the closed-form model takes
 only the moments of the Rician magnitude.
 
 The cellular stage's SINRs are formed from sampled channel coefficients,
-since the head's weights depend on their phases; its servers are the first
+since the head's weights depend on their phases.  Its servers are the first
 ``m_available`` GBSs of a layout, or the nearest of them to the swarm
-center, and the rest interfere.  The relay stage rests on one quantity,
-each listener's summed relay path gain sum_t a_t^2 (``relay_power``),
-summed from the (K, N) pair gains that ``relay_gains`` forms once per run
-for the K listeners that the cellular stage left undecoded: over
+center, and the rest interfere.  Given everything else, a UAV's SINR turns
+on the line-of-sight phase of its link to that nearest GBS alone:
+``phase1_sinrs`` also gives its law over that phase, and
+``phase1_decode_probs`` the decode probability, exact given the rest.
+
+The relay stage rests on one quantity, each listener's summed relay path
+gain sum_t a_t^2 (``relay_power``), summed from the (K, N) pair gains that
+``relay_gains`` forms once per run for the K listeners that the cellular
+stage left undecoded: over
 independent Rayleigh links the SINR is exponential with mean P sum_t a_t^2
 / N0, taken exact for its decode probability and, where a later round reads
 it, sampled with one exponential draw per listener.  No symbol waveforms are
@@ -37,6 +42,8 @@ __all__ = [
     "draw_phase1",
     "draw_phase2",
     "phase1_sinrs",
+    "phase1_decode_probs",
+    "nearest_server",
     "head_weights",
     "relay_gains",
     "relay_power",
@@ -67,15 +74,20 @@ def sample_rician(kappa: float, rng: np.random.Generator, size) -> np.ndarray:
     powers is specified physically, so the deterministic part's phase is
     randomized per draw.
     """
+    return _rician(kappa, rng, size)[0]
+
+
+def _rician(kappa: float, rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_rician``'s draws, and the unit phasors of their line-of-sight terms."""
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     kappa = min(kappa, _KAPPA_CAP)
-    los = np.exp(2j * np.pi * rng.random(size))
-    los *= math.sqrt(kappa / (kappa + 1.0))
+    phasors = np.exp(2j * np.pi * rng.random(size))
+    h = phasors * math.sqrt(kappa / (kappa + 1.0))
     scattered = sample_rayleigh(rng, size)
     scattered *= math.sqrt(1.0 / (kappa + 1.0))
-    los += scattered
-    return los
+    h += scattered
+    return h, phasors
 
 
 def rician_mean_magnitude(kappa: float) -> float:
@@ -95,9 +107,14 @@ def rician_moments(kappa: float) -> tuple[float, float, float]:
     return rician_mean_magnitude(kappa), 1.0, m4
 
 
-def draw_phase1(config: ScenarioConfig, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """Unit-power Rician coefficients (trials, N, M) complex, one per (UAV, GBS) link, i.i.d."""
-    return sample_rician(config.rician_k, rng, size=(trials, config.n_uavs, config.m_total))
+def draw_phase1(config: ScenarioConfig, rng: np.random.Generator,
+                trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-power Rician coefficients (trials, N, M) complex, one per (UAV, GBS) link, i.i.d.
+
+    Returns them and the unit phasors (trials, N, M) of their line-of-sight
+    terms, whose uniform phases were drawn first.
+    """
+    return _rician(config.rician_k, rng, (trials, config.n_uavs, config.m_total))
 
 
 def draw_phase2(config: ScenarioConfig, rng: np.random.Generator, trials: int) -> np.ndarray:
@@ -109,10 +126,8 @@ def draw_phase2(config: ScenarioConfig, rng: np.random.Generator, trials: int) -
     return rng.standard_exponential((trials, config.n_uavs))
 
 
-def _phase1_channels(
-    gbs: np.ndarray, uav: np.ndarray, gains: np.ndarray, config: ScenarioConfig
-) -> np.ndarray:
-    """Full complex channel matrices (trials, N, M): path loss times fading.
+def _phase1_amplitudes(gbs: np.ndarray, uav: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """Path amplitudes (trials, N, M) of every (UAV, GBS) link; times the fading, the channels.
 
     Uses the exact per-UAV distances; no common-distance approximation.
     """
@@ -126,7 +141,17 @@ def _phase1_channels(
     np.power(amp, -config.pathloss_exp_cell, out=amp)
     amp *= config.ref_gain_cell
     np.sqrt(amp, out=amp)
-    return amp * gains
+    return amp
+
+
+def nearest_server(gbs: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """Index (trials,) of each layout's serving GBS nearest the swarm center.
+
+    The ground stations share one height, so the squared planar distance
+    decides, and argmin breaks ties to the first.
+    """
+    serving = gbs[:, :config.m_available]
+    return (serving[:, :, 0] ** 2 + serving[:, :, 1] ** 2).argmin(axis=1)
 
 
 def phase1_sinrs(
@@ -136,7 +161,8 @@ def phase1_sinrs(
     config: ScenarioConfig,
     with_head: bool = True,
     nearest: bool = False,
-) -> np.ndarray:
+    los: np.ndarray | None = None,
+):
     """SINR of every UAV at planar positions ``uav`` in the cellular downlink stage, (trials, N).
 
     The first ``m_available`` GBSs of the ``gbs`` layout serve and the rest
@@ -144,25 +170,72 @@ def phase1_sinrs(
     conjugate-phase unit weight for the channel of the head, UAV 0, so the
     head combines coherently; without it the GBSs send unweighted.
     ``nearest`` serves from only the available GBS closest to the swarm
-    center.
+    center (``nearest_server``).
+
+    ``los`` (trials, N) are the unit phasors of the line-of-sight terms of
+    every UAV's link to that GBS (``draw_phase1``).  With them, returns
+    (sinrs, base, swing): given everything but those phases, UAV i's SINR is
+    base_i + swing_i cos(delta_i), where delta_i, the angle between that
+    link's line-of-sight term c_i and the rest B_i of the UAV's combined
+    signal, is uniform and independent across UAVs.  With D the
+    interference and noise over the transmit power, base = (|B|^2 + |c|^2)
+    / D, formed as sinr - 2 Re(c B*) / D so that it is the SINR itself
+    where c = 0 (a Rician K of 0), and swing = 2 |B| |c| / D.  The head's
+    own phases set every weight, so with ``with_head`` its SINR is held as
+    drawn too: base = sinr and swing = 0.
     """
-    h = _phase1_channels(gbs, uav, gains, config)
+    amp = _phase1_amplitudes(gbs, uav, config)
+    h = amp * gains
     p = config.tx_power_gbs_w
     m0 = config.m_available
     occupied = np.abs(h[:, :, m0:])
     occupied *= occupied
     interference = p * occupied.sum(axis=2)
     h_tx = h[:, :, :m0]
+    if nearest or los is not None:
+        server = nearest_server(gbs, config)
     if nearest:
-        # the 3D distance to the swarm center; argmin breaks ties to the first
-        center = np.hypot(np.hypot(gbs[:, :m0, 0], gbs[:, :m0, 1]), config.swarm_altitude_m)
-        h_tx = np.take_along_axis(h_tx, center.argmin(axis=1)[:, None, None], axis=2)
+        h_tx = np.take_along_axis(h_tx, server[:, None, None], axis=2)
     if with_head:
         weights = head_weights(h_tx[:, 0])
     else:
         weights = np.ones((h_tx.shape[0], h_tx.shape[2]))
-    signal = p * np.abs(np.einsum("bnk,bk->bn", h_tx, weights)) ** 2
-    return signal / (interference + config.noise_phase1_w)
+    combined = np.einsum("bnk,bk->bn", h_tx, weights)
+    signal = p * np.abs(combined) ** 2
+    noise = interference + config.noise_phase1_w
+    sinrs = signal / noise
+    if los is None:
+        return sinrs
+    # T = c + B, c the line-of-sight term of each UAV's link to the nearest
+    # server in its combined signal T, so |T|^2 = |B|^2 + |c|^2 + 2 Re(c B*).
+    # In the frame of that link's unit weight w, c = a e^(j phi)
+    kappa = min(config.rician_k, _KAPPA_CAP)
+    rows = np.arange(len(gbs))
+    a = amp[rows, :, server] * math.sqrt(kappa / (kappa + 1.0))
+    if with_head:
+        combined *= np.conj(weights[rows, 0 if nearest else server])[:, None]
+    c_re, c_im = a * los.real, a * los.imag
+    b_re, b_im = combined.real - c_re, combined.imag - c_im
+    scale = 2.0 * p / noise
+    base = sinrs - (c_re * b_re + c_im * b_im) * scale
+    swing = np.sqrt(b_re * b_re + b_im * b_im) * a * scale
+    if with_head:
+        base[:, 0], swing[:, 0] = sinrs[:, 0], 0.0
+    return sinrs, base, swing
+
+
+def phase1_decode_probs(base: np.ndarray, swing: np.ndarray, threshold) -> np.ndarray:
+    """P(SINR >= threshold) over the line-of-sight phases of ``phase1_sinrs``, elementwise.
+
+    Exact given everything else: the SINR base + swing cos(delta), delta
+    uniform, reaches the threshold on a share arccos((threshold - base) /
+    swing) / pi of the phases.  Where the swing is 0 that share is 0 or 1,
+    by the side of the threshold the SINR is on, and NaN where it is at the
+    threshold; base or swing past the float range may give NaN too.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (threshold - base) / swing
+    return np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos) / np.pi
 
 
 def head_weights(head: np.ndarray) -> np.ndarray:

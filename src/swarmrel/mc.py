@@ -3,9 +3,20 @@
 Each trial draws fresh geometry and fading, runs the selected protocol, and
 reports each UAV's decode probability after the cellular stage and after
 each relay round; ``estimate`` averages that into the reliability curve, one
-estimate per stage.  The cellular stage is sampled, so its probabilities
-are 0 or 1.  Every relay round is ``Protocol``'s one step, exact over its
-Rayleigh fading given the relay set, for a smaller standard error.
+estimate per stage.  Every relay round is ``Protocol``'s one step, exact
+over its Rayleigh fading given the relay set, for a smaller standard error.
+
+The cellular stage is conditioned on one line-of-sight phase per UAV, that
+of its link to the serving GBS nearest the swarm center (a choice made from
+the layout alone).  Given everything else, a UAV's outcome turns on that
+phase alone, except the head's under its own weights, so its decode
+probability q is exact (``fading.phase1_decode_probs``) and the outcomes are
+independent.  A trial's cellular entry is sum_i q_i / N.  Its relay rounds
+run on the sampled decoders, or, where none decoded though some could, on a
+set redrawn given at least one decoder, and each is weighted by 1 - pi_0,
+pi_0 = prod_i (1 - q_i): nobody relays without a decoder, so both entries
+are unbiased, and only the relay set's law, not its draw, is changed
+(``run_trial``).
 
 Trials run in chunks whose bounds depend only on the trial count, and each
 chunk is drawn on its own rng seeded from (master_seed, the chunk's first
@@ -72,13 +83,16 @@ class Protocol:
     relay for one round, ``NEAREST_GBS`` (nearest) and ``ALL_GBS`` not at
     all, and ``multi_round`` for its rounds.
 
-    Every relay round is one step, whatever the protocol: each speaker that
-    has decoded relays over D2D, over the fixed geometry with fresh fading,
-    to every UAV still to decode.  A listener's probability is exact over
-    the round's Rayleigh fading given that relay set, and never below the
-    round before's.  Only if a later round follows is each listener's
-    outcome sampled from the same law, to add its decoders to the next
-    round's relays, so an R-round protocol samples R - 1 rounds.
+    The cellular stage gives each UAV its decode probability over one
+    line-of-sight phase and samples the relay set, given at least one
+    decoder (the module docstring).  Every relay round is one step, whatever
+    the protocol: each speaker that has decoded relays over D2D, over the
+    fixed geometry with fresh fading, to every UAV still to decode.  A
+    listener's probability is exact over the round's Rayleigh fading given
+    that relay set, and never below the round before's.  Only if a later
+    round follows is each listener's outcome sampled from the same law, to
+    add its decoders to the next round's relays, so an R-round protocol
+    samples R - 1 rounds.
     """
 
     name: str
@@ -114,8 +128,9 @@ def multi_round(rounds: int, with_head: bool = True) -> Protocol:
 class ReliabilityEstimate:
     """Mean decoded fraction with its standard error.
 
-    It is the sample mean of the trials' decoded fractions, or from
-    ``CONTROL_MIN_TRIALS`` trials up, whatever the protocol, its
+    It is the sample mean of the trials' decoded fractions, each
+    conditioned on one line-of-sight phase per UAV (the module docstring),
+    or from ``CONTROL_MIN_TRIALS`` trials up, whatever the protocol, its
     control-variate estimate on the eight layout and member-fading features
     (``_entry``), with the residual standard error.  An entry whose trials
     all read 0, or all 1, has a ``std_err`` of 0.0, yet its rate is not
@@ -174,6 +189,8 @@ _RUN_ELEMENTS = 1 << 16
 # distance: on a wide cell their exact means are carried by near GBSs too
 # rare to be drawn.  At q <= 1/9, a cell with R <= 3H is not floored
 _DISTANCE_FLOOR = 0.1
+# the largest float below 1: a uniform on [0, 1) picks an index by its inverse CDF
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 def trial_rng(master_seed: int, start: int) -> np.random.Generator:
@@ -199,14 +216,18 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     Generators and trial counts of a run of consecutive chunks.  Each of
     ``curves`` is (protocol, cellular threshold, D2D threshold), the last
     None without relay rounds, as ``estimate_variants`` plans them
-    (``_thresholds``).  Returns ``(probs, draws)`` over the run's trials,
-    in chunk order: ``probs`` holds one float (trials, 1 + relay rounds, N)
-    array per curve, and ``draws`` are the GBS layouts (trials, M, 2) and
-    cellular gains (trials, N, M), whence the control features
-    (``_control_features``).  Row 0 of a trial is the cellular stage, row
-    r the probability that each UAV has decoded by relay round r.  The
-    cellular stage is sampled (0 or 1), and each relay round is
-    ``Protocol``'s one step (``fading.phase2_decode_probs``).
+    (``_thresholds``).  Returns ``(probs, cellular, draws)`` over the
+    run's trials, in chunk order.  ``probs`` holds one float (trials, 1 +
+    relay rounds, N) array per curve: row 0 of a trial is its relay set, the
+    cellular decoders (0 or 1), and row r the probability that each UAV has
+    decoded by relay round r, each round ``Protocol``'s one step
+    (``fading.phase2_decode_probs``).  A relaying curve's relay set is the
+    sampled decoders, or where none decoded, one drawn given at least one
+    (``_condition_on_a_decoder``).  ``cellular`` holds each curve's
+    (trials, N) cellular decode probabilities q over the line-of-sight
+    phases (the module docstring) and its (trials,) relay weights 1 - pi_0.
+    ``draws`` are the GBS layouts (trials, M, 2) and cellular gains
+    (trials, N, M), whence the control features (``_control_features``).
 
     Each chunk's draw order is fixed: the GBS layouts, one hard-core
     placement per trial in trial order, the cellular fading, then one D2D
@@ -227,23 +248,38 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     n, m, total = config.n_uavs, config.m_total, sum(trials)
     gbs, uav = np.empty((total, m, 2)), np.empty((total, n, 2))
     gains, relay_draws = np.empty((total, n, m), dtype=complex), np.empty((sampled, total, n))
+    los = np.empty((total, n), dtype=complex)
+    # the flat index of each (trial, UAV) link to GBS 0 in a chunk's (trials, N, M) draw
+    first_links = (np.arange(max(trials))[:, None] * n + np.arange(n)) * m
     stop, blocks = 0, None
     for chunk_rng, size in zip(rngs, trials):
         start, stop = stop, stop + size
         gbs[start:stop] = geometry.sample_gbs_layout(config, chunk_rng, size)
         uav[start:stop], blocks = geometry.sample_swarm_layout(config, chunk_rng, size, blocks)
-        gains[start:stop] = fading.draw_phase1(config, chunk_rng, size)
+        gains[start:stop], phasors = fading.draw_phase1(config, chunk_rng, size)
+        # of the line-of-sight terms only those of each UAV's link to the
+        # serving GBS nearest the swarm center are kept
+        server = fading.nearest_server(gbs[start:stop], config)
+        np.take(phasors, first_links[:size] + server[:, None], out=los[start:stop])
         for draw in relay_draws:
             draw[start:stop] = fading.draw_phase2(config, chunk_rng, size)
-    cell_sinrs = {}  # by head weighting and serving set
-    decodes, pending = [], np.zeros((total, n), dtype=bool)  # pending: left to some curve's relays
+    laws = {}  # by head weighting and serving set
+    decodes, cellular = [], []
+    pending = np.zeros((total, n), dtype=bool)  # left to some curve's relays
     for protocol, cell_threshold, _ in curves:
         cell = (protocol.with_head, protocol.nearest)
-        if cell not in cell_sinrs:
-            cell_sinrs[cell] = fading.phase1_sinrs(gbs, uav, gains, config, *cell)
-        decodes.append(cell_sinrs[cell] >= cell_threshold)
+        if cell not in laws:
+            laws[cell] = fading.phase1_sinrs(gbs, uav, gains, config, *cell, los=los)
+        sinrs, base, swing = laws[cell]
+        decoded = sinrs >= cell_threshold
+        exact = fading.phase1_decode_probs(base, swing, cell_threshold)
+        np.copyto(exact, decoded, where=np.isnan(exact))
+        none = np.prod(1.0 - exact, axis=1)  # pi_0, the chance that nobody decodes
         if protocol.rounds:
-            pending |= ~decodes[-1]
+            _condition_on_a_decoder(decoded, exact, none, laws[cell])
+            pending |= ~decoded
+        decodes.append(decoded)
+        cellular.append((exact, 1.0 - none))
     path_gain = fading.relay_gains(uav, pending, config) if pending.any() else np.empty((0, n))
     out = []
     for (protocol, _, d2d_threshold), decoded in zip(curves, decodes):
@@ -274,7 +310,38 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
                 decoded[listening] = ((sinrs >= d2d_threshold)
                                       & np.repeat(relays.any(axis=1), counts))
         out.append(probs.transpose(1, 0, 2))
-    return out, (gbs, gains)
+    return out, cellular, (gbs, gains)
+
+
+def _condition_on_a_decoder(decoded, exact, none, law):
+    """Redraw, in place, the cellular decoders of each trial where none decoded but some could.
+
+    ``decoded`` (trials, N) are the sampled outcomes, ``exact`` their decode
+    probabilities q over the line-of-sight phases, ``none`` pi_0 = prod_i
+    (1 - q_i), and ``law`` the (sinrs, base, swing) of
+    ``fading.phase1_sinrs``.  A UAV whose SINR turns on its phase decoded
+    iff the share s of phases that reach its drawn SINR, a uniform, is at
+    most q; so given that it failed, v = (s - q) / (1 - q) is uniform on
+    (0, 1) and independent of everything else.  A redrawn trial's first
+    decoder is the inverse CDF of the first one at the first such UAV's v,
+    and each later UAV decodes iff its own v < q: the decoders' law given
+    at least one.  Trials with a decoder, or with pi_0 = 1, are left alone.
+    """
+    redo = np.flatnonzero(~decoded.any(axis=1) & (none < 1.0))
+    if not len(redo):
+        return
+    sinrs, base, swing = (a[redo] for a in law)
+    q = exact[redo]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spare = (fading.phase1_decode_probs(base, swing, sinrs) - q) / (1.0 - q)
+    np.clip(spare, 0.0, _BELOW_ONE, out=spare)  # NaN where the SINR does not turn on the phase
+    rows = np.arange(len(redo))
+    first = spare[rows, np.argmax(~np.isnan(spare), axis=1)]
+    reached = 1.0 - np.cumprod(1.0 - q, axis=1)  # P(one of UAVs 0..j decodes)
+    pick = np.argmax(reached > first[:, None] * reached[:, -1:], axis=1)
+    chosen = (spare < q) & (np.arange(q.shape[1]) > pick[:, None])
+    chosen[rows, pick] = True
+    decoded[redo] = chosen
 
 
 def _control_features(draws, config: ScenarioConfig) -> np.ndarray:
@@ -349,22 +416,31 @@ def _feature_means(config: ScenarioConfig) -> np.ndarray | None:
     return means if np.isfinite(means).all() else None
 
 
-def _decoded_counts(config, curves, control, master_seed, bounds):
+def _decoded_counts(config, curves, control, sampled, master_seed, bounds):
     """A run's table (trials, columns): each curve's expected decoded counts, 1 + rounds
     columns each, then the run's eight ``_control_features`` if ``control``.
 
     ``bounds`` are the run's chunk boundaries: chunk i holds trials
     [bounds[i], bounds[i + 1]) and is drawn on ``trial_rng(master_seed,
-    bounds[i])``.
+    bounds[i])``.  A trial's cellular column is sum_i q_i, and relay round
+    r's is (1 - pi_0) sum_i p_ri, over the relay set drawn given at least
+    one decoder (``run_trial``): both unbiased for the decoded count.  With
+    ``sampled`` the columns are the counts of ``run_trial``'s per-UAV
+    values instead, the cellular one that of the sampled decoders.
     """
     rngs = [trial_rng(master_seed, start) for start in bounds[:-1]]
     # a squared length past the float range overflows to inf, which clears
     # every separation in placement and gives a path gain of 0: the limits
     # wanted, so the overflow is not reported
     with np.errstate(over="ignore"):
-        probs, draws = run_trial(config, curves, rngs, np.diff(bounds).tolist())
+        probs, cellular, draws = run_trial(config, curves, rngs, np.diff(bounds).tolist())
+    columns = [curve.sum(axis=2) for curve in probs]
+    if not sampled:
+        for counts, (exact, weight) in zip(columns, cellular):
+            counts[:, 0] = exact.sum(axis=1)
+            counts[:, 1:] *= weight[:, None]
     features = [_control_features(draws, config)] if control else []
-    return np.concatenate([curve.sum(axis=2) for curve in probs] + features, axis=1)
+    return np.concatenate(columns + features, axis=1)
 
 
 @functools.cache
@@ -398,7 +474,7 @@ def _runs(trials: int, workers: int, elements: int) -> list[list[int]]:
     return [bounds[a:b + 1] for a, b in zip(starts, [*starts[1:], chunks])]
 
 
-def _gather_counts(config, curves, trials, master_seed, workers, control=False):
+def _gather_counts(config, curves, trials, master_seed, workers, control=False, sampled=False):
     """Each curve's (trials, 1 + rounds) counts and the draw's ``_regression``, or None.
 
     ``curves`` are the planned curves (``run_trial``) of ``config``'s draw,
@@ -409,6 +485,7 @@ def _gather_counts(config, curves, trials, master_seed, workers, control=False):
     order, the same bit for bit at any worker count, and each curve gets a
     view of its columns.  The draw's features, and its regression, are
     formed only with ``control``, and every curve gets that regression.
+    ``sampled`` is ``_decoded_counts``'.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -417,7 +494,7 @@ def _gather_counts(config, curves, trials, master_seed, workers, control=False):
     start = 0
     # the largest per-trial arrays are the (N, N) pair gains and the (N, M) cellular ones
     elements = config.n_uavs * max(config.n_uavs, config.m_total)
-    worker = functools.partial(_decoded_counts, config, curves, control, master_seed)
+    worker = functools.partial(_decoded_counts, config, curves, control, sampled, master_seed)
     mapper = map if workers <= 1 else _pool(workers).map
     for piece in mapper(worker, _runs(trials, workers, elements)):
         table[start:start + len(piece)] = piece
@@ -542,6 +619,6 @@ def phase1_count_distribution(
     """
     cellular = replace(PROPOSED, rounds=0)
     curve = (cellular, *_thresholds(scenario.validate(config), cellular))
-    [(counts, _)] = _gather_counts(config, [curve], trials, master_seed, workers)
+    [(counts, _)] = _gather_counts(config, [curve], trials, master_seed, workers, sampled=True)
     pmf = np.bincount(counts[:, 0].astype(int), minlength=config.n_uavs + 1) / trials
     return Phase1CountDistribution(pmf=pmf, trials=trials, seed=master_seed)

@@ -5,6 +5,7 @@ import math
 import re
 import signal
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -561,6 +562,33 @@ def test_a_range_grid_of_the_most_points_is_formed(monkeypatch):
     with pytest.raises(scenario.ConfigError, match="step: 0.0001 gives 18 grid points, more "
                                                    "than 17"):
         cli._parse_values(args)
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (("optimize-tau", "--start", "0.0001", "--stop", "0.0001999999", "--step", "1e-10"), float),
+    (("sweep", "--var", "n_uavs", "--start", "1", "--stop", "1000000", "--step", "1"), int),
+], ids=["tau", "n_uavs"])
+def test_a_grid_at_the_point_bound_is_formed_within_seconds(argv, kind):
+    # a million points, each once formed as a Fraction (about 4 s in all),
+    # within a 3 s alarm, and every 997th point with the bits of that form
+    def unfinished(signum, frame):
+        raise _Unfinished("the grid was not formed within 3 s")
+
+    args = cli.build_parser().parse_args([*argv, "--config", "-"])
+    previous = signal.signal(signal.SIGALRM, unfinished)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 3.0)
+        try:
+            values = cli._parse_values(args)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert len(values) == cli.MAX_GRID_POINTS
+    start, step = Fraction(argv[argv.index("--start") + 1]), Fraction(argv[argv.index("--step") + 1])
+    for i in [*range(0, len(values), 997), len(values) - 1]:
+        want = kind(start + i * step)
+        assert type(values[i]) is kind and values[i] == want, (i, values[i], want)
 
 
 @pytest.mark.parametrize("protocol", [*mc.PROTOCOLS.values(), mc.multi_round(2),

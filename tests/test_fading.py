@@ -103,14 +103,14 @@ def test_phase1_channels_match_summed_squares_bitwise(config):
     trials = 50
     gbs = geometry.sample_gbs_layout(config, rng, trials)
     uav = geometry.sample_swarm_layout(config, rng, trials)[0]
-    draw = fading.draw_phase1(config, rng, trials)
+    draw, _ = fading.draw_phase1(config, rng, trials)
     assert draw.shape == (trials, 40, 16)
     gbs3d = np.concatenate([gbs, np.zeros((trials, 16, 1))], axis=2)
     uav3d = np.concatenate([uav, np.full((trials, 40, 1), 300.0)], axis=2)
     diff = uav3d[:, :, None, :] - gbs3d[:, None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
     amp = np.sqrt(config.ref_gain_cell * dist ** (-config.pathloss_exp_cell))
-    assert np.array_equal(fading._phase1_channels(gbs, uav, draw, config), amp * draw)
+    assert np.array_equal(fading._phase1_amplitudes(gbs, uav, config) * draw, amp * draw)
 
 
 def test_phase1_pure_snr_scales_with_power():
@@ -118,7 +118,7 @@ def test_phase1_pure_snr_scales_with_power():
     cfg_hi = make_config(m_available=3, m_occupied=0, n_uavs=2, tx_power_gbs_dbm=53.0)
     gbs, swarm = _scene(cfg, [[100, 0], [0, 200], [-50, -50]], [[0, 0], [5, 5]])
     rng = np.random.default_rng(5)
-    draw = fading.draw_phase1(cfg, rng, 1)
+    draw, _ = fading.draw_phase1(cfg, rng, 1)
     s1 = fading.phase1_sinrs(gbs, swarm, draw, cfg)
     s2 = fading.phase1_sinrs(gbs, swarm, draw, cfg_hi)
     # +10 dB transmit power vs essentially zero noise: 10x SINR to within the
@@ -164,7 +164,7 @@ def test_phase1_head_sinr_invariant_to_serving_phases():
         np.random.default_rng(7).uniform(-20, 20, size=(4, 2)),
     )
     rng = np.random.default_rng(8)
-    draw = fading.draw_phase1(cfg, rng, 1)
+    draw, _ = fading.draw_phase1(cfg, rng, 1)
     base = fading.phase1_sinrs(gbs, swarm, draw, cfg)
     rotated = draw.copy()
     phases = np.exp(2j * np.pi * np.random.default_rng(9).random(8))
@@ -185,7 +185,7 @@ def test_phase1_coherent_beats_unit_combining_at_head():
     # one scene over n trials of fading
     gbs = np.broadcast_to(gbs, (n, 16, 2))
     swarm = np.broadcast_to(swarm, (n, 2, 2))
-    draw = fading.draw_phase1(cfg, rng, n)
+    draw, _ = fading.draw_phase1(cfg, rng, n)
     head = fading.phase1_sinrs(gbs, swarm, draw, cfg, with_head=True)[:, 0]
     unit = fading.phase1_sinrs(gbs, swarm, draw, cfg, with_head=False)[:, 0]
     assert head.mean() > unit.mean()

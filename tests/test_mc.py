@@ -101,11 +101,11 @@ def _layout_features(config, trials, seed):
     rows = []
     for start in range(0, trials, chunk):
         n = min(chunk, trials - start)
-        gbs, _ = run_kernel([(config, mc.ALL_GBS)], mc.trial_rng(seed, start), n)[1]
+        gbs, _ = run_kernel([(config, mc.ALL_GBS)], mc.trial_rng(seed, start), n)[2]
         replay = mc.trial_rng(seed, start)
         assert np.array_equal(geometry.sample_gbs_layout(config, replay, n), gbs)
         geometry.sample_swarm_layout(config, replay, n)
-        h = fading.draw_phase1(config, replay, n)
+        h, _ = fading.draw_phase1(config, replay, n)
         d2 = (gbs ** 2).sum(axis=2) + config.swarm_altitude_m ** 2
         gain = d2 ** (-config.pathloss_exp_cell / 2.0)
         m0 = config.m_available
@@ -149,13 +149,13 @@ def test_each_run_is_one_kernel_call_with_a_stream_per_chunk(monkeypatch, n_uavs
     assert calls == [(config, planned_curves(variants), sizes) for sizes in runs]
     monkeypatch.undo()
     starts = range(0, 19 * len(runs[0]), 19)
-    first, _ = run_kernel(variants, [mc.trial_rng(77, s) for s in starts], runs[0])
-    last, _ = run_kernel(variants, mc.trial_rng(77, 285), 15)
+    first = run_kernel(variants, [mc.trial_rng(77, s) for s in starts], runs[0])
+    last = run_kernel(variants, mc.trial_rng(77, 285), 15)
     gathered = gather_counts(variants, 300, 77, control=True)
     head = sum(runs[0])
-    for (counts, _), run, tail in zip(gathered, first, last):
-        assert np.array_equal(counts[:head], run.sum(axis=2))
-        assert np.array_equal(counts[285:], tail.sum(axis=2))
+    for v, (counts, _) in enumerate(gathered):
+        assert np.array_equal(counts[:head], _expected_counts(first, v))
+        assert np.array_equal(counts[285:], _expected_counts(last, v))
     # both variants, multi_round too, share their draw's regression, and
     # each entry regresses the chunk-ordered counts on the chunk-ordered layouts
     assert gathered[0][1] is gathered[1][1]
@@ -166,6 +166,17 @@ def test_each_run_is_one_kernel_call_with_a_stream_per_chunk(monkeypatch, n_uavs
         eta, std_err, _ = _intercept(fractions, features, config)
         assert curve[-1].eta_mean == pytest.approx(eta, rel=1e-9)
         assert curve[-1].std_err == pytest.approx(std_err, rel=1e-9)
+
+
+def _expected_counts(kernel, v):
+    """Curve ``v``'s per-trial counts from a ``run_trial`` output: the cellular
+    column sum_i q_i, and relay round r's (1 - pi_0) times the count of its row."""
+    probs, cellular, _ = kernel
+    exact, weight = cellular[v]
+    counts = probs[v].sum(axis=2)
+    counts[:, 0] = exact.sum(axis=1)
+    counts[:, 1:] *= weight[:, None]
+    return counts
 
 
 def _same_bits(a, b):
@@ -188,12 +199,14 @@ def test_a_run_of_chunks_is_one_kernel_call_per_chunk_bit_for_bit(monkeypatch, o
                                    mc.multi_round(3), mc.multi_round(2, with_head=False))]
     sizes = [16, 16, 1, 9]
     starts = [0, 16, 32, 33]
-    run, draws = run_kernel(variants, [mc.trial_rng(5, s) for s in starts], sizes)
+    run, cellular, draws = run_kernel(variants, [mc.trial_rng(5, s) for s in starts], sizes)
     ones = [run_kernel(variants, mc.trial_rng(5, s), n) for s, n in zip(starts, sizes)]
     for v, curve in enumerate(run):
-        assert _same_bits(curve, np.concatenate([curves[v] for curves, _ in ones]))
+        assert _same_bits(curve, np.concatenate([curves[v] for curves, _, _ in ones]))
+        for k in range(2):
+            assert _same_bits(cellular[v][k], np.concatenate([c[v][k] for _, c, _ in ones]))
     assert _same_bits(mc._control_features(draws, cfg),
-                      np.concatenate([mc._control_features(d, cfg) for _, d in ones]))
+                      np.concatenate([mc._control_features(d, cfg) for _, _, d in ones]))
     # and so the counts and regressions of a command, against one chunk per run
     gathered = gather_counts(variants, 250, 6, control=True)
     monkeypatch.setattr(mc, "_RUN_ELEMENTS", 0)
@@ -204,6 +217,36 @@ def test_a_run_of_chunks_is_one_kernel_call_per_chunk_bit_for_bit(monkeypatch, o
         assert regression is None or _same_bits(regression, one_regression)
 
 
+def redraw_given_a_decoder(decoded, sinrs, base, swing, threshold):
+    """Redraw, one trial at a time, the cellular decoders (trials, N) of each trial where
+    none decoded but some could, from their law given at least one.
+
+    q is each UAV's decode probability over its line-of-sight phase, or its
+    drawn outcome where its SINR does not turn on that phase.  A UAV that
+    failed has a uniform spare v = (s - q) / (1 - q), s the share of phases
+    that reach its drawn SINR.  The first decoder is the inverse CDF of the
+    first one at the first spare, and each later UAV decodes iff its spare
+    is below its q.
+    """
+    exact = fading.phase1_decode_probs(base, swing, threshold)
+    share = fading.phase1_decode_probs(base, swing, sinrs)
+    for t in np.flatnonzero(~decoded.any(axis=1)):
+        q = np.where(np.isnan(exact[t]), 0.0, exact[t])
+        survive, reached = 1.0, []
+        for qi in q:
+            survive *= 1.0 - qi
+            reached.append(1.0 - survive)
+        if survive == 1.0:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spare = np.clip((share[t] - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
+        first = spare[~np.isnan(spare)][0]
+        pick = next(j for j, mass in enumerate(reached) if mass > first * reached[-1])
+        decoded[t, pick] = True
+        for j in range(pick + 1, len(q)):
+            decoded[t, j] = spare[j] < q[j]
+
+
 def whole_matrix_relay(config, protocol, rng, trials):
     """Decode probabilities (trials, 1 + rounds, N) of one chunk by the whole-matrix relay loop.
 
@@ -212,21 +255,29 @@ def whole_matrix_relay(config, protocol, rng, trials):
     pair gains, forms every UAV's decode probability, and then scores a UAV
     that has decoded 1: what ``mc.run_trial`` did before it kept to the
     listeners still to decode.  Every round but the last is then sampled,
-    whatever the protocol.
+    whatever the protocol.  A trial whose cellular stage decoded nobody,
+    though somebody could have, relays from its ``redraw_given_a_decoder``.
     """
     n, rounds = config.n_uavs, protocol.rounds
     gbs = geometry.sample_gbs_layout(config, rng, trials)
     uav = geometry.sample_swarm_layout(config, rng, trials)[0]
-    gains = fading.draw_phase1(config, rng, trials)
+    gains, phasors = fading.draw_phase1(config, rng, trials)
     draws = [fading.draw_phase2(config, rng, trials) for _ in range(rounds - 1)]
     split = protocol.name in ("proposed", "head_relay")
     cell, d2d = scenario.stage_thresholds(config, whole_slot=not split, relays=rounds > 0)
-    decoded = (fading.phase1_sinrs(gbs, uav, gains, config, protocol.with_head,
-                                   protocol.name == "nearest_gbs") >= cell)
+    m0 = config.m_available
+    server = np.hypot(np.hypot(gbs[:, :m0, 0], gbs[:, :m0, 1]),
+                      config.swarm_altitude_m).argmin(axis=1)
+    sinrs, base, swing = fading.phase1_sinrs(gbs, uav, gains, config, protocol.with_head,
+                                             protocol.name == "nearest_gbs",
+                                             phasors[np.arange(trials), :, server])
+    decoded = sinrs >= cell
     probs = np.empty((trials, 1 + rounds, n))
     probs[:, 0] = decoded
     if not rounds:
         return probs
+    redraw_given_a_decoder(decoded, sinrs, base, swing, cell)
+    probs[:, 0] = decoded
     ratio = d2d * config.intf_noise_phase2_w / config.tx_power_uav_w
     with np.errstate(over="ignore", divide="ignore"):
         gain = uav[:, :, None, 0] - uav[:, None, :, 0]
@@ -286,13 +337,13 @@ def test_relay_rows_match_the_whole_matrix_bit_for_bit(overrides, raw):
                  (replace(cfg, message_bits=cfg.message_bits / 4), mc.multi_round(3))]
     sizes, starts = [16, 16, 1, 9], [0, 16, 32, 33]
     with np.errstate(over="ignore", divide="ignore"):
-        run, _ = run_kernel(variants, [mc.trial_rng(8, s) for s in starts], sizes)
+        run, _, _ = run_kernel(variants, [mc.trial_rng(8, s) for s in starts], sizes)
         for (config, protocol), curve in zip(variants, run):
             want = [whole_matrix_relay(config, protocol, mc.trial_rng(8, s), n)
                     for s, n in zip(starts, sizes)]
             assert _same_bits(curve, np.concatenate(want)), protocol.label
         for protocol in protocols:
-            [alone], _ = run_kernel([(cfg, protocol)], mc.trial_rng(9, 0), 20)
+            [alone], _, _ = run_kernel([(cfg, protocol)], mc.trial_rng(9, 0), 20)
             assert _same_bits(alone, whole_matrix_relay(cfg, protocol, mc.trial_rng(9, 0), 20))
 
 
@@ -381,7 +432,7 @@ def test_layout_feature_means_are_exact(overrides):
     sums, squares, draws = np.zeros(8), np.zeros(8), 1_000_000
     for _ in range(10):
         gbs = geometry.sample_gbs_layout(cfg, rng, draws // 10)
-        features = mc._control_features((gbs, fading.draw_phase1(cfg, rng, draws // 10)), cfg)
+        features = mc._control_features((gbs, fading.draw_phase1(cfg, rng, draws // 10)[0]), cfg)
         sums += features.sum(axis=0)
         squares += (features * features).sum(axis=0)
     mean = sums / draws
@@ -534,7 +585,7 @@ def sampled_rounds(config, rounds, with_head, rng, trials):
     """
     gbs = geometry.sample_gbs_layout(config, rng, trials)
     uav = geometry.sample_swarm_layout(config, rng, trials)[0]
-    gains = fading.draw_phase1(config, rng, trials)
+    gains, _ = fading.draw_phase1(config, rng, trials)
     draws = [fading.draw_phase2(config, rng, trials) for _ in range(rounds)]
     cell, d2d = scenario.stage_thresholds(config, whole_slot=True)
     decoded = fading.phase1_sinrs(gbs, uav, gains, config, with_head) >= cell
@@ -549,20 +600,155 @@ def sampled_rounds(config, rounds, with_head, rng, trials):
 @pytest.mark.parametrize("with_head", [True, False])
 def test_exact_relay_rounds_agree_with_the_sampled_indicator(with_head):
     # each round is exact over its fading given the sampled relay set of the
-    # round before: a UAV that the sampled rounds had decoded scores 1, and
-    # over 200 seeds the paired gap of the curves' means has |z| <= 3
+    # round before: in a trial with a cellular decoder, whose relay set is
+    # the sampled one, a UAV that the sampled rounds had decoded scores 1,
+    # and over 200 seeds the paired gap of the curves' means, each trial's
+    # rounds weighted by 1 - pi_0, has |z| <= 3
     cfg = make_config(n_uavs=10, message_bits=150.0)
     rounds, trials, seeds = 4, 50, 200
     gaps = np.empty((seeds, rounds))
     for seed in range(seeds):
-        [exact], _ = run_kernel([(cfg, mc.multi_round(rounds, with_head))],
-                                  mc.trial_rng(2400 + seed, 0), trials)
+        [exact], [(_, weight)], _ = run_kernel([(cfg, mc.multi_round(rounds, with_head))],
+                                               mc.trial_rng(2400 + seed, 0), trials)
         sampled = sampled_rounds(cfg, rounds, with_head, mc.trial_rng(2400 + seed, 0), trials)
-        assert np.array_equal(exact[:, 0], sampled[:, 0])
-        assert (exact[:, 1:][sampled[:, :-1]] == 1.0).all()
-        gaps[seed] = (exact[:, 1:] - sampled[:, 1:]).mean(axis=(0, 2))
+        kept = sampled[:, 0].any(axis=1)
+        assert np.array_equal(exact[kept, 0], sampled[kept, 0])
+        assert (exact[kept, 1:][sampled[kept, :-1]] == 1.0).all()
+        gaps[seed] = (weight[:, None, None] * exact[:, 1:] - sampled[:, 1:]).mean(axis=(0, 2))
     z = gaps.mean(axis=0) / (gaps.std(axis=0, ddof=1) / math.sqrt(seeds))
     assert (np.abs(z) <= 3.0).all(), z
+
+
+# --- the cellular stage, conditioned on one line-of-sight phase per UAV ------
+
+
+@pytest.mark.parametrize("with_head, nearest", [(True, False), (False, False), (True, True)],
+                         ids=["head", "no-head", "nearest"])
+def test_cellular_decode_probs_match_resampled_line_of_sight_phases(with_head, nearest):
+    # at two trials, each UAV's q against the share of 10^5 copies of the
+    # trial, the line-of-sight phases of every UAV's link to the nearest
+    # serving GBS redrawn (but the head's, which set the weights), whose
+    # SINR reaches the threshold: within 4 standard errors.  Each UAV's SINR
+    # turns on its own phase alone, so one copy redraws them all
+    cfg = make_config(n_uavs=6, m_available=4, m_occupied=4, message_bits=100.0)
+    rng = np.random.default_rng(46)
+    trials, copies, batches = 2, 10_000, 10
+    gbs = geometry.sample_gbs_layout(cfg, rng, trials)
+    uav = geometry.sample_swarm_layout(cfg, rng, trials)[0]
+    gains, phasors = fading.draw_phase1(cfg, rng, trials)
+    server = fading.nearest_server(gbs, cfg)
+    theta = scenario.stage_thresholds(cfg, whole_slot=True)[0]
+    sinrs, base, swing = fading.phase1_sinrs(gbs, uav, gains, cfg, with_head, nearest,
+                                             phasors[np.arange(trials), :, server])
+    exact = fading.phase1_decode_probs(base, swing, theta)
+    assert (swing[:, 0] == 0.0).all() == with_head and (swing[:, 1:] > 0.0).all()
+    assert ((0.05 < exact) & (exact < 0.95)).sum() >= 4
+    los = math.sqrt(cfg.rician_k / (cfg.rician_k + 1.0))
+    for t in range(trials):
+        scattered = gains[t] - los * phasors[t]
+        redrawn = np.repeat(phasors[t][None], copies, axis=0)
+        hits = np.zeros(cfg.n_uavs)
+        for _ in range(batches):
+            redrawn[:, 1 if with_head else 0:, server[t]] = np.exp(
+                2j * np.pi * rng.random((copies, cfg.n_uavs - with_head)))
+            copy = los * redrawn + scattered
+            hits += (fading.phase1_sinrs(np.repeat(gbs[t][None], copies, axis=0),
+                                         np.repeat(uav[t][None], copies, axis=0), copy, cfg,
+                                         with_head, nearest) >= theta).sum(axis=0)
+        q = np.where(np.isnan(exact[t]), sinrs[t] >= theta, exact[t])
+        freq = hits / (copies * batches)
+        sigma = np.sqrt(q * (1.0 - q) / (copies * batches))
+        assert (np.abs(freq - q) <= 4.0 * sigma).all(), (t, freq, q)
+
+
+def _all_protocols():
+    return [mc.PROPOSED, mc.NEAREST_GBS, mc.ALL_GBS, mc.HEAD_RELAY,
+            mc.multi_round(6), mc.multi_round(6, with_head=False)]
+
+
+def test_at_rician_k_0_the_cellular_stage_stays_sampled():
+    # with no line-of-sight term no SINR turns on a phase: every q is the
+    # sampled outcome, pi_0 is 1 or 0, and no relaying curve redraws its
+    # relay set, though a weak cellular stage leaves many trials without
+    # a decoder
+    cfg = make_config(n_uavs=10, message_bits=150.0, m_available=2, rician_k=0.0)
+    probs, cellular, _ = run_kernel([(cfg, p) for p in _all_protocols()], mc.trial_rng(47, 0),
+                                    200)
+    for curve, (exact, weight) in zip(probs, cellular):
+        assert _same_bits(exact, curve[:, 0])
+        assert _same_bits(weight, curve[:, 0].any(axis=1).astype(float))
+    assert (~probs[-1][:, 0].any(axis=1)).sum() >= 20
+
+
+def _poisson_binomial(q):
+    """The pmf over {0..N} of the number of independent Bernoulli(q_i) successes."""
+    pmf = np.zeros(len(q) + 1)
+    pmf[0] = 1.0
+    for qi in q:
+        pmf[1:] = pmf[1:] * (1.0 - qi) + pmf[:-1] * qi
+        pmf[0] *= 1.0 - qi
+    return pmf
+
+
+@pytest.mark.parametrize("with_head", [True, False])
+def test_redrawn_relay_sets_follow_the_decoders_law_given_one(with_head):
+    # over the trials without a cellular decoder in which some UAV could
+    # decode, the redrawn relay set's size against the Poisson-binomial pmf
+    # of the q given at least one success, and each UAV's presence against
+    # q_i / (1 - pi_0): within 4 standard errors, summed over trials
+    cfg = make_config(n_uavs=10, message_bits=150.0, m_available=2)
+    protocol = mc.multi_round(1, with_head)
+    variants = [(cfg, protocol), (cfg, replace(protocol, rounds=0))]
+    sizes, expected, variance = np.zeros(11), np.zeros(11), np.zeros(11)
+    present, marginal, spread = np.zeros(10), np.zeros(10), np.zeros(10)
+    redrawn = 0
+    for seed in range(20):
+        probs, [(exact, weight), _], _ = run_kernel(variants, mc.trial_rng(4800 + seed, 0), 200)
+        drawn, relays = probs[1][:, 0] > 0, probs[0][:, 0] > 0
+        assert np.array_equal(relays[drawn.any(axis=1)], drawn[drawn.any(axis=1)])
+        for t in np.flatnonzero(~drawn.any(axis=1) & (weight > 0.0)):
+            redrawn += 1
+            pmf = _poisson_binomial(exact[t])
+            pmf[0] = 0.0
+            pmf /= weight[t]
+            sizes[relays[t].sum()] += 1
+            expected += pmf
+            variance += pmf * (1.0 - pmf)
+            p = exact[t] / weight[t]
+            present += relays[t]
+            marginal += p
+            spread += p * (1.0 - p)
+        if with_head:
+            assert not relays[~drawn[:, 0], 0].any()
+    assert redrawn >= 400 and sizes[0] == 0 and sizes[2] >= 20
+    assert (np.abs(sizes - expected) <= 4.0 * np.sqrt(variance)).all(), (sizes, expected)
+    assert (np.abs(present - marginal) <= 4.0 * np.sqrt(spread)).all(), (present, marginal)
+
+
+def test_conditioned_values_agree_with_the_sampled_ones():
+    # the values before this conditioning, readable from the kernel as the
+    # sampled decoders' count y(D) 1{K1 >= 1} (a trial without a cellular
+    # decoder relays to nobody), against the conditioned ones on the same
+    # draws: over 200 seeds of 100 trials the paired gap of each entry of
+    # every protocol's curve, six-round multi_round with and without the
+    # head included, has |z| <= 3, and vanishes where pi_0 is 0
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    protocols = _all_protocols()
+    variants = [(cfg, p) for p in protocols] + [(cfg, replace(p, rounds=0)) for p in protocols]
+    seeds, k = 200, len(protocols)
+    gaps = [np.empty((seeds, 1 + p.rounds)) for p in protocols]
+    for seed in range(seeds):
+        kernel = run_kernel(variants, mc.trial_rng(5000 + seed, 0), 100)
+        for v, protocol in enumerate(protocols):
+            drawn = kernel[0][k + v][:, 0]
+            sampled = kernel[0][v].sum(axis=2) * drawn.any(axis=1)[:, None]
+            sampled[:, 0] = drawn.sum(axis=1)
+            gaps[v][seed] = (_expected_counts(kernel, v) - sampled).mean(axis=0) / cfg.n_uavs
+    for protocol, gap in zip(protocols, gaps):
+        mean, std_err = gap.mean(axis=0), gap.std(axis=0, ddof=1) / math.sqrt(seeds)
+        assert ((mean == 0.0) | (np.abs(mean) <= 3.0 * std_err)).all(), (protocol.label, mean,
+                                                                        std_err)
+        assert (std_err[0] > 0.0) and (protocol.with_head or (std_err[1:] > 0.0).all())
 
 
 def _count_calls(monkeypatch, calls, module, name):
