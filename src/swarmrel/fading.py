@@ -159,22 +159,23 @@ def phase1_sinrs(
     uav: np.ndarray,
     gains: np.ndarray,
     config: ScenarioConfig,
-    with_head: bool = True,
-    nearest: bool = False,
-    los: np.ndarray | None = None,
+    with_head: bool,
+    nearest: bool,
+    los: np.ndarray,
+    server: np.ndarray,
 ):
-    """SINR of every UAV at planar positions ``uav`` in the cellular downlink stage, (trials, N).
+    """SINRs (trials, N) of the UAVs at planar ``uav`` in the cellular stage, and their law.
 
     The first ``m_available`` GBSs of the ``gbs`` layout serve and the rest
     interfere at full power.  ``with_head`` applies each serving GBS's
     conjugate-phase unit weight for the channel of the head, UAV 0, so the
     head combines coherently; without it the GBSs send unweighted.
-    ``nearest`` serves from only the available GBS closest to the swarm
-    center (``nearest_server``).
+    ``nearest`` serves from only ``server`` (trials,), the available GBS
+    closest to the swarm center (``nearest_server``).
 
     ``los`` (trials, N) are the unit phasors of the line-of-sight terms of
-    every UAV's link to that GBS (``draw_phase1``).  With them, returns
-    (sinrs, base, swing): given everything but those phases, UAV i's SINR is
+    every UAV's link to that GBS (``draw_phase1``).  Returns (sinrs, base,
+    swing): given everything but those phases, UAV i's SINR is
     base_i + swing_i cos(delta_i), where delta_i, the angle between that
     link's line-of-sight term c_i and the rest B_i of the UAV's combined
     signal, is uniform and independent across UAVs.  With D the
@@ -192,8 +193,6 @@ def phase1_sinrs(
     occupied *= occupied
     interference = p * occupied.sum(axis=2)
     h_tx = h[:, :, :m0]
-    if nearest or los is not None:
-        server = nearest_server(gbs, config)
     if nearest:
         h_tx = np.take_along_axis(h_tx, server[:, None, None], axis=2)
     if with_head:
@@ -204,8 +203,6 @@ def phase1_sinrs(
     signal = p * np.abs(combined) ** 2
     noise = interference + config.noise_phase1_w
     sinrs = signal / noise
-    if los is None:
-        return sinrs
     # T = c + B, c the line-of-sight term of each UAV's link to the nearest
     # server in its combined signal T, so |T|^2 = |B|^2 + |c|^2 + 2 Re(c B*).
     # In the frame of that link's unit weight w, c = a e^(j phi)
@@ -235,7 +232,7 @@ def phase1_decode_probs(base: np.ndarray, swing: np.ndarray, threshold) -> np.nd
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = (threshold - base) / swing
-    return np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos) / np.pi
+    return np.divide(np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos), np.pi, out=cos)
 
 
 def head_weights(head: np.ndarray) -> np.ndarray:

@@ -248,7 +248,7 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     n, m, total = config.n_uavs, config.m_total, sum(trials)
     gbs, uav = np.empty((total, m, 2)), np.empty((total, n, 2))
     gains, relay_draws = np.empty((total, n, m), dtype=complex), np.empty((sampled, total, n))
-    los = np.empty((total, n), dtype=complex)
+    los, server = np.empty((total, n), dtype=complex), np.empty(total, dtype=np.intp)
     # the flat index of each (trial, UAV) link to GBS 0 in a chunk's (trials, N, M) draw
     first_links = (np.arange(max(trials))[:, None] * n + np.arange(n)) * m
     stop, blocks = 0, None
@@ -259,8 +259,8 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
         gains[start:stop], phasors = fading.draw_phase1(config, chunk_rng, size)
         # of the line-of-sight terms only those of each UAV's link to the
         # serving GBS nearest the swarm center are kept
-        server = fading.nearest_server(gbs[start:stop], config)
-        np.take(phasors, first_links[:size] + server[:, None], out=los[start:stop])
+        server[start:stop] = fading.nearest_server(gbs[start:stop], config)
+        np.take(phasors, first_links[:size] + server[start:stop, None], out=los[start:stop])
         for draw in relay_draws:
             draw[start:stop] = fading.draw_phase2(config, chunk_rng, size)
     laws = {}  # by head weighting and serving set
@@ -269,7 +269,7 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     for protocol, cell_threshold, _ in curves:
         cell = (protocol.with_head, protocol.nearest)
         if cell not in laws:
-            laws[cell] = fading.phase1_sinrs(gbs, uav, gains, config, *cell, los=los)
+            laws[cell] = fading.phase1_sinrs(gbs, uav, gains, config, *cell, los, server)
         sinrs, base, swing = laws[cell]
         decoded = sinrs >= cell_threshold
         exact = fading.phase1_decode_probs(base, swing, cell_threshold)

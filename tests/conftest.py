@@ -78,6 +78,16 @@ def record_kernel_calls(monkeypatch, calls):
     monkeypatch.setattr(mc, "run_trial", recording)
 
 
+def cellular_sinrs(gbs, uav, gains, config, with_head=True, nearest=False):
+    """The cellular-stage SINRs (trials, N) of ``fading.phase1_sinrs`` alone.
+
+    They do not read the line-of-sight phasors, so unit ones stand in.
+    """
+    los = np.ones(gains.shape[:2], dtype=complex)
+    return fading.phase1_sinrs(gbs, uav, gains, config, with_head, nearest, los,
+                               fading.nearest_server(gbs, config))[0]
+
+
 def relay_power_everywhere(uav, relays, config):
     """Every UAV's summed relay path gain (trials, N) when the ``relays`` mask relays.
 

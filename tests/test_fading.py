@@ -7,7 +7,7 @@ from scipy import integrate, stats
 
 from swarmrel import fading, geometry
 
-from conftest import make_config, relay_power_everywhere
+from conftest import cellular_sinrs, make_config, relay_power_everywhere
 
 
 def test_rician_pure_los_limit():
@@ -119,8 +119,8 @@ def test_phase1_pure_snr_scales_with_power():
     gbs, swarm = _scene(cfg, [[100, 0], [0, 200], [-50, -50]], [[0, 0], [5, 5]])
     rng = np.random.default_rng(5)
     draw, _ = fading.draw_phase1(cfg, rng, 1)
-    s1 = fading.phase1_sinrs(gbs, swarm, draw, cfg)
-    s2 = fading.phase1_sinrs(gbs, swarm, draw, cfg_hi)
+    s1 = cellular_sinrs(gbs, swarm, draw, cfg)
+    s2 = cellular_sinrs(gbs, swarm, draw, cfg_hi)
     # +10 dB transmit power vs essentially zero noise: 10x SINR to within the
     # noise floor's tiny contribution
     assert np.allclose(s2 / s1, 10.0, rtol=1e-6)
@@ -133,7 +133,7 @@ def test_phase1_hand_computed_head_sinr():
     cfg = replace(make_config(m_available=1, m_occupied=1, n_uavs=1), noise_phase1_dbm=-math.inf)
     gbs, swarm = _scene(cfg, [[400, 0], [-400, 0]], [[0, 0]])
     draw = np.ones((1, 1, 2), dtype=complex)
-    sinr = fading.phase1_sinrs(gbs, swarm, draw, cfg)
+    sinr = cellular_sinrs(gbs, swarm, draw, cfg)
     assert sinr.shape == (1, 1)
     assert sinr[0, 0] == pytest.approx(1.0, rel=1e-12)
 
@@ -148,7 +148,7 @@ def test_phase1_nearest_serves_from_the_available_gbs_closest_to_the_center(with
     uav_xy = [[0, 0], [480, 0]]
     gbs, swarm = _scene(cfg, gbs_xy, uav_xy)
     draw = np.ones((1, 2, 4), dtype=complex)
-    sinr = fading.phase1_sinrs(gbs, swarm, draw, cfg, with_head=with_head, nearest=True)
+    sinr = cellular_sinrs(gbs, swarm, draw, cfg, with_head=with_head, nearest=True)
     h = cfg.swarm_altitude_m
     dist = lambda u, g: math.hypot(math.hypot(u[0] - g[0], u[1] - g[1]), h)
     want = [(dist(u, gbs_xy[3]) / dist(u, gbs_xy[1])) ** 3.0 for u in uav_xy]
@@ -165,11 +165,11 @@ def test_phase1_head_sinr_invariant_to_serving_phases():
     )
     rng = np.random.default_rng(8)
     draw, _ = fading.draw_phase1(cfg, rng, 1)
-    base = fading.phase1_sinrs(gbs, swarm, draw, cfg)
+    base = cellular_sinrs(gbs, swarm, draw, cfg)
     rotated = draw.copy()
     phases = np.exp(2j * np.pi * np.random.default_rng(9).random(8))
     rotated[:, :, :8] *= phases
-    turned = fading.phase1_sinrs(gbs, swarm, rotated, cfg)
+    turned = cellular_sinrs(gbs, swarm, rotated, cfg)
     assert turned[0, 0] == pytest.approx(base[0, 0], rel=1e-12)
 
 
@@ -186,8 +186,8 @@ def test_phase1_coherent_beats_unit_combining_at_head():
     gbs = np.broadcast_to(gbs, (n, 16, 2))
     swarm = np.broadcast_to(swarm, (n, 2, 2))
     draw, _ = fading.draw_phase1(cfg, rng, n)
-    head = fading.phase1_sinrs(gbs, swarm, draw, cfg, with_head=True)[:, 0]
-    unit = fading.phase1_sinrs(gbs, swarm, draw, cfg, with_head=False)[:, 0]
+    head = cellular_sinrs(gbs, swarm, draw, cfg, with_head=True)[:, 0]
+    unit = cellular_sinrs(gbs, swarm, draw, cfg, with_head=False)[:, 0]
     assert head.mean() > unit.mean()
 
 

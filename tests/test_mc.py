@@ -8,8 +8,8 @@ import pytest
 from swarmrel import analytic, fading, geometry, mc, scenario
 
 import per_trial_kernel
-from conftest import (complex_gain_sinrs, gather_counts, make_config, planned_curves,
-                      record_kernel_calls, relay_power_everywhere, run_kernel)
+from conftest import (cellular_sinrs, complex_gain_sinrs, gather_counts, make_config,
+                      planned_curves, record_kernel_calls, relay_power_everywhere, run_kernel)
 
 
 def test_protocol_labels_and_validation():
@@ -270,7 +270,7 @@ def whole_matrix_relay(config, protocol, rng, trials):
                       config.swarm_altitude_m).argmin(axis=1)
     sinrs, base, swing = fading.phase1_sinrs(gbs, uav, gains, config, protocol.with_head,
                                              protocol.name == "nearest_gbs",
-                                             phasors[np.arange(trials), :, server])
+                                             phasors[np.arange(trials), :, server], server)
     decoded = sinrs >= cell
     probs = np.empty((trials, 1 + rounds, n))
     probs[:, 0] = decoded
@@ -588,7 +588,7 @@ def sampled_rounds(config, rounds, with_head, rng, trials):
     gains, _ = fading.draw_phase1(config, rng, trials)
     draws = [fading.draw_phase2(config, rng, trials) for _ in range(rounds)]
     cell, d2d = scenario.stage_thresholds(config, whole_slot=True)
-    decoded = fading.phase1_sinrs(gbs, uav, gains, config, with_head) >= cell
+    decoded = cellular_sinrs(gbs, uav, gains, config, with_head) >= cell
     out = [decoded.copy()]
     for draw in draws:
         sinrs = fading.phase2_sinrs(relay_power_everywhere(uav, decoded, config), draw, config)
@@ -639,7 +639,7 @@ def test_cellular_decode_probs_match_resampled_line_of_sight_phases(with_head, n
     server = fading.nearest_server(gbs, cfg)
     theta = scenario.stage_thresholds(cfg, whole_slot=True)[0]
     sinrs, base, swing = fading.phase1_sinrs(gbs, uav, gains, cfg, with_head, nearest,
-                                             phasors[np.arange(trials), :, server])
+                                             phasors[np.arange(trials), :, server], server)
     exact = fading.phase1_decode_probs(base, swing, theta)
     assert (swing[:, 0] == 0.0).all() == with_head and (swing[:, 1:] > 0.0).all()
     assert ((0.05 < exact) & (exact < 0.95)).sum() >= 4
@@ -652,9 +652,9 @@ def test_cellular_decode_probs_match_resampled_line_of_sight_phases(with_head, n
             redrawn[:, 1 if with_head else 0:, server[t]] = np.exp(
                 2j * np.pi * rng.random((copies, cfg.n_uavs - with_head)))
             copy = los * redrawn + scattered
-            hits += (fading.phase1_sinrs(np.repeat(gbs[t][None], copies, axis=0),
-                                         np.repeat(uav[t][None], copies, axis=0), copy, cfg,
-                                         with_head, nearest) >= theta).sum(axis=0)
+            hits += (cellular_sinrs(np.repeat(gbs[t][None], copies, axis=0),
+                                    np.repeat(uav[t][None], copies, axis=0), copy, cfg,
+                                    with_head, nearest) >= theta).sum(axis=0)
         q = np.where(np.isnan(exact[t]), sinrs[t] >= theta, exact[t])
         freq = hits / (copies * batches)
         sigma = np.sqrt(q * (1.0 - q) / (copies * batches))
