@@ -133,9 +133,10 @@ def _phase1_amplitudes(gbs: np.ndarray, uav: np.ndarray, config: ScenarioConfig)
     """
     # sqrt(ref_gain dist^-alpha), dist = sqrt(dx * dx + dy * dy + dz * dz),
     # formed in place
-    amp = uav[:, :, None, 0] - gbs[:, None, :, 0]
+    amp, dy = uav[:, :, None, 0] - gbs[:, None, :, 0], uav[:, :, None, 1] - gbs[:, None, :, 1]
     amp *= amp
-    amp += (uav[:, :, None, 1] - gbs[:, None, :, 1]) ** 2
+    dy *= dy
+    amp += dy
     amp += config.swarm_altitude_m * config.swarm_altitude_m  # ground stations sit at height 0
     np.sqrt(amp, out=amp)
     np.power(amp, -config.pathloss_exp_cell, out=amp)

@@ -12,11 +12,13 @@ the layout alone).  Given everything else, a UAV's outcome turns on that
 phase alone, except the head's under its own weights, so its decode
 probability q is exact (``fading.phase1_decode_probs``) and the outcomes are
 independent.  A trial's cellular entry is sum_i q_i / N.  Its relay rounds
-run on the sampled decoders, or, where none decoded though some could, on a
-set redrawn given at least one decoder, and each is weighted by 1 - pi_0,
-pi_0 = prod_i (1 - q_i): nobody relays without a decoder, so both entries
-are unbiased, and only the relay set's law, not its draw, is changed
-(``run_trial``).
+are averaged over S = ``_RELAY_SETS`` relay sets, each redrawn given at
+least one decoder where it has none though some UAV could decode, and
+weighted by 1 - pi_0, pi_0 = prod_i (1 - q_i): nobody relays without a
+decoder, so both entries are unbiased.  Set 0 is the sampled decoders.  Set
+k decodes UAV i iff its share of the phases that reach its drawn SINR, a
+uniform, shifted by k / S modulo 1, is below q_i: each set has the
+decoders' law, the S are stratified, and none draws anything (``run_trial``).
 
 Trials run in chunks whose bounds depend only on the trial count, and each
 chunk is drawn on its own rng seeded from (master_seed, the chunk's first
@@ -84,8 +86,9 @@ class Protocol:
     all, and ``multi_round`` for its rounds.
 
     The cellular stage gives each UAV its decode probability over one
-    line-of-sight phase and samples the relay set, given at least one
-    decoder (the module docstring).  Every relay round is one step, whatever
+    line-of-sight phase and takes S stratified relay sets from its phases,
+    each given at least one decoder, which share every relay round's draw
+    (the module docstring).  Every relay round is one step, whatever
     the protocol: each speaker that has decoded relays over D2D, over the
     fixed geometry with fresh fading, to every UAV still to decode.  A
     listener's probability is exact over the round's Rayleigh fading given
@@ -183,7 +186,7 @@ _RESOLVABLE = math.sqrt(float(np.finfo(float).eps))
 # and its (K, N) pair gains, K <= trials N rows left to the relay stage, to
 # about a MB, and decodes 100 trials at N=40 in 3 calls.  It does not count
 # each curve's (1 + rounds) N probabilities or the (rounds - 1) N relay draws
-# per trial, which grow with the round count past it
+# per trial, which grow with the round count past it, nor the S-fold relay rows
 _RUN_ELEMENTS = 1 << 16
 # the share q of R^2 at which the control features floor each squared GBS
 # distance: on a wide cell their exact means are carried by near GBSs too
@@ -191,6 +194,9 @@ _RUN_ELEMENTS = 1 << 16
 _DISTANCE_FLOOR = 0.1
 # the largest float below 1: a uniform on [0, 1) picks an index by its inverse CDF
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
+# the relay sets S of each trial of a relaying curve (``run_trial``): S = 3
+# cut variance further, but added about three times S = 2's N=40 kernel time
+_RELAY_SETS = 2
 
 
 def trial_rng(master_seed: int, start: int) -> np.random.Generator:
@@ -218,14 +224,19 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     None without relay rounds, as ``estimate_variants`` plans them
     (``_thresholds``).  Returns ``(probs, cellular, draws)`` over the
     run's trials, in chunk order.  ``probs`` holds one float (trials, 1 +
-    relay rounds, N) array per curve: row 0 of a trial is its relay set, the
-    cellular decoders (0 or 1), and row r the probability that each UAV has
-    decoded by relay round r, each round ``Protocol``'s one step
-    (``fading.phase2_decode_probs``).  A relaying curve's relay set is the
-    sampled decoders, or where none decoded, one drawn given at least one
-    (``_condition_on_a_decoder``).  ``cellular`` holds each curve's
-    (trials, N) cellular decode probabilities q over the line-of-sight
-    phases (the module docstring) and its (trials,) relay weights 1 - pi_0.
+    relay rounds, S, N) array per curve, S = ``_RELAY_SETS`` with relay
+    rounds and 1 without: row 0 of a trial's set is its relay set (0 or 1),
+    and row r the probability that each UAV has decoded by relay round r,
+    each round ``Protocol``'s one step (``fading.phase2_decode_probs``).
+    Set 0 is the sampled decoders, and set k decodes a UAV iff its phase
+    share u (``fading.phase1_decode_probs`` at the drawn SINR), a uniform,
+    shifted by k / S modulo 1 is below its q; a set with no decoder is
+    redrawn given at least one (``_condition_on_a_decoder``).  A shifted
+    uniform is uniform, so every set has the decoders' law given at least
+    one and the sets' mean is unbiased; the sets draw nothing.  ``cellular``
+    holds each curve's (trials, N) cellular decode probabilities q over the
+    line-of-sight phases (the module docstring) and its (trials,) relay
+    weights 1 - pi_0.
     ``draws`` are the GBS layouts (trials, M, 2) and cellular gains
     (trials, N, M), whence the control features (``_control_features``).
 
@@ -241,8 +252,9 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     are those of a call on its chunk alone, bit for bit.  The D2D pair
     gains (``fading.relay_gains``) draw nothing; they are formed once, one
     row for each listener that some relaying curve leaves to the relay
-    stage.  A round sums, decodes and samples only its curve's listeners
-    still to decode, each row's sum with the bits of the whole matrix's.
+    stage in some set.  A round sums, decodes and samples only its curve's
+    listeners still to decode, set by set on the round's one draw, each
+    row's sum with the bits of the whole matrix's.
     """
     sampled = max(0, max(p.rounds for p, _, _ in curves) - 1)
     n, m, total = config.n_uavs, config.m_total, sum(trials)
@@ -263,7 +275,7 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
         np.take(phasors, first_links[:size] + server[start:stop, None], out=los[start:stop])
         for draw in relay_draws:
             draw[start:stop] = fading.draw_phase2(config, chunk_rng, size)
-    laws = {}  # by head weighting and serving set
+    laws, shares = {}, {}  # by head weighting and serving set
     decodes, cellular = [], []
     pending = np.zeros((total, n), dtype=bool)  # left to some curve's relays
     for protocol, cell_threshold, _ in curves:
@@ -276,26 +288,36 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
         np.copyto(exact, decoded, where=np.isnan(exact))
         none = np.prod(1.0 - exact, axis=1)  # pi_0, the chance that nobody decodes
         if protocol.rounds:
-            _condition_on_a_decoder(decoded, exact, none, laws[cell])
-            pending |= ~decoded
+            if cell not in shares:
+                # set k's share u of the phases that reach the drawn SINR is
+                # set 0's shifted by k / S modulo 1: NaN where no phase turns it
+                u = (fading.phase1_decode_probs(base, swing, sinrs)
+                     + np.arange(_RELAY_SETS)[:, None, None] / _RELAY_SETS)
+                u[1:] -= u[1:] >= 1.0
+                shares[cell] = u, np.fmin(u[1:], _BELOW_ONE)
+            u, below = shares[cell]
+            sets = np.concatenate([decoded[None], below < exact])  # NaN decodes iff q = 1
+            decoded = sets.reshape(-1, n)
+            _condition_on_a_decoder(decoded, exact, none, u.reshape(-1, n))
+            pending |= ~sets.all(axis=0)
         decodes.append(decoded)
         cellular.append((exact, 1.0 - none))
     path_gain = fading.relay_gains(uav, pending, config) if pending.any() else np.empty((0, n))
+    # the pair gains' row of each pending (trial, UAV), in every relay set
+    slot = np.tile(np.cumsum(pending).reshape(total, n) - 1, (_RELAY_SETS, 1))
     out = []
     for (protocol, _, d2d_threshold), decoded in zip(curves, decodes):
-        rounds = protocol.rounds
-        probs = np.empty((1 + rounds, total, n))  # round by round, returned trial by trial
+        rounds, sets = protocol.rounds, len(decoded) // total
+        probs = np.empty((1 + rounds, len(decoded), n))  # round by round, returned trial by trial
         probs[0] = decoded
         speakers = np.arange(n) == 0 if protocol.head_only else np.ones(n, dtype=bool)
         for r in range(1, rounds + 1):
-            # one row per listener still to decode, in row-major order
+            # one row per listener still to decode, set by set in row-major order
             listening = ~decoded
             relays = decoded & speakers
             counts = listening.sum(axis=1)
             row_relays = np.repeat(relays, counts, axis=0)
-            row_gain = (path_gain if len(row_relays) == len(path_gain) else
-                        np.compress(listening[pending], path_gain, axis=0))
-            power = fading.relay_power(row_gain, row_relays)
+            power = fading.relay_power(np.take(path_gain, slot[listening], axis=0), row_relays)
             heard = fading.phase2_decode_probs(power, row_relays, config, d2d_threshold)
             # exact over this round's fading given the relay set; a curve
             # that relays from a grown set never falls, and the maximum
@@ -305,35 +327,36 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
             np.maximum(probs[r], probs[r - 1], out=probs[r])
             if r < rounds:
                 # the sampled outcome sets the next round's relays; with
-                # nobody relaying there is no transmission to decode
-                sinrs = fading.phase2_sinrs(power, relay_draws[r - 1][listening], config)
+                # nobody relaying there is no transmission to decode.  The
+                # sets share the round's draw
+                draw = np.tile(relay_draws[r - 1], (sets, 1))[listening]
+                sinrs = fading.phase2_sinrs(power, draw, config)
                 decoded[listening] = ((sinrs >= d2d_threshold)
                                       & np.repeat(relays.any(axis=1), counts))
-        out.append(probs.transpose(1, 0, 2))
+        out.append(probs.reshape(1 + rounds, sets, total, n).transpose(2, 0, 1, 3))
     return out, cellular, (gbs, gains)
 
 
-def _condition_on_a_decoder(decoded, exact, none, law):
+def _condition_on_a_decoder(decoded, exact, none, shares):
     """Redraw, in place, the cellular decoders of each trial where none decoded but some could.
 
-    ``decoded`` (trials, N) are the sampled outcomes, ``exact`` their decode
-    probabilities q over the line-of-sight phases, ``none`` pi_0 = prod_i
-    (1 - q_i), and ``law`` the (sinrs, base, swing) of
-    ``fading.phase1_sinrs``.  A UAV whose SINR turns on its phase decoded
-    iff the share s of phases that reach its drawn SINR, a uniform, is at
-    most q; so given that it failed, v = (s - q) / (1 - q) is uniform on
-    (0, 1) and independent of everything else.  A redrawn trial's first
-    decoder is the inverse CDF of the first one at the first such UAV's v,
+    ``decoded`` (S trials, N) are the relay sets of ``run_trial``, set by
+    set, and ``shares`` their shares u, ``exact`` the trials' decode
+    probabilities q over the line-of-sight phases and ``none`` pi_0 = prod_i
+    (1 - q_i).  A UAV whose SINR turns on its phase is in a set iff u, a
+    uniform, is below q; so given that it is not, v = (u - q) / (1 - q) is
+    uniform on (0, 1) and independent of everything else.  A redrawn set's
+    first decoder is the inverse CDF of the first one at the first such UAV's v,
     and each later UAV decodes iff its own v < q: the decoders' law given
     at least one.  Trials with a decoder, or with pi_0 = 1, are left alone.
     """
-    redo = np.flatnonzero(~decoded.any(axis=1) & (none < 1.0))
+    trials = len(exact)
+    redo = np.flatnonzero(~decoded.reshape(-1, *exact.shape).any(axis=2) & (none < 1.0))
     if not len(redo):
         return
-    sinrs, base, swing = (a[redo] for a in law)
-    q = exact[redo]
+    q = exact[redo % trials]
     with np.errstate(divide="ignore", invalid="ignore"):
-        spare = (fading.phase1_decode_probs(base, swing, sinrs) - q) / (1.0 - q)
+        spare = (shares[redo] - q) / (1.0 - q)
     np.clip(spare, 0.0, _BELOW_ONE, out=spare)  # NaN where the SINR does not turn on the phase
     rows = np.arange(len(redo))
     first = spare[rows, np.argmax(~np.isnan(spare), axis=1)]
@@ -423,10 +446,11 @@ def _decoded_counts(config, curves, control, sampled, master_seed, bounds):
     ``bounds`` are the run's chunk boundaries: chunk i holds trials
     [bounds[i], bounds[i + 1]) and is drawn on ``trial_rng(master_seed,
     bounds[i])``.  A trial's cellular column is sum_i q_i, and relay round
-    r's is (1 - pi_0) sum_i p_ri, over the relay set drawn given at least
-    one decoder (``run_trial``): both unbiased for the decoded count.  With
-    ``sampled`` the columns are the counts of ``run_trial``'s per-UAV
-    values instead, the cellular one that of the sampled decoders.
+    r's is (1 - pi_0) sum_i p_ri, its mean over the S relay sets, each drawn
+    given at least one decoder (``run_trial``): both unbiased for the
+    decoded count.  With ``sampled`` the columns are the counts of
+    ``run_trial``'s per-UAV values instead, the cellular one that of the
+    sampled decoders.
     """
     rngs = [trial_rng(master_seed, start) for start in bounds[:-1]]
     # a squared length past the float range overflows to inf, which clears
@@ -434,7 +458,7 @@ def _decoded_counts(config, curves, control, sampled, master_seed, bounds):
     # wanted, so the overflow is not reported
     with np.errstate(over="ignore"):
         probs, cellular, draws = run_trial(config, curves, rngs, np.diff(bounds).tolist())
-    columns = [curve.sum(axis=2) for curve in probs]
+    columns = [curve.sum(axis=3).mean(axis=2) for curve in probs]
     if not sampled:
         for counts, (exact, weight) in zip(columns, cellular):
             counts[:, 0] = exact.sum(axis=1)

@@ -480,6 +480,26 @@ def test_optimize_tau_grid_must_be_interior(capsys, config_path):
     assert "tau_phase1_s: must satisfy 0 < tau_phase1_s < tau_total_s, got 0.0" in err
 
 
+def test_closed_form_tau_star_is_within_two_se_of_the_mc_best(capsys, config_path):
+    # the design answer: at the reference geometry, along the optimize-tau
+    # grid (0.10-0.90 ms in 0.05 ms steps), Monte Carlo's eta at the closed
+    # form's best split is within 2 SE of Monte Carlo's best, 4,000 trials
+    # on one draw
+    grid = ("--start", "0.0001", "--stop", "0.0009", "--step", "0.00005")
+    rows = {}
+    for engine, extra in (("analytic", ()), ("mc", ("--trials", "4000", "--seed", "7"))):
+        code, out, _ = run_cli(capsys, "optimize-tau", "--config", config_path, *grid,
+                               "--engine", engine, *extra)
+        assert code == 0
+        rows[engine] = parse_csv(out)[1]
+    assert len(rows["mc"]) == 17 and [r[1] for r in rows["mc"]] == [r[1] for r in rows["analytic"]]
+    star = [r[-1] for r in rows["analytic"]].index("1")
+    at, best = rows["mc"][star], next(r for r in rows["mc"] if r[-1] == "1")
+    assert 0 < star < 16
+    gap = float(best[6]) - float(at[6])
+    assert 0.0 <= gap <= 2.0 * math.hypot(float(at[8]), float(best[8])), (at, best)
+
+
 def test_range_grid_points_are_formed_once_from_the_decimals_given(capsys, config_path):
     # point i is start + i step in decimal, rounded once: repeated float
     # addition once gave 0.00030000000000000003, 0.0006000000000000001 and

@@ -43,13 +43,14 @@ def test_a_protocol_s_stages_are_its_fields_not_its_name():
 def test_zero_bits_all_decode_in_phase1():
     cfg = make_config(message_bits=0.0)
     probs = run_kernel([(cfg, mc.PROPOSED)], mc.trial_rng(1, 0), 5)[0][0]
-    assert probs.shape == (5, 2, 40)
+    assert probs.shape == (5, 2, mc._RELAY_SETS, 40)
     assert (probs == 1.0).all()
 
 
 def test_sets_disjoint_and_within_range(config):
+    # in every relay set of every trial
     probs = run_kernel([(config, mc.PROPOSED)], mc.trial_rng(2, 0), 50)[0][0]
-    assert probs.shape == (50, 2, 40) and probs.dtype == np.float64
+    assert probs.shape == (50, 2, mc._RELAY_SETS, 40) and probs.dtype == np.float64
     assert np.isin(probs[:, 0], (0.0, 1.0)).all()  # the cellular stage is sampled
     assert ((0.0 <= probs) & (probs <= 1.0)).all()
     assert (probs[:, 0] <= probs[:, -1]).all()
@@ -60,8 +61,8 @@ def test_head_relay_without_head_means_no_phase2():
     # nobody relays
     cfg = make_config(n_uavs=10, message_bits=150.0)
     masks = run_kernel([(cfg, mc.HEAD_RELAY)], mc.trial_rng(3, 0), 200)[0][0]
-    headless = masks[:, 0, 0] == 0.0
-    assert headless.sum() > 0
+    headless = masks[:, 0, 0, 0] == 0.0
+    assert headless.sum() > 0 and (masks[headless, 0, :, 0] == 0.0).all()
     assert (masks[headless, -1] == masks[headless, 0]).all()
 
 
@@ -170,10 +171,11 @@ def test_each_run_is_one_kernel_call_with_a_stream_per_chunk(monkeypatch, n_uavs
 
 def _expected_counts(kernel, v):
     """Curve ``v``'s per-trial counts from a ``run_trial`` output: the cellular
-    column sum_i q_i, and relay round r's (1 - pi_0) times the count of its row."""
+    column sum_i q_i, and relay round r's (1 - pi_0) times the mean count of
+    its row over the relay sets."""
     probs, cellular, _ = kernel
     exact, weight = cellular[v]
-    counts = probs[v].sum(axis=2)
+    counts = probs[v].sum(axis=3).mean(axis=2)
     counts[:, 0] = exact.sum(axis=1)
     counts[:, 1:] *= weight[:, None]
     return counts
@@ -217,46 +219,63 @@ def test_a_run_of_chunks_is_one_kernel_call_per_chunk_bit_for_bit(monkeypatch, o
         assert regression is None or _same_bits(regression, one_regression)
 
 
-def redraw_given_a_decoder(decoded, sinrs, base, swing, threshold):
-    """Redraw, one trial at a time, the cellular decoders (trials, N) of each trial where
-    none decoded but some could, from their law given at least one.
+def relay_sets(sinrs, base, swing, threshold):
+    """A relaying curve's relay sets (S, trials, N) before any redraw, each set's
+    shares (S, trials, N) and the decode probabilities q (trials, N).
 
     q is each UAV's decode probability over its line-of-sight phase, or its
-    drawn outcome where its SINR does not turn on that phase.  A UAV that
-    failed has a uniform spare v = (s - q) / (1 - q), s the share of phases
-    that reach its drawn SINR.  The first decoder is the inverse CDF of the
+    drawn outcome where its SINR does not turn on that phase.  Set 0 is the
+    sampled decoders.  Set k takes each UAV's share s of the phases that
+    reach its drawn SINR, shifted by k / S modulo 1, and decodes the UAV iff
+    that is below q; a NaN share, where the SINR does not turn on the
+    phase, decodes iff q = 1.
+    """
+    decoded = sinrs >= threshold
+    exact = fading.phase1_decode_probs(base, swing, threshold)
+    q = np.where(np.isnan(exact), decoded, exact)
+    share = fading.phase1_decode_probs(base, swing, sinrs)
+    shares = [share] + [(share + k / mc._RELAY_SETS) % 1.0 for k in range(1, mc._RELAY_SETS)]
+    sets = [decoded] + [np.where(np.isnan(u), q == 1.0, u < q) for u in shares[1:]]
+    return np.stack(sets), np.stack(shares), q
+
+
+def redraw_given_a_decoder(decoded, share, q):
+    """Redraw, one trial at a time, the relay set (trials, N) of each trial where
+    none decoded but some could, from its law given at least one.
+
+    A UAV that failed has a uniform spare v = (u - q) / (1 - q), u its
+    ``share`` (``relay_sets``).  The first decoder is the inverse CDF of the
     first one at the first spare, and each later UAV decodes iff its spare
     is below its q.
     """
-    exact = fading.phase1_decode_probs(base, swing, threshold)
-    share = fading.phase1_decode_probs(base, swing, sinrs)
     for t in np.flatnonzero(~decoded.any(axis=1)):
-        q = np.where(np.isnan(exact[t]), 0.0, exact[t])
         survive, reached = 1.0, []
-        for qi in q:
+        for qi in q[t]:
             survive *= 1.0 - qi
             reached.append(1.0 - survive)
         if survive == 1.0:
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
-            spare = np.clip((share[t] - q) / (1.0 - q), 0.0, np.nextafter(1.0, 0.0))
+            spare = np.clip((share[t] - q[t]) / (1.0 - q[t]), 0.0, np.nextafter(1.0, 0.0))
         first = spare[~np.isnan(spare)][0]
         pick = next(j for j, mass in enumerate(reached) if mass > first * reached[-1])
         decoded[t, pick] = True
-        for j in range(pick + 1, len(q)):
-            decoded[t, j] = spare[j] < q[j]
+        for j in range(pick + 1, len(q[t])):
+            decoded[t, j] = spare[j] < q[t, j]
 
 
 def whole_matrix_relay(config, protocol, rng, trials):
-    """Decode probabilities (trials, 1 + rounds, N) of one chunk by the whole-matrix relay loop.
+    """Decode probabilities (trials, 1 + rounds, S, N) of one chunk by the whole-matrix relay
+    loop, one relay set per trial without relay rounds.
 
     The chunk's draws are replayed from ``rng`` in ``mc.run_trial``'s order.
     Each relay round sums every UAV's relay power over the (trials, N, N)
     pair gains, forms every UAV's decode probability, and then scores a UAV
     that has decoded 1: what ``mc.run_trial`` did before it kept to the
     listeners still to decode.  Every round but the last is then sampled,
-    whatever the protocol.  A trial whose cellular stage decoded nobody,
-    though somebody could have, relays from its ``redraw_given_a_decoder``.
+    whatever the protocol, on draws that every relay set shares.  Each of
+    the ``relay_sets`` whose cellular stage decoded nobody, though somebody
+    could have, relays from its ``redraw_given_a_decoder``.
     """
     n, rounds = config.n_uavs, protocol.rounds
     gbs = geometry.sample_gbs_layout(config, rng, trials)
@@ -271,13 +290,9 @@ def whole_matrix_relay(config, protocol, rng, trials):
     sinrs, base, swing = fading.phase1_sinrs(gbs, uav, gains, config, protocol.with_head,
                                              protocol.name == "nearest_gbs",
                                              phasors[np.arange(trials), :, server], server)
-    decoded = sinrs >= cell
-    probs = np.empty((trials, 1 + rounds, n))
-    probs[:, 0] = decoded
     if not rounds:
-        return probs
-    redraw_given_a_decoder(decoded, sinrs, base, swing, cell)
-    probs[:, 0] = decoded
+        return (sinrs >= cell).astype(float)[:, None, None]
+    sets, shares, q = relay_sets(sinrs, base, swing, cell)
     ratio = d2d * config.intf_noise_phase2_w / config.tx_power_uav_w
     with np.errstate(over="ignore", divide="ignore"):
         gain = uav[:, :, None, 0] - uav[:, None, :, 0]
@@ -290,19 +305,24 @@ def whole_matrix_relay(config, protocol, rng, trials):
         np.power(gain, -config.pathloss_exp_d2d, out=gain)
         gain *= config.ref_gain_d2d
     speakers = np.arange(n) == 0 if protocol.name == "head_relay" else np.ones(n, dtype=bool)
-    for r in range(1, rounds + 1):
-        relays = decoded & speakers
-        power = np.where(relays[:, None, :], gain, 0.0).sum(axis=2)
-        if d2d == 0.0:
-            heard = np.broadcast_to(relays.any(axis=1, keepdims=True), relays.shape).astype(float)
-        else:
-            with np.errstate(divide="ignore", over="ignore", under="ignore"):
-                heard = np.exp(-ratio / power)
-        np.maximum(np.where(decoded, 1.0, heard), probs[:, r - 1], out=probs[:, r])
-        if r < rounds:
-            sinrs = config.tx_power_uav_w * power * draws[r - 1] / config.intf_noise_phase2_w
-            decoded |= (sinrs >= d2d) & relays.any(axis=1, keepdims=True)
-    return probs
+    out = np.empty((trials, 1 + rounds, len(sets), n))
+    for decoded, share, probs in zip(sets, shares, out.transpose(2, 0, 1, 3)):
+        redraw_given_a_decoder(decoded, share, q)
+        probs[:, 0] = decoded
+        for r in range(1, rounds + 1):
+            relays = decoded & speakers
+            power = np.where(relays[:, None, :], gain, 0.0).sum(axis=2)
+            if d2d == 0.0:
+                heard = np.broadcast_to(relays.any(axis=1, keepdims=True),
+                                        relays.shape).astype(float)
+            else:
+                with np.errstate(divide="ignore", over="ignore", under="ignore"):
+                    heard = np.exp(-ratio / power)
+            np.maximum(np.where(decoded, 1.0, heard), probs[:, r - 1], out=probs[:, r])
+            if r < rounds:
+                sinrs = config.tx_power_uav_w * power * draws[r - 1] / config.intf_noise_phase2_w
+                decoded |= (sinrs >= d2d) & relays.any(axis=1, keepdims=True)
+    return out
 
 
 @pytest.mark.parametrize("overrides, raw", [
@@ -533,11 +553,12 @@ def test_multiround_sets_nested_and_curve_monotone():
     for with_head in (True, False):
         masks = run_kernel([(cfg, mc.multi_round(4, with_head))], mc.trial_rng(6, 0),
                              30)[0][0]
-        assert masks.shape == (30, 5, 10)
-        assert np.isin(masks[:, 0], (0.0, 1.0)).all()
-        assert ((0.0 <= masks) & (masks <= 1.0)).all()
-        assert not np.isin(masks[:, 1:], (0.0, 1.0)).all()
-        assert (masks[:, :-1] <= masks[:, 1:]).all()
+        assert masks.shape == (30, 5, mc._RELAY_SETS, 10)
+        for k in range(mc._RELAY_SETS):  # in every relay set
+            assert np.isin(masks[:, 0, k], (0.0, 1.0)).all()
+            assert ((0.0 <= masks[:, :, k]) & (masks[:, :, k] <= 1.0)).all()
+            assert not np.isin(masks[:, 1:, k], (0.0, 1.0)).all()
+            assert (masks[:, :-1, k] <= masks[:, 1:, k]).all()
         curve = mc.estimate(cfg, mc.multi_round(4, with_head), 200, 6)
         etas = [e.eta_mean for e in curve]
         assert len(etas) == 5
@@ -575,46 +596,60 @@ def test_multiround_prefix_property():
             assert mc.estimate(cfg, mc.multi_round(r, with_head), 120, 19)[-1] == curve[r]
 
 
-def sampled_rounds(config, rounds, with_head, rng, trials):
-    """Each UAV's sampled decode indicator (trials, 1 + rounds, N) of ``multi_round``.
-
-    A chunk's geometry, cellular fading and relay draws are replayed from
-    ``rng``, in ``mc.run_trial``'s order, and every relay round is sampled:
-    a listener decodes once its SINR clears the threshold.  The last round
-    is sampled on one more draw, which the kernel does not make.
-    """
+def replay_chunk(config, rng, trials, relay_draws, with_head):
+    """A chunk's planar UAVs, its first ``relay_draws`` relay draws and its cellular
+    law (sinrs, base, swing) over every serving GBS, replayed from ``rng`` in
+    ``mc.run_trial``'s order."""
     gbs = geometry.sample_gbs_layout(config, rng, trials)
     uav = geometry.sample_swarm_layout(config, rng, trials)[0]
-    gains, _ = fading.draw_phase1(config, rng, trials)
-    draws = [fading.draw_phase2(config, rng, trials) for _ in range(rounds)]
+    gains, phasors = fading.draw_phase1(config, rng, trials)
+    draws = [fading.draw_phase2(config, rng, trials) for _ in range(relay_draws)]
+    server = fading.nearest_server(gbs, config)
+    los = phasors[np.arange(trials), :, server]
+    return uav, draws, fading.phase1_sinrs(gbs, uav, gains, config, with_head, False, los, server)
+
+
+def sampled_rounds(config, rounds, with_head, rng, trials):
+    """Each UAV's sampled decode indicator (trials, 1 + rounds, S, N) of ``multi_round``.
+
+    A chunk's geometry, cellular fading and relay draws are replayed from
+    ``rng`` (``replay_chunk``).  Each relay set starts from its decoders
+    before any redraw (``relay_sets``), and every relay round is sampled on
+    draws that the sets share: a listener decodes once its SINR clears the
+    threshold.  The last round is sampled on one more draw, which the
+    kernel does not make.
+    """
+    uav, draws, law = replay_chunk(config, rng, trials, rounds, with_head)
     cell, d2d = scenario.stage_thresholds(config, whole_slot=True)
-    decoded = cellular_sinrs(gbs, uav, gains, config, with_head) >= cell
-    out = [decoded.copy()]
-    for draw in draws:
-        sinrs = fading.phase2_sinrs(relay_power_everywhere(uav, decoded, config), draw, config)
-        decoded |= (sinrs >= d2d) & decoded.any(axis=1, keepdims=True)
-        out.append(decoded.copy())
-    return np.stack(out, axis=1)
+    out = []
+    for decoded in relay_sets(*law, cell)[0]:
+        rows = [decoded.copy()]
+        for draw in draws:
+            sinrs = fading.phase2_sinrs(relay_power_everywhere(uav, decoded, config), draw, config)
+            decoded |= (sinrs >= d2d) & decoded.any(axis=1, keepdims=True)
+            rows.append(decoded.copy())
+        out.append(np.stack(rows, axis=1))
+    return np.stack(out, axis=2)
 
 
 @pytest.mark.parametrize("with_head", [True, False])
 def test_exact_relay_rounds_agree_with_the_sampled_indicator(with_head):
     # each round is exact over its fading given the sampled relay set of the
-    # round before: in a trial with a cellular decoder, whose relay set is
-    # the sampled one, a UAV that the sampled rounds had decoded scores 1,
-    # and over 200 seeds the paired gap of the curves' means, each trial's
-    # rounds weighted by 1 - pi_0, has |z| <= 3
+    # round before, in every relay set: in a trial whose set has a cellular
+    # decoder, and so is not redrawn, a UAV that the sampled rounds had
+    # decoded scores 1, and over 200 seeds the paired gap of the curves'
+    # means, each trial's rounds weighted by 1 - pi_0, has |z| <= 3
     cfg = make_config(n_uavs=10, message_bits=150.0)
     rounds, trials, seeds = 4, 50, 200
-    gaps = np.empty((seeds, rounds))
+    gaps = np.empty((seeds, rounds, mc._RELAY_SETS))
     for seed in range(seeds):
         [exact], [(_, weight)], _ = run_kernel([(cfg, mc.multi_round(rounds, with_head))],
                                                mc.trial_rng(2400 + seed, 0), trials)
         sampled = sampled_rounds(cfg, rounds, with_head, mc.trial_rng(2400 + seed, 0), trials)
-        kept = sampled[:, 0].any(axis=1)
-        assert np.array_equal(exact[kept, 0], sampled[kept, 0])
-        assert (exact[kept, 1:][sampled[kept, :-1]] == 1.0).all()
-        gaps[seed] = (weight[:, None, None] * exact[:, 1:] - sampled[:, 1:]).mean(axis=(0, 2))
+        kept = sampled[:, 0].any(axis=2)  # (trials, S)
+        assert np.array_equal(exact[:, 0][kept], sampled[:, 0][kept])
+        assert (exact[:, 1:][sampled[:, :-1] & kept[:, None, :, None]] == 1.0).all()
+        gaps[seed] = (weight[:, None, None, None] * exact[:, 1:] - sampled[:, 1:]).mean(axis=(0, 3))
     z = gaps.mean(axis=0) / (gaps.std(axis=0, ddof=1) / math.sqrt(seeds))
     assert (np.abs(z) <= 3.0).all(), z
 
@@ -675,9 +710,9 @@ def test_at_rician_k_0_the_cellular_stage_stays_sampled():
     probs, cellular, _ = run_kernel([(cfg, p) for p in _all_protocols()], mc.trial_rng(47, 0),
                                     200)
     for curve, (exact, weight) in zip(probs, cellular):
-        assert _same_bits(exact, curve[:, 0])
-        assert _same_bits(weight, curve[:, 0].any(axis=1).astype(float))
-    assert (~probs[-1][:, 0].any(axis=1)).sum() >= 20
+        assert all(_same_bits(exact, curve[:, 0, k]) for k in range(curve.shape[2]))
+        assert _same_bits(weight, curve[:, 0, 0].any(axis=1).astype(float))
+    assert (~probs[-1][:, 0, 0].any(axis=1)).sum() >= 20
 
 
 def _poisson_binomial(q):
@@ -690,39 +725,79 @@ def _poisson_binomial(q):
     return pmf
 
 
+def _law_given_a_decoder(sets, exact, weight, trials):
+    """Over ``trials``, the relay sets' (trials, N) size counts against the Poisson-binomial
+    pmf of the q given at least one success, and each UAV's presence against
+    q_i / (1 - pi_0): (counts, expected, variance) of the sizes and of the presences."""
+    sizes, expected, variance = np.zeros((3, exact.shape[1] + 1))
+    present, marginal, spread = np.zeros((3, exact.shape[1]))
+    for t in trials:
+        pmf = _poisson_binomial(exact[t])
+        pmf[0] = 0.0
+        pmf /= weight[t]
+        sizes[sets[t].sum()] += 1
+        expected += pmf
+        variance += pmf * (1.0 - pmf)
+        p = exact[t] / weight[t]
+        present += sets[t]
+        marginal += p
+        spread += p * (1.0 - p)
+    return (sizes, expected, variance), (present, marginal, spread)
+
+
 @pytest.mark.parametrize("with_head", [True, False])
 def test_redrawn_relay_sets_follow_the_decoders_law_given_one(with_head):
-    # over the trials without a cellular decoder in which some UAV could
-    # decode, the redrawn relay set's size against the Poisson-binomial pmf
-    # of the q given at least one success, and each UAV's presence against
-    # q_i / (1 - pi_0): within 4 standard errors, summed over trials
+    # in every relay set, over the trials where it had no cellular decoder
+    # though some UAV could decode, the redrawn set's size against the
+    # Poisson-binomial pmf of the q given at least one success, and each
+    # UAV's presence against q_i / (1 - pi_0): within 4 standard errors,
+    # summed over trials
     cfg = make_config(n_uavs=10, message_bits=150.0, m_available=2)
     protocol = mc.multi_round(1, with_head)
     variants = [(cfg, protocol), (cfg, replace(protocol, rounds=0))]
-    sizes, expected, variance = np.zeros(11), np.zeros(11), np.zeros(11)
-    present, marginal, spread = np.zeros(10), np.zeros(10), np.zeros(10)
-    redrawn = 0
-    for seed in range(20):
-        probs, [(exact, weight), _], _ = run_kernel(variants, mc.trial_rng(4800 + seed, 0), 200)
-        drawn, relays = probs[1][:, 0] > 0, probs[0][:, 0] > 0
-        assert np.array_equal(relays[drawn.any(axis=1)], drawn[drawn.any(axis=1)])
-        for t in np.flatnonzero(~drawn.any(axis=1) & (weight > 0.0)):
-            redrawn += 1
-            pmf = _poisson_binomial(exact[t])
-            pmf[0] = 0.0
-            pmf /= weight[t]
-            sizes[relays[t].sum()] += 1
-            expected += pmf
-            variance += pmf * (1.0 - pmf)
-            p = exact[t] / weight[t]
-            present += relays[t]
-            marginal += p
-            spread += p * (1.0 - p)
-        if with_head:
-            assert not relays[~drawn[:, 0], 0].any()
-    assert redrawn >= 400 and sizes[0] == 0 and sizes[2] >= 20
-    assert (np.abs(sizes - expected) <= 4.0 * np.sqrt(variance)).all(), (sizes, expected)
-    assert (np.abs(present - marginal) <= 4.0 * np.sqrt(spread)).all(), (present, marginal)
+    theta = mc._thresholds(cfg, protocol)[0]
+    for k in range(mc._RELAY_SETS):
+        totals = np.zeros((3, 11)), np.zeros((3, 10))
+        redrawn = 0
+        for seed in range(20):
+            probs, [(exact, weight), _], _ = run_kernel(variants, mc.trial_rng(4800 + seed, 0),
+                                                        200)
+            law = replay_chunk(cfg, mc.trial_rng(4800 + seed, 0), 200, 0, with_head)[2]
+            drawn, relays = relay_sets(*law, theta)[0][k], probs[0][:, 0, k] > 0
+            assert k or np.array_equal(drawn, probs[1][:, 0, 0] > 0)
+            assert np.array_equal(relays[drawn.any(axis=1)], drawn[drawn.any(axis=1)])
+            redo = np.flatnonzero(~drawn.any(axis=1) & (weight > 0.0))
+            redrawn += len(redo)
+            for total, part in zip(totals, _law_given_a_decoder(relays, exact, weight, redo)):
+                total += part
+            if with_head:
+                assert not relays[~drawn[:, 0], 0].any()
+        (sizes, expected, variance), (present, marginal, spread) = totals
+        assert redrawn >= 400 and sizes[0] == 0 and sizes[2] >= 20
+        assert (np.abs(sizes - expected) <= 4.0 * np.sqrt(variance)).all(), (k, sizes, expected)
+        assert (np.abs(present - marginal) <= 4.0 * np.sqrt(spread)).all(), (k, present, marginal)
+
+
+@pytest.mark.parametrize("with_head", [True, False])
+def test_every_relay_set_follows_the_decoders_law_given_one(with_head):
+    # each relay set of a trial, redrawn or not, is the decoders' law given
+    # at least one: over every trial where some UAV could decode, its size
+    # against the Poisson-binomial pmf of the q given at least one success,
+    # and each UAV's presence against q_i / (1 - pi_0), within 4 standard errors
+    cfg = make_config(n_uavs=10, message_bits=150.0, m_available=2)
+    for k in range(mc._RELAY_SETS):
+        totals = np.zeros((3, 11)), np.zeros((3, 10))
+        for seed in range(20):
+            [probs], [(exact, weight)], _ = run_kernel([(cfg, mc.multi_round(1, with_head))],
+                                                       mc.trial_rng(5800 + seed, 0), 200)
+            some = np.flatnonzero(weight > 0.0)
+            for total, part in zip(totals, _law_given_a_decoder(probs[:, 0, k] > 0, exact,
+                                                                weight, some)):
+                total += part
+        (sizes, expected, variance), (present, marginal, spread) = totals
+        assert sizes[0] == 0
+        assert (np.abs(sizes - expected) <= 4.0 * np.sqrt(variance)).all(), (k, sizes, expected)
+        assert (np.abs(present - marginal) <= 4.0 * np.sqrt(spread)).all(), (k, present, marginal)
 
 
 def test_conditioned_values_agree_with_the_sampled_ones():
@@ -740,8 +815,8 @@ def test_conditioned_values_agree_with_the_sampled_ones():
     for seed in range(seeds):
         kernel = run_kernel(variants, mc.trial_rng(5000 + seed, 0), 100)
         for v, protocol in enumerate(protocols):
-            drawn = kernel[0][k + v][:, 0]
-            sampled = kernel[0][v].sum(axis=2) * drawn.any(axis=1)[:, None]
+            drawn = kernel[0][k + v][:, 0, 0]
+            sampled = kernel[0][v][:, :, 0].sum(axis=2) * drawn.any(axis=1)[:, None]
             sampled[:, 0] = drawn.sum(axis=1)
             gaps[v][seed] = (_expected_counts(kernel, v) - sampled).mean(axis=0) / cfg.n_uavs
     for protocol, gap in zip(protocols, gaps):
@@ -749,6 +824,60 @@ def test_conditioned_values_agree_with_the_sampled_ones():
         assert ((mean == 0.0) | (np.abs(mean) <= 3.0 * std_err)).all(), (protocol.label, mean,
                                                                         std_err)
         assert (std_err[0] > 0.0) and (protocol.with_head or (std_err[1:] > 0.0).all())
+
+
+def test_averaged_relay_sets_agree_with_one_set(monkeypatch):
+    # the values averaged over the relay sets against those of the first set
+    # alone, on the same draws: over 200 seeds of 100 trials the paired gap
+    # of each entry of every protocol's curve, six-round multi_round with and
+    # without the head included, has |z| <= 3; the cellular entry is the same
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    protocols = _all_protocols()
+    variants = [(cfg, p) for p in protocols]
+    seeds = 200
+    gaps = [np.empty((seeds, 1 + p.rounds)) for p in protocols]
+    for seed in range(seeds):
+        kernel = run_kernel(variants, mc.trial_rng(6200 + seed, 0), 100)
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "_RELAY_SETS", 1)
+            one = run_kernel(variants, mc.trial_rng(6200 + seed, 0), 100)
+        for v in range(len(protocols)):
+            gap = _expected_counts(kernel, v) - _expected_counts(one, v)
+            gaps[v][seed] = gap.mean(axis=0) / cfg.n_uavs
+    for protocol, gap in zip(protocols, gaps):
+        mean, std_err = gap.mean(axis=0), gap.std(axis=0, ddof=1) / math.sqrt(seeds)
+        assert (gap[:, 0] == 0.0).all() and (std_err[1:] > 0.0).all(), protocol.label
+        assert (np.abs(mean) <= 3.0 * std_err)[1:].all(), (protocol.label, mean, std_err)
+
+
+def test_with_one_relay_set_the_kernel_is_the_first_set_alone(monkeypatch):
+    # one relay set is the kernel before the sets were averaged: on ragged
+    # chunks each curve is the first set of the whole-matrix loop and of the
+    # kernel's two, bit for bit, and each command's counts are those of
+    # that set, formed as they were, sum_i q_i and (1 - pi_0) sum_i p_ri
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    variants = [(cfg, p) for p in _all_protocols()]
+    variants += [(replace(cfg, message_bits=75.0), mc.PROPOSED)]
+    sizes, starts = [16, 16, 1, 9], [0, 16, 32, 33]
+    many = run_kernel(variants, [mc.trial_rng(8, s) for s in starts], sizes)
+    monkeypatch.setattr(mc, "_RELAY_SETS", 1)
+    one = run_kernel(variants, [mc.trial_rng(8, s) for s in starts], sizes)
+    for v, (config, protocol) in enumerate(variants):
+        curve = one[0][v]
+        assert curve.shape[2] == 1 and _same_bits(curve[:, :, 0], many[0][v][:, :, 0])
+        want = [whole_matrix_relay(config, protocol, mc.trial_rng(8, s), n)
+                for s, n in zip(starts, sizes)]
+        assert _same_bits(curve, np.concatenate(want))
+        for k in range(2):
+            assert _same_bits(one[1][v][k], many[1][v][k])
+    columns = []
+    for curve, (exact, weight) in zip(*one[:2]):
+        counts = curve[:, :, 0].sum(axis=2)
+        counts[:, 0] = exact.sum(axis=1)
+        counts[:, 1:] *= weight[:, None]
+        columns.append(counts)
+    table = mc._decoded_counts(cfg, planned_curves(variants), False, False, 8, [*starts, 42])
+    assert _same_bits(table, np.concatenate(columns, axis=1))
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -911,22 +1040,24 @@ def test_a_bad_threshold_of_a_later_draw_fails_before_any_kernel_call(monkeypatc
 
 def test_protocols_on_one_seed_share_the_cellular_stage():
     # same serving set, combining and threshold on the same trial rng give
-    # the same row 0, whatever happens in the relay rounds afterwards
+    # the same row 0 in each relay set, whatever happens in the relay rounds
+    # afterwards; a curve without relay rounds has one set, the first
     cfg = make_config(n_uavs=10, message_bits=150.0)
     trials = 30
     row0 = lambda p: run_kernel([(cfg, p)], mc.trial_rng(10, 0), trials)[0][0][:, 0]
     assert np.array_equal(row0(mc.PROPOSED), row0(mc.HEAD_RELAY))
     all_gbs = run_kernel([(cfg, mc.ALL_GBS)], mc.trial_rng(10, 0), trials)[0][0]
-    assert all_gbs.shape == (trials, 1, 10)
+    assert all_gbs.shape == (trials, 1, 1, 10)
+    assert np.array_equal(row0(mc.multi_round(1)), row0(mc.multi_round(3)))
     for rounds in (1, 3):
-        assert np.array_equal(all_gbs[:, 0], row0(mc.multi_round(rounds)))
+        assert np.array_equal(all_gbs[:, 0, 0], row0(mc.multi_round(rounds))[:, 0])
     cellular = run_kernel([(cfg, replace(mc.PROPOSED, rounds=0))], mc.trial_rng(10, 0),
                             trials)[0][0]
-    assert cellular.shape == (trials, 1, 10)
-    assert np.array_equal(cellular[:, 0], row0(mc.PROPOSED))
+    assert cellular.shape == (trials, 1, 1, 10)
+    assert np.array_equal(cellular[:, 0, 0], row0(mc.PROPOSED)[:, 0])
     # nearest_gbs serves from one of the same layouts and fading
     nearest = row0(mc.NEAREST_GBS)
-    assert nearest.shape == (trials, 10) and not np.array_equal(nearest, all_gbs[:, 0])
+    assert nearest.shape == (trials, 1, 10) and not np.array_equal(nearest[:, 0], all_gbs[:, 0, 0])
 
 
 def test_variants_share_a_draw_only_when_only_thresholds_differ():
@@ -1130,7 +1261,7 @@ def sampled_relay_fractions(config, protocol, trials, seed):
     def chunk(start, stop):
         rng = mc.trial_rng(seed, start)
         cellular = [(config, replace(protocol, rounds=0))]
-        decoded = run_kernel(cellular, rng, stop - start)[0][0][:, 0] > 0
+        decoded = run_kernel(cellular, rng, stop - start)[0][0][:, 0, 0] > 0
         replay = mc.trial_rng(seed, start)
         geometry.sample_gbs_layout(config, replay, stop - start)
         uav = geometry.sample_swarm_layout(config, replay, stop - start)[0]
