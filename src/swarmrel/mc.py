@@ -19,6 +19,8 @@ decoder, so both entries are unbiased.  Set 0 is the sampled decoders.  Set
 k decodes UAV i iff its share of the phases that reach its drawn SINR, a
 uniform, shifted by k / S modulo 1, is below q_i: each set has the
 decoders' law, the S are stratified, and none draws anything (``run_trial``).
+Relay round 1 is less a control of mean 0 over the sets' law, each UAV's
+first-order expansion about its expected relay power (``run_trial``).
 
 Trials run in chunks whose bounds depend only on the trial count, and each
 chunk is drawn on its own rng seeded from (master_seed, the chunk's first
@@ -235,8 +237,16 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     uniform is uniform, so every set has the decoders' law given at least
     one and the sets' mean is unbiased; the sets draw nothing.  ``cellular``
     holds each curve's (trials, N) cellular decode probabilities q over the
-    line-of-sight phases (the module docstring) and its (trials,) relay
-    weights 1 - pi_0.
+    line-of-sight phases (the module docstring), its (trials,) relay
+    weights 1 - pi_0 and its (trials,) round-1 control, 0 without relay
+    rounds.  Round 1 scores UAV j 1 - L_j + L_j h(Z_j), h(P) = exp(-c / P),
+    L_j = 1{j listens} and Z_j = L_j sum_t s_t 1{t in the set} g_tj (s the
+    speakers, g the pair gains): to first order about mu_j = sum_t s_t q_t
+    g_tj, 1 + beta_j Z_j + gamma_j L_j.  Nobody relays without a decoder, so
+    under each set's law E Z_j = (1 - q_j) mu_j / (1 - pi_0) and E L_j = (1 -
+    q_j - pi_0) / (1 - pi_0) exactly, and the control sum_j beta_j (Z_j - E
+    Z_j) + gamma_j (L_j - E L_j), averaged over the sets, has mean 0: its
+    coefficients read q and the gains, never the sets, and are not fitted.
     ``draws`` are the GBS layouts (trials, M, 2) and cellular gains
     (trials, N, M), whence the control features (``_control_features``).
 
@@ -251,10 +261,11 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
     Everything after the draws works trial by trial, so a trial's values
     are those of a call on its chunk alone, bit for bit.  The D2D pair
     gains (``fading.relay_gains``) draw nothing; they are formed once, one
-    row for each listener that some relaying curve leaves to the relay
-    stage in some set.  A round sums, decodes and samples only its curve's
-    listeners still to decode, set by set on the round's one draw, each
-    row's sum with the bits of the whole matrix's.
+    row for each UAV whose q is below 1 in some relaying curve, as its
+    control reads them, or that one leaves to the relay stage in some set.
+    A round sums, decodes and samples only its curve's listeners still to
+    decode, set by set on the round's one draw, each row's sum with the
+    bits of the whole matrix's.
     """
     sampled = max(0, max(p.rounds for p, _, _ in curves) - 1)
     n, m, total = config.n_uavs, config.m_total, sum(trials)
@@ -277,7 +288,7 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
             draw[start:stop] = fading.draw_phase2(config, chunk_rng, size)
     laws, shares = {}, {}  # by head weighting and serving set
     decodes, cellular = [], []
-    pending = np.zeros((total, n), dtype=bool)  # left to some curve's relays
+    pending = np.zeros((total, n), dtype=bool)  # some relaying curve's q < 1, or a listener
     for protocol, cell_threshold, _ in curves:
         cell = (protocol.with_head, protocol.nearest)
         if cell not in laws:
@@ -299,14 +310,14 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
             sets = np.concatenate([decoded[None], below < exact])  # NaN decodes iff q = 1
             decoded = sets.reshape(-1, n)
             _condition_on_a_decoder(decoded, exact, none, u.reshape(-1, n))
-            pending |= ~sets.all(axis=0)
+            pending |= ~sets.all(axis=0) | (exact < 1.0)
         decodes.append(decoded)
-        cellular.append((exact, 1.0 - none))
+        cellular.append((exact, none))
     path_gain = fading.relay_gains(uav, pending, config) if pending.any() else np.empty((0, n))
     # the pair gains' row of each pending (trial, UAV), in every relay set
     slot = np.tile(np.cumsum(pending).reshape(total, n) - 1, (_RELAY_SETS, 1))
-    out = []
-    for (protocol, _, d2d_threshold), decoded in zip(curves, decodes):
+    out, relaying = [], []  # each relaying curve's index, round-1 (Z, L), speakers and c
+    for v, ((protocol, _, d2d_threshold), decoded) in enumerate(zip(curves, decodes)):
         rounds, sets = protocol.rounds, len(decoded) // total
         probs = np.empty((1 + rounds, len(decoded), n))  # round by round, returned trial by trial
         probs[0] = decoded
@@ -319,6 +330,11 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
             row_relays = np.repeat(relays, counts, axis=0)
             power = fading.relay_power(np.take(path_gain, slot[listening], axis=0), row_relays)
             heard = fading.phase2_decode_probs(power, row_relays, config, d2d_threshold)
+            if r == 1:  # each UAV's relay power Z and listening L, averaged over the sets
+                first = np.zeros((2, len(decoded), n))
+                first[0][listening], first[1] = power, listening
+                ratio = d2d_threshold * config.intf_noise_phase2_w / config.tx_power_uav_w
+                relaying.append((v, first.reshape(2, sets, total, n).mean(axis=1), speakers, ratio))
             # exact over this round's fading given the relay set; a curve
             # that relays from a grown set never falls, and the maximum
             # keeps rounding from making it
@@ -334,7 +350,36 @@ def run_trial(config: ScenarioConfig, curves, rngs, trials):
                 decoded[listening] = ((sinrs >= d2d_threshold)
                                       & np.repeat(relays.any(axis=1), counts))
         out.append(probs.reshape(1 + rounds, sets, total, n).transpose(2, 0, 1, 3))
+    controls = np.zeros((len(curves), total))
+    if relaying:
+        controls[[v for v, *_ in relaying]] = _first_round_controls(relaying, cellular, path_gain,
+                                                                    pending)
+    cellular = [(exact, 1.0 - none, control) for (exact, none), control in zip(cellular, controls)]
     return out, cellular, (gbs, gains)
+
+
+def _first_round_controls(relaying, laws, path_gain, pending):
+    """``run_trial``'s round-1 controls (curves, trials), all relaying curves in one pass.
+
+    beta = h'(mu) and gamma = h(mu) - 1 - beta mu are 0 and -1, their
+    limits, at mu = 0.  A UAV's term is left out where it is not finite: an
+    infinite pair gain, or pi_0 = 1.
+    """
+    rows, first, speakers, ratio = zip(*relaying)
+    (heard, listening), ratio = np.stack(first, axis=1), np.array(ratio)[:, None, None]
+    exact = np.stack([laws[v][0] for v in rows])
+    none = np.stack([laws[v][1] for v in rows])[:, :, None]
+    gains = np.zeros((*pending.shape, pending.shape[1]))  # (trials, j, t)
+    gains[pending] = path_gain
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        mu = np.einsum("cit,ijt->cij", exact * np.stack(speakers)[:, None], gains)
+        h = np.where(mu > 0.0, np.exp(-ratio / mu), 0.0)  # h(0) = 0, whatever c
+        beta = np.where(h > 0.0, ratio / (mu * mu) * h, 0.0)
+        gamma = h - 1.0 - beta * mu
+        term = (beta * (heard - (1.0 - exact) * mu / (1.0 - none))
+                + gamma * (listening - (1.0 - exact - none) / (1.0 - none)))
+    term[~np.isfinite(term)] = 0.0
+    return term.sum(axis=2)
 
 
 def _condition_on_a_decoder(decoded, exact, none, shares):
@@ -447,21 +492,24 @@ def _decoded_counts(config, curves, control, sampled, master_seed, bounds):
     [bounds[i], bounds[i + 1]) and is drawn on ``trial_rng(master_seed,
     bounds[i])``.  A trial's cellular column is sum_i q_i, and relay round
     r's is (1 - pi_0) sum_i p_ri, its mean over the S relay sets, each drawn
-    given at least one decoder (``run_trial``): both unbiased for the
-    decoded count.  With ``sampled`` the columns are the counts of
-    ``run_trial``'s per-UAV values instead, the cellular one that of the
-    sampled decoders.
+    given at least one decoder (``run_trial``), round 1's less its control,
+    (1 - pi_0) (sum_i p_1i - control), whose mean over the sets' law is
+    exactly 0: every column is unbiased for the decoded count.  With
+    ``sampled`` the columns are the counts of ``run_trial``'s per-UAV values
+    instead, the cellular one that of the sampled decoders.
     """
     rngs = [trial_rng(master_seed, start) for start in bounds[:-1]]
     # a squared length past the float range overflows to inf, which clears
-    # every separation in placement and gives a path gain of 0: the limits
-    # wanted, so the overflow is not reported
-    with np.errstate(over="ignore"):
+    # every separation in placement and gives a path gain of 0, and a pair
+    # distance that underflows to 0 a pair gain of inf: the limits wanted,
+    # so neither is reported
+    with np.errstate(over="ignore", divide="ignore"):
         probs, cellular, draws = run_trial(config, curves, rngs, np.diff(bounds).tolist())
     columns = [curve.sum(axis=3).mean(axis=2) for curve in probs]
     if not sampled:
-        for counts, (exact, weight) in zip(columns, cellular):
+        for counts, (exact, weight, first) in zip(columns, cellular):
             counts[:, 0] = exact.sum(axis=1)
+            counts[:, 1:2] -= first[:, None]
             counts[:, 1:] *= weight[:, None]
     features = [_control_features(draws, config)] if control else []
     return np.concatenate(columns + features, axis=1)

@@ -7,6 +7,7 @@ import signal
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from swarmrel import analytic, cli, mc, scenario, specfun
@@ -414,6 +415,25 @@ def test_compare_rows_equal_simulate(capsys, config_path, workers):
         code, out, _ = run_cli(capsys, "simulate", *common, "--protocol", row[1])
         assert code == 0
         assert row == parse_csv(out)[1][0]
+
+
+def test_coincident_uavs_compare_to_finite_uncontrolled_cells(capsys, tmp_path, monkeypatch):
+    # CI's coincident-UAV repro, the criterion-6 swarm squeezed to 1e-160 m:
+    # every pair gain is inf, so the round-1 control is left out, and every
+    # eta and std_err cell is a finite number, the same as without the control
+    path = tmp_path / "coincident.cfg"
+    write_config(replace(make_config(n_uavs=10, message_bits=150.0), swarm_radius_m=1e-160,
+                         min_separation_m=1e-170), path)
+    argv = ("compare", "--config", str(path), "--trials", "120", "--seed", "3")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    cells = [dict(zip(header, row))[name] for row in rows for name in ("eta", "std_err")]
+    assert len(rows) == 4 and all(cell != "" and math.isfinite(float(cell)) for cell in cells)
+    monkeypatch.setattr(mc, "_first_round_controls",
+                        lambda relaying, laws, gains, pending: np.zeros((len(relaying),
+                                                                         len(pending))))
+    assert run_cli(capsys, *argv) == (0, out, err)
 
 
 def test_threshold_sweep_runs_the_trials_once(capsys, config_path, monkeypatch):

@@ -172,11 +172,12 @@ def test_each_run_is_one_kernel_call_with_a_stream_per_chunk(monkeypatch, n_uavs
 def _expected_counts(kernel, v):
     """Curve ``v``'s per-trial counts from a ``run_trial`` output: the cellular
     column sum_i q_i, and relay round r's (1 - pi_0) times the mean count of
-    its row over the relay sets."""
+    its row over the relay sets, less the round-1 control in round 1."""
     probs, cellular, _ = kernel
-    exact, weight = cellular[v]
+    exact, weight, control = cellular[v]
     counts = probs[v].sum(axis=3).mean(axis=2)
     counts[:, 0] = exact.sum(axis=1)
+    counts[:, 1:2] -= control[:, None]
     counts[:, 1:] *= weight[:, None]
     return counts
 
@@ -205,7 +206,7 @@ def test_a_run_of_chunks_is_one_kernel_call_per_chunk_bit_for_bit(monkeypatch, o
     ones = [run_kernel(variants, mc.trial_rng(5, s), n) for s, n in zip(starts, sizes)]
     for v, curve in enumerate(run):
         assert _same_bits(curve, np.concatenate([curves[v] for curves, _, _ in ones]))
-        for k in range(2):
+        for k in range(3):
             assert _same_bits(cellular[v][k], np.concatenate([c[v][k] for _, c, _ in ones]))
     assert _same_bits(mc._control_features(draws, cfg),
                       np.concatenate([mc._control_features(d, cfg) for _, _, d in ones]))
@@ -643,7 +644,7 @@ def test_exact_relay_rounds_agree_with_the_sampled_indicator(with_head):
     rounds, trials, seeds = 4, 50, 200
     gaps = np.empty((seeds, rounds, mc._RELAY_SETS))
     for seed in range(seeds):
-        [exact], [(_, weight)], _ = run_kernel([(cfg, mc.multi_round(rounds, with_head))],
+        [exact], [(_, weight, _)], _ = run_kernel([(cfg, mc.multi_round(rounds, with_head))],
                                                mc.trial_rng(2400 + seed, 0), trials)
         sampled = sampled_rounds(cfg, rounds, with_head, mc.trial_rng(2400 + seed, 0), trials)
         kept = sampled[:, 0].any(axis=2)  # (trials, S)
@@ -709,7 +710,7 @@ def test_at_rician_k_0_the_cellular_stage_stays_sampled():
     cfg = make_config(n_uavs=10, message_bits=150.0, m_available=2, rician_k=0.0)
     probs, cellular, _ = run_kernel([(cfg, p) for p in _all_protocols()], mc.trial_rng(47, 0),
                                     200)
-    for curve, (exact, weight) in zip(probs, cellular):
+    for curve, (exact, weight, _) in zip(probs, cellular):
         assert all(_same_bits(exact, curve[:, 0, k]) for k in range(curve.shape[2]))
         assert _same_bits(weight, curve[:, 0, 0].any(axis=1).astype(float))
     assert (~probs[-1][:, 0, 0].any(axis=1)).sum() >= 20
@@ -760,7 +761,7 @@ def test_redrawn_relay_sets_follow_the_decoders_law_given_one(with_head):
         totals = np.zeros((3, 11)), np.zeros((3, 10))
         redrawn = 0
         for seed in range(20):
-            probs, [(exact, weight), _], _ = run_kernel(variants, mc.trial_rng(4800 + seed, 0),
+            probs, [(exact, weight, _), _], _ = run_kernel(variants, mc.trial_rng(4800 + seed, 0),
                                                         200)
             law = replay_chunk(cfg, mc.trial_rng(4800 + seed, 0), 200, 0, with_head)[2]
             drawn, relays = relay_sets(*law, theta)[0][k], probs[0][:, 0, k] > 0
@@ -788,7 +789,7 @@ def test_every_relay_set_follows_the_decoders_law_given_one(with_head):
     for k in range(mc._RELAY_SETS):
         totals = np.zeros((3, 11)), np.zeros((3, 10))
         for seed in range(20):
-            [probs], [(exact, weight)], _ = run_kernel([(cfg, mc.multi_round(1, with_head))],
+            [probs], [(exact, weight, _)], _ = run_kernel([(cfg, mc.multi_round(1, with_head))],
                                                        mc.trial_rng(5800 + seed, 0), 200)
             some = np.flatnonzero(weight > 0.0)
             for total, part in zip(totals, _law_given_a_decoder(probs[:, 0, k] > 0, exact,
@@ -854,7 +855,8 @@ def test_with_one_relay_set_the_kernel_is_the_first_set_alone(monkeypatch):
     # one relay set is the kernel before the sets were averaged: on ragged
     # chunks each curve is the first set of the whole-matrix loop and of the
     # kernel's two, bit for bit, and each command's counts are those of
-    # that set, formed as they were, sum_i q_i and (1 - pi_0) sum_i p_ri
+    # that set, formed as they were, sum_i q_i and (1 - pi_0) sum_i p_ri,
+    # round 1 less its control (1 - pi_0) (sum_i p_1i - control)
     cfg = make_config(n_uavs=10, message_bits=150.0)
     variants = [(cfg, p) for p in _all_protocols()]
     variants += [(replace(cfg, message_bits=75.0), mc.PROPOSED)]
@@ -871,13 +873,142 @@ def test_with_one_relay_set_the_kernel_is_the_first_set_alone(monkeypatch):
         for k in range(2):
             assert _same_bits(one[1][v][k], many[1][v][k])
     columns = []
-    for curve, (exact, weight) in zip(*one[:2]):
+    for curve, (exact, weight, control) in zip(*one[:2]):
         counts = curve[:, :, 0].sum(axis=2)
         counts[:, 0] = exact.sum(axis=1)
+        counts[:, 1:2] -= control[:, None]
         counts[:, 1:] *= weight[:, None]
         columns.append(counts)
     table = mc._decoded_counts(cfg, planned_curves(variants), False, False, 8, [*starts, 42])
     assert _same_bits(table, np.concatenate(columns, axis=1))
+
+
+# --- the round-1 control, of mean 0 over the relay sets' law -----------------
+
+
+def first_round_terms(sets, q, gain, speakers, ratio):
+    """Each UAV's round-1 control term (copies, N) for relay sets (copies, N) of one trial.
+
+    ``q`` (N,) are the trial's decode probabilities, ``gain`` (N, N) its pair
+    gains g_jt, listener j by speaker t, and ``speakers`` the curve's
+    speaker mask.  With h(P) = exp(-ratio / P), mu_j = sum_t s_t q_t g_jt,
+    beta = h'(mu) and gamma = h(mu) - 1 - beta mu (0 and -1 at mu = 0), the
+    term is beta (Z_j - E Z_j) + gamma (L_j - E L_j), L_j = 1{j not in the
+    set} and Z_j = L_j sum_t s_t 1{t in the set} g_jt, whose means given a
+    decoder are (1 - q_j) mu_j / (1 - pi_0) and (1 - q_j - pi_0) / (1 - pi_0).
+    """
+    none = np.prod(1.0 - q)
+    mu = gain @ (speakers * q)
+    h = np.exp(-np.divide(ratio, mu, where=mu > 0.0, out=np.full_like(mu, np.inf)))
+    beta = np.divide(ratio * h, mu * mu, where=h > 0.0, out=np.zeros_like(mu))
+    gamma = h - 1.0 - beta * mu
+    listening = ~sets
+    heard = listening * ((sets & speakers) @ gain.T)
+    return (beta * (heard - (1.0 - q) * mu / (1.0 - none))
+            + gamma * (listening - (1.0 - q - none) / (1.0 - none)))
+
+
+@pytest.mark.parametrize("overrides, protocol", [
+    ({"n_uavs": 10, "message_bits": 150.0}, mc.PROPOSED),
+    ({"n_uavs": 10, "message_bits": 150.0}, mc.multi_round(1, with_head=False)),
+    ({}, mc.PROPOSED),
+], ids=["n10-head", "n10-no-head", "n40"])
+def test_first_round_control_has_mean_zero_over_the_relay_sets_law(overrides, protocol):
+    # the kernel's control of two trials is the sum of first_round_terms
+    # over its own relay sets, averaged over the sets; and each UAV's term,
+    # averaged over the S sets of 10^5 redraws of the trial's line-of-sight
+    # phases (relay_sets, then redraw_given_a_decoder), has mean 0 within
+    # 4 standard errors
+    cfg = make_config(**overrides)
+    cell, d2d = mc._thresholds(cfg, protocol)
+    ratio = d2d * cfg.intf_noise_phase2_w / cfg.tx_power_uav_w
+    n = cfg.n_uavs
+    speakers = np.ones(n, dtype=bool)
+    [probs], [(exact, _, control)], _ = run_kernel([(cfg, protocol)], mc.trial_rng(61, 0), 20)
+    uav, _, (_, base, swing) = replay_chunk(cfg, mc.trial_rng(61, 0), 20, 0, protocol.with_head)
+    gains = fading.relay_gains(uav, np.ones(exact.shape, dtype=bool), cfg).reshape(20, n, n)
+    mixed = np.flatnonzero(((0.05 < exact) & (exact < 0.95)).sum(axis=1) >= 3)[:2]
+    assert len(mixed) == 2
+    rng = np.random.default_rng(65)
+    copies = 100_000
+    for t in mixed:
+        own = first_round_terms(probs[t, 0] > 0.0, exact[t], gains[t], speakers, ratio)
+        assert control[t] == pytest.approx(own.sum(axis=1).mean(), rel=1e-9, abs=1e-12)
+        phases = np.cos(2.0 * np.pi * rng.random((copies, n)))
+        sinrs = base[t] + swing[t] * phases
+        sets, shares, q = relay_sets(sinrs, np.broadcast_to(base[t], sinrs.shape),
+                                     np.broadcast_to(swing[t], sinrs.shape), cell)
+        terms = np.zeros((copies, n))
+        for decoded, share in zip(sets, shares):
+            redraw_given_a_decoder(decoded, share, q)
+            terms += first_round_terms(decoded, exact[t], gains[t], speakers, ratio)
+        terms /= len(sets)
+        assert (terms != 0.0).any(axis=0).sum() >= 3
+        spread = terms.std(axis=0)
+        z = terms.mean(axis=0)[spread > 0.0] / (spread[spread > 0.0] / math.sqrt(copies))
+        assert (np.abs(z) <= 4.0).all(), (t, z)
+
+
+def test_head_relay_s_controlled_first_round_is_its_conditional_mean():
+    # the head alone relays, so a member's round-1 relay power is the head's
+    # path gain or 0: the control is exact, and the controlled round-1 count
+    # is (1 - pi_0) sum_j [1 - (1 - h_j) E L_j] to rounding, h_j = h(q_0 g_0j),
+    # where the head decoded (q_0 = 1) and where it did not (q_0 = 0)
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    kernel = run_kernel([(cfg, mc.HEAD_RELAY)], mc.trial_rng(63, 0), 200)
+    [(exact, weight, _)] = kernel[1]
+    uav = replay_chunk(cfg, mc.trial_rng(63, 0), 200, 0, True)[0]
+    head = np.zeros(exact.shape, dtype=bool)
+    head[:, 0] = True
+    mu = exact[:, :1] * relay_power_everywhere(uav, head, cfg)
+    ratio = mc._thresholds(cfg, mc.HEAD_RELAY)[1] * cfg.intf_noise_phase2_w / cfg.tx_power_uav_w
+    h = np.exp(-np.divide(ratio, mu, where=mu > 0.0, out=np.full_like(mu, np.inf)))
+    none = 1.0 - weight[:, None]
+    want = (weight[:, None] - (1.0 - h) * (1.0 - exact - none)).sum(axis=1)
+    assert np.isin(exact[:, 0], (0.0, 1.0)).all() and 0 < exact[:, 0].sum() < 200
+    assert np.allclose(_expected_counts(kernel, 0)[:, 1], want, rtol=1e-12, atol=1e-12)
+
+
+def test_first_round_control_agrees_with_the_uncontrolled_entry():
+    # over 200 seeds of 100 trials, each relaying curve's round-1 entry with
+    # the control against the same trials without it: the paired gap has
+    # |z| <= 3, and the control is not 0
+    cfg = make_config(n_uavs=10, message_bits=150.0)
+    protocols = [mc.PROPOSED, mc.HEAD_RELAY, mc.multi_round(6), mc.multi_round(6, False)]
+    seeds = 200
+    gaps = np.empty((seeds, len(protocols)))
+    for seed in range(seeds):
+        kernel = run_kernel([(cfg, p) for p in protocols], mc.trial_rng(6600 + seed, 0), 100)
+        for v, (_, weight, control) in enumerate(kernel[1]):
+            gaps[seed, v] = -(weight * control).mean() / cfg.n_uavs
+    mean, std_err = gaps.mean(axis=0), gaps.std(axis=0, ddof=1) / math.sqrt(seeds)
+    assert (std_err > 0.0).all() and (np.abs(mean) <= 3.0 * std_err).all(), (mean, std_err)
+
+
+def test_first_round_control_cuts_the_per_trial_variance(monkeypatch, config):
+    # at the criterion-3 point, 4,000 trials of proposed at 40 bits on one
+    # seed: round 1's per-trial variance, raw and after the layout
+    # regression, is lower with the control than without it
+    trials = 4_000
+    [(counts, regression)] = gather_counts([(config, mc.PROPOSED)], trials, 64, control=True)
+    monkeypatch.setattr(mc, "_first_round_controls",
+                        lambda relaying, laws, gains, pending: np.zeros((len(relaying),
+                                                                         len(pending))))
+    [(raw, raw_regression)] = gather_counts([(config, mc.PROPOSED)], trials, 64, control=True)
+    assert np.array_equal(counts[:, 0], raw[:, 0])
+    assert counts[:, 1].var() < raw[:, 1].var()
+    assert (mc._entry(counts[:, 1] / 40, regression, trials, 64).std_err
+            < mc._entry(raw[:, 1] / 40, raw_regression, trials, 64).std_err)
+
+
+def test_first_round_control_vanishes_where_pair_gains_are_infinite():
+    # coincident UAVs: every pair gain is inf, so every control term is
+    # left out, and the counts are the uncontrolled ones bit for bit
+    cfg = replace(make_config(n_uavs=10, message_bits=150.0), swarm_radius_m=1e-160,
+                  min_separation_m=1e-170)
+    with np.errstate(over="ignore", divide="ignore"):
+        _, cellular, _ = run_kernel([(cfg, p) for p in _all_protocols()], mc.trial_rng(3, 0), 50)
+    assert all((control == 0.0).all() for _, _, control in cellular)
 
 
 def _count_calls(monkeypatch, calls, module, name):
